@@ -33,6 +33,7 @@ round-off of the wildcard-column mass): the single-query
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,21 @@ import numpy as np
 __all__ = ["SamplerStats", "ProgressiveSampler", "UniformRegionSampler",
            "enumerate_region"]
 
-#: Row-chunk size of the per-column truncate/renormalise/sample arithmetic in
-#: batched runs; large micro-batches stack enough sample paths that one-shot
-#: vectorisation would fall out of the CPU caches.
+#: Row-chunk size of the per-row truncate/renormalise/sample arithmetic of
+#: the unfused (``dedup=False``) walk, whose ``(rows × domain)`` temporaries
+#: would otherwise fall out of the CPU caches on large micro-batches.
 _ROW_CHUNK = 8192
+
+#: Sort keys (packed prefixes, fused with the query) stay below this so
+#: ``key * num_queries + query`` can never wrap int64.
+_KEY_LIMIT = 2 ** 62
+
+
+def validate_num_samples(num_samples: int) -> None:
+    """Reject a sample budget that cannot produce an estimate: zero paths
+    average to NaN, a negative count dies inside numpy."""
+    if not isinstance(num_samples, (int, np.integer)) or num_samples < 1:
+        raise ValueError("num_samples must be a positive integer")
 
 
 def _sample_rows_from_probs(probs: np.ndarray, rng_draws: np.ndarray) -> np.ndarray:
@@ -52,6 +64,33 @@ def _sample_rows_from_probs(probs: np.ndarray, rng_draws: np.ndarray) -> np.ndar
     # Guard against rounding: force the last cumulative value to 1.
     cumulative[:, -1] = 1.0
     return np.argmax(cumulative >= rng_draws, axis=1)
+
+
+def _search_cumulative(cumulative: np.ndarray, groups: np.ndarray,
+                       draws: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose ``cumulative[groups[row]]`` entry
+    reaches ``draws[row]`` — all rows' binary searches run in lockstep.
+
+    Equals ``np.argmax(cumulative[groups] >= draws[:, None], axis=1)`` without
+    fanning the CDFs out to one full-width copy per row: each of the
+    ``ceil(log2(width))`` rounds reads one entry per row from the flat view
+    and keeps the half of the row's index range that holds the answer.  Exact,
+    not approximate, because the predicate ``entry >= draw`` is monotone along
+    every row: entries before the last are sequential sums of non-negatives
+    (never decreasing, also after rounding), and the last is ``1.0``, above
+    every draw in ``[0, 1)`` — so an answer exists and the range always
+    contains it (zero-mass rows answer ``width - 1``, or 0 for a zero draw).
+    """
+    width = cumulative.shape[1]
+    flat = cumulative.ravel()
+    base = groups * width
+    position = base.copy()
+    size = width
+    while size > 1:
+        half = size >> 1
+        position += half * (flat[position + (half - 1)] < draws)
+        size -= half
+    return position - base
 
 
 def _region_candidates(
@@ -135,70 +174,99 @@ class ProgressiveSampler:
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(seed)
         # Per-position mixed-radix packing of the visible prefix into one
-        # int64 (for scalar-sort deduplication); ``None`` marks positions
-        # whose radix product overflows, which fall back to row-wise unique.
-        self._prefix_pack: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        # int64 (for scalar-sort deduplication); a ``None`` radix marks
+        # positions whose radix product overflows, which fall back to
+        # row-wise unique.
+        self._prefix_pack: dict[int, tuple[np.ndarray, np.ndarray | None, int]] = {}
 
-    def _prefix_packing(self, position: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The (prefix column indices, mixed radix or None) of one position."""
+    def _prefix_packing(self, position: int) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """The (prefix column indices, mixed radix or None, number of
+        possible prefixes) of one position."""
         packing = self._prefix_pack.get(position)
         if packing is None:
             prefix_columns = np.asarray(self.model.order[:position], dtype=np.int64)
             domain_sizes = self.model.domain_sizes()
-            sizes = [domain_sizes[column] for column in prefix_columns]
+            sizes = [int(domain_sizes[column]) for column in prefix_columns]
+            span = math.prod(sizes)
             radix = None
-            if sizes and float(np.prod([float(size) for size in sizes])) < 2.0 ** 62:
+            if span < _KEY_LIMIT:
                 radix = np.ones(len(sizes), dtype=np.int64)
                 for index in range(len(sizes) - 2, -1, -1):
                     radix[index] = radix[index + 1] * sizes[index + 1]
-            packing = (prefix_columns, radix)
+            packing = (prefix_columns, radix, span)
             self._prefix_pack[position] = packing
         return packing
 
-    def _conditional_unique(self, position: int, column: int,
-                            codes: np.ndarray,
-                            alive_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Model conditionals of the alive rows, deduplicated by visible prefix.
+    def _conditional_groups(
+            self, position: int, column: int, codes: np.ndarray,
+            alive_rows: np.ndarray, row_queries: np.ndarray | None,
+            num_queries: int
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """Model conditionals of the alive rows, deduplicated by visible
+        prefix, and the rows' grouping by ``(prefix, query)``.
 
         Alive rows agree on every column *not* yet sampled (still zero), so
-        deduplicating the visible prefix equals deduplicating whole rows; the
-        model sees one representative row per unique prefix.  Returns
-        ``(representatives, inverse)`` — each alive row's distribution is
-        ``representatives[inverse[row]]`` — so callers can keep working in
-        representative space instead of scattering distributions back to every
-        row.  Whole-array numpy throughout — no scalar Python per row.
+        rows sharing a visible prefix are equal as whole rows and the model
+        sees any one of them per distinct prefix, in sorted-prefix order.
+        ``row_queries`` is the query of every alive row, or ``None`` when no
+        query filters this column — rows then group by prefix alone.  One
+        scalar sort does both jobs: rows are keyed by ``packed_prefix *
+        num_queries + query``, the distinct keys are the groups, and because
+        they come out ordered by prefix first, the distinct prefixes are the
+        boundaries in that (small) key array.
+
+        Returns ``(representatives, group_prefix, group_query, groups)``: row
+        ``r`` belongs to group ``g = groups[r]``, whose distribution is
+        ``representatives[group_prefix[g]]`` truncated by the mask of query
+        ``group_query[g]`` — or plainly ``representatives[g]``, with both
+        arrays ``None``, when ``row_queries`` is.  Callers keep working in
+        group space instead of scattering distributions back to every row.
+        Whole-array numpy throughout — no scalar Python per row.
         """
         stats = self.stats
         stats.rows_submitted += alive_rows.size
         stats.forward_calls += 1
-        if position == 0:
-            # Every path shares the empty prefix: one model row for them all.
-            stats.unique_rows += 1
-            representatives = self.model.conditional_probs(
-                column, codes[alive_rows[:1]])
-            return representatives, np.zeros(alive_rows.size, dtype=np.int64)
         sub_codes = codes[alive_rows]
-        prefix_columns, radix = self._prefix_packing(position)
+        prefix_columns, radix, span = self._prefix_packing(position)
         prefixes = sub_codes[:, prefix_columns]
         if radix is not None:
-            _, first_rows, inverse = np.unique(prefixes @ radix,
-                                               return_index=True,
-                                               return_inverse=True)
+            keys = prefixes @ radix
         else:
-            _, first_rows, inverse = np.unique(prefixes, axis=0,
-                                               return_index=True,
-                                               return_inverse=True)
+            # The packed prefix would overflow int64: rank whole prefixes.
+            _, keys = np.unique(prefixes, axis=0, return_inverse=True)
+            keys = keys.reshape(-1)
+            span = alive_rows.size
+        if row_queries is not None:
+            if span * num_queries >= _KEY_LIMIT:
+                # The fused key would overflow: rank the packed prefixes
+                # first (a second sort, on this path only).
+                _, keys = np.unique(keys, return_inverse=True)
+            keys = keys * num_queries + row_queries
+        group_keys, groups = np.unique(keys, return_inverse=True)
+        # Any row of a group represents it (its rows are equal): scatter row
+        # numbers to groups, whichever one a group keeps will do.
+        group_rows = np.empty(group_keys.size, dtype=np.int64)
+        group_rows[groups] = np.arange(alive_rows.size)
+        if row_queries is None:
+            group_prefix = group_query = None
+            first_rows = group_rows
+        else:
+            prefix_keys, group_query = np.divmod(group_keys, num_queries)
+            is_first = np.ones(group_keys.size, dtype=bool)
+            np.not_equal(prefix_keys[1:], prefix_keys[:-1], out=is_first[1:])
+            group_prefix = np.cumsum(is_first) - 1
+            first_rows = group_rows[is_first]
         stats.unique_rows += first_rows.size
         representatives = self.model.conditional_probs(column,
                                                        sub_codes[first_rows])
-        return representatives, inverse
+        return representatives, group_prefix, group_query, groups
 
     def _conditional_batch(self, position: int, column: int,
                            codes: np.ndarray,
                            alive_rows: np.ndarray) -> np.ndarray:
         """Per-row conditionals of the alive rows (scattered form).
 
-        With dedup on this is :meth:`_conditional_unique` followed by the
+        With dedup on this is :meth:`_conditional_groups` followed by the
         inverse scatter; with dedup off every row goes to the model directly.
         """
         stats = self.stats
@@ -207,9 +275,9 @@ class ProgressiveSampler:
             stats.forward_calls += 1
             stats.unique_rows += alive_rows.size
             return self.model.conditional_probs(column, codes[alive_rows])
-        representatives, inverse = self._conditional_unique(
-            position, column, codes, alive_rows)
-        return representatives[inverse]
+        representatives, _, _, groups = self._conditional_groups(
+            position, column, codes, alive_rows, None, 1)
+        return representatives[groups]
 
     # ------------------------------------------------------------------ #
     def estimate_selectivity(self, masks: list[np.ndarray | None],
@@ -243,7 +311,8 @@ class ProgressiveSampler:
             One mask list (as accepted by :meth:`estimate_selectivity`) per
             query.
         num_samples:
-            Progressive sample paths *per query*.
+            Progressive sample paths *per query*; a positive integer
+            (``ValueError`` otherwise).
         rngs:
             Optional one random generator per query.  Supplying per-query
             generators makes each query's estimate independent of how the
@@ -259,6 +328,7 @@ class ProgressiveSampler:
         numpy.ndarray
             One selectivity estimate per query, in input order.
         """
+        validate_num_samples(num_samples)
         domain_sizes = self.model.domain_sizes()
         num_columns = len(domain_sizes)
         num_queries = len(masks_batch)
@@ -311,39 +381,36 @@ class ProgressiveSampler:
                         mask_matrix[query] = mask
 
             if self.dedup:
-                # Representative-space arithmetic: rows sharing a (prefix,
-                # query-mask) pair share their truncated distribution, so the
-                # mask product, mass, renormalisation and cumulative sum run
-                # once per distinct pair; rows only gather their pair's
-                # results and compare against their own draws.  Every one of
-                # these operations is row-pure, so the per-row values — and
+                # Group-space arithmetic: rows sharing a (prefix, query-mask)
+                # pair share their truncated distribution, so the mask
+                # product, mass, renormalisation and cumulative sum run once
+                # per distinct pair; a row only reads its pair's mass and
+                # binary-searches its pair's CDF for its own draw.  Every one
+                # of these operations is row-pure, so the per-row values — and
                 # hence the estimates — are bit-identical to the unfused
                 # per-row loop below.
-                representatives, inverse = self._conditional_unique(
-                    position, column, codes, alive_rows)
-                if mask_matrix is None:
+                representatives, group_prefix, group_query, groups = (
+                    self._conditional_groups(
+                        position, column, codes, alive_rows,
+                        None if mask_matrix is None else row_query[alive_rows],
+                        num_queries))
+                if group_query is None:
                     truncated = representatives
-                    groups = inverse
                 else:
-                    pair_ids = inverse * num_queries + row_query[alive_rows]
-                    pairs, groups = np.unique(pair_ids, return_inverse=True)
-                    truncated = (representatives[pairs // num_queries]
-                                 * mask_matrix[pairs % num_queries])
+                    truncated = (representatives[group_prefix]
+                                 * mask_matrix[group_query])
                 group_mass = truncated.sum(axis=1)
                 safe_mass = np.where(group_mass > 0.0, group_mass, 1.0)
                 cumulative = np.cumsum(truncated / safe_mass[:, None], axis=1)
                 # Guard against rounding: force the last cumulative value to 1.
                 cumulative[:, -1] = 1.0
-                for start in range(0, alive_rows.size, _ROW_CHUNK):
-                    rows = alive_rows[start:start + _ROW_CHUNK]
-                    row_groups = groups[start:start + _ROW_CHUNK]
-                    mass = group_mass[row_groups]
-                    weights[rows] *= mass
-                    survived = mass > 0.0
-                    alive[rows] = survived
-                    sampled = np.argmax(cumulative[row_groups] >= draws[rows],
-                                        axis=1)
-                    codes[rows[survived], column] = sampled[survived]
+                mass = group_mass[groups]
+                weights[alive_rows] *= mass
+                survived = mass > 0.0
+                alive[alive_rows] = survived
+                sampled = _search_cumulative(cumulative, groups,
+                                             draws[alive_rows, 0])
+                codes[alive_rows[survived], column] = sampled[survived]
                 continue
 
             probs = self._conditional_batch(position, column, codes, alive_rows)

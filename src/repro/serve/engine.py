@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.progressive import ProgressiveSampler
+from ..core.progressive import ProgressiveSampler, validate_num_samples
 from ..query.predicates import DNFQuery, Query, dnf_expansion
 from .cache import (CachedConditionalModel, ConditionalProbCache,
                     PackedConditionalCache)
@@ -264,7 +264,8 @@ class EstimationEngine:
         Maximum number of queries packed into one model dispatch.
     num_samples:
         Progressive sample paths per query; defaults to the estimator's
-        configured ``progressive_samples`` (or 1000).
+        configured ``progressive_samples`` (or 1000).  Must be a positive
+        integer (``ValueError`` otherwise).
     use_cache:
         Memoise per-prefix conditionals in an LRU cache shared across batches.
     cache_entries:
@@ -341,6 +342,7 @@ class EstimationEngine:
         if num_samples is None:
             config = getattr(estimator, "config", None)
             num_samples = getattr(config, "progressive_samples", None) or 1000
+        validate_num_samples(num_samples)
         self.num_samples = num_samples
 
         model = getattr(estimator, "model", None)
@@ -645,6 +647,7 @@ def run_sequential(estimator, queries: list[Query], *,
     if num_samples is None:
         config = getattr(estimator, "config", None)
         num_samples = getattr(config, "progressive_samples", None) or 1000
+    validate_num_samples(num_samples)
     if indices is None:
         indices = list(range(len(queries)))
     elif len(indices) != len(queries):

@@ -23,6 +23,7 @@ from repro.core import (
     UniformRegionSampler,
     enumerate_region,
 )
+from repro.core.progressive import _search_cumulative
 from repro.data import ColumnSpec, make_correlated_table
 from repro.query import (OODWorkloadGenerator, Query, WorkloadGenerator,
                          true_selectivity)
@@ -316,6 +317,122 @@ class TestBatchedProgressiveSampling:
             ProgressiveSampler(oracle, seed=0).estimate_selectivity_batch(
                 [[None]], num_samples=10)
 
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_degenerate_sample_budget_rejected(self, skewed_table, oracle,
+                                               num_samples):
+        """Zero paths used to average to NaN (with a RuntimeWarning) and a
+        negative count died inside numpy; both are a typed error up front."""
+        masks = [None] * skewed_table.num_columns
+        sampler = ProgressiveSampler(oracle, seed=0)
+        with pytest.raises(ValueError, match="num_samples must be a positive"):
+            sampler.estimate_selectivity(masks, num_samples=num_samples)
+        with pytest.raises(ValueError, match="num_samples must be a positive"):
+            sampler.estimate_selectivity_batch([], num_samples=num_samples)
+
+
+#: Widths around every power of two up to 128: the halving schedule of the
+#: search differs on each side of one.
+_SEARCH_WIDTHS = sorted({1, 2, 3} | {2 ** k + d for k in range(2, 8)
+                                     for d in (-1, 0, 1)})
+
+
+class TestSearchCumulative:
+    """The lockstep binary search must equal the full-width gather/compare/
+    argmax it replaced on every input the sampler can produce."""
+
+    @staticmethod
+    def _cdf_rows(kinds, width, rng):
+        """CDF rows built the way the sampler builds them, one per kind."""
+        probs = np.zeros((len(kinds), width))
+        for row, kind in enumerate(kinds):
+            if kind == "dense":
+                probs[row] = rng.random(width)
+            elif kind in ("plateau", "overshoot"):
+                support = rng.choice(width, size=min(width, 3), replace=False)
+                probs[row, support] = rng.random(support.size) + 0.1
+            # "zero": a zero-mass row stays all zero.
+        mass = probs.sum(axis=1)
+        cumulative = np.cumsum(
+            probs / np.where(mass > 0.0, mass, 1.0)[:, None], axis=1)
+        cumulative[:, -1] = 1.0
+        if width > 1:
+            for row, kind in enumerate(kinds):
+                if kind == "overshoot":
+                    # Rounding can push the running sum one ulp past the
+                    # forced final 1.0.
+                    cumulative[row, -2] = np.nextafter(1.0, 2.0)
+        return cumulative
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_argmax(self, data):
+        width = data.draw(st.sampled_from(_SEARCH_WIDTHS), label="width")
+        kinds = data.draw(st.lists(
+            st.sampled_from(["dense", "plateau", "zero", "overshoot"]),
+            min_size=1, max_size=5), label="kinds")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        cumulative = self._cdf_rows(kinds, width, rng)
+        # Repeated and unsorted group references.
+        groups = np.asarray(data.draw(st.lists(
+            st.integers(0, len(kinds) - 1), min_size=1, max_size=40),
+            label="groups"), dtype=np.int64)
+        draw_specs = data.draw(st.lists(
+            st.one_of(st.just(0.0),
+                      st.floats(0.0, 1.0, exclude_max=True),
+                      # A draw exactly on one of its row's CDF values.
+                      st.integers(0, width - 1).map(lambda index: (index,))),
+            min_size=groups.size, max_size=groups.size), label="draws")
+        draws = np.empty(groups.size)
+        for row, spec in enumerate(draw_specs):
+            if isinstance(spec, tuple):
+                spec = cumulative[groups[row], spec[0]]
+                if spec >= 1.0:   # draws live in [0, 1)
+                    spec = np.nextafter(1.0, 0.0)
+            draws[row] = spec
+        expected = np.argmax(cumulative[groups] >= draws[:, None], axis=1)
+        assert np.array_equal(_search_cumulative(cumulative, groups, draws),
+                              expected)
+
+    @pytest.mark.parametrize("width", _SEARCH_WIDTHS)
+    def test_zero_mass_rows(self, width):
+        """An all-zero row answers the forced final entry — or index 0 for a
+        zero draw, which every entry reaches — exactly like ``argmax``."""
+        cumulative = np.zeros((2, width))
+        cumulative[:, -1] = 1.0
+        groups = np.array([1, 0, 1])
+        draws = np.array([0.5, 0.0, np.nextafter(1.0, 0.0)])
+        assert _search_cumulative(cumulative, groups, draws).tolist() == [
+            width - 1, 0, width - 1]
+
+
+class _SpikeModel:
+    """Row-exact stub autoregressive model over declared (huge) domains.
+
+    Each conditional puts its mass on three codes derived from the row's
+    visible prefix — one of them at the top of the domain, so packed prefixes
+    really do reach the declared radix product, and few enough that sample
+    paths keep sharing prefixes.
+    """
+
+    def __init__(self, domain_sizes):
+        self._domain_sizes = list(domain_sizes)
+        self.order = list(range(len(self._domain_sizes)))
+
+    def domain_sizes(self):
+        return list(self._domain_sizes)
+
+    def conditional_probs(self, column_index, codes):
+        size = self._domain_sizes[column_index]
+        rows = np.arange(codes.shape[0])
+        mix = (codes[:, :column_index]
+               * (7919 * (np.arange(column_index) + 1))).sum(axis=1)
+        probs = np.zeros((codes.shape[0], size))
+        probs[rows, mix % size] += 0.5
+        probs[rows, (mix * 31 + 7) % size] += 0.3
+        probs[rows, size - 1 - mix % 3] += 0.2
+        return probs
+
 
 class TestPrefixDeduplication:
     """Prefix-deduplicated sampling must be *bit-identical* to the unfused
@@ -344,6 +461,72 @@ class TestPrefixDeduplication:
         _, fused = self._estimates(model, skewed_table, workload, dedup=True)
         _, plain = self._estimates(model, skewed_table, workload, dedup=False)
         assert np.array_equal(fused, plain)
+
+    def test_mixed_wildcard_batch_is_bit_identical(self, skewed_table, oracle):
+        """Every column sees filtered and wildcard queries side by side — and
+        queries that finish early — so the fused (prefix, query) sort has to
+        keep each row with its own query's mask."""
+        rng = np.random.default_rng(17)
+
+        def mask(column):
+            size = skewed_table.domain_sizes[column]
+            chosen = rng.random(size) < 0.6
+            chosen[rng.integers(size)] = True
+            return chosen
+
+        filtered_columns = [(0, 2), (1,), (0, 1, 2, 3), (3,), (1, 3), (0,), ()]
+        masks_batch = [[mask(column) if column in columns else None
+                        for column in range(skewed_table.num_columns)]
+                       for columns in filtered_columns]
+        from repro.core import MADEModel
+        made = MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
+        for model in (oracle, made):
+            estimates = []
+            for dedup in (True, False):
+                rngs = [np.random.default_rng(900 + index)
+                        for index in range(len(masks_batch))]
+                estimates.append(ProgressiveSampler(
+                    model, seed=0, dedup=dedup).estimate_selectivity_batch(
+                        masks_batch, num_samples=300, rngs=rngs))
+            assert np.array_equal(estimates[0], estimates[1])
+            assert estimates[0][-1] == 1.0   # the all-wildcard query
+
+    @pytest.mark.parametrize("domain_sizes, num_queries, row_wise", [
+        # Four prefix columns of 2^16 cannot be packed into an int64: the
+        # last position dedups through the row-wise np.unique(axis=0).
+        ([2 ** 16] * 5, 2, True),
+        # Five prefix columns of 2^12 pack (2^60), but times twelve queries
+        # the fused key would wrap (and, twelve being no power of two, lose
+        # the query): the single sort must decline.
+        ([2 ** 12] * 6, 12, False),
+    ])
+    def test_overflow_fallbacks_are_bit_identical(self, domain_sizes,
+                                                  num_queries, row_wise):
+        model = _SpikeModel(domain_sizes)
+        last = len(domain_sizes) - 1
+        _, radix, span = ProgressiveSampler(model)._prefix_packing(last)
+        assert (radix is None) == row_wise
+        assert span * num_queries >= 2 ** 62
+        rng = np.random.default_rng(3)
+        masks_batch = []
+        for query in range(num_queries):
+            masks = [None] * len(domain_sizes)
+            for column in {last, query % last}:
+                masks[column] = rng.random(domain_sizes[column]) < 0.7
+                masks[column][-3:] = True
+            masks_batch.append(masks)
+        results = []
+        for dedup in (True, False):
+            sampler = ProgressiveSampler(model, seed=0, dedup=dedup)
+            rngs = [np.random.default_rng(40 + index)
+                    for index in range(num_queries)]
+            results.append((sampler.estimate_selectivity_batch(
+                masks_batch, num_samples=24, rngs=rngs), sampler.stats))
+        (fused, fused_stats), (plain, plain_stats) = results
+        assert np.array_equal(fused, plain)
+        assert 0.0 < fused.min() and fused.max() < 1.0
+        assert fused_stats.rows_submitted == plain_stats.rows_submitted
+        assert fused_stats.unique_rows < plain_stats.unique_rows
 
     def test_dedup_counters(self, skewed_table, oracle, workload):
         fused_sampler, _ = self._estimates(oracle, skewed_table, workload,

@@ -206,6 +206,14 @@ class TestEstimationEngine:
         with pytest.raises(ValueError):
             EstimationEngine(naru, batch_size=0)
 
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_degenerate_sample_budget_rejected(self, naru, workload, num_samples):
+        """A typed error at construction, never a NaN estimate later."""
+        with pytest.raises(ValueError, match="num_samples must be a positive"):
+            EstimationEngine(naru, batch_size=2, num_samples=num_samples)
+        with pytest.raises(ValueError, match="num_samples must be a positive"):
+            run_sequential(naru, workload[:2], num_samples=num_samples)
+
     def test_run_refuses_pending_streaming_queries(self, naru, workload):
         engine = EstimationEngine(naru, batch_size=8, num_samples=50)
         engine.submit(workload[0])
