@@ -170,14 +170,16 @@ Cross-process serving
 Everything above shares one Python process and therefore one GIL.
 :class:`ProcessFleet` is the scale-out tier: it spawns N OS worker
 processes, ships each trained model to its workers via
-:mod:`repro.nn.serialization`, and serves the same routing contract —
-queries route to a relation, then to a replica by the same deterministic
-crc32 hash, then to whichever worker hosts that replica
-(:meth:`ModelRegistry.worker_assignments`).  Because estimates depend only
-on ``(seed, global index, num_samples)``, the worker count is invisible in
-the numbers: ``workers=1 ≡ workers=N``, bit for bit.  Micro-batches and
-results travel over ``multiprocessing`` pipes, results keep the
-arrival-stamped ``queue_wait_ms``/``e2e_ms`` accounting, the merged
+:mod:`repro.nn.serialization`, and **is the router** — a
+:class:`FleetRouter` subclass whose engines live in the workers; only batch
+execution crosses the pipe, so admission control, the result cache and
+fallback routing work unchanged.  Queries route to a relation, then to a
+replica by the same deterministic crc32 hash, then to whichever worker
+hosts that replica (:meth:`ModelRegistry.worker_assignments`).  Because
+estimates depend only on ``(seed, global index, num_samples)``, the worker
+count is invisible in the numbers: ``workers=1 ≡ workers=N``, bit for bit.
+Micro-batches and results travel over ``multiprocessing`` pipes, results
+keep the arrival-stamped ``queue_wait_ms``/``e2e_ms`` accounting, the merged
 :class:`FleetReport` gains a per-worker ``stats.workers`` breakdown, a
 crashed worker surfaces as a typed :class:`WorkerError` (never a hang), and
 :meth:`ProcessFleet.close` is an idempotent graceful drain::

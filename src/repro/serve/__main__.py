@@ -51,8 +51,10 @@ Multi-model usage (a registry of relations behind one router)::
 
     # Cross-process serving: shard the fleet's replicas across 4 OS worker
     # processes (same estimates as --workers 1, bit for bit), with one log
-    # file per worker.  SIGTERM triggers a graceful drain: pending
-    # micro-batches flush and their results are collected before exit.
+    # file per worker.  The process fleet is the same router, so the
+    # admission, result-cache and ensemble flags above combine with it.
+    # SIGTERM triggers a graceful drain: pending micro-batches flush and
+    # their results are collected before exit.
     python -m repro.serve --tables users sessions --workers 4 \
         --replicas 4 --log-dir procfleet-logs --num-queries 96
 
@@ -442,9 +444,6 @@ def _serve_multi(arguments) -> int:
               f"{', join' if entry['is_join'] else ''})")
     print(f"Fleet model storage: {registry.size_bytes() / 1e6:.2f} MB")
 
-    if arguments.workers:
-        return _serve_procfleet(arguments, registry, queries)
-
     router_kwargs = dict(batch_size=arguments.batch_size,
                          num_samples=arguments.samples,
                          use_cache=not arguments.no_cache,
@@ -454,7 +453,18 @@ def _serve_multi(arguments) -> int:
                          overflow=arguments.overflow,
                          result_cache=arguments.result_cache,
                          flush_after_ms=arguments.flush_after_ms)
-    if arguments.adaptive:
+    if arguments.workers:
+        router = ProcessFleet(registry, workers=arguments.workers,
+                              log_dir=arguments.log_dir, **router_kwargs)
+        for info in router.workers:
+            hosted = ", ".join(f"{route}/{replica}"
+                               for route, replica in info.keys)
+            log_note = f" -> {info.log_path}" if info.log_path else ""
+            print(f"Worker {info.worker_id} (pid {info.pid}): "
+                  f"{hosted}{log_note}")
+        if arguments.scenario == "kill_worker":
+            return _kill_worker_drill(arguments, router, queries)
+    elif arguments.adaptive:
         router = StreamingRouter(registry, slo_ms=arguments.slo_ms,
                                  adaptive=True, slo_scope=arguments.slo_scope,
                                  min_batch=arguments.min_batch,
@@ -481,7 +491,9 @@ def _serve_multi(arguments) -> int:
     if arguments.arrivals:
         return _serve_open_loop(arguments, registry, router, queries)
     try:
-        if arguments.stream:
+        if arguments.workers:
+            report = _run_draining_on_sigterm(router, queries)
+        elif arguments.stream:
             report = stream_workload(router, queries)
         else:
             report = router.run(queries)
@@ -490,9 +502,11 @@ def _serve_multi(arguments) -> int:
     stats = report.stats
 
     mode = "streamed" if arguments.stream else "Served"
+    on_workers = (f" on {arguments.workers} worker processes"
+                  if arguments.workers else "")
     print(f"\n{mode.capitalize()} {stats.num_queries} queries across "
-          f"{stats.num_models} "
-          f"models ({stats.queries_per_second:.1f} queries/s overall, "
+          f"{stats.num_models} models{on_workers} "
+          f"({stats.queries_per_second:.1f} queries/s overall, "
           f"cache budget {stats.cache_entries_per_model} entries/cache)")
     if stats.latency_ms is not None:
         print(f"  dispatch latency p50/p95/p99: "
@@ -543,6 +557,11 @@ def _serve_multi(arguments) -> int:
                   f"{route_stats['e2e_ms']['p95']:.1f} ms, "
                   f"batch size {trace[0]} -> {trace[-1]} "
                   f"(min {min(trace)}, {len(trace) - 1} dispatches)")
+    for worker_id, entry in (stats.workers or {}).items():
+        print(f"  worker {worker_id:<17} {entry['num_queries']:>4} queries in "
+              f"{entry['num_batches']} batches, "
+              f"busy CPU {entry['busy_cpu_ms']:.0f} ms "
+              f"({', '.join(entry['engines'])})")
     if stats.estimators is not None and len(stats.estimators) > 1:
         print("  per-estimator breakdown:")
         for name, entry in stats.estimators.items():
@@ -704,44 +723,33 @@ def _serve_open_loop(arguments, registry, router, queries) -> int:
     return 0
 
 
-def _serve_procfleet(arguments, registry, queries) -> int:
-    """Serve a prepared mixed workload from a cross-process fleet."""
-    fleet = ProcessFleet(registry, workers=arguments.workers,
-                         batch_size=arguments.batch_size,
-                         num_samples=arguments.samples,
-                         use_cache=not arguments.no_cache,
-                         cache_entries=arguments.cache_entries,
-                         seed=arguments.seed,
-                         flush_after_ms=arguments.flush_after_ms,
-                         log_dir=arguments.log_dir)
-    for info in fleet.workers:
-        hosted = ", ".join(f"{route}/{replica}" for route, replica in info.keys)
-        log_note = f" -> {info.log_path}" if info.log_path else ""
-        print(f"Worker {info.worker_id} (pid {info.pid}): {hosted}{log_note}")
+def _kill_worker_drill(arguments, fleet: ProcessFleet, queries) -> int:
+    """Run the SIGKILL-a-worker chaos drill on a freshly built process fleet."""
+    try:
+        drill = run_kill_worker_drill(fleet, queries)
+    finally:
+        fleet.close()
+    print(f"\nkill_worker drill: worker {drill['killed_worker']} "
+          f"(pid {drill['killed_pid']}) SIGKILLed after "
+          f"{drill['kill_after']} of {drill['submitted']} submissions")
+    if drill["typed_error"]:
+        print(f"  surfaced as {drill['error_type']} (worker "
+              f"{drill['error_worker_id']}, exit code "
+              f"{drill['error_exit_code']}) in {drill['wall_s']:.2f} s — "
+              "degraded, not collapsed")
+    else:
+        print("  WARNING: no typed WorkerError surfaced — the batches "
+              "may all have missed the dead worker; rerun with more "
+              "queries")
+    if arguments.json:
+        with open(arguments.json, "w") as handle:
+            json.dump({"kill_worker_drill": drill}, handle, indent=1)
+        print(f"\nReport written to {arguments.json}")
+    return 0 if drill["typed_error"] else 1
 
-    if arguments.scenario == "kill_worker":
-        try:
-            drill = run_kill_worker_drill(fleet, queries)
-        finally:
-            fleet.close()
-        print(f"\nkill_worker drill: worker {drill['killed_worker']} "
-              f"(pid {drill['killed_pid']}) SIGKILLed after "
-              f"{drill['kill_after']} of {drill['submitted']} submissions")
-        if drill["typed_error"]:
-            print(f"  surfaced as {drill['error_type']} (worker "
-                  f"{drill['error_worker_id']}, exit code "
-                  f"{drill['error_exit_code']}) in {drill['wall_s']:.2f} s — "
-                  "degraded, not collapsed")
-        else:
-            print("  WARNING: no typed WorkerError surfaced — the batches "
-                  "may all have missed the dead worker; rerun with more "
-                  "queries")
-        if arguments.json:
-            with open(arguments.json, "w") as handle:
-                json.dump({"kill_worker_drill": drill}, handle, indent=1)
-            print(f"\nReport written to {arguments.json}")
-        return 0 if drill["typed_error"] else 1
 
+def _run_draining_on_sigterm(fleet: ProcessFleet, queries):
+    """Serve one workload on a process fleet, then close it; SIGTERM drains."""
     def _drain_on_sigterm(signum, frame):
         # SystemExit unwinds through the ``with fleet:`` block below, whose
         # __exit__ is the graceful drain: pending micro-batches flush and
@@ -751,87 +759,9 @@ def _serve_procfleet(arguments, registry, queries) -> int:
     previous = signal.signal(signal.SIGTERM, _drain_on_sigterm)
     try:
         with fleet:
-            try:
-                report = fleet.run(queries)
-            except RoutingError as error:
-                raise SystemExit(f"unroutable query: {error}") from None
+            return fleet.run(queries)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    stats = report.stats
-
-    print(f"\nServed {stats.num_queries} queries across {stats.num_models} "
-          f"models on {arguments.workers} worker processes "
-          f"({stats.queries_per_second:.1f} queries/s of summed worker "
-          f"dispatch time)")
-    if stats.latency_ms is not None:
-        print(f"  dispatch latency p50/p95/p99: "
-              f"{stats.latency_ms['p50']:.1f} / {stats.latency_ms['p95']:.1f} "
-              f"/ {stats.latency_ms['p99']:.1f} ms")
-    if stats.e2e_ms is not None:
-        print(f"  end-to-end p50/p95/p99:       "
-              f"{stats.e2e_ms['p50']:.1f} / {stats.e2e_ms['p95']:.1f} / "
-              f"{stats.e2e_ms['p99']:.1f} ms")
-    if stats.timeout_flushes:
-        print(f"  {stats.timeout_flushes} micro-batches dispatched by the "
-              f"flush timeout")
-    if stats.rows_submitted:
-        print(f"  prefix dedup: {stats.rows_submitted} rows -> "
-              f"{stats.unique_rows} unique ({stats.dedup_ratio:.2f}x), "
-              f"{stats.rows_evaluated} model-evaluated")
-    if stats.epochs:
-        marks = ", ".join(
-            f"{route}@{entry['data_epoch']}"
-            + (f" (model {entry['staleness']} behind)"
-               if entry["staleness"] else "")
-            for route, entry in stats.epochs.items())
-        print(f"  data epochs: {marks}; max staleness {stats.max_staleness}")
-    for route, route_stats in stats.routes.items():
-        print(f"  {route:<24} {route_stats['num_queries']:>4} queries in "
-              f"{route_stats['num_batches']} batches on "
-              f"{route_stats['num_replicas']} replicas, "
-              f"{route_stats['queries_per_second']:8.1f} queries/s")
-    for worker_id, entry in (stats.workers or {}).items():
-        print(f"  worker {worker_id:<17} {entry['num_queries']:>4} queries in "
-              f"{entry['num_batches']} batches, "
-              f"busy CPU {entry['busy_cpu_ms']:.0f} ms "
-              f"({', '.join(entry['engines'])})")
-
-    document = {"fleet": stats.as_dict(),
-                "estimates": [result.selectivity for result in report.results],
-                "routes": [result.route for result in report.results]}
-
-    if arguments.compare_sequential:
-        baseline = run_fleet_sequential(registry, queries,
-                                        num_samples=arguments.samples,
-                                        seed=arguments.seed)
-        speedup = (baseline.stats.elapsed_s / stats.elapsed_s
-                   if stats.elapsed_s > 0 else float("inf"))
-        drift = max((abs(result.selectivity
-                         - baseline.results[result.index].selectivity)
-                     for result in report.results), default=0.0)
-        print(f"\nSequential fleet baseline: "
-              f"{baseline.stats.queries_per_second:.1f} queries/s -> "
-              f"routed speedup {speedup:.1f}x (max estimate drift {drift:.2e})")
-        document["sequential"] = baseline.stats.as_dict()
-        document["speedup"] = speedup
-        document["max_estimate_drift"] = drift
-
-    if arguments.q_errors:
-        errors = []
-        for result in report.results:
-            relation = registry.relation(result.route)
-            truth = true_selectivities(relation, [result.query])[0]
-            errors.append(q_error(result.cardinality, truth * relation.num_rows))
-        if errors:
-            print(f"\nq-error: median {np.median(errors):.2f}, "
-                  f"p95 {np.quantile(errors, 0.95):.2f}, max {np.max(errors):.2f}")
-        document["q_errors"] = errors
-
-    if arguments.json:
-        with open(arguments.json, "w") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"\nReport written to {arguments.json}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -877,20 +807,13 @@ def main(argv: list[str] | None = None) -> int:
         unsupported = [flag for flag, used in (
             ("--stream", arguments.stream),
             ("--adaptive", arguments.adaptive),
-            ("--result-cache", arguments.result_cache),
-            ("--max-pending", arguments.max_pending != 0),
-            ("--overflow", arguments.overflow != "block"),
             ("--arrivals", arguments.arrivals is not None),
-            ("--fallback", arguments.fallback is not None),
-            ("--dnf-fraction", arguments.dnf_fraction != 0),
-            ("--like-fraction", arguments.like_fraction != 0),
         ) if used]
         if unsupported:
             raise SystemExit(
                 f"{', '.join(unsupported)} and --workers are mutually "
-                "exclusive: the process fleet serves fixed micro-batches "
-                "without admission control, result caching, streaming, "
-                "open-loop pacing or ensemble routing")
+                "exclusive: the asyncio streaming client, adaptive batching "
+                "and open-loop pacing do not drive worker processes yet")
     if arguments.replicas < 1:
         raise SystemExit("--replicas must be at least 1")
     if arguments.max_pending < 0:

@@ -4,7 +4,7 @@
 dispatches each batch through a single batched progressive-sampling run (one
 model forward pass per column per round, shared by every query in the batch —
 see :meth:`repro.core.progressive.ProgressiveSampler.estimate_selectivity_batch`),
-optionally in front of an LRU conditional-probability cache
+optionally in front of a conditional-probability cache
 (:class:`repro.serve.cache.CachedConditionalModel`).  Estimators that do not
 expose an autoregressive model (the histogram/sampling/KDE baselines) are
 still accepted: their queries are answered one at a time through the plain
@@ -267,11 +267,16 @@ class EstimationEngine:
         configured ``progressive_samples`` (or 1000).  Must be a positive
         integer (``ValueError`` otherwise).
     use_cache:
-        Memoise per-prefix conditionals in an LRU cache shared across batches.
+        Memoise per-prefix conditionals in a store shared across batches: the
+        vectorized, generationally evicted
+        :class:`~repro.serve.cache.PackedConditionalCache` on the default
+        deduplicating path, the per-row LRU
+        :class:`~repro.serve.cache.ConditionalProbCache` with ``dedup=False``.
     cache_entries:
-        LRU capacity (distributions); ignored when ``use_cache`` is false.
-        Size it above the distinct-prefix count of a workload — an undersized
-        cache thrashes (every batch evicts the entries the next one needs).
+        Store capacity (distributions); ignored when ``use_cache`` is false
+        or ``cache`` is given.  Size it above the distinct-prefix count of a
+        workload — an undersized store thrashes (every batch evicts the
+        entries the next one needs).
     seed:
         Base seed of the per-query random streams, see :func:`query_rng`.
     dedup:
@@ -288,10 +293,13 @@ class EstimationEngine:
         repeat of an already dispatched query can hit the cache inside the
         same workload scope.
     cache:
-        Optional pre-built :class:`ConditionalProbCache` to use instead of a
-        private one (``cache_entries`` is then ignored).  Replica engines
-        over the same model share one group-wide cache this way — their
-        conditionals are identical, so pooling beats fragmenting the budget.
+        Optional pre-built store (a
+        :class:`~repro.serve.cache.PackedConditionalCache` when ``dedup`` is
+        on, a :class:`~repro.serve.cache.ConditionalProbCache` otherwise) to
+        use instead of a private one (``cache_entries`` is then ignored).
+        Replica engines over the same model share one group-wide cache this
+        way — their conditionals are identical, so pooling beats fragmenting
+        the budget.
     batch_hook:
         Optional callable invoked with each :class:`BatchRecord` right after
         its micro-batch dispatches.  The adaptive batch controller
@@ -378,6 +386,11 @@ class EstimationEngine:
         self._batches: list[BatchRecord] = []
 
     # ------------------------------------------------------------------ #
+    @property
+    def cache(self) -> ConditionalProbCache | PackedConditionalCache | None:
+        """The conditional store in front of the model (``None`` when off)."""
+        return self._cache
+
     @property
     def cache_stats(self) -> dict | None:
         """Hit/miss counters of the conditional cache (``None`` when off)."""
@@ -544,14 +557,30 @@ class EstimationEngine:
     # ------------------------------------------------------------------ #
     def _dispatch(self, *, timeout: bool = False) -> None:
         batch, self._pending = self._pending, []
-        batch_index = len(self._batches)
         start = self.clock()
+        selectivities = self._execute(batch)
+        self._complete(batch, selectivities, start=start,
+                       latency_ms=(self.clock() - start) * 1000.0,
+                       timeout=timeout)
+
+    def _execute(self, batch: list[tuple[int, Query, float]]):
+        """Answer one micro-batch: per-query selectivities, in batch order."""
         if self._batched:
-            selectivities = self._dispatch_batched(batch)
-        else:
-            selectivities = [self.estimator.estimate_selectivity(query)
-                             for _, query, _ in batch]
-        latency_ms = (self.clock() - start) * 1000.0
+            return self._dispatch_batched(batch)
+        return [self.estimator.estimate_selectivity(query)
+                for _, query, _ in batch]
+
+    def _complete(self, batch: list[tuple[int, Query, float]], selectivities,
+                  *, start: float, latency_ms: float, timeout: bool) -> None:
+        """Account for one executed micro-batch: results, record, observers.
+
+        ``start`` is the clock reading the execution began at and
+        ``latency_ms`` how long it took.  Split from :meth:`_execute` because
+        *where* a batch executes is the only thing a cross-process engine
+        changes (:mod:`repro.serve.procfleet` ships the batch to a worker and
+        calls this when the reply arrives); the accounting is this one copy.
+        """
+        batch_index = len(self._batches)
         queue_waits = tuple(max(0.0, (start - arrival) * 1000.0)
                             for _, _, arrival in batch)
         num_rows = self.estimator.num_rows

@@ -1,45 +1,26 @@
-"""Cross-process sharded serving: a fleet of OS worker processes.
+"""Cross-process serving: a fleet router whose engines live in worker processes.
 
-Everything the serve stack shipped so far — replicas, caches, streaming,
-SLOs — lives in one Python process and is therefore GIL-bound.
-:class:`ProcessFleet` is the scale-out tier: it spawns N OS worker processes,
-each hosting one or more ``(relation, replica)`` engines with its own
-:class:`~repro.serve.engine.EstimationEngine` and conditional caches, and
-speaks the *same routing contract* as :class:`~repro.serve.router.FleetRouter`:
+Everything else the serve stack ships lives in one Python process and is
+therefore GIL-bound.  :class:`ProcessFleet` is the scale-out tier, and it *is*
+the router: a :class:`~repro.serve.router.FleetRouter` subclass that inherits
+routing, ``crc32`` replica placement, admission control, the result cache,
+fallback units, flush deadlines, workload scopes and report merging unchanged.
+Only batch execution crosses the pipe:
 
-* **Placement survives the process boundary.**  A query routes to its
-  relation (:func:`repro.serve.router.resolve_route`, shared code, not a
-  copy), then to a replica by the same deterministic
-  ``crc32("relation:index")`` hash (:func:`repro.serve.router.replica_for`),
-  and only *then* to whichever worker hosts that replica
-  (:meth:`repro.serve.registry.ModelRegistry.worker_assignments`).  Because
-  every per-query random stream is keyed by ``(seed, global index)`` and
-  every ``(relation, replica)`` engine sees the exact same micro-batch
-  sequence regardless of which process it runs in, ``workers=1`` and
+* **One proxy engine per replica** (:class:`_WorkerEngine`): a filled
+  micro-batch is shipped to the worker hosting that ``(relation, replica)``
+  (:meth:`repro.serve.registry.ModelRegistry.worker_assignments`) and the
+  parent keeps submitting while workers compute.  Every per-query random
+  stream is keyed by ``(seed, global index)`` and every engine sees the same
+  micro-batch sequence whichever process hosts it, so ``workers=1`` and
   ``workers=N`` return **bit-identical** estimates — the invariance grid in
   ``tests/test_serve_invariance.py`` proves it.
-* **Models ship, they are not retrained.**  :func:`export_relation` snapshots
-  a trained estimator into a picklable payload (table + config + ``.npz``
-  weight bytes via :mod:`repro.nn.serialization`); :func:`restore_estimator`
-  rebuilds it in the worker, loads the weights and puts the model in eval
-  mode.  Payloads are built *before* any process is spawned, so a failing
-  registry fails fast with no children left behind.
-* **Micro-batches travel over pipes.**  The parent keeps the per-replica
-  pending queues (with parent-clock arrival stamps) and ships a batch the
-  moment it fills — workers compute while the parent keeps submitting.
-  Results come back as ``(index, selectivity)`` pairs plus the worker-side
-  dispatch latency and busy-CPU time; the parent reconstructs full
-  :class:`~repro.serve.engine.EstimateResult` records, computes the same
-  arrival-stamped ``queue_wait_ms``/``e2e_ms`` accounting the single-process
-  fleet reports, and merges everything through the router's own
-  ``_merge_reports`` into a :class:`~repro.serve.router.FleetReport` whose
-  ``stats.workers`` carries the per-worker breakdown.
-* **Failures surface, they do not hang.**  A worker that dies mid-batch (or
-  reports a remote exception) raises a typed :class:`WorkerError` naming the
-  worker, its exit code and its log file within ``recv_timeout_s`` — never an
-  indefinite ``recv()``.  :meth:`ProcessFleet.close` is an idempotent
-  graceful drain: pending micro-batches are flushed, in-flight results
-  collected, workers told to stop, and stragglers terminated.
+* **Models ship, they are not retrained** (:func:`export_relation` /
+  :func:`restore_estimator`), and payloads are built *before* any process is
+  spawned, so a failing registry fails fast with no children left behind.
+* **Failures surface, they do not hang**: a dead, failing or silent worker
+  raises a typed :class:`WorkerError`, never an indefinite ``recv()``, and
+  :meth:`ProcessFleet.close` is an idempotent graceful drain.
 
 See ``docs/operations.md`` for the operator's view: launching, per-worker log
 layout, drain semantics and a troubleshooting table.
@@ -53,15 +34,14 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import connection as mp_connection
 
 from ..core.estimator import NaruEstimator
 from ..nn.serialization import load_state_dict, save_state_dict
-from ..query.predicates import Query
-from .engine import (BatchRecord, EngineReport, EngineStats, EstimateResult,
-                     EstimationEngine)
+from .engine import EstimationEngine
 from .registry import ModelRegistry
-from .router import (FleetReport, _merge_reports, replica_for, resolve_route)
+from .router import FleetReport, FleetRouter
 
 __all__ = ["WorkerError", "WorkerInfo", "StaleEpochError", "ProcessFleet",
            "export_relation", "restore_estimator", "worker_main"]
@@ -153,12 +133,10 @@ class WorkerError(RuntimeError):
 class StaleEpochError(RuntimeError):
     """The registry's epoch moved past the models a fleet's workers hold.
 
-    Worker processes serve from npz-copied model snapshots frozen at fleet
-    construction; a parent-side :meth:`~repro.serve.registry.ModelRegistry
-    .ingest` or refresh swap can never reach them.  Rather than silently
-    serving frozen models against moved data, the fleet refuses with this
-    typed error — the remedy is to build a new :class:`ProcessFleet` (which
-    re-exports the registry's current models) after closing this one.
+    Workers serve from npz-copied model snapshots frozen at fleet
+    construction, which no parent-side ingest or refresh swap can reach.
+    Rather than silently serve frozen models against moved data, the fleet
+    refuses with this typed error; the message names the remedy.
     """
 
     def __init__(self, route: str, fleet_epoch: tuple[int, int],
@@ -189,28 +167,6 @@ class WorkerInfo:
 # --------------------------------------------------------------------- #
 # The worker side
 # --------------------------------------------------------------------- #
-class _WorkerLog:
-    """Append-only per-worker log file (no-op when the fleet runs log-less)."""
-
-    def __init__(self, path: str | None, worker_id: int) -> None:
-        self._handle = open(path, "a", encoding="utf-8") if path else None
-        self._worker_id = worker_id
-
-    def write(self, message: str) -> None:
-        """Append one timestamped line and flush (logs must survive a crash)."""
-        if self._handle is None:
-            return
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-        self._handle.write(f"{stamp} worker-{self._worker_id} {message}\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Close the underlying file, if any."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
 def worker_main(worker_id: int, conn, spec: dict) -> None:
     """Entry point of one worker process: serve micro-batches until told to stop.
 
@@ -226,6 +182,10 @@ def worker_main(worker_id: int, conn, spec: dict) -> None:
       consumed — the quantity the bench's capacity accounting aggregates.
     * ``("reset",)`` — start a fresh workload scope on every engine (caches
       survive, exactly like the single-process fleet).
+    * ``("wipe",)`` — drop every engine's conditional-cache entries (counters
+      and epoch stamps survive) and reply ``("wiped", worker_id, count)`` with
+      the number of stores cleared — the far half of
+      :meth:`ProcessFleet.wipe_caches`.
     * ``("report",)`` — reply ``("report", worker_id, {key: {"cache":
       cache_stats, "counters": scope_counters}})`` carrying each engine's
       conditional-cache counters and its row-accounting scope deltas
@@ -239,12 +199,19 @@ def worker_main(worker_id: int, conn, spec: dict) -> None:
     """
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
-    log = _WorkerLog(spec.get("log_path"), worker_id)
-    engine_config = spec["engine"]
+    # Line-buffered: every line reaches the file at once, so the log
+    # survives a crash; a log-less fleet writes to the null device.
+    log_file = open(spec.get("log_path") or os.devnull, "a", buffering=1,
+                    encoding="utf-8")
+
+    def log(message: str) -> None:
+        stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+        log_file.write(f"{stamp} worker-{worker_id} {message}\n")
+
     estimators: dict[str, object] = {}
     engines: dict[tuple[str, int], EstimationEngine] = {}
-    sink: list[EstimateResult] = []
-    records: list[BatchRecord] = []
+    sink: list = []     # EstimateResults of the batch being served
+    records: list = []  # ... and its BatchRecord
 
     def engine_for(route: str, replica: int) -> EstimationEngine:
         key = (route, replica)
@@ -255,22 +222,17 @@ def worker_main(worker_id: int, conn, spec: dict) -> None:
                 build_start = time.perf_counter()
                 estimator = restore_estimator(spec["payloads"][route])
                 estimators[route] = estimator
-                log.write(f"restored model {route!r} in "
-                          f"{(time.perf_counter() - build_start) * 1000:.1f}ms")
+                log(f"restored model {route!r} in "
+                    f"{(time.perf_counter() - build_start) * 1000:.1f}ms")
             engine = EstimationEngine(
-                estimator, batch_size=1,
-                num_samples=engine_config["num_samples"],
-                use_cache=engine_config["use_cache"],
-                cache_entries=engine_config["cache_entries"],
-                seed=engine_config["seed"],
-                result_sink=sink.append, batch_hook=records.append)
+                estimator, batch_size=1, result_sink=sink.append,
+                batch_hook=records.append, **spec["engine"])
             engines[key] = engine
-            log.write(f"engine up for {route!r} replica {replica}")
+            log(f"engine up for {route!r} replica {replica}")
         return engine
 
     try:
-        log.write(f"ready pid={os.getpid()} "
-                  f"keys={sorted(spec['keys'])}")
+        log(f"ready pid={os.getpid()} keys={sorted(spec['keys'])}")
         conn.send(("ready", worker_id, os.getpid()))
         while True:
             message = conn.recv()
@@ -292,80 +254,109 @@ def worker_main(worker_id: int, conn, spec: dict) -> None:
                            [(result.index, result.selectivity)
                             for result in sink],
                            record.latency_ms, busy_cpu_ms))
-                log.write(f"batch {batch_id} {route!r}/{replica} "
-                          f"n={len(items)} latency={record.latency_ms:.2f}ms "
-                          f"busy_cpu={busy_cpu_ms:.2f}ms")
+                log(f"batch {batch_id} {route!r}/{replica} "
+                    f"n={len(items)} latency={record.latency_ms:.2f}ms "
+                    f"busy_cpu={busy_cpu_ms:.2f}ms")
             elif kind == "reset":
                 for engine in engines.values():
                     engine.reset()
-                log.write("reset (new workload scope)")
+                log("reset (new workload scope)")
+            elif kind == "wipe":
+                caches = [engine.cache for engine in engines.values()
+                          if engine.cache is not None]
+                for cache in caches:
+                    cache.clear()
+                conn.send(("wiped", worker_id, len(caches)))
+                log(f"wiped {len(caches)} conditional caches")
             elif kind == "report":
                 conn.send(("report", worker_id,
                            {key: {"cache": engine.cache_stats,
                                   "counters": engine.scope_counters()}
                             for key, engine in engines.items()}))
             elif kind == "stop":
-                log.write("stopping (graceful drain complete)")
+                log("stopping (graceful drain complete)")
                 conn.send(("stopped", worker_id))
                 return
             else:
                 raise ValueError(f"unknown message kind {kind!r}")
     except EOFError:
-        log.write("parent pipe closed; exiting")
+        log("parent pipe closed; exiting")
     except Exception:
         formatted = traceback.format_exc()
-        log.write("error\n" + formatted)
+        log("error\n" + formatted)
         try:
             conn.send(("error", worker_id, formatted))
         except Exception:
             pass
     finally:
-        log.close()
+        log_file.close()
 
 
 # --------------------------------------------------------------------- #
 # The parent side
 # --------------------------------------------------------------------- #
+@dataclass
 class _WorkerHandle:
-    """Parent-side bookkeeping for one worker process."""
+    """Parent-side bookkeeping for one worker: identity, process, pipe end."""
 
-    __slots__ = ("worker_id", "process", "conn", "log_path", "stopped")
-
-    def __init__(self, worker_id, process, conn, log_path) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.conn = conn
-        self.log_path = log_path
-        self.stopped = False
+    info: WorkerInfo
+    process: object
+    conn: object
 
 
-class _Inflight:
-    """One micro-batch shipped to a worker and awaiting its results."""
+class _WorkerEngine(EstimationEngine):
+    """Parent-side proxy of one ``(relation, replica)`` engine in a worker.
 
-    __slots__ = ("route", "replica", "worker_id", "batch_index", "items",
-                 "arrivals", "timeout_flush")
+    Queues, stamps arrivals, honours flush deadlines and reports exactly like
+    its base class; the one difference is *where a filled micro-batch
+    executes*: :meth:`_dispatch` hands it to ``ship`` (the fleet sends it down
+    the hosting worker's pipe and returns at once) and :meth:`finish` runs the
+    base class's accounting when the reply arrives.  The conditional cache
+    lives with the model in the worker, so none is built here and the cache
+    and row counters are whatever the worker last reported (``remote``).
+    """
 
-    def __init__(self, route, replica, worker_id, batch_index, items,
-                 arrivals, timeout_flush) -> None:
-        self.route = route
-        self.replica = replica
-        self.worker_id = worker_id
-        self.batch_index = batch_index
-        self.items = items            # [(index, query), ...] in ship order
-        self.arrivals = arrivals      # parent-clock submit stamp per query
-        self.timeout_flush = timeout_flush
+    def __init__(self, estimator, *, ship, **options) -> None:
+        options.update(use_cache=False, cache=None)
+        super().__init__(estimator, **options)
+        self._ship = ship
+        #: ``{"cache": ..., "counters": ...}`` from the worker's last report.
+        self.remote: dict = {}
+
+    @property
+    def cache_stats(self) -> dict | None:
+        return self.remote.get("cache")
+
+    def scope_counters(self) -> dict[str, int]:
+        return self.remote.get("counters") or super().scope_counters()
+
+    def _dispatch(self, *, timeout: bool = False) -> None:
+        batch, self._pending = self._pending, []
+        self._ship(self, batch, timeout)
+
+    def finish(self, batch, pairs, latency_ms: float, *, timeout: bool) -> None:
+        """The worker answered one shipped batch: account for it.
+
+        The dispatch is taken to have started ``latency_ms`` (the worker's own
+        measurement) before the reply arrived, so pipe transit and time
+        queued behind other batches in the worker count as queue wait and
+        ``e2e_ms`` is arrival to receipt on the parent's clock.
+        """
+        selectivities = dict(pairs)
+        self._complete(batch, [selectivities[index] for index, _, _ in batch],
+                       start=self.clock() - latency_ms / 1000.0,
+                       latency_ms=latency_ms, timeout=timeout)
 
 
-class ProcessFleet:
-    """Serve a model fleet from N OS worker processes.
+class ProcessFleet(FleetRouter):
+    """A :class:`~repro.serve.router.FleetRouter` served by N worker processes.
 
-    Behaves like :class:`~repro.serve.router.FleetRouter` from the caller's
-    side — ``submit``/``flush``/``tick``/``run``/``report`` with the same
-    routing, placement and determinism contract — but each ``(relation,
-    replica)`` engine lives in a worker process chosen by the registry's
-    deterministic round-robin assignment.  Estimates depend only on ``(seed,
-    global index, num_samples)``; the worker count is invisible in the
-    numbers (``workers=1 ≡ workers=N``, bit for bit).
+    It is the router (see the module docstring): serving is inherited, each
+    ``(relation, replica)`` engine lives in the worker the registry's
+    round-robin assignment names, and the worker count is invisible in the
+    numbers.  What this class adds is lifecycle: spawn, :meth:`collect`,
+    :meth:`kill_worker`, :meth:`close`, liveness and epoch guards, and the
+    per-worker ``stats.workers`` breakdown.
 
     Parameters
     ----------
@@ -379,22 +370,6 @@ class ProcessFleet:
         Optional fleet-wide replica override (``None`` reads each relation's
         registered count).  More replicas than workers is fine (workers host
         several engines); more workers than engines leaves workers idle.
-    batch_size:
-        Per-replica micro-batch capacity, applied in the parent: a replica's
-        batch ships to its worker the moment it fills.
-    num_samples, use_cache, cache_entries, seed:
-        Engine knobs with :class:`~repro.serve.router.FleetRouter` semantics.
-        The ``cache_entries`` budget is split evenly across all replica
-        engines; worker-side caches are per-engine (process boundaries make
-        the router's group-shared cache impossible), so with ``replicas > 1``
-        cache hit patterns — never estimates beyond float round-off — may
-        differ from the single-process fleet.
-    default_route:
-        Relation serving unqualified queries (defaults to the registry's
-        only relation when it has exactly one).
-    flush_after_ms:
-        Parent-side flush deadline: :meth:`tick` ships any partially filled
-        batch whose oldest query has waited this long.
     log_dir:
         Directory for per-worker log files (``worker-<id>.log``, created if
         missing); ``None`` disables worker logging.
@@ -403,59 +378,29 @@ class ProcessFleet:
         ``"spawn"`` is supported — payloads travel as pickled process
         arguments, not inherited memory).
     recv_timeout_s:
-        How long the parent waits on a worker before raising
-        :class:`WorkerError` — the bound that turns a crash into a typed
-        error instead of a hang.
-    clock:
-        Zero-argument seconds callable stamping arrivals and receipts
-        (``time.perf_counter`` by default); injectable for deterministic
-        accounting tests.
+        How long a worker may stay silent while the parent waits on it before
+        :class:`WorkerError` is raised — the bound that turns a stuck worker
+        into a typed error instead of a hang.  Measured on
+        :func:`time.monotonic` (never the injectable ``clock``) and re-armed
+        by every message received.
+    **router_options:
+        Every other :class:`~repro.serve.router.FleetRouter` keyword
+        (batching, caches, admission, result cache, observers, clock), with
+        the router's semantics.  One difference: conditional caches are per
+        engine, inside the workers (a process boundary rules out the router's
+        group-shared store), so with ``replicas > 1`` cache hit patterns —
+        never estimates — may differ from the in-process router's.
     """
 
     def __init__(self, registry: ModelRegistry, *, workers: int = 2,
-                 replicas: int | None = None, batch_size: int = 32,
-                 num_samples: int | None = None, use_cache: bool = True,
-                 cache_entries: int = 262144, seed: int = 0,
-                 default_route: str | None = None,
-                 flush_after_ms: float | None = None,
-                 log_dir: str | None = None,
+                 replicas: int | None = None, log_dir: str | None = None,
                  start_method: str | None = None,
-                 recv_timeout_s: float = 120.0, clock=None) -> None:
-        if len(registry) == 0:
-            raise ValueError("the registry has no relations to serve")
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if replicas is not None and replicas < 1:
-            raise ValueError(f"replicas must be at least 1, got {replicas}")
-        if flush_after_ms is not None and flush_after_ms <= 0:
-            raise ValueError(f"flush_after_ms must be positive, got "
-                             f"{flush_after_ms}")
-        if default_route is not None and default_route not in registry:
-            raise ValueError(f"default route {default_route!r} is not a "
-                             f"registered relation ({', '.join(registry.names)})")
-        if default_route is None and len(registry) == 1:
-            default_route = registry.names[0]
-        self.registry = registry
+                 recv_timeout_s: float = 120.0, **router_options) -> None:
+        self._replicas = replicas  # read by _replicas_of during super().__init__
+        super().__init__(registry, **router_options)
         self.num_workers = workers
-        self.batch_size = batch_size
-        self.num_samples = num_samples
-        self.use_cache = use_cache
-        self.cache_entries = cache_entries
-        self.seed = seed
-        self.default_route = default_route
-        self.flush_after_ms = flush_after_ms
         self.recv_timeout_s = recv_timeout_s
-        self.clock = clock if clock is not None else time.perf_counter
-
-        self._replica_counts = {
-            name: (replicas if replicas is not None
-                   else registry.replicas(name))
-            for name in registry.names}
-        engines_total = sum(self._replica_counts.values())
-        self.cache_entries_per_model = max(
-            1, cache_entries // max(engines_total if use_cache else 0, 1))
+        # Also the validation of ``workers`` and ``replicas`` (ValueError).
         self._assignment = registry.worker_assignments(
             workers, replicas=self._replica_counts)
 
@@ -463,60 +408,40 @@ class ProcessFleet:
         # registry must fail fast with no children to clean up.
         payloads = {name: export_relation(registry, name)
                     for name in registry.names}
-        self._rows = {name: registry.serving_rows(name)
-                      for name in registry.names}
-        # Epoch snapshot of the exported models: a later parent-side ingest
-        # or refresh can never reach the workers' npz copies, so any epoch
-        # mismatch at serve time raises StaleEpochError instead of silently
-        # answering from frozen models.
+        # The epochs those snapshots were taken at: serving refuses
+        # (StaleEpochError) once the registry moves past them.
         self._epochs = {name: registry.serving_epoch(name)
                         for name in registry.names}
-        self._samples_by_route = {
-            name: (num_samples
-                   or getattr(payloads[name]["config"], "progressive_samples",
-                              None) or 1000)
-            for name in registry.names}
-
         if log_dir is not None:
             os.makedirs(log_dir, exist_ok=True)
-        self.log_dir = log_dir
 
-        self._pending: dict[tuple[str, int], list] = {}
-        self._inflight: dict[int, _Inflight] = {}
-        self._batch_counters: dict[tuple[str, int], int] = {}
-        self._results: dict[tuple[str, int], list[EstimateResult]] = {}
-        self._records: dict[tuple[str, int], list[BatchRecord]] = {}
-        self._engine_stats: dict[tuple[str, int], dict] = {}
-        self._worker_tallies: dict[int, dict] = {}
-        self._next_index = 0
+        #: batch id -> (worker id, engine, batch, timeout flag) of every
+        #: micro-batch shipped and not yet answered.
+        self._inflight: dict[int, tuple] = {}
         self._next_batch_id = 0
+        self._replies: dict[tuple[int, str], tuple] = {}
+        self._handles: dict[int, _WorkerHandle] = {}
+        self._tallies = self._zero_tallies()
         self._closed = False
 
         context = mp.get_context(start_method)
-        self._handles: dict[int, _WorkerHandle] = {}
-        self._infos: dict[int, WorkerInfo] = {}
+        engine_options = {"num_samples": self.num_samples,
+                          "use_cache": self.use_cache,
+                          "cache_entries": self.cache_entries_per_model,
+                          "seed": self.seed, "dedup": self.dedup}
         try:
             for worker_id in range(workers):
                 keys = sorted(key for key, wid in self._assignment.items()
                               if wid == worker_id)
-                spec = {
-                    "keys": keys,
-                    "payloads": {route: payloads[route]
-                                 for route, _ in keys},
-                    "engine": {
-                        "num_samples": num_samples,
-                        "use_cache": use_cache,
-                        "cache_entries": self.cache_entries_per_model,
-                        "seed": seed,
-                    },
-                    "log_path": (os.path.join(log_dir,
-                                              f"worker-{worker_id}.log")
-                                 if log_dir is not None else None),
-                }
+                log_path = (os.path.join(log_dir, f"worker-{worker_id}.log")
+                            if log_dir is not None else None)
                 self._handles[worker_id] = self._start_worker(
-                    worker_id, context, spec)
-            for worker_id, handle in self._handles.items():
-                self._infos[worker_id] = self._await_ready(handle)
+                    worker_id, context,
+                    {"keys": keys, "engine": engine_options,
+                     "payloads": {route: payloads[route] for route, _ in keys},
+                     "log_path": log_path})
+            for handle in self._handles.values():
+                self._ask(handle, None, "ready", "before reporting ready")
         except BaseException:
             # Partial construction must not leak children: terminate whatever
             # was already spawned, then re-raise the original failure.
@@ -535,39 +460,14 @@ class ProcessFleet:
             args=(worker_id, child_conn, spec), daemon=True)
         process.start()
         child_conn.close()  # the worker owns its end now
-        return _WorkerHandle(worker_id, process, parent_conn,
-                             spec.get("log_path"))
-
-    def _await_ready(self, handle: _WorkerHandle) -> WorkerInfo:
-        """Block until one worker reports ready (or fail with WorkerError)."""
-        deadline = self.clock() + self.recv_timeout_s
-        while not handle.conn.poll(_POLL_S):
-            if not handle.process.is_alive():
-                raise self._worker_failure(
-                    handle.worker_id, "died before reporting ready")
-            if self.clock() > deadline:
-                raise WorkerError(
-                    handle.worker_id,
-                    f"did not report ready within {self.recv_timeout_s:.0f}s",
-                    log_path=handle.log_path)
-        message = handle.conn.recv()
-        if message[0] == "error":
-            raise WorkerError(handle.worker_id, "failed during startup",
-                              log_path=handle.log_path,
-                              remote_traceback=message[2])
-        if message[0] != "ready":
-            raise WorkerError(handle.worker_id,
-                              f"spoke out of turn during startup: {message[0]!r}",
-                              log_path=handle.log_path)
-        keys = sorted(key for key, wid in self._assignment.items()
-                      if wid == handle.worker_id)
-        return WorkerInfo(worker_id=handle.worker_id, pid=message[2],
-                          log_path=handle.log_path, keys=tuple(keys))
+        info = WorkerInfo(worker_id, process.pid, spec.get("log_path"),
+                          tuple(spec["keys"]))
+        return _WorkerHandle(info, process, parent_conn)
 
     @property
     def workers(self) -> list[WorkerInfo]:
         """Identity of every worker (id, pid, log file, hosted engines)."""
-        return [self._infos[worker_id] for worker_id in sorted(self._infos)]
+        return [handle.info for handle in self._handles.values()]
 
     @property
     def closed(self) -> bool:
@@ -575,19 +475,14 @@ class ProcessFleet:
         return self._closed
 
     @property
-    def next_index(self) -> int:
-        """The global index :meth:`submit` will assign to its next query."""
-        return self._next_index
-
-    @property
     def pending(self) -> int:
         """Queries accepted but not yet shipped to a worker."""
-        return sum(len(items) for items in self._pending.values())
+        return sum(group.pending for group in self._groups.values())
 
     @property
     def in_flight(self) -> int:
         """Queries shipped to workers whose results have not returned yet."""
-        return sum(len(entry.items) for entry in self._inflight.values())
+        return sum(len(batch) for _, _, batch, _ in self._inflight.values())
 
     def kill_worker(self, worker_id: int) -> WorkerInfo:
         """Hard-kill one worker (SIGKILL) — a failure-injection drill hook.
@@ -595,36 +490,24 @@ class ProcessFleet:
         The next :meth:`collect`/:meth:`run` touching the dead worker raises
         :class:`WorkerError` within ``recv_timeout_s``; ``docs/operations.md``
         and the :func:`repro.serve.loadgen.run_kill_worker_drill` chaos drill
-        use this to demonstrate crash handling.
-
-        Args:
-            worker_id: Which worker to kill, ``0 <= worker_id < workers``.
-
-        Returns:
-            The killed worker's :class:`WorkerInfo` snapshot (id, pid, log
-            path, hosted engine keys) — what the drill report records.
-
-        Raises:
-            ValueError: ``worker_id`` names no worker of this fleet.
-            RuntimeError: The fleet is closed (nothing left to kill).
+        use this to demonstrate crash handling.  Returns the killed worker's
+        :class:`WorkerInfo` (what the drill report records); raises
+        ``ValueError`` for an id that names no worker of this fleet and
+        ``RuntimeError`` on a closed fleet (nothing left to kill).
         """
-        if self._closed:
-            raise RuntimeError("the fleet is closed; no workers to kill")
+        self._require_open()
         if worker_id not in self._handles:
             raise ValueError(
                 f"no worker {worker_id!r} in this fleet (workers: "
                 f"{sorted(self._handles)})")
-        info = self._infos[worker_id]
         self._handles[worker_id].process.kill()
-        return info
+        return self._handles[worker_id].info
 
     def __enter__(self) -> "ProcessFleet":
-        """Context-manager entry: the fleet itself."""
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: graceful drain via :meth:`close`."""
-        self.close()
+        self.close()  # the graceful drain
 
     def close(self, timeout_s: float = 10.0) -> None:
         """Gracefully drain and stop the fleet; idempotent.
@@ -641,7 +524,7 @@ class ProcessFleet:
             return
         try:
             self.flush()
-            self._drain(block=True)
+            self.collect()
             self._refresh_engine_stats()
         except Exception:
             pass  # best-effort drain; the hard stop below always runs
@@ -652,16 +535,12 @@ class ProcessFleet:
     def _shutdown(self, *, timeout_s: float, graceful: bool) -> None:
         """Stop every worker: politely when ``graceful``, else terminate."""
         for handle in self._handles.values():
-            if handle.stopped:
-                continue
             if graceful and handle.process.is_alive():
                 try:
                     handle.conn.send(("stop",))
                 except Exception:
                     pass
         for handle in self._handles.values():
-            if handle.stopped:
-                continue
             handle.process.join(timeout_s if graceful else 0.1)
             if handle.process.is_alive():
                 handle.process.terminate()
@@ -673,7 +552,6 @@ class ProcessFleet:
                 handle.conn.close()
             except Exception:
                 pass
-            handle.stopped = True
 
     def _worker_failure(self, worker_id: int, reason: str) -> WorkerError:
         """Build the typed error for one failed worker."""
@@ -684,326 +562,236 @@ class ProcessFleet:
         handle.process.join(timeout=1.0)
         return WorkerError(worker_id, reason,
                            exit_code=handle.process.exitcode,
-                           log_path=handle.log_path)
+                           log_path=handle.info.log_path)
 
-    # ------------------------------------------------------------------ #
-    # Serving
-    # ------------------------------------------------------------------ #
-    def submit(self, query: Query, index: int | None = None) -> str:
-        """Route and enqueue one query; returns the relation it was assigned.
-
-        Same contract as :meth:`FleetRouter.submit
-        <repro.serve.router.FleetRouter.submit>`: the replica is the
-        deterministic crc32 hash of ``(relation, global index)``, the worker
-        is whichever process hosts that replica, and a full micro-batch ships
-        immediately.  Raises :class:`~repro.serve.router.RoutingError` for
-        unroutable queries (without consuming an index) and ``RuntimeError``
-        after :meth:`close`.
-        """
+    def _require_open(self) -> None:
         if self._closed:
-            raise RuntimeError("the fleet is closed; no further submissions")
-        route = resolve_route(self.registry, query, self.default_route)
-        self._check_epoch(route)
-        if index is None:
-            index = self._next_index
-        replica = replica_for(route, index, self._replica_counts[route])
-        key = (route, replica)
-        self._pending.setdefault(key, []).append((index, query, self.clock()))
-        self._next_index = max(self._next_index, index + 1)
-        if len(self._pending[key]) >= self.batch_size:
-            self._ship(key)
-        self._drain(block=False)  # keep the result pipes from backing up
-        return route
+            raise RuntimeError("the fleet is closed")
 
-    def _ship(self, key: tuple[str, int], *, timeout_flush: bool = False) -> None:
-        """Send one replica's pending micro-batch to its worker."""
-        items = self._pending.pop(key)
-        route, replica = key
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        batch_index = self._batch_counters.get(key, 0)
-        self._batch_counters[key] = batch_index + 1
-        worker_id = self._assignment[key]
-        handle = self._handles[worker_id]
-        payload = [(index, query) for index, query, _ in items]
+    # ------------------------------------------------------------------ #
+    # The pipe: send, receive, request/reply
+    # ------------------------------------------------------------------ #
+    def _live(self) -> list[_WorkerHandle]:
+        """Handles of the workers still running."""
+        return [handle for handle in self._handles.values()
+                if handle.process.is_alive()]
+
+    def _send(self, handle: _WorkerHandle, message: tuple, when: str) -> None:
         try:
-            handle.conn.send(("batch", batch_id, route, replica, payload))
-        except (OSError, ValueError, BrokenPipeError) as error:
-            raise self._worker_failure(
-                worker_id, "went away while a batch was being sent") from error
-        self._inflight[batch_id] = _Inflight(
-            route=route, replica=replica, worker_id=worker_id,
-            batch_index=batch_index, items=payload,
-            arrivals={index: arrival for index, _, arrival in items},
-            timeout_flush=timeout_flush)
+            handle.conn.send(message)
+        except (OSError, ValueError) as error:
+            raise self._worker_failure(handle.info.worker_id,
+                                       f"went away {when}") from error
 
-    def flush(self) -> None:
-        """Ship every partially filled micro-batch to its worker."""
-        for key in list(self._pending):
-            self._ship(key)
-
-    def tick(self, now: float | None = None) -> float | None:
-        """Ship overdue partial batches; returns the earliest remaining deadline.
-
-        The parent owns the pending queues, so flush deadlines are enforced
-        here (not in the workers): any batch whose oldest query has waited
-        past ``flush_after_ms`` ships immediately, flagged ``timeout_flush``
-        in the report exactly like the single-process fleet's.
-        """
-        if self.flush_after_ms is None or not self._pending:
-            return None
-        if now is None:
-            now = self.clock()
-        horizon = self.flush_after_ms / 1000.0
-        next_deadline: float | None = None
-        for key in list(self._pending):
-            oldest = self._pending[key][0][2]
-            deadline = oldest + horizon
-            if deadline <= now:
-                self._ship(key, timeout_flush=True)
-            elif next_deadline is None or deadline < next_deadline:
-                next_deadline = deadline
-        return next_deadline
-
-    def collect(self) -> None:
-        """Block until every in-flight micro-batch has returned its results.
-
-        Raises :class:`WorkerError` (within ``recv_timeout_s``) if a worker
-        dies or stops answering while results are outstanding.
-        """
-        self._drain(block=True)
-
-    def _drain(self, *, block: bool) -> None:
-        """Receive worker messages: one sweep when not blocking, else all."""
-        deadline = self.clock() + self.recv_timeout_s
-        while self._inflight:
-            conns = {handle.conn: worker_id
-                     for worker_id, handle in self._handles.items()
-                     if not handle.stopped}
-            ready = mp_connection.wait(list(conns),
-                                       timeout=_POLL_S if block else 0)
-            for conn in ready:
-                worker_id = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError) as error:
-                    raise self._worker_failure(
-                        worker_id, "pipe closed with results outstanding"
-                    ) from error
-                self._handle_message(message)
-            if not block:
-                return
-            if not ready:
-                self._check_liveness()
-                if self.clock() > deadline:
-                    raise WorkerError(
-                        min(entry.worker_id
-                            for entry in self._inflight.values()),
-                        f"no results within {self.recv_timeout_s:.0f}s with "
-                        f"{self.in_flight} queries in flight")
-
-    def _check_liveness(self) -> None:
-        """Raise for any dead worker that still owes in-flight results."""
-        owing = {entry.worker_id for entry in self._inflight.values()}
-        for worker_id in owing:
-            if not self._handles[worker_id].process.is_alive():
+    def _poll(self, handles: list[_WorkerHandle], timeout: float) -> bool:
+        """Fold in what ``handles`` sent within ``timeout`` s; did anything arrive?"""
+        by_conn = {handle.conn: handle for handle in handles}
+        ready = mp_connection.wait(list(by_conn), timeout=timeout)
+        for conn in ready:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError) as error:
                 raise self._worker_failure(
-                    worker_id, "died with results outstanding")
+                    by_conn[conn].info.worker_id,
+                    "pipe closed with answers outstanding") from error
+            self._handle_message(message)
+        return bool(ready)
+
+    def _wait_for(self, handles: list[_WorkerHandle], done, when: str) -> None:
+        """Receive from ``handles`` until ``done()``; never hang.
+
+        Raises :class:`WorkerError` when one of them dies, or when all stay
+        silent for ``recv_timeout_s``.  The silence bound is re-armed by every
+        message (a long backlog that keeps answering is progress, not a
+        timeout) and read from :func:`time.monotonic`, never the injectable
+        accounting ``clock`` — a frozen test clock must not disable it.
+        """
+        deadline = time.monotonic() + self.recv_timeout_s
+        while not done():
+            if self._poll(handles, _POLL_S):
+                deadline = time.monotonic() + self.recv_timeout_s
+                continue
+            for handle in handles:
+                if not handle.process.is_alive():
+                    raise self._worker_failure(handle.info.worker_id,
+                                               f"died {when}")
+            if time.monotonic() > deadline:
+                owing = {worker_id for worker_id, *_ in self._inflight.values()}
+                silent = next((handle.info for handle in handles
+                               if handle.info.worker_id in owing),
+                              handles[0].info)
+                raise WorkerError(
+                    silent.worker_id,
+                    f"no answer within {self.recv_timeout_s:g}s {when}",
+                    log_path=silent.log_path)
+
+    def _ask(self, handle: _WorkerHandle, request: tuple | None, reply: str,
+             when: str) -> tuple:
+        """Send one request (if any) and wait for the worker's ``reply``."""
+        if request is not None:
+            self._send(handle, request, when)
+        key = (handle.info.worker_id, reply)
+        self._wait_for([handle], lambda: key in self._replies, when)
+        return self._replies.pop(key)
 
     def _handle_message(self, message: tuple) -> None:
         """Fold one worker message into the parent-side accounting."""
-        kind = message[0]
+        kind, worker_id = message[0], message[1]
         if kind == "result":
-            _, worker_id, batch_id, pairs, latency_ms, busy_cpu_ms = message
-            entry = self._inflight.pop(batch_id)
-            received = self.clock()
-            key = (entry.route, entry.replica)
-            num_rows = self._rows[entry.route]
-            queries = dict(entry.items)
-            waits: list[float] = []
-            results = self._results.setdefault(key, [])
-            for index, selectivity in pairs:
-                e2e_ms = max(0.0, (received - entry.arrivals[index]) * 1000.0)
-                wait_ms = max(0.0, e2e_ms - latency_ms)
-                waits.append(wait_ms)
-                results.append(EstimateResult(
-                    index=index, query=queries[index],
-                    selectivity=selectivity,
-                    cardinality=selectivity * num_rows,
-                    batch_index=entry.batch_index,
-                    queue_wait_ms=wait_ms, e2e_ms=e2e_ms))
-            self._records.setdefault(key, []).append(BatchRecord(
-                batch_index=entry.batch_index, num_queries=len(pairs),
-                latency_ms=latency_ms, queue_wait_ms=tuple(waits),
-                timeout_flush=entry.timeout_flush))
-            tally = self._worker_tallies.setdefault(
-                worker_id, {"num_queries": 0, "num_batches": 0,
-                            "busy_cpu_ms": 0.0, "latency_ms": 0.0})
+            _, _, batch_id, pairs, latency_ms, busy_cpu_ms = message
+            _, engine, batch, timeout = self._inflight.pop(batch_id)
+            engine.finish(batch, pairs, latency_ms, timeout=timeout)
+            tally = self._tallies[worker_id]
             tally["num_queries"] += len(pairs)
             tally["num_batches"] += 1
             tally["busy_cpu_ms"] += busy_cpu_ms
             tally["latency_ms"] += latency_ms
         elif kind == "error":
-            _, worker_id, remote = message
             handle = self._handles[worker_id]
             raise WorkerError(worker_id, "raised while serving",
                               exit_code=handle.process.exitcode,
-                              log_path=handle.log_path,
-                              remote_traceback=remote)
-        # "report"/"stopped" replies are consumed by their request sites;
-        # anything else arriving here is a stale message and is dropped.
+                              log_path=handle.info.log_path,
+                              remote_traceback=message[2])
+        else:  # "ready" / "report" / "wiped": claimed by the _ask awaiting it
+            self._replies[(worker_id, kind)] = message
 
-    # ------------------------------------------------------------------ #
-    # Scopes and reporting
-    # ------------------------------------------------------------------ #
-    def run(self, queries: list[Query]) -> FleetReport:
-        """Serve a whole mixed workload and return the merged fleet report.
+    def _ship(self, key: tuple[str, int], engine: _WorkerEngine, batch: list,
+              timeout: bool) -> None:
+        """Send one engine's filled micro-batch to the worker hosting it."""
+        handle = self._handles[self._assignment[key]]
+        batch_id = self._next_batch_id
+        self._next_batch_id += 1
+        self._send(handle, ("batch", batch_id, *key,
+                            [(index, query) for index, query, _ in batch]),
+                   "while a batch was being sent")
+        self._inflight[batch_id] = (handle.info.worker_id, engine, batch, timeout)
 
-        Same scope semantics as :meth:`FleetRouter.run
-        <repro.serve.router.FleetRouter.run>`: indices restart at zero, the
-        report covers only this call, worker-side conditional caches carry
-        over.
+    def collect(self) -> None:
+        """Block until every in-flight micro-batch has returned its results.
+
+        Raises :class:`WorkerError` if a worker dies, or stays silent for
+        ``recv_timeout_s``, while results are outstanding.
         """
-        self._begin_scope()
-        ticking = self.flush_after_ms is not None
-        for query in queries:
-            self.submit(query)
-            if ticking:
-                self.tick()
-        self.flush()
-        self.collect()
-        return self.report()
+        if not self._closed:
+            # Every worker is listened to, not only those owing results: a
+            # dead idle worker is still a failure the caller must hear about.
+            self._wait_for(list(self._handles.values()),
+                           lambda: not self._inflight,
+                           f"with {self.in_flight} queries in flight")
+
+    # ------------------------------------------------------------------ #
+    # The router's seams and guards
+    # ------------------------------------------------------------------ #
+    def _replicas_of(self, route: str) -> int:
+        if self._replicas is not None:
+            return self._replicas
+        return super()._replicas_of(route)
+
+    def _make_engine(self, route: str, replica: int, estimator,
+                     **options) -> _WorkerEngine:
+        key = (route, replica)
+        if key not in self._assignment:
+            raise RuntimeError(
+                f"relation {route!r} was registered after this fleet was "
+                "built, so no worker hosts it; close this fleet and build a "
+                "new ProcessFleet")
+        return _WorkerEngine(estimator, ship=partial(self._ship, key),
+                             **options)
 
     def _check_epoch(self, route: str) -> None:
         """Refuse to serve a route whose registry epoch moved past the export."""
-        snapshot = self._epochs.get(route)
-        if snapshot is None:
-            return  # registered after construction; no worker hosts it anyway
+        snapshot = self._epochs.get(route)  # None: registered after the export
         current = self.registry.serving_epoch(route)
-        if current != snapshot:
+        if snapshot is not None and current != snapshot:
             raise StaleEpochError(route, snapshot, current)
 
+    def resolve_serving(self, query) -> tuple[str, str]:
+        """:meth:`FleetRouter.resolve_serving` plus the stale-epoch guard."""
+        route, role = super().resolve_serving(query)
+        self._check_epoch(route)
+        return route, role
+
+    def submit(self, query, index: int | None = None) -> str:
+        """:meth:`FleetRouter.submit`; also raises ``RuntimeError`` once closed,
+        :class:`StaleEpochError` once the registry moved past the exported
+        models, and :class:`WorkerError` if a worker is found dead."""
+        self._require_open()
+        if self._inflight:
+            # Workers answer while the parent keeps submitting: fold in what
+            # has arrived so the result pipes never back up.
+            self._poll(list(self._handles.values()), 0)
+        return super().submit(query, index)
+
     def _begin_scope(self) -> None:
-        """Start a fresh workload scope: reset indices and worker engines."""
-        if self._pending or self._inflight:
-            raise RuntimeError("submitted queries are still pending or in "
-                               "flight; call flush() and collect() before "
-                               "run()")
+        self._require_open()
+        if self._inflight:
+            raise RuntimeError("submitted queries are still in flight; call "
+                               "flush() and collect() before run()")
         for route in self._epochs:
             self._check_epoch(route)
+        super()._begin_scope()
         for handle in self._handles.values():
-            if not handle.stopped:
-                try:
-                    handle.conn.send(("reset",))
-                except (OSError, ValueError, BrokenPipeError) as error:
-                    raise self._worker_failure(
-                        handle.worker_id, "went away during scope reset"
-                    ) from error
-        self._results = {}
-        self._records = {}
-        self._batch_counters = {}
-        self._worker_tallies = {}
-        self._next_index = 0
+            self._send(handle, ("reset",), "during scope reset")
+        self._tallies = self._zero_tallies()
+
+    def wipe_caches(self) -> dict[str, int]:
+        """:meth:`FleetRouter.wipe_caches`, reaching into the workers.
+
+        The conditional caches live in the worker processes, so the wipe is
+        forwarded to every live worker and ``conditional_caches`` counts the
+        worker-side stores actually cleared.
+        """
+        wiped = super().wipe_caches()
+        for handle in self._live():
+            wiped["conditional_caches"] += self._ask(
+                handle, ("wipe",), "wiped", "during a cache wipe")[2]
+        return wiped
 
     def _refresh_engine_stats(self) -> None:
         """Pull per-engine cache counters and scope deltas from live workers."""
-        for worker_id, handle in self._handles.items():
-            if handle.stopped or not handle.process.is_alive():
-                continue
-            handle.conn.send(("report",))
-            deadline = self.clock() + self.recv_timeout_s
-            while True:
-                if handle.conn.poll(_POLL_S):
-                    message = handle.conn.recv()
-                    if message[0] == "report":
-                        self._engine_stats.update(message[2])
-                        break
-                    self._handle_message(message)  # stray result, fold it in
-                elif not handle.process.is_alive():
-                    raise self._worker_failure(
-                        worker_id, "died during a cache-stats snapshot")
-                elif self.clock() > deadline:
-                    raise WorkerError(
-                        worker_id, "cache-stats snapshot timed out",
-                        log_path=handle.log_path)
+        for handle in self._live():
+            stats = self._ask(handle, ("report",), "report",
+                              "during a stats snapshot")[2]
+            for (route, replica), entry in stats.items():
+                self.engine(route, replica).remote = entry
+
+    def _zero_tallies(self) -> dict[int, dict]:
+        return {worker_id: {"num_queries": 0, "num_batches": 0,
+                            "busy_cpu_ms": 0.0, "latency_ms": 0.0}
+                for worker_id in range(self.num_workers)}
 
     def worker_stats(self) -> dict[str, dict]:
         """Per-worker serving tallies for the current workload scope.
 
-        Keyed by stringified worker id (JSON-friendly); each entry carries
-        the worker's pid, log path, hosted engines, query/batch counts and
-        the summed worker-side dispatch latency and busy-CPU time.  The
-        busy-CPU column is what the ``serve_procfleet`` bench's capacity
-        accounting is built from: CPU seconds are immune to time-slicing, so
-        the fleet's critical path is ``max`` over workers even on a
-        single-core host.
+        Keyed by stringified worker id (JSON-friendly).  The summed busy-CPU
+        column is what the ``serve_procfleet`` bench's capacity accounting is
+        built from: CPU seconds are immune to time-slicing, so the fleet's
+        critical path is ``max`` over workers even on a single-core host.
         """
-        stats: dict[str, dict] = {}
-        for worker_id in sorted(self._infos):
-            info = self._infos[worker_id]
-            tally = self._worker_tallies.get(
-                worker_id, {"num_queries": 0, "num_batches": 0,
-                            "busy_cpu_ms": 0.0, "latency_ms": 0.0})
-            stats[str(worker_id)] = {
+        return {
+            str(info.worker_id): {
                 "pid": info.pid,
                 "log_path": info.log_path,
                 "engines": [f"{route}/{replica}"
                             for route, replica in info.keys],
-                **tally,
+                **self._tallies[info.worker_id],
             }
-        return stats
+            for info in self.workers}
 
     def report(self) -> FleetReport:
-        """Merged snapshot of the current scope, in global submission order.
+        """:meth:`FleetRouter.report` once every in-flight result is in.
 
-        Collects any in-flight results first, then builds the same
-        per-replica :class:`~repro.serve.engine.EngineReport` structure the
-        single-process fleet produces — the worker boundary is invisible in
-        the report except for the extra ``stats.workers`` breakdown.
+        Collects first (a closed fleet already has), refreshes the
+        worker-side cache and row counters, and adds the per-worker
+        ``stats.workers`` breakdown — the only place the worker boundary
+        shows in the report.
         """
         if not self._closed:
             self.collect()
             self._refresh_engine_stats()
-        route_reports: dict[str, list[EngineReport]] = {}
-        served = {route for route, _ in
-                  set(self._results) | set(self._records)}
-        for route in self.registry.names:
-            if route not in served:
-                continue
-            reports = []
-            for replica in range(self._replica_counts[route]):
-                key = (route, replica)
-                entry = self._engine_stats.get(key) or {}
-                results = sorted(self._results.get(key, []),
-                                 key=lambda result: result.index)
-                records = list(self._records.get(key, []))
-                elapsed_s = sum(record.latency_ms
-                                for record in records) / 1000.0
-                stats = EngineStats(
-                    num_queries=len(results), num_batches=len(records),
-                    elapsed_s=elapsed_s,
-                    num_samples=self._samples_by_route[route],
-                    batch_size=self.batch_size,
-                    timeout_flushes=sum(record.timeout_flush
-                                        for record in records),
-                    cache=entry.get("cache"),
-                    **entry.get("counters", {}))
-                reports.append(EngineReport(results=results, batches=records,
-                                            stats=stats))
-            route_reports[route] = reports
-        return _merge_reports(
-            route_reports, num_models=len(self.registry),
-            cache_entries_total=self.cache_entries,
-            cache_entries_per_model=self.cache_entries_per_model,
-            workers=self.worker_stats(),
-            epochs={
-                name: {
-                    "data_epoch": self.registry.data_epoch(name),
-                    "model_epoch": self.registry.model_epoch(name),
-                    "staleness": self.registry.staleness(name),
-                }
-                for name in self.registry.names
-            })
+        report = super().report()
+        report.stats.workers = self.worker_stats()
+        return report
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "live"

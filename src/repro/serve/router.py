@@ -84,9 +84,9 @@ def replica_for(route: str, index: int, replicas: int) -> int:
 
     A CRC of ``"route:index"`` (not Python's randomised ``hash``) so the
     assignment is stable across processes and replays — this single function
-    is the placement contract shared by :class:`ReplicaGroup` (in-process
-    replicas) and :class:`repro.serve.procfleet.ProcessFleet` (replicas
-    sharded across OS worker processes), which is what makes
+    is the placement contract of every :class:`ReplicaGroup`, whether its
+    engines run in this process or are sharded across OS worker processes
+    (:class:`repro.serve.procfleet.ProcessFleet`), which is what makes
     ``workers=1 ≡ workers=N`` provable rather than coincidental.
     """
     return zlib.crc32(f"{route}:{index}".encode()) % replicas
@@ -96,8 +96,7 @@ def resolve_route(registry: ModelRegistry, query: Query,
                   default_route: str | None = None) -> str:
     """The relation a query routes to; raises :class:`RoutingError` if none.
 
-    The routing half of the fleet contract, shared by :class:`FleetRouter`
-    and :class:`repro.serve.procfleet.ProcessFleet`: the query's ``table``
+    The routing half of the fleet contract: the query's ``table``
     qualifier wins, an unqualified query falls back to ``default_route``,
     and anything unroutable fails loudly at submission time.
     """
@@ -280,8 +279,7 @@ class FleetStats:
     #: ``units`` and per-estimator ``latency_ms``/``e2e_ms`` percentiles.
     #: The per-estimator accuracy companion lives on the report
     #: (:meth:`FleetReport.accuracy_by_estimator`) because accuracy needs
-    #: ground truths the router never sees.  ``None`` on reports that
-    #: predate estimator accounting (e.g. the cross-process fleet).
+    #: ground truths the router never sees.
     estimators: dict[str, dict] | None = None
     #: Serving-unit name -> aggregated group stats: the union of the
     #: engine-stats keys (query/batch counts, QPS, the group cache's
@@ -524,34 +522,30 @@ def _route_cache_dict(dicts: list[dict | None]) -> dict | None:
 
 
 def _merge_reports(route_reports: dict[str, list[EngineReport]], *,
+                   unit_info: dict[str, dict],
                    num_models: int, cache_entries_total: int,
                    cache_entries_per_model: int,
                    cached_results: list[RoutedResult] | None = None,
                    shed_by_route: dict[str, int] | None = None,
                    result_cache_stats: dict | None = None,
                    batch_traces: dict[str, list[int]] | None = None,
-                   workers: dict[str, dict] | None = None,
-                   epochs: dict[str, dict] | None = None,
-                   unit_info: dict[str, dict] | None = None) -> FleetReport:
+                   epochs: dict[str, dict] | None = None) -> FleetReport:
     """Fold per-replica reports into one fleet report in global index order.
 
     ``route_reports`` is keyed by *serving unit*: the relation name for its
     primary replica group, ``"<relation>@fallback"`` for its fallback
     estimator.  ``unit_info`` maps each unit to its ``{"relation",
-    "estimator"}`` identification; callers that predate the ensemble (the
-    cross-process fleet) omit it, and their reports carry the unit name as
-    the relation with no estimator breakdown.
+    "estimator"}`` identification.
     """
     cached_results = cached_results or []
     shed_by_route = shed_by_route or {}
     batch_traces = batch_traces or {}
-    info = unit_info or {}
 
     def relation_of(unit: str) -> str:
-        return info.get(unit, {}).get("relation", unit)
+        return unit_info[unit]["relation"]
 
     def estimator_of(unit: str) -> str:
-        return info.get(unit, {}).get("estimator", "")
+        return unit_info[unit]["estimator"]
 
     merged = [
         RoutedResult(index=result.index, route=relation_of(unit),
@@ -618,40 +612,38 @@ def _merge_reports(route_reports: dict[str, list[EngineReport]], *,
                                    for stats in replica_stats),
             "batch_trace": batch_traces.get(route),
         }
-    estimators_stats: dict[str, dict] | None = None
-    if unit_info is not None:
-        # Per-estimator latency columns: fold every unit one estimator
-        # served (a fallback may back several relations) into one row.
-        per_estimator: dict[str, dict] = {}
-        for unit, reports in route_reports.items():
-            entry = per_estimator.setdefault(estimator_of(unit), {
-                "units": [], "num_queries": 0, "elapsed_s": 0.0,
-                "batches": []})
-            entry["units"].append(unit)
-            entry["num_queries"] += routes_stats[unit]["num_queries"]
-            entry["elapsed_s"] += routes_stats[unit]["elapsed_s"]
-            entry["batches"].extend(record for report in reports
-                                    for record in report.batches)
-        if cached_results:
-            entry = per_estimator.setdefault("cache", {
-                "units": [], "num_queries": 0, "elapsed_s": 0.0,
-                "batches": []})
-            entry["num_queries"] += len(cached_results)
-        estimators_stats = {}
-        for name, entry in sorted(per_estimator.items()):
-            batches = entry["batches"]
-            _, batch_e2es = _per_query_latencies(batches)
-            estimators_stats[name] = {
-                "units": sorted(entry["units"]),
-                "num_queries": entry["num_queries"],
-                "elapsed_s": entry["elapsed_s"],
-                "queries_per_second": (entry["num_queries"] / entry["elapsed_s"]
-                                       if entry["elapsed_s"] > 0 else 0.0),
-                "latency_ms": latency_percentiles(
-                    [record.latency_ms for record in batches],
-                    weights=[record.num_queries for record in batches]),
-                "e2e_ms": latency_percentiles(batch_e2es),
-            }
+    # Per-estimator latency columns: fold every unit one estimator
+    # served (a fallback may back several relations) into one row.
+    per_estimator: dict[str, dict] = {}
+    for unit, reports in route_reports.items():
+        entry = per_estimator.setdefault(estimator_of(unit), {
+            "units": [], "num_queries": 0, "elapsed_s": 0.0,
+            "batches": []})
+        entry["units"].append(unit)
+        entry["num_queries"] += routes_stats[unit]["num_queries"]
+        entry["elapsed_s"] += routes_stats[unit]["elapsed_s"]
+        entry["batches"].extend(record for report in reports
+                                for record in report.batches)
+    if cached_results:
+        entry = per_estimator.setdefault("cache", {
+            "units": [], "num_queries": 0, "elapsed_s": 0.0,
+            "batches": []})
+        entry["num_queries"] += len(cached_results)
+    estimators_stats = {}
+    for name, entry in sorted(per_estimator.items()):
+        batches = entry["batches"]
+        _, batch_e2es = _per_query_latencies(batches)
+        estimators_stats[name] = {
+            "units": sorted(entry["units"]),
+            "num_queries": entry["num_queries"],
+            "elapsed_s": entry["elapsed_s"],
+            "queries_per_second": (entry["num_queries"] / entry["elapsed_s"]
+                                   if entry["elapsed_s"] > 0 else 0.0),
+            "latency_ms": latency_percentiles(
+                [record.latency_ms for record in batches],
+                weights=[record.num_queries for record in batches]),
+            "e2e_ms": latency_percentiles(batch_e2es),
+        }
     fleet_waits, fleet_e2es = _per_query_latencies(all_batches)
     stats = FleetStats(
         num_queries=len(merged),
@@ -676,7 +668,6 @@ def _merge_reports(route_reports: dict[str, list[EngineReport]], *,
                            for entry in routes_stats.values()),
         forward_calls=sum(entry["forward_calls"]
                           for entry in routes_stats.values()),
-        workers=workers,
         epochs=epochs,
         estimators=estimators_stats,
         routes=routes_stats,
@@ -743,8 +734,8 @@ class ReplicaGroup:
     def replica_of(self, index: int) -> int:
         """Deterministic replica assignment of one global workload index.
 
-        Delegates to :func:`replica_for` — the one placement function shared
-        with the cross-process fleet, stable across processes and replays.
+        Delegates to :func:`replica_for` — the one placement function,
+        stable across processes and replays.
         """
         return replica_for(self.route, index, len(self.engines))
 
@@ -981,7 +972,7 @@ class FleetRouter:
         # slice for the result cache when it is enabled.  Replica counts are
         # read at construction so the split is stable for this router's
         # lifetime even if the registry is re-tuned afterwards.
-        self._replica_counts = {name: registry.replicas(name)
+        self._replica_counts = {name: self._replicas_of(name)
                                 for name in registry.names}
         slices = (sum(self._replica_counts.values()) if use_cache else 0) \
             + (1 if result_cache else 0)
@@ -1054,8 +1045,7 @@ class FleetRouter:
     def resolve_route(self, query: "Query | DNFQuery") -> str:
         """The relation a query routes to; raises :class:`RoutingError` if none.
 
-        Delegates to the module-level :func:`resolve_route` — the routing
-        half of the contract shared with the cross-process fleet.
+        Delegates to the module-level :func:`resolve_route`.
         """
         return resolve_route(self.registry, query, self.default_route)
 
@@ -1110,7 +1100,7 @@ class FleetRouter:
         if group is None:
             replicas = self._replica_counts.get(route)
             if replicas is None:
-                replicas = self.registry.replicas(route)
+                replicas = self._replicas_of(route)
                 self._replica_counts[route] = replicas
             estimator = self.registry.estimator(route)
 
@@ -1146,8 +1136,8 @@ class FleetRouter:
                 shared_cache = ConditionalProbCache(
                     self.cache_entries_per_model * replicas)
             engines = [
-                EstimationEngine(
-                    estimator, batch_size=self.batch_size,
+                self._make_engine(
+                    route, replica, estimator, batch_size=self.batch_size,
                     num_samples=self.num_samples, use_cache=self.use_cache,
                     cache_entries=self.cache_entries_per_model, seed=self.seed,
                     result_sink=make_sink(replica), cache=shared_cache,
@@ -1155,8 +1145,12 @@ class FleetRouter:
                     flush_after_ms=self.effective_flush_after(route))
                 for replica in range(replicas)
             ]
+            # The group's cache is whatever its engines actually front: the
+            # shared store here, nothing when the engines keep their
+            # conditionals elsewhere (worker processes).
             group = ReplicaGroup(route, engines, max_pending=self.max_pending,
-                                 overflow=self.overflow, cache=shared_cache)
+                                 overflow=self.overflow,
+                                 cache=engines[0].cache)
             if shared_cache is not None:
                 shared_cache.epoch = self.registry.data_epoch(route)
             self._groups[(route, "primary")] = group
@@ -1200,6 +1194,23 @@ class FleetRouter:
             self._group_epochs[(route, "fallback")] = \
                 self.registry.serving_epoch(route)
         return unit
+
+    def _replicas_of(self, route: str) -> int:
+        """Subclass hook: how many replica engines one route's group gets."""
+        return self.registry.replicas(route)
+
+    def _make_engine(self, route: str, replica: int, estimator,
+                     **options) -> EstimationEngine:
+        """Subclass hook: build one replica engine of a route's group.
+
+        ``options`` are the :class:`EstimationEngine` keyword arguments
+        :meth:`group` settled on.  Where a filled micro-batch executes is the
+        one thing a serving tier may change —
+        :class:`repro.serve.procfleet.ProcessFleet` returns a proxy whose
+        batches run in a worker process; everything above the engine
+        (routing, placement, admission, caching, reporting) is this class.
+        """
+        return EstimationEngine(estimator, **options)
 
     def _group_created(self, route: str, group: ReplicaGroup) -> None:
         """Subclass hook: a replica group was just materialised.

@@ -581,9 +581,15 @@ class TestOpenLoopCLI:
 
     def test_open_loop_flag_combinations_validated(self):
         base = ["--tables", "users"]
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            serve_main(base + ["--workers", "2", "--arrivals", "poisson",
-                               "--offered-qps", "10"])
+        # What --workers still refuses: the asyncio client, adaptive
+        # batching and open-loop pacing.  (Result cache, admission, fallback
+        # and shaped workloads work across processes now.)
+        for flags in (["--arrivals", "poisson", "--offered-qps", "10"],
+                      ["--stream"], ["--adaptive", "--slo-ms", "50"]):
+            with pytest.raises(SystemExit,
+                               match=f"{flags[0]} and --workers are mutually "
+                                     "exclusive"):
+                serve_main(base + ["--workers", "2"] + flags)
         with pytest.raises(SystemExit,
                            match="--arrivals and --stream are mutually"):
             serve_main(base + ["--stream", "--arrivals", "poisson",

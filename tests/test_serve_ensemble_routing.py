@@ -232,7 +232,12 @@ class TestEnsembleReport:
 
 
 class TestEnsembleCLI:
-    def test_shaped_workload_with_fallback_end_to_end(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", (0, 2), ids=["inprocess", "workers2"])
+    def test_shaped_workload_with_fallback_end_to_end(self, tmp_path, capsys,
+                                                      workers):
+        """The ensemble flags serve end to end — in process and, because the
+        process fleet *is* the router, across ``--workers`` too (these flags
+        used to be refused there)."""
         import json
         import os
 
@@ -247,9 +252,11 @@ class TestEnsembleCLI:
             "--dnf-fraction", "0.25", "--like-fraction", "0.25",
             "--dnf-branches", "2", "6",
             "--compare-sequential", "--q-errors", "--json", report_path,
+            *(["--workers", str(workers)] if workers else []),
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
+        assert ("worker 0" in output) == bool(workers)
         assert "Registered fallback estimator" in output
         assert "disjunctive" in output and "prefix" in output
         assert "per-estimator breakdown" in output
@@ -289,5 +296,3 @@ class TestEnsembleCLI:
         with pytest.raises(SystemExit, match="incompatible with --workload"):
             serve_main([*base, "--dnf-fraction", "0.5",
                         "--workload", "w.json"])
-        with pytest.raises(SystemExit, match="mutually"):
-            serve_main([*base, "--workers", "2", "--fallback", "sampling"])

@@ -1,11 +1,16 @@
 """Property-style invariance suite for the replicated serving stack.
 
 The serving layer's one load-bearing contract: **how** a workload is served —
-micro-batch size, replica count, result cache on or off, routing order — must
+micro-batch size, replica count, result cache on or off, routing order, and
+whether the engines run in this process or in N OS worker processes — must
 never change **what** it answers.  Every query's random stream is keyed by
 ``(seed, global workload index)`` alone, so the unbatched sequential baseline
 (:func:`repro.serve.run_fleet_sequential`) is the ground truth and every
 configuration in the grid below must reproduce it.
+
+The serving-class dimension's ids read ``inprocess`` / ``procfleet-wN``; CI's
+``procfleet`` job selects the cross-process cells with ``-k procfleet`` and
+points ``REPRO_PROCFLEET_LOG_DIR`` at a directory it uploads on failure.
 
 The tolerance is one-ulp loose (``atol=1e-12`` on selectivities in ``[0, 1]``)
 because different micro-batch shapes push different row counts through the
@@ -16,6 +21,8 @@ up orders of magnitude above it.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing as mp
 import os
 import random
 
@@ -24,14 +31,17 @@ import pytest
 
 from repro.core import NaruConfig
 from repro.data import JoinSpec, make_sessions, make_users
+from repro.estimators import SamplingEstimator
 from repro.query import Query, WorkloadGenerator
 from repro.serve import (
+    AdmissionError,
     FleetRouter,
     ModelRegistry,
     ProcessFleet,
     StreamingRouter,
     VirtualClock,
     generate_mixed_workload,
+    generate_shape_workload,
     load_workload,
     run_fleet_sequential,
     save_workload,
@@ -48,6 +58,12 @@ _DEFAULT_ROUTE = "sessions"
 _BATCH_SIZES = (1, 3, 16)
 _REPLICAS = (1, 2, 4)
 _RESULT_CACHE = (False, True)
+#: Where the engines run: 0 = in this process (``FleetRouter``), N = in N OS
+#: worker processes (``ProcessFleet`` — the same router, engines elsewhere).
+_WORKERS = (0, 1, 2, 4)
+_serving_classes = pytest.mark.parametrize(
+    "workers", _WORKERS,
+    ids=["inprocess"] + [f"procfleet-w{count}" for count in _WORKERS[1:]])
 
 
 @pytest.fixture(scope="module")
@@ -89,28 +105,55 @@ def baseline(fleet, workload):
                                 seed=_SEED, default_route=_DEFAULT_ROUTE)
 
 
-def _router(fleet, *, batch_size, replicas, result_cache):
+def _router(fleet, *, batch_size, replicas, result_cache=False, workers=0,
+            default_route=_DEFAULT_ROUTE, **options):
+    """A router over ``fleet``: in-process, or a ProcessFleet of ``workers``
+    (logging where CI can scoop the files up as artifacts —
+    ``REPRO_PROCFLEET_LOG_DIR``, unset locally).  Close the latter: use
+    :func:`_serving`."""
+    options.update(batch_size=batch_size, num_samples=_SAMPLES, seed=_SEED,
+                   default_route=default_route, result_cache=result_cache)
+    if workers:
+        return ProcessFleet(fleet, workers=workers, replicas=replicas,
+                            log_dir=os.environ.get("REPRO_PROCFLEET_LOG_DIR"),
+                            **options)
     for name in fleet.names:
         fleet.set_replicas(name, replicas)
     try:
-        return FleetRouter(fleet, batch_size=batch_size, num_samples=_SAMPLES,
-                           seed=_SEED, default_route=_DEFAULT_ROUTE,
-                           result_cache=result_cache)
+        return FleetRouter(fleet, **options)
     finally:
         for name in fleet.names:
             fleet.set_replicas(name, 1)
 
 
+@contextlib.contextmanager
+def _serving(fleet, **config):
+    """``_router(fleet, **config)``, closed on exit with no worker left behind."""
+    router = _router(fleet, **config)
+    try:
+        yield router
+    finally:
+        if isinstance(router, ProcessFleet):
+            router.close()
+            assert not [process for process in mp.active_children()
+                        if process.name.startswith("procfleet-worker")]
+
+
+@_serving_classes
 @pytest.mark.parametrize("batch_size", _BATCH_SIZES)
 @pytest.mark.parametrize("replicas", _REPLICAS)
 @pytest.mark.parametrize("result_cache", _RESULT_CACHE,
                          ids=["nocache", "rescache"])
 def test_grid_matches_sequential_baseline(fleet, workload, baseline,
-                                          batch_size, replicas, result_cache):
-    """Every (batch_size, replicas, result_cache) cell reproduces the baseline."""
-    router = _router(fleet, batch_size=batch_size, replicas=replicas,
-                     result_cache=result_cache)
-    report = router.run(workload)
+                                          batch_size, replicas, result_cache,
+                                          workers):
+    """Every (batch_size, replicas, result_cache, serving class) cell
+    reproduces the baseline: sharding engines across OS processes must never
+    change an estimate any more than batching or replication may."""
+    with _serving(fleet, batch_size=batch_size, replicas=replicas,
+                  result_cache=result_cache, workers=workers) as router:
+        assert isinstance(router, FleetRouter)
+        report = router.run(workload)
     assert [result.index for result in report.results] == \
         list(range(len(workload)))
     assert [result.route for result in report.results] == \
@@ -263,11 +306,15 @@ def test_replica_assignment_is_deterministic(fleet, workload):
         [result.replica for result in second.results]
 
 
-def test_warm_result_cache_replays_exactly(fleet, workload):
-    """A replayed workload is answered from the result cache, bit-for-bit."""
-    router = _router(fleet, batch_size=4, replicas=2, result_cache=True)
-    cold = router.run(workload)
-    warm = router.run(workload)
+@_serving_classes
+def test_warm_result_cache_replays_exactly(fleet, workload, workers):
+    """A replayed workload is answered from the result cache, bit-for-bit —
+    across processes too: worker results feed the parent's cache on receipt
+    (so a repeat *inside* the cold scope may miss), and the replay all hits."""
+    with _serving(fleet, batch_size=4, replicas=2, result_cache=True,
+                  workers=workers) as router:
+        cold = router.run(workload)
+        warm = router.run(workload)
     assert warm.result_cache_hits == len(workload)
     assert all(result.from_result_cache for result in warm.results)
     np.testing.assert_array_equal(warm.selectivities, cold.selectivities)
@@ -373,39 +420,89 @@ def test_workload_file_roundtrip_preserves_estimates(fleet, workload, baseline,
 
 
 # --------------------------------------------------------------------------- #
-# Cross-process fleet: the process boundary is invisible in the numbers
+# Router features across serving classes: admission and the estimator ensemble
 # --------------------------------------------------------------------------- #
-def _procfleet(fleet, *, workers, batch_size, replicas=1, use_cache=True):
-    """A ProcessFleet over the module fixture, logging where CI can scoop
-    the files up as artifacts (``REPRO_PROCFLEET_LOG_DIR``, unset locally)."""
-    return ProcessFleet(fleet, workers=workers, batch_size=batch_size,
-                        replicas=replicas, num_samples=_SAMPLES, seed=_SEED,
-                        use_cache=use_cache, default_route=_DEFAULT_ROUTE,
-                        log_dir=os.environ.get("REPRO_PROCFLEET_LOG_DIR"))
-
-
-@pytest.mark.parametrize("batch_size", (1, 64))
-@pytest.mark.parametrize("workers", (1, 2, 4))
-def test_procfleet_grid_matches_sequential_baseline(fleet, workload, baseline,
-                                                    workers, batch_size):
-    """Every (workers, batch_size) cell reproduces the unbatched baseline:
-    sharding engines across OS processes must never change an estimate."""
-    with _procfleet(fleet, workers=workers, batch_size=batch_size) as proc:
-        report = proc.run(workload)
-    assert [result.index for result in report.results] == \
-        list(range(len(workload)))
-    assert [result.route for result in report.results] == \
-        [result.route for result in baseline.results]
-    np.testing.assert_allclose(report.selectivities, baseline.selectivities,
+@_serving_classes
+def test_shed_admission_is_typed_counted_and_bounded(fleet, workload, workers):
+    """``max_pending`` + ``overflow="shed"`` is the router's admission gate,
+    so it holds wherever the engines run: refusals are typed, every submitted
+    query is either completed or counted shed, the pending high-water mark
+    never passes the bound, and what completes matches the baseline at its
+    own global index."""
+    bound = 2
+    with _serving(fleet, batch_size=3, replicas=2, workers=workers,
+                  max_pending=bound, overflow="shed") as router:
+        shed = 0
+        for query in workload:
+            try:
+                router.submit(query)
+            except AdmissionError as refusal:
+                shed += 1
+                assert refusal.max_pending == bound
+        router.flush()
+        report = router.report()
+        peak_pending = router.peak_pending
+    assert 0 < shed < len(workload)
+    assert report.stats.shed == shed
+    assert len(workload) == report.stats.num_queries + shed
+    assert peak_pending <= bound
+    # Shed queries consume no global index, so the completed ones sit at
+    # indices 0..n-1 of the *admitted* subsequence; replaying exactly that
+    # subsequence sequentially must give the same numbers.
+    admitted = [result.query for result in report.results]
+    expected = run_fleet_sequential(fleet, admitted, num_samples=_SAMPLES,
+                                    seed=_SEED, default_route=_DEFAULT_ROUTE)
+    np.testing.assert_allclose(report.selectivities, expected.selectivities,
                                rtol=0.0, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def ensemble():
+    """One relation whose 3-branch Naru bound leaves wider disjunctions to a
+    sampling fallback, plus a conjunctive/DNF/LIKE workload that uses both."""
+    users = make_users(num_users=100, seed=4)
+    registry = ModelRegistry(default_config=NaruConfig(
+        epochs=2, hidden_sizes=(16, 16), batch_size=128,
+        progressive_samples=_SAMPLES, seed=0, max_dnf_branches=3))
+    registry.register_table(users, fallback=SamplingEstimator(
+        users, fraction=1.0, seed=0))
+    registry.fit_all()
+    shaped = generate_shape_workload(
+        {"users": users}, 16, dnf_fraction=0.4, like_fraction=0.2,
+        dnf_branches=(2, 5), min_filters=1, max_filters=3, seed=7)
+    return registry, shaped
+
+
+@_serving_classes
+def test_ensemble_workload_matches_sequential_exactly(ensemble, workers):
+    """Conjunctions, LIKE prefixes and in-bound disjunctions go to Naru (in a
+    worker, when there are workers), over-bound disjunctions to the parent-side
+    sampling fallback — and every estimate equals the sequential baseline's
+    bit for bit, because routing and fallback serving are the router's."""
+    registry, shaped = ensemble
+    expected = run_fleet_sequential(registry, shaped, num_samples=_SAMPLES,
+                                    seed=_SEED)
+    with _serving(registry, batch_size=4, replicas=2, workers=workers,
+                  default_route=None) as router:
+        report = router.run(shaped)
+    assert np.array_equal(report.selectivities, expected.selectivities)
+    assert [result.estimator for result in report.results] == \
+        [result.estimator for result in expected.results]
+    served_by = {result.estimator.split("(")[0].split("-")[0]
+                 for result in report.results}
+    assert served_by == {"Naru", "Sample"}
+    assert "users@fallback" in report.stats.routes
+
+
+# --------------------------------------------------------------------------- #
+# Serving classes against each other: bit for bit, not just within round-off
+# --------------------------------------------------------------------------- #
 def test_procfleet_worker_count_is_invisible(fleet, workload):
     """workers=1 and workers=N agree bit for bit: engine state is keyed by
     (relation, replica), so which process hosts an engine cannot matter."""
-    with _procfleet(fleet, workers=1, batch_size=7, replicas=2) as single:
+    with _serving(fleet, workers=1, batch_size=7, replicas=2) as single:
         one = single.run(workload)
-    with _procfleet(fleet, workers=4, batch_size=7, replicas=2) as sharded:
+    with _serving(fleet, workers=4, batch_size=7, replicas=2) as sharded:
         many = sharded.run(workload)
     np.testing.assert_array_equal(many.selectivities, one.selectivities)
     assert [result.replica for result in many.results] == \
@@ -426,18 +523,11 @@ def test_procfleet_matches_in_process_router(fleet, workload, replicas,
     match: one replica per route (each side has exactly one cache per
     model), or any replica count with conditional caches off (the router
     shares one cache across a replica group; the fleet's are per-engine)."""
-    for name in fleet.names:
-        fleet.set_replicas(name, replicas)
-    try:
-        router = FleetRouter(fleet, batch_size=5, num_samples=_SAMPLES,
-                             seed=_SEED, default_route=_DEFAULT_ROUTE,
-                             use_cache=use_cache)
+    with _serving(fleet, batch_size=5, replicas=replicas,
+                  use_cache=use_cache) as router:
         in_process = router.run(workload)
-    finally:
-        for name in fleet.names:
-            fleet.set_replicas(name, 1)
-    with _procfleet(fleet, workers=3, batch_size=5, replicas=replicas,
-                    use_cache=use_cache) as proc:
+    with _serving(fleet, workers=3, batch_size=5, replicas=replicas,
+                  use_cache=use_cache) as proc:
         cross_process = proc.run(workload)
     np.testing.assert_array_equal(cross_process.selectivities,
                                   in_process.selectivities)

@@ -8,7 +8,7 @@ close drains pending micro-batches, a crashed worker surfaces as a typed
 fails halfway — a broken registry, a spawn that dies — leaves no orphan
 child processes behind.  The worker loop itself is additionally driven
 in-process through a scripted fake pipe so its protocol branches (batch,
-reset, report, stop, error, EOF) are exercised under coverage.
+reset, report, wipe, stop, error, EOF) are exercised under coverage.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing as mp
 import os
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,87 @@ def test_moved_epoch_refused_with_typed_error():
     assert _no_fleet_children()
 
 
+class _FilteredConn:
+    """A worker's pipe end whose outgoing results are delayed or dropped."""
+
+    def __init__(self, conn, *, delay_s=0.0, drop_results=False):
+        self._conn, self._delay_s, self._drop = conn, delay_s, drop_results
+
+    def recv(self):
+        return self._conn.recv()
+
+    def send(self, message):
+        if message[0] == "result":
+            if self._drop:
+                return
+            time.sleep(self._delay_s)
+        self._conn.send(message)
+
+
+def _slow_worker_main(worker_id, conn, spec):
+    """A healthy worker that takes 0.2 s to hand back every result."""
+    worker_main(worker_id, _FilteredConn(conn, delay_s=0.2), spec)
+
+
+def _mute_worker_main(worker_id, conn, spec):
+    """A stuck-but-alive worker: serves, never answers a batch."""
+    worker_main(worker_id, _FilteredConn(conn, drop_results=True), spec)
+
+
+@pytest.mark.timeout(60)
+def test_receive_timeout_rearms_on_every_result(registry, workload,
+                                                monkeypatch):
+    """``recv_timeout_s`` bounds *silence*, not the whole collect(): eight
+    results 0.2 s apart take 1.6 s in total, longer than the 1.0 s bound, but
+    no gap comes near it — the backlog drains without a WorkerError (the
+    deadline used to be armed once on entry and fired mid-backlog)."""
+    monkeypatch.setattr("repro.serve.procfleet.worker_main", _slow_worker_main)
+    with _fleet(registry, workers=1, replicas=1, batch_size=1,
+                recv_timeout_s=1.0, start_method="fork") as fleet:
+        started = time.monotonic()
+        report = fleet.run(workload[:8])
+        assert time.monotonic() - started > 1.0
+    assert report.stats.num_queries == 8
+    assert _no_fleet_children()
+
+
+@pytest.mark.timeout(60)
+def test_receive_timeout_ignores_the_injected_clock(registry, workload,
+                                                    monkeypatch):
+    """The silence bound runs on time.monotonic, not the accounting clock: a
+    frozen ``clock=`` (as deterministic accounting tests inject) facing a
+    worker that is alive but never answers still gets a typed WorkerError
+    after ``recv_timeout_s`` — it used to wait forever."""
+    monkeypatch.setattr("repro.serve.procfleet.worker_main", _mute_worker_main)
+    fleet = _fleet(registry, workers=1, replicas=1, recv_timeout_s=0.5,
+                   clock=lambda: 100.0, start_method="fork")
+    try:
+        with pytest.raises(WorkerError, match="no answer within 0.5s") as caught:
+            fleet.run(workload)
+        assert caught.value.worker_id == 0
+    finally:
+        fleet.close()
+    assert _no_fleet_children()
+
+
+def test_wipe_caches_reaches_the_workers(registry, workload):
+    """The conditional caches live in the workers, so wipe_caches() must be
+    forwarded there and count what it cleared: after a wipe the replay runs
+    cold again (rows reach the model) and answers the same bits."""
+    with _fleet(registry) as fleet:
+        cold = fleet.run(workload)
+        warm = fleet.run(workload)
+        wiped = fleet.wipe_caches()
+        replay = fleet.run(workload)
+    engines_used = len({result.replica for result in cold.results})
+    assert wiped == {"result_caches": 0, "conditional_caches": engines_used}
+    assert cold.stats.rows_evaluated > 0
+    assert warm.stats.rows_evaluated == 0      # everything came from cache
+    assert replay.stats.rows_evaluated == cold.stats.rows_evaluated
+    np.testing.assert_array_equal(replay.selectivities, cold.selectivities)
+    np.testing.assert_array_equal(warm.selectivities, cold.selectivities)
+
+
 def test_failing_registry_leaves_no_children(workload):
     """Training/snapshot failures happen before any process exists."""
 
@@ -366,12 +448,14 @@ def test_worker_main_protocol_roundtrip(registry, workload):
         ("batch", 7, name, 0, items),
         ("reset",),
         ("report",),
+        ("wipe",),
         ("stop",),
     ])
     worker_main(5, conn, _worker_spec(registry))
     kinds = [message[0] for message in conn.sent]
-    assert kinds == ["ready", "result", "report", "stopped"]
-    ready, result, report, stopped = conn.sent
+    assert kinds == ["ready", "result", "report", "wiped", "stopped"]
+    ready, result, report, wiped, stopped = conn.sent
+    assert wiped == ("wiped", 5, 1)
     assert ready[1:] == (5, os.getpid())
     _, worker_id, batch_id, pairs, latency_ms, busy_cpu_ms = result
     assert (worker_id, batch_id) == (5, 7)
