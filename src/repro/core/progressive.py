@@ -42,7 +42,7 @@ __all__ = ["SamplerStats", "ProgressiveSampler", "UniformRegionSampler",
            "enumerate_region"]
 
 #: Row-chunk size of the per-row truncate/renormalise/sample arithmetic of
-#: the unfused (``dedup=False``) walk, whose ``(rows × domain)`` temporaries
+#: the unfused (dedup-off) walk, whose ``(rows × domain)`` temporaries
 #: would otherwise fall out of the CPU caches on large micro-batches.
 _ROW_CHUNK = 8192
 
@@ -120,7 +120,8 @@ class SamplerStats:
     ``rows_submitted`` counts the alive sample-path rows that needed a
     conditional at some position; ``unique_rows`` counts the rows actually
     sent to the model after prefix deduplication (equal to ``rows_submitted``
-    when dedup is off); ``forward_calls`` counts ``conditional_probs`` calls.
+    on the dedup-off reference walk, which only the sequential baseline
+    and tests take); ``forward_calls`` counts ``conditional_probs`` calls.
     The serving engine snapshots these at scope boundaries to report
     per-workload deltas and the dedup ratio.
     """
@@ -264,20 +265,13 @@ class ProgressiveSampler:
     def _conditional_batch(self, position: int, column: int,
                            codes: np.ndarray,
                            alive_rows: np.ndarray) -> np.ndarray:
-        """Per-row conditionals of the alive rows (scattered form).
-
-        With dedup on this is :meth:`_conditional_groups` followed by the
-        inverse scatter; with dedup off every row goes to the model directly.
-        """
+        """Per-row conditionals of the alive rows on the dedup-off reference
+        walk: every row goes to the model directly."""
         stats = self.stats
-        if not self.dedup:
-            stats.rows_submitted += alive_rows.size
-            stats.forward_calls += 1
-            stats.unique_rows += alive_rows.size
-            return self.model.conditional_probs(column, codes[alive_rows])
-        representatives, _, _, groups = self._conditional_groups(
-            position, column, codes, alive_rows, None, 1)
-        return representatives[groups]
+        stats.rows_submitted += alive_rows.size
+        stats.forward_calls += 1
+        stats.unique_rows += alive_rows.size
+        return self.model.conditional_probs(column, codes[alive_rows])
 
     # ------------------------------------------------------------------ #
     def estimate_selectivity(self, masks: list[np.ndarray | None],

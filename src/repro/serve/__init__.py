@@ -7,7 +7,7 @@ model forward pass, and that cost is almost perfectly shareable across
 concurrent queries: the engine stacks the sample paths of a whole micro-batch
 into one code matrix per column, skips columns every in-flight query leaves
 unconstrained, drops zero-weight paths, and memoises per-prefix conditionals
-in an LRU cache that persists across batches.
+in a generationally evicted store that persists across batches.
 
 Serving workloads
 -----------------
@@ -58,8 +58,8 @@ base tables plus join relations, the way the paper's §4.1 treats a join result
 exactly like a base table — register everything in a
 :class:`ModelRegistry` and front it with a :class:`FleetRouter`, which routes
 each query by its ``Query.table`` qualifier, keeps per-model micro-batches and
-per-model LRU caches under one shared ``cache_entries`` budget, and merges the
-per-model reports into one :class:`FleetReport`::
+per-model conditional caches under one shared ``cache_entries`` budget, and
+merges the per-model reports into one :class:`FleetReport`::
 
     from repro.data import JoinSpec, make_sessions, make_users
     from repro.serve import FleetRouter, ModelRegistry
@@ -266,7 +266,6 @@ testing & chaos drills") is the operator's drill book.
 from .cache import (
     CachedConditionalModel,
     CacheStats,
-    ConditionalProbCache,
     PackedConditionalCache,
     ResultCache,
     ResultCacheStats,
@@ -348,7 +347,6 @@ __all__ = [
     "query_rng",
     "term_rng",
     "VirtualClock",
-    "ConditionalProbCache",
     "PackedConditionalCache",
     "CachedConditionalModel",
     "CacheStats",

@@ -1,4 +1,4 @@
-"""LRU caching for the serving layer: conditionals and whole results.
+"""Caching for the serving layer: conditionals and whole results.
 
 Two cache families live here, layered at different depths of the serve stack:
 
@@ -7,10 +7,12 @@ Two cache families live here, layered at different depths of the serve stack:
   only on the *prefix* of the sample path, and prefixes repeat heavily —
   every path shares the empty prefix at the first column, early columns have
   tiny domains, and concurrent queries over the same table walk overlapping
-  regions.  :class:`CachedConditionalModel` exploits this by memoising
-  per-prefix distributions in an LRU map keyed on
-  ``(column, prefix_codes_bytes)``, so repeated prefixes inside a micro-batch
-  and across micro-batches hit memory instead of re-running the network.
+  regions.  The deduplicating sampler collapses the repeats inside a
+  micro-batch; :class:`CachedConditionalModel` memoises the distinct
+  prefixes it hands over in a :class:`PackedConditionalCache` — a
+  vectorized, generationally evicted store keyed on ``(column, packed prefix
+  codes)`` — so prefixes recurring across micro-batches hit memory instead
+  of re-running the network.
 
   The wrapper implements the same protocol as
   :class:`repro.core.made.AutoregressiveModel` (``conditional_probs``,
@@ -18,12 +20,13 @@ Two cache families live here, layered at different depths of the serve stack:
   of any model — neural or oracle — without the sampler noticing.
 
 * **Result caching** — above all the models, the fleet router can memoise
-  finished *selectivities* in a :class:`ResultCache` keyed on the
-  canonicalised query (:func:`canonical_query_key`): an exact repeat of an
-  already answered query — a replayed workload, a dashboard refreshing the
-  same filter — costs a dictionary lookup instead of a sampler run.  The key
-  is canonical, not textual: predicate order, ``IN``-list order and duplicate
-  ``IN`` values do not produce distinct entries.
+  finished *selectivities* in a :class:`ResultCache` (a bounded LRU map)
+  keyed on the canonicalised query (:func:`canonical_query_key`): an exact
+  repeat of an already answered query — a replayed workload, a dashboard
+  refreshing the same filter — costs a dictionary lookup instead of a
+  sampler run.  The key is canonical, not textual: predicate order,
+  ``IN``-list order and duplicate ``IN`` values do not produce distinct
+  entries.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ import numpy as np
 
 from ..query.predicates import DNFQuery, Operator, Query
 
-__all__ = ["CacheStats", "ConditionalProbCache", "PackedConditionalCache",
-           "CachedConditionalModel", "ResultCacheStats", "ResultCache",
-           "canonical_query_key"]
+__all__ = ["CacheStats", "PackedConditionalCache", "CachedConditionalModel",
+           "ResultCacheStats", "ResultCache", "canonical_query_key"]
 
 
 @dataclass
@@ -74,69 +76,6 @@ class CacheStats:
         }
 
 
-class ConditionalProbCache:
-    """Bounded LRU map from ``(column, prefix bytes)`` to a distribution.
-
-    Parameters
-    ----------
-    max_entries:
-        Maximum number of cached distributions; the least recently used entry
-        is evicted once the bound is exceeded.  ``0`` disables caching (every
-        lookup misses and nothing is stored).
-    """
-
-    def __init__(self, max_entries: int = 262144) -> None:
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        #: Data epoch the cached distributions were computed at (see
-        #: :meth:`invalidate`); informational — the cache holds entries of
-        #: exactly one epoch at a time.
-        self.epoch: int = 0
-        self._entries: OrderedDict[tuple[int, bytes], np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple[int, bytes]) -> np.ndarray | None:
-        """Look up one distribution, updating LRU order and counters."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry
-
-    def put(self, key: tuple[int, bytes], distribution: np.ndarray) -> None:
-        """Insert one distribution, evicting the LRU entry when full."""
-        if self.max_entries == 0:
-            return
-        self._entries[key] = distribution
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached distribution (counters are left untouched)."""
-        self._entries.clear()
-
-    def invalidate(self, epoch: int) -> None:
-        """Atomically drop every entry and stamp the cache with a new epoch.
-
-        Called when the served relation's data epoch moves (rows were
-        ingested): every cached distribution was computed by the previous
-        model/data version, so the whole store is dropped in one sweep —
-        afterwards ``len(cache) == 0`` and no stale distribution can ever be
-        served.  Counters are left untouched (the scope report still covers
-        the pre-bump traffic).
-        """
-        self.clear()
-        self.epoch = int(epoch)
-
-
 class PackedConditionalCache:
     """Vectorized conditional store keyed on packed prefix codes.
 
@@ -146,9 +85,7 @@ class PackedConditionalCache:
     This store exploits that shape: per column it keeps a sorted int64 key
     array with an aligned ``(entries, domain)`` value matrix, so a
     thousand-row lookup is one :func:`numpy.searchsorted` and a bulk insert
-    is one merge-and-argsort — a handful of C calls where the
-    :class:`ConditionalProbCache` pays a Python dict dance per row.  On the
-    serving hot path that bookkeeping, not the model, was the dominant cost.
+    is one merge-and-argsort — a handful of C calls, no Python per row.
 
     Capacity is generational, not LRU: once the total number of stored
     distributions exceeds ``max_entries``, entries older than the median
@@ -275,62 +212,42 @@ class CachedConditionalModel:
     For each requested batch the wrapper (1) projects every row onto the
     columns that precede ``column_index`` in the autoregressive order — the
     only inputs ``conditional_probs`` may depend on, see the batch contract on
-    :meth:`repro.core.made.AutoregressiveModel.conditional_probs` — (2)
-    deduplicates the projected prefixes, (3) serves known prefixes from the
-    LRU cache and (4) evaluates the model once on the representative rows of
-    the unknown prefixes, caching their distributions for later batches.
+    :meth:`repro.core.made.AutoregressiveModel.conditional_probs` — and packs
+    the projection into one int64 per row, (2) looks all rows up in the store
+    at once, (3) evaluates the model on the rows that missed and (4) stores
+    their distributions for later batches.
 
-    Consulting the map costs a Python-level lookup per *distinct* prefix, so
-    for batches whose prefixes are almost all distinct (late columns of wide
-    tables) the bookkeeping would outweigh the saved network rows; when the
-    distinct-prefix fraction exceeds ``bypass_fraction`` the wrapper therefore
-    skips the map and only deduplicates the batch, which is pure numpy.
+    Rows are expected one per *distinct* prefix — the contract of the
+    prefix-deduplicating :class:`repro.core.progressive.ProgressiveSampler`,
+    the wrapper's one caller.  Nothing enforces it: a batch that repeats a
+    prefix stays correct, each repeat is just looked up — and on a miss
+    evaluated and stored — once per row.
 
     Parameters
     ----------
     model:
         Any model implementing the autoregressive protocol.
     cache:
-        Shared :class:`ConditionalProbCache`; a private one is created from
+        Shared :class:`PackedConditionalCache`; a private one is created from
         ``max_entries`` when omitted.
     max_entries:
         Capacity of the private cache when ``cache`` is not supplied.
-    bypass_fraction:
-        Skip the LRU map (but still deduplicate) for batches where
-        ``distinct prefixes > bypass_fraction * rows``.  ``1.0`` never
-        bypasses.
     chunk_rows:
         Evaluate the model at most this many rows at a time.  Micro-batched
         serving can stack tens of thousands of sample paths into one request;
         chunking keeps each forward pass inside the CPU caches, which is
         several times faster per row than one huge pass.
-    assume_unique:
-        Promise that every batch already carries *distinct* prefixes — the
-        contract of the prefix-deduplicating progressive sampler
-        (:class:`repro.core.progressive.ProgressiveSampler` with ``dedup``
-        on).  The wrapper then skips its own deduplication pass and always
-        consults the LRU map (``bypass_fraction`` is ignored: with all-unique
-        batches the distinct fraction is always 1, which would otherwise
-        bypass the map and destroy warm-cache reuse across micro-batches).
     """
 
-    def __init__(self, model,
-                 cache: ConditionalProbCache | PackedConditionalCache | None = None,
-                 max_entries: int = 262144, bypass_fraction: float = 0.5,
-                 chunk_rows: int = 4096, assume_unique: bool = False) -> None:
+    def __init__(self, model, cache: PackedConditionalCache | None = None,
+                 max_entries: int = 262144, chunk_rows: int = 4096) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
-        if isinstance(cache, PackedConditionalCache) and not assume_unique:
-            raise ValueError("PackedConditionalCache requires assume_unique "
-                             "batches (the deduplicating sampler contract)")
         self.model = model
         if cache is None:
-            cache = (PackedConditionalCache(max_entries) if assume_unique
-                     else ConditionalProbCache(max_entries))
+            cache = PackedConditionalCache(max_entries)
         self.cache = cache
-        self.bypass_fraction = bypass_fraction
         self.chunk_rows = chunk_rows
-        self.assume_unique = assume_unique
         #: Rows this wrapper pushed through the model.  Unlike
         #: ``stats.rows_evaluated`` (which lives on the cache and is shared by
         #: every replica of a group) this counter is wrapper-local, so each
@@ -341,14 +258,14 @@ class CachedConditionalModel:
             column: self.order[:position]
             for position, column in enumerate(self.order)
         }
-        # Mixed-radix packing of each column's prefix into one int64, used to
-        # deduplicate with a fast scalar sort instead of a row-wise one.  Falls
-        # back to row-wise deduplication when the radix product overflows.
+        # Mixed-radix packing of each column's prefix into one int64 store
+        # key (the empty prefix packs to 0); ``None`` marks a prefix whose
+        # radix product overflows, which is served uncached.
         domain_sizes = model.domain_sizes()
         self._prefix_radix: dict[int, np.ndarray | None] = {}
         for column, prefix in self._prefix_columns.items():
             sizes = [domain_sizes[c] for c in prefix]
-            if sizes and float(np.prod([float(s) for s in sizes])) < 2.0 ** 62:
+            if float(np.prod([float(s) for s in sizes])) < 2.0 ** 62:
                 radix = np.ones(len(sizes), dtype=np.int64)
                 for position in range(len(sizes) - 2, -1, -1):
                     radix[position] = radix[position + 1] * sizes[position + 1]
@@ -399,128 +316,30 @@ class CachedConditionalModel:
         domain = self.model.domain_sizes()[column_index]
         if num_rows == 0:
             return np.empty((0, domain))
-        prefix_columns = self._prefix_columns[column_index]
-
-        if not prefix_columns:
-            # Single shared prefix (the empty one): at most one model row.
-            if isinstance(self.cache, PackedConditionalCache):
-                probe = np.zeros(1, dtype=np.int64)
-                found, values = self.cache.bulk_get(column_index, probe)
-                distribution = values[0] if found[0] else None
-            else:
-                distribution = self.cache.get((column_index, b""))
-            if distribution is None:
-                distribution = self.model.conditional_probs(column_index, codes[:1])[0]
-                if isinstance(self.cache, PackedConditionalCache):
-                    self.cache.bulk_put(column_index, probe, distribution[None, :])
-                else:
-                    self.cache.put((column_index, b""), distribution)
-                self.stats.rows_evaluated += 1
-                self.rows_evaluated += 1
-                self.stats.rows_served_from_cache += num_rows - 1
-            else:
-                self.stats.rows_served_from_cache += num_rows
-            return np.broadcast_to(distribution, (num_rows, domain)).copy()
-
-        prefixes = np.ascontiguousarray(codes[:, prefix_columns])
         radix = self._prefix_radix[column_index]
-
-        if self.assume_unique:
-            # Rows are already one-per-prefix (deduplicating sampler): key
-            # them directly — no unique pass, no inverse scatter — and always
-            # consult the store so prefixes recur across micro-batches for
-            # free.
-            if isinstance(self.cache, PackedConditionalCache):
-                if radix is None:
-                    # Prefix too wide to pack into one int64 — the rows are
-                    # already deduplicated, so just evaluate them uncached.
-                    fresh = self._evaluate(column_index, codes)
-                    self.stats.misses += num_rows
-                    self.stats.rows_evaluated += num_rows
-                    self.rows_evaluated += num_rows
-                    return fresh
-                packed = prefixes @ radix
-                table = np.empty((num_rows, domain))
-                found, values = self.cache.bulk_get(column_index, packed)
-                if values is not None:
-                    table[found] = values
-                missing_rows = np.flatnonzero(~found)
-                if missing_rows.size:
-                    fresh = self._evaluate(column_index, codes[missing_rows])
-                    table[missing_rows] = fresh
-                    self.cache.bulk_put(column_index, packed[missing_rows], fresh)
-                    self.stats.rows_evaluated += missing_rows.size
-                    self.rows_evaluated += missing_rows.size
-                self.stats.rows_served_from_cache += num_rows - missing_rows.size
-                return table
-            if radix is not None:
-                keys = [(column_index, int(value)) for value in prefixes @ radix]
-            else:
-                keys = [(column_index, prefixes[row].tobytes())
-                        for row in range(num_rows)]
-            table = np.empty((num_rows, domain))
-            missing: list[int] = []
-            for row, key in enumerate(keys):
-                cached = self.cache.get(key)
-                if cached is None:
-                    missing.append(row)
-                else:
-                    table[row] = cached
-            if missing:
-                fresh = self._evaluate(column_index, codes[missing])
-                for position, row in enumerate(missing):
-                    table[row] = fresh[position]
-                    self.cache.put(keys[row], fresh[position].copy())
-                self.stats.rows_evaluated += len(missing)
-                self.rows_evaluated += len(missing)
-            self.stats.rows_served_from_cache += num_rows - len(missing)
-            return table
-
-        if radix is not None:
-            packed = prefixes @ radix
-            unique, first_rows, inverse = np.unique(packed, return_index=True,
-                                                    return_inverse=True)
-        else:
-            unique, first_rows, inverse = np.unique(prefixes, axis=0,
-                                                    return_index=True,
-                                                    return_inverse=True)
-        num_unique = unique.shape[0]
-
-        if num_unique > self.bypass_fraction * num_rows:
-            # Mostly-distinct prefixes: the per-prefix map bookkeeping would
-            # cost more than it saves — deduplicate only.
-            fresh = self._evaluate(column_index, codes[first_rows])
-            self.stats.rows_evaluated += num_unique
-            self.rows_evaluated += num_unique
-            self.stats.rows_served_from_cache += num_rows - num_unique
-            return fresh[inverse]
-
-        table = np.empty((num_unique, domain))
-        missing: list[int] = []
-        if radix is not None:
-            keys = [(column_index, int(value)) for value in unique]
-        else:
-            keys = [(column_index, unique[group].tobytes())
-                    for group in range(num_unique)]
-        for group, key in enumerate(keys):
-            cached = self.cache.get(key)
-            if cached is None:
-                missing.append(group)
-            else:
-                table[group] = cached
-        if missing:
-            representatives = codes[first_rows[missing]]
-            fresh = self._evaluate(column_index, representatives)
-            # Copies, not views: a view would pin the whole freshly evaluated
-            # array for as long as any single row of it survives in the LRU,
-            # so eviction would stop bounding memory.
-            for position, group in enumerate(missing):
-                table[group] = fresh[position]
-                self.cache.put(keys[group], fresh[position].copy())
-            self.stats.rows_evaluated += len(missing)
-            self.rows_evaluated += len(missing)
-        self.stats.rows_served_from_cache += num_rows - len(missing)
-        return table[inverse]
+        if radix is None:
+            # Prefix too wide to pack into one int64: evaluate uncached.
+            fresh = self._evaluate(column_index, codes)
+            self.stats.misses += num_rows
+            self.stats.rows_evaluated += num_rows
+            self.rows_evaluated += num_rows
+            return fresh
+        prefixes = np.ascontiguousarray(
+            codes[:, self._prefix_columns[column_index]])
+        packed = prefixes @ radix
+        table = np.empty((num_rows, domain))
+        found, values = self.cache.bulk_get(column_index, packed)
+        if values is not None:
+            table[found] = values
+        missing_rows = np.flatnonzero(~found)
+        if missing_rows.size:
+            fresh = self._evaluate(column_index, codes[missing_rows])
+            table[missing_rows] = fresh
+            self.cache.bulk_put(column_index, packed[missing_rows], fresh)
+            self.stats.rows_evaluated += missing_rows.size
+            self.rows_evaluated += missing_rows.size
+        self.stats.rows_served_from_cache += num_rows - missing_rows.size
+        return table
 
 
 # --------------------------------------------------------------------------- #

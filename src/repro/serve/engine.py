@@ -43,8 +43,7 @@ import numpy as np
 
 from ..core.progressive import ProgressiveSampler, validate_num_samples
 from ..query.predicates import DNFQuery, Query, dnf_expansion
-from .cache import (CachedConditionalModel, ConditionalProbCache,
-                    PackedConditionalCache)
+from .cache import CachedConditionalModel, PackedConditionalCache
 
 __all__ = ["EstimateResult", "BatchRecord", "EngineStats", "EngineReport",
            "EstimationEngine", "VirtualClock", "run_sequential", "query_rng",
@@ -191,7 +190,8 @@ class EngineStats:
     #: Alive sample-path rows that needed a model conditional at some column.
     rows_submitted: int = 0
     #: Rows left after the sampler's prefix deduplication (what the cache or
-    #: model actually received); equals ``rows_submitted`` when dedup is off.
+    #: model actually received); equals ``rows_submitted`` only on the
+    #: :func:`run_sequential` reference walk, which does not deduplicate.
     unique_rows: int = 0
     #: Rows pushed through the network itself (after dedup *and* cache hits).
     rows_evaluated: int = 0
@@ -206,7 +206,7 @@ class EngineStats:
 
     @property
     def dedup_ratio(self) -> float:
-        """Row shrink factor of prefix deduplication (1.0 when idle or off)."""
+        """Row shrink factor of prefix deduplication (1.0 when idle)."""
         return self.rows_submitted / self.unique_rows if self.unique_rows else 1.0
 
     def as_dict(self) -> dict:
@@ -267,11 +267,9 @@ class EstimationEngine:
         configured ``progressive_samples`` (or 1000).  Must be a positive
         integer (``ValueError`` otherwise).
     use_cache:
-        Memoise per-prefix conditionals in a store shared across batches: the
-        vectorized, generationally evicted
-        :class:`~repro.serve.cache.PackedConditionalCache` on the default
-        deduplicating path, the per-row LRU
-        :class:`~repro.serve.cache.ConditionalProbCache` with ``dedup=False``.
+        Memoise per-prefix conditionals in a store shared across batches,
+        the vectorized, generationally evicted
+        :class:`~repro.serve.cache.PackedConditionalCache`.
     cache_entries:
         Store capacity (distributions); ignored when ``use_cache`` is false
         or ``cache`` is given.  Size it above the distinct-prefix count of a
@@ -279,13 +277,6 @@ class EstimationEngine:
         entries the next one needs).
     seed:
         Base seed of the per-query random streams, see :func:`query_rng`.
-    dedup:
-        Deduplicate the visible prefixes of each micro-batch's sample paths
-        before the model/cache sees them (default on), and key the
-        conditional cache on the already-unique rows
-        (``assume_unique``, see :class:`CachedConditionalModel`).  For
-        row-exact models (MADE, the oracle) estimates are bit-identical
-        with dedup on or off; turn it off to measure the unfused path.
     result_sink:
         Optional callable invoked with each :class:`EstimateResult` the
         moment its micro-batch dispatches.  The fleet router uses this to
@@ -293,10 +284,8 @@ class EstimationEngine:
         repeat of an already dispatched query can hit the cache inside the
         same workload scope.
     cache:
-        Optional pre-built store (a
-        :class:`~repro.serve.cache.PackedConditionalCache` when ``dedup`` is
-        on, a :class:`~repro.serve.cache.ConditionalProbCache` otherwise) to
-        use instead of a private one (``cache_entries`` is then ignored).
+        Optional pre-built :class:`~repro.serve.cache.PackedConditionalCache`
+        to use instead of a private one (``cache_entries`` is then ignored).
         Replica engines over the same model share one group-wide cache this
         way — their conditionals are identical, so pooling beats fragmenting
         the budget.
@@ -328,9 +317,8 @@ class EstimationEngine:
     def __init__(self, estimator, *, batch_size: int = 32,
                  num_samples: int | None = None, use_cache: bool = True,
                  cache_entries: int = 262144, seed: int = 0,
-                 dedup: bool = True,
                  result_sink=None,
-                 cache: ConditionalProbCache | PackedConditionalCache | None = None,
+                 cache: PackedConditionalCache | None = None,
                  batch_hook=None, clock=None,
                  flush_after_ms: float | None = None) -> None:
         if batch_size < 1:
@@ -341,7 +329,6 @@ class EstimationEngine:
         self.estimator = estimator
         self.batch_size = batch_size
         self.seed = seed
-        self.dedup = dedup
         self.clock = clock if clock is not None else time.perf_counter
         self.flush_after_ms = flush_after_ms
         self._result_sink = result_sink
@@ -357,26 +344,18 @@ class EstimationEngine:
         self._batched = model is not None and all(
             hasattr(model, attribute)
             for attribute in ("conditional_probs", "domain_sizes", "order"))
-        self._cache: ConditionalProbCache | PackedConditionalCache | None = None
+        self._cache: PackedConditionalCache | None = None
         self._sampler: ProgressiveSampler | None = None
         self._wrapper: CachedConditionalModel | None = None
         if self._batched:
             if use_cache:
-                if cache is not None:
-                    self._cache = cache
-                elif dedup:
-                    # The deduplicating sampler hands over distinct packed
-                    # prefixes, so the vectorized store applies.
-                    self._cache = PackedConditionalCache(cache_entries)
-                else:
-                    self._cache = ConditionalProbCache(cache_entries)
-                # With a deduplicating sampler the wrapper receives distinct
-                # prefixes only; assume_unique skips its redundant unique pass
-                # and keys the store on the rows directly.
-                self._wrapper = CachedConditionalModel(
-                    model, cache=self._cache, assume_unique=dedup)
+                # The deduplicating sampler hands the wrapper one row per
+                # distinct prefix, which it keys the packed store on directly.
+                self._cache = (cache if cache is not None
+                               else PackedConditionalCache(cache_entries))
+                self._wrapper = CachedConditionalModel(model, cache=self._cache)
                 model = self._wrapper
-            self._sampler = ProgressiveSampler(model, seed=seed, dedup=dedup)
+            self._sampler = ProgressiveSampler(model, seed=seed)
         self._sampler_snapshot = (0, 0, 0)
         self._wrapper_rows_snapshot = 0
 
@@ -387,7 +366,7 @@ class EstimationEngine:
 
     # ------------------------------------------------------------------ #
     @property
-    def cache(self) -> ConditionalProbCache | PackedConditionalCache | None:
+    def cache(self) -> PackedConditionalCache | None:
         """The conditional store in front of the model (``None`` when off)."""
         return self._cache
 
@@ -420,9 +399,12 @@ class EstimationEngine:
             self._next_index += 1
         else:
             self._next_index = max(self._next_index, index + 1)
-        self._pending.append((index, query, self.clock()))
+        arrival = self.clock()
+        self._pending.append((index, query, arrival))
         if len(self._pending) >= self.batch_size:
-            self._dispatch()
+            # A fill dispatches at the arrival that caused it, so that query
+            # (every query, at batch_size=1) waits exactly 0.0 ms.
+            self._dispatch(start=arrival)
 
     def flush(self) -> None:
         """Dispatch any partially filled micro-batch."""
@@ -544,7 +526,8 @@ class EstimationEngine:
             num_queries=len(self._results),
             num_batches=len(self._batches),
             elapsed_s=elapsed_s,
-            num_samples=self.num_samples,
+            # Per-query estimators draw no sample paths.
+            num_samples=self.num_samples if self._batched else 0,
             batch_size=self.batch_size,
             timeout_flushes=sum(batch.timeout_flush for batch in self._batches),
             cache=self.cache_stats,
@@ -555,9 +538,11 @@ class EstimationEngine:
                             stats=stats)
 
     # ------------------------------------------------------------------ #
-    def _dispatch(self, *, timeout: bool = False) -> None:
+    def _dispatch(self, *, timeout: bool = False,
+                  start: float | None = None) -> None:
         batch, self._pending = self._pending, []
-        start = self.clock()
+        if start is None:
+            start = self.clock()
         selectivities = self._execute(batch)
         self._complete(batch, selectivities, start=start,
                        latency_ms=(self.clock() - start) * 1000.0,

@@ -330,7 +330,8 @@ class _WorkerEngine(EstimationEngine):
     def scope_counters(self) -> dict[str, int]:
         return self.remote.get("counters") or super().scope_counters()
 
-    def _dispatch(self, *, timeout: bool = False) -> None:
+    def _dispatch(self, *, timeout: bool = False,
+                  start: float | None = None) -> None:
         batch, self._pending = self._pending, []
         self._ship(self, batch, timeout)
 
@@ -428,7 +429,7 @@ class ProcessFleet(FleetRouter):
         engine_options = {"num_samples": self.num_samples,
                           "use_cache": self.use_cache,
                           "cache_entries": self.cache_entries_per_model,
-                          "seed": self.seed, "dedup": self.dedup}
+                          "seed": self.seed}
         try:
             for worker_id in range(workers):
                 keys = sorted(key for key, wid in self._assignment.items()

@@ -32,9 +32,10 @@ trained model — and
 * optionally fronts the whole fleet with an exact-match **result cache**
   (:class:`repro.serve.cache.ResultCache`, keyed on the canonicalised query):
   a repeat of an already answered query skips routing entirely, and
-* splits one shared ``cache_entries`` budget evenly into per-replica LRU
-  conditional caches (plus one slice for the result cache when enabled), so
-  the memory budget is fleet-wide no matter how many replicas serve,
+* splits one shared ``cache_entries`` budget evenly into per-replica
+  conditional-cache slices, pooled per group into one generationally evicted
+  store (plus one slice for the result cache when enabled), so the memory
+  budget is fleet-wide no matter how many replicas serve,
 * **merges** the per-replica reports into a single :class:`FleetReport` with
   per-route and per-replica throughput, shed counts and cache statistics.
 
@@ -64,10 +65,8 @@ import numpy as np
 from ..query.metrics import q_error
 from ..query.predicates import DNFQuery, Query
 from ..query.shapes import query_shape
-from .cache import (ConditionalProbCache, PackedConditionalCache, ResultCache,
-                    canonical_query_key)
-from .engine import (BatchRecord, EngineReport, EngineStats, EstimateResult,
-                     EstimationEngine, run_sequential)
+from .cache import PackedConditionalCache, ResultCache, canonical_query_key
+from .engine import EngineReport, EstimationEngine, run_sequential
 from .registry import ModelRegistry
 
 __all__ = ["RoutingError", "AdmissionError", "RoutedResult", "FleetStats",
@@ -708,7 +707,7 @@ class ReplicaGroup:
     def __init__(self, route: str, engines: list[EstimationEngine], *,
                  max_pending: int | None = None,
                  overflow: str = "block",
-                 cache: ConditionalProbCache | PackedConditionalCache | None = None) -> None:
+                 cache: PackedConditionalCache | None = None) -> None:
         if not engines:
             raise ValueError("a replica group needs at least one engine")
         _validate_admission(max_pending, overflow)
@@ -785,90 +784,6 @@ class ReplicaGroup:
                 f"max_pending={bound}, overflow={self.overflow!r})")
 
 
-class _FallbackUnit:
-    """One direct-serving estimator behind a route — the ensemble's fallback.
-
-    Serves queries the route's primary estimator cannot (shapes outside its
-    capability set, disjunctions past Naru's expansion bound) by calling the
-    fallback estimator's own ``estimate_selectivity`` synchronously at
-    submission.  Fallback estimators are deterministic summaries (sampling,
-    histograms, ...) with no batched-sampler interface, so there is nothing
-    to micro-batch, cache or replicate: each query is its own dispatch,
-    ``queue_wait_ms`` is identically zero, and determinism needs no
-    per-query random stream.
-
-    Duck-types the slice of :class:`ReplicaGroup` the router's bookkeeping
-    walks (``engines``/``cache``/``shed``/``pending``/``peak_pending``,
-    ``submit``/``flush``/``reset``/``reports``), so groups and fallback
-    units live in one routing table keyed ``(route, role)``.
-    """
-
-    def __init__(self, route: str, estimator, *, num_rows: int, clock,
-                 result_sink=None) -> None:
-        self.route = route
-        self.estimator = estimator
-        self.num_rows = num_rows
-        self.clock = clock
-        self.result_sink = result_sink
-        #: Always empty: lets :meth:`FleetRouter.tick` and cache wipes walk
-        #: every serving unit uniformly.
-        self.engines: list[EstimationEngine] = []
-        self.cache = None
-        self.shed = 0
-        self.peak_pending = 0
-        self._results: list[EstimateResult] = []
-        self._batches: list[BatchRecord] = []
-        self._elapsed_s = 0.0
-
-    @property
-    def pending(self) -> int:
-        """Always zero: every submission is served before it returns."""
-        return 0
-
-    def submit(self, query: "Query | DNFQuery", index: int) -> int:
-        """Serve one query synchronously; returns the replica index (0)."""
-        start = self.clock()
-        selectivity = float(self.estimator.estimate_selectivity(query))
-        latency_ms = (self.clock() - start) * 1000.0
-        result = EstimateResult(
-            index=index, query=query, selectivity=selectivity,
-            cardinality=selectivity * self.num_rows,
-            batch_index=len(self._batches), queue_wait_ms=0.0,
-            e2e_ms=latency_ms)
-        self._results.append(result)
-        self._batches.append(BatchRecord(
-            batch_index=result.batch_index, num_queries=1,
-            latency_ms=latency_ms, queue_wait_ms=(0.0,)))
-        self._elapsed_s += latency_ms / 1000.0
-        if self.result_sink is not None:
-            self.result_sink(result)
-        return 0
-
-    def flush(self) -> None:
-        """No-op: nothing is ever queued."""
-
-    def reset(self) -> None:
-        """Start a fresh workload scope."""
-        self._results = []
-        self._batches = []
-        self._elapsed_s = 0.0
-        self.shed = 0
-
-    def reports(self) -> list[EngineReport]:
-        """One engine-shaped report, so fleet merging treats the unit as a
-        single-replica group with ``batch_size=1`` and no sampler rows."""
-        stats = EngineStats(num_queries=len(self._results),
-                            num_batches=len(self._batches),
-                            elapsed_s=self._elapsed_s, num_samples=0,
-                            batch_size=1)
-        return [EngineReport(results=list(self._results),
-                             batches=list(self._batches), stats=stats)]
-
-    def __repr__(self) -> str:
-        return (f"_FallbackUnit({self.route!r}, "
-                f"estimator={self.estimator.name!r})")
-
-
 class FleetRouter:
     """Route table-qualified queries to replicated per-model engines.
 
@@ -889,10 +804,6 @@ class FleetRouter:
         estimator's own config.
     use_cache:
         Enable the per-replica conditional-probability caches.
-    dedup:
-        Run each engine's sampler with prefix deduplication (the fused hot
-        path, on by default).  Bit-exact either way — the flag exists so the
-        invariance suite can prove it and benchmarks can measure it.
     cache_entries:
         *Shared* fleet-wide cache budget (total entries across all replica
         caches plus, when enabled, the result cache); each cache receives an
@@ -946,8 +857,7 @@ class FleetRouter:
                  default_route: str | None = None,
                  max_pending: int | None = None, overflow: str = "block",
                  result_cache: bool = False, on_result=None,
-                 flush_after_ms: float | None = None, clock=None,
-                 dedup: bool = True) -> None:
+                 flush_after_ms: float | None = None, clock=None) -> None:
         if len(registry) == 0:
             raise ValueError("the registry has no relations to serve")
         if batch_size < 1:
@@ -965,7 +875,6 @@ class FleetRouter:
         self.batch_size = batch_size
         self.num_samples = num_samples
         self.use_cache = use_cache
-        self.dedup = dedup
         self.cache_entries = cache_entries
         # One shared budget, one slice per cache that actually exists: each
         # replica's conditional cache (only when use_cache is on) plus one
@@ -984,12 +893,12 @@ class FleetRouter:
         self.flush_after_ms = flush_after_ms
         #: The shared clock of every engine, see the ``clock`` parameter.
         self.clock = clock if clock is not None else time.perf_counter
-        #: ``(route, role)`` -> serving unit, role ``"primary"`` (a
-        #: :class:`ReplicaGroup` over the relation's registered estimator)
-        #: or ``"fallback"`` (a :class:`_FallbackUnit` over its registered
-        #: fallback estimator).  Both roles are materialised lazily on the
-        #: first query :meth:`resolve_serving` sends their way.
-        self._groups: dict[tuple[str, str], ReplicaGroup | _FallbackUnit] = {}
+        #: ``(route, role)`` -> serving unit, role ``"primary"`` (the
+        #: replicas over the relation's registered estimator) or
+        #: ``"fallback"`` (one per-query engine over its registered fallback
+        #: estimator).  Both roles are materialised lazily on the first query
+        #: :meth:`resolve_serving` sends their way.
+        self._groups: dict[tuple[str, str], ReplicaGroup] = {}
         #: ``(route, role)`` -> ``registry.serving_epoch`` its unit was
         #: materialised at.  A moved epoch (ingest or model swap) makes the
         #: unit stale: it is dropped at the next scope boundary and lazily
@@ -1089,6 +998,27 @@ class FleetRouter:
             f"max_dnf_branches={self.registry._config_for(route).max_dnf_branches} "
             f"branches) and {fallback_note}; available routes: {available}")
 
+    def _sink(self, route: str, replica: int, estimator_name: str):
+        """The ``result_sink`` of one serving engine.
+
+        Dispatched results feed the fleet result cache (when enabled) and the
+        ``on_result`` observer, tagged with the route, replica and estimator
+        that computed them — a fallback answer is as cacheable and as
+        observable as a primary one.
+        """
+        def sink(result):
+            if self._result_cache is not None:
+                self._feed_result(route, result)
+            if self.on_result is not None:
+                self._emit(RoutedResult(
+                    index=result.index, route=route, query=result.query,
+                    selectivity=result.selectivity,
+                    cardinality=result.cardinality,
+                    batch_index=result.batch_index, replica=replica,
+                    queue_wait_ms=result.queue_wait_ms, e2e_ms=result.e2e_ms,
+                    estimator=estimator_name))
+        return sink
+
     def group(self, route: str) -> ReplicaGroup:
         """The primary replica group of one route, materialised on first use.
 
@@ -1103,45 +1033,19 @@ class FleetRouter:
                 replicas = self._replicas_of(route)
                 self._replica_counts[route] = replicas
             estimator = self.registry.estimator(route)
-
-            def make_sink(replica, route=route, estimator_name=estimator.name):
-                # One closure per replica: dispatched results feed the fleet
-                # result cache (when enabled) and the on_result observer,
-                # tagged with the replica that computed them.
-                def sink(result):
-                    if self._result_cache is not None:
-                        self._feed_result(route, result)
-                    if self.on_result is not None:
-                        self._emit(RoutedResult(
-                            index=result.index, route=route,
-                            query=result.query,
-                            selectivity=result.selectivity,
-                            cardinality=result.cardinality,
-                            batch_index=result.batch_index, replica=replica,
-                            estimator=estimator_name))
-                return sink
-
             # One conditional cache for the whole group: the replicas share
             # the relation's one model, so the group pools its replicas'
             # budget slices instead of fragmenting hot prefixes N ways.
-            # Deduplicating engines hand over distinct packed prefixes, so
-            # their shared store is the vectorized packed-prefix one (see
-            # PackedConditionalCache) rather than the per-row LRU map.
-            if not self.use_cache:
-                shared_cache = None
-            elif self.dedup:
-                shared_cache = PackedConditionalCache(
-                    self.cache_entries_per_model * replicas)
-            else:
-                shared_cache = ConditionalProbCache(
-                    self.cache_entries_per_model * replicas)
+            shared_cache = (PackedConditionalCache(
+                self.cache_entries_per_model * replicas)
+                if self.use_cache else None)
             engines = [
                 self._make_engine(
                     route, replica, estimator, batch_size=self.batch_size,
                     num_samples=self.num_samples, use_cache=self.use_cache,
                     cache_entries=self.cache_entries_per_model, seed=self.seed,
-                    result_sink=make_sink(replica), cache=shared_cache,
-                    clock=self.clock, dedup=self.dedup,
+                    result_sink=self._sink(route, replica, estimator.name),
+                    cache=shared_cache, clock=self.clock,
                     flush_after_ms=self.effective_flush_after(route))
                 for replica in range(replicas)
             ]
@@ -1159,8 +1063,16 @@ class FleetRouter:
             self._group_created(route, group)
         return group
 
-    def fallback_unit(self, route: str) -> _FallbackUnit:
+    def fallback_unit(self, route: str) -> ReplicaGroup:
         """The fallback serving unit of one route, materialised on first use.
+
+        Serves queries the route's primary estimator cannot (shapes outside
+        its capability set, disjunctions past Naru's expansion bound).  A
+        fallback is a deterministic summary (sampling, histograms, ...) with
+        nothing to micro-batch, cache or replicate, so the unit is one plain
+        per-query engine in this process on every serving tier: at
+        ``batch_size=1`` each query is answered before :meth:`submit`
+        returns and its ``queue_wait_ms`` is zero.
 
         Raises ``LookupError`` when the relation has no registered fallback
         estimator — :meth:`resolve_serving` never sends a query here unless
@@ -1172,24 +1084,13 @@ class FleetRouter:
             if estimator is None:
                 raise LookupError(f"relation {route!r} has no registered "
                                   "fallback estimator")
-
-            def sink(result, route=route, estimator_name=estimator.name):
-                # Fallback answers feed the same result cache and observer
-                # as primary dispatches — a repeat of a fallback-served
-                # query is as cacheable as any other.
-                if self._result_cache is not None:
-                    self._feed_result(route, result)
-                if self.on_result is not None:
-                    self._emit(RoutedResult(
-                        index=result.index, route=route, query=result.query,
-                        selectivity=result.selectivity,
-                        cardinality=result.cardinality,
-                        batch_index=result.batch_index, replica=0,
-                        e2e_ms=result.e2e_ms, estimator=estimator_name))
-
-            unit = _FallbackUnit(route, estimator,
-                                 num_rows=self.registry.serving_rows(route),
-                                 clock=self.clock, result_sink=sink)
+            # Both ensemble members scale by the primary's (possibly
+            # refreshed) row count; units are rebuilt on every epoch move.
+            estimator.set_row_count(self.registry.serving_rows(route))
+            unit = ReplicaGroup(route, [EstimationEngine(
+                estimator, batch_size=1, use_cache=False, seed=self.seed,
+                clock=self.clock,
+                result_sink=self._sink(route, 0, estimator.name))])
             self._groups[(route, "fallback")] = unit
             self._group_epochs[(route, "fallback")] = \
                 self.registry.serving_epoch(route)
@@ -1428,9 +1329,8 @@ class FleetRouter:
         for (route, role), group in self._groups.items():
             unit = route if role == "primary" else f"{route}@fallback"
             route_reports[unit] = group.reports()
-            estimator_name = (group.estimator.name if role == "fallback"
-                              else group.engines[0].estimator.name)
-            unit_info[unit] = {"relation": route, "estimator": estimator_name}
+            unit_info[unit] = {"relation": route,
+                               "estimator": group.engines[0].estimator.name}
             shed_by_unit[unit] = group.shed
         self._unreported_cached = 0
         result_cache_stats = (self._result_cache.stats.as_dict()
@@ -1472,7 +1372,7 @@ def run_fleet_sequential(registry: ModelRegistry, queries: list[Query], *,
     — then answers each primary unit's queries one at a time through
     :func:`run_sequential` (no micro-batching, no caching, no replication,
     models visited one after another) and each fallback unit's through the
-    fallback estimator's own deterministic ``estimate_selectivity``.
+    router's own per-query fallback engine (:meth:`FleetRouter.fallback_unit`).
     Queries keep their global submission indices, so the estimates match the
     fleet's for any replica count (up to float round-off); the
     ``serve_multi``, ``serve_replicated`` and ``serve_ensemble`` benchmarks
@@ -1497,30 +1397,13 @@ def run_fleet_sequential(registry: ModelRegistry, queries: list[Query], *,
             unit_info[route] = {"relation": route,
                                 "estimator": estimator.name}
             continue
-        estimator = registry.fallback(route)
-        num_rows = registry.serving_rows(route)
-        results: list[EstimateResult] = []
-        batches: list[BatchRecord] = []
-        elapsed_s = 0.0
-        for position, (index, query) in enumerate(zip(indices, routed)):
-            start = time.perf_counter()
-            selectivity = float(estimator.estimate_selectivity(query))
-            latency_ms = (time.perf_counter() - start) * 1000.0
-            elapsed_s += latency_ms / 1000.0
-            results.append(EstimateResult(
-                index=index, query=query, selectivity=selectivity,
-                cardinality=selectivity * num_rows, batch_index=position,
-                queue_wait_ms=0.0, e2e_ms=latency_ms))
-            batches.append(BatchRecord(
-                batch_index=position, num_queries=1, latency_ms=latency_ms,
-                queue_wait_ms=(0.0,)))
-        stats = EngineStats(num_queries=len(results),
-                            num_batches=len(batches), elapsed_s=elapsed_s,
-                            num_samples=0, batch_size=1)
         unit = f"{route}@fallback"
-        route_reports[unit] = [EngineReport(results=results, batches=batches,
-                                            stats=stats)]
-        unit_info[unit] = {"relation": route, "estimator": estimator.name}
+        group = router.fallback_unit(route)
+        for index, query in zip(indices, routed):
+            group.submit(query, index)
+        route_reports[unit] = group.reports()
+        unit_info[unit] = {"relation": route,
+                           "estimator": group.engines[0].estimator.name}
     return _merge_reports(route_reports, num_models=len(registry),
                           cache_entries_total=0, cache_entries_per_model=0,
                           unit_info=unit_info)

@@ -14,6 +14,7 @@ itself.
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 
@@ -67,3 +68,21 @@ def test_docs_examples_execute(name, tmp_path, monkeypatch):
                 f"docs/{name}, Python block {ordinal} failed with "
                 f"{type(error).__name__}: {error}\n--- block source ---\n"
                 f"{source}")
+
+
+def test_module_map_names_exist():
+    """Every backticked name in a ``repro/serve/<file>.py`` row of the
+    "Module map" table in ``docs/architecture.md`` is an attribute of that
+    module, so the table cannot keep listing a deleted class."""
+    with open(os.path.join(DOCS_DIR, "architecture.md")) as handle:
+        table = handle.read().split("## Module map", 1)[1]
+    rows = re.findall(r"^\| `repro/serve/(\w+)\.py` \|(.*)\|$", table,
+                      re.MULTILINE)
+    assert rows, "no repro/serve rows in the Module map table"
+    for stem, surface in rows:
+        module = importlib.import_module(f"repro.serve.{stem}")
+        names = [name for name in re.findall(r"`([^`]+)`", surface)
+                 if name.isidentifier()]
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (f"docs/architecture.md lists {missing} under "
+                             f"repro/serve/{stem}.py, which has no such names")

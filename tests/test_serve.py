@@ -14,7 +14,6 @@ from repro.estimators import SamplingEstimator
 from repro.query import Operator, Predicate, Query, WorkloadGenerator
 from repro.serve import (
     CachedConditionalModel,
-    ConditionalProbCache,
     EstimationEngine,
     load_workload,
     run_sequential,
@@ -54,40 +53,6 @@ def naru(serve_table):
     return estimator
 
 
-class TestConditionalProbCache:
-    def test_lru_eviction_order(self):
-        cache = ConditionalProbCache(max_entries=2)
-        cache.put((0, 1), np.array([1.0]))
-        cache.put((0, 2), np.array([2.0]))
-        assert cache.get((0, 1)) is not None   # refresh key 1
-        cache.put((0, 3), np.array([3.0]))     # evicts key 2, the LRU entry
-        assert cache.get((0, 2)) is None
-        assert cache.get((0, 1)) is not None
-        assert cache.get((0, 3)) is not None
-        assert cache.stats.evictions == 1
-        assert len(cache) == 2
-
-    def test_zero_capacity_disables_storage(self):
-        cache = ConditionalProbCache(max_entries=0)
-        cache.put((0, 1), np.array([1.0]))
-        assert cache.get((0, 1)) is None
-        assert len(cache) == 0
-
-    def test_counters(self):
-        cache = ConditionalProbCache()
-        cache.get((1, 7))
-        cache.put((1, 7), np.array([1.0]))
-        cache.get((1, 7))
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.lookups == 2
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ConditionalProbCache(max_entries=-1)
-
-
 class TestCachedConditionalModel:
     def test_matches_uncached_model(self, serve_table, oracle, rng):
         cached = CachedConditionalModel(oracle)
@@ -97,7 +62,7 @@ class TestCachedConditionalModel:
                                        oracle.conditional_probs(column, codes))
 
     def test_repeat_batches_hit_memory(self, serve_table, oracle):
-        cached = CachedConditionalModel(oracle, bypass_fraction=1.0)
+        cached = CachedConditionalModel(oracle)
         codes = serve_table.encoded()[:32]
         cached.conditional_probs(2, codes)
         misses_before = cached.stats.misses
@@ -111,13 +76,20 @@ class TestCachedConditionalModel:
                                                      dtype=np.int64))
         assert probs.shape == (0, serve_table.domain_sizes[1])
 
-    def test_bypass_still_deduplicates(self, serve_table, oracle):
-        cached = CachedConditionalModel(oracle, bypass_fraction=0.0)
+    def test_repeated_prefixes_return_the_models_values(self, serve_table,
+                                                        oracle):
+        """Rows are expected one per distinct prefix, but nothing enforces
+        it: repeats must come back as the model's own bits, cold and warm."""
+        cached = CachedConditionalModel(oracle)
         codes = np.repeat(serve_table.encoded()[:4], 8, axis=0)
-        distinct = np.unique(codes[:, oracle.order[:3]], axis=0).shape[0]
-        cached.conditional_probs(3, codes)
-        assert cached.stats.rows_evaluated == distinct
-        assert cached.stats.rows_served_from_cache == codes.shape[0] - distinct
+        for column in range(serve_table.num_columns):
+            expected = oracle.conditional_probs(column, codes)
+            assert np.array_equal(cached.conditional_probs(column, codes),
+                                  expected)  # cold: every repeat evaluated
+            evaluated = cached.rows_evaluated
+            assert np.array_equal(cached.conditional_probs(column, codes),
+                                  expected)  # warm: every repeat a hit
+            assert cached.rows_evaluated == evaluated
 
 
 class TestEstimationEngine:

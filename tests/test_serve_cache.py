@@ -12,7 +12,6 @@ from repro.data import make_users
 from repro.query import Operator, Predicate, Query
 from repro.serve import (
     CachedConditionalModel,
-    ConditionalProbCache,
     FleetRouter,
     ModelRegistry,
     PackedConditionalCache,
@@ -310,13 +309,8 @@ class TestPackedConditionalCache:
         found, values = cache.bulk_get(0, keys)
         assert not found.any() and values is None
 
-    def test_requires_assume_unique_wrapper(self, users_model):
-        with pytest.raises(ValueError):
-            CachedConditionalModel(users_model,
-                                   cache=PackedConditionalCache())
-
     def test_wrapped_model_is_bit_exact(self, users_model, users_table):
-        wrapped = CachedConditionalModel(users_model, assume_unique=True)
+        wrapped = CachedConditionalModel(users_model)
         assert isinstance(wrapped.cache, PackedConditionalCache)
         codes = users_table.encoded()[:64]
         for column in range(users_table.num_columns):
@@ -339,24 +333,3 @@ def users_table():
 def users_model(users_table):
     from repro.core import MADEModel
     return MADEModel(users_table, hidden_sizes=(8, 8), seed=0)
-
-
-class TestConditionalBudgetUnderReplication:
-    def test_eviction_respects_per_replica_slice(self):
-        cache = ConditionalProbCache(max_entries=3)
-        for key in range(5):
-            cache.put((0, key), np.array([float(key)]))
-        assert len(cache) == 3
-        assert cache.stats.evictions == 2
-        # The survivors are the three most recently inserted entries.
-        assert cache.get((0, 0)) is None
-        assert cache.get((0, 4)) is not None
-
-    def test_invalidate_drops_entries_and_stamps_epoch(self):
-        cache = ConditionalProbCache(max_entries=4)
-        cache.put((0, 1), np.array([0.5]))
-        assert cache.epoch == 0
-        cache.invalidate(2)
-        assert cache.epoch == 2
-        assert len(cache) == 0
-        assert cache.get((0, 1)) is None

@@ -10,6 +10,8 @@ bit of any estimate the pre-ensemble stack produced.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,9 @@ from repro.query.shapes import QueryShape
 from repro.serve import (
     FleetRouter,
     ModelRegistry,
+    ProcessFleet,
     RoutingError,
+    StreamingRouter,
     generate_shape_workload,
     run_fleet_sequential,
 )
@@ -229,6 +233,88 @@ class TestEnsembleReport:
         for entry in accuracy.values():
             assert entry["median_qerror"] >= 1.0
             assert entry["max_qerror"] >= entry["median_qerror"]
+
+
+_TIERS = ("router", "streaming", "procfleet-w2")
+
+
+@contextlib.contextmanager
+def _tier(registry, tier: str, **options):
+    """One of the three router tiers over ``registry``, closed on exit."""
+    options.update(num_samples=_SAMPLES, seed=2)
+    if tier == "procfleet-w2":
+        with ProcessFleet(registry, workers=2, **options) as router:
+            yield router
+    elif tier == "streaming":
+        yield StreamingRouter(registry, slo_ms=50.0, **options)
+    else:
+        yield FleetRouter(registry, **options)
+
+
+class TestFallbackIsAnOrdinaryGroup:
+    """What the dedicated fallback unit did, pinned on the plain per-query
+    engine that replaced it — on every serving tier and the baseline."""
+
+    @pytest.mark.parametrize("tier", (*_TIERS, "sequential"))
+    def test_cardinality_scales_by_the_primarys_row_count(self, tier):
+        users = make_users(num_users=100, seed=4)
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(users, fallback=SamplingEstimator(
+            users, fraction=1.0, seed=0))
+        registry.fit_all()
+        # The data-shift protocol refreshes the *primary's* count only; a
+        # fallback answer must scale by it too, not by its own stale one.
+        registry.estimator("users").set_row_count(2 * users.num_rows)
+        wide = _dnf("users", _CONFIG.max_dnf_branches + 1)
+        if tier == "sequential":
+            report = run_fleet_sequential(registry, [wide],
+                                          num_samples=_SAMPLES, seed=2)
+        else:
+            with _tier(registry, tier) as router:
+                report = router.run([wide])
+        [result] = report.results
+        assert result.estimator.startswith("Sample(")
+        assert result.selectivity > 0.0
+        assert result.cardinality == result.selectivity * 2 * users.num_rows
+
+    @pytest.mark.parametrize("tier", (*_TIERS, "sequential"))
+    def test_report_row_has_no_samples_and_unit_batches(self, fleet, tier):
+        queries = [Query([Predicate("plan", Operator.EQ, "pro")],
+                         table="users"),
+                   _dnf("users", _CONFIG.max_dnf_branches + 1)]
+        if tier == "sequential":
+            report = run_fleet_sequential(fleet, queries,
+                                          num_samples=_SAMPLES, seed=2)
+        else:
+            with _tier(fleet, tier, batch_size=8) as router:
+                report = router.run(queries)
+                if tier == "streaming":
+                    # No AIMD controller on a fallback: nothing to batch.
+                    assert set(router.controllers_report()) == {"users"}
+                    assert report.stats.routes["users"]["batch_trace"]
+        row = report.stats.routes["users@fallback"]
+        assert row["num_samples"] == 0 and row["batch_size"] == 1
+        assert row["num_batches"] == row["num_queries"] == 1
+        assert row["batch_trace"] is None
+        assert report.stats.routes["users"]["num_samples"] == _SAMPLES
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_answered_before_submit_returns_with_zero_wait(self, fleet, tier):
+        seen = []
+        with _tier(fleet, tier, batch_size=8, on_result=seen.append) as router:
+            router.submit(Query([Predicate("plan", Operator.EQ, "pro")],
+                                table="users"))
+            router.submit(_dnf("users", _CONFIG.max_dnf_branches + 1))
+            # The primary's micro-batch is still filling; the fallback
+            # answer is already out.
+            assert [result.index for result in seen] == [1]
+            assert router.fallback_unit("users").pending == 0
+            assert seen[0].queue_wait_ms == 0.0 and seen[0].e2e_ms > 0.0
+            router.flush()
+            report = router.report()
+        assert report.results[1].queue_wait_ms == 0.0
+        assert report.stats.routes["users@fallback"]["queue_wait_ms"] == {
+            "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
 class TestEnsembleCLI:

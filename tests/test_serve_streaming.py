@@ -10,19 +10,23 @@ helper the reports are built from.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core import NaruConfig
 from repro.data import make_sessions, make_users
+from repro.estimators import SamplingEstimator
 from repro.query import WorkloadGenerator
+from repro.query.predicates import DNFQuery
 from repro.serve import (
     AdaptiveBatchController,
     AdmissionError,
     AsyncFleetClient,
     FleetRouter,
     ModelRegistry,
+    ProcessFleet,
     RoutingError,
     StreamingRouter,
     VirtualClock,
@@ -248,6 +252,51 @@ def test_async_client_resolves_futures_with_routed_results(fleet, workload):
                                batch.selectivities, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(report.selectivities, batch.selectivities,
                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("workers", (0, 2), ids=["inprocess", "procfleet-w2"])
+def test_futures_carry_the_reports_latencies(workers):
+    """Regression: ``on_result`` observers — hence every client future — got
+    ``queue_wait_ms == e2e_ms == 0.0`` for model-served results (the primary
+    sink dropped both fields) while the report carried the real values."""
+    users = make_users(num_users=80, seed=4)
+    registry = ModelRegistry(
+        default_config=dataclasses.replace(_CONFIG, max_dnf_branches=2))
+    registry.register_table(users, fallback=SamplingEstimator(
+        users, fraction=1.0, seed=0))
+    registry.fit_all()
+    generator = WorkloadGenerator(users, min_filters=1, max_filters=2, seed=17)
+    wide = DNFQuery.from_tuples(
+        [[("plan", "=", plan)] for plan in ("free", "basic", "pro")],
+        table="users")
+    queries = [query.qualified("users") for query in generator.generate(5)]
+    queries.insert(2, wide)
+    options = dict(batch_size=2, num_samples=_SAMPLES, seed=2)
+    router = (ProcessFleet(registry, workers=workers, **options) if workers
+              else FleetRouter(registry, **options))
+
+    async def main():
+        client = AsyncFleetClient(router)
+        try:
+            futures = [client.submit(query) for query in queries]
+            router.flush()
+            if workers:
+                router.collect()  # worker replies resolve the futures
+            report = await client.drain()
+            return [future.result() for future in futures], report
+        finally:
+            client.close()
+
+    try:
+        seen, report = asyncio.run(main())
+    finally:
+        if workers:
+            router.close()
+    assert {result.estimator[:4] for result in seen} == {"Naru", "Samp"}
+    for observed, reported in zip(seen, report.results):
+        assert observed.index == reported.index
+        assert observed.queue_wait_ms == reported.queue_wait_ms
+        assert observed.e2e_ms == reported.e2e_ms > 0.0
 
 
 def test_async_client_duplicate_index_rejected(fleet, workload):
