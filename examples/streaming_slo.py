@@ -3,11 +3,11 @@
 Queries do not have to arrive as a list: this example streams a bursty
 workload one query at a time through :class:`repro.serve.AsyncFleetClient`
 (pure asyncio — the engines stay synchronous and single-threaded underneath)
-into a :class:`repro.serve.StreamingRouter` whose micro-batch size *adapts*:
-an AIMD controller per relation watches an **end-to-end** latency EWMA
-(queueing delay + dispatch — what a submitter actually waits) and halves
-the batch size whenever it threatens the p95 SLO, growing it back once the
-burst passes.
+into a :class:`repro.serve.FleetRouter` given an ``slo_ms``, whose
+micro-batch size then *adapts*: an AIMD controller per relation watches an
+**end-to-end** latency EWMA (queueing delay + dispatch — what a submitter
+actually waits) and halves the batch size whenever it threatens the p95
+SLO, growing it back once the burst passes.
 
 Three properties are demonstrated:
 
@@ -39,7 +39,6 @@ from repro.serve import (
     AsyncFleetClient,
     FleetRouter,
     ModelRegistry,
-    StreamingRouter,
     generate_bursty_workload,
     stream_workload,
 )
@@ -57,7 +56,7 @@ def build_fleet(num_users: int, num_rows: int, epochs: int,
     return registry
 
 
-async def multi_producers(router: StreamingRouter, queries,
+async def multi_producers(router: FleetRouter, queries,
                           producers: int = 4):
     """Drive one bounded router from N concurrent producers.
 
@@ -76,7 +75,7 @@ async def multi_producers(router: StreamingRouter, queries,
         return await client.drain()
 
 
-async def stream(router: StreamingRouter, queries) -> list:
+async def stream(router: FleetRouter, queries) -> list:
     """Submit every query one at a time, then drain the outstanding futures.
 
     ``async with`` drains on exit and detaches the client's observer from
@@ -114,14 +113,14 @@ def main(num_users: int = 300, num_rows: int = 4_000, epochs: int = 5,
     print(f"Fixed batch={max_batch}: sessions p95 end-to-end latency "
           f"{fixed_p95:.1f} ms -> stating a {slo_ms:.1f} ms e2e p95 SLO")
 
-    # 3. Stream the same workload, query by query, into an adaptive router.
-    #    This first pass starts at the full batch size, so its p95 still
-    #    carries the initial oversized dispatches — watch the controller
-    #    shrink the batch mid-stream instead.
-    router = StreamingRouter(registry, batch_size=max_batch, use_cache=False,
-                             num_samples=samples, seed=0,
-                             slo_ms=slo_ms, adaptive=True,
-                             flush_after_ms=max(slo_ms / 4.0, 1.0))
+    # 3. Stream the same workload, query by query, into the same router class
+    #    with an SLO — the one option that makes it adaptive.  This first
+    #    pass starts at the full batch size, so its p95 still carries the
+    #    initial oversized dispatches — watch the controller shrink the
+    #    batch mid-stream instead.
+    router = FleetRouter(registry, batch_size=max_batch, use_cache=False,
+                         num_samples=samples, seed=0, slo_ms=slo_ms,
+                         flush_after_ms=max(slo_ms / 4.0, 1.0))
     results = asyncio.run(stream(router, workload))
     report = router.report()
     stats = report.stats.routes["sessions"]
@@ -151,10 +150,10 @@ def main(num_users: int = 300, num_rows: int = 4_000, epochs: int = 5,
     #    size under the *shed* policy.  Synchronous submission would storm
     #    AdmissionError; submit_async suspends the producers at the limit
     #    and the flush timeout keeps freeing capacity — nothing is shed.
-    bounded = StreamingRouter(registry, batch_size=max_batch, use_cache=False,
-                              num_samples=samples, seed=0,
-                              max_pending=max(max_batch // 2, 1),
-                              overflow="shed", flush_after_ms=25.0)
+    bounded = FleetRouter(registry, batch_size=max_batch, use_cache=False,
+                          num_samples=samples, seed=0,
+                          max_pending=max(max_batch // 2, 1),
+                          overflow="shed", flush_after_ms=25.0)
     backpressured = asyncio.run(multi_producers(bounded, workload))
     print(f"Backpressure: {backpressured.stats.num_queries} queries from 4 "
           f"producers, {backpressured.stats.shed} shed, "

@@ -883,19 +883,11 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
       micro-batch size.  Its measured hot-route **end-to-end** p95 (queueing
       delay + dispatch) calibrates the stated SLO:
       ``serve_stream_slo_fraction`` of it.
-    * ``dispatch-*`` — a :class:`repro.serve.StreamingRouter` with
-      ``slo_scope="dispatch"`` and no flush timeout: the **pre-fix**
-      accounting, steering micro-batch sizes against dispatch latency
-      alone.  At steady state its dispatch p95 sits comfortably under the
-      SLO — while the end-to-end latency its callers observe still misses
-      it, because time spent waiting for a batch to fill is neither
-      measured nor bounded.
-    * ``e2e-*`` — the fix: ``slo_scope="e2e"`` (the controller observes
-      queue wait + dispatch) plus a flush deadline of
+    * ``e2e-*`` — the same router with ``slo_ms`` set (its controller
+      observes queue wait + dispatch) plus a flush deadline of
       ``serve_stream_flush_fraction`` of the SLO bounding how long a
-      partial batch may linger.  The warmup pass shows the controller
-      shrinking from the maximum; the steady pass must meet the end-to-end
-      SLO.
+      partial batch may linger.  The warmup pass starts at the maximum
+      batch size; the steady pass must meet the end-to-end SLO.
     * ``streamed-shuffled`` — the e2e configuration with a *shuffled*
       arrival order and pre-assigned indices: streaming ≡ batch.
 
@@ -904,17 +896,14 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     boundaries, timeout flushes, pacing and shuffled streaming must not
     move a single number.
 
-    The headline claim: **dispatch-only SLO accounting is dishonest** — the
-    dispatch-scoped controller reports a dispatch p95 under the SLO while
-    its end-to-end p95 misses it; scoring the controller on end-to-end
-    latency (and bounding tail wait with the flush timeout) makes the fleet
-    actually meet the SLO a submitter experiences.
+    The headline claim: steering the batch size on end-to-end latency (and
+    bounding tail wait with the flush timeout) makes the fleet meet an SLO,
+    stated against what a submitter experiences, that the fixed batch misses.
     """
     from ..data import make_sessions, make_users
     from ..serve import (
         FleetRouter,
         ModelRegistry,
-        StreamingRouter,
         VirtualClock,
         generate_bursty_workload,
         run_fleet_sequential,
@@ -969,32 +958,24 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     slo_ms = fixed_e2e_p95 * scale.serve_stream_slo_fraction
     flush_after_ms = slo_ms * scale.serve_stream_flush_fraction
 
-    def adaptive_router(slo_scope: str, flush: float | None) -> StreamingRouter:
-        return StreamingRouter(registry, batch_size=max_batch,
-                               num_samples=scale.serve_stream_samples,
-                               use_cache=False, seed=0, slo_ms=slo_ms,
-                               adaptive=True, slo_scope=slo_scope,
-                               flush_after_ms=flush, clock=paced_clock())
+    def adaptive_router() -> FleetRouter:
+        return FleetRouter(registry, batch_size=max_batch,
+                           num_samples=scale.serve_stream_samples,
+                           use_cache=False, seed=0, slo_ms=slo_ms,
+                           flush_after_ms=flush_after_ms, clock=paced_clock())
 
-    # The pre-fix configuration: dispatch-only accounting, no flush bound.
-    dispatch_router = adaptive_router("dispatch", None)
-    dispatch_warmup, dispatch_warmup_s = paced(dispatch_router)
-    dispatch_steady, dispatch_steady_s = paced(dispatch_router)
-
-    # The fix: the controller observes end-to-end latency and the flush
-    # deadline bounds how long a partial batch may linger.
-    e2e_router = adaptive_router("e2e", flush_after_ms)
+    # The controller observes end-to-end latency and the flush deadline
+    # bounds how long a partial batch may linger.
+    e2e_router = adaptive_router()
     e2e_warmup, e2e_warmup_s = paced(e2e_router)
     e2e_steady, e2e_steady_s = paced(e2e_router)
 
-    shuffle_router = adaptive_router("e2e", flush_after_ms)
     order = np.random.default_rng(1).permutation(len(queries)).tolist()
-    streamed, streamed_s = paced(shuffle_router, order)
+    streamed, streamed_s = paced(adaptive_router(), order)
 
     drift = max(
         float(np.max(np.abs(report.selectivities - baseline.selectivities)))
-        for report in (fixed, dispatch_warmup, dispatch_steady, e2e_warmup,
-                       e2e_steady, streamed))
+        for report in (fixed, e2e_warmup, e2e_steady, streamed))
 
     def hot_latencies(report) -> dict:
         stats = report.stats.routes["sessions"]
@@ -1002,13 +983,10 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
                 "queue_wait_p95_ms": stats["queue_wait_ms"]["p95"],
                 "e2e_p95_ms": stats["e2e_ms"]["p95"]}
 
-    dispatch_scoped = hot_latencies(dispatch_steady)
     e2e_scoped = hot_latencies(e2e_steady)
     rows = []
     for mode, report, wall_s in (
             ("fixed", fixed, fixed_s),
-            ("dispatch-warmup", dispatch_warmup, dispatch_warmup_s),
-            ("dispatch-steady", dispatch_steady, dispatch_steady_s),
             ("e2e-warmup", e2e_warmup, e2e_warmup_s),
             ("e2e-steady", e2e_steady, e2e_steady_s),
             ("streamed-shuffled", streamed, streamed_s)):
@@ -1031,11 +1009,6 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         f"e2e p95 SLO {slo_ms:.1f} ms (= "
         f"{scale.serve_stream_slo_fraction:.0%} of fixed e2e p95 "
         f"{fixed_e2e_p95:.1f} ms), flush timeout {flush_after_ms:.1f} ms — "
-        f"dispatch-only steering reports dispatch p95 "
-        f"{dispatch_scoped['dispatch_p95_ms']:.1f} ms "
-        f"({'meets' if dispatch_scoped['dispatch_p95_ms'] <= slo_ms else 'misses'}) "
-        f"but delivers e2e p95 {dispatch_scoped['e2e_p95_ms']:.1f} ms "
-        f"({'meets' if dispatch_scoped['e2e_p95_ms'] <= slo_ms else 'misses'}); "
         f"e2e-scoped steering delivers e2e p95 "
         f"{e2e_scoped['e2e_p95_ms']:.1f} ms "
         f"({'meets' if e2e_scoped['e2e_p95_ms'] <= slo_ms else 'misses'}); "
@@ -1048,12 +1021,7 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         "flush_fraction": scale.serve_stream_flush_fraction,
         "arrival_gap_ms": arrival_gap_ms,
         "fixed_e2e_p95_ms": fixed_e2e_p95,
-        "dispatch_scoped": dispatch_scoped,
         "e2e_scoped": e2e_scoped,
-        "dispatch_scoped_meets_dispatch_slo":
-            dispatch_scoped["dispatch_p95_ms"] <= slo_ms,
-        "dispatch_scoped_meets_e2e_slo":
-            dispatch_scoped["e2e_p95_ms"] <= slo_ms,
         "e2e_scoped_meets_e2e_slo": e2e_scoped["e2e_p95_ms"] <= slo_ms,
         "fixed_meets_e2e_slo": fixed_e2e_p95 <= slo_ms,
         "max_estimate_drift": drift,
@@ -1061,15 +1029,11 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         "burst_size": scale.serve_stream_burst,
         "hot_queries": hot_queries,
         "num_queries": len(queries),
-        "dispatch_batch_trace": list(
-            dispatch_warmup.stats.routes["sessions"]["batch_trace"] or []),
         "e2e_batch_trace": list(
             e2e_warmup.stats.routes["sessions"]["batch_trace"] or []),
-        "dispatch_controller": dispatch_router.controller("sessions").as_dict(),
         "e2e_controller": e2e_router.controller("sessions").as_dict(),
         "modes": rows,
         "fixed": fixed.stats.as_dict(),
-        "dispatch_steady": dispatch_steady.stats.as_dict(),
         "e2e_steady": e2e_steady.stats.as_dict(),
         "streamed": streamed.stats.as_dict(),
         "estimates": [result.selectivity for result in e2e_steady.results],

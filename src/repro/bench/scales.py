@@ -85,11 +85,10 @@ class ExperimentScale:
     serve_stream_hot_fraction: float = 0.75
     #: The stated p95 end-to-end SLO, as a fraction of the measured
     #: fixed-batch end-to-end p95 — calibrated per machine so the
-    #: benchmark's claim ("dispatch-only steering misses the e2e SLO the
-    #: e2e-scoped controller meets") is hardware-independent.  0.35 keeps
-    #: the SLO comfortably above what dispatch-only steering *reports*
-    #: (so it appears healthy) while comfortably below what it *delivers*
-    #: (dispatch + queueing delay) across converged-batch-size noise.
+    #: benchmark's claim ("the fixed batch misses the e2e SLO the
+    #: SLO-steered router meets") is hardware-independent.  0.35 keeps the
+    #: SLO well below what the fixed batch delivers while leaving the
+    #: steered router room across converged-batch-size noise.
     serve_stream_slo_fraction: float = 0.35
     #: The flush deadline of the e2e-scoped run, as a fraction of the stated
     #: SLO: a partially filled micro-batch may spend at most this share of

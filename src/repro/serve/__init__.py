@@ -131,25 +131,26 @@ Streaming submission and latency SLOs
 -------------------------------------
 Workloads do not have to arrive as lists.  :class:`AsyncFleetClient` streams
 queries in one at a time from asyncio producers and resolves each through a
-future; :class:`StreamingRouter` adds SLO-aware adaptive batching — one
-:class:`AdaptiveBatchController` per relation watches a latency EWMA
-(**end-to-end** — queue wait + dispatch — by default, dispatch-only via
-``slo_scope="dispatch"``) and grows/shrinks the relation's micro-batch size
-within ``[min_batch, batch_size]`` to keep the p95 under a target
-(router-wide ``slo_ms``, or per-relation via
-``register_table(..., slo_ms=...)``).  Every submission is stamped on
-arrival, so reports carry queueing-delay and end-to-end percentiles; a
-flush timeout (``flush_after_ms``) bounds how long a partially filled batch
-may linger, and ``await client.submit_async(...)`` suspends producers at
+future.  Latency control is an option of the one router: give
+:class:`FleetRouter` an ``slo_ms`` (router-wide, or per relation via
+``register_table(..., slo_ms=...)``) and one
+:class:`AdaptiveBatchController` per relation watches an **end-to-end**
+latency EWMA (queue wait + dispatch) and grows/shrinks the relation's
+micro-batch size within ``[1, batch_size]`` to keep the p95 under the
+target; a relation with no SLO is served at the fixed batch size with no
+controller attached.  Every submission is stamped on arrival, so reports
+carry queueing-delay and end-to-end percentiles; a flush timeout
+(``flush_after_ms``) bounds how long a partially filled batch may linger,
+and ``await client.submit_async(...)`` suspends producers at
 ``max_pending`` instead of shedding.  Because estimates are keyed by
 ``(seed, global submission index)`` alone, streaming ≡ batch for any
 arrival order, and neither adaptive batch boundaries nor timeout flushes
 ever change a number::
 
     import asyncio
-    from repro.serve import AsyncFleetClient, StreamingRouter
+    from repro.serve import AsyncFleetClient, FleetRouter
 
-    router = StreamingRouter(registry, batch_size=32, slo_ms=50.0)
+    router = FleetRouter(registry, batch_size=32, slo_ms=50.0)
 
     async def producer(client, queries):
         futures = [client.submit(query) for query in queries]
@@ -160,10 +161,9 @@ ever change a number::
     print(report.stats.latency_ms["p95"],
           report.stats.routes["sessions"]["batch_trace"])
 
-``python -m repro.serve --tables users sessions --stream --adaptive
---slo-ms 50`` is the command-line form; the ``serve_stream`` benchmark
-compares fixed vs adaptive batching under bursty arrivals
-(:func:`generate_bursty_workload`).
+``python -m repro.serve --tables users sessions --stream --slo-ms 50`` is
+the command-line form; the ``serve_stream`` benchmark compares fixed vs
+adaptive batching under bursty arrivals (:func:`generate_bursty_workload`).
 
 Cross-process serving
 ---------------------
@@ -172,8 +172,8 @@ Everything above shares one Python process and therefore one GIL.
 processes, ships each trained model to its workers via
 :mod:`repro.nn.serialization`, and **is the router** — a
 :class:`FleetRouter` subclass whose engines live in the workers; only batch
-execution crosses the pipe, so admission control, the result cache and
-fallback routing work unchanged.  Queries route to a relation, then to a
+execution crosses the pipe, so admission control, the result cache,
+fallback routing and SLO-adaptive batching (``slo_ms``) work unchanged.  Queries route to a relation, then to a
 replica by the same deterministic crc32 hash, then to whichever worker
 hosts that replica (:meth:`ModelRegistry.worker_assignments`).  Because
 estimates depend only on ``(seed, global index, num_samples)``, the worker
@@ -311,6 +311,7 @@ from .procfleet import (
 from .refresh import RefreshController
 from .registry import ModelRegistry
 from .router import (
+    AdaptiveBatchController,
     AdmissionError,
     FleetReport,
     FleetRouter,
@@ -323,12 +324,7 @@ from .router import (
     resolve_route,
     run_fleet_sequential,
 )
-from .stream import (
-    AdaptiveBatchController,
-    AsyncFleetClient,
-    StreamingRouter,
-    stream_workload,
-)
+from .stream import AsyncFleetClient, stream_workload
 from .workload import (
     generate_bursty_workload,
     generate_mixed_workload,
@@ -373,7 +369,6 @@ __all__ = [
     "export_relation",
     "restore_estimator",
     "AdaptiveBatchController",
-    "StreamingRouter",
     "AsyncFleetClient",
     "stream_workload",
     "ARRIVAL_PROCESSES",

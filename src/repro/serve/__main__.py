@@ -1,9 +1,11 @@
-"""Command line for the serving layer: replay workloads through the engines.
+"""Command line for the serving layer: replay workloads through one router.
 
-Single-model usage (one table, one estimator)::
+Every invocation registers ``--tables`` (default: the census table alone)
+and serves them through one :class:`~repro.serve.router.FleetRouter`; a
+one-relation fleet's default route is simply that relation::
 
     # Generate a 64-query workload over the census table and serve it batched.
-    python -m repro.serve --dataset census --num-queries 64
+    python -m repro.serve --tables census --num-queries 64
 
     # Persist the generated workload, then replay it later.
     python -m repro.serve --save-workload workload.json --num-queries 64
@@ -11,8 +13,6 @@ Single-model usage (one table, one estimator)::
 
     # Write the machine-readable report for dashboards / CI artifacts.
     python -m repro.serve --num-queries 32 --json report.json
-
-Multi-model usage (a registry of relations behind one router)::
 
     # Serve two base tables plus their join as three routed models.
     python -m repro.serve --tables users sessions \
@@ -42,17 +42,12 @@ Multi-model usage (a registry of relations behind one router)::
     # end-to-end latency EWMA (queue wait + dispatch) threatens the 50 ms
     # p95 target, and no partially filled batch waits past 20 ms.
     python -m repro.serve --tables users sessions --stream \
-        --adaptive --slo-ms 50 --flush-after-ms 20 --num-queries 96
-
-    # The pre-fix accounting, for comparison: steer on dispatch latency
-    # alone (queueing delay is then reported but unsteered).
-    python -m repro.serve --tables users sessions --stream \
-        --adaptive --slo-ms 50 --slo-scope dispatch --num-queries 96
+        --slo-ms 50 --flush-after-ms 20 --num-queries 96
 
     # Cross-process serving: shard the fleet's replicas across 4 OS worker
     # processes (same estimates as --workers 1, bit for bit), with one log
     # file per worker.  The process fleet is the same router, so the
-    # admission, result-cache and ensemble flags above combine with it.
+    # admission, result-cache, ensemble and SLO flags above combine with it.
     # SIGTERM triggers a graceful drain: pending micro-batches flush and
     # their results are collected before exit.
     python -m repro.serve --tables users sessions --workers 4 \
@@ -86,7 +81,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..core import NaruConfig, NaruEstimator
+from ..core import NaruConfig
 from ..data import (
     JoinSpec,
     make_census,
@@ -96,11 +91,10 @@ from ..data import (
     make_users,
 )
 from ..estimators import SamplingEstimator
-from ..query import WorkloadGenerator, true_selectivities
+from ..query import true_selectivities
 from ..query.metrics import q_error
 from ..query.shapes import query_shape
 from .cache import canonical_query_key
-from .engine import EstimationEngine, run_sequential
 from .loadgen import (
     ARRIVAL_PROCESSES,
     SCENARIOS,
@@ -111,7 +105,7 @@ from .loadgen import (
 from .procfleet import ProcessFleet
 from .registry import ModelRegistry
 from .router import FleetRouter, RoutingError, run_fleet_sequential
-from .stream import StreamingRouter, stream_workload
+from .stream import stream_workload
 from .workload import (
     generate_mixed_workload,
     generate_shape_workload,
@@ -143,21 +137,18 @@ def parse_join_spec(text: str, sample_rows: int, seed: int) -> JoinSpec:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro.serve`` argument parser (single + multi mode)."""
+    """The ``python -m repro.serve`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Serve a query workload through the batched estimation engine")
-    parser.add_argument("--dataset", choices=sorted(_DATASETS), default="census",
-                        help="synthetic table to build and serve against "
-                             "(single-model mode)")
     parser.add_argument("--tables", nargs="+", metavar="NAME",
-                        choices=sorted(_DATASETS),
-                        help="serve several tables behind one registry/router "
-                             "(multi-model mode; overrides --dataset)")
+                        choices=sorted(_DATASETS), default=["census"],
+                        help="synthetic tables to build, register and serve "
+                             "behind one router (default: census alone)")
     parser.add_argument("--join", action="append", default=[], metavar="SPEC",
-                        help="register a join relation, as "
-                             "LEFT:RIGHT:LEFT_KEY:RIGHT_KEY[:NAME]; repeatable "
-                             "(requires --tables)")
+                        help="register a join relation over two of --tables, "
+                             "as LEFT:RIGHT:LEFT_KEY:RIGHT_KEY[:NAME]; "
+                             "repeatable")
     parser.add_argument("--join-sample", type=int, default=0, metavar="ROWS",
                         help="sample this many join tuples through JoinSampler "
                              "instead of materialising the join (0 = materialise)")
@@ -171,19 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--save-workload", metavar="PATH",
                         help="write the served workload to a JSON file")
     parser.add_argument("--num-queries", type=int, default=64,
-                        help="number of generated queries, split across relations "
-                             "in multi-model mode (ignored with --workload)")
+                        help="number of generated queries, split across the "
+                             "relations (ignored with --workload)")
     parser.add_argument("--min-filters", type=int, default=2)
     parser.add_argument("--max-filters", type=int, default=5)
     parser.add_argument("--dnf-fraction", type=float, default=0.0, metavar="F",
                         help="rewrite this fraction of generated queries into "
-                             "DNF disjunctions (multi-model mode; fractions "
-                             "must lie in [0, 1] and sum to at most 1)")
+                             "DNF disjunctions (fractions must lie in [0, 1] "
+                             "and sum to at most 1)")
     parser.add_argument("--like-fraction", type=float, default=0.0, metavar="F",
                         help="rewrite this fraction of generated queries into "
-                             "LIKE 'x%%' string-prefix queries (multi-model "
-                             "mode; relations without string columns keep "
-                             "their conjunction)")
+                             "LIKE 'x%%' string-prefix queries (relations "
+                             "without string columns keep their conjunction)")
     parser.add_argument("--dnf-branches", type=int, nargs="+", default=[2],
                         metavar="K",
                         help="branch counts cycled across the generated "
@@ -193,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fallback", choices=("sampling",), default=None,
                         help="register a per-relation fallback estimator that "
                              "serves the query shapes the primary Naru model "
-                             "refuses, e.g. many-branch disjunctions "
-                             "(multi-model mode)")
+                             "refuses, e.g. many-branch disjunctions")
     parser.add_argument("--fallback-sample", type=int, default=1024,
                         metavar="ROWS",
                         help="rows retained by each sampling fallback "
@@ -204,56 +193,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=200,
                         help="progressive sample paths per query")
     parser.add_argument("--batch-size", type=int, default=16,
-                        help="queries per (per-model) micro-batch")
+                        help="queries per (per-replica) micro-batch")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the conditional-probability caches")
     parser.add_argument("--cache-entries", type=int, default=65536,
                         help="cache budget (shared across models, replicas and "
-                             "the result cache in multi-model mode)")
+                             "the result cache)")
     parser.add_argument("--replicas", type=int, default=1, metavar="N",
                         help="engine replicas per registered relation "
-                             "(multi-model mode; estimates are identical for "
-                             "any N)")
+                             "(estimates are identical for any N)")
     parser.add_argument("--max-pending", type=int, default=0, metavar="N",
                         help="bound each replica group's pending queue at N "
-                             "queries (0 = unbounded; multi-model mode)")
+                             "queries (0 = unbounded)")
     parser.add_argument("--overflow", choices=("block", "shed"), default="block",
                         help="what a full replica group does with a new query: "
                              "dispatch early (block) or refuse it (shed)")
     parser.add_argument("--result-cache", action="store_true",
                         help="front the fleet with an exact-match result cache "
-                             "on canonicalised queries (multi-model mode)")
+                             "on canonicalised queries")
     parser.add_argument("--stream", action="store_true",
                         help="submit queries one at a time through the asyncio "
                              "streaming client instead of as one batch call "
-                             "(multi-model mode; estimates are identical)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="adapt each relation's micro-batch size to keep "
-                             "latency under --slo-ms (multi-model "
-                             "mode; requires --slo-ms)")
+                             "(estimates are identical)")
     parser.add_argument("--slo-ms", type=float, default=None, metavar="MS",
-                        help="target p95 latency in milliseconds; must be "
-                             "positive (scope set by --slo-scope)")
-    parser.add_argument("--slo-scope", choices=("dispatch", "e2e"),
-                        default="e2e",
-                        help="what the SLO covers: end-to-end latency from "
-                             "submission to result (e2e, default) or the "
-                             "micro-batch dispatch alone (dispatch)")
+                        help="adapt each relation's micro-batch size (within "
+                             "[1, batch size]) to keep p95 end-to-end latency, "
+                             "submission to result, under MS (positive)")
     parser.add_argument("--flush-after-ms", type=float, default=None,
                         metavar="MS",
                         help="dispatch any partially filled micro-batch once "
                              "its oldest query has waited this long, bounding "
-                             "queueing delay (multi-model mode; must be "
-                             "positive)")
-    parser.add_argument("--min-batch", type=int, default=1, metavar="N",
-                        help="lower clamp of the adaptive micro-batch size "
-                             "(multi-model mode; must be in [1, batch size])")
+                             "queueing delay (must be positive)")
     parser.add_argument("--arrivals", choices=(*ARRIVAL_PROCESSES, "trace"),
                         default=None,
                         help="serve open-loop: offer queries at the arrival "
                              "process's timestamps regardless of completion "
-                             "rate (multi-model mode; 'trace' replays "
-                             "--trace-file)")
+                             "rate ('trace' replays --trace-file)")
     parser.add_argument("--offered-qps", type=float, default=None,
                         metavar="QPS",
                         help="mean offered arrival rate of the generated "
@@ -278,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "kill_worker needs the process fleet (--workers)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="serve from N OS worker processes instead of "
-                             "in-process engines (multi-model mode; estimates "
-                             "are identical for any N; 0 = in-process)")
+                             "in-process engines (estimates are identical for "
+                             "any N; 0 = in-process)")
     parser.add_argument("--log-dir", metavar="PATH",
                         help="directory for per-worker log files "
                              "(worker-<id>.log; requires --workers)")
@@ -293,94 +268,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_single(arguments) -> int:
-    table = _DATASETS[arguments.dataset](arguments.rows)
-    print(f"Relation: {table}")
+def _print_latencies(stats) -> None:
+    """Print the p50/p95/p99 line of every latency block a report carries."""
+    for block, label in (("latency_ms", "dispatch latency"),
+                         ("queue_wait_ms", "queue wait"),
+                         ("e2e_ms", "end-to-end")):
+        percentiles = getattr(stats, block)
+        if percentiles is not None:
+            print(f"  {label + ' p50/p95/p99:':<30}"
+                  f"{percentiles['p50']:.1f} / {percentiles['p95']:.1f} / "
+                  f"{percentiles['p99']:.1f} ms")
 
-    if arguments.workload:
-        queries = load_workload(arguments.workload, expected_table=table.name)
-        unknown = sorted({predicate.column for query in queries for predicate in query}
-                         - set(table.column_names))
-        if unknown:
-            raise SystemExit(f"workload references columns missing from "
-                             f"{table.name}: {', '.join(unknown)}")
-        print(f"Replaying {len(queries)} queries from {arguments.workload}")
-    else:
-        generator = WorkloadGenerator(table, min_filters=arguments.min_filters,
-                                      max_filters=arguments.max_filters,
-                                      seed=arguments.seed)
-        queries = generator.generate(arguments.num_queries)
-        print(f"Generated {len(queries)} queries "
-              f"({arguments.min_filters}-{arguments.max_filters} filters)")
-    if arguments.save_workload:
-        save_workload(arguments.save_workload, queries, table_name=table.name)
-        print(f"Workload written to {arguments.save_workload}")
 
-    config = NaruConfig(epochs=arguments.epochs, hidden_sizes=(64, 64),
-                        batch_size=256, progressive_samples=arguments.samples,
-                        seed=arguments.seed)
-    naru = NaruEstimator(table, config)
-    naru.fit()
-    print(f"Trained Naru model ({arguments.epochs} epochs, "
-          f"{naru.size_bytes() / 1e6:.2f} MB)")
-
-    engine = EstimationEngine(naru, batch_size=arguments.batch_size,
-                              num_samples=arguments.samples,
-                              use_cache=not arguments.no_cache,
-                              cache_entries=arguments.cache_entries,
-                              seed=arguments.seed)
-    report = engine.run(queries)
-    stats = report.stats
-
-    print(f"\nServed {stats.num_queries} queries in {stats.num_batches} "
-          f"micro-batches of <= {stats.batch_size}")
-    print(f"  elapsed          {stats.elapsed_s * 1000:.1f} ms")
-    print(f"  throughput       {stats.queries_per_second:.1f} queries/s")
-    if stats.cache is not None:
-        print(f"  cache hit rate   {stats.cache['hit_rate']:.1%} "
-              f"({stats.cache['hits']} hits / {stats.cache['misses']} misses)")
-        print(f"  model rows       {stats.cache['rows_evaluated']} evaluated, "
-              f"{stats.cache['rows_served_from_cache']} served from cache")
-    if stats.rows_submitted:
-        print(f"  prefix dedup     {stats.rows_submitted} rows -> "
-              f"{stats.unique_rows} unique ({stats.dedup_ratio:.2f}x), "
-              f"{stats.rows_evaluated} model-evaluated in "
-              f"{stats.forward_calls} forward calls")
-
-    document = {"engine": stats.as_dict(),
-                "estimates": [result.selectivity for result in report.results]}
-
-    if arguments.compare_sequential:
-        baseline = run_sequential(naru, queries, num_samples=arguments.samples,
-                                  seed=arguments.seed)
-        speedup = (baseline.stats.elapsed_s / stats.elapsed_s
-                   if stats.elapsed_s > 0 else float("inf"))
-        drift = float(np.max(np.abs(report.selectivities - baseline.selectivities))) \
-            if report.results else 0.0
-        print(f"\nSequential baseline: {baseline.stats.queries_per_second:.1f} "
-              f"queries/s -> batched speedup {speedup:.1f}x "
-              f"(max estimate drift {drift:.2e})")
-        document["sequential"] = baseline.stats.as_dict()
-        document["speedup"] = speedup
-        document["max_estimate_drift"] = drift
-
-    if arguments.q_errors:
-        truths = true_selectivities(table, [result.query for result in report.results])
-        errors = [q_error(result.cardinality, truth * table.num_rows)
-                  for result, truth in zip(report.results, truths)]
-        if errors:
-            print(f"\nq-error: median {np.median(errors):.2f}, "
-                  f"p95 {np.quantile(errors, 0.95):.2f}, max {np.max(errors):.2f}")
-        document["q_errors"] = errors
-
+def _write_report(arguments, document: dict) -> None:
+    """Dump the machine-readable report when ``--json`` asks for one."""
     if arguments.json:
         with open(arguments.json, "w") as handle:
             json.dump(document, handle, indent=1)
         print(f"\nReport written to {arguments.json}")
-    return 0
 
 
-def _serve_multi(arguments) -> int:
+def _estimate_drift(report, baseline) -> tuple[float, int]:
+    """Max ``|served - sequential|`` over the model-served results, and their count.
+
+    Cache-served repeats intentionally reuse their first occurrence's
+    estimate while the baseline re-samples every repeat under its own stream
+    — they are excluded so the drift measures batching/routing determinism,
+    not cache semantics.
+    """
+    compared = [(result.selectivity, baseline.results[result.index].selectivity)
+                for result in report.results if not result.from_result_cache]
+    return (max((abs(served - sequential) for served, sequential in compared),
+                default=0.0), len(compared))
+
+
+def _load_queries(arguments, registry) -> list:
+    """Replay ``--workload``, refusing queries this registry cannot answer."""
+    queries = load_workload(arguments.workload)
+    default = registry.names[0] if len(registry) == 1 else None
+    unroutable, unknown = set(), set()
+    for query in queries:
+        route = query.table or default
+        if route is None:
+            continue  # unqualified on a multi-relation fleet: the router reports it
+        if route not in registry:
+            unroutable.add(route)
+            continue
+        columns = set(registry.relation(route).column_names)
+        unknown.update(f"{route}.{predicate.column}" for predicate in query
+                       if predicate.column not in columns)
+    if unroutable:
+        raise SystemExit(
+            f"workload {arguments.workload!r} targets relations not in "
+            f"this registry: {', '.join(sorted(unroutable))} "
+            f"(registered: {', '.join(registry.names)})")
+    if unknown:
+        raise SystemExit(f"workload {arguments.workload!r} references columns "
+                         f"missing from their relation: "
+                         f"{', '.join(sorted(unknown))}")
+    print(f"Replaying {len(queries)} queries from {arguments.workload}")
+    return queries
+
+
+def _serve(arguments) -> int:
     registry = ModelRegistry(default_config=NaruConfig(
         epochs=arguments.epochs, hidden_sizes=(64, 64), batch_size=256,
         progressive_samples=arguments.samples, seed=arguments.seed))
@@ -391,7 +341,11 @@ def _serve_multi(arguments) -> int:
         print(f"Registered base relation: {table}{replica_note}")
     for text in arguments.join:
         spec = parse_join_spec(text, arguments.join_sample, arguments.seed)
-        name = registry.register_join(spec, replicas=arguments.replicas)
+        try:
+            name = registry.register_join(spec, replicas=arguments.replicas)
+        except (KeyError, ValueError) as error:
+            raise SystemExit(f"cannot register join {text!r}: "
+                             f"{error.args[0]}") from None
         print(f"Registered join relation: {registry.relation(name)} "
               f"({spec.how} of {spec.left} ⨝ {spec.right}){replica_note}")
     if arguments.fallback:
@@ -404,15 +358,7 @@ def _serve_multi(arguments) -> int:
                   f"{estimator.name}")
 
     if arguments.workload:
-        queries = load_workload(arguments.workload)
-        unroutable = sorted({query.table for query in queries
-                             if query.table is not None and query.table not in registry})
-        if unroutable:
-            raise SystemExit(
-                f"workload {arguments.workload!r} targets relations not in "
-                f"this registry: {', '.join(unroutable)} "
-                f"(registered: {', '.join(registry.names)})")
-        print(f"Replaying {len(queries)} queries from {arguments.workload}")
+        queries = _load_queries(arguments, registry)
     elif arguments.dnf_fraction > 0 or arguments.like_fraction > 0:
         queries = generate_shape_workload(
             {name: registry.relation(name) for name in registry.names},
@@ -433,6 +379,9 @@ def _serve_multi(arguments) -> int:
             max_filters=arguments.max_filters, seed=arguments.seed)
         print(f"Generated {len(queries)} queries across "
               f"{len(registry)} relations")
+    if arguments.arrivals and not queries:
+        raise SystemExit("--arrivals needs at least one query to offer: the "
+                         "workload is empty")
     if arguments.save_workload:
         save_workload(arguments.save_workload, queries)
         print(f"Workload written to {arguments.save_workload}")
@@ -444,18 +393,21 @@ def _serve_multi(arguments) -> int:
               f"{', join' if entry['is_join'] else ''})")
     print(f"Fleet model storage: {registry.size_bytes() / 1e6:.2f} MB")
 
-    router_kwargs = dict(batch_size=arguments.batch_size,
-                         num_samples=arguments.samples,
-                         use_cache=not arguments.no_cache,
-                         cache_entries=arguments.cache_entries,
-                         seed=arguments.seed,
-                         max_pending=arguments.max_pending or None,
-                         overflow=arguments.overflow,
-                         result_cache=arguments.result_cache,
-                         flush_after_ms=arguments.flush_after_ms)
+    options = dict(batch_size=arguments.batch_size,
+                   num_samples=arguments.samples,
+                   use_cache=not arguments.no_cache,
+                   cache_entries=arguments.cache_entries,
+                   seed=arguments.seed,
+                   max_pending=arguments.max_pending or None,
+                   overflow=arguments.overflow,
+                   result_cache=arguments.result_cache,
+                   flush_after_ms=arguments.flush_after_ms,
+                   slo_ms=arguments.slo_ms)
     if arguments.workers:
-        router = ProcessFleet(registry, workers=arguments.workers,
-                              log_dir=arguments.log_dir, **router_kwargs)
+        options.update(workers=arguments.workers, log_dir=arguments.log_dir)
+    router = (ProcessFleet if arguments.workers else FleetRouter)(
+        registry, **options)
+    if arguments.workers:
         for info in router.workers:
             hosted = ", ".join(f"{route}/{replica}"
                                for route, replica in info.keys)
@@ -464,16 +416,9 @@ def _serve_multi(arguments) -> int:
                   f"{hosted}{log_note}")
         if arguments.scenario == "kill_worker":
             return _kill_worker_drill(arguments, router, queries)
-    elif arguments.adaptive:
-        router = StreamingRouter(registry, slo_ms=arguments.slo_ms,
-                                 adaptive=True, slo_scope=arguments.slo_scope,
-                                 min_batch=arguments.min_batch,
-                                 **router_kwargs)
-        print(f"Adaptive batching on: p95 {arguments.slo_scope} SLO "
-              f"{arguments.slo_ms:g} ms, micro-batches in "
-              f"[{arguments.min_batch}, {arguments.batch_size}]")
-    else:
-        router = FleetRouter(registry, **router_kwargs)
+    if arguments.slo_ms is not None:
+        print(f"Adaptive batching on: p95 e2e SLO {arguments.slo_ms:g} ms, "
+              f"micro-batches in [1, {arguments.batch_size}]")
     if arguments.flush_after_ms is not None:
         print(f"Flush timeout on: partially filled micro-batches dispatch "
               f"after {arguments.flush_after_ms:g} ms")
@@ -508,19 +453,7 @@ def _serve_multi(arguments) -> int:
           f"{stats.num_models} models{on_workers} "
           f"({stats.queries_per_second:.1f} queries/s overall, "
           f"cache budget {stats.cache_entries_per_model} entries/cache)")
-    if stats.latency_ms is not None:
-        print(f"  dispatch latency p50/p95/p99: "
-              f"{stats.latency_ms['p50']:.1f} / {stats.latency_ms['p95']:.1f} "
-              f"/ {stats.latency_ms['p99']:.1f} ms")
-    if stats.queue_wait_ms is not None:
-        print(f"  queue wait p50/p95/p99:       "
-              f"{stats.queue_wait_ms['p50']:.1f} / "
-              f"{stats.queue_wait_ms['p95']:.1f} / "
-              f"{stats.queue_wait_ms['p99']:.1f} ms")
-    if stats.e2e_ms is not None:
-        print(f"  end-to-end p50/p95/p99:       "
-              f"{stats.e2e_ms['p50']:.1f} / {stats.e2e_ms['p95']:.1f} / "
-              f"{stats.e2e_ms['p99']:.1f} ms")
+    _print_latencies(stats)
     if stats.timeout_flushes:
         print(f"  {stats.timeout_flushes} micro-batches dispatched by the "
               f"flush timeout")
@@ -550,7 +483,7 @@ def _serve_multi(arguments) -> int:
         print(f"  {route:<24} {route_stats['num_queries']:>4} queries in "
               f"{route_stats['num_batches']} batches{replicas}, "
               f"{route_stats['queries_per_second']:8.1f} queries/s{hit_rate}")
-        if arguments.adaptive and route_stats["batch_trace"]:
+        if route_stats["batch_trace"]:
             trace = route_stats["batch_trace"]
             print(f"  {'':<24} dispatch p95 "
                   f"{route_stats['latency_ms']['p95']:.1f} ms, e2e p95 "
@@ -585,18 +518,8 @@ def _serve_multi(arguments) -> int:
                                             seed=arguments.seed)
             speedup = (baseline.stats.elapsed_s / stats.elapsed_s
                        if stats.elapsed_s > 0 else float("inf"))
-            # Cache-served repeats intentionally reuse their first
-            # occurrence's estimate while the baseline re-samples every
-            # repeat under its own stream — exclude them so the reported
-            # drift measures batching/routing determinism, not cache
-            # semantics.
-            compared = [(result.selectivity,
-                         baseline.results[result.index].selectivity)
-                        for result in report.results
-                        if not result.from_result_cache]
-            drift = max((abs(routed - sequential)
-                         for routed, sequential in compared), default=0.0)
-            excluded = len(report.results) - len(compared)
+            drift, compared = _estimate_drift(report, baseline)
+            excluded = len(report.results) - compared
             note = (f"; {excluded} cache-served repeats excluded"
                     if excluded else "")
             print(f"\nSequential fleet baseline: "
@@ -629,10 +552,7 @@ def _serve_multi(arguments) -> int:
                       f"max {entry['max_qerror']:.2f}")
             document["q_errors_by_estimator"] = by_estimator
 
-    if arguments.json:
-        with open(arguments.json, "w") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"\nReport written to {arguments.json}")
+    _write_report(arguments, document)
     return 0
 
 
@@ -682,15 +602,7 @@ def _serve_open_loop(arguments, registry, router, queries) -> int:
     print(f"  peak pending     {outcome.peak_pending}"
           + (f" (bound {arguments.max_pending})"
              if arguments.max_pending else ""))
-    if stats.queue_wait_ms is not None:
-        print(f"  queue wait p50/p95/p99:       "
-              f"{stats.queue_wait_ms['p50']:.1f} / "
-              f"{stats.queue_wait_ms['p95']:.1f} / "
-              f"{stats.queue_wait_ms['p99']:.1f} ms")
-    if stats.e2e_ms is not None:
-        print(f"  end-to-end p50/p95/p99:       "
-              f"{stats.e2e_ms['p50']:.1f} / {stats.e2e_ms['p95']:.1f} / "
-              f"{stats.e2e_ms['p99']:.1f} ms")
+    _print_latencies(stats)
     for event in outcome.events:
         print(f"  chaos: {event}")
 
@@ -704,22 +616,14 @@ def _serve_open_loop(arguments, registry, router, queries) -> int:
         baseline = run_fleet_sequential(registry, expanded,
                                         num_samples=arguments.samples,
                                         seed=arguments.seed)
-        compared = [(result.selectivity,
-                     baseline.results[result.index].selectivity)
-                    for result in outcome.report.results
-                    if not result.from_result_cache]
-        drift = max((abs(open_loop - sequential)
-                     for open_loop, sequential in compared), default=0.0)
+        drift, compared = _estimate_drift(outcome.report, baseline)
         print(f"\nSequential fleet baseline on the expanded arrival "
               f"workload: max estimate drift {drift:.2e} over "
-              f"{len(compared)} completed queries — open-loop pacing, "
+              f"{compared} completed queries — open-loop pacing, "
               "shedding and chaos never move a completed number")
         document["max_estimate_drift"] = drift
 
-    if arguments.json:
-        with open(arguments.json, "w") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"\nReport written to {arguments.json}")
+    _write_report(arguments, document)
     return 0
 
 
@@ -741,10 +645,7 @@ def _kill_worker_drill(arguments, fleet: ProcessFleet, queries) -> int:
         print("  WARNING: no typed WorkerError surfaced — the batches "
               "may all have missed the dead worker; rerun with more "
               "queries")
-    if arguments.json:
-        with open(arguments.json, "w") as handle:
-            json.dump({"kill_worker_drill": drill}, handle, indent=1)
-        print(f"\nReport written to {arguments.json}")
+    _write_report(arguments, {"kill_worker_drill": drill})
     return 0 if drill["typed_error"] else 1
 
 
@@ -765,39 +666,20 @@ def _run_draining_on_sigterm(fleet: ProcessFleet, queries):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; validates flag combinations and runs the right mode."""
+    """CLI entry point; validates the flags, then serves."""
     arguments = build_parser().parse_args(argv)
-    if arguments.join and not arguments.tables:
-        raise SystemExit("--join requires --tables (multi-model mode)")
-    if not arguments.tables:
-        fleet_flags = [flag for flag, used in (
-            ("--replicas", arguments.replicas != 1),
-            ("--max-pending", arguments.max_pending != 0),
-            ("--overflow", arguments.overflow != "block"),
-            ("--result-cache", arguments.result_cache),
-            ("--stream", arguments.stream),
-            ("--adaptive", arguments.adaptive),
-            ("--slo-ms", arguments.slo_ms is not None),
-            ("--slo-scope", arguments.slo_scope != "e2e"),
-            ("--flush-after-ms", arguments.flush_after_ms is not None),
-            ("--min-batch", arguments.min_batch != 1),
-            ("--workers", arguments.workers != 0),
-            ("--log-dir", arguments.log_dir is not None),
-            ("--arrivals", arguments.arrivals is not None),
-            ("--offered-qps", arguments.offered_qps is not None),
-            ("--duration-s", arguments.duration_s is not None),
-            ("--trace-file", arguments.trace_file is not None),
-            ("--save-trace", arguments.save_trace is not None),
-            ("--scenario", arguments.scenario is not None),
-            ("--fallback", arguments.fallback is not None),
-            ("--fallback-sample", arguments.fallback_sample != 1024),
-            ("--dnf-fraction", arguments.dnf_fraction != 0),
-            ("--like-fraction", arguments.like_fraction != 0),
-            ("--dnf-branches", arguments.dnf_branches != [2]),
-        ) if used]
-        if fleet_flags:
-            raise SystemExit(f"{', '.join(fleet_flags)} require(s) --tables "
-                             "(multi-model mode)")
+    for flag, value, least in (("--num-queries", arguments.num_queries, 0),
+                               ("--samples", arguments.samples, 1),
+                               ("--batch-size", arguments.batch_size, 1),
+                               ("--min-filters", arguments.min_filters, 1),
+                               ("--replicas", arguments.replicas, 1),
+                               ("--fallback-sample",
+                                arguments.fallback_sample, 1)):
+        if value < least:
+            raise SystemExit(f"{flag} must be at least {least}, got {value}")
+    if arguments.max_filters < arguments.min_filters:
+        raise SystemExit(f"--max-filters ({arguments.max_filters}) must not be "
+                         f"below --min-filters ({arguments.min_filters})")
     if arguments.workers < 0:
         raise SystemExit("--workers must be non-negative (0 = in-process)")
     if arguments.log_dir is not None and not arguments.workers:
@@ -806,16 +688,13 @@ def main(argv: list[str] | None = None) -> int:
     if arguments.workers:
         unsupported = [flag for flag, used in (
             ("--stream", arguments.stream),
-            ("--adaptive", arguments.adaptive),
             ("--arrivals", arguments.arrivals is not None),
         ) if used]
         if unsupported:
             raise SystemExit(
                 f"{', '.join(unsupported)} and --workers are mutually "
-                "exclusive: the asyncio streaming client, adaptive batching "
-                "and open-loop pacing do not drive worker processes yet")
-    if arguments.replicas < 1:
-        raise SystemExit("--replicas must be at least 1")
+                "exclusive: the asyncio streaming client and open-loop "
+                "pacing do not drive worker processes yet")
     if arguments.max_pending < 0:
         raise SystemExit("--max-pending must be non-negative (0 = unbounded)")
     if arguments.overflow == "shed" and arguments.max_pending == 0:
@@ -846,29 +725,9 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--dnf-fraction/--like-fraction shape *generated* "
                          "workloads and are incompatible with --workload "
                          "(the file already fixes each query's shape)")
-    if arguments.fallback_sample < 1:
-        raise SystemExit("--fallback-sample must be at least 1")
     if arguments.fallback_sample != 1024 and arguments.fallback is None:
         raise SystemExit("--fallback-sample does nothing without --fallback: "
                          "no fallback estimator would be built")
-    if arguments.min_batch < 1:
-        raise SystemExit("--min-batch must be at least 1")
-    if arguments.min_batch > arguments.batch_size:
-        raise SystemExit(f"--min-batch ({arguments.min_batch}) must not "
-                         f"exceed --batch-size ({arguments.batch_size})")
-    if arguments.adaptive and arguments.slo_ms is None:
-        raise SystemExit("--adaptive requires --slo-ms: the controller needs "
-                         "a latency target to steer the batch size towards")
-    if arguments.slo_ms is not None and not arguments.adaptive:
-        raise SystemExit("--slo-ms does nothing without --adaptive: no "
-                         "controller would enforce the target (add --adaptive)")
-    if arguments.slo_scope != "e2e" and not arguments.adaptive:
-        raise SystemExit("--slo-scope does nothing without --adaptive: no "
-                         "controller would use the scope (add --adaptive)")
-    if arguments.min_batch != 1 and not arguments.adaptive:
-        raise SystemExit("--min-batch does nothing without --adaptive: only "
-                         "the adaptive controller moves the batch size "
-                         "(add --adaptive)")
     if arguments.arrivals is not None and arguments.stream:
         raise SystemExit("--arrivals and --stream are mutually exclusive: "
                          "open-loop pacing already streams through the "
@@ -914,9 +773,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"--scenario {arguments.scenario} requires "
                          "--arrivals: chaos is injected into an open-loop "
                          "run")
-    if arguments.tables:
-        return _serve_multi(arguments)
-    return _serve_single(arguments)
+    return _serve(arguments)
 
 
 if __name__ == "__main__":

@@ -292,10 +292,10 @@ class EstimationEngine:
     batch_hook:
         Optional callable invoked with each :class:`BatchRecord` right after
         its micro-batch dispatches.  The adaptive batch controller
-        (:class:`repro.serve.stream.AdaptiveBatchController`) observes
-        latencies through this hook and retunes ``batch_size``
-        between dispatches; mutating ``batch_size`` from the hook affects
-        when the *next* micro-batch fills, never the numbers it computes.
+        (:class:`repro.serve.router.AdaptiveBatchController`) observes
+        latencies through this hook and retunes ``batch_size`` between
+        dispatches; mutating ``batch_size`` from the hook affects when the
+        *next* micro-batch fills, never the numbers it computes.
         Also assignable after construction via the ``batch_hook`` attribute.
     clock:
         Zero-argument callable returning seconds (``time.perf_counter`` by

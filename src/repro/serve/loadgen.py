@@ -405,9 +405,9 @@ class SlowReplica(ChaosScenario):
     From ``at_fraction`` of the run onward, every micro-batch the target
     replica dispatches is followed by ``delay_ms`` of stall — injected by
     chaining onto the engine's ``batch_hook`` (after any hook already
-    installed there, so a :class:`~repro.serve.stream.StreamingRouter`'s
-    adaptive controller keeps observing and keeps steering *around* the
-    slow replica).  Under a frozen :class:`~repro.serve.engine.VirtualClock`
+    installed there, so a route's SLO controller — see
+    :class:`~repro.serve.router.FleetRouter`'s ``slo_ms`` — keeps observing
+    and keeps steering *around* the slow replica).  Under a frozen :class:`~repro.serve.engine.VirtualClock`
     the stall advances virtual time (deterministic tests); under a real or
     hybrid clock it sleeps.
 

@@ -4,8 +4,8 @@ Everything else the serve stack ships lives in one Python process and is
 therefore GIL-bound.  :class:`ProcessFleet` is the scale-out tier, and it *is*
 the router: a :class:`~repro.serve.router.FleetRouter` subclass that inherits
 routing, ``crc32`` replica placement, admission control, the result cache,
-fallback units, flush deadlines, workload scopes and report merging unchanged.
-Only batch execution crosses the pipe:
+fallback units, flush deadlines, SLO steering, workload scopes and report
+merging unchanged.  Only batch execution crosses the pipe:
 
 * **One proxy engine per replica** (:class:`_WorkerEngine`): a filled
   micro-batch is shipped to the worker hosting that ``(relation, replica)``
@@ -386,7 +386,7 @@ class ProcessFleet(FleetRouter):
         by every message received.
     **router_options:
         Every other :class:`~repro.serve.router.FleetRouter` keyword
-        (batching, caches, admission, result cache, observers, clock), with
+        (batching, SLO, caches, admission, result cache, observers, clock), with
         the router's semantics.  One difference: conditional caches are per
         engine, inside the workers (a process boundary rules out the router's
         group-shared store), so with ``replicas > 1`` cache hit patterns —

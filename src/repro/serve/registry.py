@@ -125,12 +125,13 @@ class ModelRegistry:
             head-of-line-blocking the fleet.  Tune later with
             :meth:`set_replicas`.
         slo_ms:
-            Per-relation dispatch-latency SLO in milliseconds (``None`` =
-            no relation-level target).  An adaptive
-            :class:`repro.serve.stream.StreamingRouter` uses this as the
-            relation's p95 target, overriding its router-wide ``slo_ms`` —
-            so a latency-critical relation can run a tighter budget than the
-            rest of the fleet.  Tune later with :meth:`set_slo`.
+            Per-relation end-to-end latency SLO in milliseconds (``None`` =
+            no relation-level target).  A
+            :class:`repro.serve.router.FleetRouter` steers this relation's
+            micro-batch size against it, overriding its router-wide
+            ``slo_ms`` — so a latency-critical relation can run a tighter
+            budget than the rest of the fleet.  Tune later with
+            :meth:`set_slo`.
         flush_after_ms:
             Per-relation flush deadline in milliseconds (``None`` = defer to
             the router-wide ``flush_after_ms``).  A router serving this
@@ -242,9 +243,9 @@ class ModelRegistry:
         self._replicas[name] = replicas
 
     def set_slo(self, name: str, slo_ms: float | None) -> None:
-        """Change (or clear, with ``None``) a relation's dispatch-latency SLO.
+        """Change (or clear, with ``None``) a relation's end-to-end latency SLO.
 
-        Adaptive routers read the SLO when they materialise the relation's
+        Routers read the SLO when they materialise the relation's
         replica group; routers already serving the relation keep the
         controller they built.
         """

@@ -36,6 +36,12 @@ trained model — and
   conditional-cache slices, pooled per group into one generationally evicted
   store (plus one slice for the result cache when enabled), so the memory
   budget is fleet-wide no matter how many replicas serve,
+* optionally **steers each relation's micro-batch size against a latency
+  SLO** (router-wide ``slo_ms``, or per relation via the registry): one
+  :class:`AdaptiveBatchController` per replica group observes every
+  dispatch's worst end-to-end latency and shrinks/grows the group's batch
+  size within ``[1, batch_size]``; a relation with no SLO has no controller
+  and no ``batch_hook`` — the fixed-batch hot path, untouched, and
 * **merges** the per-replica reports into a single :class:`FleetReport` with
   per-route and per-replica throughput, shed counts and cache statistics.
 
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +77,8 @@ from .engine import EngineReport, EstimationEngine, run_sequential
 from .registry import ModelRegistry
 
 __all__ = ["RoutingError", "AdmissionError", "RoutedResult", "FleetStats",
-           "FleetReport", "ReplicaGroup", "FleetRouter",
+           "FleetReport", "AdaptiveBatchController", "ReplicaGroup",
+           "FleetRouter",
            "run_fleet_sequential", "latency_percentiles", "replica_for",
            "resolve_route"]
 
@@ -286,7 +294,7 @@ class FleetStats:
     #: ``num_replicas``, ``shed``, ``result_cache_hits``, per-route
     #: ``latency_ms``/``queue_wait_ms``/``e2e_ms`` percentiles, the group's
     #: ``timeout_flushes`` count, the adaptive controller's ``batch_trace``
-    #: (``None`` on fixed-batch routers) and a ``replicas`` list holding each
+    #: (``None`` for a route with no SLO) and a ``replicas`` list holding each
     #: replica engine's own ``EngineStats.as_dict()``.  A unit is a relation
     #: name for the primary replica group and ``"<relation>@fallback"`` for
     #: the relation's fallback estimator.
@@ -355,10 +363,11 @@ class FleetReport:
     #: Route name -> the full per-replica :class:`EngineReport` list.
     routes: dict[str, list[EngineReport]] = field(default_factory=dict)
     stats: FleetStats = field(default_factory=FleetStats)
-    #: Lazy index -> route map backing :meth:`route_of` (results are frozen
-    #: after construction, so it is built once on first use).
-    _route_by_index: dict[int, str] | None = field(default=None, repr=False,
-                                                   compare=False)
+    #: Lazy index -> result map backing :meth:`route_of` and
+    #: :meth:`estimator_of` (results are frozen after construction, so it is
+    #: built once on first use).
+    _by_index: dict[int, RoutedResult] | None = field(default=None, repr=False,
+                                                      compare=False)
 
     @property
     def selectivities(self) -> np.ndarray:
@@ -370,34 +379,32 @@ class FleetReport:
         """Per-query cardinality estimates, in global submission order."""
         return np.asarray([result.cardinality for result in self.results])
 
-    def route_of(self, index: int) -> str:
-        """The relation that served the query with one global index.
+    def _result_of(self, index: int) -> RoutedResult:
+        """The result carrying one global index (``KeyError`` when absent).
 
         Looked up by the result's ``index`` field, not list position: under
         :func:`repro.serve.stream.stream_workload` a shed query leaves its
-        position-keyed index unused, so indices need not be dense.  Raises
-        ``KeyError`` for an index this report holds no result for.
+        position-keyed index unused, so indices need not be dense.
         """
-        if self._route_by_index is None:
-            self._route_by_index = {result.index: result.route
-                                    for result in self.results}
+        if self._by_index is None:
+            self._by_index = {result.index: result for result in self.results}
         try:
-            return self._route_by_index[index]
+            return self._by_index[index]
         except KeyError:
             raise KeyError(f"no result with global index {index} in this "
                            "report") from None
+
+    def route_of(self, index: int) -> str:
+        """The relation that served the query with one global index."""
+        return self._result_of(index).route
 
     def estimator_of(self, index: int) -> str:
         """The estimator that served the query with one global index.
 
         The primary or fallback estimator's name, ``"cache"`` for
         result-cache hits, ``""`` on reports without estimator accounting.
-        Raises ``KeyError`` for an index this report holds no result for.
         """
-        for result in self.results:
-            if result.index == index:
-                return result.estimator
-        raise KeyError(f"no result with global index {index} in this report")
+        return self._result_of(index).estimator
 
     def accuracy_by_estimator(self, true_cardinalities) -> dict[str, dict]:
         """Per-estimator accuracy columns against known true cardinalities.
@@ -674,6 +681,159 @@ def _merge_reports(route_reports: dict[str, list[EngineReport]], *,
     return FleetReport(results=merged, routes=route_reports, stats=stats)
 
 
+class AdaptiveBatchController:
+    """AIMD controller keeping a replica group's batch latency under an SLO.
+
+    The controller watches every micro-batch dispatch of one relation's
+    replica group and maintains an exponentially weighted moving average
+    (EWMA) of the observed latency — :class:`FleetRouter` feeds it the
+    batch's worst end-to-end latency (queue wait + dispatch); the controller
+    itself is metric-agnostic.  Batch latency grows roughly linearly in
+    the batch's query count (the batched sampler stacks one code-matrix row
+    per sample path per query), so batch size is the control knob:
+
+    * **shrink** — when the EWMA exceeds the operating target
+      (``slo_ms * headroom``), the batch size is halved (multiplicative
+      decrease).  Sustained violation shrinks monotonically down to
+      ``min_batch``; it never grows while the target is exceeded.
+    * **grow** — when the EWMA sits below ``grow_below`` of the target, the
+      batch size is incremented (additive increase) up to ``max_batch``,
+      clawing back throughput once the burst has passed.
+
+    The ``headroom`` factor (default 0.8) is what turns a *mean* tracker into
+    a *p95* target: holding the average at 80% of the SLO leaves the tail
+    room to stay under it.  With ``slo_ms=None`` the controller is disabled
+    and behaves exactly like a fixed batch size (``observe`` still records
+    the trace, but never changes the size) — the "disabled ≡ fixed" contract
+    the unit tests pin down.
+
+    Parameters
+    ----------
+    slo_ms:
+        Target p95 latency in milliseconds; ``None`` disables adaptation.
+    max_batch:
+        Upper clamp of the batch size (typically the router's configured
+        ``batch_size``); also the initial size unless ``initial`` is given.
+    min_batch:
+        Lower clamp (default 1 — a batch of one always remains admissible).
+    alpha:
+        EWMA smoothing coefficient in ``(0, 1]``; higher reacts faster.
+    headroom:
+        Fraction of the SLO the EWMA is steered to stay under.
+    grow_below:
+        Grow only while the EWMA is below this fraction of the operating
+        target, so the controller does not oscillate around it.
+    initial:
+        Starting batch size (defaults to ``max_batch``).
+    trace_limit:
+        Upper bound on the retained batch-size trace (a controller outlives
+        workload scopes, so an unbounded trace would grow — and bloat every
+        JSON report — for as long as the router serves).  The cumulative
+        ``shrinks``/``grows`` counters are never truncated.
+    """
+
+    def __init__(self, *, slo_ms: float | None = None, max_batch: int = 32,
+                 min_batch: int = 1, alpha: float = 0.3,
+                 headroom: float = 0.8, grow_below: float = 0.5,
+                 initial: int | None = None, trace_limit: int = 4096) -> None:
+        if slo_ms is not None and slo_ms <= 0:
+            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        if min_batch < 1:
+            raise ValueError("min_batch must be at least 1")
+        if max_batch < min_batch:
+            raise ValueError(f"max_batch ({max_batch}) must be >= min_batch "
+                             f"({min_batch})")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        if not 0.0 < headroom <= 1.0:
+            raise ValueError("headroom must be in (0, 1]")
+        if not 0.0 < grow_below < 1.0:
+            raise ValueError("grow_below must be in (0, 1)")
+        if trace_limit < 1:
+            raise ValueError("trace_limit must be at least 1")
+        self.slo_ms = slo_ms
+        self.min_batch = min_batch
+        self.max_batch = max_batch
+        self.alpha = alpha
+        self.headroom = headroom
+        self.grow_below = grow_below
+        self.batch_size = initial if initial is not None else max_batch
+        if not min_batch <= self.batch_size <= max_batch:
+            raise ValueError(f"initial batch size {self.batch_size} outside "
+                             f"[{min_batch}, {max_batch}]")
+        self.ewma_ms: float | None = None
+        #: Batch-size decision after every observed dispatch (element 0 is
+        #: the initial size until ``trace_limit`` truncates the oldest
+        #: entries).  Lifetime of the controller, like cache counters — it
+        #: is not reset per workload scope, only bounded; per-scope reports
+        #: slice it (see :meth:`FleetRouter.report`).
+        self.trace: deque[int] = deque([self.batch_size], maxlen=trace_limit)
+        #: Total dispatches ever observed (never truncated, unlike ``trace``).
+        self.observations = 0
+        self.shrinks = 0
+        self.grows = 0
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the controller adapts at all (``False`` = fixed batch)."""
+        return self.slo_ms is not None
+
+    @property
+    def target_ms(self) -> float | None:
+        """The EWMA operating ceiling: ``slo_ms * headroom`` (``None`` off)."""
+        return self.slo_ms * self.headroom if self.slo_ms is not None else None
+
+    def observe(self, latency_ms: float) -> int:
+        """Fold one observed latency into the EWMA; returns the new batch size.
+
+        Args:
+            latency_ms: Observed latency of the dispatched micro-batch (the
+                router passes the batch's worst end-to-end latency).
+
+        Returns:
+            The batch size every engine of the group should use for its next
+            micro-batch (unchanged when the controller is disabled).
+        """
+        self.observations += 1
+        if self.ewma_ms is None:
+            self.ewma_ms = float(latency_ms)
+        else:
+            self.ewma_ms = (self.alpha * float(latency_ms)
+                            + (1.0 - self.alpha) * self.ewma_ms)
+        if self.enabled:
+            target = self.target_ms
+            if self.ewma_ms > target:
+                shrunk = max(self.min_batch, self.batch_size // 2)
+                if shrunk < self.batch_size:
+                    self.batch_size = shrunk
+                    self.shrinks += 1
+            elif (self.ewma_ms < self.grow_below * target
+                  and self.batch_size < self.max_batch):
+                self.batch_size += 1
+                self.grows += 1
+        self.trace.append(self.batch_size)
+        return self.batch_size
+
+    def as_dict(self) -> dict:
+        """Plain-dict snapshot of the controller, ready for JSON reports."""
+        return {
+            "slo_ms": self.slo_ms,
+            "ewma_ms": self.ewma_ms,
+            "batch_size": self.batch_size,
+            "min_batch": self.min_batch,
+            "max_batch": self.max_batch,
+            "observations": self.observations,
+            "shrinks": self.shrinks,
+            "grows": self.grows,
+            "trace": list(self.trace),
+        }
+
+    def __repr__(self) -> str:
+        slo = f"{self.slo_ms:.1f}ms" if self.slo_ms is not None else "off"
+        return (f"AdaptiveBatchController(slo={slo}, batch={self.batch_size} "
+                f"in [{self.min_batch}, {self.max_batch}])")
+
+
 class ReplicaGroup:
     """N engine replicas serving one relation, behind one admission gate.
 
@@ -844,6 +1004,19 @@ class FleetRouter:
         :meth:`repro.serve.registry.ModelRegistry.register_table`'s
         ``flush_after_ms``.  :meth:`run` ticks after every submission; the
         asyncio client drives ticks from wall-clock deadlines.
+    slo_ms:
+        Router-wide target p95 **end-to-end** latency in milliseconds
+        (queue wait + dispatch — what a submitter observes), overridable per
+        relation via :meth:`~repro.serve.registry.ModelRegistry
+        .register_table`'s ``slo_ms``.  A relation with an effective SLO gets
+        one :class:`AdaptiveBatchController` shared by its replicas (so the
+        whole relation converges on one batch size within
+        ``[1, batch_size]``); controllers — like the conditional caches —
+        live for the router's lifetime and carry their learned batch size
+        across workload scopes and epoch rebuilds.  Batch boundaries never
+        change an estimate, so the controller may retune them as
+        aggressively as the SLO demands.  ``None`` (default) with no
+        registry SLO serves at the fixed ``batch_size``.
     clock:
         Zero-argument callable returning seconds, shared by every engine the
         router builds (``time.perf_counter`` by default).  Inject a
@@ -857,7 +1030,8 @@ class FleetRouter:
                  default_route: str | None = None,
                  max_pending: int | None = None, overflow: str = "block",
                  result_cache: bool = False, on_result=None,
-                 flush_after_ms: float | None = None, clock=None) -> None:
+                 flush_after_ms: float | None = None,
+                 slo_ms: float | None = None, clock=None) -> None:
         if len(registry) == 0:
             raise ValueError("the registry has no relations to serve")
         if batch_size < 1:
@@ -865,6 +1039,8 @@ class FleetRouter:
         if flush_after_ms is not None and flush_after_ms <= 0:
             raise ValueError(f"flush_after_ms must be positive, got "
                              f"{flush_after_ms}")
+        if slo_ms is not None and slo_ms <= 0:
+            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         if default_route is not None and default_route not in registry:
             raise ValueError(f"default route {default_route!r} is not a "
                              f"registered relation ({', '.join(registry.names)})")
@@ -891,6 +1067,13 @@ class FleetRouter:
         self.max_pending = max_pending
         self.overflow = overflow
         self.flush_after_ms = flush_after_ms
+        self.slo_ms = slo_ms
+        #: Route -> the adaptive batch controller of its primary group; only
+        #: routes with an effective SLO ever get one.
+        self._controllers: dict[str, AdaptiveBatchController] = {}
+        #: Route -> ``controller.observations`` at the current scope's start;
+        #: lets reports slice the lifetime trace down to this scope.
+        self._scope_marks: dict[str, int] = {}
         #: The shared clock of every engine, see the ``clock`` parameter.
         self.clock = clock if clock is not None else time.perf_counter
         #: ``(route, role)`` -> serving unit, role ``"primary"`` (the
@@ -1060,7 +1243,7 @@ class FleetRouter:
             self._groups[(route, "primary")] = group
             self._group_epochs[(route, "primary")] = \
                 self.registry.serving_epoch(route)
-            self._group_created(route, group)
+            self._steer(route, group)
         return group
 
     def fallback_unit(self, route: str) -> ReplicaGroup:
@@ -1113,12 +1296,51 @@ class FleetRouter:
         """
         return EstimationEngine(estimator, **options)
 
-    def _group_created(self, route: str, group: ReplicaGroup) -> None:
-        """Subclass hook: a replica group was just materialised.
+    def _steer(self, route: str, group: ReplicaGroup) -> None:
+        """Put a freshly materialised group under its route's SLO controller.
 
-        :class:`repro.serve.stream.StreamingRouter` attaches its adaptive
-        batch controller here; the base router does nothing.
+        A route with no effective SLO is left alone — no controller, no
+        ``batch_hook``.  A route rebuilt after an epoch bump (see
+        :meth:`_begin_scope`) keeps the controller it already converged — a
+        data refresh invalidates cached *answers*, not the learned batch
+        size — so the new engines start at the converged size.
         """
+        controller = self._controllers.get(route)
+        if controller is None:
+            slo_ms = self.effective_slo(route)
+            if slo_ms is None:
+                return
+            controller = AdaptiveBatchController(slo_ms=slo_ms,
+                                                 max_batch=self.batch_size)
+            self._controllers[route] = controller
+            self._scope_marks[route] = 0
+
+        def hook(record):
+            # Steering on the batch's worst submission-to-result latency
+            # makes queueing delay in partially filled batches shrink the
+            # batch size exactly like slow dispatches do.
+            size = controller.observe(record.max_e2e_ms)
+            for engine in group.engines:
+                engine.batch_size = size
+
+        for engine in group.engines:
+            engine.batch_size = controller.batch_size
+            engine.batch_hook = hook
+
+    def effective_slo(self, route: str) -> float | None:
+        """The SLO a route is steered against: registry override, then router."""
+        registry_slo = self.registry.slo_ms(route)
+        return registry_slo if registry_slo is not None else self.slo_ms
+
+    def controller(self, route: str) -> AdaptiveBatchController | None:
+        """One route's batch controller (``None`` when it has no SLO)."""
+        self.group(route)
+        return self._controllers.get(route)
+
+    def controllers_report(self) -> dict[str, dict]:
+        """Per-route controller snapshots (EWMA, bounds, shrink/grow counts)."""
+        return {route: controller.as_dict()
+                for route, controller in self._controllers.items()}
 
     def engine(self, route: str, replica: int = 0) -> EstimationEngine:
         """One replica engine of a route (replica 0 by default)."""
@@ -1313,6 +1535,8 @@ class FleetRouter:
                 del self._group_epochs[(route, role)]
         for group in self._groups.values():
             group.reset()
+        for route, controller in self._controllers.items():
+            self._scope_marks[route] = controller.observations
         self._cached_results = []
         self._next_index = 0
 
@@ -1335,6 +1559,14 @@ class FleetRouter:
         self._unreported_cached = 0
         result_cache_stats = (self._result_cache.stats.as_dict()
                               if self._result_cache is not None else None)
+        # Each controller's lifetime trace, sliced to this scope: element 0
+        # is the batch size in force when the scope began, then one entry per
+        # dispatch observed since (up to ``trace_limit`` truncation).
+        batch_traces = {}
+        for route, controller in self._controllers.items():
+            lifetime = list(controller.trace)
+            observed = controller.observations - self._scope_marks[route]
+            batch_traces[route] = lifetime[max(0, len(lifetime) - observed - 1):]
         return _merge_reports(
             route_reports, num_models=len(self.registry),
             cache_entries_total=self.cache_entries,
@@ -1342,13 +1574,9 @@ class FleetRouter:
             cached_results=list(self._cached_results),
             shed_by_route=shed_by_unit,
             result_cache_stats=result_cache_stats,
-            batch_traces=self._batch_traces(),
+            batch_traces=batch_traces,
             epochs=self._epoch_report(),
             unit_info=unit_info)
-
-    def _batch_traces(self) -> dict[str, list[int]]:
-        """Per-route adaptive batch-size traces (empty on fixed routers)."""
-        return {}
 
     def _epoch_report(self) -> dict[str, dict]:
         """Per-relation epoch/staleness counters for :attr:`FleetStats.epochs`."""

@@ -1,4 +1,4 @@
-"""Async streaming submission and SLO-aware adaptive batching.
+"""Async streaming submission: one query in, one future out.
 
 This module is the *streaming* face of the serving stack.  Everything below
 it — :class:`~repro.serve.engine.EstimationEngine`,
@@ -13,20 +13,13 @@ through futures:
   dispatches (or immediately, on a result-cache hit).  Pure asyncio: the
   engines stay single-threaded and synchronous underneath, no OS threads are
   spawned, and producers coordinate through the event loop alone.
-* :class:`StreamingRouter` — a :class:`~repro.serve.router.FleetRouter` whose
-  per-relation micro-batch sizes are *adaptive*: an
-  :class:`AdaptiveBatchController` per replica group tracks a latency EWMA
-  and grows/shrinks the group's batch size within
-  ``[min_batch, batch_size]`` to keep the observed latency under a p95 SLO
-  (router-wide ``slo_ms``, overridable per relation via
-  :meth:`repro.serve.registry.ModelRegistry.register_table`'s ``slo_ms``).
-  The controller steers **end-to-end** latency by default
-  (``slo_scope="e2e"``: queueing delay plus dispatch — what a caller
-  observes); ``slo_scope="dispatch"`` restores the dispatch-only accounting
-  that lets a query sitting in a partially filled batch accrue unbounded,
-  unmeasured wait.  A flush deadline (``flush_after_ms``, router-wide or
-  per-relation) bounds that wait deterministically: ticks dispatch any batch
-  whose oldest query has exceeded it.
+* :func:`stream_workload` — the one-call bridge from a list-shaped workload
+  to that client, ticking flush deadlines inline.
+
+Latency control is the router's, not this module's: ``FleetRouter(...,
+slo_ms=...)`` steers each relation's micro-batch size against an end-to-end
+p95 SLO and ``flush_after_ms`` bounds how long a partially filled batch may
+linger — ticks dispatch any batch whose oldest query has exceeded it.
 
 Determinism is inherited, not re-implemented: every query's random stream is
 keyed by ``(seed, global submission index)`` alone, so **streaming ≡ batch
@@ -35,8 +28,7 @@ submit them in whatever order they happen to arrive — out-of-order, bursty,
 interleaved across tasks — and each query's estimate is identical (to float
 round-off) to what :meth:`FleetRouter.run` returns for the in-order workload,
 at any batch size and any replica count.  Adaptive batching preserves the
-same contract for free: batch boundaries never change the numbers, so the
-controller may retune them as aggressively as the SLO demands.
+same contract for free: batch boundaries never change the numbers.
 
 One deliberate exception, inherited from the result cache's documented
 semantics: with ``result_cache=True`` and a workload containing *exact
@@ -50,344 +42,17 @@ keep the full arrival-order guarantee.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 
 from ..query.predicates import Query
-from .router import AdmissionError, FleetReport, FleetRouter, ReplicaGroup, RoutedResult
-from .registry import ModelRegistry
+from .router import AdmissionError, FleetReport, FleetRouter, RoutedResult
 
-__all__ = ["AdaptiveBatchController", "StreamingRouter", "AsyncFleetClient",
-           "stream_workload"]
-
-
-class AdaptiveBatchController:
-    """AIMD controller keeping a replica group's batch latency under an SLO.
-
-    The controller watches every micro-batch dispatch of one relation's
-    replica group and maintains an exponentially weighted moving average
-    (EWMA) of the observed latency — the dispatch latency alone, or the
-    batch's worst end-to-end latency (queue wait + dispatch) when the
-    streaming router runs with ``slo_scope="e2e"``; the controller itself is
-    metric-agnostic.  Batch latency grows roughly linearly in
-    the batch's query count (the batched sampler stacks one code-matrix row
-    per sample path per query), so batch size is the control knob:
-
-    * **shrink** — when the EWMA exceeds the operating target
-      (``slo_ms * headroom``), the batch size is halved (multiplicative
-      decrease).  Sustained violation shrinks monotonically down to
-      ``min_batch``; it never grows while the target is exceeded.
-    * **grow** — when the EWMA sits below ``grow_below`` of the target, the
-      batch size is incremented (additive increase) up to ``max_batch``,
-      clawing back throughput once the burst has passed.
-
-    The ``headroom`` factor (default 0.8) is what turns a *mean* tracker into
-    a *p95* target: holding the average at 80% of the SLO leaves the tail
-    room to stay under it.  With ``slo_ms=None`` the controller is disabled
-    and behaves exactly like a fixed batch size (``observe`` still records
-    the trace, but never changes the size) — the "disabled ≡ fixed" contract
-    the unit tests pin down.
-
-    Parameters
-    ----------
-    slo_ms:
-        Target p95 dispatch latency in milliseconds; ``None`` disables
-        adaptation.
-    max_batch:
-        Upper clamp of the batch size (typically the router's configured
-        ``batch_size``); also the initial size unless ``initial`` is given.
-    min_batch:
-        Lower clamp (default 1 — a batch of one always remains admissible).
-    alpha:
-        EWMA smoothing coefficient in ``(0, 1]``; higher reacts faster.
-    headroom:
-        Fraction of the SLO the EWMA is steered to stay under.
-    grow_below:
-        Grow only while the EWMA is below this fraction of the operating
-        target, so the controller does not oscillate around it.
-    initial:
-        Starting batch size (defaults to ``max_batch``).
-    trace_limit:
-        Upper bound on the retained batch-size trace (a controller outlives
-        workload scopes, so an unbounded trace would grow — and bloat every
-        JSON report — for as long as the router serves).  The cumulative
-        ``shrinks``/``grows`` counters are never truncated.
-    """
-
-    def __init__(self, *, slo_ms: float | None = None, max_batch: int = 32,
-                 min_batch: int = 1, alpha: float = 0.3,
-                 headroom: float = 0.8, grow_below: float = 0.5,
-                 initial: int | None = None, trace_limit: int = 4096) -> None:
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if min_batch < 1:
-            raise ValueError("min_batch must be at least 1")
-        if max_batch < min_batch:
-            raise ValueError(f"max_batch ({max_batch}) must be >= min_batch "
-                             f"({min_batch})")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
-        if not 0.0 < grow_below < 1.0:
-            raise ValueError("grow_below must be in (0, 1)")
-        if trace_limit < 1:
-            raise ValueError("trace_limit must be at least 1")
-        self.slo_ms = slo_ms
-        self.min_batch = min_batch
-        self.max_batch = max_batch
-        self.alpha = alpha
-        self.headroom = headroom
-        self.grow_below = grow_below
-        self.batch_size = initial if initial is not None else max_batch
-        if not min_batch <= self.batch_size <= max_batch:
-            raise ValueError(f"initial batch size {self.batch_size} outside "
-                             f"[{min_batch}, {max_batch}]")
-        self.ewma_ms: float | None = None
-        #: Batch-size decision after every observed dispatch (element 0 is
-        #: the initial size until ``trace_limit`` truncates the oldest
-        #: entries).  Lifetime of the controller, like cache counters — it
-        #: is not reset per workload scope, only bounded; per-scope reports
-        #: slice it (see :meth:`StreamingRouter._batch_traces`).
-        self.trace: deque[int] = deque([self.batch_size], maxlen=trace_limit)
-        #: Total dispatches ever observed (never truncated, unlike ``trace``).
-        self.observations = 0
-        self.shrinks = 0
-        self.grows = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the controller adapts at all (``False`` = fixed batch)."""
-        return self.slo_ms is not None
-
-    @property
-    def target_ms(self) -> float | None:
-        """The EWMA operating ceiling: ``slo_ms * headroom`` (``None`` off)."""
-        return self.slo_ms * self.headroom if self.slo_ms is not None else None
-
-    def observe(self, latency_ms: float) -> int:
-        """Fold one observed latency into the EWMA; returns the new batch size.
-
-        Args:
-            latency_ms: Observed latency of the dispatched micro-batch — the
-                dispatch time, or the batch's worst end-to-end latency under
-                e2e scoping.
-
-        Returns:
-            The batch size every engine of the group should use for its next
-            micro-batch (unchanged when the controller is disabled).
-        """
-        self.observations += 1
-        if self.ewma_ms is None:
-            self.ewma_ms = float(latency_ms)
-        else:
-            self.ewma_ms = (self.alpha * float(latency_ms)
-                            + (1.0 - self.alpha) * self.ewma_ms)
-        if self.enabled:
-            target = self.target_ms
-            if self.ewma_ms > target:
-                shrunk = max(self.min_batch, self.batch_size // 2)
-                if shrunk < self.batch_size:
-                    self.batch_size = shrunk
-                    self.shrinks += 1
-            elif (self.ewma_ms < self.grow_below * target
-                  and self.batch_size < self.max_batch):
-                self.batch_size += 1
-                self.grows += 1
-        self.trace.append(self.batch_size)
-        return self.batch_size
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot of the controller, ready for JSON reports."""
-        return {
-            "slo_ms": self.slo_ms,
-            "ewma_ms": self.ewma_ms,
-            "batch_size": self.batch_size,
-            "min_batch": self.min_batch,
-            "max_batch": self.max_batch,
-            "observations": self.observations,
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-            "trace": list(self.trace),
-        }
-
-    def __repr__(self) -> str:
-        slo = f"{self.slo_ms:.1f}ms" if self.slo_ms is not None else "off"
-        return (f"AdaptiveBatchController(slo={slo}, batch={self.batch_size} "
-                f"in [{self.min_batch}, {self.max_batch}])")
-
-
-class StreamingRouter(FleetRouter):
-    """A fleet router whose per-relation micro-batch sizes chase a latency SLO.
-
-    Identical to :class:`~repro.serve.router.FleetRouter` in everything that
-    determines *what* is answered — routing, replica hashing, admission
-    control, caching, the ``(seed, global index)`` random-stream keying — and
-    different only in *when* micro-batches dispatch: each replica group gets
-    one :class:`AdaptiveBatchController` (shared by its replicas, so the
-    whole relation converges on one batch size) that observes every dispatch
-    through the engines' ``batch_hook`` and retunes the group's batch size
-    within ``[min_batch, batch_size]``.
-
-    The effective SLO of a relation is its registry-level ``slo_ms`` when
-    set (see :meth:`~repro.serve.registry.ModelRegistry.register_table`),
-    falling back to the router-wide ``slo_ms``; a relation with neither is
-    served at the fixed configured batch size.  Controllers — like the
-    conditional caches — live for the router's lifetime and carry their
-    learned batch size across workload scopes.
-
-    Parameters
-    ----------
-    registry:
-        The model fleet (as for :class:`~repro.serve.router.FleetRouter`).
-    slo_ms:
-        Router-wide target p95 latency in milliseconds (measured per
-        ``slo_scope``); ``None`` defers entirely to per-relation SLOs.
-    adaptive:
-        ``True`` forces adaptation on (relations without any SLO stay
-        fixed), ``False`` disables it everywhere (the router then behaves
-        exactly like a plain fleet router — the baseline mode of the
-        ``serve_stream`` benchmark), and ``None`` (default) enables it
-        exactly where an SLO exists.
-    slo_scope:
-        What latency the SLO is stated against.  ``"e2e"`` (default) feeds
-        each controller the batch's worst **end-to-end** latency — the
-        oldest query's queueing delay plus the dispatch — so the SLO covers
-        what a submitter actually waits; ``"dispatch"`` feeds the dispatch
-        latency alone (the pre-fix accounting, kept for comparison: it lets
-        queueing delay in partially filled batches go unsteered).
-    min_batch:
-        Lower clamp of every controller (default 1).
-    ewma_alpha / headroom / grow_below:
-        Controller tuning, see :class:`AdaptiveBatchController`.
-    **router_kwargs:
-        Everything :class:`~repro.serve.router.FleetRouter` accepts
-        (``batch_size`` doubles as each controller's ``max_batch``;
-        ``flush_after_ms`` bounds queueing delay, which e2e scoping makes
-        visible).
-    """
-
-    #: Valid ``slo_scope`` values.
-    SLO_SCOPES = ("dispatch", "e2e")
-
-    def __init__(self, registry: ModelRegistry, *, slo_ms: float | None = None,
-                 adaptive: bool | None = None, slo_scope: str = "e2e",
-                 min_batch: int = 1,
-                 ewma_alpha: float = 0.3, headroom: float = 0.8,
-                 grow_below: float = 0.5, **router_kwargs) -> None:
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if slo_scope not in self.SLO_SCOPES:
-            raise ValueError(f"slo_scope must be one of {self.SLO_SCOPES}, "
-                             f"got {slo_scope!r}")
-        super().__init__(registry, **router_kwargs)
-        if min_batch < 1 or min_batch > self.batch_size:
-            raise ValueError(f"min_batch must be in [1, {self.batch_size}], "
-                             f"got {min_batch}")
-        self.slo_ms = slo_ms
-        self.adaptive = adaptive
-        self.slo_scope = slo_scope
-        self.min_batch = min_batch
-        self.ewma_alpha = ewma_alpha
-        self.headroom = headroom
-        self.grow_below = grow_below
-        # Fail fast on bad tuning: the controller's constructor is the one
-        # source of truth for the knob invariants, so probe it now instead of
-        # letting the first routed query crash mid-serve.
-        AdaptiveBatchController(slo_ms=slo_ms, max_batch=self.batch_size,
-                                min_batch=min_batch, alpha=ewma_alpha,
-                                headroom=headroom, grow_below=grow_below)
-        self._controllers: dict[str, AdaptiveBatchController] = {}
-        #: Route -> controller.observations at the current scope's start;
-        #: lets reports slice the lifetime trace down to this scope.
-        self._scope_marks: dict[str, int] = {}
-
-    def effective_slo(self, route: str) -> float | None:
-        """The SLO a route's controller targets: registry override, then router."""
-        registry_slo = self.registry.slo_ms(route)
-        return registry_slo if registry_slo is not None else self.slo_ms
-
-    def controller(self, route: str) -> AdaptiveBatchController:
-        """The adaptive controller of one route (materialised with its group)."""
-        self.group(route)
-        return self._controllers[route]
-
-    def _group_created(self, route: str, group: ReplicaGroup) -> None:
-        """Attach one shared controller to the freshly materialised group.
-
-        A route rebuilt after an epoch bump (see
-        :meth:`repro.serve.router.FleetRouter._begin_scope`) keeps the
-        controller it already converged — a data refresh invalidates cached
-        *answers*, not the learned batch size — so only the hook is re-wired
-        onto the new engines, which also start at the converged size.
-        """
-        controller = self._controllers.get(route)
-        if controller is None:
-            # adaptive=False freezes every controller; adaptive=None/True
-            # leave it to the SLO (no SLO anywhere -> disabled controller,
-            # fixed batch).
-            slo = self.effective_slo(route)
-            if self.adaptive is False:
-                slo = None
-            controller = AdaptiveBatchController(
-                slo_ms=slo, max_batch=self.batch_size, min_batch=self.min_batch,
-                alpha=self.ewma_alpha, headroom=self.headroom,
-                grow_below=self.grow_below)
-            self._controllers[route] = controller
-            self._scope_marks[route] = controller.observations
-        else:
-            for engine in group.engines:
-                engine.batch_size = controller.batch_size
-
-        def hook(record, group=group, controller=controller):
-            # e2e scope steers on the batch's worst submission-to-result
-            # latency, so queueing delay in partially filled batches shrinks
-            # the batch size exactly like slow dispatches do.
-            observed = (record.max_e2e_ms if self.slo_scope == "e2e"
-                        else record.latency_ms)
-            size = controller.observe(observed)
-            for engine in group.engines:
-                engine.batch_size = size
-
-        for engine in group.engines:
-            engine.batch_hook = hook
-
-    def _begin_scope(self) -> None:
-        """Start a fresh scope; mark where each controller's trace stands.
-
-        Controllers themselves are lifetime state (like the caches): the
-        converged batch size carries over.  The marks make each scope's
-        report slice the trace to its own dispatches.
-        """
-        super()._begin_scope()
-        for route, controller in self._controllers.items():
-            self._scope_marks[route] = controller.observations
-
-    def _batch_traces(self) -> dict[str, list[int]]:
-        """Every materialised route's batch-size trace for the current scope.
-
-        Element 0 is the batch size in force when the scope began (the
-        configured maximum on a fresh router, the converged size on a warm
-        one), followed by one entry per dispatch observed this scope — so
-        ``len(trace) - 1`` equals the scope's dispatch count, up to
-        ``trace_limit`` truncation.
-        """
-        traces: dict[str, list[int]] = {}
-        for route, controller in self._controllers.items():
-            since_mark = controller.observations - self._scope_marks.get(route, 0)
-            lifetime = list(controller.trace)
-            traces[route] = lifetime[max(0, len(lifetime) - since_mark - 1):]
-        return traces
-
-    def controllers_report(self) -> dict[str, dict]:
-        """Per-route controller snapshots (EWMA, bounds, shrink/grow counts)."""
-        return {route: controller.as_dict()
-                for route, controller in self._controllers.items()}
+__all__ = ["AsyncFleetClient", "stream_workload"]
 
 
 class AsyncFleetClient:
     """Asynchronous streaming frontend: submit one query, await its result.
 
-    The client layers futures over a (streaming or plain) fleet router.  The
+    The client layers futures over a fleet router.  The
     engines underneath stay synchronous and single-threaded — resolution
     happens inline, on whichever ``submit()`` or ``flush()`` call causes a
     micro-batch to dispatch — so there are no OS threads, no locks and no
@@ -424,8 +89,8 @@ class AsyncFleetClient:
     Parameters
     ----------
     router:
-        The :class:`~repro.serve.router.FleetRouter` (or
-        :class:`StreamingRouter`) to stream into.  The client chains onto
+        The :class:`~repro.serve.router.FleetRouter` to stream into.  The
+        client chains onto
         the router's ``on_result`` observer; any previously installed
         observer keeps firing first.
     flush_driver:
@@ -813,7 +478,7 @@ def stream_workload(router: FleetRouter, queries: list[Query], *,
     byte-stable batch boundaries, run after run.
 
     Args:
-        router: The fleet router (or streaming router) to serve through.
+        router: The fleet router to serve through.
         queries: The workload; element ``i`` is submitted with index ``i``.
         arrival_order: Permutation of ``range(len(queries))`` giving the
             order in which queries *arrive*; ``None`` = in order.

@@ -2,7 +2,8 @@
 
 A workload file is a small JSON document holding the queries produced by
 :mod:`repro.query.generator` (or written by hand), so a serving run can be
-replayed bit-for-bit later or on another machine.  Two formats are understood:
+replayed bit-for-bit later or on another machine.  Three versions are read;
+only the newest is written:
 
 * **Version 1** (single relation) stores each query as a bare predicate
   list; an optional document-level ``"table"`` records which relation the
@@ -32,14 +33,12 @@ replayed bit-for-bit later or on another machine.  Two formats are understood:
         ]
       }
 
-* **Version 3** (query shapes) extends the version-2 object form with
-  disjunctive queries: a :class:`~repro.query.predicates.DNFQuery`
-  serialises as an object with a ``"branches"`` list (one predicate list
-  per conjunctive branch) instead of ``"predicates"``.  ``LIKE`` prefix
-  predicates need no structural change — they are ordinary
-  ``[column, "like", "prefix%"]`` triples — but their presence also
-  promotes a file to version 3, so older readers fail loudly on a format
-  they cannot replay rather than silently mis-parsing it::
+* **Version 3** (query shapes, the one :func:`save_workload` writes)
+  extends the version-2 object form with disjunctive queries: a
+  :class:`~repro.query.predicates.DNFQuery` serialises as an object with a
+  ``"branches"`` list (one predicate list per conjunctive branch) instead of
+  ``"predicates"``.  ``LIKE`` prefix predicates need no structural change —
+  they are ordinary ``[column, "like", "prefix%"]`` triples::
 
       {
         "version": 3,
@@ -51,11 +50,10 @@ replayed bit-for-bit later or on another machine.  Two formats are understood:
         ]
       }
 
-:func:`save_workload` writes version 1 when no query carries a qualifier
-(bit-identical to the files older releases wrote), version 2 when queries
-are qualified, and version 3 only when a disjunction or a ``LIKE`` appears;
-:func:`load_workload` reads all three.  Values are stored as plain JSON
-scalars; ``IN`` predicates store a canonically sorted list of values (so
+:func:`save_workload` always writes the object form under version 3 (an
+unqualified query simply omits ``"table"``); :func:`load_workload` reads all
+three, so files written by older releases keep replaying.  Values are stored
+as plain JSON scalars; ``IN`` predicates store a canonically sorted list of values (so
 equal queries serialise byte-identically regardless of the set iteration
 order they were built with) and ``BETWEEN`` predicates store a two-element
 ``[low, high]`` list.
@@ -77,9 +75,9 @@ __all__ = ["save_workload", "load_workload", "queries_to_specs",
            "specs_to_queries", "generate_mixed_workload",
            "generate_bursty_workload", "generate_shape_workload"]
 
-_FORMAT_VERSION = 1
-_MULTI_FORMAT_VERSION = 2
-_SHAPE_FORMAT_VERSION = 3
+#: The version :func:`save_workload` writes; :func:`load_workload` reads
+#: every version up to it.
+_CURRENT_VERSION = 3
 
 
 def _json_value(value: object) -> object:
@@ -106,27 +104,21 @@ def _predicate_specs(query: Query) -> list[list]:
 
 
 def queries_to_specs(queries: list["Query | DNFQuery"]) -> list:
-    """Plain-data representation of a list of queries.
+    """Plain-data representation of a list of queries (the object form).
 
-    Unqualified conjunctive queries serialise to the version-1
-    predicate-list form; a query with a ``table`` qualifier serialises to
-    the version-2 object form; a :class:`DNFQuery` serialises to the
-    version-3 ``"branches"`` object form.
+    Every query serialises to an object: ``"table"`` when it carries a
+    qualifier, then ``"predicates"`` for a conjunction or ``"branches"``
+    (one predicate list per branch) for a :class:`DNFQuery`.
     """
     specs = []
     for query in queries:
+        spec = {} if query.table is None else {"table": query.table}
         if isinstance(query, DNFQuery):
-            spec = {}
-            if query.table is not None:
-                spec["table"] = query.table
             spec["branches"] = [_predicate_specs(branch)
                                 for branch in query.branches]
-            specs.append(spec)
-        elif query.table is not None:
-            specs.append({"table": query.table,
-                          "predicates": _predicate_specs(query)})
         else:
-            specs.append(_predicate_specs(query))
+            spec["predicates"] = _predicate_specs(query)
+        specs.append(spec)
     return specs
 
 
@@ -415,26 +407,11 @@ def save_workload(path: str, queries: list["Query | DNFQuery"],
                   table_name: str | None = None) -> None:
     """Write a workload file that :func:`load_workload` can replay.
 
-    ``table_name`` records the default relation of the workload.  The file is
-    written in the version-1 single-relation format unless at least one query
-    carries its own ``table`` qualifier (version 2) or uses the widened query
-    language — a disjunction or a ``LIKE`` prefix — which promotes the file
-    to version 3.  Workloads older releases could write therefore keep their
-    old version numbers byte for byte.
+    ``table_name`` records the default relation of the workload: on load it
+    qualifies every query that carries no ``table`` of its own.
     """
-    shaped = any(
-        isinstance(query, DNFQuery)
-        or any(predicate.operator is Operator.LIKE for predicate in query)
-        for query in queries)
-    multi = any(query.table is not None for query in queries)
-    if shaped:
-        version = _SHAPE_FORMAT_VERSION
-    elif multi:
-        version = _MULTI_FORMAT_VERSION
-    else:
-        version = _FORMAT_VERSION
     document = {
-        "version": version,
+        "version": _CURRENT_VERSION,
         "table": table_name,
         "queries": queries_to_specs(queries),
     }
@@ -453,25 +430,23 @@ def load_workload(path: str, expected_table: str | None = None) -> list[Query]:
     expected_table:
         When given and the file records the table it was generated against,
         a mismatch raises ``ValueError`` instead of letting the queries fail
-        (or silently estimate) against the wrong relation.  Version-2 files
-        may still qualify individual queries with other relations; the check
-        covers the document-level default only.
+        (or silently estimate) against the wrong relation.  Individual
+        queries may still be qualified with other relations; the check covers
+        the document-level default only.
 
     Returns
     -------
     list[Query]
-        Queries qualified with their recorded table: per-query qualifiers in
-        version-2 files, falling back to the document-level ``"table"`` in
-        both formats (``None`` when the file records no table at all).  The
-        qualifier is ignored by single-model serving and lets a
-        :class:`repro.serve.FleetRouter` replay any workload file against
-        the right relation.
+        Queries qualified with their recorded table: the per-query
+        qualifier where the spec carries one, falling back to the
+        document-level ``"table"`` (``None`` when the file records no table
+        at all), which lets a :class:`repro.serve.FleetRouter` replay any
+        workload file against the right relation.
     """
     with open(path) as handle:
         document = json.load(handle)
     version = document.get("version")
-    if version not in (_FORMAT_VERSION, _MULTI_FORMAT_VERSION,
-                       _SHAPE_FORMAT_VERSION):
+    if version not in range(1, _CURRENT_VERSION + 1):
         raise ValueError(f"unsupported workload file version {version!r}")
     recorded = document.get("table")
     if expected_table is not None and recorded is not None \

@@ -5,7 +5,10 @@ makes the promise enforceable.  For each markdown file, every ` ```python `
 fenced block is extracted and executed top-to-bottom in one shared namespace
 (so later blocks may build on earlier ones, like a narrative), inside a
 temporary working directory (so snippets that write files cannot dirty the
-repo).  Shell/text blocks are documentation only and are not executed.
+repo).  Shell/text blocks are documentation only and are not executed —
+except that every ``python -m repro.serve ...`` line quoted anywhere in the
+README, the serving/operations pages or the CLI's own module docstring must
+still *parse* (nothing is served), so a removed or renamed flag cannot linger.
 
 A failing block reports the file, the block's ordinal and the offending
 source, so a doc rotting against an API change fails loudly and points at
@@ -17,10 +20,12 @@ from __future__ import annotations
 import importlib
 import os
 import re
+import shlex
 
 import pytest
 
 DOCS_DIR = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "docs"))
+REPO_DIR = os.path.dirname(DOCS_DIR)
 
 #: ```python ... ``` fences (tilde fences are not used in this repo's docs).
 _PYTHON_FENCE = re.compile(r"^```python[ \t]*\n(.*?)^```[ \t]*$",
@@ -86,3 +91,34 @@ def test_module_map_names_exist():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (f"docs/architecture.md lists {missing} under "
                              f"repro/serve/{stem}.py, which has no such names")
+
+
+#: Where ``python -m repro.serve`` invocations are quoted for users.
+_CLI_SOURCES = ("README.md", "docs/serving.md", "docs/operations.md",
+                "src/repro/serve/__main__.py")
+
+
+def extract_serve_commands(text: str) -> list[str]:
+    """The argument string of every ``python -m repro.serve`` line in ``text``,
+    with backslash-continued lines joined."""
+    joined = re.sub(r"\\\n", " ", text)
+    return [match.group(1) for match in
+            re.finditer(r"^[ \t]*python -m repro\.serve\b(.*)$", joined,
+                        re.MULTILINE)]
+
+
+@pytest.mark.parametrize("source", _CLI_SOURCES)
+def test_documented_serve_commands_parse(source, capsys):
+    """Every quoted CLI line is accepted by the current argument parser."""
+    from repro.serve.__main__ import build_parser
+
+    with open(os.path.join(REPO_DIR, source)) as handle:
+        commands = extract_serve_commands(handle.read())
+    assert commands, f"{source} quotes no `python -m repro.serve` line"
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True))
+        except SystemExit:
+            pytest.fail(f"{source} documents `python -m repro.serve{command}`, "
+                        f"which no longer parses: "
+                        f"{capsys.readouterr().err.strip().splitlines()[-1]}")

@@ -164,13 +164,7 @@ class TestShapedWorkloadFiles:
         save_workload(path, queries)
         return path, load_workload(path)
 
-    def test_conjunctive_workload_stays_version_1(self, tmp_path):
-        queries = [Query([Predicate("year", Operator.GE, 2017)])]
-        path, loaded = self._roundtrip(tmp_path, queries)
-        assert '"version": 1' in path.read_text()
-        assert str(loaded[0]) == str(queries[0])
-
-    def test_like_forces_version_3(self, tmp_path):
+    def test_like_roundtrip(self, tmp_path):
         queries = [Query([Predicate("city", Operator.LIKE, "S%")])]
         path, loaded = self._roundtrip(tmp_path, queries)
         assert '"version": 3' in path.read_text()

@@ -247,33 +247,51 @@ class TestWorkloadFiles:
         with pytest.raises(ValueError):
             load_workload(path)
 
-    def test_unqualified_workloads_keep_version_1(self, workload, tmp_path):
-        """Files without table qualifiers stay bit-compatible with PR 1."""
-        path = os.path.join(tmp_path, "workload.json")
+    def test_reads_legacy_versions_writes_current(self, workload, tmp_path):
+        """Nothing writes versions 1 and 2 any more, so literal fixtures pin
+        that files written by older releases keep replaying."""
+        path = os.path.join(tmp_path, "legacy.json")
+        v1 = {"version": 1, "table": "serve", "queries": [
+            [["a", "<=", 4], ["b", "=", "b_0"]],
+            [["a", "between", [2, 9]], ["b", "in", ["b_0", "b_2"]]]]}
+        with open(path, "w") as handle:
+            json.dump(v1, handle)
+        loaded = load_workload(path)
+        # The recorded table becomes each query's qualifier on load, so a
+        # fleet router can replay single-relation files against the right route.
+        assert [query.table for query in loaded] == ["serve", "serve"]
+        assert [(p.column, p.operator, p.value) for p in loaded[1]] == [
+            ("a", Operator.BETWEEN, (2, 9)), ("b", Operator.IN, ["b_0", "b_2"])]
+        with open(path, "w") as handle:
+            json.dump({**v1, "table": None}, handle)
+        assert all(query.table is None for query in load_workload(path))
+        v2 = {"version": 2, "table": "serve", "queries": [
+            {"table": "other_relation", "predicates": [["a", "<=", 4]]},
+            {"predicates": [["c", "!=", 5]]}]}  # falls back to the default
+        with open(path, "w") as handle:
+            json.dump(v2, handle)
+        loaded = load_workload(path)
+        assert [query.table for query in loaded] == ["other_relation", "serve"]
+        assert loaded[1].predicates[0].operator is Operator.NEQ
+        # The writer emits one form: objects, under the current version.
         save_workload(path, workload[:3], table_name="serve")
         with open(path) as handle:
             document = json.load(handle)
-        assert document["version"] == 1
-        assert all(isinstance(spec, list) for spec in document["queries"])
-        # The recorded table becomes each query's qualifier on load, so a
-        # fleet router can replay single-model files against the right route.
+        assert document["version"] == 3
+        assert all(set(spec) == {"predicates"} for spec in document["queries"])
         assert all(query.table == "serve" for query in load_workload(path))
-        with open(path, "w") as handle:
-            json.dump({"version": 1, "table": None,
-                       "queries": document["queries"]}, handle)
-        assert all(query.table is None for query in load_workload(path))
 
     def test_qualified_roundtrip_preserves_tables(self, workload, tmp_path):
         path = os.path.join(tmp_path, "mixed.json")
         mixed = [workload[0].qualified("serve"),
-                 workload[1],                       # unqualified in a v2 file
+                 workload[1],                       # unqualified among qualified
                  Query([Predicate("a", Operator.BETWEEN, (2, 9)),
                         Predicate("b", Operator.IN, ["b_0", "b_2"])],
                        table="other_relation")]
         save_workload(path, mixed, table_name="serve")
         with open(path) as handle:
             document = json.load(handle)
-        assert document["version"] == 2
+        assert document["version"] == 3
         loaded = load_workload(path)
         assert loaded[0].table == "serve"
         # The unqualified query inherits the document-level default table.
@@ -291,7 +309,8 @@ class TestWorkloadFiles:
         assert loaded[0].table == "serve"
         assert loaded[1].table is None
 
-    def test_expected_table_checks_v2_default(self, workload, tmp_path):
+    def test_expected_table_checks_default_of_qualified_file(self, workload,
+                                                             tmp_path):
         path = os.path.join(tmp_path, "mixed.json")
         save_workload(path, [workload[0].qualified("serve")], table_name="serve")
         with pytest.raises(ValueError, match="generated against table"):
@@ -312,7 +331,8 @@ class TestServeCLI:
         assert exit_code == 0
         with open(report_path) as handle:
             report = json.load(handle)
-        assert report["engine"]["num_queries"] == 6
+        assert report["fleet"]["num_queries"] == 6
+        assert report["routes"] == ["census"] * 6
         assert len(report["estimates"]) == 6
         assert len(report["q_errors"]) == 6
 
@@ -324,8 +344,10 @@ class TestServeCLI:
         assert replay_code == 0
         with open(report_path) as handle:
             replay = json.load(handle)
-        assert replay["engine"]["cache"] is None
+        assert replay["fleet"]["routes"]["census"]["cache"] is None
         assert replay["max_estimate_drift"] <= 1e-9
+        # Replay determinism: cache and batch size changed, estimates did not.
+        assert replay["estimates"] == report["estimates"]
 
     def test_multi_model_end_to_end_with_replay(self, tmp_path):
         workload_path = os.path.join(tmp_path, "mixed.json")
@@ -361,9 +383,10 @@ class TestServeCLI:
         assert replay["estimates"] == report["estimates"]
         assert replay["routes"] == report["routes"]
 
-    def test_join_without_tables_rejected(self):
-        with pytest.raises(SystemExit, match="--join requires --tables"):
-            serve_main(["--join", "a:b:k:k"])
+    def test_join_over_unregistered_relation_rejected(self):
+        with pytest.raises(SystemExit, match="cannot register join 'a:b:k:k'.*"
+                                             "'a' is not registered"):
+            serve_main(["--rows", "200", "--join", "a:b:k:k"])
 
     def test_replicated_end_to_end(self, tmp_path):
         report_path = os.path.join(tmp_path, "replicated.json")
@@ -402,15 +425,7 @@ class TestServeCLI:
         assert report["fleet"]["shed"] > 0
         assert "speedup" not in report
 
-    def test_fleet_flags_require_tables(self):
-        with pytest.raises(SystemExit, match="--replicas.*--tables"):
-            serve_main(["--replicas", "2"])
-        with pytest.raises(SystemExit, match="--max-pending.*--tables"):
-            serve_main(["--max-pending", "4"])
-        with pytest.raises(SystemExit, match="--result-cache.*--tables"):
-            serve_main(["--result-cache"])
-        with pytest.raises(SystemExit, match="--overflow.*--tables"):
-            serve_main(["--overflow", "shed"])
+    def test_fleet_flags_validated(self):
         with pytest.raises(SystemExit, match="at least 1"):
             serve_main(["--tables", "users", "--replicas", "0"])
         with pytest.raises(SystemExit, match="non-negative"):
@@ -418,33 +433,9 @@ class TestServeCLI:
         with pytest.raises(SystemExit, match="shed requires --max-pending"):
             serve_main(["--tables", "users", "--overflow", "shed"])
 
-    def test_streaming_flags_require_tables_and_slo(self):
-        with pytest.raises(SystemExit, match="--stream.*--tables"):
-            serve_main(["--stream"])
-        with pytest.raises(SystemExit, match="--adaptive.*--tables"):
-            serve_main(["--adaptive"])
-        with pytest.raises(SystemExit, match="--slo-ms.*--tables"):
-            serve_main(["--slo-ms", "50"])
-        with pytest.raises(SystemExit, match="--slo-scope.*--tables"):
-            serve_main(["--slo-scope", "dispatch"])
-        with pytest.raises(SystemExit, match="--flush-after-ms.*--tables"):
-            serve_main(["--flush-after-ms", "20"])
-        with pytest.raises(SystemExit, match="--min-batch.*--tables"):
-            serve_main(["--min-batch", "2"])
-        with pytest.raises(SystemExit, match="--adaptive requires --slo-ms"):
-            serve_main(["--tables", "users", "--adaptive"])
-        with pytest.raises(SystemExit, match="without --adaptive"):
-            serve_main(["--tables", "users", "--slo-ms", "50"])
-        # --slo-scope / --min-batch steer the adaptive controller only:
-        # silently ignoring them would let the user believe they applied.
-        with pytest.raises(SystemExit, match="--slo-scope does nothing"):
-            serve_main(["--tables", "users", "--slo-scope", "dispatch"])
-        with pytest.raises(SystemExit, match="--min-batch does nothing"):
-            serve_main(["--tables", "users", "--min-batch", "2"])
-
     def test_latency_knobs_validated(self):
-        """--slo-ms, --flush-after-ms and --min-batch fail fast with a clear
-        one-line error instead of being accepted and misbehaving downstream."""
+        """--slo-ms and --flush-after-ms fail fast with a clear one-line
+        error instead of being accepted and misbehaving downstream."""
         with pytest.raises(SystemExit, match="--slo-ms must be positive"):
             serve_main(["--tables", "users", "--slo-ms", "-5"])
         with pytest.raises(SystemExit, match="--slo-ms must be positive"):
@@ -455,16 +446,53 @@ class TestServeCLI:
         with pytest.raises(SystemExit,
                            match="--flush-after-ms must be positive"):
             serve_main(["--tables", "users", "--flush-after-ms", "-2"])
-        with pytest.raises(SystemExit, match="--min-batch must be at least 1"):
-            serve_main(["--tables", "users", "--min-batch", "0"])
-        with pytest.raises(SystemExit,
-                           match=r"--min-batch \(9\) must not exceed "
-                                 r"--batch-size \(4\)"):
-            serve_main(["--tables", "users", "--min-batch", "9",
-                        "--batch-size", "4"])
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--num-queries", "0", "--arrivals", "poisson", "--offered-qps", "50",
+          "--scenario", "slow_replica"], "--arrivals needs at least one query"),
+        (["--num-queries", "-3"], "--num-queries must be at least 0, got -3"),
+        (["--samples", "0"], "--samples must be at least 1, got 0"),
+        (["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
+        (["--min-filters", "9", "--max-filters", "2"],
+         r"--max-filters \(2\) must not be below --min-filters \(9\)"),
+    ], ids=["no-queries-open-loop", "negative-queries", "no-samples",
+            "no-batch", "filters-crossed"])
+    def test_bad_numeric_flags_exit_in_one_line(self, flags, message):
+        """Each of these used to escape as an IndexError/ValueError traceback
+        (``--batch-size 0`` was caught only by the deleted --min-batch check)."""
+        with pytest.raises(SystemExit, match=message):
+            serve_main(["--tables", "users", "--rows", "200", "--epochs", "1",
+                        *flags])
+
+    def test_unservable_replayed_workloads_exit_in_one_line(self, tmp_path):
+        """A workload that is empty (under --arrivals), was recorded for
+        another table, or filters on columns its relation lacks."""
+        path = os.path.join(tmp_path, "workload.json")
+        base = ["--tables", "users", "--rows", "200", "--epochs", "1",
+                "--workload", path]
+
+        def replay(document, *flags):
+            with open(path, "w") as handle:
+                json.dump({"version": 3, **document}, handle)
+            serve_main([*base, *flags])
+
+        for flags in (["--arrivals", "poisson", "--offered-qps", "50"],
+                      ["--arrivals", "poisson", "--offered-qps", "50",
+                       "--compare-sequential"]):
+            with pytest.raises(SystemExit,
+                               match="--arrivals needs at least one query"):
+                replay({"table": None, "queries": []}, *flags)
+        with pytest.raises(SystemExit, match="targets relations not in this "
+                                             "registry: census"):
+            replay({"table": "census",
+                    "queries": [{"predicates": [["age", "<=", 40]]}]})
+        with pytest.raises(SystemExit, match="references columns missing from "
+                                             "their relation: users.nope"):
+            replay({"table": None,
+                    "queries": [{"predicates": [["nope", "=", 1]]}]})
 
     def test_stream_adaptive_end_to_end(self, tmp_path, capsys):
-        """--stream --adaptive serves the workload through the asyncio client
+        """--stream --slo-ms serves the workload through the asyncio client
         with SLO-steered batch sizes and reports latency percentiles plus the
         per-route batch trace."""
         report_path = os.path.join(tmp_path, "stream.json")
@@ -472,7 +500,7 @@ class TestServeCLI:
             "--tables", "users", "sessions",
             "--rows", "400", "--num-queries", "8", "--epochs", "1",
             "--samples", "40", "--batch-size", "4", "--seed", "5",
-            "--stream", "--adaptive", "--slo-ms", "0.01",
+            "--stream", "--slo-ms", "0.01",
             "--json", report_path,
         ])
         assert exit_code == 0
@@ -490,17 +518,16 @@ class TestServeCLI:
             # The impossibly tight SLO forces every controller to shrink.
             assert min(trace) < 4
 
-    def test_flush_timeout_and_e2e_scope_end_to_end(self, tmp_path, capsys):
-        """--flush-after-ms / --slo-scope / --min-batch flow through to the
-        streaming router, and the report carries the queueing-delay and
-        end-to-end percentiles alongside the dispatch ones."""
+    def test_flush_timeout_and_slo_end_to_end(self, tmp_path, capsys):
+        """--flush-after-ms / --slo-ms flow through to the router, and the
+        report carries the queueing-delay and end-to-end percentiles
+        alongside the dispatch ones."""
         report_path = os.path.join(tmp_path, "e2e.json")
         exit_code = serve_main([
             "--tables", "users", "sessions",
             "--rows", "400", "--num-queries", "8", "--epochs", "1",
             "--samples", "40", "--batch-size", "4", "--seed", "5",
-            "--stream", "--adaptive", "--slo-ms", "500",
-            "--slo-scope", "e2e", "--flush-after-ms", "30", "--min-batch", "2",
+            "--stream", "--slo-ms", "500", "--flush-after-ms", "30",
             "--json", report_path,
         ])
         assert exit_code == 0
@@ -520,6 +547,24 @@ class TestServeCLI:
             assert {"p50", "p95", "p99"} == set(route_stats["e2e_ms"])
             assert route_stats["e2e_ms"]["p95"] >= \
                 route_stats["latency_ms"]["p95"] - 1e-9
+
+    def test_slo_across_workers_matches_in_process_run(self, tmp_path):
+        """--slo-ms combines with --workers (it used to be refused there):
+        worker replies steer the batch size in the parent, and the estimates
+        are the in-process run's."""
+        estimates = {}
+        for workers in ("0", "2"):
+            path = os.path.join(tmp_path, f"workers{workers}.json")
+            assert serve_main([
+                "--tables", "users", "--rows", "400", "--num-queries", "8",
+                "--epochs", "1", "--samples", "40", "--batch-size", "4",
+                "--seed", "5", "--workers", workers, "--slo-ms", "50",
+                "--json", path]) == 0
+            with open(path) as handle:
+                report = json.load(handle)
+            estimates[workers] = report["estimates"]
+            assert report["fleet"]["routes"]["users"]["batch_trace"][0] == 4
+        assert estimates["2"] == estimates["0"]
 
     def test_stream_without_adaptive_matches_batched_run(self, tmp_path):
         """--stream alone changes the submission path, never the estimates."""
@@ -543,21 +588,13 @@ class TestOpenLoopCLI:
     validation matrix plus the generate -> save-trace -> replay-with-chaos
     round trip and the kill_worker drill."""
 
-    def test_open_loop_flags_require_tables(self):
-        for flags in (["--arrivals", "poisson"], ["--offered-qps", "10"],
-                      ["--duration-s", "1"], ["--trace-file", "t.json"],
-                      ["--save-trace", "t.json"],
-                      ["--scenario", "cache_wipe"]):
-            with pytest.raises(SystemExit, match=r"require\(s\) --tables"):
-                serve_main(flags)
-
     def test_open_loop_flag_combinations_validated(self):
         base = ["--tables", "users"]
-        # What --workers still refuses: the asyncio client, adaptive
-        # batching and open-loop pacing.  (Result cache, admission, fallback
-        # and shaped workloads work across processes now.)
+        # What --workers still refuses: the asyncio client and open-loop
+        # pacing.  (Result cache, admission, fallback, shaped workloads and
+        # SLO-adaptive batching work across processes now.)
         for flags in (["--arrivals", "poisson", "--offered-qps", "10"],
-                      ["--stream"], ["--adaptive", "--slo-ms", "50"]):
+                      ["--stream"]):
             with pytest.raises(SystemExit,
                                match=f"{flags[0]} and --workers are mutually "
                                      "exclusive"):

@@ -26,7 +26,6 @@ from repro.serve import (
     ModelRegistry,
     ProcessFleet,
     RoutingError,
-    StreamingRouter,
     generate_shape_workload,
     run_fleet_sequential,
 )
@@ -235,18 +234,18 @@ class TestEnsembleReport:
             assert entry["max_qerror"] >= entry["median_qerror"]
 
 
-_TIERS = ("router", "streaming", "procfleet-w2")
+_TIERS = ("router", "router-slo", "procfleet-w2")
 
 
 @contextlib.contextmanager
 def _tier(registry, tier: str, **options):
-    """One of the three router tiers over ``registry``, closed on exit."""
+    """One of the three router configurations over ``registry``, closed on exit."""
     options.update(num_samples=_SAMPLES, seed=2)
     if tier == "procfleet-w2":
         with ProcessFleet(registry, workers=2, **options) as router:
             yield router
-    elif tier == "streaming":
-        yield StreamingRouter(registry, slo_ms=50.0, **options)
+    elif tier == "router-slo":
+        yield FleetRouter(registry, slo_ms=50.0, **options)
     else:
         yield FleetRouter(registry, **options)
 
@@ -288,7 +287,7 @@ class TestFallbackIsAnOrdinaryGroup:
         else:
             with _tier(fleet, tier, batch_size=8) as router:
                 report = router.run(queries)
-                if tier == "streaming":
+                if tier == "router-slo":
                     # No AIMD controller on a fallback: nothing to batch.
                     assert set(router.controllers_report()) == {"users"}
                     assert report.stats.routes["users"]["batch_trace"]
@@ -354,14 +353,6 @@ class TestEnsembleCLI:
                    for unit in report["fleet"]["routes"])
         assert any(name.startswith("Sample(")
                    for name in report["q_errors_by_estimator"])
-
-    def test_shape_flags_require_tables(self):
-        from repro.serve.__main__ import main as serve_main
-
-        with pytest.raises(SystemExit, match="--dnf-fraction.*--tables"):
-            serve_main(["--dnf-fraction", "0.5"])
-        with pytest.raises(SystemExit, match="--fallback.*--tables"):
-            serve_main(["--fallback", "sampling"])
 
     def test_shape_flag_validation(self):
         from repro.serve.__main__ import main as serve_main

@@ -17,7 +17,6 @@ import pytest
 import golden_serve
 from repro.serve import (
     FleetRouter,
-    StreamingRouter,
     VirtualClock,
     load_workload,
     stream_workload,
@@ -66,9 +65,9 @@ def test_golden_workload_streaming_equals_batch(batch_size):
                         seed=golden_serve.GOLDEN["seed"]).run(workload)
     order = list(range(len(workload)))
     random.Random(batch_size).shuffle(order)
-    router = StreamingRouter(registry, batch_size=batch_size,
-                             num_samples=golden_serve.GOLDEN["num_samples"],
-                             seed=golden_serve.GOLDEN["seed"])
+    router = FleetRouter(registry, batch_size=batch_size,
+                         num_samples=golden_serve.GOLDEN["num_samples"],
+                         seed=golden_serve.GOLDEN["seed"])
     streamed = stream_workload(router, workload, arrival_order=order)
     assert [result.index for result in streamed.results] == \
         list(range(len(workload)))
@@ -88,10 +87,10 @@ def test_golden_workload_flush_timeout_preserves_estimates(batch_size):
     batch = FleetRouter(registry, batch_size=batch_size,
                         num_samples=golden_serve.GOLDEN["num_samples"],
                         seed=golden_serve.GOLDEN["seed"]).run(workload)
-    router = StreamingRouter(registry, batch_size=batch_size,
-                             num_samples=golden_serve.GOLDEN["num_samples"],
-                             seed=golden_serve.GOLDEN["seed"],
-                             flush_after_ms=5.0, clock=VirtualClock())
+    router = FleetRouter(registry, batch_size=batch_size,
+                         num_samples=golden_serve.GOLDEN["num_samples"],
+                         seed=golden_serve.GOLDEN["seed"],
+                         flush_after_ms=5.0, clock=VirtualClock())
     timed = stream_workload(router, workload, advance_ms=2.0)
     if batch_size == 64:
         assert timed.stats.timeout_flushes > 0  # the deadline really fired

@@ -38,7 +38,6 @@ from repro.serve import (
     FleetRouter,
     ModelRegistry,
     ProcessFleet,
-    StreamingRouter,
     VirtualClock,
     generate_mixed_workload,
     generate_shape_workload,
@@ -195,9 +194,9 @@ def test_streaming_grid_matches_sequential_baseline(fleet, workload, baseline,
     for name in fleet.names:
         fleet.set_replicas(name, replicas)
     try:
-        router = StreamingRouter(fleet, batch_size=batch_size,
-                                 num_samples=_SAMPLES, seed=_SEED,
-                                 default_route=_DEFAULT_ROUTE)
+        router = FleetRouter(fleet, batch_size=batch_size,
+                             num_samples=_SAMPLES, seed=_SEED,
+                             default_route=_DEFAULT_ROUTE)
     finally:
         for name in fleet.names:
             fleet.set_replicas(name, 1)
@@ -213,13 +212,40 @@ def test_streaming_grid_matches_sequential_baseline(fleet, workload, baseline,
                                rtol=0.0, atol=1e-12)
 
 
-def test_adaptive_batching_matches_sequential_baseline(fleet, workload,
-                                                       baseline):
-    """An SLO so tight the controller shrinks to batch_size=1 mid-workload
-    still changes no estimate: adaptive batch boundaries are invisible."""
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=_SEED, default_route=_DEFAULT_ROUTE,
-                             slo_ms=1e-6, adaptive=True)
+@pytest.mark.parametrize("workers", _WORKERS[:3],
+                         ids=["inprocess", "procfleet-w1", "procfleet-w2"])
+@pytest.mark.parametrize("slo_ms", (1e-6, 1e6), ids=["tight", "loose"])
+def test_adaptive_grid_is_bit_identical(fleet, workload, baseline, slo_ms,
+                                        workers):
+    """SLO-adaptive batch boundaries are invisible, in this process and
+    across workers (whose replies run the controller's hook in the parent):
+    under an impossible SLO the controller pins every route at batch size 1
+    after its first dispatch, under a loose one it never leaves the maximum — and
+    both return the sequential baseline's very bits."""
+    with _serving(fleet, batch_size=2, replicas=1, workers=workers,
+                  slo_ms=slo_ms) as router:
+        report = router.run(workload)
+        sizes = {route: router.controller(route).batch_size
+                 for route in report.stats.routes}
+    assert np.array_equal(report.selectivities, baseline.selectivities)
+    assert [result.route for result in report.results] == \
+        [result.route for result in baseline.results]
+    traces = [stats["batch_trace"] for stats in report.stats.routes.values()]
+    if slo_ms < 1.0:
+        assert all(trace[0] == 2 and set(trace[1:]) == {1}
+                   for trace in traces)
+        assert set(sizes.values()) == {1}
+    else:
+        assert all(set(trace) == {2} for trace in traces)
+
+
+def test_adaptive_streaming_matches_sequential_baseline(fleet, workload,
+                                                        baseline):
+    """The same tight SLO through the asyncio client: streaming plus a
+    controller shrinking mid-workload still changes no estimate."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=_SEED, default_route=_DEFAULT_ROUTE,
+                         slo_ms=1e-6)
     report = stream_workload(router, workload)
     np.testing.assert_allclose(report.selectivities, baseline.selectivities,
                                rtol=0.0, atol=1e-12)
@@ -239,10 +265,10 @@ def test_flush_timeout_changes_batches_not_estimates(fleet, workload,
     every submission dispatches immediately and the deadline never fires —
     and both reproduce the sequential baseline exactly."""
     def timed_run():
-        router = StreamingRouter(fleet, batch_size=batch_size,
-                                 num_samples=_SAMPLES, seed=_SEED,
-                                 default_route=_DEFAULT_ROUTE,
-                                 flush_after_ms=5.0, clock=VirtualClock())
+        router = FleetRouter(fleet, batch_size=batch_size,
+                             num_samples=_SAMPLES, seed=_SEED,
+                             default_route=_DEFAULT_ROUTE,
+                             flush_after_ms=5.0, clock=VirtualClock())
         report = stream_workload(router, workload, advance_ms=2.0)
         batches = {route: stats["num_batches"]
                    for route, stats in report.stats.routes.items()}
@@ -258,9 +284,9 @@ def test_flush_timeout_changes_batches_not_estimates(fleet, workload,
         # The deadline really rebatched the workload: partial batches were
         # force-dispatched instead of riding to the final drain flush.
         assert report.stats.timeout_flushes > 0
-        untimed_router = StreamingRouter(fleet, batch_size=batch_size,
-                                         num_samples=_SAMPLES, seed=_SEED,
-                                         default_route=_DEFAULT_ROUTE)
+        untimed_router = FleetRouter(fleet, batch_size=batch_size,
+                                     num_samples=_SAMPLES, seed=_SEED,
+                                     default_route=_DEFAULT_ROUTE)
         untimed = stream_workload(untimed_router, workload)
         assert sum(batches.values()) > sum(
             stats["num_batches"] for stats in untimed.stats.routes.values())

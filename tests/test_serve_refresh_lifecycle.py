@@ -23,7 +23,6 @@ from repro.serve import (
     FleetRouter,
     ModelRegistry,
     RefreshController,
-    StreamingRouter,
 )
 
 _CONFIG = NaruConfig(epochs=1, hidden_sizes=(8, 8), batch_size=64,
@@ -211,19 +210,24 @@ class TestEpochInvalidationGrid:
         rewarmed = router.run(queries)
         assert rewarmed.result_cache_hits == len(queries)
 
-    def test_streaming_controller_survives_group_rebuild(self):
+    def test_slo_controller_survives_group_rebuild(self):
         registry = _registry()
         registry.fit_all()
         queries = _workload(registry, count=6)
-        router = StreamingRouter(registry, batch_size=8, slo_ms=50.0,
-                                 adaptive=False,  # frozen: sizes hold still
-                                 num_samples=_SAMPLES, seed=_SEED)
+        router = FleetRouter(registry, batch_size=8, slo_ms=50.0,
+                             num_samples=_SAMPLES, seed=_SEED)
         router.run(queries)
         controller = router.controller("users")
-        controller.batch_size = 2      # pretend the SLO converged us here
+        for _ in range(2):             # two slow dispatches: 8 -> 4 -> 2
+            controller.observe(1e6)
+        converged = controller.batch_size
+        assert converged < 8
+        group_before = router.group("users")
         registry.ingest("users", make_users(num_users=30, seed=7))
-        router.run(queries)            # scope boundary rebuilds the group
+        report = router.run(queries)   # scope boundary rebuilds the group
+        assert router.group("users") is not group_before
         assert router.controller("users") is controller
-        # The rebuilt engines start from the converged size, not from max.
-        assert all(engine.batch_size == 2
-                   for engine in router.group("users").engines)
+        # The rebuilt engines start from the converged size, not from max:
+        # the scope's trace opens there and its first micro-batch filled it.
+        assert report.stats.routes["users"]["batch_trace"][0] == converged
+        assert report.routes["users"][0].batches[0].num_queries == converged

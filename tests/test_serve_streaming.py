@@ -2,9 +2,9 @@
 
 The invariance suite (``test_serve_invariance.py``) owns the streaming ≡
 batch grid; this module pins down the component behaviours — the adaptive
-controller's AIMD policy and clamps, the async client's future lifecycle,
-per-relation SLO plumbing through the registry, and the latency-percentile
-helper the reports are built from.
+controller's AIMD policy and clamps, how the router attaches it to the routes
+that carry an SLO (and only those), the async client's future lifecycle, and
+the latency-percentile helper the reports are built from.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.serve import (
     ModelRegistry,
     ProcessFleet,
     RoutingError,
-    StreamingRouter,
     VirtualClock,
     generate_bursty_workload,
     generate_mixed_workload,
@@ -139,11 +138,11 @@ def test_ewma_tracks_latency():
 
 
 # --------------------------------------------------------------------------- #
-# StreamingRouter wiring
+# The router's SLO wiring
 # --------------------------------------------------------------------------- #
-def test_streaming_router_adapts_batch_size(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=2, slo_ms=0.01, adaptive=True)
+def test_router_with_slo_adapts_batch_size(fleet, workload):
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, slo_ms=0.01)
     report = router.run(workload)
     for route in report.stats.routes:
         trace = report.stats.routes[route]["batch_trace"]
@@ -155,26 +154,46 @@ def test_streaming_router_adapts_batch_size(fleet, workload):
     assert all(entry["slo_ms"] == 0.01 for entry in snapshots.values())
 
 
-def test_streaming_router_adaptive_false_is_fixed(fleet, workload):
-    fixed = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
-    frozen = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, slo_ms=0.01, adaptive=False)
-    left = fixed.run(workload)
-    right = frozen.run(workload)
-    np.testing.assert_allclose(right.selectivities, left.selectivities,
-                               rtol=0.0, atol=1e-12)
-    for route in left.stats.routes:
-        assert left.stats.routes[route]["num_batches"] == \
-            right.stats.routes[route]["num_batches"]
-        trace = right.stats.routes[route]["batch_trace"]
-        assert set(trace) == {4}  # disabled controller never moves
+def test_router_without_any_slo_attaches_nothing(fleet, workload):
+    """No SLO anywhere: no controller, no batch_hook on any engine and no
+    batch trace in the report — the fixed-batch hot path, untouched."""
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    report = router.run(workload)
+    for route, stats in report.stats.routes.items():
+        assert stats["batch_trace"] is None
+        assert router.controller(route) is None
+        assert all(engine.batch_hook is None and engine.batch_size == 4
+                   for engine in router.group(route).engines)
+    assert router.controllers_report() == {}
+
+
+def test_registry_slo_alone_adapts_that_route_only():
+    """A plain router (no router-wide slo_ms) honours the registry's
+    per-relation SLO exactly like its sibling flush_after_ms: the relation
+    registered with one is steered, its neighbour is left fixed."""
+    registry = ModelRegistry(default_config=_CONFIG)
+    registry.register_table(make_users(num_users=80, seed=4))
+    registry.register_table(make_sessions(num_rows=300, num_users=80, seed=5),
+                            slo_ms=5.0)
+    registry.fit_all()
+    queries = generate_mixed_workload(
+        {name: registry.relation(name) for name in registry.names}, 12,
+        min_filters=1, max_filters=3, seed=7)
+    router = FleetRouter(registry, batch_size=4, num_samples=_SAMPLES, seed=2)
+    report = router.run(queries)
+    assert router.controller("sessions").slo_ms == 5.0
+    assert router.controller("users") is None
+    assert report.stats.routes["sessions"]["batch_trace"][0] == 4
+    assert report.stats.routes["users"]["batch_trace"] is None
+    assert router.engine("sessions").batch_hook is not None
+    assert router.engine("users").batch_hook is None
 
 
 def test_registry_slo_overrides_router_slo(fleet):
     fleet.set_slo("sessions", 123.0)
     try:
-        router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                                 seed=2, slo_ms=50.0, adaptive=True)
+        router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                             seed=2, slo_ms=50.0)
         assert router.effective_slo("sessions") == 123.0
         assert router.effective_slo("users") == 50.0
         assert router.controller("sessions").slo_ms == 123.0
@@ -197,27 +216,19 @@ def test_registry_slo_validation(fleet):
     assert registry.size_report()[name]["slo_ms"] == 5.0
 
 
-def test_streaming_router_validates_arguments(fleet):
+def test_router_validates_slo(fleet):
     with pytest.raises(ValueError, match="slo_ms"):
-        StreamingRouter(fleet, slo_ms=-1.0)
-    with pytest.raises(ValueError, match="min_batch"):
-        StreamingRouter(fleet, batch_size=4, min_batch=5)
-    # Controller tuning knobs fail fast at construction, not on the first
-    # routed query mid-serve.
-    with pytest.raises(ValueError, match="alpha"):
-        StreamingRouter(fleet, slo_ms=5.0, ewma_alpha=1.5)
-    with pytest.raises(ValueError, match="headroom"):
-        StreamingRouter(fleet, slo_ms=5.0, headroom=0.0)
-    with pytest.raises(ValueError, match="grow_below"):
-        StreamingRouter(fleet, slo_ms=5.0, grow_below=1.0)
+        FleetRouter(fleet, slo_ms=-1.0)
+    with pytest.raises(ValueError, match="slo_ms"):
+        FleetRouter(fleet, slo_ms=0.0)
 
 
 def test_batch_trace_is_per_scope(fleet, workload):
     """Each report's batch_trace covers its own scope: element 0 is the size
     in force entering the scope, then one entry per dispatch — warmup history
     does not leak into the steady scope's report."""
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=2, slo_ms=0.01, adaptive=True)
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, slo_ms=0.01)
     warmup = router.run(workload)
     steady = router.run(workload)
     for route in steady.stats.routes:
@@ -236,7 +247,7 @@ def test_batch_trace_is_per_scope(fleet, workload):
 # AsyncFleetClient
 # --------------------------------------------------------------------------- #
 def test_async_client_resolves_futures_with_routed_results(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
     batch = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
                         seed=2).run(workload)
 
@@ -300,7 +311,7 @@ def test_futures_carry_the_reports_latencies(workers):
 
 
 def test_async_client_duplicate_index_rejected(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES, seed=2)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -316,7 +327,7 @@ def test_async_client_duplicate_index_rejected(fleet, workload):
 def test_async_client_rejects_index_reuse_after_dispatch(fleet, workload):
     """A dispatched index is as used as a pending one: reusing it would make
     two queries share one random stream and corrupt report ordering."""
-    router = StreamingRouter(fleet, batch_size=1, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=1, num_samples=_SAMPLES, seed=2)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -330,7 +341,7 @@ def test_async_client_rejects_index_reuse_after_dispatch(fleet, workload):
 
 
 def test_async_client_routing_error_leaves_no_future(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -345,8 +356,8 @@ def test_async_client_routing_error_leaves_no_future(fleet, workload):
 
 
 def test_async_client_result_cache_hit_resolves_immediately(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2, result_cache=True)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2, result_cache=True)
     router.run(workload)  # warm the result cache
     start_index = router.next_index  # the scope continues after run()
 
@@ -364,7 +375,7 @@ def test_async_client_result_cache_hit_resolves_immediately(fleet, workload):
 
 
 def test_async_client_empty_stream_drains_to_well_formed_report(fleet):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
 
     async def main():
         async with AsyncFleetClient(router) as client:
@@ -381,8 +392,8 @@ def test_async_client_empty_stream_drains_to_well_formed_report(fleet):
 def test_async_client_detaches_and_restores_observer(fleet):
     seen = []
     prior = seen.append
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, on_result=prior)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, on_result=prior)
 
     async def main():
         async with AsyncFleetClient(router) as client:
@@ -400,14 +411,14 @@ def test_async_client_detaches_and_restores_observer(fleet):
 # stream_workload
 # --------------------------------------------------------------------------- #
 def test_stream_workload_rejects_bad_arrival_order(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
     with pytest.raises(ValueError, match="permutation"):
         stream_workload(router, workload, arrival_order=[0, 0, 1])
 
 
 def test_stream_workload_sheds_like_run(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=2, max_pending=2, overflow="shed")
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, max_pending=2, overflow="shed")
     report = stream_workload(router, workload)
     assert report.stats.shed > 0
     assert report.stats.num_queries + report.stats.shed == len(workload)
@@ -492,8 +503,8 @@ def test_engine_flush_deadline_and_tick(fleet, workload):
     """A partially filled micro-batch dispatches once its oldest query has
     waited past flush_after_ms — and only then."""
     clock = VirtualClock()
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=5.0, clock=clock)
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=5.0, clock=clock)
     route = router.resolve_route(workload[0])
     router.submit(workload[0])
     engine = max(router.group(route).engines, key=lambda e: e.pending)
@@ -515,7 +526,7 @@ def test_engine_flush_deadline_and_tick(fleet, workload):
 
 def test_flush_deadline_validation(fleet):
     with pytest.raises(ValueError, match="flush_after_ms"):
-        StreamingRouter(fleet, flush_after_ms=0.0)
+        FleetRouter(fleet, flush_after_ms=0.0)
     with pytest.raises(ValueError, match="flush_after_ms"):
         FleetRouter(fleet, flush_after_ms=-1.0)
 
@@ -548,7 +559,7 @@ def test_registry_flush_after_overrides_router(fleet):
 
 
 def test_report_exposes_queue_wait_and_e2e_percentiles(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
     report = router.run(workload)
     for scope in (report.stats.as_dict(), *report.stats.routes.values()):
         assert {"p50", "p95", "p99"} == set(scope["latency_ms"])
@@ -566,45 +577,33 @@ def test_report_exposes_queue_wait_and_e2e_percentiles(fleet, workload):
 
 
 def test_stream_workload_advance_ms_requires_virtual_clock(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
     with pytest.raises(ValueError, match="advanceable"):
         stream_workload(router, workload, advance_ms=1.0)
-    clocked = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                              seed=2, clock=VirtualClock())
+    clocked = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                          seed=2, clock=VirtualClock())
     with pytest.raises(ValueError, match="non-negative"):
         stream_workload(clocked, workload, advance_ms=-1.0)
 
 
 # --------------------------------------------------------------------------- #
-# SLO scope: end-to-end vs dispatch-only accounting
+# The SLO is end-to-end: queueing delay steers the batch size
 # --------------------------------------------------------------------------- #
-def test_slo_scope_validation(fleet):
-    with pytest.raises(ValueError, match="slo_scope"):
-        StreamingRouter(fleet, slo_ms=5.0, slo_scope="both")
-
-
-def test_e2e_scope_steers_on_queue_wait_dispatch_scope_does_not(fleet,
-                                                                workload):
-    """The measurement-bug regression, isolated: under a virtual clock the
-    dispatch latency is exactly zero, so *all* latency is queueing delay.
-    The e2e-scoped controller sees it and shrinks; the dispatch-scoped
-    controller (the pre-fix accounting) is blind to it and never moves."""
-    reports = {}
-    controllers = {}
-    for scope in ("dispatch", "e2e"):
-        clock = VirtualClock()
-        router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                                 seed=2, slo_ms=5.0, adaptive=True,
-                                 slo_scope=scope, flush_after_ms=50.0,
-                                 clock=clock)
-        reports[scope] = stream_workload(router, workload, advance_ms=2.0)
-        controllers[scope] = {route: router.controller(route).shrinks
-                              for route in reports[scope].stats.routes}
-    assert all(shrinks == 0 for shrinks in controllers["dispatch"].values())
-    assert any(shrinks > 0 for shrinks in controllers["e2e"].values())
-    # Accounting scope steers batch sizes, never estimates.
-    np.testing.assert_allclose(reports["e2e"].selectivities,
-                               reports["dispatch"].selectivities,
+def test_controller_steers_on_queue_wait(fleet, workload):
+    """Under a virtual clock the dispatch latency is exactly zero, so *all*
+    latency is queueing delay in partially filled batches — a controller
+    watching dispatch time alone would never move.  The router feeds it the
+    batch's worst end-to-end latency, so it sees the wait and shrinks."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2,
+                         slo_ms=5.0, flush_after_ms=50.0, clock=VirtualClock())
+    report = stream_workload(router, workload, advance_ms=2.0)
+    assert report.stats.latency_ms["p99"] == 0.0
+    assert any(router.controller(route).shrinks > 0
+               for route in report.stats.routes)
+    # Steering moves batch boundaries, never estimates.
+    fixed = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                        seed=2).run(workload)
+    np.testing.assert_allclose(report.selectivities, fixed.selectivities,
                                rtol=0.0, atol=1e-12)
 
 
@@ -612,8 +611,8 @@ def test_e2e_scope_steers_on_queue_wait_dispatch_scope_does_not(fleet,
 # AsyncFleetClient: close/cancel semantics and the __aexit__ hang regression
 # --------------------------------------------------------------------------- #
 def test_close_cancels_outstanding_futures(fleet, workload):
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -639,8 +638,8 @@ def test_aexit_on_exception_cancels_futures_instead_of_hanging(fleet,
     an exception used to skip drain() *and* leave every in-flight future
     pending forever, deadlocking concurrent awaiters.  close() must cancel
     them so awaiters observe CancelledError promptly."""
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2)
 
     async def main():
         observed = {}
@@ -676,9 +675,9 @@ def test_submit_async_suspends_at_capacity_and_resumes_on_timeout_flush(
     raising AdmissionError; the wall-clock flush driver dispatches the
     partial batch within flush_after_ms, freeing capacity and resuming the
     producer — no shed, no forced early dispatch at submit time."""
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, max_pending=2, overflow="shed",
-                             flush_after_ms=30.0)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, max_pending=2, overflow="shed",
+                         flush_after_ms=30.0)
     generator = WorkloadGenerator(fleet.relation("users"), min_filters=1,
                                   max_filters=2, seed=17)
     queries = [query.qualified("users") for query in generator.generate(3)]
@@ -705,8 +704,8 @@ def test_submit_async_without_flush_timeout_falls_back_to_early_dispatch(
     """A route with no flush deadline cannot free capacity passively — a
     lone producer awaiting it would deadlock — so acquire() degrades to the
     block policy's early dispatch and the submission completes inline."""
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, max_pending=2, overflow="block")
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, max_pending=2, overflow="block")
     generator = WorkloadGenerator(fleet.relation("users"), min_filters=1,
                                   max_filters=2, seed=18)
     queries = [query.qualified("users") for query in generator.generate(3)]
@@ -726,8 +725,8 @@ def test_flush_driver_dispatches_lone_submission(fleet, workload):
     """A single query in a partially filled batch resolves within the flush
     bound even though no further submissions, flushes or drains happen —
     the wall-clock driver ticks the router on its own."""
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=20.0)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=20.0)
 
     async def main():
         async with AsyncFleetClient(router) as client:
@@ -764,9 +763,9 @@ def test_run_ticks_flush_deadlines_even_when_submissions_shed(fleet):
     generator = WorkloadGenerator(fleet.relation("users"), min_filters=1,
                                   max_filters=2, seed=21)
     queries = [query.qualified("users") for query in generator.generate(6)]
-    router = StreamingRouter(fleet, batch_size=8, num_samples=_SAMPLES,
-                             seed=2, max_pending=1, overflow="shed",
-                             flush_after_ms=5.0, clock=_SteppingClock(3e-3))
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, max_pending=1, overflow="shed",
+                         flush_after_ms=5.0, clock=_SteppingClock(3e-3))
     report = router.run(queries)
     # The deadline fired mid-run and freed capacity: more than the first
     # query was served, and the flushes really were timeout-triggered.
@@ -780,8 +779,8 @@ def test_flush_driver_propagates_dispatch_errors_to_awaiters(fleet,
     """Regression: a dispatch error inside the background flush driver used
     to kill the task silently, leaving every outstanding future pending
     forever — the error must surface through the futures instead."""
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=10.0)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=10.0)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -807,8 +806,8 @@ def test_flush_driver_auto_mode_skips_frozen_virtual_clocks(fleet, workload):
     """A fully virtual clock can never make a deadline due by sleeping, so
     auto mode must not spin a wall-clock driver against it (forcing
     flush_driver=True remains the caller's explicit choice)."""
-    frozen = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=5.0, clock=VirtualClock())
+    frozen = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=5.0, clock=VirtualClock())
 
     async def main(client):
         async with client:
@@ -826,8 +825,8 @@ def test_flush_driver_restarts_after_dispatch_error(fleet, workload):
     """Regression: a dead driver used to stay registered, silently voiding
     the flush-timeout guarantee for every later submission on the same
     client — after an error the next submission must start a fresh driver."""
-    router = StreamingRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=10.0)
+    router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=10.0)
 
     async def main():
         client = AsyncFleetClient(router)
@@ -861,9 +860,9 @@ def test_submit_async_does_not_deadlock_without_running_driver(fleet):
     was configured — even with no driver to ever fire it (frozen virtual
     clock, or flush_driver=False) — deadlocking the stream.  With nothing
     to free capacity passively it must fall back to early dispatch."""
-    router = StreamingRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, max_pending=2, overflow="block",
-                             flush_after_ms=5.0, clock=VirtualClock())
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, max_pending=2, overflow="block",
+                         flush_after_ms=5.0, clock=VirtualClock())
     generator = WorkloadGenerator(fleet.relation("users"), min_filters=1,
                                   max_filters=2, seed=23)
     queries = [query.qualified("users") for query in generator.generate(4)]
