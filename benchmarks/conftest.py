@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one table or figure of the paper at a reduced
-("bench") scale so the full suite finishes in tens of minutes on a CPU.  The
-rendered paper-style tables are written to ``results/<experiment>.txt`` so they
-can be compared against the paper after the run (see EXPERIMENTS.md).
+Each benchmark regenerates one table or figure of the paper — or one serving
+experiment beyond it — at a reduced ("bench") scale; the whole suite takes a
+few minutes on a CPU.  The ``save_report`` fixture is the one writer of ``results/``
+(see docs/reproducing.md for the artifact ↔ experiment map).
 
 Set ``REPRO_SCALE=paper`` and run ``python -m repro.bench run all`` for the
 larger configuration.
@@ -12,6 +12,7 @@ larger configuration.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -45,31 +46,40 @@ BENCH_SCALE: ExperimentScale = dataclasses.replace(
 )
 
 
-def pytest_collection_modifyitems(config, items):
-    """Mark every benchmark as ``slow`` so tier-1 CI can deselect the suite.
-
-    The tier-1 test job runs ``pytest -m "not slow"``; running the
-    reproduction benchmarks stays an explicit choice (plain ``pytest
-    benchmarks`` or ``-m slow``).
-    """
-    benchmarks_dir = os.path.dirname(os.path.abspath(__file__))
-    for item in items:
-        if str(item.path).startswith(benchmarks_dir):
-            item.add_marker(pytest.mark.slow)
-
-
 @pytest.fixture(scope="session")
 def bench_scale() -> ExperimentScale:
     return BENCH_SCALE
 
 
+def _save_report(name: str, result: dict) -> None:
+    """Persist one experiment's result under ``results/``, split by tracking.
+
+    What the seed determines — ``text``, and the ``report`` JSON of the
+    serving experiments — goes to the tracked ``results/<name>.{txt,json}``
+    and comes back byte-identical from a run on an unchanged tree; whatever a
+    clock was read for (``timing_text``/``timing``) goes to the git-ignored
+    ``results/timing/``.  Each part is written only if the result has it.
+    """
+    for directory, text, data in (
+            (RESULTS_DIR, result.get("text"), result.get("report")),
+            (os.path.join(RESULTS_DIR, "timing"),
+             result.get("timing_text"), result.get("timing"))):
+        os.makedirs(directory, exist_ok=True)
+        if text is not None:
+            with open(os.path.join(directory, f"{name}.txt"), "w") as handle:
+                handle.write(text + "\n")
+        if data is not None:
+            with open(os.path.join(directory, f"{name}.json"), "w") as handle:
+                json.dump(data, handle, indent=1)
+                handle.write("\n")
+
+
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
+def save_report():
+    """The one writer of ``results/``: ``save_report(name, result)``.
 
-
-def save_report(results_dir: str, name: str, text: str) -> None:
-    """Persist the paper-style rendering of one experiment."""
-    with open(os.path.join(results_dir, f"{name}.txt"), "w") as handle:
-        handle.write(text + "\n")
+    A fixture rather than an import so the benchmark modules import nothing
+    but the package — ``tests/test_bench_serve.py`` loads their
+    ``check_invariants`` functions to run them at a tiny scale in tier-1.
+    """
+    return _save_report

@@ -1,7 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the paper's individual design choices.
 
-These are not paper tables; they quantify the contribution of individual
-design decisions:
+These are not paper tables; they quantify the contribution of the design
+decisions the paper's sections argue for:
 
 * progressive sampling vs the naive uniform region sampler (§5.1),
 * masked-MLP architecture B vs per-column architecture A (§4.3),
@@ -12,7 +12,6 @@ design decisions:
 from __future__ import annotations
 
 import numpy as np
-from conftest import save_report
 
 from repro.core import MADEModel, NaruConfig, NaruEstimator, OracleModel, Trainer
 from repro.core.progressive import ProgressiveSampler, UniformRegionSampler
@@ -36,95 +35,79 @@ def _max_error(estimate_fn, workload, num_rows):
                for item in workload)
 
 
-def test_ablation_progressive_vs_uniform_sampler(benchmark, results_dir):
+def test_ablation_progressive_vs_uniform_sampler(save_report):
     """Progressive sampling dominates uniform region sampling on skewed data."""
     table = _ablation_table()
     oracle = OracleModel(table)
     workload = WorkloadGenerator(table, min_filters=3, max_filters=5,
                                  seed=1).generate_labeled(30)
 
-    def run():
-        progressive = ProgressiveSampler(oracle, seed=0)
-        uniform = UniformRegionSampler(oracle, seed=0)
-        prog_max = _max_error(
-            lambda item: progressive.estimate_selectivity(
-                item.query.column_masks(table), num_samples=500),
-            workload, table.num_rows)
-        unif_max = _max_error(
-            lambda item: uniform.estimate_selectivity(
-                item.query.column_masks(table), num_samples=500),
-            workload, table.num_rows)
-        return prog_max, unif_max
-
-    prog_max, unif_max = benchmark.pedantic(run, iterations=1, rounds=1)
-    save_report(results_dir, "ablation_sampler",
-                f"progressive max error: {prog_max:.2f}\n"
-                f"uniform-region max error: {unif_max:.2f}")
+    progressive = ProgressiveSampler(oracle, seed=0)
+    uniform = UniformRegionSampler(oracle, seed=0)
+    prog_max = _max_error(
+        lambda item: progressive.estimate_selectivity(
+            item.query.column_masks(table), num_samples=500),
+        workload, table.num_rows)
+    unif_max = _max_error(
+        lambda item: uniform.estimate_selectivity(
+            item.query.column_masks(table), num_samples=500),
+        workload, table.num_rows)
+    save_report("ablation_sampler",
+                {"text": f"progressive max error: {prog_max:.2f}\n"
+                         f"uniform-region max error: {unif_max:.2f}"})
     assert prog_max <= unif_max
 
 
-def test_ablation_architecture_made_vs_column_nets(benchmark, results_dir):
+def test_ablation_architecture_made_vs_column_nets(save_report):
     """Architecture A (per-column nets) and B (masked MLP) reach similar fits."""
     table = _ablation_table()
 
-    def run():
-        gaps = {}
-        for architecture in ("made", "column"):
-            config = NaruConfig(architecture=architecture, epochs=6,
-                                hidden_sizes=(48, 48), progressive_samples=300, seed=0)
-            estimator = NaruEstimator(table, config)
-            estimator.fit()
-            gaps[architecture] = estimator.entropy_gap_bits(sample_rows=None)
-        return gaps
-
-    gaps = benchmark.pedantic(run, iterations=1, rounds=1)
-    save_report(results_dir, "ablation_architecture",
-                "\n".join(f"{k}: entropy gap {v:.3f} bits" for k, v in gaps.items()))
+    gaps = {}
+    for architecture in ("made", "column"):
+        config = NaruConfig(architecture=architecture, epochs=6,
+                            hidden_sizes=(48, 48), progressive_samples=300, seed=0)
+        estimator = NaruEstimator(table, config)
+        estimator.fit()
+        gaps[architecture] = estimator.entropy_gap_bits(sample_rows=None)
+    save_report("ablation_architecture", {"text": "\n".join(
+        f"{k}: entropy gap {v:.3f} bits" for k, v in gaps.items())})
     # Both must actually learn something (gap well below the untrained regime).
     assert all(np.isfinite(v) for v in gaps.values())
 
 
-def test_ablation_column_ordering(benchmark, results_dir):
+def test_ablation_column_ordering(save_report):
     """The factorisation order affects convergence only mildly."""
     table = _ablation_table()
     natural = list(range(table.num_columns))
     reversed_order = natural[::-1]
 
-    def run():
-        gaps = {}
-        for label, order in (("natural", natural), ("reversed", reversed_order)):
-            model = MADEModel(table, hidden_sizes=(48, 48), order=order, seed=0)
-            trainer = Trainer(model, table, batch_size=256, learning_rate=5e-3)
-            trainer.train(epochs=6)
-            gaps[label] = trainer.entropy_gap_bits(sample_rows=None)
-        return gaps
-
-    gaps = benchmark.pedantic(run, iterations=1, rounds=1)
-    save_report(results_dir, "ablation_ordering",
-                "\n".join(f"{k}: entropy gap {v:.3f} bits" for k, v in gaps.items()))
+    gaps = {}
+    for label, order in (("natural", natural), ("reversed", reversed_order)):
+        model = MADEModel(table, hidden_sizes=(48, 48), order=order, seed=0)
+        trainer = Trainer(model, table, batch_size=256, learning_rate=5e-3)
+        trainer.train(epochs=6)
+        gaps[label] = trainer.entropy_gap_bits(sample_rows=None)
+    save_report("ablation_ordering", {"text": "\n".join(
+        f"{k}: entropy gap {v:.3f} bits" for k, v in gaps.items())})
     assert all(v >= 0 for v in gaps.values())
 
 
-def test_ablation_embedding_reuse(benchmark, results_dir):
+def test_ablation_embedding_reuse(save_report):
     """Embedding reuse shrinks the model without giving up the fit."""
     table = _ablation_table()
 
-    def run():
-        outcome = {}
-        for label, threshold in (("embedding_reuse", 16), ("one_hot_direct", 10_000)):
-            model = MADEModel(table, hidden_sizes=(48, 48),
-                              embedding_threshold=threshold, embedding_dim=16, seed=0)
-            trainer = Trainer(model, table, batch_size=256, learning_rate=5e-3)
-            trainer.train(epochs=5)
-            outcome[label] = {
-                "parameters": model.num_parameters(),
-                "entropy_gap_bits": trainer.entropy_gap_bits(sample_rows=None),
-            }
-        return outcome
-
-    outcome = benchmark.pedantic(run, iterations=1, rounds=1)
-    save_report(results_dir, "ablation_embedding",
-                "\n".join(f"{k}: params={v['parameters']}, gap={v['entropy_gap_bits']:.3f} bits"
-                          for k, v in outcome.items()))
+    outcome = {}
+    for label, threshold in (("embedding_reuse", 16), ("one_hot_direct", 10_000)):
+        model = MADEModel(table, hidden_sizes=(48, 48),
+                          embedding_threshold=threshold, embedding_dim=16, seed=0)
+        trainer = Trainer(model, table, batch_size=256, learning_rate=5e-3)
+        trainer.train(epochs=5)
+        outcome[label] = {
+            "parameters": model.num_parameters(),
+            "entropy_gap_bits": trainer.entropy_gap_bits(sample_rows=None),
+        }
+    save_report("ablation_embedding", {"text": "\n".join(
+        f"{k}: params={v['parameters']}, gap={v['entropy_gap_bits']:.3f} bits"
+        for k, v in outcome.items())})
     assert np.isfinite(outcome["embedding_reuse"]["entropy_gap_bits"])
     assert np.isfinite(outcome["one_hot_direct"]["entropy_gap_bits"])

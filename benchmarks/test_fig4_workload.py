@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import figure4_selectivity_distribution
 
 
-def test_figure4_selectivity_distribution(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(figure4_selectivity_distribution,
-                                kwargs={"scale": bench_scale}, iterations=1, rounds=1)
-    save_report(results_dir, "figure4_workload", result["text"])
+def test_figure4_selectivity_distribution(bench_scale, save_report):
+    result = figure4_selectivity_distribution(scale=bench_scale)
+    save_report("figure4_workload", result)
 
     for dataset, data in result["results"].items():
         fractions = data["bucket_fractions"]

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import figure5_training_quality
 
 
-def test_figure5_training_quality(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(figure5_training_quality, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "figure5_training", result["text"])
+def test_figure5_training_quality(bench_scale, save_report):
+    result = figure5_training_quality(scale=bench_scale)
+    save_report("figure5_training", result)
 
     for dataset, curve in result["results"].items():
         gaps = [point["entropy_gap_bits"] for point in curve]

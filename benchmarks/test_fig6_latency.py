@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import figure6_estimation_latency
 
 
-def test_figure6_estimation_latency(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(figure6_estimation_latency, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "figure6_latency", result["text"])
+def test_figure6_estimation_latency(bench_scale, save_report):
+    result = figure6_estimation_latency(scale=bench_scale)
+    save_report("figure6_latency", result)
 
     latencies = result["latencies"]
     naru_name = f"Naru-{bench_scale.naru_samples[-1]}"

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import figure7_entropy_gap
 
 
-def test_figure7_entropy_gap(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(
-        figure7_entropy_gap,
-        kwargs={"scale": bench_scale,
-                "noise_levels": (0.0, 0.1, 0.5, 0.9),
-                "sample_counts": (50, 250, 1000)},
-        iterations=1, rounds=1)
-    save_report(results_dir, "figure7_entropy_gap", result["text"])
+def test_figure7_entropy_gap(bench_scale, save_report):
+    result = figure7_entropy_gap(scale=bench_scale,
+                                 noise_levels=(0.0, 0.1, 0.5, 0.9),
+                                 sample_counts=(50, 250, 1000))
+    save_report("figure7_entropy_gap", result)
 
     sweep = result["sweep"]
     # The injected noise increases the measured entropy gap monotonically.

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import figure8_column_scaling
 
 
-def test_figure8_column_scaling(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(
-        figure8_column_scaling,
-        kwargs={"scale": bench_scale,
-                "column_counts": (5, 15, 30, 50, 100),
-                "sample_counts": (100, 1000)},
-        iterations=1, rounds=1)
-    save_report(results_dir, "figure8_columns", result["text"])
+def test_figure8_column_scaling(bench_scale, save_report):
+    result = figure8_column_scaling(scale=bench_scale,
+                                    column_counts=(5, 15, 30, 50, 100),
+                                    sample_counts=(100, 1000))
+    save_report("figure8_columns", result)
 
     rows = result["results"]
     # The joint space blows up with the column count ...

@@ -1,68 +1,34 @@
 """Serving throughput — batched ``repro.serve`` engine vs sequential sampling.
 
-Not a reproduction of a paper table: this benchmark guards the serving-layer
-claim that the fused hot path — column-sliced conditionals, prefix-
-deduplicated sampling, packed conditional caching — answers a workload an
-order of magnitude faster than the paper's one-query-at-a-time evaluation
-loop without changing the estimates (every kernel is row-exact and both
-modes use the same per-query random streams, so the results agree bit for
-bit: drift is exactly zero).
-
-The CI ``bench-smoke`` job runs this file at *full* scale — the >= 8x
-batched-cold perf gate below needs the standard 64-query workload to be
-meaningful, and the full run costs only seconds.  ``REPRO_BENCH_SMOKE=1``
-still shrinks the configuration and drops the speedup floor to a sanity
-check (tiny workloads underutilise the batch path); the JSON report written
-to ``results/serve_throughput.json`` is uploaded as a build artifact even on
-failure.
+Not a reproduction of a paper table: guards the claim of
+:func:`repro.bench.serve_throughput` that the fused hot path — column-sliced
+conditionals, prefix-deduplicated sampling, packed conditional caching —
+changes no estimate.  How much *faster* it is (an order of magnitude cold,
+more warm) is reported in ``results/timing/`` and guarded by
+``perfbench/compare.py`` on ``serve_distinct``/``serve_repeat``, whose bound
+is tighter than any fixed floor that survives a shared runner's noise.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
-
-import pytest
-
-from conftest import save_report
-
 from repro.bench import serve_throughput
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-
-@pytest.mark.slow
-def test_serve_throughput(bench_scale, results_dir):
-    if _SMOKE:
-        scale = dataclasses.replace(bench_scale, serve_rows=800, serve_queries=16,
-                                    serve_samples=300, serve_epochs=2,
-                                    serve_batch_size=8)
-    else:
-        scale = bench_scale
-    result = serve_throughput(scale=scale)
-    save_report(results_dir, "serve_throughput", result["text"])
-    with open(os.path.join(results_dir, "serve_throughput.json"), "w") as handle:
-        json.dump({key: result[key] for key in
-                   ("speedup", "cold_speedup", "max_estimate_drift",
-                    "sequential", "batched", "batched_cold",
-                    "num_queries")}, handle, indent=1)
-
+def check_invariants(result, scale):
+    report = result["report"]
     # The fused serving path is bit-exact against the unfused sequential
     # baseline — row-exact kernel, bit-identical prefix dedup, exact cache
     # hits — so the drift is not merely small, it is zero.
-    assert result["max_estimate_drift"] == 0.0
+    assert report["max_estimate_drift"] == 0.0
+    assert report["num_queries"] == scale.serve_queries
+    # Dedup and the cache did real work: the batched passes evaluated fewer
+    # rows than they were asked for, and the warm pass none at all.
+    counts = report["counts"]
+    assert counts["cold"]["rows_evaluated"] < counts["sequential"]["rows_evaluated"]
+    assert counts["warm"]["rows_evaluated"] == 0
 
-    if _SMOKE:
-        assert result["speedup"] > 0.0
-        assert result["cold_speedup"] > 0.0
-    else:
-        assert result["num_queries"] == 64
-        # The headline claim: the fused hot path (column-sliced forward +
-        # prefix dedup + packed conditional cache) beats the unfused
-        # sequential baseline by an order of magnitude even cold.  Measured
-        # ~10.3-11.7x cold and ~24x warm on a single core; the gates sit a
-        # couple of x below the measurements to absorb shared-runner timing
-        # noise, not to excuse regressions.
-        assert result["speedup"] >= 15.0
-        assert result["cold_speedup"] >= 8.0
+
+def test_serve_throughput(bench_scale, save_report):
+    result = serve_throughput(scale=bench_scale)
+    save_report("serve_throughput", result)
+    check_invariants(result, bench_scale)

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table3_dmv_accuracy
 
 
-def test_table3_dmv_accuracy(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(table3_dmv_accuracy, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "table3_dmv", result["text"])
+def test_table3_dmv_accuracy(bench_scale, save_report):
+    result = table3_dmv_accuracy(scale=bench_scale)
+    save_report("table3_dmv", result)
 
     buckets = result["buckets"]
     naru_name = f"Naru-{bench_scale.naru_samples[-1]}"

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table4_conviva_accuracy
 
 
-def test_table4_conviva_accuracy(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(table4_conviva_accuracy, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "table4_conviva", result["text"])
+def test_table4_conviva_accuracy(bench_scale, save_report):
+    result = table4_conviva_accuracy(scale=bench_scale)
+    save_report("table4_conviva", result)
 
     buckets = result["buckets"]
     naru_name = f"Naru-{bench_scale.naru_samples[-1]}"

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table5_ood_robustness
 
 
-def test_table5_ood_robustness(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(table5_ood_robustness, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "table5_ood", result["text"])
+def test_table5_ood_robustness(bench_scale, save_report):
+    result = table5_ood_robustness(scale=bench_scale)
+    save_report("table5_ood", result)
 
     summaries = result["summaries"]
     naru_name = f"Naru-{bench_scale.naru_samples[-1]}"

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table6_query_region
 
 
-def test_table6_query_region(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(table6_query_region, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "table6_region", result["text"])
+def test_table6_query_region(bench_scale, save_report):
+    result = table6_query_region(scale=bench_scale)
+    save_report("table6_region", result)
 
     for dataset, row in result["results"].items():
         # The 99th-percentile query region is far beyond anything enumerable.

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table7_model_size
 
 
-def test_table7_model_size(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(
-        table7_model_size,
-        kwargs={"scale": bench_scale, "widths": (32, 64, 128), "epochs": 3},
-        iterations=1, rounds=1)
-    save_report(results_dir, "table7_model_size", result["text"])
+def test_table7_model_size(bench_scale, save_report):
+    result = table7_model_size(scale=bench_scale, widths=(32, 64, 128), epochs=3)
+    save_report("table7_model_size", result)
 
     sizes = [entry["size_mb"] for entry in result["results"].values()]
     gaps = [entry["entropy_gap_bits"] for entry in result["results"].values()]

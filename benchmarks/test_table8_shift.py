@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from conftest import save_report
-
 from repro.bench import table8_data_shift
 
 
-def test_table8_data_shift(benchmark, bench_scale, results_dir):
-    result = benchmark.pedantic(table8_data_shift, kwargs={"scale": bench_scale},
-                                iterations=1, rounds=1)
-    save_report(results_dir, "table8_shift", result["text"])
+def test_table8_data_shift(bench_scale, save_report):
+    result = table8_data_shift(scale=bench_scale)
+    save_report("table8_shift", result)
 
     rows = result["results"]
     # The refreshed estimator's accuracy stays bounded across all ingests.

@@ -35,7 +35,9 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         result = run_experiment(target)
         elapsed = time.perf_counter() - start
-        print(result["text"])
+        for part in ("text", "timing_text"):
+            if part in result:
+                print(result[part])
         print(f"[{target} finished in {elapsed:.1f}s]\n")
     return 0
 

@@ -2,9 +2,14 @@
 
 Every function is self-contained: it generates the (synthetic) dataset,
 builds and trains the relevant estimators, runs the workload, and returns a
-dictionary holding the structured results plus a ``text`` field with a
-paper-style rendering.  The functions are what the ``benchmarks/`` suite and
-the ``python -m repro.bench`` command line call.
+dictionary holding the structured results plus their renderings, split by
+what determines them: ``text`` (and, for the ``serve_*`` experiments, the
+JSON-able ``report``) holds only what the seed determines — estimates,
+q-errors, drift, routing and cache counts — and comes back byte-identical on
+every run, while ``timing_text``/``timing`` hold whatever a clock was read
+for.  An experiment with nothing on one side omits that side's keys.  The
+functions are what the ``benchmarks/`` suite and the ``python -m repro.bench``
+command line call.
 
 Experiment ↔ paper mapping:
 
@@ -40,7 +45,18 @@ from ..core import (
     ProgressiveSampler,
     Trainer,
 )
-from ..data import Table, make_conviva_a, make_conviva_b, make_dmv, partition_by_column
+from ..data import (
+    JoinSpec,
+    Table,
+    make_census,
+    make_conviva_a,
+    make_conviva_b,
+    make_dmv,
+    make_sessions,
+    make_users,
+    partition_by_column,
+)
+from ..data.shift import PartitionedIngest, encode_with_dictionaries
 from ..estimators import (
     CardinalityEstimator,
     ChowLiuEstimator,
@@ -60,7 +76,33 @@ from ..query import (
     WorkloadGenerator,
     q_error,
     summarize_errors,
+    true_selectivities,
     true_selectivity,
+)
+from ..query.predicates import DNFQuery
+from ..query.shapes import query_shape
+from ..serve import (
+    ArrivalTrace,
+    CacheWipe,
+    EstimationEngine,
+    FleetRouter,
+    ModelRegistry,
+    ProcessFleet,
+    RefreshController,
+    SlowReplica,
+    VirtualClock,
+    assert_degraded_not_collapsed,
+    canonical_query_key,
+    generate_bursty_workload,
+    generate_mixed_workload,
+    generate_shape_workload,
+    locate_knee,
+    run_fleet_sequential,
+    run_kill_worker_drill,
+    run_open_loop,
+    run_sequential,
+    stream_workload,
+    sweep_offered_load,
 )
 from .harness import accuracy_by_bucket, compare_estimators
 from .reports import (
@@ -91,15 +133,12 @@ __all__ = [
     "serve_procfleet",
     "serve_refresh",
     "serve_loadgen",
+    "serve_ensemble",
 ]
 
 
 def _timed(function, *args, **kwargs):
-    """Wall-clock one call; returns ``(result, elapsed_seconds)``.
-
-    The serving benchmarks time whole serving passes this way because cache
-    hits never touch the engine-internal batch timers.
-    """
+    """Wall-clock one call; returns ``(result, elapsed_seconds)``."""
     start = time.perf_counter()
     result = function(*args, **kwargs)
     return result, time.perf_counter() - start
@@ -147,6 +186,19 @@ def _workload(table: Table, count: int, seed: int = 100,
     return generator.generate_labeled(count)
 
 
+def _supervised_baselines(table: Table, scale: ExperimentScale,
+                          training_workload: list[LabeledQuery]
+                          ) -> list[CardinalityEstimator]:
+    """KDE-superv and MSCN-base: the two baselines a training workload tunes."""
+    kde_superv = KDESupervEstimator(table, sample_size=scale.kde_sample, seed=2)
+    feedback = [(item.query, item.cardinality)
+                for item in training_workload[:scale.kde_feedback_queries]]
+    kde_superv.fit_feedback(feedback, passes=1)
+    mscn = MSCNEstimator(table, sample_size=1000, seed=3, name="MSCN-base")
+    mscn.fit(training_workload, epochs=scale.mscn_epochs)
+    return [kde_superv, mscn]
+
+
 def _build_dmv_estimator_suite(table: Table, scale: ExperimentScale,
                                training_workload: list[LabeledQuery],
                                naru: NaruEstimator) -> list[CardinalityEstimator]:
@@ -160,17 +212,8 @@ def _build_dmv_estimator_suite(table: Table, scale: ExperimentScale,
         ChowLiuEstimator(table),
         SamplingEstimator(table, fraction=scale.sample_fraction, seed=1),
         KDEEstimator(table, sample_size=scale.kde_sample, seed=2),
+        *_supervised_baselines(table, scale, training_workload),
     ]
-
-    kde_superv = KDESupervEstimator(table, sample_size=scale.kde_sample, seed=2)
-    feedback = [(item.query, item.cardinality)
-                for item in training_workload[:scale.kde_feedback_queries]]
-    kde_superv.fit_feedback(feedback, passes=1)
-    estimators.append(kde_superv)
-
-    mscn_base = MSCNEstimator(table, sample_size=1000, seed=3, name="MSCN-base")
-    mscn_base.fit(training_workload, epochs=scale.mscn_epochs)
-    estimators.append(mscn_base)
 
     mscn_zero = MSCNEstimator(table, sample_size=0, seed=3, name="MSCN-0")
     mscn_zero.fit(training_workload, epochs=scale.mscn_epochs)
@@ -236,15 +279,8 @@ def table4_conviva_accuracy(scale: ExperimentScale | None = None) -> dict:
         DBMS1Estimator(table),
         SamplingEstimator(table, fraction=scale.sample_fraction, seed=1),
         KDEEstimator(table, sample_size=scale.kde_sample, seed=2),
+        *_supervised_baselines(table, scale, training_workload),
     ]
-    kde_superv = KDESupervEstimator(table, sample_size=scale.kde_sample, seed=2)
-    kde_superv.fit_feedback([(item.query, item.cardinality)
-                             for item in training_workload[:scale.kde_feedback_queries]],
-                            passes=1)
-    estimators.append(kde_superv)
-    mscn = MSCNEstimator(table, sample_size=1000, seed=3, name="MSCN-base")
-    mscn.fit(training_workload, epochs=scale.mscn_epochs)
-    estimators.append(mscn)
     estimators.extend(NaruSampleVariant(naru, samples) for samples in scale.naru_samples)
 
     runs = compare_estimators(estimators, test_workload)
@@ -264,12 +300,7 @@ def table5_ood_robustness(scale: ExperimentScale | None = None) -> dict:
     training_workload = _workload(table, scale.mscn_training_queries, seed=7)
     ood_workload = _workload(table, scale.ood_queries, seed=300, ood=True)
 
-    mscn = MSCNEstimator(table, sample_size=1000, seed=3, name="MSCN-base")
-    mscn.fit(training_workload, epochs=scale.mscn_epochs)
-    kde_superv = KDESupervEstimator(table, sample_size=scale.kde_sample, seed=2)
-    kde_superv.fit_feedback([(item.query, item.cardinality)
-                             for item in training_workload[:scale.kde_feedback_queries]],
-                            passes=1)
+    kde_superv, mscn = _supervised_baselines(table, scale, training_workload)
     estimators: list[CardinalityEstimator] = [
         mscn,
         kde_superv,
@@ -300,12 +331,9 @@ def figure5_training_quality(scale: ExperimentScale | None = None) -> dict:
                             batch_size=scale.naru_batch_size,
                             progressive_samples=scale.naru_samples[-1], seed=seed)
         estimator = NaruEstimator(table, config)
-        estimator._fitted = True  # evaluated after each manual epoch below
         per_epoch = []
         for epoch in range(1, scale.training_curve_epochs + 1):
-            start = time.perf_counter()
-            estimator.trainer.train_epoch()
-            epoch_seconds = time.perf_counter() - start
+            _, epoch_seconds = _timed(estimator.fit, epochs=1)
             gap = estimator.entropy_gap_bits(sample_rows=2048)
             errors = [q_error(estimator.estimate_cardinality(item.query), item.cardinality)
                       for item in workload]
@@ -316,10 +344,12 @@ def figure5_training_quality(scale: ExperimentScale | None = None) -> dict:
             })
             rows.append(per_epoch[-1])
         results[name] = per_epoch
-    text = format_series(rows, ["dataset", "epoch", "epoch_seconds",
-                                "entropy_gap_bits", "median_error", "max_error"],
-                         "Figure 5: training time vs quality")
-    return {"results": results, "text": text}
+    text = format_series(rows, ["dataset", "epoch", "entropy_gap_bits",
+                                "median_error", "max_error"],
+                         "Figure 5: model quality per training epoch")
+    timing_text = format_series(rows, ["dataset", "epoch", "epoch_seconds"],
+                                "Figure 5: training time per epoch")
+    return {"results": results, "text": text, "timing_text": timing_text}
 
 
 # --------------------------------------------------------------------------- #
@@ -346,8 +376,9 @@ def figure6_estimation_latency(scale: ExperimentScale | None = None) -> dict:
 
     runs = compare_estimators(estimators, workload)
     latencies = {name: run.latency_quantiles() for name, run in runs.items()}
-    text = format_latency_table(latencies, "Figure 6: estimation latency (ms, CPU)")
-    return {"latencies": latencies, "runs": runs, "text": text,
+    timing_text = format_latency_table(latencies,
+                                       "Figure 6: estimation latency (ms, CPU)")
+    return {"latencies": latencies, "runs": runs, "timing_text": timing_text,
             "naru": naru, "table": table, "workload": workload}
 
 
@@ -365,27 +396,28 @@ def table6_query_region(scale: ExperimentScale | None = None) -> dict:
         # Throughput of exact enumeration: points/second through the model.
         model = MADEModel(table, hidden_sizes=scale.naru_hidden, seed=seed)
         probe = table.sample_rows(2048, np.random.default_rng(0))
-        start = time.perf_counter()
-        model.log_prob(probe)
-        per_point_seconds = (time.perf_counter() - start) / probe.shape[0]
-        enumeration_hours = region_p99 * per_point_seconds / 3600.0
+        _, probe_seconds = _timed(model.log_prob, probe)
+        enumeration_hours = region_p99 * probe_seconds / probe.shape[0] / 3600.0
 
         # Measured progressive-sampling latency on the same model.
         sampler = ProgressiveSampler(model, seed=0)
         hard_query = workload[int(np.argmax(region_sizes))].query
-        start = time.perf_counter()
-        sampler.estimate_selectivity(hard_query.column_masks(table),
-                                     num_samples=scale.naru_samples[-1])
-        naru_ms = (time.perf_counter() - start) * 1000.0
+        _, naru_seconds = _timed(sampler.estimate_selectivity,
+                                 hard_query.column_masks(table),
+                                 num_samples=scale.naru_samples[-1])
+        naru_ms = naru_seconds * 1000.0
 
         results[name] = {"region_size_p99": region_p99,
                          "enumeration_hours_estimated": enumeration_hours,
                          "naru_latency_ms": naru_ms}
         rows.append({"dataset": name, "region_p99": region_p99,
                      "enum_hours_est": enumeration_hours, "naru_ms": naru_ms})
-    text = format_series(rows, ["dataset", "region_p99", "enum_hours_est", "naru_ms"],
-                         "Table 6: query region size vs enumeration vs progressive sampling")
-    return {"results": results, "text": text}
+    text = format_series(rows, ["dataset", "region_p99"],
+                         "Table 6: query region size (99th percentile)")
+    timing_text = format_series(
+        rows, ["dataset", "enum_hours_est", "naru_ms"],
+        "Table 6: estimated enumeration vs measured progressive sampling")
+    return {"results": results, "text": text, "timing_text": timing_text}
 
 
 # --------------------------------------------------------------------------- #
@@ -519,19 +551,10 @@ def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
                         progressive_samples=scale.naru_samples[-1], seed=0)
     stale = NaruEstimator(table, config)
     refreshed = NaruEstimator(table, config.with_overrides(seed=0))
-    full_codes = table.encoded()
 
-    def partition_codes(part: Table) -> np.ndarray:
-        columns = [table.column(name) for name in table.column_names]
-        return np.stack([
-            np.searchsorted(column.domain, part.column(column.name).values)
-            for column in columns
-        ], axis=1)
-
-    first = partition_codes(partitions[0])
+    first = encode_with_dictionaries(table, partitions[0])
     stale.refresh(first, epochs=scale.naru_epochs)
     refreshed.refresh(first, epochs=scale.naru_epochs)
-    stale._fitted = refreshed._fitted = True
 
     generator = WorkloadGenerator(partitions[0], min_filters=5,
                                   max_filters=min(11, table.num_columns), seed=900)
@@ -545,7 +568,7 @@ def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
         if index > 0:
             visible = visible.concat(partitions[index])
             visible_codes = np.concatenate(
-                [visible_codes, partition_codes(partitions[index])])
+                [visible_codes, encode_with_dictionaries(table, partitions[index])])
             refreshed.refresh(visible_codes, epochs=1)
         for estimator in (stale, refreshed):
             estimator.set_row_count(visible.num_rows)
@@ -567,6 +590,153 @@ def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
     return {"results": results, "text": text}
 
 
+# --------------------------------------------------------------------------- #
+# Beyond the paper — the serving experiments
+# --------------------------------------------------------------------------- #
+class _ServeFleet:
+    """The registry, workload and routers one ``serve_*`` experiment measures.
+
+    ``prefix`` names the experiment's block of :class:`ExperimentScale`
+    fields — ``<prefix>_rows``, ``_queries``, ``_samples``, ``_epochs``, … —
+    read through :meth:`size`.  Every model shares one Naru config (batch
+    256, seed 0) and every router and baseline the one sample budget and
+    seed, so each query's random stream is keyed by ``(seed, global workload
+    index)`` alone and whatever two runs disagree on is the serving path's
+    doing.
+    """
+
+    def __init__(self, scale: ExperimentScale, prefix: str, *,
+                 epochs: int | None = None,
+                 hidden: tuple[int, ...] = (64, 64)) -> None:
+        self.scale = scale
+        self.prefix = prefix
+        self.samples = self.size("samples")
+        config = NaruConfig(
+            epochs=self.size("epochs") if epochs is None else epochs,
+            hidden_sizes=hidden, batch_size=256,
+            progressive_samples=self.samples, seed=0)
+        self.registry = ModelRegistry(default_config=config)
+
+    def size(self, field: str):
+        return getattr(self.scale, f"{self.prefix}_{field}")
+
+    def register_users_sessions(self, *, join: bool = False) -> None:
+        """A users dimension and a sessions fact table, optionally with their
+        equi-join — served exactly like a base table, per §4.1."""
+        users = self.size("users")
+        self.registry.register_table(make_users(users))
+        self.registry.register_table(make_sessions(self.size("rows"),
+                                                   num_users=users))
+        if join:
+            self.registry.register_join(
+                JoinSpec("sessions", "users", "user_id", "user_id"))
+
+    def workload(self, build=generate_mixed_workload, **options) -> list:
+        """Train every registered model, then build the table-qualified
+        workload over all relations (``build`` is one of the
+        ``repro.serve.generate_*_workload`` functions)."""
+        self.registry.fit_all()
+        relations = {name: self.registry.relation(name)
+                     for name in self.registry.names}
+        return build(relations, self.size("queries"), **options)
+
+    def router(self, fleet_class=FleetRouter, *, batch_size: int | None = None,
+               **options):
+        return fleet_class(self.registry,
+                           batch_size=batch_size or self.size("batch_size"),
+                           num_samples=self.samples, seed=0, **options)
+
+    def sequential(self, queries: list):
+        """The baseline every drift is measured against: one unbatched,
+        uncached, unfused sampler pass per query, models visited in turn."""
+        return run_fleet_sequential(self.registry, queries,
+                                    num_samples=self.samples, seed=0)
+
+
+def _max_drift(report, reference) -> float:
+    return float(np.max(np.abs(report.selectivities - reference.selectivities)))
+
+
+#: The seed-determined fields of an engine, route or fleet stats dict.
+_COUNT_KEYS = ("num_queries", "num_batches", "num_replicas", "rows_submitted",
+               "unique_rows", "rows_evaluated", "forward_calls", "dedup_ratio",
+               "shed", "result_cache_hits")
+
+
+def _counts(stats: dict) -> dict:
+    """What the seed determines of a closed-loop run's ``stats.as_dict()``.
+
+    A whitelist, so a clock reading added to the serving stats later cannot
+    leak into a tracked report.  Only valid for runs without flush timers —
+    a timeout flush makes even the batch count a clock's doing.
+    """
+    counts = {key: stats[key] for key in _COUNT_KEYS if key in stats}
+    if stats.get("cache"):
+        counts["cache_hits"] = stats["cache"]["hits"]
+        counts["cache_misses"] = stats["cache"]["misses"]
+    if "routes" in stats:
+        counts["routes"] = {route: _counts(route_stats)
+                            for route, route_stats in stats["routes"].items()}
+    return counts
+
+
+def _throughput_rows(wall_s: dict[str, float], num_queries: int) -> list[dict]:
+    return [{"mode": mode, "wall_s": seconds,
+             "queries_per_second": num_queries / seconds}
+            for mode, seconds in wall_s.items()]
+
+
+def _cold_warm_passes(baseline, serve, queries: list) -> dict:
+    """The pass-and-compare sequence the closed-loop experiments share.
+
+    ``baseline(queries)`` runs once, then ``serve(queries)`` twice on the
+    same long-lived engine or router: first sight of the workload (caches
+    empty), then steady state.  Each pass is wall-clocked whole — cache hits
+    never touch the engine-internal batch timers, which would flatter a warm
+    pass.  Returns the three reports, ``drift`` (cold vs baseline) and
+    ``warm_drift`` (warm vs cold), the seed-determined ``counts`` per pass,
+    and the clock-determined ``timing`` dict.
+    """
+    reports, wall_s = {}, {}
+    for mode, run in (("sequential", baseline), ("cold", serve), ("warm", serve)):
+        reports[mode], wall_s[mode] = _timed(run, queries)
+    stats = {mode: report.stats.as_dict() for mode, report in reports.items()}
+    return {
+        **reports,
+        "drift": _max_drift(reports["cold"], reports["sequential"]),
+        "warm_drift": _max_drift(reports["warm"], reports["cold"]),
+        "counts": {mode: _counts(pass_stats)
+                   for mode, pass_stats in stats.items()},
+        "timing": {
+            "cold_speedup": wall_s["sequential"] / wall_s["cold"],
+            "speedup": wall_s["sequential"] / wall_s["warm"],
+            "wall_s": wall_s,
+            "stats": stats,
+        },
+    }
+
+
+def _serve_result(title: str, report: dict, rows: list[dict], timing: dict,
+                  timing_rows: list[dict]) -> dict:
+    """Assemble a ``serve_*`` result: each part's text renders its own dict.
+
+    The title line of ``text`` lists every scalar of ``report`` (of
+    ``timing_text``, every scalar of ``timing``) above a table of ``rows``
+    (``timing_rows``), so no reading can be in a JSON file and missing from
+    the text beside it, or cross from one part's text into the other's.
+    """
+    def render(part: dict, table: list[dict]) -> str:
+        scalars = ", ".join(
+            f"{key} {value:.4g}" if isinstance(value, float) else f"{key} {value}"
+            for key, value in part.items()
+            if isinstance(value, (int, float, str)))
+        return format_series(table, list(table[0]),
+                             f"{title}: {scalars}" if scalars else title)
+
+    return {"text": render(report, rows), "report": report,
+            "timing_text": render(timing, timing_rows), "timing": timing}
+
+
 def serve_throughput(scale: ExperimentScale | None = None) -> dict:
     """Beyond the paper: throughput of the batched serving engine.
 
@@ -577,155 +747,82 @@ def serve_throughput(scale: ExperimentScale | None = None) -> dict:
     twice through :class:`repro.serve.EstimationEngine` with the fused hot
     path (column-sliced conditionals, prefix-deduplicated sampling, the
     vectorized packed-prefix conditional cache) — a cold first pass and a
-    warm steady-state pass.  It reports queries/second, the cold and warm
-    speedups, the prefix-dedup ratio and the largest per-query estimate
-    difference, which is exactly ``0.0``: the fused stack is bit-identical
-    to the reference path by construction (every kernel is row-exact).
+    warm steady-state pass.  The report holds the prefix-dedup ratio, the
+    cache counts and the largest per-query estimate difference, which is
+    exactly ``0.0``: the fused stack is bit-identical to the reference path
+    by construction (every kernel is row-exact).  Queries/second and the
+    cold and warm speedups are the timing part.
     """
-    from ..data import make_census
-    from ..serve import EstimationEngine, run_sequential
-
     scale = scale or active_scale()
-    table = make_census(scale.serve_rows)
-    config = NaruConfig(epochs=scale.serve_epochs, hidden_sizes=(64, 64),
-                        batch_size=256, progressive_samples=scale.serve_samples,
-                        seed=0)
-    naru = NaruEstimator(table, config)
-    naru.fit()
-    generator = WorkloadGenerator(table, min_filters=5,
-                                  max_filters=min(11, table.num_columns), seed=0)
-    queries = generator.generate(scale.serve_queries)
-
-    sequential = run_sequential(naru, queries, num_samples=scale.serve_samples,
-                                seed=0)
+    fleet = _ServeFleet(scale, "serve")
+    fleet.registry.register_table(make_census(scale.serve_rows))
+    queries = fleet.workload(min_filters=5, max_filters=11)
+    naru = fleet.registry.estimator("census")
     engine = EstimationEngine(naru, batch_size=scale.serve_batch_size,
-                              num_samples=scale.serve_samples, seed=0)
-    cold = engine.run(queries)      # first sight of the workload, cache empty
-    warm = engine.run(queries)      # steady state: conditional cache is hot
-
-    drift = max(
-        float(np.max(np.abs(cold.selectivities - sequential.selectivities))),
-        float(np.max(np.abs(warm.selectivities - cold.selectivities))))
-    cold_speedup = (sequential.stats.elapsed_s / cold.stats.elapsed_s
-                    if cold.stats.elapsed_s > 0 else float("inf"))
-    warm_speedup = (sequential.stats.elapsed_s / warm.stats.elapsed_s
-                    if warm.stats.elapsed_s > 0 else float("inf"))
-    cache = warm.stats.cache or {}
-    rows = [
-        {"mode": "sequential", "queries_per_second": sequential.stats.queries_per_second,
-         "elapsed_s": sequential.stats.elapsed_s, "batches": sequential.stats.num_batches},
-        {"mode": "batched-cold", "queries_per_second": cold.stats.queries_per_second,
-         "elapsed_s": cold.stats.elapsed_s, "batches": cold.stats.num_batches},
-        {"mode": "batched-warm", "queries_per_second": warm.stats.queries_per_second,
-         "elapsed_s": warm.stats.elapsed_s, "batches": warm.stats.num_batches},
-    ]
-    text = format_series(
-        rows, ["mode", "queries_per_second", "elapsed_s", "batches"],
-        f"Serving throughput ({scale.serve_queries} queries, "
-        f"{scale.serve_samples} samples, batch={scale.serve_batch_size}): "
-        f"{cold_speedup:.2f}x cold / {warm_speedup:.2f}x warm speedup over the "
-        f"unfused sequential baseline, prefix dedup "
-        f"{cold.stats.dedup_ratio:.2f}x, cache hit rate "
-        f"{cache.get('hit_rate', 0.0):.1%}, estimate drift {drift:g}")
-    return {
-        "text": text,
-        "speedup": warm_speedup,
-        "cold_speedup": cold_speedup,
-        "max_estimate_drift": drift,
-        "sequential": sequential.stats.as_dict(),
-        "batched": warm.stats.as_dict(),
-        "batched_cold": cold.stats.as_dict(),
+                              num_samples=fleet.samples, seed=0)
+    passes = _cold_warm_passes(
+        lambda workload: run_sequential(naru, workload,
+                                        num_samples=fleet.samples, seed=0),
+        engine.run, queries)
+    report = {
+        "max_estimate_drift": max(passes["drift"], passes["warm_drift"]),
         "num_queries": len(queries),
+        "counts": passes["counts"],
+        "estimates": passes["warm"].selectivities.tolist(),
     }
+    rows = [{"mode": mode, "batches": tally["num_batches"],
+             "forward_calls": tally["forward_calls"],
+             "unique_rows": tally["unique_rows"],
+             "dedup_ratio": tally["dedup_ratio"],
+             "cache_hits": tally.get("cache_hits", 0)}
+            for mode, tally in passes["counts"].items()]
+    return _serve_result(
+        f"Serving throughput vs the unfused sequential baseline "
+        f"({fleet.samples} samples, batch={scale.serve_batch_size})",
+        report, rows, passes["timing"],
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
 
 
 def serve_multi(scale: ExperimentScale | None = None) -> dict:
     """Beyond the paper: fleet throughput of the multi-model serving router.
 
     Registers two base tables (a users dimension and a sessions fact table)
-    plus their equi-join — served exactly like a base table, per §4.1 — in a
-    :class:`repro.serve.ModelRegistry`, then answers one interleaved mixed
-    workload two ways: through a :class:`repro.serve.FleetRouter` (per-model
-    micro-batches, per-model LRU caches under one shared budget) and through
-    N independent sequential engines (one unbatched, uncached sampler pass
-    per query, models visited one after another).  Both sides key every
-    query's random stream by its global workload index, so the estimates
-    agree to float round-off; the reported numbers are fleet queries/second,
-    the per-route breakdown, and the routed-vs-sequential speedup.
+    plus their equi-join in a :class:`repro.serve.ModelRegistry`, then
+    answers one interleaved mixed workload two ways: through a
+    :class:`repro.serve.FleetRouter` (per-model micro-batches, per-model LRU
+    caches under one shared budget) and through N independent sequential
+    engines.  Both sides key every query's random stream by its global
+    workload index, so the estimates agree to float round-off; the report
+    holds the routing audit and the per-route counts, the timing part the
+    fleet queries/second and the routed-vs-sequential speedup.
     """
-    from ..data import JoinSpec, make_sessions, make_users
-    from ..serve import (
-        FleetRouter,
-        ModelRegistry,
-        generate_mixed_workload,
-        run_fleet_sequential,
-    )
-
     scale = scale or active_scale()
-    config = NaruConfig(epochs=scale.serve_multi_epochs, hidden_sizes=(64, 64),
-                        batch_size=256,
-                        progressive_samples=scale.serve_multi_samples, seed=0)
-    registry = ModelRegistry(default_config=config)
-    registry.register_table(make_users(scale.serve_multi_users))
-    registry.register_table(make_sessions(scale.serve_multi_rows,
-                                          num_users=scale.serve_multi_users))
-    registry.register_join(JoinSpec("sessions", "users", "user_id", "user_id"))
-    registry.fit_all()
-
-    queries = generate_mixed_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_multi_queries, min_filters=2, max_filters=5, seed=0)
-
-    sequential = run_fleet_sequential(registry, queries,
-                                      num_samples=scale.serve_multi_samples,
-                                      seed=0)
-    router = FleetRouter(registry, batch_size=scale.serve_multi_batch_size,
-                         num_samples=scale.serve_multi_samples, seed=0)
-    cold = router.run(queries)      # first sight of the workload, caches empty
-    warm = router.run(queries)      # steady state: per-model caches are hot
-
-    drift = max(
-        float(np.max(np.abs(cold.selectivities - sequential.selectivities))),
-        float(np.max(np.abs(warm.selectivities - cold.selectivities))))
-    cold_speedup = (sequential.stats.elapsed_s / cold.stats.elapsed_s
-                    if cold.stats.elapsed_s > 0 else float("inf"))
-    warm_speedup = (sequential.stats.elapsed_s / warm.stats.elapsed_s
-                    if warm.stats.elapsed_s > 0 else float("inf"))
-    misrouted = sum(result.route != result.query.table for result in warm.results)
-
-    rows = []
-    for route, route_stats in warm.stats.routes.items():
-        cache = route_stats["cache"] or {}
-        rows.append({
-            "route": route,
-            "queries": route_stats["num_queries"],
-            "queries_per_second": route_stats["queries_per_second"],
-            "cache_hit_rate": cache.get("hit_rate", 0.0),
-        })
-    rows.append({"route": "fleet", "queries": warm.stats.num_queries,
-                 "queries_per_second": warm.stats.queries_per_second,
-                 "cache_hit_rate": float("nan")})
-    text = format_series(
-        rows, ["route", "queries", "queries_per_second", "cache_hit_rate"],
-        f"Multi-model serving ({len(registry)} relations, "
-        f"{warm.stats.num_queries} queries, batch="
-        f"{scale.serve_multi_batch_size}): {cold_speedup:.2f}x cold / "
-        f"{warm_speedup:.2f}x warm over N sequential engines")
-    return {
-        "text": text,
-        "speedup": warm_speedup,
-        "cold_speedup": cold_speedup,
-        "max_estimate_drift": drift,
-        "misrouted": misrouted,
-        "num_models": len(registry),
-        "model_storage_bytes": registry.size_bytes(),
-        "sequential": sequential.stats.as_dict(),
-        "fleet": warm.stats.as_dict(),
-        "fleet_cold": cold.stats.as_dict(),
+    fleet = _ServeFleet(scale, "serve_multi")
+    fleet.register_users_sessions(join=True)
+    queries = fleet.workload()
+    passes = _cold_warm_passes(fleet.sequential, fleet.router().run, queries)
+    warm = passes["warm"]
+    report = {
+        "max_estimate_drift": max(passes["drift"], passes["warm_drift"]),
+        "misrouted": sum(result.route != result.query.table
+                         for result in warm.results),
+        "num_models": len(fleet.registry),
+        "model_storage_bytes": fleet.registry.size_bytes(),
         "num_queries": len(queries),
-        "estimates": [result.selectivity for result in warm.results],
+        "counts": passes["counts"],
+        "estimates": warm.selectivities.tolist(),
         "routes": [result.route for result in warm.results],
     }
+    rows = [{"route": route, "queries": tally["num_queries"],
+             "batches": tally["num_batches"],
+             "dedup_ratio": tally["dedup_ratio"],
+             "cache_hits": tally["cache_hits"]}
+            for route, tally in passes["counts"]["warm"]["routes"].items()]
+    return _serve_result(
+        f"Multi-model serving vs N sequential engines "
+        f"(batch={scale.serve_multi_batch_size})",
+        report, rows, passes["timing"],
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
 
 
 def serve_replicated(scale: ExperimentScale | None = None) -> dict:
@@ -735,50 +832,25 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
     the sessions fact table) is answered four ways over the same two trained
     models:
 
-    * ``sequential`` — one unbatched, uncached sampler pass per query, the
-      single-engine-per-relation baseline,
-    * ``replicated-cold`` / ``replicated-warm`` — a
-      :class:`repro.serve.FleetRouter` with the hot relation registered at
-      ``serve_repl_replicas`` engine replicas, a bounded pending queue
-      (``max_pending``, ``block`` policy) and the fleet-wide exact-match
+    * ``sequential`` — the single-engine-per-relation baseline,
+    * ``cold`` / ``warm`` — a :class:`repro.serve.FleetRouter` with the hot
+      relation at ``serve_repl_replicas`` engine replicas, a bounded pending
+      queue (``max_pending``, ``block`` policy) and the fleet-wide exact-match
       result cache; the warm pass replays the workload against hot caches,
     * ``replicas=1`` — the same router configuration without replication,
       used to assert that replication never changes an estimate.
 
-    Every run keys each query's random stream by ``(seed, global workload
-    index)``, so all model-computed estimates agree to float round-off; the
-    warm pass is served from the result cache bit-for-bit.  Speedups are
-    wall-clock (the warm pass spends its time in cache lookups, not engine
-    batches, so engine-internal latencies alone would overstate it).  A final
-    mini-run with a deliberately tiny ``max_pending`` under the ``shed``
-    policy demonstrates load shedding and the typed accounting around it.
+    All model-computed estimates agree to float round-off and the warm pass
+    is served from the result cache bit-for-bit.  A final mini-run with a
+    deliberately tiny ``max_pending`` under the ``shed`` policy demonstrates
+    load shedding and the typed accounting around it.
     """
-    from ..data import make_sessions, make_users
-    from ..serve import (
-        FleetRouter,
-        ModelRegistry,
-        canonical_query_key,
-        generate_mixed_workload,
-        run_fleet_sequential,
-    )
-
     scale = scale or active_scale()
-    config = NaruConfig(epochs=scale.serve_repl_epochs, hidden_sizes=(64, 64),
-                        batch_size=256,
-                        progressive_samples=scale.serve_repl_samples, seed=0)
-    registry = ModelRegistry(default_config=config)
-    registry.register_table(make_users(scale.serve_repl_users))
-    registry.register_table(
-        make_sessions(scale.serve_repl_rows, num_users=scale.serve_repl_users),
-        replicas=scale.serve_repl_replicas)
-    registry.fit_all()
-
+    fleet = _ServeFleet(scale, "serve_repl")
+    fleet.register_users_sessions()
+    fleet.registry.set_replicas("sessions", scale.serve_repl_replicas)
     hot = scale.serve_repl_hot_fraction
-    queries = generate_mixed_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_repl_queries, min_filters=2, max_filters=5, seed=0,
-        weights={"users": 1.0 - hot, "sessions": hot})
-    hot_queries = sum(query.table == "sessions" for query in queries)
+    queries = fleet.workload(weights={"users": 1.0 - hot, "sessions": hot})
     # Precondition of the warm-replay exactness claims below: an exact-match
     # cache may only hit on a true replay, so the workload must be free of
     # canonically-equal duplicates.  Fail here, loudly, rather than letting a
@@ -789,80 +861,46 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
             "serve_replicated needs a duplicate-free workload (the generated "
             "one collided); adjust the scale's serve_repl_* knobs")
 
-    sequential, sequential_s = _timed(
-        lambda: run_fleet_sequential(registry, queries,
-                                     num_samples=scale.serve_repl_samples,
-                                     seed=0))
-    router = FleetRouter(registry, batch_size=scale.serve_repl_batch_size,
-                         num_samples=scale.serve_repl_samples, seed=0,
-                         max_pending=scale.serve_repl_max_pending,
-                         overflow="block", result_cache=True)
-    cold, cold_s = _timed(router.run, queries)   # caches empty, models cold
-    warm, warm_s = _timed(router.run, queries)   # result cache answers repeats
+    bounded = {"max_pending": scale.serve_repl_max_pending, "overflow": "block"}
+    passes = _cold_warm_passes(
+        fleet.sequential, fleet.router(result_cache=True, **bounded).run, queries)
+    warm = passes["warm"]
 
     # Replication must not change a single estimate: serve the same workload
     # through an unreplicated router of the same shape and compare.
-    registry.set_replicas("sessions", 1)
-    single = FleetRouter(registry, batch_size=scale.serve_repl_batch_size,
-                         num_samples=scale.serve_repl_samples, seed=0,
-                         max_pending=scale.serve_repl_max_pending,
-                         overflow="block").run(queries)
-    registry.set_replicas("sessions", scale.serve_repl_replicas)
-
-    drift = float(np.max(np.abs(cold.selectivities - sequential.selectivities)))
-    replica_drift = float(np.max(np.abs(cold.selectivities - single.selectivities)))
-    warm_drift = float(np.max(np.abs(warm.selectivities - cold.selectivities)))
-    cold_speedup = sequential_s / cold_s if cold_s > 0 else float("inf")
-    warm_speedup = sequential_s / warm_s if warm_s > 0 else float("inf")
+    fleet.registry.set_replicas("sessions", 1)
+    replica_drift = _max_drift(passes["cold"], fleet.router(**bounded).run(queries))
+    fleet.registry.set_replicas("sessions", scale.serve_repl_replicas)
 
     # Load-shedding demonstration: a group bounded far below the burst size
     # refuses the overflow loudly and accounts for every refusal.
-    shedder = FleetRouter(registry, batch_size=scale.serve_repl_batch_size,
-                          num_samples=scale.serve_repl_samples, seed=0,
-                          max_pending=2, overflow="shed")
-    shed_report = shedder.run(queries)
+    shed_stats = fleet.router(max_pending=2, overflow="shed").run(queries).stats
 
-    hot_stats = warm.stats.routes.get("sessions", {})
-    rows = [
-        {"mode": "sequential", "wall_s": sequential_s,
-         "queries_per_second": len(queries) / sequential_s},
-        {"mode": "replicated-cold", "wall_s": cold_s,
-         "queries_per_second": len(queries) / cold_s},
-        {"mode": "replicated-warm", "wall_s": warm_s,
-         "queries_per_second": len(queries) / warm_s},
-    ]
-    text = format_series(
-        rows, ["mode", "wall_s", "queries_per_second"],
-        f"Replicated hot-relation serving ({hot_queries}/{len(queries)} "
-        f"queries on sessions x{scale.serve_repl_replicas} replicas, "
-        f"max_pending={scale.serve_repl_max_pending}): "
-        f"{cold_speedup:.2f}x cold / {warm_speedup:.2f}x warm over one "
-        f"sequential engine per relation; replica drift {replica_drift:.1e}, "
-        f"shed demo refused {shed_report.stats.shed}/{len(queries)}")
-    return {
-        "text": text,
-        "speedup": warm_speedup,
-        "cold_speedup": cold_speedup,
-        "max_estimate_drift": drift,
+    report = {
+        "max_estimate_drift": passes["drift"],
         "replica_drift": replica_drift,
-        "warm_drift": warm_drift,
-        "replicas": scale.serve_repl_replicas,
-        "hot_queries": hot_queries,
+        "warm_drift": passes["warm_drift"],
+        "hot_queries": sum(query.table == "sessions" for query in queries),
         "num_queries": len(queries),
         "shed": warm.stats.shed,
-        "shed_demo": shed_report.stats.shed,
-        "shed_demo_served": shed_report.stats.num_queries,
+        "shed_demo": shed_stats.shed,
+        "shed_demo_served": shed_stats.num_queries,
         "result_cache": warm.stats.result_cache,
         "result_cache_hits": warm.result_cache_hits,
-        "sequential_wall_s": sequential_s,
-        "cold_wall_s": cold_s,
-        "warm_wall_s": warm_s,
-        "sequential": sequential.stats.as_dict(),
-        "fleet_cold": cold.stats.as_dict(),
-        "fleet_warm": warm.stats.as_dict(),
-        "hot_route": hot_stats,
-        "estimates": [result.selectivity for result in warm.results],
+        "counts": passes["counts"],
+        "estimates": warm.selectivities.tolist(),
     }
+    rows = [{"mode": mode, "route": route, "replicas": tally["num_replicas"],
+             "batches": tally["num_batches"],
+             "result_cache_hits": tally["result_cache_hits"]}
+            for mode in ("cold", "warm")
+            for route, tally in passes["counts"][mode]["routes"].items()]
+    return _serve_result(
+        f"Replicated hot-relation serving vs one sequential engine per "
+        f"relation (sessions x{scale.serve_repl_replicas} replicas, "
+        f"max_pending={scale.serve_repl_max_pending})",
+        report, rows, passes["timing"],
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
 
 
 def serve_stream(scale: ExperimentScale | None = None) -> dict:
@@ -891,153 +929,100 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     * ``streamed-shuffled`` — the e2e configuration with a *shuffled*
       arrival order and pre-assigned indices: streaming ≡ batch.
 
-    Every mode's estimates are compared against the unbatched
-    :func:`repro.serve.run_fleet_sequential` baseline — adaptive batch
-    boundaries, timeout flushes, pacing and shuffled streaming must not
-    move a single number.
+    Every mode's estimates are compared against the unbatched sequential
+    baseline — adaptive batch boundaries, timeout flushes, pacing and
+    shuffled streaming must not move a single number; that drift is the
+    whole seed-determined report, since under flush timers even the batch
+    counts are a clock's doing.
 
     The headline claim: steering the batch size on end-to-end latency (and
     bounding tail wait with the flush timeout) makes the fleet meet an SLO,
     stated against what a submitter experiences, that the fixed batch misses.
     """
-    from ..data import make_sessions, make_users
-    from ..serve import (
-        FleetRouter,
-        ModelRegistry,
-        VirtualClock,
-        generate_bursty_workload,
-        run_fleet_sequential,
-        stream_workload,
-    )
-
     scale = scale or active_scale()
-    config = NaruConfig(epochs=scale.serve_stream_epochs, hidden_sizes=(64, 64),
-                        batch_size=256,
-                        progressive_samples=scale.serve_stream_samples, seed=0)
-    registry = ModelRegistry(default_config=config)
-    registry.register_table(make_users(scale.serve_stream_users))
-    registry.register_table(make_sessions(scale.serve_stream_rows,
-                                          num_users=scale.serve_stream_users))
-    registry.fit_all()
-
+    fleet = _ServeFleet(scale, "serve_stream")
+    fleet.register_users_sessions()
     hot = scale.serve_stream_hot_fraction
-    queries = generate_bursty_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_stream_queries, hot="sessions",
-        burst_size=scale.serve_stream_burst, min_filters=2, max_filters=5,
-        seed=0, weights={"users": 1.0 - hot, "sessions": hot})
-    hot_queries = sum(query.table == "sessions" for query in queries)
+    queries = fleet.workload(
+        generate_bursty_workload, hot="sessions",
+        burst_size=scale.serve_stream_burst,
+        weights={"users": 1.0 - hot, "sessions": hot})
     max_batch = scale.serve_stream_max_batch
-
-    baseline = run_fleet_sequential(registry, queries,
-                                    num_samples=scale.serve_stream_samples,
-                                    seed=0)
+    baseline = fleet.sequential(queries)
 
     # Calibrate the arrival pacing: one unpaced max-batch probe measures the
     # host's per-query dispatch cost, and queries then arrive one such cost
     # apart — fast hosts get tight pacing, slow hosts loose, and the
     # queueing dynamics stay comparable everywhere.
-    probe = FleetRouter(registry, batch_size=max_batch,
-                        num_samples=scale.serve_stream_samples,
-                        use_cache=False, seed=0).run(queries)
+    probe = fleet.router(batch_size=max_batch, use_cache=False).run(queries)
     arrival_gap_ms = (probe.stats.routes["sessions"]["latency_ms"]["p95"]
                       / max_batch)
 
-    def paced_clock() -> VirtualClock:
-        return VirtualClock(base=time.perf_counter)
+    def paced_router(**options) -> FleetRouter:
+        return fleet.router(batch_size=max_batch, use_cache=False,
+                            clock=VirtualClock(base=time.perf_counter),
+                            **options)
 
     def paced(router, order=None):
         return _timed(stream_workload, router, queries, arrival_order=order,
                       advance_ms=arrival_gap_ms)
 
-    fixed_router = FleetRouter(registry, batch_size=max_batch,
-                               num_samples=scale.serve_stream_samples,
-                               use_cache=False, seed=0, clock=paced_clock())
-    fixed, fixed_s = paced(fixed_router)
-    fixed_e2e_p95 = fixed.stats.routes["sessions"]["e2e_ms"]["p95"]
+    modes = {"fixed": paced(paced_router())}
+    fixed_e2e_p95 = modes["fixed"][0].stats.routes["sessions"]["e2e_ms"]["p95"]
     slo_ms = fixed_e2e_p95 * scale.serve_stream_slo_fraction
-    flush_after_ms = slo_ms * scale.serve_stream_flush_fraction
-
-    def adaptive_router() -> FleetRouter:
-        return FleetRouter(registry, batch_size=max_batch,
-                           num_samples=scale.serve_stream_samples,
-                           use_cache=False, seed=0, slo_ms=slo_ms,
-                           flush_after_ms=flush_after_ms, clock=paced_clock())
+    steering = {"slo_ms": slo_ms,
+                "flush_after_ms": slo_ms * scale.serve_stream_flush_fraction}
 
     # The controller observes end-to-end latency and the flush deadline
     # bounds how long a partial batch may linger.
-    e2e_router = adaptive_router()
-    e2e_warmup, e2e_warmup_s = paced(e2e_router)
-    e2e_steady, e2e_steady_s = paced(e2e_router)
-
+    e2e_router = paced_router(**steering)
+    modes["e2e-warmup"] = paced(e2e_router)
+    modes["e2e-steady"] = paced(e2e_router)
     order = np.random.default_rng(1).permutation(len(queries)).tolist()
-    streamed, streamed_s = paced(adaptive_router(), order)
+    modes["streamed-shuffled"] = paced(paced_router(**steering), order)
 
-    drift = max(
-        float(np.max(np.abs(report.selectivities - baseline.selectivities)))
-        for report in (fixed, e2e_warmup, e2e_steady, streamed))
-
-    def hot_latencies(report) -> dict:
-        stats = report.stats.routes["sessions"]
-        return {"dispatch_p95_ms": stats["latency_ms"]["p95"],
-                "queue_wait_p95_ms": stats["queue_wait_ms"]["p95"],
-                "e2e_p95_ms": stats["e2e_ms"]["p95"]}
-
-    e2e_scoped = hot_latencies(e2e_steady)
-    rows = []
-    for mode, report, wall_s in (
-            ("fixed", fixed, fixed_s),
-            ("e2e-warmup", e2e_warmup, e2e_warmup_s),
-            ("e2e-steady", e2e_steady, e2e_steady_s),
-            ("streamed-shuffled", streamed, streamed_s)):
-        hot_stats = report.stats.routes["sessions"]
-        rows.append({
+    rows, timing_rows = [], []
+    for mode, (served, wall_s) in modes.items():
+        hot_stats = served.stats.routes["sessions"]
+        rows.append({"mode": mode, "queries": served.stats.num_queries,
+                     "max_estimate_drift": _max_drift(served, baseline)})
+        timing_rows.append({
             "mode": mode,
             "dispatch_p95_ms": hot_stats["latency_ms"]["p95"],
             "queue_p95_ms": hot_stats["queue_wait_ms"]["p95"],
             "e2e_p95_ms": hot_stats["e2e_ms"]["p95"],
             "timeout_flushes": hot_stats["timeout_flushes"],
-            "queries_per_second": len(queries) / wall_s if wall_s > 0 else 0.0,
+            "queries_per_second": len(queries) / wall_s,
             "batches": hot_stats["num_batches"],
         })
-    text = format_series(
-        rows, ["mode", "dispatch_p95_ms", "queue_p95_ms", "e2e_p95_ms",
-               "timeout_flushes", "queries_per_second", "batches"],
-        f"End-to-end SLOs + streaming ({hot_queries}/{len(queries)} queries "
-        f"on sessions in bursts of {scale.serve_stream_burst}, max batch "
-        f"{max_batch}, arrivals paced {arrival_gap_ms:.1f} ms apart): stated "
-        f"e2e p95 SLO {slo_ms:.1f} ms (= "
-        f"{scale.serve_stream_slo_fraction:.0%} of fixed e2e p95 "
-        f"{fixed_e2e_p95:.1f} ms), flush timeout {flush_after_ms:.1f} ms — "
-        f"e2e-scoped steering delivers e2e p95 "
-        f"{e2e_scoped['e2e_p95_ms']:.1f} ms "
-        f"({'meets' if e2e_scoped['e2e_p95_ms'] <= slo_ms else 'misses'}); "
-        f"drift vs sequential baseline {drift:.1e}")
-    return {
-        "text": text,
-        "slo_ms": slo_ms,
-        "slo_fraction": scale.serve_stream_slo_fraction,
-        "flush_after_ms": flush_after_ms,
-        "flush_fraction": scale.serve_stream_flush_fraction,
+    warmup, steady = modes["e2e-warmup"][0], modes["e2e-steady"][0]
+    steady_e2e_p95 = steady.stats.routes["sessions"]["e2e_ms"]["p95"]
+    report = {
+        "max_estimate_drift": max(row["max_estimate_drift"] for row in rows),
+        "hot_queries": sum(query.table == "sessions" for query in queries),
+        "num_queries": len(queries),
+        "estimates": steady.selectivities.tolist(),
+    }
+    timing = {
+        **steering,
         "arrival_gap_ms": arrival_gap_ms,
         "fixed_e2e_p95_ms": fixed_e2e_p95,
-        "e2e_scoped": e2e_scoped,
-        "e2e_scoped_meets_e2e_slo": e2e_scoped["e2e_p95_ms"] <= slo_ms,
+        "steady_e2e_p95_ms": steady_e2e_p95,
         "fixed_meets_e2e_slo": fixed_e2e_p95 <= slo_ms,
-        "max_estimate_drift": drift,
-        "max_batch": max_batch,
-        "burst_size": scale.serve_stream_burst,
-        "hot_queries": hot_queries,
-        "num_queries": len(queries),
+        "steady_meets_e2e_slo": steady_e2e_p95 <= slo_ms,
         "e2e_batch_trace": list(
-            e2e_warmup.stats.routes["sessions"]["batch_trace"] or []),
+            warmup.stats.routes["sessions"]["batch_trace"] or []),
         "e2e_controller": e2e_router.controller("sessions").as_dict(),
-        "modes": rows,
-        "fixed": fixed.stats.as_dict(),
-        "e2e_steady": e2e_steady.stats.as_dict(),
-        "streamed": streamed.stats.as_dict(),
-        "estimates": [result.selectivity for result in e2e_steady.results],
+        "modes": timing_rows,
+        "stats": {mode: served.stats.as_dict()
+                  for mode, (served, _) in modes.items()},
     }
+    return _serve_result(
+        f"End-to-end SLOs + streaming (sessions in bursts of "
+        f"{scale.serve_stream_burst}, max batch {max_batch}, e2e p95 SLO = "
+        f"{scale.serve_stream_slo_fraction:.0%} of the fixed batch's, flush "
+        f"timeout = {scale.serve_stream_flush_fraction:.0%} of the SLO)",
+        report, rows, timing, timing_rows)
 
 
 def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
@@ -1049,20 +1034,18 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     group-shared ones:
 
     * ``sequential`` — one unbatched, uncached sampler pass per query,
-    * ``fleet`` — the in-process :class:`repro.serve.FleetRouter` with every
-      relation at ``serve_proc_workers`` replicas,
-    * ``procfleet`` — a :class:`repro.serve.ProcessFleet` of
+    * ``cold`` / ``warm`` — the in-process :class:`repro.serve.FleetRouter`
+      with every relation at ``serve_proc_workers`` replicas,
+    * ``procfleet-*`` — a :class:`repro.serve.ProcessFleet` of
       ``serve_proc_workers`` OS worker processes hosting those same replicas
       (one per worker), models shipped via :mod:`repro.nn.serialization`.
 
-    Every run keys each query's random stream by ``(seed, global workload
-    index)``, so the process boundary must not change a single bit:
-    ``fleet_drift`` compares the process fleet against the in-process router
-    bit-for-bit, and a final ``batch_size=1`` process-fleet pass must match
-    :func:`repro.serve.run_fleet_sequential` exactly
-    (``max_estimate_drift == 0.0``).
+    The process boundary must not change a single bit: ``fleet_drift``
+    compares the process fleet against the in-process router bit-for-bit,
+    and a final ``batch_size=1`` process-fleet pass must match the
+    sequential baseline exactly (``max_estimate_drift == 0.0``).
 
-    Throughput is reported two ways because CI hosts may expose a single
+    Throughput is timed two ways because CI hosts may expose a single
     core, where OS processes cannot overlap in wall-clock time:
     ``wall_speedup`` is honest host wall-clock, while the headline
     ``speedup`` is *capacity* — the fleet's critical path is the largest
@@ -1075,15 +1058,6 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     alongside.  ``host_cpus`` is recorded so a reader can tell which regime
     produced the numbers.
     """
-    from ..data import JoinSpec, make_sessions, make_users
-    from ..serve import (
-        FleetRouter,
-        ModelRegistry,
-        ProcessFleet,
-        generate_mixed_workload,
-        run_fleet_sequential,
-    )
-
     scale = scale or active_scale()
     workers = scale.serve_proc_workers
     # (32, 32) hidden layers, not the (64, 64) of the in-process serving
@@ -1091,115 +1065,62 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     # copy of the model, and the smaller working set stays cache-resident
     # across context switches — the capacity numbers measure serving, not
     # the host's L2.
-    config = NaruConfig(epochs=scale.serve_proc_epochs, hidden_sizes=(32, 32),
-                        batch_size=256,
-                        progressive_samples=scale.serve_proc_samples, seed=0)
-    registry = ModelRegistry(default_config=config)
-    registry.register_table(make_users(scale.serve_proc_users))
-    registry.register_table(make_sessions(scale.serve_proc_rows,
-                                          num_users=scale.serve_proc_users))
-    registry.register_join(JoinSpec("sessions", "users", "user_id", "user_id"))
-    registry.fit_all()
+    fleet = _ServeFleet(scale, "serve_proc", hidden=(32, 32))
+    fleet.register_users_sessions(join=True)
+    queries = fleet.workload()
     # One replica of every relation per worker: each worker serves the whole
     # fleet, so micro-batch composition matches the in-process router's and
     # the bit-exactness comparison below is meaningful.
-    for name in registry.names:
-        registry.set_replicas(name, workers)
+    for name in fleet.registry.names:
+        fleet.registry.set_replicas(name, workers)
 
-    queries = generate_mixed_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_proc_queries, min_filters=2, max_filters=5, seed=0)
-
-    sequential, sequential_s = _timed(
-        lambda: run_fleet_sequential(registry, queries,
-                                     num_samples=scale.serve_proc_samples,
-                                     seed=0))
-
-    router = FleetRouter(registry, batch_size=scale.serve_proc_batch_size,
-                         num_samples=scale.serve_proc_samples,
-                         use_cache=False, seed=0)
-    _, fleet_cold_s = _timed(router.run, queries)
-    fleet, fleet_s = _timed(router.run, queries)       # steady state
-
-    proc_fleet, spawn_s = _timed(
-        lambda: ProcessFleet(registry, workers=workers,
-                             batch_size=scale.serve_proc_batch_size,
-                             num_samples=scale.serve_proc_samples,
-                             use_cache=False, seed=0))
-    try:
-        _, proc_cold_s = _timed(proc_fleet.run, queries)
-        proc, proc_s = _timed(proc_fleet.run, queries)  # steady state
-    finally:
-        proc_fleet.close()
-    worker_stats = proc.stats.workers or {}
-    critical_path_s = max(
-        (stats["busy_cpu_ms"] for stats in worker_stats.values()),
-        default=0.0) / 1000.0
+    passes = _cold_warm_passes(fleet.sequential,
+                               fleet.router(use_cache=False).run, queries)
+    wall_s = passes["timing"]["wall_s"]
+    proc_fleet, spawn_s = _timed(fleet.router, ProcessFleet, workers=workers,
+                                 use_cache=False)
+    with proc_fleet:
+        _, wall_s["procfleet-cold"] = _timed(proc_fleet.run, queries)
+        proc, wall_s["procfleet-warm"] = _timed(proc_fleet.run, queries)
+    worker_stats = proc.stats.workers
+    wall_s["procfleet-capacity"] = max(
+        stats["busy_cpu_ms"] for stats in worker_stats.values()) / 1000.0
 
     # Determinism pass: batch_size=1 with caches off walks the exact code
     # path of the sequential baseline, just on the far side of a pipe.
-    with ProcessFleet(registry, workers=workers, batch_size=1,
-                      num_samples=scale.serve_proc_samples,
-                      use_cache=False, seed=0) as exact_fleet:
-        exact = exact_fleet.run(queries)
+    with fleet.router(ProcessFleet, workers=workers, batch_size=1,
+                      use_cache=False) as exact_fleet:
+        drift = _max_drift(exact_fleet.run(queries), passes["sequential"])
 
-    drift = float(np.max(np.abs(exact.selectivities
-                                - sequential.selectivities)))
-    batched_drift = float(np.max(np.abs(fleet.selectivities
-                                        - sequential.selectivities)))
-    fleet_drift = float(np.max(np.abs(proc.selectivities
-                                      - fleet.selectivities)))
-    wall_speedup = fleet_s / proc_s if proc_s > 0 else float("inf")
-    speedup = (fleet_s / critical_path_s
-               if critical_path_s > 0 else float("inf"))
-
-    rows = [
-        {"mode": "sequential", "wall_s": sequential_s,
-         "queries_per_second": len(queries) / sequential_s},
-        {"mode": "fleet", "wall_s": fleet_s,
-         "queries_per_second": len(queries) / fleet_s},
-        {"mode": "procfleet-wall", "wall_s": proc_s,
-         "queries_per_second": len(queries) / proc_s},
-        {"mode": "procfleet-capacity", "wall_s": critical_path_s,
-         "queries_per_second": (len(queries) / critical_path_s
-                                if critical_path_s > 0 else float("inf"))},
-    ]
-    text = format_series(
-        rows, ["mode", "wall_s", "queries_per_second"],
-        f"Cross-process fleet ({workers} workers x {len(registry)} "
-        f"relations, {len(queries)} queries, batch="
-        f"{scale.serve_proc_batch_size}, host_cpus={os.cpu_count()}): "
-        f"capacity {speedup:.2f}x / wall {wall_speedup:.2f}x over the "
-        f"single-process fleet; process-boundary drift {fleet_drift:.1e}, "
-        f"batch=1 drift vs sequential {drift:.1e}")
-    return {
-        "text": text,
-        "speedup": speedup,
-        "wall_speedup": wall_speedup,
+    report = {
         "max_estimate_drift": drift,
-        "batched_drift": batched_drift,
-        "fleet_drift": fleet_drift,
-        "workers": workers,
+        "batched_drift": passes["drift"],
+        "fleet_drift": _max_drift(proc, passes["warm"]),
+        "num_queries": len(queries),
+        "worker_queries": {worker: stats["num_queries"]
+                           for worker, stats in worker_stats.items()},
+        "counts": {**passes["counts"],
+                   "procfleet": _counts(proc.stats.as_dict())},
+        "estimates": proc.selectivities.tolist(),
+    }
+    rows = [{"worker": worker, "engines": len(stats["engines"]),
+             "queries": stats["num_queries"]}
+            for worker, stats in worker_stats.items()]
+    timing = {
+        "speedup": wall_s["warm"] / wall_s["procfleet-capacity"],
+        "wall_speedup": wall_s["warm"] / wall_s["procfleet-warm"],
         "host_cpus": os.cpu_count(),
         "spawn_s": spawn_s,
-        "sequential_wall_s": sequential_s,
-        "fleet_cold_s": fleet_cold_s,
-        "fleet_wall_s": fleet_s,
-        "procfleet_cold_s": proc_cold_s,
-        "procfleet_wall_s": proc_s,
-        "critical_path_s": critical_path_s,
-        "sequential_qps": len(queries) / sequential_s,
-        "fleet_qps": len(queries) / fleet_s,
-        "wall_qps": len(queries) / proc_s,
-        "capacity_qps": (len(queries) / critical_path_s
-                         if critical_path_s > 0 else float("inf")),
+        "wall_s": wall_s,
         "worker_stats": worker_stats,
-        "num_queries": len(queries),
-        "sequential": sequential.stats.as_dict(),
-        "fleet": fleet.stats.as_dict(),
-        "procfleet": proc.stats.as_dict(),
-        "estimates": [result.selectivity for result in proc.results],
+        "stats": {**passes["timing"]["stats"],
+                  "procfleet": proc.stats.as_dict()},
     }
+    return _serve_result(
+        f"Cross-process fleet vs the single-process fleet's warm pass "
+        f"({workers} workers x {len(fleet.registry)} relations, "
+        f"batch={scale.serve_proc_batch_size})",
+        report, rows, timing, _throughput_rows(wall_s, len(queries)))
 
 
 def serve_refresh(scale: ExperimentScale | None = None) -> dict:
@@ -1229,9 +1150,6 @@ def serve_refresh(scale: ExperimentScale | None = None) -> dict:
     the replays actually collided with pre-bump cache state rather than
     never touching it.
     """
-    from ..data.shift import PartitionedIngest, encode_with_dictionaries
-    from ..serve import FleetRouter, ModelRegistry, RefreshController
-
     scale = scale or active_scale()
     table = make_dmv(scale.serve_refresh_rows)
     ingest = PartitionedIngest(table, "valid_date",
@@ -1240,103 +1158,72 @@ def serve_refresh(scale: ExperimentScale | None = None) -> dict:
 
     # Full-table dictionaries ("domain from user annotation", §6.7.3), model
     # trained only on the first partition — the serving twin of table8.
-    config = NaruConfig(hidden_sizes=(64, 64), epochs=0, batch_size=256,
-                        progressive_samples=scale.serve_refresh_samples,
-                        seed=0)
-    estimator = NaruEstimator(table, config)
+    fleet = _ServeFleet(scale, "serve_refresh", epochs=0)
+    registry = fleet.registry
+    estimator = NaruEstimator(table, registry.default_config)
     estimator.refresh(encode_with_dictionaries(table, visible),
                       epochs=scale.serve_refresh_epochs)
-    estimator._fitted = True
     estimator.set_row_count(visible.num_rows)
-
-    registry = ModelRegistry(default_config=config)
     registry.register_table(visible, name="dmv", estimator=estimator)
     controller = RefreshController(
         registry, max_staleness=0,
         refresh_epochs=scale.serve_refresh_fine_tune_epochs)
+    queries = fleet.workload(min_filters=5, max_filters=11, seed=900)
 
-    generator = WorkloadGenerator(visible, min_filters=5,
-                                  max_filters=min(11, table.num_columns),
-                                  seed=900)
-    queries = [query.qualified("dmv")
-               for query in generator.generate(scale.serve_refresh_queries)]
-
-    def router_for() -> "FleetRouter":
-        return FleetRouter(registry,
-                           batch_size=scale.serve_refresh_batch_size,
-                           num_samples=scale.serve_refresh_samples, seed=0,
-                           result_cache=True, cache_entries=8_192)
+    def router_for() -> FleetRouter:
+        return fleet.router(result_cache=True, cache_entries=8_192)
 
     router = router_for()
+    rows, timing_rows = [], []
 
     def measure(phase: str):
-        report, elapsed = _timed(router.run, queries)
+        served, elapsed = _timed(router.run, queries)
         current = registry.relation("dmv")
         errors = [q_error(result.cardinality,
                           true_selectivity(current, result.query)
                           * current.num_rows)
-                  for result in report.results]
-        entry = {
+                  for result in served.results]
+        rows.append({
             "phase": phase,
             "partitions": ingest.num_ingested,
             "staleness": registry.staleness("dmv"),
             "drift_bits": controller.last_drift_bits.get("dmv") or 0.0,
             "p90": float(np.quantile(errors, 0.90)),
             "max": summarize_errors(errors).maximum,
-            "elapsed_s": elapsed,
-        }
-        return entry, report
+        })
+        timing_rows.append({"phase": phase, "elapsed_s": elapsed})
+        return served
 
-    rows = []
-    fresh, _ = measure("fresh")
-    rows.append(fresh)
+    measure("fresh")
     while ingest.remaining():
         part = ingest.partitions[ingest.num_ingested]
         ingest.ingest_next()
         record = controller.ingest("dmv", part)
-        entry, _ = measure(f"stale+{record['staleness']}")
-        rows.append(entry)
-    last_stale = rows[-1]
+        measure(f"stale+{record['staleness']}")
 
     controller.refresh("dmv")
-    refreshed, post_report = measure("refreshed")
-    rows.append(refreshed)
+    refreshed = measure("refreshed")
 
     # The zero-stale-hit proof: a cold router over the refreshed registry
     # has never seen a single pre-bump cache entry, so any surviving stale
     # state in the long-lived router shows up as a differing estimate.
-    cold_report = router_for().run(queries)
-    invalid_cache_hits = int(np.count_nonzero(
-        post_report.selectivities != cold_report.selectivities))
+    cold = router_for().run(queries)
     cache_stats = router.result_cache.stats.as_dict()
-    stale_rejects = cache_stats["lifetime"]["stale_rejects"]
-
-    text = format_series(
-        rows, ["phase", "partitions", "staleness", "drift_bits", "p90",
-               "max", "elapsed_s"],
-        f"Live refresh under partitioned ingest (DMV by date, "
-        f"{scale.serve_refresh_partitions} partitions, "
-        f"{scale.serve_refresh_queries} queries): stale p90 "
-        f"{fresh['p90']:.2f} -> {last_stale['p90']:.2f}, refreshed "
-        f"{refreshed['p90']:.2f}; invalid cache hits {invalid_cache_hits}, "
-        f"stale result-cache entries rejected {stale_rejects}")
-    return {
-        "text": text,
-        "results": rows,
-        "fresh_p90": fresh["p90"],
-        "fresh_max": fresh["max"],
-        "stale_p90": last_stale["p90"],
-        "stale_max": last_stale["max"],
-        "refreshed_p90": refreshed["p90"],
-        "refreshed_max": refreshed["max"],
-        "invalid_cache_hits": invalid_cache_hits,
-        "result_cache_stale_rejects": stale_rejects,
-        "result_cache": cache_stats,
-        "epochs": post_report.stats.epochs,
+    report = {
+        "invalid_cache_hits": int(np.count_nonzero(
+            refreshed.selectivities != cold.selectivities)),
+        "result_cache_stale_rejects": cache_stats["lifetime"]["stale_rejects"],
         "max_staleness_served": max(entry["staleness"] for entry in rows),
         "num_queries": len(queries),
-        "estimates": [result.selectivity for result in post_report.results],
+        "results": rows,
+        "result_cache": cache_stats,
+        "epochs": refreshed.stats.epochs,
+        "estimates": refreshed.selectivities.tolist(),
     }
+    return _serve_result(
+        f"Live refresh under partitioned ingest (DMV by date, "
+        f"{scale.serve_refresh_partitions} partitions)",
+        report, rows, {"replays": timing_rows}, timing_rows)
 
 
 def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
@@ -1359,7 +1246,9 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     trace offered vs achieved throughput, shed counts, the pending
     high-water mark and the latency percentiles, and
     :func:`repro.serve.locate_knee` reads off the highest offered rate whose
-    e2e p95 still meets the SLO.
+    e2e p95 still meets the SLO.  Because every offered rate is a multiple
+    of a measured capacity, the whole curve — arrival counts included — is
+    the timing part.
 
     On top of the curve, three chaos drills at the mid rate, each asserted
     **degraded-not-collapsed** (:func:`repro.serve.assert_degraded_not_collapsed`:
@@ -1377,172 +1266,109 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     load → save must be byte-identical, and the loaded trace must reproduce
     the arrival sequence exactly.
     """
-    from ..data import make_sessions, make_users
-    from ..serve import (
-        ArrivalTrace,
-        CacheWipe,
-        FleetRouter,
-        ModelRegistry,
-        ProcessFleet,
-        SlowReplica,
-        VirtualClock,
-        assert_degraded_not_collapsed,
-        generate_mixed_workload,
-        locate_knee,
-        run_fleet_sequential,
-        run_kill_worker_drill,
-        run_open_loop,
-        sweep_offered_load,
-    )
-
     scale = scale or active_scale()
-    config = NaruConfig(epochs=scale.serve_loadgen_epochs,
-                        hidden_sizes=(64, 64), batch_size=256,
-                        progressive_samples=scale.serve_loadgen_samples,
-                        seed=0)
-    registry = ModelRegistry(default_config=config)
-    registry.register_table(make_users(scale.serve_loadgen_users),
-                            replicas=scale.serve_loadgen_replicas)
-    registry.register_table(
-        make_sessions(scale.serve_loadgen_rows,
-                      num_users=scale.serve_loadgen_users),
-        replicas=scale.serve_loadgen_replicas)
-    registry.fit_all()
-    queries = generate_mixed_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_loadgen_queries, min_filters=2, max_filters=5, seed=0)
+    fleet = _ServeFleet(scale, "serve_loadgen")
+    fleet.register_users_sessions()
+    for name in fleet.registry.names:
+        fleet.registry.set_replicas(name, scale.serve_loadgen_replicas)
+    queries = fleet.workload()
+    max_pending = scale.serve_loadgen_max_pending
+
+    def cycled(count: int) -> list:
+        return [queries[position % len(queries)] for position in range(count)]
 
     # Trace record/replay: byte-stable files, exact arrival reproduction.
     recorded = ArrivalTrace.record("poisson", rate_qps=100.0, duration_s=2.0,
                                    seed=7)
-    first_bytes = recorded.to_json()
-    replayed = None
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.json")
         recorded.save(path)
         replayed = ArrivalTrace.load(path)
-    trace_byte_stable = (replayed.to_json() == first_bytes
+    trace_byte_stable = (replayed.to_json() == recorded.to_json()
                          and replayed.timestamps == recorded.timestamps)
 
     # Closed-loop probe: the host's capacity (completions per wall-second at
     # the full batch size) and the service-time e2e p95 the SLO scales from.
-    probe_router = FleetRouter(registry,
-                               batch_size=scale.serve_loadgen_batch_size,
-                               num_samples=scale.serve_loadgen_samples,
-                               seed=0)
-    probe, probe_s = _timed(probe_router.run, queries)
-    capacity_qps = len(queries) / probe_s if probe_s > 0 else float("inf")
+    probe, probe_s = _timed(fleet.router().run, queries)
+    capacity_qps = len(queries) / probe_s
     probe_e2e_p95 = probe.stats.e2e_ms["p95"]
     slo_ms = probe_e2e_p95 * scale.serve_loadgen_slo_multiplier
-    # A partial micro-batch may linger at most one probe-p95 before it is
-    # force-dispatched, so low offered rates are not dominated by
-    # batch-fill waiting (which would invert the curve).
-    flush_after_ms = probe_e2e_p95
+
+    def fresh_router() -> FleetRouter:
+        # A partial micro-batch may linger at most one probe-p95 before it
+        # is force-dispatched, so low offered rates are not dominated by
+        # batch-fill waiting (which would invert the curve).
+        return fleet.router(max_pending=max_pending, overflow="shed",
+                            flush_after_ms=probe_e2e_p95,
+                            clock=VirtualClock(base=time.perf_counter))
 
     duration_s = scale.serve_loadgen_duration_s
     rates = [fraction * capacity_qps
              for fraction in scale.serve_loadgen_rate_fractions]
-
-    def fresh_router() -> FleetRouter:
-        return FleetRouter(registry,
-                           batch_size=scale.serve_loadgen_batch_size,
-                           num_samples=scale.serve_loadgen_samples, seed=0,
-                           max_pending=scale.serve_loadgen_max_pending,
-                           overflow="shed", flush_after_ms=flush_after_ms,
-                           clock=VirtualClock(base=time.perf_counter))
-
-    rows = sweep_offered_load(fresh_router, queries, rates,
-                              duration_s=duration_s, process="poisson",
-                              seed=0)
-    for fraction, row in zip(scale.serve_loadgen_rate_fractions, rows):
-        row["rate_fraction"] = fraction
-    knee = locate_knee(rows, slo_ms)
+    curve = [{"rate_fraction": fraction, **row} for fraction, row in zip(
+        scale.serve_loadgen_rate_fractions,
+        sweep_offered_load(fresh_router, queries, rates, duration_s=duration_s,
+                           process="poisson", seed=0))]
 
     # Chaos drills at the mid offered rate: each must degrade, not collapse.
     mid_rate = rates[len(rates) // 2]
     chaos_trace = ArrivalTrace.record("poisson", rate_qps=mid_rate,
                                       duration_s=duration_s, seed=1)
-    expanded = [queries[i % len(queries)] for i in range(len(chaos_trace))]
-    chaos_baseline = run_fleet_sequential(
-        registry, expanded, num_samples=scale.serve_loadgen_samples, seed=0)
-    scenarios = {}
+    chaos_baseline = fleet.sequential(cycled(len(chaos_trace)))
+    scenarios, chaos = {}, {}
     for name, scenario in (
             ("slow_replica", SlowReplica("sessions", delay_ms=20.0,
                                          at_fraction=0.25)),
             ("cache_wipe", CacheWipe(at_fraction=0.5))):
         outcome = run_open_loop(fresh_router(), queries, chaos_trace,
                                 scenario=scenario)
-        scenarios[name] = assert_degraded_not_collapsed(
-            outcome, baseline=chaos_baseline,
-            max_pending=scale.serve_loadgen_max_pending)
-        scenarios[name]["e2e_p95_ms"] = outcome.e2e_p95_ms
+        chaos[name] = assert_degraded_not_collapsed(
+            outcome, baseline=chaos_baseline, max_pending=max_pending)
+        chaos[name]["e2e_p95_ms"] = outcome.e2e_p95_ms
+        scenarios[name] = {key: chaos[name][key] for key in
+                           ("degraded_not_collapsed", "max_estimate_drift")}
 
-    drill_queries = expanded[:max(4 * scale.serve_loadgen_batch_size
-                                  * scale.serve_loadgen_workers, 64)]
-    fleet = ProcessFleet(registry, workers=scale.serve_loadgen_workers,
-                         batch_size=scale.serve_loadgen_batch_size,
-                         num_samples=scale.serve_loadgen_samples, seed=0,
-                         recv_timeout_s=30.0)
-    try:
-        drill = run_kill_worker_drill(fleet, drill_queries)
-    finally:
-        fleet.close()
-    scenarios["kill_worker"] = drill
+    # The drill's size is cycled from the workload, not cut from the chaos
+    # trace, so it does not depend on the arrivals the probed capacity
+    # implied.  Where past the kill the error surfaces (a later submit, or
+    # the collect) is up to the pipe — ``submitted`` is a timing reading,
+    # like the pid and the wall time.
+    with fleet.router(ProcessFleet, workers=scale.serve_loadgen_workers,
+                      recv_timeout_s=30.0) as proc_fleet:
+        chaos["kill_worker"] = run_kill_worker_drill(
+            proc_fleet, cycled(max(4 * scale.serve_loadgen_batch_size
+                                   * scale.serve_loadgen_workers, 64)))
+    scenarios["kill_worker"] = {
+        key: chaos["kill_worker"][key] for key in
+        ("killed_worker", "kill_after", "typed_error", "error_type",
+         "error_worker_id", "error_exit_code")}
 
-    knee_note = (f"knee at {knee['knee_qps']:.1f} qps offered"
-                 if knee["knee_qps"] is not None
-                 else "no offered rate met the SLO")
-    over_note = (f"first over at {knee['first_over_qps']:.1f} qps"
-                 if knee["first_over_qps"] is not None
-                 else "every swept rate met the SLO")
-    text = format_series(
-        rows, ["rate_fraction", "offered_qps", "achieved_qps", "completed",
-               "shed", "peak_pending", "service_p95_ms", "e2e_p95_ms"],
-        f"Latency vs offered load (Poisson arrivals over {duration_s:g} s "
-        f"windows, {len(queries)} distinct queries cycled, "
-        f"max_pending {scale.serve_loadgen_max_pending}, overflow shed): "
-        f"closed-loop capacity {capacity_qps:.1f} qps, e2e p95 SLO "
-        f"{slo_ms:.1f} ms (= {scale.serve_loadgen_slo_multiplier:g}x probe "
-        f"e2e p95 {probe_e2e_p95:.1f} ms, flush timeout "
-        f"{flush_after_ms:.1f} ms; e2e is measured from each query's "
-        f"*scheduled* arrival) -> {knee_note}, {over_note}")
-    chaos_lines = [
-        f"chaos @ {mid_rate:.1f} qps offered:",
-        (f"  slow_replica: completed {scenarios['slow_replica']['completed']}"
-         f", shed {scenarios['slow_replica']['shed']}, peak pending "
-         f"{scenarios['slow_replica']['peak_pending']}, drift "
-         f"{scenarios['slow_replica']['max_estimate_drift']:.1e} — degraded,"
-         " not collapsed"),
-        (f"  cache_wipe:   completed {scenarios['cache_wipe']['completed']}"
-         f", shed {scenarios['cache_wipe']['shed']}, peak pending "
-         f"{scenarios['cache_wipe']['peak_pending']}, drift "
-         f"{scenarios['cache_wipe']['max_estimate_drift']:.1e} — degraded,"
-         " not collapsed"),
-        (f"  kill_worker:  worker {drill['killed_worker']} SIGKILLed after "
-         f"{drill['kill_after']}/{drill['submitted']} submissions -> "
-         f"{drill['error_type']} (exit {drill['error_exit_code']}) in "
-         f"{drill['wall_s']:.2f} s — typed, no hang"),
-        f"trace record/replay byte-stable: {trace_byte_stable}",
-    ]
-    text = text + "\n" + "\n".join(chaos_lines)
-    return {
-        "text": text,
-        "capacity_qps": capacity_qps,
-        "probe_e2e_p95_ms": probe_e2e_p95,
-        "slo_ms": slo_ms,
-        "slo_multiplier": scale.serve_loadgen_slo_multiplier,
-        "flush_after_ms": flush_after_ms,
-        "duration_s": duration_s,
-        "rate_fractions": list(scale.serve_loadgen_rate_fractions),
-        "max_pending": scale.serve_loadgen_max_pending,
-        "curve": rows,
-        "knee": knee,
-        "chaos_offered_qps": mid_rate,
-        "scenarios": scenarios,
+    report = {
         "trace_byte_stable": trace_byte_stable,
         "num_queries": len(queries),
-        "workers": scale.serve_loadgen_workers,
+        "scenarios": scenarios,
     }
+    timing = {
+        "capacity_qps": capacity_qps,
+        "probe_e2e_p95_ms": probe_e2e_p95,
+        **locate_knee(curve, slo_ms),
+        "chaos_offered_qps": mid_rate,
+        "curve": curve,
+        "chaos": chaos,
+    }
+    fractions = "/".join(f"{fraction:g}"
+                         for fraction in scale.serve_loadgen_rate_fractions)
+    return _serve_result(
+        f"Open-loop load (Poisson arrivals at {fractions}x the probed "
+        f"closed-loop capacity, max_pending {max_pending}, overflow shed, "
+        f"e2e p95 SLO = {scale.serve_loadgen_slo_multiplier:g}x the probe's, "
+        f"measured from each query's *scheduled* arrival; chaos at the mid "
+        f"rate)",
+        report,
+        [{"scenario": name, "outcome": ", ".join(
+            f"{key} {value}" for key, value in summary.items())}
+         for name, summary in scenarios.items()],
+        timing, curve)
 
 
 def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
@@ -1570,51 +1396,28 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
       checking the expansion itself with no estimation noise on top.
 
     The reported table is the per-estimator ensemble breakdown: queries
-    served, median/p95 q-error, and p95 end-to-end latency for the Naru
-    primaries and the sampling fallbacks side by side.
+    served and median/p95 q-error for the Naru primaries and the sampling
+    fallbacks side by side, with their p95 end-to-end latency in the timing
+    part.
     """
-    from ..data import make_sessions, make_users
-    from ..query import true_selectivities
-    from ..query.predicates import DNFQuery
-    from ..query.shapes import QueryShape, query_shape
-    from ..serve import (
-        FleetRouter,
-        ModelRegistry,
-        generate_shape_workload,
-        run_fleet_sequential,
-    )
-
     scale = scale or active_scale()
-    config = NaruConfig(epochs=scale.serve_ens_epochs, hidden_sizes=(64, 64),
-                        batch_size=256,
-                        progressive_samples=scale.serve_ens_samples, seed=0)
-    registry = ModelRegistry(default_config=config)
-    users = make_users(scale.serve_ens_users)
-    sessions = make_sessions(scale.serve_ens_rows,
-                             num_users=scale.serve_ens_users)
-    for table in (users, sessions):
-        registry.register_table(table, fallback=SamplingEstimator(
-            table, sample_size=scale.serve_ens_fallback_sample, seed=0))
-    registry.fit_all()
-
-    queries = generate_shape_workload(
-        {name: registry.relation(name) for name in registry.names},
-        scale.serve_ens_queries, dnf_fraction=scale.serve_ens_dnf_fraction,
-        like_fraction=scale.serve_ens_like_fraction, dnf_branches=(2, 6),
-        seed=0)
+    fleet = _ServeFleet(scale, "serve_ens")
+    fleet.register_users_sessions()
+    registry = fleet.registry
+    for name in registry.names:
+        registry.set_fallback(name, SamplingEstimator(
+            registry.relation(name),
+            sample_size=scale.serve_ens_fallback_sample, seed=0))
+    queries = fleet.workload(
+        generate_shape_workload, dnf_fraction=scale.serve_ens_dnf_fraction,
+        like_fraction=scale.serve_ens_like_fraction, dnf_branches=(2, 6))
     shape_mix = {}
     for query in queries:
         shape = query_shape(query).value
         shape_mix[shape] = shape_mix.get(shape, 0) + 1
 
-    router = FleetRouter(registry, batch_size=scale.serve_ens_batch_size,
-                         num_samples=scale.serve_ens_samples, seed=0)
-    report = router.run(queries)
-    sequential = run_fleet_sequential(registry, queries,
-                                      num_samples=scale.serve_ens_samples,
-                                      seed=0)
-    drift = float(np.max(np.abs(report.selectivities -
-                                sequential.selectivities)))
+    served = fleet.router().run(queries)
+    sequential = fleet.sequential(queries)
 
     # Routing audit against the capability matrix: the fallback serves
     # exactly the disjunctions whose branch count exceeds the Naru primary's
@@ -1623,7 +1426,7 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
     overflow = {index for index, query in enumerate(queries)
                 if isinstance(query, DNFQuery)
                 and len(query.branches) > max_branches}
-    fallback_served = {result.index for result in report.results
+    fallback_served = {result.index for result in served.results
                       if result.estimator.startswith("Sample(")}
     if fallback_served != overflow:
         raise AssertionError(
@@ -1634,13 +1437,13 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
     # branch masks for DNF and masks prefixes like any comparison).
     truths: dict[int, float] = {}
     errors = []
-    for result in report.results:
+    for result in served.results:
         relation = registry.relation(result.route)
         truth = true_selectivities(relation, [result.query])[0]
         truths[result.index] = float(truth * relation.num_rows)
         errors.append(q_error(result.cardinality, truths[result.index]))
-    accuracy = report.accuracy_by_estimator(truths)
-    latency = report.stats.estimators or {}
+    accuracy = served.accuracy_by_estimator(truths)
+    latency = served.stats.estimators
 
     # Inclusion–exclusion oracle identity: with exact per-term estimates the
     # expansion must reproduce the exact union selectivity to round-off.
@@ -1660,41 +1463,33 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
                                                          [term])[0]))
         ie_oracle_gap = max(ie_oracle_gap, abs(expanded - exact_union))
 
-    rows = []
-    for name in sorted(set(accuracy) | set(latency)):
-        acc = accuracy.get(name, {})
-        lat = latency.get(name, {})
-        e2e = lat.get("e2e_ms") or {}
-        rows.append({
-            "estimator": name,
-            "queries": acc.get("num_queries", lat.get("num_queries", 0)),
-            "median_qerror": acc.get("median_qerror", float("nan")),
-            "p95_qerror": acc.get("p95_qerror", float("nan")),
-            "e2e_p95_ms": e2e.get("p95", float("nan")),
-        })
-    mix_note = ", ".join(f"{count} {shape}"
-                         for shape, count in sorted(shape_mix.items()))
-    text = format_series(
-        rows, ["estimator", "queries", "median_qerror", "p95_qerror",
-               "e2e_p95_ms"],
-        f"Estimator ensemble over a widened workload ({mix_note}; "
-        f"max drift {drift:.1e}, I-E oracle gap {ie_oracle_gap:.1e})")
-    return {
-        "text": text,
-        "shape_mix": shape_mix,
-        "max_estimate_drift": drift,
+    report = {
+        "max_estimate_drift": _max_drift(served, sequential),
         "ie_oracle_gap": ie_oracle_gap,
         "ie_oracle_queries": len(oracle_queries),
         "fallback_served": len(fallback_served),
         "overflow_dnf": len(overflow),
-        "max_dnf_branches": max_branches,
-        "accuracy_by_estimator": accuracy,
-        "estimators": latency,
         "q_error_median": float(np.median(errors)),
         "q_error_p95": float(np.quantile(errors, 0.95)),
-        "fleet": report.stats.as_dict(),
-        "sequential": sequential.stats.as_dict(),
         "num_queries": len(queries),
-        "estimates": [result.selectivity for result in report.results],
-        "routes": [result.route for result in report.results],
+        "shape_mix": shape_mix,
+        "accuracy_by_estimator": accuracy,
+        "estimates": served.selectivities.tolist(),
+        "routes": [result.route for result in served.results],
     }
+    timing = {"estimators": latency,
+              "stats": {"fleet": served.stats.as_dict(),
+                        "sequential": sequential.stats.as_dict()}}
+    mix_note = ", ".join(f"{count} {shape}"
+                         for shape, count in sorted(shape_mix.items()))
+    return _serve_result(
+        f"Estimator ensemble over a widened workload ({mix_note}; DNF over "
+        f"{max_branches} branches falls back to sampling)",
+        report,
+        [{"estimator": name, "queries": entry["num_queries"],
+          "median_qerror": entry["median_qerror"],
+          "p95_qerror": entry["p95_qerror"]}
+         for name, entry in sorted(accuracy.items())],
+        timing,
+        [{"estimator": name, "e2e_p95_ms": entry["e2e_ms"]["p95"]}
+         for name, entry in sorted(latency.items())])

@@ -76,18 +76,22 @@ def format_summary_table(results: Mapping[str, ErrorSummary], title: str) -> str
 
 def format_series(rows: Sequence[Mapping[str, object]], columns: Sequence[str],
                   title: str) -> str:
-    """Render a list of records as a fixed-width series table (figures)."""
-    lines = [title, "=" * len(title),
-             "".join(f"{column:>18}" for column in columns)]
+    """Render a list of records as a right-aligned series table (figures).
+
+    Every column is as wide as its widest entry (header included) and
+    columns are two spaces apart, so neither a long header nor a long value
+    can run into its neighbour.
+    """
+    table = [list(columns)]
     for row in rows:
-        cells = []
-        for column in columns:
-            value = row.get(column, "")
-            if isinstance(value, float):
-                cells.append(f"{value:>18.4g}")
-            else:
-                cells.append(f"{str(value):>18}")
-        lines.append("".join(cells))
+        values = (row.get(column, "") for column in columns)
+        table.append([f"{value:.4g}" if isinstance(value, float) else str(value)
+                      for value in values])
+    widths = [max(len(line[position]) for line in table)
+              for position in range(len(columns))]
+    lines = [title, "=" * len(title)]
+    lines.extend("  ".join(f"{cell:>{width}}" for cell, width in zip(line, widths))
+                 for line in table)
     return "\n".join(lines)
 
 

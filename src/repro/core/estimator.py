@@ -111,10 +111,14 @@ class NaruEstimator(CardinalityEstimator):
         Used after data ingests (§6.7.3): the model keeps its weights and
         receives additional gradient updates on samples from the updated
         relation.  ``codes`` must be encoded with the same dictionaries the
-        estimator was built with.
+        estimator was built with.  A model that has seen at least one epoch
+        this way is fitted — an estimator may be trained by ``refresh``
+        alone — while ``epochs=0`` changes nothing.
         """
         for _ in range(epochs):
             self.trainer.train_epoch(codes=np.asarray(codes, dtype=np.int64))
+        if epochs > 0:
+            self._fitted = True
         return self.trainer.history
 
     def entropy_gap_bits(self, sample_rows: int | None = 4096) -> float:

@@ -100,6 +100,18 @@ class TestReports:
         text = format_series([{"dataset": "DMV", "value": 1.5}], ["dataset", "value"], "S")
         assert "DMV" in text and "1.5" in text
 
+    def test_series_columns_never_touch(self):
+        """An 18-character header and a 19-character value (the widths that
+        glued columns under the old fixed ``>18`` cells) stay apart."""
+        header, value = "queries_per_second", "sessions_join_users"
+        assert (len(header), len(value)) == (18, 19)
+        rows = [{"route": value, header: 802.7, "n": 20},
+                {"route": "users", header: 1211.0, "n": 7}]
+        title, rule, *lines = format_series(rows, ["route", header, "n"], "S").split("\n")
+        assert len({len(line) for line in lines}) == 1
+        assert [line.split() for line in lines] == [
+            ["route", header, "n"], [value, "802.7", "20"], ["users", "1211", "7"]]
+
     def test_latency_table(self):
         text = format_latency_table({"Naru": {0.5: 10.0, 0.95: 12.0, 0.99: 15.0}}, "Lat")
         assert "Naru" in text and "p99" in text

@@ -123,3 +123,16 @@ class TestNaruRefresh:
         estimator.refresh(codes, epochs=4)
         refreshed_gap = estimator.entropy_gap_bits(sample_rows=None)
         assert refreshed_gap <= stale_gap + 0.5
+
+    def test_refresh_alone_fits_the_model(self, tiny_table):
+        """An estimator trained only through refresh() answers; epochs=0
+        trains nothing and leaves it unfitted."""
+        estimator = NaruEstimator(tiny_table, NaruConfig(
+            epochs=0, hidden_sizes=(16,), progressive_samples=100))
+        query = Query.from_tuples([("city", "=", "city_0")])
+        codes = tiny_table.encoded()
+        estimator.refresh(codes, epochs=0)
+        with pytest.raises(RuntimeError):
+            estimator.estimate_selectivity(query)
+        estimator.refresh(codes, epochs=1)
+        assert 0.0 <= estimator.estimate_selectivity(query) <= 1.0

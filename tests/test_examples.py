@@ -3,7 +3,7 @@
 Examples are documentation that executes; these tests run the cheap ones at a
 shrunken scale so an API change that breaks them fails tier-1 instead of
 rotting silently.  The heavyweight examples are exercised end-to-end by the
-``slow``-marked benchmarks and the docs-examples job instead.
+one ``slow``-marked test below and the docs-examples job instead.
 """
 
 from __future__ import annotations
