@@ -64,12 +64,26 @@ class ColumnNetworkModel(AutoregressiveModel):
                   for column in context]
         return nn.concatenate(blocks, axis=1)
 
+    def _column_logits(self, column: int, codes: np.ndarray) -> nn.Tensor:
+        position = self._position_of_column[column]
+        output = self.column_nets[position](self._context_input(position, codes))
+        return self.encoder.decode_logits(column, output)
+
     def forward_logits(self, codes: np.ndarray) -> list[nn.Tensor]:
         codes = np.asarray(codes, dtype=np.int64)
-        logits: list[nn.Tensor | None] = [None] * self.num_columns
-        for column in range(self.num_columns):
-            position = self._position_of_column[column]
-            context = self._context_input(position, codes)
-            output = self.column_nets[position](context)
-            logits[column] = self.encoder.decode_logits(column, output)
-        return logits  # type: ignore[return-value]
+        return [self._column_logits(column, codes)
+                for column in range(self.num_columns)]
+
+    def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
+        """Run the requested column's network alone.
+
+        No network reads another's output, so these are the very operations
+        :meth:`conditional_probs_unfused` performs for this column — the same
+        bits — without the other ``n - 1`` networks it runs and discards.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.shape[0] == 0:
+            return np.empty((0, self.domain_sizes_list[column_index]))
+        with nn.no_grad():
+            logits = self._column_logits(column_index, codes)
+            return np.exp(logits.log_softmax(axis=-1).numpy())

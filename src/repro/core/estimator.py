@@ -115,11 +115,10 @@ class NaruEstimator(CardinalityEstimator):
         this way is fitted — an estimator may be trained by ``refresh``
         alone — while ``epochs=0`` changes nothing.
         """
-        for _ in range(epochs):
-            self.trainer.train_epoch(codes=np.asarray(codes, dtype=np.int64))
+        history = self.trainer.train(epochs, codes=np.asarray(codes, dtype=np.int64))
         if epochs > 0:
             self._fitted = True
-        return self.trainer.history
+        return history
 
     def entropy_gap_bits(self, sample_rows: int | None = 4096) -> float:
         """Goodness-of-fit: KL divergence from the data in bits (§3.3)."""

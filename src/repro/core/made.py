@@ -9,6 +9,8 @@ al. adapted to grouped (per-column, possibly embedded) inputs and outputs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import nn
@@ -80,8 +82,8 @@ class AutoregressiveModel(nn.Module):
         """``P(X_i | x_<i)`` for each row of a (partially filled) coded batch.
 
         Columns at or after ``column_index`` in the autoregressive order are
-        ignored by construction, so their entries in ``codes`` may hold
-        arbitrary placeholder values.
+        ignored by construction (:class:`MADEModel` never reads them), so
+        their entries in ``codes`` may hold arbitrary placeholder values.
 
         The batch contract is row-independent: each output row depends only on
         the corresponding input row, so callers (the batched progressive
@@ -119,6 +121,24 @@ def _degrees_for_blocks(block_widths: list[int], block_degrees: list[int]) -> np
     ])
 
 
+def _add(total: np.ndarray, addend: np.ndarray) -> np.ndarray:
+    """``total + addend``; in place (same bits) on a 2-D total: a fresh gather or sum."""
+    return np.add(total, addend, out=total) if total.ndim == 2 else total + addend
+
+
+@dataclass(frozen=True)
+class _InferencePlan:
+    """The batch-independent operands of :meth:`MADEModel.conditional_probs`."""
+
+    parameters: list[nn.Parameter]
+    stamp: tuple[int, ...]  # the parameters' versions when the plan was built
+    tables: list[np.ndarray]  # per input column: T_c of ``_first_hidden``
+    first_bias: np.ndarray | None
+    hidden: list[tuple[np.ndarray, np.ndarray]]  # later layers: masked weight, bias
+    outputs: list[tuple]  # per column: masked block, bias slice, decode view | None
+    visible: list[list[int]]  # per column: the input columns before it in ``order``
+
+
 class MADEModel(AutoregressiveModel):
     """Masked multi-layer perceptron with grouped column blocks.
 
@@ -130,14 +150,14 @@ class MADEModel(AutoregressiveModel):
     chunked dispatch all return the very bits of an unfused full-batch
     forward, so "drift 0.0" holds exactly rather than to round-off.
 
-    :meth:`conditional_probs` additionally takes a *column-sliced* fast path:
-    instead of multiplying the whole output layer and decoding every column's
-    logit block, it slices the requested block's weight columns and decodes
-    only that block.  Per-output-element dot products are independent, so the
-    sliced result is bit-identical to the full forward;
-    :meth:`forward_logits` computes its output blocks with the same sliced
-    products, which makes the equality hold by construction (the test suite
-    asserts it bit for bit).
+    :meth:`conditional_probs` only consumes a lazily built, immutable
+    *inference plan*: what does not depend on the batch (per-column gather
+    tables of the first layer, masked hidden weights, each column's masked
+    output block and embedding-decode view) is built once per weight version
+    and rebuilt by itself after an optimiser step or ``load_state_dict``.  A
+    call reads only the columns the mask lets the requested block see and
+    multiplies only that block; :meth:`forward_logits` computes its blocks by
+    the same sliced products, so the two agree bit for bit (tests assert it).
 
     Parameters
     ----------
@@ -254,95 +274,112 @@ class MADEModel(AutoregressiveModel):
         return logits
 
     # -- fused serving path -------------------------------------------- #
-    def _encode_data(self, codes: np.ndarray) -> np.ndarray:
-        """Raw-numpy mirror of ``self.encoder(codes)`` (bit-identical)."""
-        blocks = []
-        for index, codec in enumerate(self.encoder.codecs):
-            column_codes = codes[:, index]
-            if codec.use_embedding:
-                blocks.append(self.encoder.embeddings[index].weight.data[column_codes])
+    _plan: _InferencePlan | None = None
+
+    def __getstate__(self) -> dict:
+        """Drop the plan: it is derived state, so copies and pickles rebuild it."""
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
+
+    def _inference_plan(self) -> _InferencePlan:
+        """The plan for the current weights, rebuilt if any of them changed.
+
+        Every public write to a parameter bumps its ``version``, so comparing
+        stamps is the whole staleness check.  The stamp is read before the
+        data and the plan is published by one assignment: racing builders
+        store equal plans, and one that raced a write is redone next call.
+        """
+        plan = self._plan
+        if plan is not None and plan.stamp == tuple(
+                [param.version for param in plan.parameters]):
+            return plan
+        parameters = self.parameters()
+        stamp = tuple([param.version for param in parameters])
+        embeddings = self.encoder.embeddings
+        tables, first_bias, hidden = [], None, []
+        if self.layers:
+            first = self.layers[0]
+            masked = first.weight.data * first.mask
+            for block, embedding in zip(self._input_slices, embeddings):
+                tables.append(masked[block] if embedding is None
+                              else embedding.weight.data @ masked[block])
+            first_bias = first.bias.data
+            hidden = [(layer.weight.data * layer.mask, layer.bias.data)
+                      for layer in self.layers[1:]]
+        out = self.output_layer
+        outputs = [(out.weight.data[:, block] * out.mask[:, block],
+                    out.bias.data[block],
+                    None if embedding is None else embedding.weight.data.T)
+                   for block, embedding in zip(self._output_slices, embeddings)]
+        visible = [sorted(self.order[:self.order.index(column)])
+                   for column in range(self.num_columns)]
+        self._plan = plan = _InferencePlan(parameters, stamp, tables, first_bias,
+                                           hidden, outputs, visible)
+        return plan
+
+    def _encode_data(self, codes: np.ndarray, visible: list[int]) -> np.ndarray:
+        """Raw-numpy ``self.encoder(codes)`` with the invisible blocks left zero."""
+        blocks = [np.zeros((codes.shape[0], width)) for width in self.encoder.input_widths]
+        for index in visible:
+            embedding = self.encoder.embeddings[index]
+            if embedding is None:
+                blocks[index][np.arange(codes.shape[0]), codes[:, index]] = 1.0
             else:
-                one_hot = np.zeros((column_codes.size, codec.domain_size))
-                one_hot[np.arange(column_codes.size), column_codes] = 1.0
-                blocks.append(one_hot)
+                blocks[index] = embedding.weight.data[codes[:, index]]
         return np.concatenate(blocks, axis=1)
 
     def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
-        """Column-sliced fast path: compute only the requested block.
+        """Column-sliced fast path over the inference plan.
 
-        Mirrors the full :meth:`forward_logits` pass in raw numpy, but slices
-        the output layer down to the requested column's weight columns and
-        decodes only that block — per-output-element dot products are
-        independent, so the result is bit-identical to running the whole
-        forward and discarding every other block, at a fraction of the cost.
-        The batch contract documented on the base class holds exactly: every
-        product is row-exact, so any regrouping of rows returns the same bits.
+        Mirrors :meth:`forward_logits` in raw numpy on operands built once per
+        weight version (:meth:`_inference_plan`), with two cuts.  Only the
+        requested column's output block is multiplied and decoded: per-element
+        dot products are independent, so slicing changes no bit.  And only the
+        columns *before* ``column_index`` in ``order`` are read, summed left to
+        right in table order like the full pass: a dropped column's table is
+        ``±0.0`` on every hidden unit that reaches the block (its mask is zero
+        there), adding ``±0.0`` changes no value, and the units it would have
+        changed meet only masked-zero weights on the way to the block.  At most
+        the sign of a zero differs upstream and the softmax maps both zeros to
+        the same bits, so the result is bit-identical to
+        :meth:`conditional_probs_unfused`; every product is row-exact, so the
+        base class's batch contract holds exactly.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        domain = self.domain_sizes_list[column_index]
-        if codes.shape[0] == 0:
-            return np.empty((0, domain))
+        rows = codes.shape[0]
+        if rows == 0:
+            return np.empty((0, self.domain_sizes_list[column_index]))
+        plan = self._inference_plan()
+        visible = plan.visible[column_index]
         if self.layers:
-            # Raw-numpy mirror of _first_hidden: identical table construction
-            # (same elementwise mask product, same matmuls), identical gather
-            # and summation order, hence bit-identical activations.
-            first = self.layers[0]
-            masked = first.weight.data * first.mask
-            # The accumulator is updated in place once it owns a fresh 2-D
-            # buffer (a fancy-indexed gather always copies): ``np.add(a, b,
-            # out=a)`` performs the very same addition as ``a + b`` — the
-            # values, and hence the bits, are identical — it just skips one
-            # temporary per column, which is most of this loop's bandwidth.
             total: np.ndarray | None = None
-            owned = False
-            for index, codec in enumerate(self.encoder.codecs):
-                table = masked[self._input_slices[index]]
-                if codec.use_embedding:
-                    table = self.encoder.embeddings[index].weight.data @ table
+            for index in visible:
                 column_codes = codes[:, index]
                 if (column_codes == column_codes[0]).all():
-                    # Shared code across the batch (typically a column the
-                    # sampler has not reached yet, still at its placeholder):
-                    # one broadcast row adds the very same addends as the
-                    # full gather would, at none of its bandwidth.
-                    contribution = table[column_codes[0]]
+                    # Shared code (an equality predicate, a single row): one
+                    # broadcast row adds the very addends of the full gather.
+                    contribution = plan.tables[index][column_codes[0]]
                 else:
-                    contribution = table[column_codes]
-                if total is None:
-                    total = contribution
-                    owned = contribution.ndim == 2
-                elif owned:
-                    np.add(total, contribution, out=total)
-                else:
-                    total = total + contribution
-                    owned = total.ndim == 2
-            if owned:
-                np.add(total, first.bias.data, out=total)
-                pre = total
-            else:
-                pre = total + first.bias.data
+                    contribution = plan.tables[index][column_codes]
+                total = contribution if total is None else _add(total, contribution)
+            pre = plan.first_bias if total is None else _add(total, plan.first_bias)
             if pre.ndim == 1:
-                pre = np.broadcast_to(pre, (codes.shape[0], pre.size))
+                pre = np.broadcast_to(pre, (rows, pre.size))
                 hidden = pre * (pre > 0)
             else:
-                np.multiply(pre, pre > 0, out=pre)
-                hidden = pre
-            for layer in self.layers[1:]:
-                pre = rowwise_matmul_data(hidden, layer.weight.data * layer.mask)
-                np.add(pre, layer.bias.data, out=pre)
-                np.multiply(pre, pre > 0, out=pre)
-                hidden = pre
+                hidden = np.multiply(pre, pre > 0, out=pre)
+            for weight, bias in plan.hidden:
+                pre = rowwise_matmul_data(hidden, weight)
+                np.add(pre, bias, out=pre)
+                hidden = np.multiply(pre, pre > 0, out=pre)
         else:
-            hidden = self._encode_data(codes)
-        block = self._output_slices[column_index]
-        out = self.output_layer
-        masked_block = out.weight.data[:, block] * out.mask[:, block]
-        logits = rowwise_matmul_data(hidden, masked_block)
-        np.add(logits, out.bias.data[block], out=logits)
-        codec = self.encoder.codecs[column_index]
-        if codec.use_embedding:
-            logits = rowwise_matmul_data(
-                logits, self.encoder.embeddings[column_index].weight.data.T)
+            hidden = self._encode_data(codes, visible)
+        weight, bias, decode = plan.outputs[column_index]
+        logits = rowwise_matmul_data(hidden, weight)
+        np.add(logits, bias, out=logits)
+        if decode is not None:
+            logits = rowwise_matmul_data(logits, decode)
         np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
         log_probs = np.subtract(
             logits, np.log(np.exp(logits).sum(axis=-1, keepdims=True)),

@@ -9,6 +9,7 @@ objective is the cross-entropy between the empirical joint and the model
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,8 @@ class Trainer:
         return mean_loss_bits
 
     def train(self, epochs: int, track_entropy_gap: bool = False,
-              entropy_gap_sample: int = 2048) -> TrainingHistory:
+              entropy_gap_sample: int = 2048,
+              codes: np.ndarray | None = None) -> TrainingHistory:
         """Train for ``epochs`` passes over the data.
 
         Parameters
@@ -134,12 +136,20 @@ class Trainer:
             recorded in the history (used by the Figure 5 reproduction).
         entropy_gap_sample:
             Number of tuples sampled for the gap evaluation.
+        codes:
+            Coded tuples to train on instead of the trainer's own table.
         """
         for _ in range(epochs):
-            self.train_epoch()
+            self.train_epoch(codes=codes)
             if track_entropy_gap:
                 self.history.epoch_entropy_gaps_bits.append(
                     self.entropy_gap_bits(sample_rows=entropy_gap_sample))
+        # Every step's autograd tape is cyclic garbage, freed only by the
+        # cycle collector — which training therefore leaves with garbage
+        # pending and its generation counters advanced, so that a full
+        # collection (~20 ms) would fall due somewhere in the first estimates
+        # served.  Pay it here instead, once per training run.
+        gc.collect()
         return self.history
 
     def fine_tune(self, table: Table, epochs: int = 1) -> TrainingHistory:
@@ -149,7 +159,4 @@ class Trainer:
         ingested the existing model receives gradient updates on samples from
         the updated relation, without being rebuilt from scratch.
         """
-        codes = table.encoded()
-        for _ in range(epochs):
-            self.train_epoch(codes=codes)
-        return self.history
+        return self.train(epochs, codes=table.encoded())

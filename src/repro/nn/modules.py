@@ -28,10 +28,18 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A tensor that is registered as a trainable model parameter."""
+    """A tensor that is registered as a trainable model parameter.
+
+    ``version`` counts the writes to ``data``: the optimisers' ``step`` and
+    :meth:`Module.load_state_dict` bump it, so state derived from parameter
+    values (:class:`repro.core.made.MADEModel`'s inference plan) can tell
+    that it is stale by comparing stamps.  Writing to ``data`` in place by
+    any other route is outside the contract — nothing would see the write.
+    """
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+        self.version = 0
 
 
 class Module:
@@ -70,8 +78,6 @@ class Module:
     def modules(self) -> Iterator["Module"]:
         """Yield this module and every descendant module."""
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()
@@ -130,6 +136,7 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"expected {param.data.shape}, got {value.shape}")
             param.data = value
+            param.version += 1
 
     # ------------------------------------------------------------------ #
     # Call protocol

@@ -53,6 +53,7 @@ class SGD(Optimizer):
                 velocity += grad
                 grad = velocity
             param.data -= self.lr * grad
+            param.version += 1
 
 
 class Adam(Optimizer):
@@ -86,3 +87,4 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.version += 1

@@ -8,9 +8,16 @@ factorisation, and hence progressive sampling, valid.
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import nn
 from repro.core import (
     ColumnNetworkModel,
     MADEModel,
@@ -20,7 +27,7 @@ from repro.core import (
     cross_entropy_bits,
     data_entropy_bits,
 )
-from repro.data import ColumnSpec, make_correlated_table
+from repro.data import ColumnSpec, make_correlated_table, make_users
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +93,7 @@ def _check_autoregressive(model, table, column_index):
         perturbed[:, later] = rng.integers(0, table.domain_sizes[later], size=8)
     base_probs = model.conditional_probs(column_index, base)
     perturbed_probs = model.conditional_probs(column_index, perturbed)
-    np.testing.assert_allclose(base_probs, perturbed_probs, atol=1e-12)
+    assert np.array_equal(base_probs, perturbed_probs)
 
 
 class TestMADEModel:
@@ -117,9 +124,8 @@ class TestMADEModel:
         ], axis=1)
         probs = model.conditional_probs(1, random_codes)
         # The first column in the order must produce the same (marginal)
-        # distribution regardless of the input tuple.
-        np.testing.assert_allclose(probs, np.broadcast_to(probs[0], probs.shape),
-                                   atol=1e-12)
+        # distribution regardless of the input tuple — which is never read.
+        assert np.array_equal(probs, np.broadcast_to(probs[0], probs.shape))
 
     def test_invalid_order_rejected(self, embed_table):
         with pytest.raises(ValueError):
@@ -188,6 +194,168 @@ class TestFusedConditionalKernel:
                 model.conditional_probs(column, codes),
                 model.conditional_probs_unfused(column, codes))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_plan_grid_is_bit_exact(self, embed_table, data):
+        """The inference plan's visibility argument, carried by examples:
+        order x depth x codec kinds x batch size x arbitrary invisible codes,
+        on weights that have moved (negative weights, ``-0.0`` in the masked
+        tables, non-zero biases)."""
+        order = list(data.draw(st.permutations(range(3)), label="order"))
+        model = MADEModel(
+            embed_table, order=order, embedding_dim=8, seed=5,
+            hidden_sizes=data.draw(
+                st.sampled_from([(), (16,), (24, 24), (16, 16, 16)]), label="hidden"),
+            # 3: small and large embedded, tiny one-hot; 20: large embedded only.
+            embedding_threshold=data.draw(st.sampled_from([3, 20]), label="threshold"))
+        _take_steps(model, nn.Adam(model.parameters(), lr=0.05),
+                    embed_table.encoded()[:64], steps=3)
+        batch = data.draw(st.sampled_from([1, 2, 50]), label="batch")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+        domains = embed_table.domain_sizes
+        codes = np.stack([rng.integers(0, size, batch) for size in domains], axis=1)
+        rows = rng.integers(0, batch, size=batch + 3)    # a subset, permuted, repeats
+        for position, column in enumerate(order):
+            fused = model.conditional_probs(column, codes)
+            assert np.array_equal(fused, model.conditional_probs_unfused(column, codes))
+            assert np.array_equal(model.conditional_probs(column, codes[rows]), fused[rows])
+            # Invisible columns are never read: any int64 at all may sit there.
+            garbage = codes.copy()
+            garbage[:, order[position:]] = rng.integers(
+                -2 ** 40, 2 ** 40, size=(batch, len(order) - position))
+            assert np.array_equal(model.conditional_probs(column, garbage), fused)
+
+
+def _take_steps(model, optimizer, codes, steps=1):
+    """A few real optimiser steps on ``codes`` (train mode left as found)."""
+    for _ in range(steps):
+        optimizer.zero_grad()
+        model.nll(codes).backward()
+        optimizer.step()
+
+
+_PLAN_CONFIG = NaruConfig(epochs=1, hidden_sizes=(8, 8), batch_size=64,
+                          progressive_samples=40, seed=0)
+
+
+def _users_registry():
+    from repro.serve import ModelRegistry
+
+    registry = ModelRegistry(default_config=_PLAN_CONFIG)
+    registry.register_table(make_users(num_users=120, seed=4))
+    registry.fit_all()
+    return registry
+
+
+class TestInferencePlanInvalidation:
+    """No public path changes the weights without the next
+    ``conditional_probs`` answering from the new ones — and the plan is
+    invisible to everything that sizes, saves or ships a model."""
+
+    # Each mutation takes (registry, estimator, codes) and returns the model
+    # that has to answer from the new weights.
+    @staticmethod
+    def _adam_step(registry, estimator, codes):
+        _take_steps(estimator.model, nn.Adam(estimator.model.parameters(), lr=0.05), codes)
+        return estimator.model
+
+    @staticmethod
+    def _sgd_step(registry, estimator, codes):
+        _take_steps(estimator.model, nn.SGD(estimator.model.parameters(), lr=0.5), codes)
+        return estimator.model
+
+    @staticmethod
+    def _load_state_dict(registry, estimator, codes):
+        state = estimator.model.state_dict()
+        estimator.model.load_state_dict(
+            {name: value + 0.01 for name, value in state.items()})
+        return estimator.model
+
+    @staticmethod
+    def _estimator_refresh(registry, estimator, codes):
+        estimator.refresh(codes, epochs=1)
+        return estimator.model
+
+    @staticmethod
+    def _refresh_controller(registry, estimator, codes):
+        """A refresh of a relation a live router is serving: the served
+        estimator object is fine-tuned in place, and the router's next scope
+        must answer like the unfused sequential walk at the new epoch."""
+        from repro.query import WorkloadGenerator
+        from repro.serve import FleetRouter, RefreshController, run_fleet_sequential
+
+        queries = [query.qualified("users") for query in WorkloadGenerator(
+            registry.relation("users"), min_filters=1, max_filters=2,
+            seed=21).generate(8)]
+        router = FleetRouter(registry, batch_size=4, num_samples=40, seed=3)
+        stale = router.run(queries)
+        controller = RefreshController(registry, max_staleness=0)
+        controller.ingest("users", make_users(num_users=30, seed=7))
+        assert controller.refresh("users") is estimator
+        fresh = router.run(queries)
+        expected = run_fleet_sequential(registry, queries, num_samples=40, seed=3)
+        assert np.array_equal(fresh.selectivities, expected.selectivities)
+        assert not np.array_equal(fresh.selectivities, stale.selectivities)
+        return estimator.model
+
+    @staticmethod
+    def _restore_estimator(registry, estimator, codes):
+        from repro.serve.procfleet import export_relation, restore_estimator
+
+        estimator.refresh(codes, epochs=1)
+        restored = restore_estimator(export_relation(registry, "users"))
+        for column in range(estimator.model.num_columns):
+            assert np.array_equal(restored.model.conditional_probs(column, codes),
+                                  estimator.model.conditional_probs(column, codes))
+        return restored.model
+
+    @pytest.mark.parametrize("path", [
+        "adam_step", "sgd_step", "load_state_dict", "estimator_refresh",
+        "refresh_controller", "restore_estimator"])
+    def test_next_call_answers_from_the_new_weights(self, path):
+        registry = _users_registry()
+        estimator = registry.estimator("users")
+        codes = estimator.table.encoded()[:32]
+        columns = range(estimator.model.num_columns)
+        before = [estimator.model.conditional_probs(column, codes)
+                  for column in columns]
+        assert estimator.model._plan is not None         # answered: the plan exists
+        model = getattr(self, f"_{path}")(registry, estimator, codes)
+        for column in columns:
+            after = model.conditional_probs(column, codes)
+            assert np.array_equal(after, model.conditional_probs_unfused(column, codes))
+            assert not np.array_equal(after, before[column])
+
+    def test_plan_is_not_part_of_any_payload(self):
+        from repro.serve.procfleet import export_relation
+
+        registry = _users_registry()
+        estimator = registry.estimator("users")
+        model = estimator.model
+
+        def footprint():
+            return (len(pickle.dumps(export_relation(registry, "users"))),
+                    len(pickle.dumps(model)), estimator.size_bytes(),
+                    list(model.state_dict()), len(model.parameters()))
+
+        assert model._plan is None                       # fit() builds none
+        without = footprint()
+        model.conditional_probs(0, estimator.table.encoded()[:4])
+        assert model._plan is not None
+        assert footprint() == without
+        assert pickle.loads(pickle.dumps(model))._plan is None
+
+    def test_deepcopy_trains_apart_from_the_original(self, embed_table):
+        model = MADEModel(embed_table, hidden_sizes=(16, 16), seed=0)
+        codes = embed_table.encoded()[:32]
+        before = model.conditional_probs(1, codes)
+        clone = copy.deepcopy(model)
+        _take_steps(clone, nn.Adam(clone.parameters(), lr=0.05), codes)
+        assert np.array_equal(model.conditional_probs(1, codes), before)
+        assert np.array_equal(clone.conditional_probs(1, codes),
+                              clone.conditional_probs_unfused(1, codes))
+        assert not np.array_equal(clone.conditional_probs(1, codes), before)
+
 
 class TestColumnNetworkModel:
     def test_conditional_outputs_are_distributions(self, embed_table):
@@ -201,6 +369,24 @@ class TestColumnNetworkModel:
     def test_autoregressive_property(self, embed_table, column):
         model = ColumnNetworkModel(embed_table, hidden_sizes=(16,), seed=1)
         _check_autoregressive(model, embed_table, column)
+
+    @pytest.mark.parametrize("order", [None, [2, 0, 1], [1, 2, 0]])
+    def test_conditional_probs_runs_one_network_bitwise(self, embed_table,
+                                                        monkeypatch, order):
+        model = ColumnNetworkModel(embed_table, hidden_sizes=(16, 16),
+                                   embedding_threshold=20, order=order, seed=2)
+        codes = embed_table.encoded()[:24]
+        ran = []
+        forward = nn.Sequential.forward
+        monkeypatch.setattr(nn.Sequential, "forward",
+                            lambda net, x: ran.append(net) or forward(net, x))
+        for column in range(embed_table.num_columns):
+            ran.clear()
+            probs = model.conditional_probs(column, codes)
+            assert ran == [model.column_nets[model.order.index(column)]]
+            assert np.array_equal(probs, model.conditional_probs_unfused(column, codes))
+            assert len(ran) == 1 + embed_table.num_columns   # the reference runs all
+        assert model.conditional_probs(1, codes[:0]).shape == (0, embed_table.domain_sizes[1])
 
     def test_training_reduces_loss(self, embed_table):
         model = ColumnNetworkModel(embed_table, hidden_sizes=(32,), seed=0)
@@ -238,6 +424,17 @@ class TestTraining:
         model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
         cross = cross_entropy_bits(model, embed_table.encoded())
         assert cross >= data_entropy_bits(embed_table) - 1e-6
+
+    def test_training_leaves_no_garbage_behind(self, embed_table):
+        # The autograd tape is cyclic: only the collector frees it, and a
+        # trainer that left it pending would bill a full collection to the
+        # first estimates served.
+        model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
+        trainer = Trainer(model, embed_table, batch_size=256)
+        trainer.train(epochs=1)
+        assert gc.collect() == 0
+        trainer.fine_tune(embed_table, epochs=1)
+        assert gc.collect() == 0
 
     def test_fine_tune_runs(self, embed_table):
         model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
