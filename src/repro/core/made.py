@@ -262,13 +262,11 @@ class MADEModel(AutoregressiveModel):
         # logits are the product with that block's weight columns alone, the
         # same sliced computation the conditional_probs fast path performs —
         # so sliced and full forwards agree bit for bit by construction.
-        weight = self.output_layer.weight
-        mask = self.output_layer.mask
-        bias = self.output_layer.bias
+        out = self.output_layer
         logits = []
         for index, block in enumerate(self._output_slices):
-            masked_block = weight[:, block] * nn.Tensor(mask[:, block])
-            block_out = hidden.rowwise_matmul(masked_block) + bias[block]
+            block_out = nn.masked_linear(hidden, out.weight, out.mask, out.bias,
+                                         columns=block)
             logits.append(self.encoder.decode_logits(index, block_out,
                                                      row_exact=True))
         return logits

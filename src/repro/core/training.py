@@ -10,6 +10,7 @@ objective is the cross-entropy between the empirical joint and the model
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,6 @@ class Trainer:
     # ------------------------------------------------------------------ #
     def train_epoch(self, codes: np.ndarray | None = None) -> float:
         """One pass over the data; returns the mean loss in bits per tuple."""
-        import time
-
         start_time = time.perf_counter()
         if codes is None:
             codes = self.table.encoded()
@@ -144,11 +143,11 @@ class Trainer:
             if track_entropy_gap:
                 self.history.epoch_entropy_gaps_bits.append(
                     self.entropy_gap_bits(sample_rows=entropy_gap_sample))
-        # Every step's autograd tape is cyclic garbage, freed only by the
-        # cycle collector — which training therefore leaves with garbage
-        # pending and its generation counters advanced, so that a full
-        # collection (~20 ms) would fall due somewhere in the first estimates
-        # served.  Pay it here instead, once per training run.
+        # The tape frees itself by reference count, so this finds no garbage.
+        # It settles the collector instead — survivors to the oldest
+        # generation, counters to zero — so that the estimates served next
+        # are not billed the young-generation collection (~1 ms) that
+        # training's allocations have brought almost due.
         gc.collect()
         return self.history
 

@@ -10,7 +10,8 @@ pieces from scratch so the estimator is self-contained:
 * :mod:`repro.nn.serialization` — ``.npz`` model checkpoints.
 """
 
-from .autograd import Tensor, concatenate, no_grad, rowwise_matmul_data
+from .autograd import (Tensor, concatenate, masked_linear, no_grad,
+                       rowwise_matmul_data)
 from .functional import (
     binary_cross_entropy,
     cross_entropy,
@@ -45,6 +46,7 @@ __all__ = [
     "no_grad",
     "concatenate",
     "rowwise_matmul_data",
+    "masked_linear",
     "relu",
     "sigmoid",
     "tanh",

@@ -7,10 +7,13 @@ small, well-tested tensor engine with exactly the operations the estimator
 needs: broadcasting arithmetic, matrix products, ReLU, log/exp, reductions,
 stable ``log_softmax``, row gathering for embeddings, and concatenation.
 
-The design follows the classic tape-based approach: every operation returns a
-new :class:`Tensor` holding the forward value plus a closure that accumulates
-gradients into its parents.  Calling :meth:`Tensor.backward` topologically
-sorts the graph and runs the closures in reverse order.
+The design follows the classic tape-based approach, and the graph is acyclic:
+every operation returns a new :class:`Tensor` that holds its forward value,
+its parents and a vjp closure; the closure holds the parents and whatever
+forward values it needs, and is *handed* the node whose gradient it spreads —
+nothing refers to itself or to a child.  :meth:`Tensor.backward` topologically
+sorts the graph and calls the vjps in reverse order; once the last reference
+to the result (the loss) goes, the whole graph is freed by reference count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "rowwise_matmul_data"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "rowwise_matmul_data",
+           "masked_linear"]
 
 _GRAD_ENABLED = True
 
@@ -101,7 +105,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------ #
@@ -153,15 +157,24 @@ class Tensor:
         out = Tensor(data, requires_grad=requires)
         if requires and backward is not None:
             out._parents = tuple(parents)
-            out._backward = lambda: backward(out)
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
         if self.grad is None:
+            # One pass, the bits of ``zeros += grad`` (sign of zero included),
+            # and always a fresh array: ``grad`` may be a view of a child's.
+            self.grad = grad + 0.0
+        else:
+            self.grad += grad
+
+    def _grad_buffer(self) -> np.ndarray:
+        """``self.grad``, zeroed on first use, for a vjp that adds into a part of it."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        return self.grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -181,7 +194,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.broadcast_to(np.asarray(grad, dtype=np.float64), self.shape))
 
         # Topological order via iterative DFS (avoids recursion limits).
         order: list[Tensor] = []
@@ -202,7 +215,7 @@ class Tensor:
 
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -354,7 +367,7 @@ class Tensor:
             grad = out.grad
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            a._accumulate(np.broadcast_to(grad, a.shape).copy())
+            a._accumulate(np.broadcast_to(grad, a.shape))
 
         return self._make(value, (a,), backward)
 
@@ -387,9 +400,15 @@ class Tensor:
         a = self
 
         def backward(out: Tensor) -> None:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, key, out.grad)
-            a._accumulate(grad)
+            # A basic index (slices, ints, None, ...) names every element once.
+            if all(item is None or item is Ellipsis
+                   or isinstance(item, (slice, int, np.integer))
+                   for item in (key if isinstance(key, tuple) else (key,))):
+                a._grad_buffer()[key] += out.grad
+            else:
+                grad = np.zeros_like(a.data)
+                np.add.at(grad, key, out.grad)
+                a._accumulate(grad)
 
         return self._make(a.data[key], (a,), backward)
 
@@ -399,8 +418,12 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.int64)
 
         def backward(out: Tensor) -> None:
+            # A flat 1-D scatter-add: a row's elements are consecutive flat
+            # positions, and every position still gets its addends in row order.
             grad = np.zeros_like(a.data)
-            np.add.at(grad, idx, out.grad)
+            width = int(np.prod(a.shape[1:]))
+            flat = idx.reshape(-1, 1) * width + np.arange(width)
+            np.add.at(grad.reshape(-1), flat.reshape(-1), out.grad.reshape(-1))
             a._accumulate(grad)
 
         return self._make(a.data[idx], (a,), backward)
@@ -412,9 +435,7 @@ class Tensor:
         rows = np.arange(a.shape[0])
 
         def backward(out: Tensor) -> None:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, (rows, idx), out.grad)
-            a._accumulate(grad)
+            a._grad_buffer()[rows, idx] += out.grad  # (row, idx) pairs are unique
 
         return self._make(a.data[rows, idx], (a,), backward)
 
@@ -426,10 +447,9 @@ class Tensor:
         shifted = a.data - a.data.max(axis=axis, keepdims=True)
         log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         value = shifted - log_norm
-        softmax = np.exp(value)
 
         def backward(out: Tensor) -> None:
-            grad = out.grad - softmax * out.grad.sum(axis=axis, keepdims=True)
+            grad = out.grad - np.exp(out.data) * out.grad.sum(axis=axis, keepdims=True)
             a._accumulate(grad)
 
         return self._make(value, (a,), backward)
@@ -466,6 +486,35 @@ class Tensor:
             a._accumulate(np.where(mask, 0.0, out.grad))
 
         return self._make(out_value, (a,), backward)
+
+
+def masked_linear(x: Tensor, weight: Tensor, mask: np.ndarray, bias: Tensor | None,
+                  columns: slice | None = None) -> Tensor:
+    """``x.rowwise_matmul(weight[:, columns] * mask[:, columns]) + bias[columns]``, fused.
+
+    One node instead of five (two slices, mask product, product, bias add),
+    with the composed graph's bits: the vjp forms the same masked weight
+    gradient and bias row sum and adds them straight into the parameters'
+    gradient slices.  What it skips are additions of ``+0.0``, and no
+    gradient buffer ever holds ``-0.0`` (each starts as zeros or ``grad + 0.0``).
+    """
+    columns = slice(None) if columns is None else columns
+    block_mask = mask[:, columns]
+    masked = weight.data[:, columns] * block_mask
+    value = rowwise_matmul_data(x.data, masked)
+    if bias is not None:
+        value += bias.data[columns]
+
+    def backward(out: Tensor) -> None:
+        if weight.requires_grad:
+            weight._grad_buffer()[:, columns] += (x.data.T @ out.grad) * block_mask
+        if bias is not None and bias.requires_grad:
+            bias._grad_buffer()[columns] += out.grad.sum(axis=0)
+        if x.requires_grad:
+            x._accumulate(out.grad @ masked.T)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(value, parents, backward)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from . import init
-from .autograd import Tensor
+from .autograd import Tensor, masked_linear
 
 __all__ = [
     "Module",
@@ -204,11 +204,9 @@ class MaskedLinear(Module):
         self.mask = mask
 
     def forward(self, x: Tensor) -> Tensor:
-        masked_weight = self.weight * Tensor(self.mask)
         if self.row_exact:
-            out = x.rowwise_matmul(masked_weight)
-        else:
-            out = x @ masked_weight
+            return masked_linear(x, self.weight, self.mask, self.bias)
+        out = x @ (self.weight * Tensor(self.mask))
         if self.bias is not None:
             out = out + self.bias
         return out

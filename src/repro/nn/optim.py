@@ -69,22 +69,31 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        # Two scratch buffers per parameter: a step allocates nothing.
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                         for p in self.parameters]
 
     def step(self) -> None:
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        for param, m, v in zip(self.parameters, self._m, self._v):
+        for param, m, v, (update, root) in zip(self.parameters, self._m, self._v,
+                                               self._scratch):
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(grad, out=root)
+            v += np.multiply(root, 1.0 - self.beta2, out=root)
+            # lr * m_hat / (sqrt(v_hat) + eps), in that order.
+            np.divide(m, bias1, out=update)
+            np.multiply(update, self.lr, out=update)
+            np.divide(v, bias2, out=root)
+            np.sqrt(root, out=root)
+            np.add(root, self.eps, out=root)
+            param.data -= np.divide(update, root, out=update)
             param.version += 1

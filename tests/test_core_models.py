@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,12 +24,15 @@ from repro.core import (
     ColumnNetworkModel,
     MADEModel,
     NaruConfig,
+    NaruEstimator,
     Trainer,
     TupleEncoder,
     cross_entropy_bits,
     data_entropy_bits,
 )
 from repro.data import ColumnSpec, make_correlated_table, make_users
+from repro.estimators import MSCNEstimator
+from repro.query import WorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -426,15 +431,71 @@ class TestTraining:
         assert cross >= data_entropy_bits(embed_table) - 1e-6
 
     def test_training_leaves_no_garbage_behind(self, embed_table):
-        # The autograd tape is cyclic: only the collector frees it, and a
-        # trainer that left it pending would bill a full collection to the
-        # first estimates served.
+        # The autograd tape is acyclic, so a step's graph dies by reference
+        # count.  With the automatic collector off, the only collections are
+        # explicit — Trainer.train's own (it settles the collector before
+        # serving) and the ones below — and none of them may find anything.
+        found = []
+
+        def watch(phase, info):
+            if phase == "stop":
+                found.append(info["collected"] + info["uncollectable"])
+
         model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
         trainer = Trainer(model, embed_table, batch_size=256)
-        trainer.train(epochs=1)
-        assert gc.collect() == 0
-        trainer.fine_tune(embed_table, epochs=1)
-        assert gc.collect() == 0
+        estimator = NaruEstimator(embed_table, NaruConfig(hidden_sizes=(16,), epochs=1))
+        mscn = MSCNEstimator(embed_table, sample_size=50, hidden_sizes=(8,))
+        labelled = WorkloadGenerator(embed_table, seed=0).generate_labeled(40)
+        gc.collect()
+        gc.disable()
+        gc.callbacks.append(watch)
+        try:
+            trainer.train(epochs=4)
+            assert gc.collect() == 0
+            trainer.fine_tune(embed_table, epochs=1)
+            assert gc.collect() == 0
+            estimator.refresh(embed_table.encoded(), epochs=1)
+            assert gc.collect() == 0
+            mscn.fit(labelled, epochs=2)
+            assert gc.collect() == 0
+            assert len(found) >= 4 and not any(found)
+        finally:
+            gc.callbacks.remove(watch)
+            gc.enable()
+
+    def test_step_graph_is_freed_when_the_loss_is_rebound(self, embed_table):
+        model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
+        codes = embed_table.encoded()[:64]
+        gc.disable()
+        try:
+            loss = model.nll(codes)
+            loss.backward()
+            # Tensor has __slots__ and no __weakref__; its arrays stand in for it.
+            inner = loss._parents[0]._parents[0]._parents[0]  # -(sum(inner) * 1/n)
+            graph = [weakref.ref(array) for array in (loss.data, inner.data, inner.grad)]
+            del inner
+            loss = model.nll(codes)
+            assert [ref() for ref in graph] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_traced_memory_does_not_grow_with_the_number_of_steps(self, embed_table):
+        def peak_over(steps: int) -> int:
+            model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
+            trainer = Trainer(model, embed_table, batch_size=20)
+            codes = embed_table.encoded()[:20 * steps]
+            tracemalloc.start()
+            try:
+                trainer.train(epochs=1, codes=codes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gc.disable()
+        try:
+            assert peak_over(30) <= 2 * peak_over(3)
+        finally:
+            gc.enable()
 
     def test_fine_tune_runs(self, embed_table):
         model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, concatenate, no_grad
+from repro.nn import Tensor, concatenate, masked_linear, no_grad
 
 
 def numerical_gradient(function, value: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -219,3 +219,217 @@ class TestPropertyBased:
     def test_sum_matches_numpy(self, values):
         array = np.array(values)
         assert Tensor(array).sum().item() == pytest.approx(array.sum(), rel=1e-9)
+
+
+# --------------------------------------------------------------------- #
+# Bit-exactness of the hand-written backward code
+# --------------------------------------------------------------------- #
+def signed_values(seed: int, shape) -> np.ndarray:
+    """Normal draws with about a third of the entries replaced by ``±0.0``."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape)
+    zeros = rng.choice([0.0, -0.0], size=shape)
+    return np.where(rng.random(size=shape) < 0.3, zeros, values)
+
+
+def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal shape and equal bytes: ``array_equal`` plus the sign of every zero."""
+    return (actual.shape == expected.shape and np.array_equal(actual, expected)
+            and np.array_equal(np.signbit(actual), np.signbit(expected)))
+
+
+def scatter_reference(shape, key, upstreams) -> np.ndarray:
+    """What the tape computed before: one plain ``np.add.at`` buffer per write."""
+    total = np.zeros(shape)
+    for upstream in upstreams:
+        buffer = np.zeros(shape)
+        np.add.at(buffer, key, upstream)
+        total += buffer
+    return total
+
+
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+GETITEM_KEYS = [
+    slice(1, 4), slice(None, None, 2), slice(4, 0, -2), -1, 2, None, Ellipsis,
+    (slice(None), slice(1, None, 3)), (1, slice(None)), (-2, -1), (Ellipsis, 0),
+    (slice(0, 2), None, slice(None)), (None, Ellipsis, -1), np.int64(3),
+    # Not basic: these must take (and exercise) the generic np.add.at path.
+    np.array([0, 0, 2, 0]), [1, 1, 4], np.array([-1, 0, -1]),
+    (np.array([0, 1, 1, 1]), np.array([2, 3, 3, 3])),
+    (slice(None), np.array([1, 1, 0])), (np.array([2, 2]), slice(1, 3)),
+    np.array([True, False, True, True, False]),
+    np.arange(30).reshape(5, 6) % 3 == 0, np.zeros(5, dtype=bool),
+]
+
+
+class TestBackwardBitExactness:
+    @given(st.integers(1, 7), st.integers(1, 5),
+           st.lists(st.integers(-7, 6), max_size=40), seeds)
+    @settings(max_examples=120, deadline=None)
+    def test_take_rows(self, rows, width, indices, seed):
+        idx = np.array([index % rows for index in indices], dtype=np.int64)
+        idx[::2] -= rows * (idx[::2] > 0)  # negative spellings of the same rows
+        table = Tensor(signed_values(seed, (rows, width)), requires_grad=True)
+        upstreams = [signed_values(seed + step, (idx.size, width)) for step in (1, 2)]
+        for upstream in upstreams:  # a first write and a later one
+            table.take_rows(idx).backward(upstream)
+        assert same_bits(table.grad, scatter_reference(table.shape, idx, upstreams))
+
+    @pytest.mark.parametrize("indices", [[], [3], [2] * 9, [0, 5, 0, 5, 5, 1]])
+    def test_take_rows_corner_indices(self, indices):
+        idx = np.array(indices, dtype=np.int64)
+        table = Tensor(signed_values(0, (6, 4)), requires_grad=True)
+        upstream = signed_values(1, (idx.size, 4))
+        table.take_rows(idx).backward(upstream)
+        assert same_bits(table.grad, scatter_reference(table.shape, idx, [upstream]))
+
+    def test_take_rows_of_a_cube_with_a_matrix_of_indices(self):
+        idx = np.array([[0, 2, 2], [1, 2, 0]])
+        cube = Tensor(signed_values(0, (3, 2, 4)), requires_grad=True)
+        upstream = signed_values(1, (2, 3, 2, 4))
+        cube.take_rows(idx).backward(upstream)
+        assert same_bits(cube.grad, scatter_reference(cube.shape, idx, [upstream]))
+
+    @pytest.mark.parametrize("key", GETITEM_KEYS, ids=repr)
+    @given(seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_getitem(self, key, seed):
+        matrix = Tensor(signed_values(seed, (5, 6)), requires_grad=True)
+        shape = matrix.data[key].shape
+        upstreams = [signed_values(seed + step, shape) for step in (1, 2)]
+        for upstream in upstreams:
+            matrix[key].backward(upstream)
+        assert same_bits(matrix.grad, scatter_reference(matrix.shape, key, upstreams))
+
+    @given(st.integers(1, 9), st.integers(1, 6), seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_gather(self, rows, classes, seed):
+        idx = np.random.default_rng(seed).integers(0, classes, size=rows)
+        matrix = Tensor(signed_values(seed, (rows, classes)), requires_grad=True)
+        upstreams = [signed_values(seed + step, (rows,)) for step in (1, 2)]
+        for upstream in upstreams:
+            matrix.gather(idx).backward(upstream)
+        assert same_bits(matrix.grad, scatter_reference(
+            matrix.shape, (np.arange(rows), idx), upstreams))
+
+    @pytest.mark.parametrize("columns", [None, slice(0, 3), slice(3, 8), slice(8, 10)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @given(seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_masked_linear_matches_the_composed_primitives(self, columns, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((4, 10)) < 0.6).astype(float)
+        width = mask[:, columns if columns else slice(None)].shape[1]
+        upstream = signed_values(seed + 3, (7, width))
+
+        def run(fused: bool):
+            x = Tensor(signed_values(seed, (7, 4)), requires_grad=True)
+            w = Tensor(signed_values(seed + 1, (4, 10)), requires_grad=True)
+            b = Tensor(signed_values(seed + 2, (10,)), requires_grad=True)
+            for _ in range(2):  # the second pass adds into gradients that exist
+                if fused:
+                    out = masked_linear(x, w, mask, b if with_bias else None, columns)
+                elif columns is None:
+                    out = x.rowwise_matmul(w * Tensor(mask))
+                    out = out + b if with_bias else out
+                else:
+                    out = x.rowwise_matmul(w[:, columns] * Tensor(mask[:, columns]))
+                    out = out + b[columns] if with_bias else out
+                out.backward(upstream)
+            return out.data, x.grad, w.grad, b.grad
+
+        for actual, expected in zip(run(fused=True), run(fused=False)):
+            assert (actual is None and expected is None) or same_bits(actual, expected)
+
+    @given(seed=seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_masked_linear_blocks_accumulate_in_the_composed_order(self, seed):
+        # MADE's output loop: every block reads one hidden tensor, whose
+        # gradient is a float sum over the blocks — the order must not move.
+        mask = (np.random.default_rng(seed).random((4, 10)) < 0.6).astype(float)
+        blocks = [slice(0, 3), slice(3, 8), slice(8, 10)]
+        upstream = signed_values(seed + 3, (7, 10))
+
+        def run(fused: bool):
+            x = Tensor(signed_values(seed, (7, 4)), requires_grad=True)
+            w = Tensor(signed_values(seed + 1, (4, 10)), requires_grad=True)
+            b = Tensor(signed_values(seed + 2, (10,)), requires_grad=True)
+            hidden = x.relu()
+            outs = [masked_linear(hidden, w, mask, b, block) if fused else
+                    hidden.rowwise_matmul(w[:, block] * Tensor(mask[:, block])) + b[block]
+                    for block in blocks]
+            total = outs[0].sum(axis=1)
+            for out in outs[1:]:
+                total = total + out.sum(axis=1)
+            concatenate(outs + [total.reshape(-1, 1)], axis=1).backward(
+                np.concatenate([upstream, upstream[:, :1]], axis=1))
+            return hidden.grad, x.grad, w.grad, b.grad
+
+        for actual, expected in zip(run(fused=True), run(fused=False)):
+            assert same_bits(actual, expected)
+
+    def test_masked_linear_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(0)
+        mask = (rng.random((4, 6)) < 0.6).astype(float)
+        x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+        block = slice(2, 5)
+        check_gradient(lambda t: (masked_linear(t, Tensor(w), mask, Tensor(b), block)
+                                  ** 2.0).sum(), (5, 4))
+        check_gradient(lambda t: (masked_linear(Tensor(x), t, mask, Tensor(b), block)
+                                  ** 2.0).sum(), (4, 6))
+        check_gradient(lambda t: (masked_linear(Tensor(x), Tensor(w), mask, t, block)
+                                  ** 2.0).sum(), (6,))
+
+    def test_masked_linear_skips_parents_without_grad(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w, b = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        masked_linear(x, w, np.ones((3, 4)), b).sum().backward()
+        assert w.grad is None and b.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda x: x + x,
+        lambda x: x.reshape(3, 4) + x.reshape(3, 4),
+        lambda x: concatenate([x, x], axis=0),
+        lambda x: x.T + x.T,
+        lambda x: (x + x).sum(axis=0) + x.sum(axis=0),
+    ], ids=["add", "reshape", "concatenate", "transpose", "sum"])
+    def test_first_write_never_aliases_an_upstream_gradient(self, build):
+        def two_passes(unshare: bool):
+            x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+            out = build(x)
+            upstream = np.arange(1.0, out.size + 1).reshape(out.shape)
+            out.backward(upstream)
+            nodes = graph_nodes(out)
+            if unshare:  # the reference: no two gradients can be one buffer
+                for node in nodes:
+                    node.grad = node.grad.copy()
+            # The second pass adds in place into every gradient of the graph.
+            out.backward(upstream)
+            return x.grad, [upstream] + [node.grad for node in nodes]
+
+        actual, buffers = two_passes(unshare=False)
+        expected, _ = two_passes(unshare=True)
+        np.testing.assert_array_equal(actual, expected)
+        for index, buffer in enumerate(buffers):
+            for other in buffers[index + 1:]:
+                assert not np.shares_memory(buffer, other)
+
+    def test_log_softmax_does_not_exponentiate_without_a_graph(self, monkeypatch):
+        calls = []
+        real_exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or real_exp(*a, **k))
+        with no_grad():
+            Tensor(np.ones((2, 3)), requires_grad=True).log_softmax()
+        assert len(calls) == 1  # the normaliser; the softmax is backward's business
