@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.progressive import prefix_radix
 from ..query.predicates import DNFQuery, Operator, Query
 
 __all__ = ["CacheStats", "PackedConditionalCache", "CachedConditionalModel",
@@ -259,19 +260,13 @@ class CachedConditionalModel:
             for position, column in enumerate(self.order)
         }
         # Mixed-radix packing of each column's prefix into one int64 store
-        # key (the empty prefix packs to 0); ``None`` marks a prefix whose
-        # radix product overflows, which is served uncached.
+        # key (the empty prefix packs to 0) — the sampler's own packing;
+        # ``None`` marks a prefix whose radix product overflows, which is
+        # served uncached.
         domain_sizes = model.domain_sizes()
-        self._prefix_radix: dict[int, np.ndarray | None] = {}
-        for column, prefix in self._prefix_columns.items():
-            sizes = [domain_sizes[c] for c in prefix]
-            if float(np.prod([float(s) for s in sizes])) < 2.0 ** 62:
-                radix = np.ones(len(sizes), dtype=np.int64)
-                for position in range(len(sizes) - 2, -1, -1):
-                    radix[position] = radix[position + 1] * sizes[position + 1]
-                self._prefix_radix[column] = radix
-            else:
-                self._prefix_radix[column] = None
+        self._prefix_radix: dict[int, np.ndarray | None] = {
+            column: prefix_radix([domain_sizes[c] for c in prefix])
+            for column, prefix in self._prefix_columns.items()}
 
     # -- protocol delegation ------------------------------------------- #
     @property
@@ -327,8 +322,13 @@ class CachedConditionalModel:
         prefixes = np.ascontiguousarray(
             codes[:, self._prefix_columns[column_index]])
         packed = prefixes @ radix
-        table = np.empty((num_rows, domain))
         found, values = self.cache.bulk_get(column_index, packed)
+        if values is not None and values.shape[0] == num_rows:
+            # Every probe hit: the gather out of the store (a copy the
+            # caller owns) is the table.
+            self.stats.rows_served_from_cache += num_rows
+            return values
+        table = np.empty((num_rows, domain))
         if values is not None:
             table[found] = values
         missing_rows = np.flatnonzero(~found)

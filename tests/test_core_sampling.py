@@ -11,18 +11,24 @@ The key statistical properties verified:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    MADEModel,
     NoisyOracleModel,
     OracleModel,
     ProgressiveSampler,
+    Trainer,
     UniformRegionSampler,
     enumerate_region,
 )
+from repro.core import progressive
 from repro.core.progressive import _search_cumulative
 from repro.data import ColumnSpec, make_correlated_table
 from repro.query import (OODWorkloadGenerator, Query, WorkloadGenerator,
@@ -412,12 +418,14 @@ class _SpikeModel:
     Each conditional puts its mass on three codes derived from the row's
     visible prefix — one of them at the top of the domain, so packed prefixes
     really do reach the declared radix product, and few enough that sample
-    paths keep sharing prefixes.
+    paths keep sharing prefixes.  ``order`` is the autoregressive order
+    (storage order when omitted).
     """
 
-    def __init__(self, domain_sizes):
+    def __init__(self, domain_sizes, order=None):
         self._domain_sizes = list(domain_sizes)
-        self.order = list(range(len(self._domain_sizes)))
+        self.order = list(range(len(self._domain_sizes))
+                          if order is None else order)
 
     def domain_sizes(self):
         return list(self._domain_sizes)
@@ -425,8 +433,9 @@ class _SpikeModel:
     def conditional_probs(self, column_index, codes):
         size = self._domain_sizes[column_index]
         rows = np.arange(codes.shape[0])
-        mix = (codes[:, :column_index]
-               * (7919 * (np.arange(column_index) + 1))).sum(axis=1)
+        position = self.order.index(column_index)
+        mix = (codes[:, self.order[:position]]
+               * (7919 * (np.arange(position) + 1))).sum(axis=1)
         probs = np.zeros((codes.shape[0], size))
         probs[rows, mix % size] += 0.5
         probs[rows, (mix * 31 + 7) % size] += 0.3
@@ -540,3 +549,184 @@ class TestPrefixDeduplication:
         assert plain.unique_rows == plain.rows_submitted
         assert 0 < fused.unique_rows < fused.rows_submitted
         assert fused.forward_calls == plain.forward_calls > 0
+
+    # ------------------------------------------------------------------ #
+    # The sorted-order walk: tiles, carried keys, working set.
+
+    @staticmethod
+    def _random_masks(rng, domain_sizes, filtered_columns):
+        """One mask list per entry of ``filtered_columns``; every mask keeps
+        the top three codes (where ``_SpikeModel`` always has mass)."""
+        masks_batch = []
+        for columns in filtered_columns:
+            masks = [None] * len(domain_sizes)
+            for column in columns:
+                masks[column] = rng.random(domain_sizes[column]) < 0.5
+                masks[column][-3:] = True
+            masks_batch.append(masks)
+        return masks_batch
+
+    @pytest.fixture(scope="class")
+    def trained_made(self, skewed_table):
+        model = MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
+        Trainer(model, skewed_table, batch_size=128).train(epochs=2)
+        return model
+
+    @pytest.mark.parametrize("filtered_columns", [
+        [(0, 2), (1,), (0, 1, 2, 3), (3,), (1, 3), (0,), ()],   # mixed wildcards
+        [(0, 1, 3)],                                             # a batch of one
+    ], ids=["mixed", "one"])
+    def test_tile_boundaries_do_not_move_a_bit(self, monkeypatch, skewed_table,
+                                               oracle, trained_made,
+                                               filtered_columns):
+        """Wherever the group-space walk cuts its tiles — one group a tile,
+        a few, or all of them in one — every estimate keeps its bits, and
+        they are the bits of the unfused per-row walk."""
+        sizes = list(skewed_table.domain_sizes)
+        # Narrow masks over a spiky model: most groups have no mass at all,
+        # so zero-mass groups open and close tiles.
+        spike = _SpikeModel(sizes)
+        searches = []
+
+        def counting_search(*args):
+            searches.append(1)
+            return _search_cumulative(*args)
+
+        monkeypatch.setattr(progressive, "_search_cumulative", counting_search)
+        for model in (oracle, spike, trained_made):
+            masks_batch = self._random_masks(np.random.default_rng(23), sizes,
+                                             filtered_columns)
+            if model is spike:
+                for masks in masks_batch:
+                    for mask in masks:
+                        if mask is not None:
+                            mask[-3:] = [False, True, False]
+
+            def estimates(dedup):
+                rngs = [np.random.default_rng(700 + index)
+                        for index in range(len(masks_batch))]
+                return ProgressiveSampler(
+                    model, seed=0, dedup=dedup).estimate_selectivity_batch(
+                        masks_batch, num_samples=200, rngs=rngs)
+
+            plain = estimates(dedup=False)
+            counts = []
+            for elements in (1, max(sizes), 3 * max(sizes) + 1, 2 ** 30):
+                monkeypatch.setattr(progressive, "_TILE_ELEMENTS", elements)
+                del searches[:]
+                assert np.array_equal(estimates(dedup=True), plain)
+                counts.append(len(searches))
+            if model is spike:
+                assert 0.0 < plain.min() < 1.0
+            # The patch took: one group a tile means many tiles, one tile
+            # for everything means one search per sampled column.
+            assert counts == sorted(counts, reverse=True)
+            assert counts[0] > counts[-1] and counts[-1] <= len(sizes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(domain_sizes=st.lists(st.sampled_from([2, 3, 11, 2 ** 16]),
+                                 min_size=3, max_size=6),
+           shuffle=st.randoms(use_true_random=False),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # Four prefix columns of 2^16 overflow the radix: the last positions
+    # take the rank fallback, fed from the codes.
+    @example(domain_sizes=[3] + [2 ** 16] * 5, shuffle=None, seed=1)
+    def test_carried_key_is_the_packed_prefix(self, domain_sizes, shuffle, seed):
+        """The key a row carries into position ``p`` is ``prefix @ radix`` of
+        the codes sampled for it so far, and the model is shown exactly the
+        distinct prefixes of the alive rows, each once, in sorted order —
+        at positions whose radix overflows as well."""
+        order = list(range(len(domain_sizes)))
+        if shuffle is None:
+            order.reverse()
+        else:
+            shuffle.shuffle(order)
+        model = _SpikeModel(domain_sizes, order)
+        sampler = ProgressiveSampler(model, seed=0)
+        rng = np.random.default_rng(seed)
+        masks_batch = self._random_masks(
+            rng, domain_sizes,
+            [tuple(np.flatnonzero(rng.random(len(domain_sizes)) < 0.7))
+             for _ in range(3)] + [tuple(order)])
+        shown, expected, packable = [], [], []
+        inner_groups, inner_probs = (sampler._conditional_groups,
+                                     model.conditional_probs)
+
+        def spy_groups(position, column, codes, packed, alive_rows, *rest):
+            prefix_columns, radix, _ = sampler._prefix_packing(position)
+            prefixes = codes[alive_rows][:, prefix_columns]
+            if radix is not None:
+                assert np.array_equal(packed[alive_rows], prefixes @ radix)
+            packable.append(radix is not None)
+            expected.append(np.unique(prefixes, axis=0))
+            return inner_groups(position, column, codes, packed, alive_rows,
+                                *rest)
+
+        def spy_probs(column, codes):
+            shown.append(codes[:, order[:order.index(column)]])
+            return inner_probs(column, codes)
+
+        sampler._conditional_groups = spy_groups
+        model.conditional_probs = spy_probs
+        sampler.estimate_selectivity_batch(
+            masks_batch, num_samples=12,
+            rngs=[np.random.default_rng(seed + index) for index in range(4)])
+        assert len(shown) == len(expected) == len(domain_sizes)
+        for seen, reference in zip(shown, expected):
+            assert np.array_equal(seen, reference)
+        if shuffle is None:
+            assert packable == [True] * 4 + [False] * 2
+
+    def test_working_set_is_the_answer_plus_a_few_tiles(self):
+        """One 16-query × 800-path batch over a warm conditional cache peaks
+        at the model's own answer plus a few tiles and row-length vectors —
+        not at several more arrays the size of the answer."""
+        from repro.serve import CachedConditionalModel
+        table = make_correlated_table([
+            ColumnSpec("a", 10, "categorical", skew=0.3),
+            ColumnSpec("b", 10, "categorical", skew=0.3),
+            ColumnSpec("c", 200, "ordinal", skew=0.3),
+            ColumnSpec("d", 150, "ordinal", skew=0.3),
+        ], num_rows=4000, seed=2, name="wide")
+        model = CachedConditionalModel(
+            MADEModel(table, hidden_sizes=(8,), seed=0))
+        rng = np.random.default_rng(5)
+        masks_batch = self._random_masks(rng, table.domain_sizes,
+                                         [(0, 1, 2, 3)] * 16)
+        answers = []
+        inner = model.conditional_probs
+
+        def spy(column, codes):
+            answers.append(inner(column, codes))
+            return answers[-1]
+
+        model.conditional_probs = spy
+        sampler = ProgressiveSampler(model, seed=0)
+
+        def batch():
+            del answers[:]
+            return sampler.estimate_selectivity_batch(
+                masks_batch, num_samples=800,
+                rngs=[np.random.default_rng(60 + index) for index in range(16)])
+
+        cold = batch()
+        evaluated = model.rows_evaluated
+        gc.disable()
+        tracemalloc.start()
+        try:
+            warm = batch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert np.array_equal(warm, cold)
+        assert model.rows_evaluated == evaluated      # every lookup hit
+        rows = 16 * 800
+        # The spy keeps the four answers alive; the walk itself may add
+        # four tiles and the row-length vectors (codes, keys, draws, order,
+        # the cache's probe positions ...), counted generously.
+        held = sum(answer.nbytes for answer in answers)
+        allowance = (4 * progressive._TILE_ELEMENTS * 8
+                     + (table.num_columns + 24) * rows * 8)
+        assert max(answer.nbytes for answer in answers) > 2 * allowance
+        assert peak < held + allowance

@@ -323,6 +323,47 @@ class TestPackedConditionalCache:
             assert np.array_equal(warm, expected)
         assert wrapped.stats.hits > 0
 
+    def test_full_hit_owns_its_table(self, users_model, users_table):
+        """A batch that hits on every probe is answered by the gather out of
+        the store itself: a copy the caller owns, never a view of the store
+        — scribbling on it must not reach the next lookup."""
+        wrapped = CachedConditionalModel(users_model)
+        codes = np.unique(users_table.encoded()[:64], axis=0)
+        column = wrapped.order[-1]
+        expected = wrapped.conditional_probs(column, codes).copy()   # cold
+        warm = wrapped.conditional_probs(column, codes)
+        assert wrapped.rows_evaluated == codes.shape[0]   # the cold pass only
+        assert warm.flags.owndata and warm.flags.writeable
+        assert not np.shares_memory(warm, wrapped.cache._values[column])
+        warm[:] = -1.0
+        assert np.array_equal(wrapped.conditional_probs(column, codes), expected)
+        assert wrapped.stats.rows_served_from_cache == 2 * codes.shape[0]
+
+    @pytest.mark.parametrize("prefix_sizes, packs", [
+        # 2^62 - 1 possible prefixes: exactly representable as an integer,
+        # but it rounds to 2.0^62 as a float product.
+        ([2147483647, 2147483649], True),
+        ([2 ** 31, 2 ** 31], False),                  # 2^62 exactly
+    ])
+    def test_cache_and_sampler_pack_the_same_prefixes(self, prefix_sizes, packs):
+        """One overflow test decides the radix for both layers: a prefix the
+        sampler packs is a prefix the cache stores under the same key."""
+        from repro.core import ProgressiveSampler
+
+        class Declared:
+            order = [0, 1, 2]
+
+            def domain_sizes(self):
+                return prefix_sizes + [3]
+
+        model = Declared()
+        _, sampler_radix, _ = ProgressiveSampler(model)._prefix_packing(2)
+        cache_radix = CachedConditionalModel(model)._prefix_radix[2]
+        assert (sampler_radix is not None) == (cache_radix is not None) == packs
+        if packs:
+            assert np.array_equal(sampler_radix, cache_radix)
+            assert sampler_radix.tolist() == [prefix_sizes[1], 1]
+
 
 @pytest.fixture(scope="module")
 def users_table():
