@@ -129,7 +129,7 @@ class TupleEncoder(nn.Module):
         For small domains the block already *is* the logits; for large domains
         the block is an ``h``-dimensional feature vector multiplied with the
         (shared) embedding matrix — the embedding-reuse optimisation.  With
-        ``row_exact=True`` that product is computed row by row
+        ``row_exact=True`` that product is row-exact
         (:meth:`repro.nn.autograd.Tensor.rowwise_matmul`), so decoded logits
         are bit-identical for any batch composition — required by models whose
         serving path regroups rows (see :class:`repro.core.made.MADEModel`).

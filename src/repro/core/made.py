@@ -135,7 +135,7 @@ class _InferencePlan:
     tables: list[np.ndarray]  # per input column: T_c of ``_first_hidden``
     first_bias: np.ndarray | None
     hidden: list[tuple[np.ndarray, np.ndarray]]  # later layers: masked weight, bias
-    outputs: list[tuple]  # per column: masked block, bias slice, decode view | None
+    outputs: list[tuple]  # per column: masked block, bias slice, C-ordered decode | None
     visible: list[list[int]]  # per column: the input columns before it in ``order``
 
 
@@ -153,11 +153,12 @@ class MADEModel(AutoregressiveModel):
     :meth:`conditional_probs` only consumes a lazily built, immutable
     *inference plan*: what does not depend on the batch (per-column gather
     tables of the first layer, masked hidden weights, each column's masked
-    output block and embedding-decode view) is built once per weight version
-    and rebuilt by itself after an optimiser step or ``load_state_dict``.  A
-    call reads only the columns the mask lets the requested block see and
-    multiplies only that block; :meth:`forward_logits` computes its blocks by
-    the same sliced products, so the two agree bit for bit (tests assert it).
+    output block and C-ordered embedding-decode operand) is built once per
+    weight version and rebuilt by itself after an optimiser step or
+    ``load_state_dict``.  A call reads only the columns the mask lets the
+    requested block see and multiplies only that block; :meth:`forward_logits`
+    computes its blocks by the same sliced products, so the two agree bit for
+    bit (tests assert it).
 
     Parameters
     ----------
@@ -196,7 +197,7 @@ class MADEModel(AutoregressiveModel):
         previous_degrees = input_degrees
         previous_width = sum(input_widths)
         for width in self.hidden_sizes:
-            layer = nn.MaskedLinear(previous_width, width, rng=rng, row_exact=True)
+            layer = nn.MaskedLinear(previous_width, width, rng=rng)
             hidden_degrees = (np.arange(width) % max_hidden_degree) + 1
             mask = (hidden_degrees[None, :] >= previous_degrees[:, None]).astype(float)
             layer.set_mask(mask)
@@ -204,8 +205,7 @@ class MADEModel(AutoregressiveModel):
             previous_degrees = hidden_degrees
             previous_width = width
 
-        self.output_layer = nn.MaskedLinear(previous_width, sum(output_widths),
-                                            rng=rng, row_exact=True)
+        self.output_layer = nn.MaskedLinear(previous_width, sum(output_widths), rng=rng)
         output_mask = (output_degrees[None, :] > previous_degrees[:, None]).astype(float)
         self.output_layer.set_mask(output_mask)
         self._output_slices = self._block_slices(output_widths)
@@ -308,7 +308,8 @@ class MADEModel(AutoregressiveModel):
         out = self.output_layer
         outputs = [(out.weight.data[:, block] * out.mask[:, block],
                     out.bias.data[block],
-                    None if embedding is None else embedding.weight.data.T)
+                    None if embedding is None
+                    else np.ascontiguousarray(embedding.weight.data.T))
                    for block, embedding in zip(self._output_slices, embeddings)]
         visible = [sorted(self.order[:self.order.index(column)])
                    for column in range(self.num_columns)]

@@ -26,28 +26,78 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "rowwise_matmul_data",
            "masked_linear"]
 
 _GRAD_ENABLED = True
+_TILE = 16  # rows per gemm: 8, 16 and 32 measured row-exact, 64 not
+
+
+def _tile_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as a stack of ``(_TILE, k) @ (k, n)`` gemms, the last one zero-padded."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    (rows, k), n = a.shape, b.shape[1]
+    full = rows - rows % _TILE
+    out = np.empty((rows, n))
+    np.matmul(a[:full].reshape(-1, _TILE, k), b, out=out[:full].reshape(-1, _TILE, n))
+    if full < rows:
+        tail = np.zeros((_TILE, k))
+        tail[:rows - full] = a[full:]
+        out[full:] = (tail @ b)[:rows - full]
+    return out
+
+
+def _gufunc_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as one standalone ``(1, k) @ (k, n)`` product (a gemv) per row."""
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return np.matmul(a[:, None, :], np.broadcast_to(b, (a.shape[0],) + b.shape))[:, 0, :]
+
+
+def _tile_self_check(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> bool:
+    """Whether ``kernel``'s rows are bit-identical for any batch composition:
+    on four model shapes, the batch permuted, ``b`` handed over F-ordered, and
+    single rows at and beside the tile edges."""
+    rng = np.random.default_rng(0)
+    singles = [0, 1, 15, 16, 17, 31, 32, 36]
+    for k, n in ((64, 64), (64, 391), (64, 73), (16, 59)):
+        a, b = rng.normal(size=(37, k)), rng.normal(size=(k, n))
+        full, order = kernel(a, b), rng.permutation(37)
+        alone = np.concatenate([kernel(a[row:row + 1], b) for row in singles])
+        if not (np.array_equal(kernel(a[order], b), full[order])
+                and np.array_equal(kernel(a, np.asfortranarray(b)), full)
+                and np.array_equal(alone, full[singles])):
+            return False
+    return True
+
+
+_TILE_EXACT = _tile_self_check(_tile_matmul)
 
 
 def rowwise_matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` evaluated one row of ``a`` at a time (row-exact matmul).
+    """``a @ b`` with every output row a pure function of its input row (row-exact).
 
     BLAS gemm kernels pick different instruction blockings for different
     batch sizes, so ``(a @ b)[rows]`` and ``a[rows] @ b`` can disagree in the
     last ulp — which breaks any scheme that evaluates a *subset* of rows and
     expects the bits of the full evaluation (prefix deduplication, the
-    conditional LRU cache, chunked dispatch).  This kernel instead maps the
-    gufunc form of :func:`numpy.matmul` over the rows, so each output row is
-    the standalone ``(1, k) @ (k, n)`` product of its input row alone: the
-    result is a pure per-row function, identical for any batch composition.
-    The price is one ``gemv`` per row: measured at the model's shapes it
-    costs 1.6–3.0x one fused gemm (297×64·64×391: 1.31 vs 0.45 ms;
-    4000×64·64×142: 5.9 vs 2.7 ms, one BLAS thread) — ROADMAP item 4(i)
-    proposes a fixed-tile batched product to win that back.
+    conditional LRU cache, chunked dispatch).  So the batch size never reaches
+    BLAS: ``a`` is cut into tiles of ``_TILE`` = 16 rows, the full tiles run
+    as one batched :func:`numpy.matmul` and the ragged tail as one more tile
+    padded with zero rows.  Every gemm is then the same ``(16, k) @ (k, n)``
+    call, in which a row's dot products depend neither on its slot in the
+    tile nor on the other rows.  On OpenBLAS that holds under two measured
+    conditions: ``b`` is made C-contiguous (with the F-ordered
+    ``embedding.weight.T`` of the embedding decode, 40 of 200 sampled rows at
+    16×64·64×391 depended on their slot), and the tile is small (8, 16 and 32
+    rows were exact on every model shape, 64 was not).  A BLAS may behave
+    otherwise, so an import-time self-check (:func:`_tile_self_check`,
+    ≈ 2 ms) tries the kernel on four model shapes; if it fails, every row is
+    one standalone ``(1, k) @ (k, n)`` gufunc product (a gemv) instead —
+    slower, never wrong; ``b`` is made C-contiguous there too, because a
+    gemv's bits depend on the layout as well (F against C: 10 994 of 14 467
+    entries differ at 37×64·64×391).  Cost, one BLAS thread: gemm speed at
+    the model's shapes (297×64·64×391: 0.24 ms against the gufunc's 1.05;
+    4000×64·64×142: 1.2 against 5.1 ms), but a single row pays for a padded
+    tile (64×391: 0.036 against 0.014 ms).
     """
-    if a.shape[0] == 0:
-        return np.empty((0, b.shape[1]))
-    expanded = np.broadcast_to(b, (a.shape[0],) + b.shape)
-    return np.matmul(a[:, None, :], expanded)[:, 0, :]
+    return _tile_matmul(a, b) if _TILE_EXACT else _gufunc_matmul(a, b)
 
 
 class no_grad:
@@ -296,7 +346,7 @@ class Tensor:
     __matmul__ = matmul
 
     def rowwise_matmul(self, other: "Tensor") -> "Tensor":
-        """Matrix product computed row by row, see :func:`rowwise_matmul_data`.
+        """Row-exact matrix product, see :func:`rowwise_matmul_data`.
 
         Forward values are bit-identical for any grouping of the rows of
         ``self`` (unlike :meth:`matmul`, whose BLAS kernel rounds differently

@@ -173,22 +173,20 @@ class MaskedLinear(Module):
     This is the building block of MADE [Germain et al. 2015]: the binary mask
     zeroes the connections that would violate the autoregressive property.
 
-    With ``row_exact=True`` the forward product is computed row by row
-    (:meth:`repro.nn.autograd.Tensor.rowwise_matmul`), which makes every
-    output row a pure function of its input row — bit-identical no matter how
-    the batch is composed.  Serving-side optimisations that re-group rows
-    (prefix deduplication, conditional caching, chunked dispatch) rely on
-    this; it costs a modest constant factor over the fused BLAS product.
+    The forward product is row-exact
+    (:func:`repro.nn.autograd.rowwise_matmul_data`): every output row is a
+    pure function of its input row — bit-identical no matter how the batch is
+    composed.  Serving-side optimisations that re-group rows (prefix
+    deduplication, conditional caching, chunked dispatch) rely on this; the
+    fixed-tile kernel behind it runs at gemm speed.
     """
 
     def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True, rng: np.random.Generator | None = None,
-                 row_exact: bool = False) -> None:
+                 bias: bool = True, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
-        self.row_exact = row_exact
         self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
         # The mask is a buffer, not a parameter: it is never trained.
@@ -204,12 +202,7 @@ class MaskedLinear(Module):
         self.mask = mask
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.row_exact:
-            return masked_linear(x, self.weight, self.mask, self.bias)
-        out = x @ (self.weight * Tensor(self.mask))
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return masked_linear(x, self.weight, self.mask, self.bias)
 
 
 class Embedding(Module):

@@ -231,6 +231,36 @@ class TestFusedConditionalKernel:
             assert np.array_equal(model.conditional_probs(column, garbage), fused)
 
 
+class TestTileKernelFallback:
+    """On a BLAS that fails the row-exact tile kernel's import-time
+    self-check, every product runs as the per-row gufunc — and the serving
+    path's contract must hold there just the same."""
+
+    def test_fused_kernel_contract_holds_on_the_gufunc(self, monkeypatch, embed_table):
+        from repro.nn import autograd
+
+        tiled = []
+        real = autograd._tile_matmul
+        monkeypatch.setattr(autograd, "_TILE_EXACT", False)
+        monkeypatch.setattr(autograd, "_tile_matmul",
+                            lambda a, b: tiled.append(a.shape) or real(a, b))
+        contract = TestFusedConditionalKernel()
+        contract.test_sliced_equals_full_forward_bitwise(embed_table, order=None)
+        contract.test_row_subsets_return_identical_bits(embed_table)
+        # The same with an embedded column: the plan decodes with a C-ordered
+        # copy of the embedding, the unfused forward with its transposed view.
+        model = MADEModel(embed_table, hidden_sizes=(24, 24), embedding_threshold=20,
+                          embedding_dim=8, seed=4)
+        assert model.encoder.codecs[1].use_embedding
+        codes = embed_table.encoded()[:48]
+        subset = np.array([7, 3, 3, 47, 0, 21])
+        for column in range(embed_table.num_columns):
+            full = model.conditional_probs(column, codes)
+            assert np.array_equal(full, model.conditional_probs_unfused(column, codes))
+            assert np.array_equal(model.conditional_probs(column, codes[subset]), full[subset])
+        assert not tiled
+
+
 def _take_steps(model, optimizer, codes, steps=1):
     """A few real optimiser steps on ``codes`` (train mode left as found)."""
     for _ in range(steps):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, concatenate, masked_linear, no_grad
+from repro.nn import Tensor, autograd, concatenate, masked_linear, no_grad, rowwise_matmul_data
 
 
 def numerical_gradient(function, value: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -433,3 +433,58 @@ class TestBackwardBitExactness:
         with no_grad():
             Tensor(np.ones((2, 3)), requires_grad=True).log_softmax()
         assert len(calls) == 1  # the normaliser; the softmax is backward's business
+
+
+# --------------------------------------------------------------------- #
+# The row-exact matmul kernel
+# --------------------------------------------------------------------- #
+# Every (in, out) product the benchmark models hand the kernel: the hidden
+# layers and output blocks of the 64- and 16-wide DMV and fleet models, and
+# the embedding decodes 64 x |A|.
+KERNEL_SHAPES = ([(k, n) for k in (16, 64)
+                  for n in (2, 4, 5, 8, 9, 14, 16, 39, 59, 63, 64)]
+                 + [(64, n) for n in (73, 142, 300, 391, 400)])
+
+
+def gufunc_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One standalone ``(1, k) @ (k, n)`` product per row, ``b`` C-ordered."""
+    b = np.ascontiguousarray(b)
+    return np.stack([np.matmul(row[None, :], b)[0] for row in a])
+
+
+class TestRowExactKernel:
+    @given(shape=st.sampled_from(KERNEL_SHAPES), transposed=st.booleans(),
+           rows=st.sampled_from([1, 15, 16, 17, 53, 297]), seed=seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_a_row_has_the_same_bits_in_any_batch(self, shape, transposed, rows, seed):
+        k, n = shape
+        rng = np.random.default_rng(seed)
+        a = signed_values(seed, (rows, k))
+        # The embedding decode hands over ``weight.T``: an F-ordered view.
+        b = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
+        full = rowwise_matmul_data(a, b)
+        assert same_bits(rowwise_matmul_data(a, np.asfortranarray(b)), full)
+        # Any subset, in any order, with repeats...
+        idx = rng.integers(0, rows, size=rng.integers(1, rows + 20))
+        assert same_bits(rowwise_matmul_data(a[idx], b), full[idx])
+        # ...and the same rows among other neighbours, in other tile slots.
+        batch = signed_values(seed + 1, (idx.size + int(rng.integers(0, 40)), k))
+        slots = rng.choice(len(batch), size=idx.size, replace=False)
+        batch[slots] = a[idx]
+        assert same_bits(rowwise_matmul_data(batch, b)[slots], full[idx])
+
+    def test_self_check_rejects_a_position_dependent_kernel(self):
+        def position_dependent(a, b):
+            slot = np.arange(a.shape[0]) % autograd._TILE
+            return autograd._tile_matmul(a, b) + slot[:, None] * 1e-12
+
+        assert not autograd._tile_self_check(position_dependent)
+        assert autograd._tile_self_check(autograd._gufunc_matmul)
+        assert autograd._TILE_EXACT == autograd._tile_self_check(autograd._tile_matmul)
+
+    def test_fallback_is_the_per_row_gufunc(self, monkeypatch):
+        monkeypatch.setattr(autograd, "_TILE_EXACT", False)
+        rng = np.random.default_rng(0)
+        for rows, (k, n) in [(1, (64, 391)), (17, (16, 59)), (53, (64, 73))]:
+            a, b = rng.normal(size=(rows, k)), rng.normal(size=(n, k)).T
+            assert same_bits(rowwise_matmul_data(a, b), gufunc_reference(a, b))
