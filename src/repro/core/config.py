@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 __all__ = ["NaruConfig"]
 
@@ -61,7 +61,6 @@ class NaruConfig:
     max_dnf_branches: int = 4
     column_order: tuple[int, ...] | None = None
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.architecture not in ("made", "column"):
@@ -79,6 +78,4 @@ class NaruConfig:
 
     def with_overrides(self, **kwargs) -> "NaruConfig":
         """Return a copy of the config with the given fields replaced."""
-        values = {**self.__dict__, **kwargs}
-        values.pop("extra", None)
-        return NaruConfig(extra=dict(self.extra), **values)
+        return replace(self, **kwargs)

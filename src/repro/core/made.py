@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..data.table import Table
-from ..nn.autograd import rowwise_matmul_data
+from ..nn.autograd import rowwise_matmul_data, scatter_add_rows
 from .encoding import TupleEncoder
 
 __all__ = ["AutoregressiveModel", "MADEModel"]
@@ -62,8 +62,7 @@ class AutoregressiveModel(nn.Module):
         logits = self.forward_logits(codes)
         total = None
         for index, column_logits in enumerate(logits):
-            log_probs = column_logits.log_softmax(axis=-1)
-            picked = log_probs.gather(codes[:, index])
+            picked = column_logits.log_softmax_pick(codes[:, index])
             total = picked if total is None else total + picked
         return -total.mean()
 
@@ -74,8 +73,7 @@ class AutoregressiveModel(nn.Module):
             logits = self.forward_logits(codes)
             total = np.zeros(codes.shape[0])
             for index, column_logits in enumerate(logits):
-                log_probs = column_logits.log_softmax(axis=-1).numpy()
-                total += log_probs[np.arange(codes.shape[0]), codes[:, index]]
+                total += column_logits.log_softmax_pick(codes[:, index]).numpy()
         return total
 
     def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
@@ -238,17 +236,52 @@ class MADEModel(AutoregressiveModel):
         materialisation.  Gathers and elementwise sums are trivially
         row-exact, so this preserves the model's bit-exact regrouping
         guarantee while replacing its single most expensive product.
+
+        The whole layer is one graph node.  Its vjp masks the upstream
+        gradient by the ReLU, sums it over rows into the bias, scatter-adds it
+        into one zero buffer per table and takes each buffer back through the
+        table's construction: ``* M`` into ``W``'s rows of a one-hot column,
+        the two matmul gradients of ``E_c @ W_c`` for an embedded one — the
+        arithmetic of the composed gather/add/slice/mask graph, in its order,
+        so trained weights keep their bits.
         """
         layer = self.layers[0]
-        masked = layer.weight * nn.Tensor(layer.mask)
-        total: nn.Tensor | None = None
-        for index, codec in enumerate(self.encoder.codecs):
-            block = masked[self._input_slices[index]]
-            if codec.use_embedding:
-                block = self.encoder.embeddings[index].weight @ block
-            contribution = block.take_rows(codes[:, index])
-            total = contribution if total is None else total + contribution
-        return (total + layer.bias).relu()
+        weight, bias, mask = layer.weight, layer.bias, layer.mask
+        embeddings = self.encoder.embeddings
+        slices = self._input_slices
+        masked, tables = self._first_layer_tables()
+        pre = tables[0][codes[:, 0]]
+        for index in range(1, len(tables)):
+            np.add(pre, tables[index][codes[:, index]], out=pre)
+        np.add(pre, bias.data, out=pre)
+        active = pre > 0
+        value = np.multiply(pre, active, out=pre)
+
+        def backward(out: nn.Tensor) -> None:
+            grad = out.grad * active
+            if bias.requires_grad:
+                bias._accumulate(grad.sum(axis=0))
+            for index, (block, embedding) in enumerate(zip(slices, embeddings)):
+                table_grad = scatter_add_rows(tables[index].shape, codes[:, index], grad)
+                if embedding is not None:
+                    if embedding.weight.requires_grad:
+                        embedding.weight._accumulate(table_grad @ masked[block].T)
+                    table_grad = embedding.weight.data.T @ table_grad
+                if weight.requires_grad:
+                    weight._grad_buffer()[block] += table_grad * mask[block]
+
+        parents = [weight, bias] + [embedding.weight for embedding in embeddings
+                                    if embedding is not None]
+        return nn.Tensor._make(value, parents, backward)
+
+    def _first_layer_tables(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The first layer's masked weight and its per-input-column tables ``T_c``."""
+        first = self.layers[0]
+        masked = first.weight.data * first.mask
+        return masked, [masked[block] if embedding is None
+                        else embedding.weight.data @ masked[block]
+                        for block, embedding in zip(self._input_slices,
+                                                    self.encoder.embeddings)]
 
     def forward_logits(self, codes: np.ndarray) -> list[nn.Tensor]:
         codes = np.asarray(codes, dtype=np.int64)
@@ -297,12 +330,8 @@ class MADEModel(AutoregressiveModel):
         embeddings = self.encoder.embeddings
         tables, first_bias, hidden = [], None, []
         if self.layers:
-            first = self.layers[0]
-            masked = first.weight.data * first.mask
-            for block, embedding in zip(self._input_slices, embeddings):
-                tables.append(masked[block] if embedding is None
-                              else embedding.weight.data @ masked[block])
-            first_bias = first.bias.data
+            tables = self._first_layer_tables()[1]
+            first_bias = self.layers[0].bias.data
             hidden = [(layer.weight.data * layer.mask, layer.bias.data)
                       for layer in self.layers[1:]]
         out = self.output_layer

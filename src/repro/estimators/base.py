@@ -30,6 +30,8 @@ class CardinalityEstimator(ABC):
 
     #: Human-readable estimator name used in reports (e.g. ``"Naru-2000"``).
     name: str = "estimator"
+    #: Inclusion–exclusion sums that fell outside ``[0, 1]`` and were clipped.
+    inclusion_exclusion_clips: int = 0
 
     def __init__(self, table: Table) -> None:
         self.table = table
@@ -75,10 +77,14 @@ class CardinalityEstimator(ABC):
         intersections concatenate predicate lists), so any
         conjunctive-capable subclass can serve disjunctions by passing its
         own conjunctive estimator here.  The signed sum is clipped to
-        ``[0, 1]`` to absorb estimation noise in the cross terms.
+        ``[0, 1]`` to absorb estimation noise in the cross terms, and every
+        clip is counted in :attr:`inclusion_exclusion_clips`.
         """
         total = sum(sign * estimate(term) for sign, term in dnf_expansion(query))
-        return float(min(max(total, 0.0), 1.0))
+        clipped = min(max(total, 0.0), 1.0)
+        if clipped != total:
+            self.inclusion_exclusion_clips += 1
+        return float(clipped)
 
     def size_bytes(self) -> int:
         """Approximate storage footprint of the estimator's summary/model."""

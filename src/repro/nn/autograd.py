@@ -5,7 +5,8 @@ Naru reproduction.  The paper's reference implementation relies on PyTorch;
 this environment has no deep-learning framework installed, so we provide a
 small, well-tested tensor engine with exactly the operations the estimator
 needs: broadcasting arithmetic, matrix products, ReLU, log/exp, reductions,
-stable ``log_softmax``, row gathering for embeddings, and concatenation.
+stable ``log_softmax`` (and its fused one-entry-per-row pick, the loss), row
+gathering for embeddings, and concatenation.
 
 The design follows the classic tape-based approach, and the graph is acyclic:
 every operation returns a new :class:`Tensor` that holds its forward value,
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "rowwise_matmul_data",
-           "masked_linear"]
+           "masked_linear", "scatter_add_rows"]
 
 _GRAD_ENABLED = True
 _TILE = 16  # rows per gemm: 8, 16 and 32 measured row-exact, 64 not
@@ -282,8 +283,10 @@ class Tensor:
         a, b = self, other
 
         def backward(out: Tensor) -> None:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
-            b._accumulate(_unbroadcast(out.grad, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(out.grad, b.shape))
 
         return self._make(a.data + b.data, (a, b), backward)
 
@@ -308,8 +311,10 @@ class Tensor:
         a, b = self, other
 
         def backward(out: Tensor) -> None:
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
 
         return self._make(a.data * b.data, (a, b), backward)
 
@@ -338,8 +343,10 @@ class Tensor:
         a, b = self, other
 
         def backward(out: Tensor) -> None:
-            a._accumulate(out.grad @ b.data.T)
-            b._accumulate(a.data.T @ out.grad)
+            if a.requires_grad:
+                a._accumulate(out.grad @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(a.data.T @ out.grad)
 
         return self._make(a.data @ b.data, (a, b), backward)
 
@@ -356,8 +363,10 @@ class Tensor:
         a, b = self, other
 
         def backward(out: Tensor) -> None:
-            a._accumulate(out.grad @ b.data.T)
-            b._accumulate(a.data.T @ out.grad)
+            if a.requires_grad:
+                a._accumulate(out.grad @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(a.data.T @ out.grad)
 
         return self._make(rowwise_matmul_data(a.data, b.data), (a, b), backward)
 
@@ -471,13 +480,7 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.int64)
 
         def backward(out: Tensor) -> None:
-            # A flat 1-D scatter-add: a row's elements are consecutive flat
-            # positions, and every position still gets its addends in row order.
-            grad = np.zeros_like(a.data)
-            width = int(np.prod(a.shape[1:]))
-            flat = idx.reshape(-1, 1) * width + np.arange(width)
-            np.add.at(grad.reshape(-1), flat.reshape(-1), out.grad.reshape(-1))
-            a._accumulate(grad)
+            a._accumulate(scatter_add_rows(a.shape, idx, out.grad))
 
         return self._make(a.data[idx], (a,), backward)
 
@@ -506,6 +509,33 @@ class Tensor:
             a._accumulate(grad)
 
         return self._make(value, (a,), backward)
+
+    def log_softmax_pick(self, indices: np.ndarray) -> "Tensor":
+        """``self.log_softmax(axis=-1).gather(indices)`` as one node, with its bits.
+
+        The forward pass normalises as :meth:`log_softmax` does but subtracts
+        the normaliser only at the picked entries, so the full log-softmax
+        matrix is never built.  The vjp forms ``-(exp(shifted - log_norm) * g)``
+        and adds ``g`` at ``(row, indices[row])``: per element the composed
+        pair's ``B - exp(value) * B.sum(-1)``, with ``B`` gather's one-hot
+        buffer, except that its ``0 - p*g`` is ``+0.0`` where this is
+        ``-0.0`` — a sign that :meth:`_accumulate`'s ``+ 0.0`` erases.
+        """
+        a = self
+        idx = np.asarray(indices, dtype=np.int64)
+        rows = np.arange(a.shape[0])
+        shifted = a.data - a.data.max(axis=-1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+        def backward(out: Tensor) -> None:
+            grad = np.subtract(shifted, log_norm)
+            np.exp(grad, out=grad)
+            np.multiply(grad, out.grad[:, None], out=grad)
+            np.negative(grad, out=grad)
+            grad[rows, idx] += out.grad
+            a._accumulate(grad)
+
+        return self._make(shifted[rows, idx] - log_norm[:, 0], (a,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         return self.log_softmax(axis=axis).exp()
@@ -539,6 +569,20 @@ class Tensor:
             a._accumulate(np.where(mask, 0.0, out.grad))
 
         return self._make(out_value, (a,), backward)
+
+
+def scatter_add_rows(shape: tuple[int, ...], indices: np.ndarray,
+                     grad: np.ndarray) -> np.ndarray:
+    """The vjp of a row gather: zeros of ``shape`` with ``grad[j]`` added at row ``indices[j]``.
+
+    One flat 1-D scatter-add: a row's elements are consecutive flat
+    positions, and every position still gets its addends in row order.
+    """
+    total = np.zeros(shape)
+    width = int(np.prod(shape[1:]))
+    flat = np.asarray(indices, dtype=np.int64).reshape(-1, 1) * width + np.arange(width)
+    np.add.at(total.reshape(-1), flat.reshape(-1), grad.reshape(-1))
+    return total
 
 
 def masked_linear(x: Tensor, weight: Tensor, mask: np.ndarray, bias: Tensor | None,

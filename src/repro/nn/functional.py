@@ -63,8 +63,12 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy between ``logits`` and integer ``targets``."""
-    return nll_loss(logits.log_softmax(axis=-1), targets)
+    """Softmax cross-entropy between ``logits`` and integer ``targets``.
+
+    The bits of ``nll_loss(log_softmax(logits), targets)`` through one fused
+    node (:meth:`Tensor.log_softmax_pick`) that never builds the full matrix.
+    """
+    return -logits.log_softmax_pick(targets).mean()
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:

@@ -33,6 +33,7 @@ from repro.core import (
 from repro.data import ColumnSpec, make_correlated_table, make_users
 from repro.estimators import MSCNEstimator
 from repro.query import WorkloadGenerator
+from test_nn_autograd import composed_first_hidden, composed_nll, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +433,41 @@ class TestColumnNetworkModel:
         assert last < first
 
 
+class ComposedMADE(MADEModel):
+    """A MADE whose training step builds the composed graphs the fused nodes replace."""
+
+    _first_hidden = composed_first_hidden
+    nll = composed_nll
+
+
 class TestTraining:
+    @pytest.mark.parametrize("threshold", [20, 200], ids=["embedded", "one-hot"])
+    def test_fused_nodes_train_the_composed_graphs_weights(self, embed_table, threshold):
+        def trained(model_class):
+            model = model_class(embed_table, hidden_sizes=(32, 32), seed=0,
+                                embedding_threshold=threshold, embedding_dim=16)
+            Trainer(model, embed_table, batch_size=128, learning_rate=5e-3).train(epochs=2)
+            return model.state_dict()
+
+        fused, composed = trained(MADEModel), trained(ComposedMADE)
+        assert list(fused) == list(composed)
+        assert any("embeddings" in name for name in fused) == (threshold == 20)
+        for name in fused:
+            assert fused[name].tobytes() == composed[name].tobytes(), name
+
+    @pytest.mark.parametrize("model_class", [MADEModel, ColumnNetworkModel])
+    def test_log_prob_keeps_the_bits_of_the_full_log_softmax(self, embed_table,
+                                                             model_class):
+        model = model_class(embed_table, hidden_sizes=(16,), embedding_threshold=20,
+                            embedding_dim=8, seed=0)
+        codes = embed_table.encoded()[:64]
+        _take_steps(model, nn.Adam(model.parameters(), lr=0.05), codes, steps=3)
+        expected = np.zeros(64)
+        with nn.no_grad():
+            for index, logits in enumerate(model.forward_logits(codes)):
+                expected += logits.log_softmax(axis=-1).numpy()[np.arange(64), codes[:, index]]
+        assert same_bits(model.log_prob(codes), expected)
+
     def test_data_entropy_of_uniform_unique_rows(self):
         table = make_correlated_table(
             [ColumnSpec("a", 64, correlation=0.0, skew=0.0)], num_rows=64, seed=0)

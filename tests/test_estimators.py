@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import ColumnSpec, make_independent_table
 from repro.estimators import (
+    CardinalityEstimator,
     ChowLiuEstimator,
     DBMS1Estimator,
     IndependenceEstimator,
@@ -18,7 +19,8 @@ from repro.estimators import (
     SamplingEstimator,
     TruthEstimator,
 )
-from repro.query import Operator, Predicate, Query, WorkloadGenerator, q_error, true_selectivity
+from repro.query import (DNFQuery, Operator, Predicate, Query, WorkloadGenerator, q_error,
+                         true_selectivity)
 
 
 def _labeled_workload(table, count, seed=0, min_filters=2, max_filters=4):
@@ -258,3 +260,35 @@ class TestChowLiuEstimator:
         roots = [child for child, parent in enumerate(estimator._parents) if parent is None]
         assert len(roots) == 1
         assert len(estimator._parents) == medium_table.num_columns
+
+
+class _TermsByWidth(CardinalityEstimator):
+    """Answers a conjunction by its predicate count alone, a DNF by expansion."""
+
+    def __init__(self, table, by_width: dict[int, float]) -> None:
+        super().__init__(table)
+        self.by_width = by_width
+
+    def estimate_selectivity(self, query):
+        if isinstance(query, DNFQuery):
+            return self._inclusion_exclusion(query, self.estimate_selectivity)
+        return self.by_width[len(query.predicates)]
+
+
+class TestInclusionExclusionClips:
+    # Two one-predicate branches: the expansion is +A +B -(A and B).
+    QUERY = DNFQuery.from_tuples([[("a", "=", "0")], [("b", "=", "1")]])
+
+    @pytest.mark.parametrize("by_width, expected, clips", [
+        ({1: 0.3, 2: 0.1}, 0.3 + 0.3 - 0.1, 0),   # inside [0, 1]: returned as summed
+        ({1: 0.2, 2: 0.5}, 0.0, 1),                # sums to -0.1
+        ({1: 0.7, 2: 0.2}, 1.0, 1),                # sums to 1.2
+    ])
+    def test_each_clip_is_counted_and_the_value_kept(self, by_width, expected, clips):
+        table = make_independent_table([ColumnSpec("a", 3), ColumnSpec("b", 3)], 30)
+        estimator = _TermsByWidth(table, by_width)
+        assert estimator.inclusion_exclusion_clips == 0
+        for repeat in (1, 2):
+            assert estimator.estimate_selectivity(self.QUERY) == expected
+            assert estimator.inclusion_exclusion_clips == clips * repeat
+        assert _TermsByWidth(table, by_width).inclusion_exclusion_clips == 0

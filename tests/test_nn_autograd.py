@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import nn
+from repro.core import MADEModel
+from repro.data import ColumnSpec, make_correlated_table
 from repro.nn import Tensor, autograd, concatenate, masked_linear, no_grad, rowwise_matmul_data
 
 
@@ -258,7 +261,42 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
     return list(nodes.values())
 
 
+def composed_log_softmax_pick(logits: Tensor, indices: np.ndarray) -> Tensor:
+    """What :meth:`Tensor.log_softmax_pick` fuses: the full log-softmax, then a gather."""
+    return logits.log_softmax(axis=-1).gather(indices)
+
+
+def composed_first_hidden(model: MADEModel, codes: np.ndarray) -> Tensor:
+    """What ``MADEModel._first_hidden`` fuses: gathers, adds, slices and a mask product."""
+    layer = model.layers[0]
+    masked = layer.weight * Tensor(layer.mask)
+    total = None
+    for index, embedding in enumerate(model.encoder.embeddings):
+        block = masked[model._input_slices[index]]
+        if embedding is not None:
+            block = embedding.weight @ block
+        contribution = block.take_rows(codes[:, index])
+        total = contribution if total is None else total + contribution
+    return (total + layer.bias).relu()
+
+
+def composed_nll(model, codes: np.ndarray) -> Tensor:
+    """``AutoregressiveModel.nll`` over the composed log-softmax and gather."""
+    codes = np.asarray(codes, dtype=np.int64)
+    total = None
+    for index, column_logits in enumerate(model.forward_logits(codes)):
+        picked = composed_log_softmax_pick(column_logits, codes[:, index])
+        total = picked if total is None else total + picked
+    return -total.mean()
+
+
 seeds = st.integers(0, 2 ** 32 - 1)
+
+# Domains of 5, 15, 2 and 7 values: one-hot or embedded by the threshold.  (The
+# last column in the order reaches no hidden unit; three others do.)
+FIRST_LAYER_TABLE = make_correlated_table(
+    [ColumnSpec("small", 5), ColumnSpec("large", 120, "ordinal"), ColumnSpec("tiny", 2),
+     ColumnSpec("mid", 7)], num_rows=50, seed=3)
 
 GETITEM_KEYS = [
     slice(1, 4), slice(None, None, 2), slice(4, 0, -2), -1, 2, None, Ellipsis,
@@ -322,6 +360,68 @@ class TestBackwardBitExactness:
             matrix.gather(idx).backward(upstream)
         assert same_bits(matrix.grad, scatter_reference(
             matrix.shape, (np.arange(rows), idx), upstreams))
+
+    @given(st.integers(1, 9), st.integers(1, 6), st.sampled_from([1.0, 400.0]), seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_log_softmax_pick(self, rows, classes, scale, seed):
+        # scale 400: some probabilities underflow to 0.0, so -(p * g) is a zero.
+        idx = np.random.default_rng(seed).integers(0, classes, size=rows)
+        upstreams = [signed_values(seed + step, (rows,)) for step in (1, 2)]
+
+        def run(pick):
+            logits = Tensor(signed_values(seed, (rows, classes)) * scale, requires_grad=True)
+            for upstream in upstreams:  # the second pass adds into a gradient that exists
+                out = pick(logits, idx)
+                out.backward(upstream)
+            return out.data, logits.grad
+
+        for actual, expected in zip(run(Tensor.log_softmax_pick),
+                                    run(composed_log_softmax_pick)):
+            assert same_bits(actual, expected)
+
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_cross_entropy_is_nll_of_log_softmax(self, seed):
+        idx = np.random.default_rng(seed).integers(0, 6, size=9)
+
+        def run(loss):
+            logits = Tensor(signed_values(seed, (9, 6)) * 30.0, requires_grad=True)
+            for _ in range(2):
+                out = loss(logits)
+                out.backward()
+            return out.data, logits.grad
+
+        fused = run(lambda logits: nn.cross_entropy(logits, idx))
+        composed = run(lambda logits: nn.nll_loss(logits.log_softmax(axis=-1), idx))
+        for actual, expected in zip(fused, composed):
+            assert same_bits(actual, expected)
+
+    @pytest.mark.parametrize("threshold, embedded", [(3, 3), (10, 1), (200, 0)],
+                             ids=["two-embedded", "one-embedded", "all-one-hot"])
+    @given(seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_made_first_hidden(self, threshold, embedded, seed):
+        rng = np.random.default_rng(seed)
+        codes = np.stack([rng.integers(0, size, 40)
+                          for size in FIRST_LAYER_TABLE.domain_sizes], axis=1)
+        codes[::3] = codes[1]  # every column repeats codes
+        upstreams = [signed_values(seed + step, (40, 16)) for step in (1, 2)]
+
+        def run(first_hidden):
+            model = MADEModel(FIRST_LAYER_TABLE, hidden_sizes=(16,),
+                              embedding_threshold=threshold, embedding_dim=8, seed=0)
+            model.load_state_dict({name: signed_values(seed + 3 + index, value.shape)
+                                   for index, (name, value)
+                                   in enumerate(model.state_dict().items())})
+            for upstream in upstreams:  # the second pass adds into gradients that exist
+                out = first_hidden(model, codes)
+                out.backward(upstream)
+            return [out.data] + [param.grad for param in model.parameters()]
+
+        fused, composed = run(MADEModel._first_hidden), run(composed_first_hidden)
+        assert sum(grad is not None for grad in fused[1:]) == 2 + embedded  # W, b, E_c
+        for actual, expected in zip(fused, composed):
+            assert (actual is None and expected is None) or same_bits(actual, expected)
 
     @pytest.mark.parametrize("columns", [None, slice(0, 3), slice(3, 8), slice(8, 10)])
     @pytest.mark.parametrize("with_bias", [True, False])
@@ -397,6 +497,26 @@ class TestBackwardBitExactness:
         masked_linear(x, w, np.ones((3, 4)), b).sum().backward()
         assert w.grad is None and b.grad is None
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda x, c: x + c, lambda x, c: c + x, lambda x, c: x * c, lambda x, c: c * x,
+        lambda x, c: x @ c, lambda x, c: c @ x,
+        lambda x, c: x.rowwise_matmul(c), lambda x, c: c.rowwise_matmul(x),
+    ], ids=["add", "radd", "mul", "rmul", "matmul", "rmatmul", "rowwise", "rrowwise"])
+    def test_vjps_skip_parents_without_grad(self, build, monkeypatch):
+        # Dropout's mask and architecture A's constant first input are such parents.
+        handed = []
+        accumulate = Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda tensor, grad: handed.append(tensor) or accumulate(tensor, grad))
+        x = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
+        constant = Tensor(np.full((3, 3), 2.0))
+        build(x, constant).sum().backward()
+        assert handed and not any(tensor is constant for tensor in handed)
+        assert constant.grad is None
+        reference = Tensor(x.data, requires_grad=True)
+        build(reference, Tensor(constant.data, requires_grad=True)).sum().backward()
+        assert same_bits(x.grad, reference.grad)
 
     @pytest.mark.parametrize("build", [
         lambda x: x + x,
