@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,24 +78,63 @@ class CacheStats:
         }
 
 
+class _Run(NamedTuple):
+    """One sorted run of a column: keys ascending, rows and stamps aligned."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    stamps: np.ndarray
+
+
+#: A put that leaves a column with more runs than this merges them into one.
+_MAX_RUNS = 4
+
+
+def _merge_runs(runs: list[_Run]) -> _Run:
+    """One sorted run holding every entry of ``runs``.
+
+    Only the keys are concatenated and sorted; each run's value rows are
+    scattered straight to their merged slots in one preallocated matrix, so
+    the merge never holds a third copy of the values (a concatenate-then-
+    gather would).
+    """
+    keys = np.concatenate([run.keys for run in runs])
+    order = np.argsort(keys, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    first = runs[0].values
+    values = np.empty((order.size,) + first.shape[1:], dtype=first.dtype)
+    start = 0
+    for run in runs:
+        values[slot[start:start + run.keys.size]] = run.values
+        start += run.keys.size
+    stamps = np.concatenate([run.stamps for run in runs])[order]
+    return _Run(keys[order], values, stamps)
+
+
 class PackedConditionalCache:
     """Vectorized conditional store keyed on packed prefix codes.
 
     The deduplicating progressive sampler hands the serving layer batches
     that are already one row per *distinct* prefix, with every prefix
     packable into a single int64 (mixed-radix over the visible columns).
-    This store exploits that shape: per column it keeps a sorted int64 key
-    array with an aligned ``(entries, domain)`` value matrix, so a
-    thousand-row lookup is one :func:`numpy.searchsorted` and a bulk insert
-    is one merge-and-argsort — a handful of C calls, no Python per row.
+    This store exploits that shape: per column it keeps a short list of
+    sorted *runs*, each a sorted int64 key array with an aligned ``(entries,
+    domain)`` value matrix.  A bulk insert sorts only its own batch and
+    appends it as one run; a lookup is one :func:`numpy.searchsorted` per
+    run; once a column holds more than four runs they are merged into one.
+    Each is a handful of C calls with no Python per row, and an insert
+    copies only its own batch instead of splicing it into the whole column.
 
     Capacity is generational, not LRU: once the total number of stored
-    distributions exceeds ``max_entries``, entries older than the median
-    insertion batch are dropped in one vectorized sweep.  True LRU would
-    reintroduce per-row bookkeeping on every hit, which is exactly the cost
-    this store exists to avoid; dropping the older half approximates it well
-    for workloads whose hot prefixes recur (they are re-inserted on the next
-    miss).
+    distributions exceeds ``max_entries``, every entry stamped at or below
+    the median insertion batch is dropped in one vectorized sweep — but never
+    the newest batch, unless it alone exceeds ``max_entries``.  A run written
+    by one batch is dropped whole, without a copy; only merged runs are
+    filtered.  True LRU would reintroduce per-row bookkeeping on every hit,
+    which is exactly the cost this store exists to avoid; dropping the older
+    half approximates it well for workloads whose hot prefixes recur (they
+    are re-inserted on the next miss).
 
     Parameters
     ----------
@@ -111,13 +151,11 @@ class PackedConditionalCache:
         #: Data epoch the cached distributions were computed at (see
         #: :meth:`invalidate`).
         self.epoch: int = 0
-        self._keys: dict[int, np.ndarray] = {}
-        self._values: dict[int, np.ndarray] = {}
-        self._stamps: dict[int, np.ndarray] = {}
+        self._runs: dict[int, list[_Run]] = {}
         self._clock = 0
 
     def __len__(self) -> int:
-        return sum(keys.size for keys in self._keys.values())
+        return sum(run.keys.size for runs in self._runs.values() for run in runs)
 
     def bulk_get(self, column: int, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Look up an array of packed prefixes of one column at once.
@@ -126,19 +164,29 @@ class PackedConditionalCache:
         ``packed`` and ``values`` holds the cached distributions of the found
         keys in order (``None`` when nothing was found).
         """
-        keys = self._keys.get(column)
-        if keys is None or keys.size == 0:
-            self.stats.misses += packed.size
-            return np.zeros(packed.size, dtype=bool), None
-        positions = np.searchsorted(keys, packed)
-        positions[positions == keys.size] = 0  # out-of-range probes can't match
-        found = keys[positions] == packed
+        found = np.zeros(packed.size, dtype=bool)
+        matches = []
+        for run in self._runs.get(column, ()):
+            positions = np.searchsorted(run.keys, packed)
+            # Clipping sends a probe past the last key to the last key: no match.
+            match = run.keys.take(positions, mode="clip") == packed
+            if match.any():
+                found |= match
+                matches.append((run, match, positions))
         hits = int(np.count_nonzero(found))
         self.stats.hits += hits
         self.stats.misses += packed.size - hits
         if hits == 0:
             return found, None
-        return found, self._values[column][positions[found]]
+        if len(matches) == 1:
+            run, match, positions = matches[0]
+            return found, run.values[positions[match]]
+        first = matches[0][0].values
+        values = np.empty((hits,) + first.shape[1:], dtype=first.dtype)
+        hit_slot = np.cumsum(found) - 1
+        for run, match, positions in matches:
+            values[hit_slot[match]] = run.values[positions[match]]
+        return found, values
 
     def bulk_put(self, column: int, packed: np.ndarray,
                  distributions: np.ndarray) -> None:
@@ -150,49 +198,44 @@ class PackedConditionalCache:
         """
         if self.max_entries == 0 or packed.size == 0:
             return
-        stamps = np.full(packed.size, self._clock, dtype=np.int64)
+        order = np.argsort(packed, kind="stable")
+        # Fancy indexing copies — the cache never aliases caller memory.
+        run = _Run(packed[order], np.asarray(distributions)[order],
+                   np.full(packed.size, self._clock, dtype=np.int64))
         self._clock += 1
-        keys = self._keys.get(column)
-        if keys is None:
-            order = np.argsort(packed, kind="stable")
-            self._keys[column] = packed[order]
-            # Fancy indexing copies — the cache never aliases caller memory.
-            self._values[column] = np.asarray(distributions)[order]
-            self._stamps[column] = stamps
-        else:
-            # Sorted-merge by insertion: the store is already sorted, so the
-            # new keys' slots come from one binary search and the splice is a
-            # C-level memmove — no re-sort of the whole column.
-            order = np.argsort(packed, kind="stable")
-            sorted_new = packed[order]
-            positions = np.searchsorted(keys, sorted_new)
-            self._keys[column] = np.insert(keys, positions, sorted_new)
-            self._values[column] = np.insert(self._values[column], positions,
-                                             np.asarray(distributions)[order],
-                                             axis=0)
-            self._stamps[column] = np.insert(self._stamps[column], positions,
-                                             stamps)
+        runs = self._runs.setdefault(column, [])
+        runs.append(run)
         while len(self) > self.max_entries:
             self._evict_old()
+        if len(runs) > _MAX_RUNS:
+            runs[:] = [_merge_runs(runs)]
 
     def _evict_old(self) -> None:
-        """Drop entries older than the median insertion batch, every column."""
-        cutoff = np.median(np.concatenate(list(self._stamps.values())))
-        for column in list(self._keys):
-            keep = self._stamps[column] > cutoff
-            dropped = int(keep.size - np.count_nonzero(keep))
-            if dropped == 0:
-                continue
-            self.stats.evictions += dropped
-            self._keys[column] = self._keys[column][keep]
-            self._values[column] = self._values[column][keep]
-            self._stamps[column] = self._stamps[column][keep]
+        """Drop entries stamped at or below the median insertion batch, every column.
+
+        The cutoff stops short of the newest batch, so a sweep never drops
+        the batch that triggered it — unless nothing older is left, i.e. that
+        batch alone exceeds ``max_entries``.
+        """
+        stamps = np.concatenate([run.stamps for runs in self._runs.values()
+                                 for run in runs])
+        newest = self._clock - 1
+        cutoff = newest if stamps.min() == newest else min(np.median(stamps), newest - 1)
+        for runs in self._runs.values():
+            kept = []
+            for run in runs:
+                keep = run.stamps > cutoff
+                survivors = int(np.count_nonzero(keep))
+                self.stats.evictions += keep.size - survivors
+                if survivors == keep.size:
+                    kept.append(run)
+                elif survivors:
+                    kept.append(_Run(run.keys[keep], run.values[keep], run.stamps[keep]))
+            runs[:] = kept
 
     def clear(self) -> None:
         """Drop every cached distribution (counters are left untouched)."""
-        self._keys.clear()
-        self._values.clear()
-        self._stamps.clear()
+        self._runs.clear()
 
     def invalidate(self, epoch: int) -> None:
         """Atomically drop every entry and stamp the cache with a new epoch.
@@ -205,6 +248,13 @@ class PackedConditionalCache:
         """
         self.clear()
         self.epoch = int(epoch)
+
+
+#: Rows per forward pass of the wrapped model.  Micro-batched serving can stack
+#: tens of thousands of sample paths into one request; chunking keeps each pass
+#: inside the CPU caches, which is several times faster per row than one huge
+#: pass.
+_CHUNK_ROWS = 4096
 
 
 class CachedConditionalModel:
@@ -233,22 +283,14 @@ class CachedConditionalModel:
         ``max_entries`` when omitted.
     max_entries:
         Capacity of the private cache when ``cache`` is not supplied.
-    chunk_rows:
-        Evaluate the model at most this many rows at a time.  Micro-batched
-        serving can stack tens of thousands of sample paths into one request;
-        chunking keeps each forward pass inside the CPU caches, which is
-        several times faster per row than one huge pass.
     """
 
     def __init__(self, model, cache: PackedConditionalCache | None = None,
-                 max_entries: int = 262144, chunk_rows: int = 4096) -> None:
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be positive")
+                 max_entries: int = 262144) -> None:
         self.model = model
         if cache is None:
             cache = PackedConditionalCache(max_entries)
         self.cache = cache
-        self.chunk_rows = chunk_rows
         #: Rows this wrapper pushed through the model.  Unlike
         #: ``stats.rows_evaluated`` (which lives on the cache and is shared by
         #: every replica of a group) this counter is wrapper-local, so each
@@ -283,12 +325,12 @@ class CachedConditionalModel:
         return self.model.log_prob(codes)
 
     def _evaluate(self, column_index: int, codes: np.ndarray) -> np.ndarray:
-        """Run the wrapped model in CPU-cache-sized chunks."""
+        """Run the wrapped model in CPU-cache-sized chunks of :data:`_CHUNK_ROWS`."""
         num_rows = codes.shape[0]
-        if num_rows <= self.chunk_rows:
+        if num_rows <= _CHUNK_ROWS:
             return self.model.conditional_probs(column_index, codes)
-        chunks = [self.model.conditional_probs(column_index, codes[start:start + self.chunk_rows])
-                  for start in range(0, num_rows, self.chunk_rows)]
+        chunks = [self.model.conditional_probs(column_index, codes[start:start + _CHUNK_ROWS])
+                  for start in range(0, num_rows, _CHUNK_ROWS)]
         return np.concatenate(chunks, axis=0)
 
     # ------------------------------------------------------------------ #

@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
 from repro.core import NaruConfig
 from repro.data import make_users
@@ -18,6 +22,7 @@ from repro.serve import (
     ResultCache,
     canonical_query_key,
 )
+from repro.serve.cache import _MAX_RUNS
 
 _CONFIG = NaruConfig(epochs=1, hidden_sizes=(8, 8), batch_size=128,
                      progressive_samples=30, seed=0)
@@ -282,6 +287,58 @@ class TestPackedConditionalCache:
         found, _ = cache.bulk_get(0, newest)
         assert found.all()
 
+    def test_eviction_keeps_the_batch_that_triggered_it(self):
+        # Once the newest batch holds half the entries the median stamp is
+        # its own stamp; the sweep must still stop short of it.
+        cache = PackedConditionalCache(max_entries=8)
+        older = np.array([100, 101], dtype=np.int64)
+        newest = np.arange(7, dtype=np.int64)
+        cache.bulk_put(0, older, self._distributions(older))
+        cache.bulk_put(0, newest, self._distributions(newest))
+        assert len(cache) == 7 and cache.stats.evictions == 2
+        found, values = cache.bulk_get(0, newest)
+        assert found.all()
+        np.testing.assert_allclose(values[:, 0], newest.astype(float))
+
+    def test_newest_batch_survives_every_sweep_it_fits(self):
+        cache = PackedConditionalCache(max_entries=8)
+        next_key = 0
+        for column, size in [(0, 3), (1, 1), (0, 6), (1, 2), (1, 8), (0, 5),
+                             (0, 4), (1, 7), (0, 9)]:
+            keys = np.arange(next_key, next_key + size, dtype=np.int64)
+            next_key += size
+            cache.bulk_put(column, keys, self._distributions(keys))
+            assert len(cache) <= 8
+            found, _ = cache.bulk_get(column, keys)
+            # A batch that alone exceeds the capacity is still not stored.
+            assert found.all() if size <= 8 else not found.any()
+        assert len(cache) == 0
+
+    def test_runs_merge_past_the_limit_and_sweeps_keep_whole_runs(self):
+        cache = PackedConditionalCache(max_entries=100)
+        for batch in range(_MAX_RUNS + 1):
+            keys = np.array([batch + 10, batch], dtype=np.int64)
+            cache.bulk_put(0, keys, self._distributions(keys))
+        (merged,) = cache._runs[0]
+        assert merged.keys.tolist() == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
+        assert merged.values[:, 0].tolist() == merged.keys.tolist()
+        assert merged.stamps.tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
+        # A sweep filters the merged run (median stamp 3 over 14 entries)
+        # and keeps a run written by one batch as it is, uncopied.
+        cache.max_entries = 13
+        single = np.array([50, 45], dtype=np.int64)
+        cache.bulk_put(0, single, self._distributions(single))
+        single_run = cache._runs[0][1]
+        newest = np.array([54, 59], dtype=np.int64)
+        cache.bulk_put(0, newest, self._distributions(newest))
+        assert cache.stats.evictions == 8
+        assert [run.keys.tolist() for run in cache._runs[0]] == [[4, 14], [45, 50], [54, 59]]
+        assert cache._runs[0][1] is single_run
+        probe = np.array([0, 4, 14, 45, 50, 54, 59], dtype=np.int64)
+        found, values = cache.bulk_get(0, probe)
+        np.testing.assert_array_equal(found, [False] + [True] * 6)
+        np.testing.assert_allclose(values[:, 0], probe[1:].astype(float))
+
     def test_zero_capacity_disables_storage(self):
         cache = PackedConditionalCache(max_entries=0)
         keys = np.array([1, 2], dtype=np.int64)
@@ -334,7 +391,8 @@ class TestPackedConditionalCache:
         warm = wrapped.conditional_probs(column, codes)
         assert wrapped.rows_evaluated == codes.shape[0]   # the cold pass only
         assert warm.flags.owndata and warm.flags.writeable
-        assert not np.shares_memory(warm, wrapped.cache._values[column])
+        stored = wrapped.cache._runs[column]
+        assert stored and not any(np.shares_memory(warm, run.values) for run in stored)
         warm[:] = -1.0
         assert np.array_equal(wrapped.conditional_probs(column, codes), expected)
         assert wrapped.stats.rows_served_from_cache == 2 * codes.shape[0]
@@ -363,6 +421,171 @@ class TestPackedConditionalCache:
         if packs:
             assert np.array_equal(sampler_radix, cache_radix)
             assert sampler_radix.tolist() == [prefix_sizes[1], 1]
+
+
+class SplicedConditionalCache(PackedConditionalCache):
+    """The single-sorted-store layout the run store replaced, kept as its reference.
+
+    One sorted key array per column with aligned value rows and stamps; a put
+    splices its batch in with :func:`numpy.insert`, a sweep filters every
+    column.  Same contract and eviction rule (cutoff capped below the newest
+    batch), so every hit, miss, eviction and returned byte must match.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        super().__init__(max_entries)
+        self._keys: dict[int, np.ndarray] = {}
+        self._values: dict[int, np.ndarray] = {}
+        self._stamps: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return sum(keys.size for keys in self._keys.values())
+
+    def bulk_get(self, column, packed):
+        keys = self._keys.get(column)
+        if keys is None or keys.size == 0:
+            self.stats.misses += packed.size
+            return np.zeros(packed.size, dtype=bool), None
+        positions = np.searchsorted(keys, packed)
+        positions[positions == keys.size] = 0
+        found = keys[positions] == packed
+        hits = int(np.count_nonzero(found))
+        self.stats.hits += hits
+        self.stats.misses += packed.size - hits
+        if hits == 0:
+            return found, None
+        return found, self._values[column][positions[found]]
+
+    def bulk_put(self, column, packed, distributions):
+        if self.max_entries == 0 or packed.size == 0:
+            return
+        order = np.argsort(packed, kind="stable")
+        sorted_new = packed[order]
+        rows = np.asarray(distributions)[order]
+        stamps = np.full(packed.size, self._clock, dtype=np.int64)
+        self._clock += 1
+        keys = self._keys.get(column)
+        if keys is None:
+            self._keys[column], self._values[column] = sorted_new, rows
+            self._stamps[column] = stamps
+        else:
+            positions = np.searchsorted(keys, sorted_new)
+            self._keys[column] = np.insert(keys, positions, sorted_new)
+            self._values[column] = np.insert(self._values[column], positions, rows, axis=0)
+            self._stamps[column] = np.insert(self._stamps[column], positions, stamps)
+        while len(self) > self.max_entries:
+            self._evict_old()
+
+    def _evict_old(self):
+        stamps = np.concatenate(list(self._stamps.values()))
+        newest = self._clock - 1
+        cutoff = newest if stamps.min() == newest else min(np.median(stamps), newest - 1)
+        for column in list(self._keys):
+            keep = self._stamps[column] > cutoff
+            self.stats.evictions += int(keep.size - np.count_nonzero(keep))
+            self._keys[column] = self._keys[column][keep]
+            self._values[column] = self._values[column][keep]
+            self._stamps[column] = self._stamps[column][keep]
+
+    def clear(self):
+        self._keys.clear()
+        self._values.clear()
+        self._stamps.clear()
+
+
+#: Column -> (key space, distribution width) of the state machine's store.
+_MACHINE_COLUMNS = {0: (24, 2), 3: (90, 5), 7: (2 ** 40, 11)}
+
+
+class RunStoreMachine(RuleBasedStateMachine):
+    """Puts, gets, clears and invalidations on the run store and the spliced
+    reference in lockstep; a small capacity makes merges, whole-run drops
+    and merged-run filtering all fire."""
+
+    @initialize(max_entries=st.sampled_from([12, 40, 120]))
+    def build(self, max_entries):
+        self.store = PackedConditionalCache(max_entries)
+        self.reference = SplicedConditionalCache(max_entries)
+        self.puts = 0
+
+    def _stored(self, column):
+        return self.reference._keys.get(column, np.empty(0, dtype=np.int64))
+
+    def _keys_of(self, data, column, max_size):
+        space, _ = _MACHINE_COLUMNS[column]
+        picks = st.integers(0, space - 1) if space < 2 ** 20 else st.one_of(
+            st.integers(0, 40), st.integers(space - 40, space - 1))
+        return np.array(data.draw(st.lists(picks, unique=True, max_size=max_size)),
+                        dtype=np.int64)
+
+    @rule(data=st.data(), column=st.sampled_from(sorted(_MACHINE_COLUMNS)))
+    def put_fresh_keys(self, data, column):
+        keys = self._keys_of(data, column, 14)
+        keys = keys[~np.isin(keys, self._stored(column))]
+        width = _MACHINE_COLUMNS[column][1]
+        # A recognisable row per key and put, so a stale or misplaced row shows.
+        rows = keys[:, None] + self.puts / 64.0 + np.arange(width) / 8.0
+        self.puts += 1
+        self.store.bulk_put(column, keys, rows)
+        self.reference.bulk_put(column, keys.copy(), rows.copy())
+        keys[:] = -1                      # the store kept copies, not the caller's arrays
+        rows[:] = np.nan
+
+    @rule(data=st.data(), column=st.sampled_from(sorted(_MACHINE_COLUMNS)))
+    def get_mixed_keys(self, data, column):
+        stored = self._stored(column)
+        present = (data.draw(st.lists(st.sampled_from(stored.tolist()), unique=True))
+                   if stored.size else [])
+        probe = np.array(data.draw(st.permutations(sorted(
+            set(present) | set(self._keys_of(data, column, 10).tolist())))), dtype=np.int64)
+        found, values = self.store.bulk_get(column, probe)
+        expected_found, expected = self.reference.bulk_get(column, probe)
+        assert np.array_equal(found, expected_found)
+        assert (values is None) == (expected is None)
+        if values is not None:
+            assert values.tobytes() == expected.tobytes()
+        for run in (run for runs in self.store._runs.values() for run in runs):
+            for stored_array in run:
+                assert not np.shares_memory(found, stored_array)
+                assert values is None or not np.shares_memory(values, stored_array)
+
+    # Wiping only a half-full store lets runs pile up and merge in between.
+    @precondition(lambda self: 2 * len(self.reference) >= self.reference.max_entries)
+    @rule(epoch=st.none() | st.integers(0, 5))
+    def clear_or_invalidate(self, epoch):
+        for cache in (self.store, self.reference):
+            if epoch is None:
+                cache.clear()
+            else:
+                cache.invalidate(epoch)
+
+    @invariant()
+    def same_entries_and_counters(self):
+        assert len(self.store) == len(self.reference) <= self.store.max_entries
+        assert self.store.stats.as_dict() == self.reference.stats.as_dict()
+        assert self.store.epoch == self.reference.epoch
+        for column, keys in self.reference._keys.items():
+            runs = self.store._runs.get(column, [])
+            stored = np.concatenate([run.keys for run in runs]) if runs else keys[:0]
+            order = np.argsort(stored)
+            assert np.array_equal(stored[order], keys)
+            if runs:
+                for field in ("stamps", "values"):
+                    merged = np.concatenate([getattr(run, field) for run in runs])[order]
+                    assert merged.tobytes() == getattr(self.reference, f"_{field}")[column].tobytes()
+
+    @invariant()
+    def runs_are_few_and_sorted(self):
+        for runs in self.store._runs.values():
+            assert len(runs) <= _MAX_RUNS
+            for run in runs:
+                assert run.keys.size and np.all(np.diff(run.keys) > 0)
+                assert run.values.shape[0] == run.stamps.size == run.keys.size
+
+
+TestRunStoreMatchesSplicedStore = RunStoreMachine.TestCase
+TestRunStoreMatchesSplicedStore.settings = settings(
+    max_examples=150, stateful_step_count=50, deadline=None)
 
 
 @pytest.fixture(scope="module")
