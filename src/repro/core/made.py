@@ -88,6 +88,9 @@ class AutoregressiveModel(nn.Module):
         sampler, the serving-layer conditional cache) are free to evaluate any
         subset of rows in any grouping — including the empty batch, which
         returns an empty ``(0, |A_i|)`` matrix without touching the network.
+        The returned matrix is the caller's: it may overwrite it (the
+        progressive sampler turns it into CDFs in place), so an
+        implementation never returns memory it keeps or shares.
 
         Subclasses may override this with a fused fast path (see
         :meth:`MADEModel.conditional_probs`); the base implementation

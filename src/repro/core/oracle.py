@@ -80,7 +80,8 @@ class OracleModel:
 
         Like the neural models, the output is row-independent: any subset of
         rows (including the empty batch) may be evaluated in any grouping and
-        yields the same per-row distributions.
+        yields the same per-row distributions.  The returned matrix is a
+        fresh copy the caller may overwrite.
         """
         codes = np.asarray(codes, dtype=np.int64)
         prefix, key_to_group, conditionals, marginal = self._column_grouping(column_index)

@@ -29,15 +29,21 @@ Both optimisations leave the returned estimates unchanged (up to float
 round-off of the wildcard-column mass): the single-query
 :meth:`ProgressiveSampler.estimate_selectivity` is simply a batch of one.
 
+A column is drawn from one plain CDF ``F`` per distinct prefix, whatever
+the query: the truncated draw is ``F⁻¹(F(lo−1) + u·(F(hi) − F(lo−1)))``
+inside the query's admitted run ``[lo, hi]`` (:func:`_truncated_draws`), so
+no masked or renormalised copy of a distribution is built.  The in-range
+mass, a difference of two CDF entries, is off by at most about
+``|A_i|·2⁻⁵²·F(hi)``: a mass below about ``1e-16·F(hi)`` can read as zero,
+for a cardinality at most about ``1e-16·N`` rows.
+
 Prefix deduplication (``dedup=True``, the default) changes no bit at all.
 Every row carries its sampled prefix as one mixed-radix int64
 (:func:`prefix_radix` — the key the serving layer's conditional cache
 stores under), extended by one Horner step per sampled column.  Per
-column, one scalar sort of ``key * num_queries + query`` lists the rows
-group by group; the model answers once per distinct prefix, and the
-truncate / weigh / renormalise / accumulate arithmetic runs once per
-``(prefix, query)`` group, a cache-sized tile of groups at a time, each
-row reading its group's mass and binary-searching its group's CDF.
+column, one scalar sort of those keys lists the rows prefix by prefix and
+the model answers once per distinct prefix; the dedup-off reference walk
+gives every row its own answer, and both run the same per-row draw.
 """
 
 from __future__ import annotations
@@ -51,20 +57,7 @@ import numpy as np
 __all__ = ["SamplerStats", "ProgressiveSampler", "UniformRegionSampler",
            "enumerate_region", "prefix_radix"]
 
-#: Row-chunk size of the per-row truncate/renormalise/sample arithmetic of
-#: the unfused (dedup-off) walk, whose ``(rows × domain)`` temporaries
-#: would otherwise fall out of the CPU caches on large micro-batches.
-_ROW_CHUNK = 8192
-
-#: Entries of one tile of the deduplicated walk's group-space arithmetic: a
-#: 512 KB float64 array that stays in the L2 cache across its five passes
-#: and under the allocator's trim threshold, so a column reuses the pages
-#: it has already faulted in (measured on ``serve_repeat``: 2**14 947 qps,
-#: 2**16 1008, 2**18 996).
-_TILE_ELEMENTS = 2 ** 16
-
-#: Sort keys (packed prefixes, fused with the query) stay below this so
-#: ``key * num_queries + query`` can never wrap int64.
+#: Packed prefix keys stay below this, with headroom to the int64 limit.
 _KEY_LIMIT = 2 ** 62
 
 
@@ -90,39 +83,123 @@ def prefix_radix(sizes) -> np.ndarray | None:
     return radix
 
 
-def _sample_rows_from_probs(probs: np.ndarray, rng_draws: np.ndarray) -> np.ndarray:
-    """Draw one categorical sample per row given uniform draws in ``[0, 1)``."""
-    cumulative = np.cumsum(probs, axis=1)
-    # Guard against rounding: force the last cumulative value to 1.
-    cumulative[:, -1] = 1.0
-    return np.argmax(cumulative >= rng_draws, axis=1)
+def _admitted_runs(masks: list[np.ndarray | None],
+                   domain: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's admitted codes as maximal runs ``[lo, hi]`` of its mask.
 
-
-def _search_cumulative(cumulative: np.ndarray, groups: np.ndarray,
-                       draws: np.ndarray) -> np.ndarray:
-    """Per row, the first index whose ``cumulative[groups[row]]`` entry
-    reaches ``draws[row]`` — all rows' binary searches run in lockstep.
-
-    Equals ``np.argmax(cumulative[groups] >= draws[:, None], axis=1)`` without
-    fanning the CDFs out to one full-width copy per row: each of the
-    ``ceil(log2(width))`` rounds reads one entry per row from the flat view
-    and keeps the half of the row's index range that holds the answer.  Exact,
-    not approximate, because the predicate ``entry >= draw`` is monotone along
-    every row: entries before the last are sequential sums of non-negatives
-    (never decreasing, also after rounding), and the last is ``1.0``, above
-    every draw in ``[0, 1)`` — so an answer exists and the range always
-    contains it (zero-mass rows answer ``width - 1``, or 0 for a zero draw).
+    Returns ``(lo, hi, count)``: query ``q``'s runs are
+    ``(lo[q, r], hi[q, r])`` for ``r < count[q]``, in code order.  A
+    wildcard is one run over the whole domain.  Unused slots — all of an
+    empty mask's — hold the empty run ``(1, 0)``, whose mass
+    ``F(0) − F(0)`` is exactly zero.
     """
-    width = cumulative.shape[1]
-    flat = cumulative.ravel()
-    base = groups * width
-    position = base.copy()
-    size = width
-    while size > 1:
-        half = size >> 1
-        position += half * (flat[position + (half - 1)] < draws)
-        size -= half
-    return position - base
+    num_queries = len(masks)
+    padded = np.zeros((num_queries, domain + 2), dtype=bool)
+    for query, mask in enumerate(masks):
+        padded[query, 1:-1] = True if mask is None else mask
+    # Each run's first code and the code just past its last, alternating
+    # along every row.
+    owner, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
+    owner = owner[::2]
+    count = np.bincount(owner, minlength=num_queries)
+    slot = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+    bounds = np.zeros((2, num_queries, max(1, int(count.max()))), dtype=np.int64)
+    bounds[0] = 1
+    bounds[0, owner, slot] = edges[::2]
+    bounds[1, owner, slot] = edges[1::2] - 1
+    return bounds[0], bounds[1], count
+
+
+def _run_mass(flat: np.ndarray, base: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, ``F(hi)``, ``lower = F(lo − 1)`` (0 when ``lo`` is 0) and
+    ``mass = F(hi) − lower`` of the CDF starting at ``flat[base]``."""
+    lower = flat[base + lo - 1]
+    lower[lo == 0] = 0.0
+    upper = flat[base + hi]
+    return upper, lower, upper - lower
+
+
+def _pick_runs(flat: np.ndarray, base: np.ndarray, queries: np.ndarray,
+               run_lo: np.ndarray, run_hi: np.ndarray, draws: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows whose query admits several runs: the run ``(lo, hi)`` each
+    searches, the mass summed in run order, and the offset of the target
+    above ``F(lo − 1)`` (``inf``: search to the run's last positive code)."""
+    running = np.zeros(base.size)
+    for run in range(run_lo.shape[1]):
+        running += _run_mass(flat, base, run_lo[queries, run],
+                             run_hi[queries, run])[2]
+    threshold = draws * running
+    chosen = np.zeros(base.size, dtype=np.int64)
+    offset = np.full(base.size, np.inf)
+    # The same sums again, run by run: through the last run, the total.
+    running[:] = 0.0
+    for run in range(run_lo.shape[1]):
+        through = _run_mass(flat, base, run_lo[queries, run],
+                            run_hi[queries, run])[2]
+        unpicked = np.isinf(offset)
+        # Until it picks, a row holds the last run with positive mass.
+        chosen[unpicked & (through > 0.0)] = run
+        through += running
+        pick = unpicked & (through > threshold)
+        offset[pick] = threshold[pick] - running[pick]
+        running = through
+    return run_lo[queries, chosen], run_hi[queries, chosen], running, offset
+
+
+def _truncated_draws(cdf: np.ndarray, row_cdf: np.ndarray,
+                     row_query: np.ndarray,
+                     runs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, one draw from ``cdf[row_cdf]`` truncated to the runs
+    (:func:`_admitted_runs`) of query ``row_query``, and the in-range mass.
+
+    With ``lower = F(lo − 1)`` and ``mass = F(hi) − lower``, the sample is
+    the first ``j`` in ``[lo, hi]`` with ``F(j) > target``, where ``target =
+    min(lower + u·mass, nextafter(F(hi), 0))``.  ``F`` never decreases, so
+    when ``mass > 0`` that ``j`` exists, is admitted and has positive
+    probability, and no earlier ``j`` of the row qualifies: all rows
+    binary-search one window as wide as the widest run, in lockstep.  A
+    zero-mass row samples a code nobody reads.  A query with several runs
+    sums their masses in run order and searches the first run whose running
+    sum exceeds ``u·mass`` — if round-off leaves none, the last run with
+    positive mass (:func:`_pick_runs`).
+
+    ``mass`` is off by at most about ``(|A|+2)·2⁻⁵²·F(hi)``
+    (``tests/test_core_sampling.py`` pins the bound).  Every operation is
+    per row, so no other row of the call can move a row's result.
+    """
+    run_lo, run_hi, count = runs
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    base = row_cdf * width
+    multi = (count > 1)[row_query]
+    if multi.all():
+        several = slice(None)   # every row: views, not copies
+    elif multi.any():
+        several = np.flatnonzero(multi)
+    else:
+        several = None
+    lo, hi = run_lo[:, 0][row_query], run_hi[:, 0][row_query]
+    if several is not None:
+        lo[several], hi[several], several_mass, several_offset = _pick_runs(
+            flat, base[several], row_query[several], run_lo, run_hi,
+            draws[several])
+    upper, lower, mass = _run_mass(flat, base, lo, hi)
+    offset = draws * mass
+    if several is not None:
+        mass[several] = several_mass
+        offset[several] = several_offset
+    target = np.minimum(lower + offset, np.nextafter(upper, 0.0))
+    window = max(1, int((run_hi - run_lo).max()) + 1)
+    # The window starts at the row's run, or as far right as fits the row.
+    position = base + np.minimum(lo, width - window)
+    while window > 1:
+        half = window >> 1
+        position += half * (flat[position + (half - 1)] <= target)
+        window -= half
+    return position - base, mass
 
 
 def _region_candidates(
@@ -172,13 +249,13 @@ class ProgressiveSampler:
 
     For each sample path the sampler walks the columns in the model's
     autoregressive order; at column ``i`` it asks the model for
-    ``P(X_i | sampled prefix)``, zeroes the probabilities outside the query
-    range ``R_i``, records the in-range mass, renormalises and samples the next
-    prefix value from the *truncated* conditional.  The product of the recorded
-    masses is an unbiased estimate of the query density; paths are batched so a
-    query costs at most ``num_columns`` model forward passes regardless of the
-    number of samples — and a micro-batch of queries shares those passes, see
-    :meth:`estimate_selectivity_batch`.
+    ``P(X_i | sampled prefix)``, records its mass inside the query range
+    ``R_i`` and samples the next prefix value from the conditional
+    *truncated* to ``R_i`` (by inverse CDF, see :func:`_truncated_draws`).
+    The product of the recorded masses is an unbiased estimate of the query
+    density; paths are batched so a query costs at most ``num_columns`` model
+    forward passes regardless of the number of samples — and a micro-batch of
+    queries shares those passes, see :meth:`estimate_selectivity_batch`.
 
     Parameters
     ----------
@@ -193,7 +270,7 @@ class ProgressiveSampler:
         depends only on the columns sampled so far, and sample paths collapse
         to a handful of distinct prefixes at early positions — every path
         shares the empty prefix at position 0 — so the model evaluates each
-        unique prefix once and the results scatter back to the full row set.
+        unique prefix once and every row draws from its prefix's answer.
         The random draws are consumed before liveness checks, so sampling
         streams are untouched; for models whose ``conditional_probs`` is
         row-exact (:class:`repro.core.made.MADEModel`, the oracle) the
@@ -224,90 +301,51 @@ class ProgressiveSampler:
             self._prefix_pack[position] = packing
         return packing
 
-    def _conditional_groups(
+    def _conditional_cdfs(
             self, position: int, column: int, codes: np.ndarray,
-            packed: np.ndarray, alive_rows: np.ndarray,
-            row_queries: np.ndarray | None, num_queries: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Model conditionals of the alive rows, deduplicated by visible
-        prefix, and the rows sorted into their ``(prefix, query)`` groups.
+            packed: np.ndarray, alive_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The model's conditionals of the alive rows as CDFs, one per
+        distinct visible prefix (one per row on the dedup-off walk).
 
         Alive rows agree on every column *not* yet sampled (still zero), so
         rows sharing a visible prefix are equal as whole rows and the model
         sees any one of them per distinct prefix, in sorted-prefix order.
-        ``packed`` carries every row's visible prefix as one int64 (see
-        :func:`prefix_radix`; the caller keeps it current), so no prefix is
-        re-derived from ``codes`` here — only the distinct prefixes' rows
-        are gathered, for the model.  ``row_queries`` is the query of every
-        alive row, or ``None`` when no query filters this column — rows then
-        group by prefix alone.  One scalar sort does both jobs: rows are
-        keyed by ``packed_prefix * num_queries + query``, runs of equal keys
-        in sorted order are the groups, and because the keys are ordered by
-        prefix first, the distinct prefixes are boundaries among the (few)
-        group keys.
+        One scalar sort of the carried keys ``packed`` (see
+        :func:`prefix_radix`) finds the distinct prefixes; prefixes too wide
+        to pack are ranked row-wise by ``np.unique(axis=0)``.  The model's
+        answer is the caller's to overwrite: it becomes the CDFs in place.
 
-        Returns ``(representatives, group_prefix, group_query, rows,
-        starts)``: ``rows`` lists the alive rows group by group, group ``g``
-        owning ``rows[starts[g]:starts[g + 1]]`` (``starts`` ends with the
-        row count), and its distribution is
-        ``representatives[group_prefix[g]]`` truncated by the mask of query
-        ``group_query[g]`` (``None`` when ``row_queries`` is: nothing to
-        truncate).  Callers keep working in group space, a contiguous run of
-        groups at a time, instead of scattering distributions back to every
-        row.  Whole-array numpy throughout — no scalar Python per row.
+        Returns ``(cdf, row_cdf, rows)``: ``rows`` lists the alive rows
+        (sorted by prefix when deduplicating), and ``rows[i]`` draws from
+        ``cdf[row_cdf[i]]``.
         """
         stats = self.stats
         stats.rows_submitted += alive_rows.size
         stats.forward_calls += 1
-        prefix_columns, radix, span = self._prefix_packing(position)
-        if radix is not None:
-            keys = packed[alive_rows]
+        if self.dedup:
+            prefix_columns, radix, _ = self._prefix_packing(position)
+            if radix is not None:
+                keys = packed[alive_rows]
+            else:
+                _, keys = np.unique(codes[alive_rows][:, prefix_columns], axis=0,
+                                    return_inverse=True)
+                keys = keys.reshape(-1)
+            order = np.argsort(keys)
+            keys = keys[order]
+            rows = alive_rows[order]
+            is_first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
+            row_cdf = np.cumsum(is_first) - 1
+            # Any row of a prefix represents it (its rows are equal): take
+            # the one the sort happened to put first.
+            shown = rows[is_first]
         else:
-            # The packed prefix would overflow int64: rank whole prefixes.
-            _, keys = np.unique(codes[alive_rows][:, prefix_columns], axis=0,
-                                return_inverse=True)
-            keys = keys.reshape(-1)
-            span = alive_rows.size
-        if row_queries is not None:
-            if span * num_queries >= _KEY_LIMIT:
-                # The fused key would overflow: rank the packed prefixes
-                # first (a second sort, on this path only).
-                _, keys = np.unique(keys, return_inverse=True)
-            keys = keys * num_queries + row_queries
-        order = np.argsort(keys)
-        keys = keys[order]
-        rows = alive_rows[order]
-        is_start = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        # Any row of a group represents it (its rows are equal): take the
-        # one the sort happened to put first.
-        if row_queries is None:
-            group_query = None
-            group_prefix = np.arange(starts.size)
-            first_rows = rows[starts]
-        else:
-            prefix_keys, group_query = np.divmod(keys[starts], num_queries)
-            is_first = np.ones(starts.size, dtype=bool)
-            np.not_equal(prefix_keys[1:], prefix_keys[:-1], out=is_first[1:])
-            group_prefix = np.cumsum(is_first) - 1
-            first_rows = rows[starts[is_first]]
-        stats.unique_rows += first_rows.size
-        representatives = self.model.conditional_probs(column,
-                                                       codes[first_rows])
-        return (representatives, group_prefix, group_query, rows,
-                np.append(starts, rows.size))
-
-    def _conditional_batch(self, position: int, column: int,
-                           codes: np.ndarray,
-                           alive_rows: np.ndarray) -> np.ndarray:
-        """Per-row conditionals of the alive rows on the dedup-off reference
-        walk: every row goes to the model directly."""
-        stats = self.stats
-        stats.rows_submitted += alive_rows.size
-        stats.forward_calls += 1
-        stats.unique_rows += alive_rows.size
-        return self.model.conditional_probs(column, codes[alive_rows])
+            rows = shown = alive_rows
+            row_cdf = np.arange(rows.size)
+        stats.unique_rows += shown.size
+        cdf = self.model.conditional_probs(column, codes[shown])
+        return np.cumsum(cdf, axis=1, out=cdf), row_cdf, rows
 
     # ------------------------------------------------------------------ #
     def estimate_selectivity(self, masks: list[np.ndarray | None],
@@ -388,98 +426,42 @@ class ProgressiveSampler:
         sampled_columns = self.model.order[:int(last_constrained.max()) + 1]
 
         total_rows = num_queries * num_samples
-        codes = np.zeros((total_rows, num_columns), dtype=np.int64)
+        # Column-major: a sampled column is one contiguous scatter.
+        codes = np.zeros((total_rows, num_columns), dtype=np.int64, order="F")
         weights = np.ones(total_rows)
         alive = np.ones(total_rows, dtype=bool)
         # Each row's visible prefix as one mixed-radix int64 (the empty
         # prefix packs to 0), carried along the deduplicated walk.
         packed = np.zeros(total_rows, dtype=np.int64)
         row_query = np.repeat(np.arange(num_queries), num_samples)
-        row_last_constrained = np.repeat(last_constrained, num_samples)
 
         for position, column in enumerate(sampled_columns):
             # Draw the full-width uniforms for every query before checking
             # liveness so each query's stream is consumed identically
             # regardless of batch composition and dead-row skipping.
-            draws = np.concatenate([rng.random((num_samples, 1)) for rng in rngs])
-            alive_rows = np.flatnonzero(alive & (row_last_constrained >= position))
-            if alive_rows.size == 0:
+            draws = np.concatenate([rng.random(num_samples) for rng in rngs])
+            # A finished query's rows leave the walk, their weights final.
+            for query in np.flatnonzero(last_constrained == position - 1):
+                alive[query * num_samples:(query + 1) * num_samples] = False
+            if not alive.any():
                 continue
-            column_masks = [masks[column] for masks in masks_batch]
-            mask_matrix = None
-            if any(mask is not None for mask in column_masks):
-                mask_matrix = np.ones((num_queries, domain_sizes[column]))
-                for query, mask in enumerate(column_masks):
-                    if mask is not None:
-                        mask_matrix[query] = mask
-
-            if self.dedup:
-                # Group-space arithmetic: rows sharing a (prefix, query-mask)
-                # pair share their truncated distribution, so the mask
-                # product, mass, renormalisation and cumulative sum run once
-                # per distinct pair; a row only reads its pair's mass and
-                # binary-searches its pair's CDF for its own draw.  Rows
-                # sorted by pair are contiguous by group, so a tile of groups
-                # serves a slice of rows and the five passes share one
-                # cache-sized array instead of five full-height ones.  Every
-                # one of these operations is row-pure, so the per-row values
-                # — and hence the estimates — are bit-identical to the
-                # unfused per-row loop below, wherever the tiles are cut.
-                representatives, group_prefix, group_query, rows, starts = (
-                    self._conditional_groups(
-                        position, column, codes, packed, alive_rows,
-                        None if mask_matrix is None else row_query[alive_rows],
-                        num_queries))
-                row_draws = draws[rows, 0]
-                mass = np.empty(rows.size)
-                sampled = np.empty(rows.size, dtype=np.int64)
-                num_groups = group_prefix.size
-                tile_groups = max(1, _TILE_ELEMENTS // domain_sizes[column])
-                for low in range(0, num_groups, tile_groups):
-                    high = min(low + tile_groups, num_groups)
-                    tile = representatives[group_prefix[low:high]]
-                    if group_query is not None:
-                        tile *= mask_matrix[group_query[low:high]]
-                    tile_mass = tile.sum(axis=1)
-                    tile /= np.where(tile_mass > 0.0, tile_mass, 1.0)[:, None]
-                    np.cumsum(tile, axis=1, out=tile)
-                    # Guard against rounding: force the last value to 1.
-                    tile[:, -1] = 1.0
-                    tile_rows = slice(starts[low], starts[high])
-                    groups = np.repeat(np.arange(high - low),
-                                       np.diff(starts[low:high + 1]))
-                    mass[tile_rows] = tile_mass[groups]
-                    sampled[tile_rows] = _search_cumulative(
-                        tile, groups, row_draws[tile_rows])
-                weights[rows] *= mass
-                survived = mass > 0.0
-                alive[rows] = survived
-                codes[rows[survived], column] = sampled[survived]
-                if self._prefix_packing(position + 1)[1] is not None:
-                    # Horner step of the mixed radix: the key every row
-                    # carries into the next position.
-                    packed[rows] = (packed[rows] * domain_sizes[column]
-                                    + sampled)
-                continue
-
-            probs = self._conditional_batch(position, column, codes, alive_rows)
-            # Truncate, weigh and sample in row chunks: every operation is
-            # row-independent, and chunking keeps the temporaries of large
-            # micro-batches inside the CPU caches.
-            for start in range(0, alive_rows.size, _ROW_CHUNK):
-                rows = alive_rows[start:start + _ROW_CHUNK]
-                chunk = probs[start:start + _ROW_CHUNK]
-                if mask_matrix is not None:
-                    chunk = chunk * mask_matrix[row_query[rows]]
-                mass = chunk.sum(axis=1)
-                weights[rows] *= mass
-                survived = mass > 0.0
-                alive[rows] = survived
-                # Renormalise only the surviving rows and sample the next value.
-                safe_mass = np.where(survived, mass, 1.0)
-                normalised = chunk / safe_mass[:, None]
-                sampled = _sample_rows_from_probs(normalised, draws[rows])
-                codes[rows[survived], column] = sampled[survived]
+            cdf, row_cdf, rows = self._conditional_cdfs(
+                position, column, codes, packed, np.flatnonzero(alive))
+            draws = draws[rows]
+            sampled, mass = _truncated_draws(
+                cdf, row_cdf, row_query[rows],
+                _admitted_runs([masks[column] for masks in masks_batch],
+                               domain_sizes[column]),
+                draws)
+            weights[rows] *= mass
+            survived = mass > 0.0
+            alive[rows] = survived
+            # A dead row's code is never read again.
+            codes[:, column][rows] = sampled
+            if self._prefix_packing(position + 1)[1] is not None:
+                # Horner step of the mixed radix: the key every row carries
+                # into the next position.
+                packed[rows] = packed[rows] * domain_sizes[column] + sampled
 
         return weights.reshape(num_queries, num_samples).mean(axis=1)
 

@@ -12,6 +12,7 @@ The key statistical properties verified:
 from __future__ import annotations
 
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ColumnNetworkModel,
     MADEModel,
     NoisyOracleModel,
     OracleModel,
@@ -29,7 +31,6 @@ from repro.core import (
     enumerate_region,
 )
 from repro.core import progressive
-from repro.core.progressive import _search_cumulative
 from repro.data import ColumnSpec, make_correlated_table
 from repro.query import (OODWorkloadGenerator, Query, WorkloadGenerator,
                          true_selectivity)
@@ -342,74 +343,243 @@ _SEARCH_WIDTHS = sorted({1, 2, 3} | {2 ** k + d for k in range(2, 8)
                                      for d in (-1, 0, 1)})
 
 
-class TestSearchCumulative:
-    """The lockstep binary search must equal the full-width gather/compare/
-    argmax it replaced on every input the sampler can produce."""
+def _mask_runs(mask):
+    """Maximal runs ``(lo, hi)`` of a boolean mask, in code order."""
+    runs, start = [], None
+    for code, admitted in enumerate(list(mask) + [False]):
+        if admitted and start is None:
+            start = code
+        elif not admitted and start is not None:
+            runs.append((start, code - 1))
+            start = None
+    return runs
+
+
+def _reference_target(cumulative, runs, draw):
+    """The draw's target in one CDF row and the in-range mass, by the rule
+    :func:`repro.core.progressive._truncated_draws` documents, one scalar
+    at a time."""
+    def bounds(lo, hi):
+        return (cumulative[lo - 1] if lo > 0 else 0.0), cumulative[hi]
+
+    if len(runs) == 1:
+        lower, upper = bounds(*runs[0])
+        mass = upper - lower
+        return min(lower + draw * mass, np.nextafter(upper, 0.0)), mass
+    masses = [upper - lower for lower, upper in (bounds(*run) for run in runs)]
+    mass = 0.0
+    for run_mass in masses:
+        mass += run_mass
+    threshold, running = draw * mass, 0.0
+    for run, run_mass in zip(runs, masses):
+        if running + run_mass > threshold:
+            lower, upper = bounds(*run)
+            return min(lower + (threshold - running),
+                       np.nextafter(upper, 0.0)), mass
+        running += run_mass
+    positive = [run for run, run_mass in zip(runs, masses) if run_mass > 0.0]
+    if not positive:
+        return None, mass
+    return np.nextafter(bounds(*positive[-1])[1], 0.0), mass
+
+
+class TestTruncatedDraws:
+    """Inverse-CDF draws from a prefix's plain CDF, truncated to the query's
+    admitted runs: the lockstep search must land where a full-row ``argmax``
+    does, on an admitted code of positive probability, with the in-range
+    mass within its stated round-off bound."""
 
     @staticmethod
-    def _cdf_rows(kinds, width, rng):
-        """CDF rows built the way the sampler builds them, one per kind."""
+    def _probability_rows(kinds, width, rng):
         probs = np.zeros((len(kinds), width))
         for row, kind in enumerate(kinds):
             if kind == "dense":
                 probs[row] = rng.random(width)
-            elif kind in ("plateau", "overshoot"):
+                probs[row] /= probs[row].sum()
+            elif kind == "sparse":
                 support = rng.choice(width, size=min(width, 3), replace=False)
                 probs[row, support] = rng.random(support.size) + 0.1
-            # "zero": a zero-mass row stays all zero.
-        mass = probs.sum(axis=1)
-        cumulative = np.cumsum(
-            probs / np.where(mass > 0.0, mass, 1.0)[:, None], axis=1)
-        cumulative[:, -1] = 1.0
-        if width > 1:
-            for row, kind in enumerate(kinds):
-                if kind == "overshoot":
-                    # Rounding can push the running sum one ulp past the
-                    # forced final 1.0.
-                    cumulative[row, -2] = np.nextafter(1.0, 2.0)
-        return cumulative
+                probs[row] /= probs[row].sum()
+            elif kind == "one-hot":
+                probs[row, rng.integers(width)] = 1.0
+            elif kind == "subnormal":
+                probs[row] = rng.random(width) * 1e-310
+                probs[row, rng.integers(width)] = 1.0 - 1e-300
+            # "zero": the row stays all zero.
+        return probs
 
-    @settings(max_examples=300, deadline=None)
+    @staticmethod
+    def _mask(kind, width, rng):
+        if kind == "wildcard":
+            return None
+        mask = np.zeros(width, dtype=bool)
+        if kind == "one run":
+            lo = int(rng.integers(width))
+            mask[lo:int(rng.integers(lo, width)) + 1] = True
+        elif kind == "several":
+            mask = rng.random(width) < 0.5
+        # "empty": nothing admitted.
+        return mask
+
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
-    def test_equals_argmax(self, data):
+    def test_draw_equals_argmax_reference(self, data):
         width = data.draw(st.sampled_from(_SEARCH_WIDTHS), label="width")
-        kinds = data.draw(st.lists(
-            st.sampled_from(["dense", "plateau", "zero", "overshoot"]),
-            min_size=1, max_size=5), label="kinds")
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
                                               label="seed"))
-        cumulative = self._cdf_rows(kinds, width, rng)
-        # Repeated and unsorted group references.
-        groups = np.asarray(data.draw(st.lists(
-            st.integers(0, len(kinds) - 1), min_size=1, max_size=40),
-            label="groups"), dtype=np.int64)
-        draw_specs = data.draw(st.lists(
-            st.one_of(st.just(0.0),
-                      st.floats(0.0, 1.0, exclude_max=True),
-                      # A draw exactly on one of its row's CDF values.
-                      st.integers(0, width - 1).map(lambda index: (index,))),
-            min_size=groups.size, max_size=groups.size), label="draws")
-        draws = np.empty(groups.size)
-        for row, spec in enumerate(draw_specs):
+        kinds = data.draw(st.lists(st.sampled_from(
+            ["dense", "sparse", "one-hot", "subnormal", "zero"]),
+            min_size=1, max_size=4), label="kinds")
+        probs = self._probability_rows(kinds, width, rng)
+        masks = [self._mask(kind, width, rng) for kind in data.draw(
+            st.lists(st.sampled_from(["wildcard", "one run", "several",
+                                      "empty"]), min_size=1, max_size=4),
+            label="masks")]
+        num_rows = data.draw(st.integers(1, 30), label="rows")
+        row_cdf = np.asarray(data.draw(st.lists(
+            st.integers(0, len(kinds) - 1), min_size=num_rows,
+            max_size=num_rows), label="row_cdf"), dtype=np.int64)
+        row_query = np.asarray(data.draw(st.lists(
+            st.integers(0, len(masks) - 1), min_size=num_rows,
+            max_size=num_rows), label="row_query"), dtype=np.int64)
+        cumulative = np.cumsum(probs, axis=1)
+        draws = np.empty(num_rows)
+        for row, spec in enumerate(data.draw(st.lists(
+                st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0.0)),
+                          st.floats(0.0, 1.0, exclude_max=True),
+                          # A draw exactly on one of its row's CDF values.
+                          st.integers(0, width - 1).map(lambda code: (code,))),
+                min_size=num_rows, max_size=num_rows), label="draws")):
             if isinstance(spec, tuple):
-                spec = cumulative[groups[row], spec[0]]
-                if spec >= 1.0:   # draws live in [0, 1)
-                    spec = np.nextafter(1.0, 0.0)
+                spec = min(cumulative[row_cdf[row], spec[0]],
+                           np.nextafter(1.0, 0.0))
             draws[row] = spec
-        expected = np.argmax(cumulative[groups] >= draws[:, None], axis=1)
-        assert np.array_equal(_search_cumulative(cumulative, groups, draws),
-                              expected)
+
+        sampled, mass = progressive._truncated_draws(
+            cumulative.copy(), row_cdf, row_query,
+            progressive._admitted_runs(masks, width), draws)
+
+        for row in range(num_rows):
+            p, cdf_row = probs[row_cdf[row]], cumulative[row_cdf[row]]
+            mask = masks[row_query[row]]
+            mask = np.ones(width, dtype=bool) if mask is None else mask
+            runs = _mask_runs(mask)
+            exact = math.fsum(p[mask])
+            top = cdf_row[runs[-1][1]] if runs else 0.0
+            assert abs(mass[row] - exact) <= (width + 2) * 2.0 ** -52 * top
+            assert 0 <= sampled[row] < width
+            if mass[row] > 0.0:
+                assert mask[sampled[row]] and p[sampled[row]] > 0.0
+                target, reference_mass = _reference_target(cdf_row, runs,
+                                                           draws[row])
+                assert mass[row] == reference_mass
+                assert sampled[row] == np.argmax(cdf_row > target)
+            else:
+                assert exact <= (width + 2) * 2.0 ** -52 * top
+
+    @pytest.mark.parametrize("mask", [
+        None, [True] * 3 + [False] * 5, [False, True, True, False, True,
+                                         False, False, True]],
+        ids=["wildcard", "one run", "several"])
+    def test_draws_follow_the_truncated_distribution(self, mask):
+        """A fine grid of draws lands on each admitted code in proportion to
+        its probability, and never outside the mask."""
+        probs = np.array([[0.05, 0.2, 0.0, 0.15, 0.1, 0.3, 0.05, 0.15]])
+        mask = None if mask is None else np.asarray(mask)
+        grid = 10_000
+        draws = (np.arange(grid) + 0.5) / grid
+        sampled, mass = progressive._truncated_draws(
+            np.cumsum(probs, axis=1), np.zeros(grid, dtype=np.int64),
+            np.zeros(grid, dtype=np.int64),
+            progressive._admitted_runs([mask], probs.shape[1]), draws)
+        admitted = probs[0] * (1.0 if mask is None else mask)
+        assert mass == pytest.approx(np.full(grid, admitted.sum()), rel=1e-15)
+        counts = np.bincount(sampled, minlength=probs.shape[1]) / grid
+        np.testing.assert_allclose(counts, admitted / admitted.sum(),
+                                   atol=1.5 / grid)
 
     @pytest.mark.parametrize("width", _SEARCH_WIDTHS)
     def test_zero_mass_rows(self, width):
-        """An all-zero row answers the forced final entry — or index 0 for a
-        zero draw, which every entry reaches — exactly like ``argmax``."""
-        cumulative = np.zeros((2, width))
-        cumulative[:, -1] = 1.0
-        groups = np.array([1, 0, 1])
-        draws = np.array([0.5, 0.0, np.nextafter(1.0, 0.0)])
-        assert _search_cumulative(cumulative, groups, draws).tolist() == [
-            width - 1, 0, width - 1]
+        """An all-zero CDF row, a mask admitting only zero-probability codes
+        and an empty mask all give mass exactly 0 and a code inside the
+        row, at every draw; the positive-mass row they share a call with
+        samples what it samples alone."""
+        probs = np.zeros((3, width))
+        probs[1, 0] = 1.0                   # mass only on code 0
+        probs[2] = np.arange(1, width + 1) / (width * (width + 1) / 2)
+        cumulative = np.cumsum(probs, axis=1)
+        masks = [None, np.arange(width) > 0, np.zeros(width, dtype=bool),
+                 np.arange(width) % 2 == 0]
+        if width == 1:
+            masks[1] = np.zeros(1, dtype=bool)
+        top = np.nextafter(1.0, 0.0)
+        # (cdf row, query) pairs: the zero-mass ones, then the live one last
+        # so its window is read next to the zero rows' slots.
+        pairs = [(0, 0), (0, 3), (1, 1), (2, 2), (0, 2), (2, 3)]
+        row_cdf = np.array([cdf for cdf, _ in pairs for _ in range(3)])
+        row_query = np.array([query for _, query in pairs for _ in range(3)])
+        draws = np.tile([0.0, 0.5, top], len(pairs))
+        runs = progressive._admitted_runs(masks, width)
+        sampled, mass = progressive._truncated_draws(
+            cumulative.copy(), row_cdf, row_query, runs, draws)
+        assert ((0 <= sampled) & (sampled < width)).all()
+        assert (mass[:-3] == 0.0).all()
+        alone, alone_mass = progressive._truncated_draws(
+            cumulative.copy(), row_cdf[-3:], row_query[-3:], runs, draws[-3:])
+        assert sampled[-3:].tolist() == alone.tolist()
+        assert mass[-3:].tolist() == alone_mass.tolist()
+        assert alone_mass[0] > 0.0 and (sampled[-3:] % 2 == 0).all()
+
+
+class _ChainStub:
+    """Two-column stub: ``P(x0) = first``, and ``P(x1 = 1 | x0)`` is 0.9
+    when ``x0 == spike`` and 0.1 otherwise."""
+
+    order = [0, 1]
+
+    def __init__(self, first, spike):
+        self.first, self.spike = np.asarray(first), spike
+
+    def domain_sizes(self):
+        return [self.first.size, 2]
+
+    def conditional_probs(self, column_index, codes):
+        if column_index == 0:
+            return np.tile(self.first, (codes.shape[0], 1))
+        one = np.where(codes[:, 0] == self.spike, 0.9, 0.1)
+        return np.stack([1.0 - one, one], axis=1)
+
+
+class _ConstantDraws:
+    """A generator stand-in whose every uniform draw is one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestDrawsStayInsideTheMask:
+    """Regressions: a draw at either end of ``[0, 1)`` used to sample a code
+    the query excludes, and every later column conditioned on it."""
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("first, spike, admitted, draw, exact", [
+        # A zero draw reached the first CDF entry, of an excluded code.
+        ([0.5, 0.25, 0.25], 2, [False, False, True], 0.0, 0.25 * 0.9),
+        # A ``<=`` range whose last renormalised CDF entry rounded just
+        # below the draw fell through to the forced final column, 4.
+        ([0.22, 0.11, 0.25, 0.07, 0.35], 4, [True, True, True, True, False],
+         np.nextafter(1.0, 0.0), 0.65 * 0.1),
+    ], ids=["zero-draw", "top-draw"])
+    def test_sampled_code_is_admitted(self, dedup, first, spike, admitted,
+                                      draw, exact):
+        masks = [np.asarray(admitted), np.array([False, True])]
+        estimate = ProgressiveSampler(
+            _ChainStub(first, spike), dedup=dedup).estimate_selectivity_batch(
+                [masks], num_samples=4, rngs=[_ConstantDraws(draw)])
+        assert estimate[0] == pytest.approx(exact, rel=1e-12)
 
 
 class _SpikeModel:
@@ -443,12 +613,65 @@ class _SpikeModel:
         return probs
 
 
+class TestAnswerOwnership:
+    """The sampler turns each ``conditional_probs`` answer into CDFs in
+    place, so every model — and every wrapper path — must hand out memory it
+    does not keep: overwriting one answer cannot change the next."""
+
+    @staticmethod
+    def _model(case, skewed_table, oracle):
+        from repro.serve import CachedConditionalModel
+        from repro.serve.engine import _UnfusedConditionals
+        if case == "made":
+            return MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
+        if case == "oracle":
+            return oracle
+        if case == "noisy-oracle":
+            return NoisyOracleModel(skewed_table, noise=0.3)
+        if case == "column-networks":
+            return ColumnNetworkModel(skewed_table, hidden_sizes=(8,), seed=0)
+        if case == "unfused":
+            return _UnfusedConditionals(
+                MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7))
+        if case == "cache-unpacked":
+            # Prefixes of four 2^16 columns do not pack: served uncached.
+            return CachedConditionalModel(_SpikeModel([2 ** 16] * 5))
+        return CachedConditionalModel(
+            MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7))
+
+    @pytest.mark.parametrize("case", [
+        "made", "oracle", "noisy-oracle", "column-networks", "unfused",
+        "cache-full-hit", "cache-partial-hit", "cache-unpacked"])
+    def test_caller_may_overwrite_the_answer(self, skewed_table, oracle, case):
+        model = self._model(case, skewed_table, oracle)
+        codes = skewed_table.encoded()[:60]
+        if case == "cache-unpacked":
+            codes = np.random.default_rng(0).integers(0, 2 ** 16, (60, 5))
+            assert model._prefix_radix[4] is None
+        for column in model.order:
+            if case == "cache-full-hit":
+                model.conditional_probs(column, codes)
+            elif case == "cache-partial-hit":
+                model.conditional_probs(column, codes[::2])
+            stats = getattr(model, "stats", None)
+            hits, misses = (stats.hits, stats.misses) if stats else (0, 0)
+            answer = model.conditional_probs(column, codes)
+            expected = answer.copy()
+            answer[...] = -1.0
+            if case == "cache-full-hit":
+                assert stats.misses == misses
+            elif case == "cache-partial-hit" and column != model.order[0]:
+                assert stats.hits > hits and stats.misses > misses
+            assert np.array_equal(model.conditional_probs(column, codes),
+                                  expected)
+
+
 class TestPrefixDeduplication:
     """Prefix-deduplicated sampling must be *bit-identical* to the unfused
     per-row walk: the model is row-exact, the random draws are consumed
-    before liveness checks, and the representative-space truncate/weigh/
-    sample arithmetic is row-pure — so turning dedup on changes performance
-    counters, never a single output bit."""
+    before liveness checks, and the draw from a prefix's shared CDF is
+    row-pure — so turning dedup on changes performance counters, never a
+    single output bit."""
 
     def _estimates(self, model, skewed_table, workload, dedup):
         masks_batch = [query.column_masks(skewed_table) for query in workload[:8]]
@@ -471,10 +694,13 @@ class TestPrefixDeduplication:
         _, plain = self._estimates(model, skewed_table, workload, dedup=False)
         assert np.array_equal(fused, plain)
 
-    def test_mixed_wildcard_batch_is_bit_identical(self, skewed_table, oracle):
+    def test_mixed_wildcard_batch_is_bit_identical(self, skewed_table, oracle,
+                                                   trained_made):
         """Every column sees filtered and wildcard queries side by side — and
-        queries that finish early — so the fused (prefix, query) sort has to
-        keep each row with its own query's mask."""
+        queries that finish early — so each row has to draw inside its own
+        query's runs from the CDF its prefix shares with other queries'
+        rows.  Narrow masks over a spiky model add prefixes with no mass at
+        all, in a mixed batch and in a batch of one."""
         rng = np.random.default_rng(17)
 
         def mask(column):
@@ -487,26 +713,39 @@ class TestPrefixDeduplication:
         masks_batch = [[mask(column) if column in columns else None
                         for column in range(skewed_table.num_columns)]
                        for columns in filtered_columns]
-        from repro.core import MADEModel
         made = MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
-        for model in (oracle, made):
+        sizes = list(skewed_table.domain_sizes)
+        spike = _SpikeModel(sizes)
+        cases = [(model, masks_batch) for model in (oracle, made)]
+        for batch in (filtered_columns, [(0, 1, 3)]):
+            narrow = self._random_masks(np.random.default_rng(23), sizes, batch)
+            for masks in narrow:
+                for column_mask in masks:
+                    if column_mask is not None:
+                        column_mask[-3:] = [False, True, False]
+            cases += [(spike, narrow), (oracle, narrow), (trained_made, narrow)]
+        for model, masks in cases:
             estimates = []
             for dedup in (True, False):
                 rngs = [np.random.default_rng(900 + index)
-                        for index in range(len(masks_batch))]
+                        for index in range(len(masks))]
                 estimates.append(ProgressiveSampler(
                     model, seed=0, dedup=dedup).estimate_selectivity_batch(
-                        masks_batch, num_samples=300, rngs=rngs))
+                        masks, num_samples=300, rngs=rngs))
             assert np.array_equal(estimates[0], estimates[1])
-            assert estimates[0][-1] == 1.0   # the all-wildcard query
+            if model is spike:
+                assert 0.0 < estimates[0].min() < 1.0
+            if len(masks) == len(filtered_columns):
+                assert estimates[0][-1] == 1.0   # the all-wildcard query
 
     @pytest.mark.parametrize("domain_sizes, num_queries, row_wise", [
         # Four prefix columns of 2^16 cannot be packed into an int64: the
         # last position dedups through the row-wise np.unique(axis=0).
         ([2 ** 16] * 5, 2, True),
-        # Five prefix columns of 2^12 pack (2^60), but times twelve queries
-        # the fused key would wrap (and, twelve being no power of two, lose
-        # the query): the single sort must decline.
+        # Five prefix columns of 2^12 pack (2^60); times twelve queries the
+        # old fused (prefix, query) key would have wrapped.  That key and its
+        # overflow branch are gone — rows sort by prefix alone — and the
+        # case stays to show the packed key still serves twelve queries.
         ([2 ** 12] * 6, 12, False),
     ])
     def test_overflow_fallbacks_are_bit_identical(self, domain_sizes,
@@ -551,7 +790,7 @@ class TestPrefixDeduplication:
         assert fused.forward_calls == plain.forward_calls > 0
 
     # ------------------------------------------------------------------ #
-    # The sorted-order walk: tiles, carried keys, working set.
+    # The sorted-order walk: carried keys, working set.
 
     @staticmethod
     def _random_masks(rng, domain_sizes, filtered_columns):
@@ -571,57 +810,6 @@ class TestPrefixDeduplication:
         model = MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
         Trainer(model, skewed_table, batch_size=128).train(epochs=2)
         return model
-
-    @pytest.mark.parametrize("filtered_columns", [
-        [(0, 2), (1,), (0, 1, 2, 3), (3,), (1, 3), (0,), ()],   # mixed wildcards
-        [(0, 1, 3)],                                             # a batch of one
-    ], ids=["mixed", "one"])
-    def test_tile_boundaries_do_not_move_a_bit(self, monkeypatch, skewed_table,
-                                               oracle, trained_made,
-                                               filtered_columns):
-        """Wherever the group-space walk cuts its tiles — one group a tile,
-        a few, or all of them in one — every estimate keeps its bits, and
-        they are the bits of the unfused per-row walk."""
-        sizes = list(skewed_table.domain_sizes)
-        # Narrow masks over a spiky model: most groups have no mass at all,
-        # so zero-mass groups open and close tiles.
-        spike = _SpikeModel(sizes)
-        searches = []
-
-        def counting_search(*args):
-            searches.append(1)
-            return _search_cumulative(*args)
-
-        monkeypatch.setattr(progressive, "_search_cumulative", counting_search)
-        for model in (oracle, spike, trained_made):
-            masks_batch = self._random_masks(np.random.default_rng(23), sizes,
-                                             filtered_columns)
-            if model is spike:
-                for masks in masks_batch:
-                    for mask in masks:
-                        if mask is not None:
-                            mask[-3:] = [False, True, False]
-
-            def estimates(dedup):
-                rngs = [np.random.default_rng(700 + index)
-                        for index in range(len(masks_batch))]
-                return ProgressiveSampler(
-                    model, seed=0, dedup=dedup).estimate_selectivity_batch(
-                        masks_batch, num_samples=200, rngs=rngs)
-
-            plain = estimates(dedup=False)
-            counts = []
-            for elements in (1, max(sizes), 3 * max(sizes) + 1, 2 ** 30):
-                monkeypatch.setattr(progressive, "_TILE_ELEMENTS", elements)
-                del searches[:]
-                assert np.array_equal(estimates(dedup=True), plain)
-                counts.append(len(searches))
-            if model is spike:
-                assert 0.0 < plain.min() < 1.0
-            # The patch took: one group a tile means many tiles, one tile
-            # for everything means one search per sampled column.
-            assert counts == sorted(counts, reverse=True)
-            assert counts[0] > counts[-1] and counts[-1] <= len(sizes)
 
     @settings(max_examples=40, deadline=None)
     @given(domain_sizes=st.lists(st.sampled_from([2, 3, 11, 2 ** 16]),
@@ -649,24 +837,23 @@ class TestPrefixDeduplication:
             [tuple(np.flatnonzero(rng.random(len(domain_sizes)) < 0.7))
              for _ in range(3)] + [tuple(order)])
         shown, expected, packable = [], [], []
-        inner_groups, inner_probs = (sampler._conditional_groups,
-                                     model.conditional_probs)
+        inner_cdfs, inner_probs = (sampler._conditional_cdfs,
+                                   model.conditional_probs)
 
-        def spy_groups(position, column, codes, packed, alive_rows, *rest):
+        def spy_cdfs(position, column, codes, packed, alive_rows):
             prefix_columns, radix, _ = sampler._prefix_packing(position)
             prefixes = codes[alive_rows][:, prefix_columns]
             if radix is not None:
                 assert np.array_equal(packed[alive_rows], prefixes @ radix)
             packable.append(radix is not None)
             expected.append(np.unique(prefixes, axis=0))
-            return inner_groups(position, column, codes, packed, alive_rows,
-                                *rest)
+            return inner_cdfs(position, column, codes, packed, alive_rows)
 
         def spy_probs(column, codes):
             shown.append(codes[:, order[:order.index(column)]])
             return inner_probs(column, codes)
 
-        sampler._conditional_groups = spy_groups
+        sampler._conditional_cdfs = spy_cdfs
         model.conditional_probs = spy_probs
         sampler.estimate_selectivity_batch(
             masks_batch, num_samples=12,
@@ -677,10 +864,10 @@ class TestPrefixDeduplication:
         if shuffle is None:
             assert packable == [True] * 4 + [False] * 2
 
-    def test_working_set_is_the_answer_plus_a_few_tiles(self):
+    def test_working_set_is_the_answer_plus_row_vectors(self):
         """One 16-query × 800-path batch over a warm conditional cache peaks
-        at the model's own answer plus a few tiles and row-length vectors —
-        not at several more arrays the size of the answer."""
+        at the model's own answer (which becomes the CDFs in place) plus
+        row-length vectors — not at more arrays the size of the answer."""
         from repro.serve import CachedConditionalModel
         table = make_correlated_table([
             ColumnSpec("a", 10, "categorical", skew=0.3),
@@ -723,10 +910,10 @@ class TestPrefixDeduplication:
         assert model.rows_evaluated == evaluated      # every lookup hit
         rows = 16 * 800
         # The spy keeps the four answers alive; the walk itself may add
-        # four tiles and the row-length vectors (codes, keys, draws, order,
-        # the cache's probe positions ...), counted generously.
+        # the row-length vectors (codes, keys, draws, order, run bounds,
+        # search positions, the cache's probe positions ...), counted
+        # generously.
         held = sum(answer.nbytes for answer in answers)
-        allowance = (4 * progressive._TILE_ELEMENTS * 8
-                     + (table.num_columns + 24) * rows * 8)
+        allowance = (table.num_columns + 24) * rows * 8
         assert max(answer.nbytes for answer in answers) > 2 * allowance
         assert peak < held + allowance
