@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import serve_loadgen
+from repro.bench.experiments import SERVE_LOADGEN_SLO_MULTIPLIER
 
 
 def check_invariants(result, scale):
@@ -30,13 +31,13 @@ def check_invariants(result, scale):
     # arrival of the window was either admitted or counted shed, everything
     # admitted completed, and the queue high-water mark stayed within the
     # admission bound at every rung.
-    curve = timing["curve"]
-    assert len(curve) == len(scale.serve_loadgen_rate_fractions)
+    curve, sizes = timing["curve"], scale.serve_loadgen
+    assert len(curve) == len(sizes.rate_fractions)
     for row in curve:
         assert row["submitted"] + row["shed"] == round(
-            row["offered_qps"] * scale.serve_loadgen_duration_s)
+            row["offered_qps"] * sizes.duration_s)
         assert row["completed"] == row["submitted"]
-        assert row["peak_pending"] <= scale.serve_loadgen_max_pending
+        assert row["peak_pending"] <= sizes.max_pending
 
     # Every chaos drill upheld the degradation contract.
     scenarios = report["scenarios"]
@@ -51,7 +52,7 @@ def check_invariants(result, scale):
 
     # The SLO knee is read off the curve.
     assert timing["slo_ms"] == pytest.approx(
-        scale.serve_loadgen_slo_multiplier * timing["probe_e2e_p95_ms"])
+        SERVE_LOADGEN_SLO_MULTIPLIER * timing["probe_e2e_p95_ms"])
 
 
 def test_serve_loadgen(bench_scale, save_report):

@@ -28,7 +28,7 @@ def check_invariants(result, scale):
     # weight: the round-robin shard layout leaves no worker idle.
     assert report["counts"]["procfleet"]["num_queries"] == report["num_queries"]
     tallies = report["worker_queries"]
-    assert len(tallies) == scale.serve_proc_workers
+    assert len(tallies) == scale.serve_procfleet.workers
     assert all(served > 0 for served in tallies.values())
     assert sum(tallies.values()) == report["num_queries"]
 

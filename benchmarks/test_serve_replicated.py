@@ -40,7 +40,7 @@ def check_invariants(result, scale):
     # majority share and its replica group fans it out.
     assert report["hot_queries"] >= report["num_queries"] // 2
     hot_route = report["counts"]["warm"]["routes"]["sessions"]
-    assert hot_route["num_replicas"] == scale.serve_repl_replicas
+    assert hot_route["num_replicas"] == scale.serve_replicated.replicas
 
 
 def test_serve_replicated(bench_scale, save_report):

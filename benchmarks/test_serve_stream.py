@@ -32,7 +32,7 @@ def check_invariants(result, scale):
     # may or may not shrink its size clamp — when the flush timeout already
     # bounds every batch's linger, there is nothing left for multiplicative
     # decrease to do.)
-    assert timing["e2e_batch_trace"][0] == scale.serve_stream_max_batch
+    assert timing["e2e_batch_trace"][0] == scale.serve_stream.batch_size
     assert timing["e2e_controller"]["observations"] > 0
 
     # The flush timeout really fired: partially filled batches were

@@ -20,7 +20,7 @@ def check_invariants(result, scale):
     # baseline — row-exact kernel, bit-identical prefix dedup, exact cache
     # hits — so the drift is not merely small, it is zero.
     assert report["max_estimate_drift"] == 0.0
-    assert report["num_queries"] == scale.serve_queries
+    assert report["num_queries"] == scale.serve_throughput.queries
     # Dedup and the cache did real work: the batched passes evaluated fewer
     # rows than they were asked for, and the warm pass none at all.
     counts = report["counts"]

@@ -4,12 +4,13 @@ Every function is self-contained: it generates the (synthetic) dataset,
 builds and trains the relevant estimators, runs the workload, and returns a
 dictionary holding the structured results plus their renderings, split by
 what determines them: ``text`` (and, for the ``serve_*`` experiments, the
-JSON-able ``report``) holds only what the seed determines — estimates,
-q-errors, drift, routing and cache counts — and comes back byte-identical on
-every run, while ``timing_text``/``timing`` hold whatever a clock was read
-for.  An experiment with nothing on one side omits that side's keys.  The
-functions are what the ``benchmarks/`` suite and the ``python -m repro.bench``
-command line call.
+JSON-able ``report``) holds only what the seed determines — a digest of the
+estimates (:func:`estimates_digest`; the result's ``selectivities`` holds the
+array itself), q-errors, drift, routing and cache counts — and comes back
+byte-identical on every run, while ``timing_text``/``timing`` hold whatever a
+clock was read for.  An experiment with nothing on one side omits that side's
+keys.  The functions are what the ``benchmarks/`` suite and the
+``python -m repro.bench`` command line call.
 
 Experiment ↔ paper mapping:
 
@@ -30,9 +31,11 @@ Experiment ↔ paper mapping:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -111,7 +114,7 @@ from .reports import (
     format_series,
     format_summary_table,
 )
-from .scales import ExperimentScale, active_scale
+from .scales import ExperimentScale, ServeScale, active_scale
 
 __all__ = [
     "NaruSampleVariant",
@@ -134,6 +137,7 @@ __all__ = [
     "serve_refresh",
     "serve_loadgen",
     "serve_ensemble",
+    "estimates_digest",
 ]
 
 
@@ -593,39 +597,52 @@ def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
 # --------------------------------------------------------------------------- #
 # Beyond the paper — the serving experiments
 # --------------------------------------------------------------------------- #
+#: serve_stream's stated p95 end-to-end SLO, as a fraction of the measured
+#: fixed-batch end-to-end p95 — calibrated per machine so the benchmark's
+#: claim ("the fixed batch misses the e2e SLO the SLO-steered router meets")
+#: is hardware-independent.  0.35 keeps the SLO well below what the fixed
+#: batch delivers while leaving the steered router room across
+#: converged-batch-size noise.
+SERVE_STREAM_SLO_FRACTION = 0.35
+#: The flush deadline of serve_stream's e2e-scoped run, as a fraction of the
+#: stated SLO: a partially filled micro-batch may spend at most this share of
+#: the latency budget waiting before it is force-dispatched.
+SERVE_STREAM_FLUSH_FRACTION = 0.25
+#: serve_loadgen's stated e2e p95 SLO, as a multiple of the closed-loop
+#: probe's e2e p95 — calibrated per machine (like SERVE_STREAM_SLO_FRACTION)
+#: so the knee's existence is hardware-independent: generous enough that the
+#: lowest offered rates meet it, tight enough that overload misses it.
+SERVE_LOADGEN_SLO_MULTIPLIER = 4.0
+#: serve_ensemble's workload shares of DNF disjunctions and LIKE prefixes.
+SERVE_ENS_DNF_FRACTION = 0.25
+SERVE_ENS_LIKE_FRACTION = 0.25
+
+
 class _ServeFleet:
     """The registry, workload and routers one ``serve_*`` experiment measures.
 
-    ``prefix`` names the experiment's block of :class:`ExperimentScale`
-    fields — ``<prefix>_rows``, ``_queries``, ``_samples``, ``_epochs``, … —
-    read through :meth:`size`.  Every model shares one Naru config (batch
-    256, seed 0) and every router and baseline the one sample budget and
-    seed, so each query's random stream is keyed by ``(seed, global workload
-    index)`` alone and whatever two runs disagree on is the serving path's
-    doing.
+    ``scale`` is that experiment's :class:`ServeScale`.  Every model shares
+    one Naru config (batch 256, seed 0) and every router and baseline the one
+    sample budget and seed, so each query's random stream is keyed by
+    ``(seed, global workload index)`` alone and whatever two runs disagree on
+    is the serving path's doing.
     """
 
-    def __init__(self, scale: ExperimentScale, prefix: str, *,
-                 epochs: int | None = None,
+    def __init__(self, scale: ServeScale, *, epochs: int | None = None,
                  hidden: tuple[int, ...] = (64, 64)) -> None:
         self.scale = scale
-        self.prefix = prefix
-        self.samples = self.size("samples")
         config = NaruConfig(
-            epochs=self.size("epochs") if epochs is None else epochs,
+            epochs=scale.epochs if epochs is None else epochs,
             hidden_sizes=hidden, batch_size=256,
-            progressive_samples=self.samples, seed=0)
+            progressive_samples=scale.samples, seed=0)
         self.registry = ModelRegistry(default_config=config)
-
-    def size(self, field: str):
-        return getattr(self.scale, f"{self.prefix}_{field}")
 
     def register_users_sessions(self, *, join: bool = False) -> None:
         """A users dimension and a sessions fact table, optionally with their
         equi-join — served exactly like a base table, per §4.1."""
-        users = self.size("users")
+        users = self.scale.users
         self.registry.register_table(make_users(users))
-        self.registry.register_table(make_sessions(self.size("rows"),
+        self.registry.register_table(make_sessions(self.scale.rows,
                                                    num_users=users))
         if join:
             self.registry.register_join(
@@ -638,19 +655,37 @@ class _ServeFleet:
         self.registry.fit_all()
         relations = {name: self.registry.relation(name)
                      for name in self.registry.names}
-        return build(relations, self.size("queries"), **options)
+        return build(relations, self.scale.queries, **options)
 
     def router(self, fleet_class=FleetRouter, *, batch_size: int | None = None,
                **options):
         return fleet_class(self.registry,
-                           batch_size=batch_size or self.size("batch_size"),
-                           num_samples=self.samples, seed=0, **options)
+                           batch_size=batch_size or self.scale.batch_size,
+                           num_samples=self.scale.samples, seed=0, **options)
 
     def sequential(self, queries: list):
         """The baseline every drift is measured against: one unbatched,
         uncached, unfused sampler pass per query, models visited in turn."""
         return run_fleet_sequential(self.registry, queries,
-                                    num_samples=self.samples, seed=0)
+                                    num_samples=self.scale.samples, seed=0)
+
+
+def estimates_digest(selectivities) -> dict:
+    """What a tracked report keeps of a run's estimates: a claim, not a copy.
+
+    ``sha256`` hashes the estimates as contiguous little-endian float64
+    bytes, so a moved bit still changes the tracked file; ``count``, ``min``
+    and ``max`` are exact.
+    """
+    values = np.ascontiguousarray(selectivities, dtype="<f8")
+    return {"count": int(values.size),
+            "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
+            "min": float(values.min()), "max": float(values.max())}
+
+
+def _route_counts(served) -> dict[str, int]:
+    """How many of a run's queries each route answered."""
+    return dict(sorted(Counter(result.route for result in served.results).items()))
 
 
 def _max_drift(report, reference) -> float:
@@ -717,13 +752,15 @@ def _cold_warm_passes(baseline, serve, queries: list) -> dict:
 
 
 def _serve_result(title: str, report: dict, rows: list[dict], timing: dict,
-                  timing_rows: list[dict]) -> dict:
+                  timing_rows: list[dict], selectivities=None) -> dict:
     """Assemble a ``serve_*`` result: each part's text renders its own dict.
 
     The title line of ``text`` lists every scalar of ``report`` (of
     ``timing_text``, every scalar of ``timing``) above a table of ``rows``
     (``timing_rows``), so no reading can be in a JSON file and missing from
     the text beside it, or cross from one part's text into the other's.
+    Given the run's ``selectivities``, the report keeps their digest under
+    ``estimates``; the result keeps the array itself (``None`` without).
     """
     def render(part: dict, table: list[dict]) -> str:
         scalars = ", ".join(
@@ -733,8 +770,11 @@ def _serve_result(title: str, report: dict, rows: list[dict], timing: dict,
         return format_series(table, list(table[0]),
                              f"{title}: {scalars}" if scalars else title)
 
+    if selectivities is not None:
+        report["estimates"] = estimates_digest(selectivities)
     return {"text": render(report, rows), "report": report,
-            "timing_text": render(timing, timing_rows), "timing": timing}
+            "timing_text": render(timing, timing_rows), "timing": timing,
+            "selectivities": selectivities}
 
 
 def serve_throughput(scale: ExperimentScale | None = None) -> dict:
@@ -753,22 +793,21 @@ def serve_throughput(scale: ExperimentScale | None = None) -> dict:
     by construction (every kernel is row-exact).  Queries/second and the
     cold and warm speedups are the timing part.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve")
-    fleet.registry.register_table(make_census(scale.serve_rows))
+    scale = (scale or active_scale()).serve_throughput
+    fleet = _ServeFleet(scale)
+    fleet.registry.register_table(make_census(scale.rows))
     queries = fleet.workload(min_filters=5, max_filters=11)
     naru = fleet.registry.estimator("census")
-    engine = EstimationEngine(naru, batch_size=scale.serve_batch_size,
-                              num_samples=fleet.samples, seed=0)
+    engine = EstimationEngine(naru, batch_size=scale.batch_size,
+                              num_samples=scale.samples, seed=0)
     passes = _cold_warm_passes(
         lambda workload: run_sequential(naru, workload,
-                                        num_samples=fleet.samples, seed=0),
+                                        num_samples=scale.samples, seed=0),
         engine.run, queries)
     report = {
         "max_estimate_drift": max(passes["drift"], passes["warm_drift"]),
         "num_queries": len(queries),
         "counts": passes["counts"],
-        "estimates": passes["warm"].selectivities.tolist(),
     }
     rows = [{"mode": mode, "batches": tally["num_batches"],
              "forward_calls": tally["forward_calls"],
@@ -778,9 +817,10 @@ def serve_throughput(scale: ExperimentScale | None = None) -> dict:
             for mode, tally in passes["counts"].items()]
     return _serve_result(
         f"Serving throughput vs the unfused sequential baseline "
-        f"({fleet.samples} samples, batch={scale.serve_batch_size})",
+        f"({scale.samples} samples, batch={scale.batch_size})",
         report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
+        passes["warm"].selectivities)
 
 
 def serve_multi(scale: ExperimentScale | None = None) -> dict:
@@ -796,8 +836,8 @@ def serve_multi(scale: ExperimentScale | None = None) -> dict:
     holds the routing audit and the per-route counts, the timing part the
     fleet queries/second and the routed-vs-sequential speedup.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve_multi")
+    scale = (scale or active_scale()).serve_multi
+    fleet = _ServeFleet(scale)
     fleet.register_users_sessions(join=True)
     queries = fleet.workload()
     passes = _cold_warm_passes(fleet.sequential, fleet.router().run, queries)
@@ -810,8 +850,7 @@ def serve_multi(scale: ExperimentScale | None = None) -> dict:
         "model_storage_bytes": fleet.registry.size_bytes(),
         "num_queries": len(queries),
         "counts": passes["counts"],
-        "estimates": warm.selectivities.tolist(),
-        "routes": [result.route for result in warm.results],
+        "routes": _route_counts(warm),
     }
     rows = [{"route": route, "queries": tally["num_queries"],
              "batches": tally["num_batches"],
@@ -820,21 +859,22 @@ def serve_multi(scale: ExperimentScale | None = None) -> dict:
             for route, tally in passes["counts"]["warm"]["routes"].items()]
     return _serve_result(
         f"Multi-model serving vs N sequential engines "
-        f"(batch={scale.serve_multi_batch_size})",
+        f"(batch={scale.batch_size})",
         report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
+        warm.selectivities)
 
 
 def serve_replicated(scale: ExperimentScale | None = None) -> dict:
     """Beyond the paper: replicated hot-relation serving with admission control.
 
-    A skewed mixed workload (``serve_repl_hot_fraction`` of the queries hammer
+    A skewed mixed workload (``hot_fraction`` of the queries hammer
     the sessions fact table) is answered four ways over the same two trained
     models:
 
     * ``sequential`` — the single-engine-per-relation baseline,
     * ``cold`` / ``warm`` — a :class:`repro.serve.FleetRouter` with the hot
-      relation at ``serve_repl_replicas`` engine replicas, a bounded pending
+      relation at ``replicas`` engine replicas, a bounded pending
       queue (``max_pending``, ``block`` policy) and the fleet-wide exact-match
       result cache; the warm pass replays the workload against hot caches,
     * ``replicas=1`` — the same router configuration without replication,
@@ -845,11 +885,11 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
     deliberately tiny ``max_pending`` under the ``shed`` policy demonstrates
     load shedding and the typed accounting around it.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve_repl")
+    scale = (scale or active_scale()).serve_replicated
+    fleet = _ServeFleet(scale)
     fleet.register_users_sessions()
-    fleet.registry.set_replicas("sessions", scale.serve_repl_replicas)
-    hot = scale.serve_repl_hot_fraction
+    fleet.registry.set_replicas("sessions", scale.replicas)
+    hot = scale.hot_fraction
     queries = fleet.workload(weights={"users": 1.0 - hot, "sessions": hot})
     # Precondition of the warm-replay exactness claims below: an exact-match
     # cache may only hit on a true replay, so the workload must be free of
@@ -859,9 +899,9 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
     if len(set(keys)) != len(keys):
         raise RuntimeError(
             "serve_replicated needs a duplicate-free workload (the generated "
-            "one collided); adjust the scale's serve_repl_* knobs")
+            "one collided); adjust scale.serve_replicated")
 
-    bounded = {"max_pending": scale.serve_repl_max_pending, "overflow": "block"}
+    bounded = {"max_pending": scale.max_pending, "overflow": "block"}
     passes = _cold_warm_passes(
         fleet.sequential, fleet.router(result_cache=True, **bounded).run, queries)
     warm = passes["warm"]
@@ -870,7 +910,7 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
     # through an unreplicated router of the same shape and compare.
     fleet.registry.set_replicas("sessions", 1)
     replica_drift = _max_drift(passes["cold"], fleet.router(**bounded).run(queries))
-    fleet.registry.set_replicas("sessions", scale.serve_repl_replicas)
+    fleet.registry.set_replicas("sessions", scale.replicas)
 
     # Load-shedding demonstration: a group bounded far below the burst size
     # refuses the overflow loudly and accounts for every refusal.
@@ -888,7 +928,6 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
         "result_cache": warm.stats.result_cache,
         "result_cache_hits": warm.result_cache_hits,
         "counts": passes["counts"],
-        "estimates": warm.selectivities.tolist(),
     }
     rows = [{"mode": mode, "route": route, "replicas": tally["num_replicas"],
              "batches": tally["num_batches"],
@@ -897,17 +936,18 @@ def serve_replicated(scale: ExperimentScale | None = None) -> dict:
             for route, tally in passes["counts"][mode]["routes"].items()]
     return _serve_result(
         f"Replicated hot-relation serving vs one sequential engine per "
-        f"relation (sessions x{scale.serve_repl_replicas} replicas, "
-        f"max_pending={scale.serve_repl_max_pending})",
+        f"relation (sessions x{scale.replicas} replicas, "
+        f"max_pending={scale.max_pending})",
         report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)))
+        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
+        warm.selectivities)
 
 
 def serve_stream(scale: ExperimentScale | None = None) -> dict:
     """Beyond the paper: end-to-end latency SLOs under paced bursty arrivals.
 
     A bursty workload (the hot relation's queries arrive in uninterrupted
-    runs of ``serve_stream_burst``, see
+    runs of ``burst``, see
     :func:`repro.serve.generate_bursty_workload`) is streamed query-by-query
     with a *paced* arrival process: a hybrid
     :class:`repro.serve.VirtualClock` rides on the real clock, and every
@@ -918,12 +958,12 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     ways over the same trained models (conditional caches off):
 
     * ``fixed`` — a plain :class:`repro.serve.FleetRouter` at the maximum
-      micro-batch size.  Its measured hot-route **end-to-end** p95 (queueing
+      micro-batch size (the scale's ``batch_size``).  Its measured hot-route **end-to-end** p95 (queueing
       delay + dispatch) calibrates the stated SLO:
-      ``serve_stream_slo_fraction`` of it.
+      :data:`SERVE_STREAM_SLO_FRACTION` of it.
     * ``e2e-*`` — the same router with ``slo_ms`` set (its controller
       observes queue wait + dispatch) plus a flush deadline of
-      ``serve_stream_flush_fraction`` of the SLO bounding how long a
+      :data:`SERVE_STREAM_FLUSH_FRACTION` of the SLO bounding how long a
       partial batch may linger.  The warmup pass starts at the maximum
       batch size; the steady pass must meet the end-to-end SLO.
     * ``streamed-shuffled`` — the e2e configuration with a *shuffled*
@@ -939,15 +979,14 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     bounding tail wait with the flush timeout) makes the fleet meet an SLO,
     stated against what a submitter experiences, that the fixed batch misses.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve_stream")
+    scale = (scale or active_scale()).serve_stream
+    fleet = _ServeFleet(scale)
     fleet.register_users_sessions()
-    hot = scale.serve_stream_hot_fraction
+    hot = scale.hot_fraction
     queries = fleet.workload(
-        generate_bursty_workload, hot="sessions",
-        burst_size=scale.serve_stream_burst,
+        generate_bursty_workload, hot="sessions", burst_size=scale.burst,
         weights={"users": 1.0 - hot, "sessions": hot})
-    max_batch = scale.serve_stream_max_batch
+    max_batch = scale.batch_size
     baseline = fleet.sequential(queries)
 
     # Calibrate the arrival pacing: one unpaced max-batch probe measures the
@@ -969,9 +1008,9 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
 
     modes = {"fixed": paced(paced_router())}
     fixed_e2e_p95 = modes["fixed"][0].stats.routes["sessions"]["e2e_ms"]["p95"]
-    slo_ms = fixed_e2e_p95 * scale.serve_stream_slo_fraction
+    slo_ms = fixed_e2e_p95 * SERVE_STREAM_SLO_FRACTION
     steering = {"slo_ms": slo_ms,
-                "flush_after_ms": slo_ms * scale.serve_stream_flush_fraction}
+                "flush_after_ms": slo_ms * SERVE_STREAM_FLUSH_FRACTION}
 
     # The controller observes end-to-end latency and the flush deadline
     # bounds how long a partial batch may linger.
@@ -1001,7 +1040,6 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         "max_estimate_drift": max(row["max_estimate_drift"] for row in rows),
         "hot_queries": sum(query.table == "sessions" for query in queries),
         "num_queries": len(queries),
-        "estimates": steady.selectivities.tolist(),
     }
     timing = {
         **steering,
@@ -1019,10 +1057,10 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     }
     return _serve_result(
         f"End-to-end SLOs + streaming (sessions in bursts of "
-        f"{scale.serve_stream_burst}, max batch {max_batch}, e2e p95 SLO = "
-        f"{scale.serve_stream_slo_fraction:.0%} of the fixed batch's, flush "
-        f"timeout = {scale.serve_stream_flush_fraction:.0%} of the SLO)",
-        report, rows, timing, timing_rows)
+        f"{scale.burst}, max batch {max_batch}, e2e p95 SLO = "
+        f"{SERVE_STREAM_SLO_FRACTION:.0%} of the fixed batch's, flush "
+        f"timeout = {SERVE_STREAM_FLUSH_FRACTION:.0%} of the SLO)",
+        report, rows, timing, timing_rows, steady.selectivities)
 
 
 def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
@@ -1035,9 +1073,9 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
 
     * ``sequential`` — one unbatched, uncached sampler pass per query,
     * ``cold`` / ``warm`` — the in-process :class:`repro.serve.FleetRouter`
-      with every relation at ``serve_proc_workers`` replicas,
+      with every relation at ``workers`` replicas,
     * ``procfleet-*`` — a :class:`repro.serve.ProcessFleet` of
-      ``serve_proc_workers`` OS worker processes hosting those same replicas
+      ``workers`` OS worker processes hosting those same replicas
       (one per worker), models shipped via :mod:`repro.nn.serialization`.
 
     The process boundary must not change a single bit: ``fleet_drift``
@@ -1058,14 +1096,14 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     alongside.  ``host_cpus`` is recorded so a reader can tell which regime
     produced the numbers.
     """
-    scale = scale or active_scale()
-    workers = scale.serve_proc_workers
+    scale = (scale or active_scale()).serve_procfleet
+    workers = scale.workers
     # (32, 32) hidden layers, not the (64, 64) of the in-process serving
     # benches: N workers time-slicing a small CI host each keep a private
     # copy of the model, and the smaller working set stays cache-resident
     # across context switches — the capacity numbers measure serving, not
     # the host's L2.
-    fleet = _ServeFleet(scale, "serve_proc", hidden=(32, 32))
+    fleet = _ServeFleet(scale, hidden=(32, 32))
     fleet.register_users_sessions(join=True)
     queries = fleet.workload()
     # One replica of every relation per worker: each worker serves the whole
@@ -1101,7 +1139,6 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
                            for worker, stats in worker_stats.items()},
         "counts": {**passes["counts"],
                    "procfleet": _counts(proc.stats.as_dict())},
-        "estimates": proc.selectivities.tolist(),
     }
     rows = [{"worker": worker, "engines": len(stats["engines"]),
              "queries": stats["num_queries"]}
@@ -1119,8 +1156,9 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     return _serve_result(
         f"Cross-process fleet vs the single-process fleet's warm pass "
         f"({workers} workers x {len(fleet.registry)} relations, "
-        f"batch={scale.serve_proc_batch_size})",
-        report, rows, timing, _throughput_rows(wall_s, len(queries)))
+        f"batch={scale.batch_size})",
+        report, rows, timing, _throughput_rows(wall_s, len(queries)),
+        proc.selectivities)
 
 
 def serve_refresh(scale: ExperimentScale | None = None) -> dict:
@@ -1150,24 +1188,23 @@ def serve_refresh(scale: ExperimentScale | None = None) -> dict:
     the replays actually collided with pre-bump cache state rather than
     never touching it.
     """
-    scale = scale or active_scale()
-    table = make_dmv(scale.serve_refresh_rows)
-    ingest = PartitionedIngest(table, "valid_date",
-                               scale.serve_refresh_partitions)
+    scale = (scale or active_scale()).serve_refresh
+    table = make_dmv(scale.rows)
+    ingest = PartitionedIngest(table, "valid_date", scale.partitions)
     visible = ingest.ingest_next()
 
     # Full-table dictionaries ("domain from user annotation", §6.7.3), model
     # trained only on the first partition — the serving twin of table8.
-    fleet = _ServeFleet(scale, "serve_refresh", epochs=0)
+    fleet = _ServeFleet(scale, epochs=0)
     registry = fleet.registry
     estimator = NaruEstimator(table, registry.default_config)
     estimator.refresh(encode_with_dictionaries(table, visible),
-                      epochs=scale.serve_refresh_epochs)
+                      epochs=scale.epochs)
     estimator.set_row_count(visible.num_rows)
     registry.register_table(visible, name="dmv", estimator=estimator)
     controller = RefreshController(
         registry, max_staleness=0,
-        refresh_epochs=scale.serve_refresh_fine_tune_epochs)
+        refresh_epochs=scale.fine_tune_epochs)
     queries = fleet.workload(min_filters=5, max_filters=11, seed=900)
 
     def router_for() -> FleetRouter:
@@ -1218,12 +1255,12 @@ def serve_refresh(scale: ExperimentScale | None = None) -> dict:
         "results": rows,
         "result_cache": cache_stats,
         "epochs": refreshed.stats.epochs,
-        "estimates": refreshed.selectivities.tolist(),
     }
     return _serve_result(
         f"Live refresh under partitioned ingest (DMV by date, "
-        f"{scale.serve_refresh_partitions} partitions)",
-        report, rows, {"replays": timing_rows}, timing_rows)
+        f"{scale.partitions} partitions)",
+        report, rows, {"replays": timing_rows}, timing_rows,
+        refreshed.selectivities)
 
 
 def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
@@ -1239,8 +1276,8 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     Calibration first, so the claim is hardware-independent: a closed-loop
     probe at the full micro-batch size measures the host's capacity
     (completions per wall-second) and its e2e p95; the stated SLO is
-    ``serve_loadgen_slo_multiplier`` times that p95, and the sweep offers
-    ``serve_loadgen_rate_fractions`` times that capacity.  Each rung of the
+    :data:`SERVE_LOADGEN_SLO_MULTIPLIER` times that p95, and the sweep offers
+    the scale's ``rate_fractions`` times that capacity.  Each rung of the
     ladder gets a fresh admission-bounded router (``max_pending``,
     ``overflow="shed"``) and its own Poisson arrival sequence; the rows
     trace offered vs achieved throughput, shed counts, the pending
@@ -1266,13 +1303,13 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     load → save must be byte-identical, and the loaded trace must reproduce
     the arrival sequence exactly.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve_loadgen")
+    scale = (scale or active_scale()).serve_loadgen
+    fleet = _ServeFleet(scale)
     fleet.register_users_sessions()
     for name in fleet.registry.names:
-        fleet.registry.set_replicas(name, scale.serve_loadgen_replicas)
+        fleet.registry.set_replicas(name, scale.replicas)
     queries = fleet.workload()
-    max_pending = scale.serve_loadgen_max_pending
+    max_pending = scale.max_pending
 
     def cycled(count: int) -> list:
         return [queries[position % len(queries)] for position in range(count)]
@@ -1292,7 +1329,7 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     probe, probe_s = _timed(fleet.router().run, queries)
     capacity_qps = len(queries) / probe_s
     probe_e2e_p95 = probe.stats.e2e_ms["p95"]
-    slo_ms = probe_e2e_p95 * scale.serve_loadgen_slo_multiplier
+    slo_ms = probe_e2e_p95 * SERVE_LOADGEN_SLO_MULTIPLIER
 
     def fresh_router() -> FleetRouter:
         # A partial micro-batch may linger at most one probe-p95 before it
@@ -1302,11 +1339,10 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
                             flush_after_ms=probe_e2e_p95,
                             clock=VirtualClock(base=time.perf_counter))
 
-    duration_s = scale.serve_loadgen_duration_s
-    rates = [fraction * capacity_qps
-             for fraction in scale.serve_loadgen_rate_fractions]
+    duration_s = scale.duration_s
+    rates = [fraction * capacity_qps for fraction in scale.rate_fractions]
     curve = [{"rate_fraction": fraction, **row} for fraction, row in zip(
-        scale.serve_loadgen_rate_fractions,
+        scale.rate_fractions,
         sweep_offered_load(fresh_router, queries, rates, duration_s=duration_s,
                            process="poisson", seed=0))]
 
@@ -1333,11 +1369,10 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     # implied.  Where past the kill the error surfaces (a later submit, or
     # the collect) is up to the pipe — ``submitted`` is a timing reading,
     # like the pid and the wall time.
-    with fleet.router(ProcessFleet, workers=scale.serve_loadgen_workers,
+    with fleet.router(ProcessFleet, workers=scale.workers,
                       recv_timeout_s=30.0) as proc_fleet:
         chaos["kill_worker"] = run_kill_worker_drill(
-            proc_fleet, cycled(max(4 * scale.serve_loadgen_batch_size
-                                   * scale.serve_loadgen_workers, 64)))
+            proc_fleet, cycled(max(4 * scale.batch_size * scale.workers, 64)))
     scenarios["kill_worker"] = {
         key: chaos["kill_worker"][key] for key in
         ("killed_worker", "kill_after", "typed_error", "error_type",
@@ -1356,12 +1391,11 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
         "curve": curve,
         "chaos": chaos,
     }
-    fractions = "/".join(f"{fraction:g}"
-                         for fraction in scale.serve_loadgen_rate_fractions)
+    fractions = "/".join(f"{fraction:g}" for fraction in scale.rate_fractions)
     return _serve_result(
         f"Open-loop load (Poisson arrivals at {fractions}x the probed "
         f"closed-loop capacity, max_pending {max_pending}, overflow shed, "
-        f"e2e p95 SLO = {scale.serve_loadgen_slo_multiplier:g}x the probe's, "
+        f"e2e p95 SLO = {SERVE_LOADGEN_SLO_MULTIPLIER:g}x the probe's, "
         f"measured from each query's *scheduled* arrival; chaos at the mid "
         f"rate)",
         report,
@@ -1375,9 +1409,9 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
     """Beyond the paper: a widened query language served by estimator ensembles.
 
     The paper's workload is purely conjunctive.  This benchmark widens it —
-    a ``dnf_fraction`` share of the workload becomes DNF disjunctions
-    (branch counts alternating between 2 and 6) and a ``like_fraction``
-    share becomes ``LIKE 'x%'`` string prefixes — and serves it through
+    a :data:`SERVE_ENS_DNF_FRACTION` share of the workload becomes DNF
+    disjunctions (branch counts alternating between 2 and 6) and a
+    :data:`SERVE_ENS_LIKE_FRACTION` share becomes ``LIKE 'x%'`` string prefixes — and serves it through
     per-relation *ensembles*: the Naru primary answers prefixes (one more
     valid-code mask) and small disjunctions by inclusion–exclusion, while
     disjunctions above ``max_dnf_branches`` route to a
@@ -1400,17 +1434,17 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
     fallbacks side by side, with their p95 end-to-end latency in the timing
     part.
     """
-    scale = scale or active_scale()
-    fleet = _ServeFleet(scale, "serve_ens")
+    scale = (scale or active_scale()).serve_ensemble
+    fleet = _ServeFleet(scale)
     fleet.register_users_sessions()
     registry = fleet.registry
     for name in registry.names:
         registry.set_fallback(name, SamplingEstimator(
             registry.relation(name),
-            sample_size=scale.serve_ens_fallback_sample, seed=0))
+            sample_size=scale.fallback_sample, seed=0))
     queries = fleet.workload(
-        generate_shape_workload, dnf_fraction=scale.serve_ens_dnf_fraction,
-        like_fraction=scale.serve_ens_like_fraction, dnf_branches=(2, 6))
+        generate_shape_workload, dnf_fraction=SERVE_ENS_DNF_FRACTION,
+        like_fraction=SERVE_ENS_LIKE_FRACTION, dnf_branches=(2, 6))
     shape_mix = {}
     for query in queries:
         shape = query_shape(query).value
@@ -1447,10 +1481,10 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
 
     # Inclusion–exclusion oracle identity: with exact per-term estimates the
     # expansion must reproduce the exact union selectivity to round-off.
-    oracle_table = make_users(scale.serve_ens_oracle_rows)
+    oracle_table = make_users(scale.oracle_rows)
     oracle_queries = [
         query for query in generate_shape_workload(
-            {"users": oracle_table}, scale.serve_ens_oracle_queries,
+            {"users": oracle_table}, scale.oracle_queries,
             dnf_fraction=1.0, like_fraction=0.0, dnf_branches=(2, 3),
             min_filters=1, max_filters=2, seed=1)
         if isinstance(query, DNFQuery)]
@@ -1474,8 +1508,7 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
         "num_queries": len(queries),
         "shape_mix": shape_mix,
         "accuracy_by_estimator": accuracy,
-        "estimates": served.selectivities.tolist(),
-        "routes": [result.route for result in served.results],
+        "routes": _route_counts(served),
     }
     timing = {"estimators": latency,
               "stats": {"fleet": served.stats.as_dict(),
@@ -1492,4 +1525,5 @@ def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
          for name, entry in sorted(accuracy.items())],
         timing,
         [{"estimator": name, "e2e_p95_ms": entry["e2e_ms"]["p95"]}
-         for name, entry in sorted(latency.items())])
+         for name, entry in sorted(latency.items())],
+        served.selectivities)

@@ -3,7 +3,8 @@
 The paper's evaluation uses millions of rows, 2,000 queries per workload and a
 GPU.  This reproduction trains NumPy models on a CPU, so every experiment
 accepts a :class:`ExperimentScale` that controls dataset sizes, query counts
-and training epochs.  Two presets are provided:
+and training epochs, with one :class:`ServeScale` per serving experiment.  Two
+presets are provided:
 
 * ``SMOKE``  — minutes-scale runs used by the pytest benchmarks and CI,
 * ``PAPER``  — larger runs closer to the published setup (hours on a laptop).
@@ -17,12 +18,43 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["ExperimentScale", "SMOKE", "PAPER", "active_scale"]
+__all__ = ["ExperimentScale", "ServeScale", "SMOKE", "PAPER", "active_scale"]
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServeScale:
+    """The sizes of one ``serve_*`` experiment.
+
+    The first six are every experiment's: rows of its fact table and of its users
+    dimension (0 if none), queries, sample paths per estimate, micro-batch size
+    and training epochs.  The rest are read only by the experiments named beside them.
+    """
+
+    rows: int
+    users: int = 0
+    queries: int
+    samples: int
+    batch_size: int
+    epochs: int
+    replicas: int = 1  # serve_replicated (hot relation), serve_loadgen
+    max_pending: int = 0  # serve_replicated, serve_loadgen: admission bound
+    hot_fraction: float = 0.0  # serve_replicated, serve_stream: sessions share
+    burst: int = 0  # serve_stream: hot queries per uninterrupted run
+    workers: int = 0  # serve_procfleet, serve_loadgen: OS worker processes
+    partitions: int = 0  # serve_refresh: ingest partitions
+    fine_tune_epochs: int = 0  # serve_refresh: epochs of the one refresh
+    duration_s: float = 0.0  # serve_loadgen: seconds per offered rate
+    #: serve_loadgen: offered rates as multiples of the probed capacity, from
+    #: well under to far over saturation so the knee lies inside the sweep.
+    rate_fractions: tuple[float, ...] = ()
+    fallback_sample: int = 0  # serve_ensemble: the sampling fallback's rows
+    oracle_rows: int = 0  # serve_ensemble: the identity check's table
+    oracle_queries: int = 0  # serve_ensemble: the identity check's queries
 
 
 @dataclass(frozen=True)
 class ExperimentScale:
-    """Knobs shared by all experiments."""
+    """Knobs shared by all experiments, and one ``ServeScale`` per serving one."""
 
     name: str
     dmv_rows: int
@@ -45,120 +77,14 @@ class ExperimentScale:
     oracle_queries: int
     shift_queries: int
     shift_partitions: int
-    # Serving-throughput experiment (repro.serve); defaulted so existing
-    # presets and overrides keep working unchanged.
-    serve_rows: int = 2_000
-    serve_queries: int = 64
-    serve_samples: int = 1_500
-    serve_batch_size: int = 16
-    serve_epochs: int = 8
-    # Multi-model fleet experiment (serve_multi): two base tables plus one
-    # join relation behind a FleetRouter; defaulted for the same reason.
-    serve_multi_rows: int = 3_000
-    serve_multi_users: int = 400
-    serve_multi_queries: int = 60
-    serve_multi_samples: int = 800
-    serve_multi_batch_size: int = 16
-    serve_multi_epochs: int = 6
-    # Replicated hot-relation experiment (serve_replicated): a skewed
-    # workload hammers one relation served by N engine replicas behind an
-    # admission-controlled router with a fleet result cache.
-    serve_repl_rows: int = 3_000
-    serve_repl_users: int = 300
-    serve_repl_queries: int = 72
-    serve_repl_samples: int = 800
-    serve_repl_batch_size: int = 12
-    serve_repl_epochs: int = 6
-    serve_repl_replicas: int = 4
-    serve_repl_hot_fraction: float = 0.75
-    serve_repl_max_pending: int = 48
-    # Streaming/SLO experiment (serve_stream): a bursty workload served with
-    # a fixed max-size micro-batch vs an SLO-adaptive one, plus a
-    # shuffled-arrival asyncio streaming pass proving streaming ≡ batch.
-    serve_stream_rows: int = 3_000
-    serve_stream_users: int = 300
-    serve_stream_queries: int = 120
-    serve_stream_samples: int = 500
-    serve_stream_epochs: int = 6
-    serve_stream_max_batch: int = 24
-    serve_stream_burst: int = 12
-    serve_stream_hot_fraction: float = 0.75
-    #: The stated p95 end-to-end SLO, as a fraction of the measured
-    #: fixed-batch end-to-end p95 — calibrated per machine so the
-    #: benchmark's claim ("the fixed batch misses the e2e SLO the
-    #: SLO-steered router meets") is hardware-independent.  0.35 keeps the
-    #: SLO well below what the fixed batch delivers while leaving the
-    #: steered router room across converged-batch-size noise.
-    serve_stream_slo_fraction: float = 0.35
-    #: The flush deadline of the e2e-scoped run, as a fraction of the stated
-    #: SLO: a partially filled micro-batch may spend at most this share of
-    #: the latency budget waiting before it is force-dispatched.
-    serve_stream_flush_fraction: float = 0.25
-    # Cross-process fleet experiment (serve_procfleet): the same mixed
-    # workload served by the single-process fleet and by a ProcessFleet of
-    # serve_proc_workers OS processes (one replica per worker), reporting
-    # wall-clock and critical-path capacity throughput plus estimate drift.
-    serve_proc_rows: int = 2_500
-    serve_proc_users: int = 300
-    serve_proc_queries: int = 192
-    serve_proc_samples: int = 600
-    serve_proc_batch_size: int = 12
-    serve_proc_epochs: int = 5
-    serve_proc_workers: int = 4
-    # Live-refresh experiment (serve_refresh): a PartitionedIngest replayed
-    # against a fleet with an epoch-keyed result cache — the stale model's
-    # q-error degrades partition by partition, one fine-tune refresh
-    # recovers it, and a cold-router cross-check proves zero invalid cache
-    # hits survived the epoch bumps.
-    serve_refresh_rows: int = 3_000
-    serve_refresh_queries: int = 48
-    serve_refresh_samples: int = 600
-    serve_refresh_batch_size: int = 12
-    serve_refresh_epochs: int = 6
-    serve_refresh_partitions: int = 4
-    serve_refresh_fine_tune_epochs: int = 1
-    # Open-loop load-generation experiment (serve_loadgen): a closed-loop
-    # probe calibrates the host's capacity, then a ladder of offered rates
-    # (fractions of that capacity) is swept open-loop to trace the
-    # latency-vs-offered-load curve and locate the SLO knee, with chaos
-    # scenarios (slow replica, cache wipe, worker kill) asserted
-    # degraded-not-collapsed at the mid rate.
-    serve_loadgen_rows: int = 2_000
-    serve_loadgen_users: int = 200
-    serve_loadgen_queries: int = 48
-    serve_loadgen_samples: int = 400
-    serve_loadgen_batch_size: int = 8
-    serve_loadgen_epochs: int = 5
-    serve_loadgen_replicas: int = 2
-    serve_loadgen_max_pending: int = 32
-    serve_loadgen_duration_s: float = 1.5
-    #: Offered rates of the sweep, as multiples of the probed closed-loop
-    #: capacity — spanning comfortably-under to far-over saturation so the
-    #: knee always lies inside the swept range.
-    serve_loadgen_rate_fractions: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    #: The stated e2e p95 SLO, as a multiple of the closed-loop probe's e2e
-    #: p95 — calibrated per machine (like serve_stream_slo_fraction) so the
-    #: knee's existence is hardware-independent: generous enough that the
-    #: lowest offered rates meet it, tight enough that overload misses it.
-    serve_loadgen_slo_multiplier: float = 4.0
-    serve_loadgen_workers: int = 2
-    # Estimator-ensemble experiment (serve_ensemble): a widened workload —
-    # DNF disjunctions and LIKE prefixes alongside plain conjunctions —
-    # served by per-relation ensembles: Naru primaries answer small
-    # disjunctions by inclusion–exclusion while many-branch disjunctions
-    # route to a sampling fallback, with per-estimator accuracy/latency
-    # columns and an exact inclusion–exclusion oracle identity check.
-    serve_ens_rows: int = 2_400
-    serve_ens_users: int = 300
-    serve_ens_queries: int = 64
-    serve_ens_samples: int = 600
-    serve_ens_batch_size: int = 12
-    serve_ens_epochs: int = 5
-    serve_ens_fallback_sample: int = 1_024
-    serve_ens_dnf_fraction: float = 0.25
-    serve_ens_like_fraction: float = 0.25
-    serve_ens_oracle_rows: int = 160
-    serve_ens_oracle_queries: int = 12
+    serve_throughput: ServeScale
+    serve_multi: ServeScale
+    serve_replicated: ServeScale
+    serve_stream: ServeScale
+    serve_procfleet: ServeScale
+    serve_refresh: ServeScale
+    serve_loadgen: ServeScale
+    serve_ensemble: ServeScale
 
 
 SMOKE = ExperimentScale(
@@ -183,6 +109,22 @@ SMOKE = ExperimentScale(
     oracle_queries=30,
     shift_queries=40,
     shift_partitions=5,
+    serve_throughput=ServeScale(rows=2_000, queries=64, samples=1_500, batch_size=16, epochs=8),
+    serve_multi=ServeScale(rows=3_000, users=400, queries=60, samples=800, batch_size=16, epochs=6),
+    serve_replicated=ServeScale(rows=3_000, users=300, queries=72, samples=800, batch_size=12,
+                                epochs=6, replicas=4, hot_fraction=0.75, max_pending=48),
+    serve_stream=ServeScale(rows=3_000, users=300, queries=120, samples=500, batch_size=24,
+                            epochs=6, burst=12, hot_fraction=0.75),
+    serve_procfleet=ServeScale(rows=2_500, users=300, queries=192, samples=600, batch_size=12,
+                               epochs=5, workers=4),
+    serve_refresh=ServeScale(rows=3_000, queries=48, samples=600, batch_size=12, epochs=6,
+                             partitions=4, fine_tune_epochs=1),
+    serve_loadgen=ServeScale(rows=2_000, users=200, queries=48, samples=400, batch_size=8,
+                             epochs=5, replicas=2, max_pending=32, workers=2, duration_s=1.5,
+                             rate_fractions=(0.25, 0.5, 1.0, 2.0, 4.0)),
+    serve_ensemble=ServeScale(rows=2_400, users=300, queries=64, samples=600, batch_size=12,
+                              epochs=5, fallback_sample=1_024, oracle_rows=160,
+                              oracle_queries=12),
 )
 
 PAPER = ExperimentScale(
@@ -207,70 +149,24 @@ PAPER = ExperimentScale(
     oracle_queries=50,
     shift_queries=200,
     shift_partitions=5,
-    serve_rows=6_000,
-    serve_queries=256,
-    serve_samples=2_000,
-    serve_batch_size=32,
-    serve_epochs=15,
-    serve_multi_rows=8_000,
-    serve_multi_users=800,
-    serve_multi_queries=192,
-    serve_multi_samples=1_500,
-    serve_multi_batch_size=32,
-    serve_multi_epochs=12,
-    serve_repl_rows=8_000,
-    serve_repl_users=800,
-    serve_repl_queries=240,
-    serve_repl_samples=1_500,
-    serve_repl_batch_size=24,
-    serve_repl_epochs=12,
-    serve_repl_replicas=4,
-    serve_repl_hot_fraction=0.8,
-    serve_repl_max_pending=96,
-    serve_stream_rows=8_000,
-    serve_stream_users=800,
-    serve_stream_queries=360,
-    serve_stream_samples=1_000,
-    serve_stream_epochs=12,
-    serve_stream_max_batch=32,
-    serve_stream_burst=16,
-    serve_stream_hot_fraction=0.8,
-    serve_stream_slo_fraction=0.35,
-    serve_proc_rows=8_000,
-    serve_proc_users=800,
-    serve_proc_queries=480,
-    serve_proc_samples=1_200,
-    serve_proc_batch_size=16,
-    serve_proc_epochs=12,
-    serve_proc_workers=4,
-    serve_refresh_rows=10_000,
-    serve_refresh_queries=200,
-    serve_refresh_samples=1_200,
-    serve_refresh_batch_size=16,
-    serve_refresh_epochs=12,
-    serve_refresh_partitions=5,
-    serve_refresh_fine_tune_epochs=2,
-    serve_loadgen_rows=6_000,
-    serve_loadgen_users=600,
-    serve_loadgen_queries=120,
-    serve_loadgen_samples=800,
-    serve_loadgen_batch_size=16,
-    serve_loadgen_epochs=10,
-    serve_loadgen_replicas=4,
-    serve_loadgen_max_pending=64,
-    serve_loadgen_duration_s=5.0,
-    serve_loadgen_rate_fractions=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0),
-    serve_loadgen_slo_multiplier=4.0,
-    serve_loadgen_workers=4,
-    serve_ens_rows=8_000,
-    serve_ens_users=800,
-    serve_ens_queries=192,
-    serve_ens_samples=1_200,
-    serve_ens_batch_size=16,
-    serve_ens_epochs=12,
-    serve_ens_fallback_sample=2_048,
-    serve_ens_oracle_rows=240,
-    serve_ens_oracle_queries=24,
+    serve_throughput=ServeScale(rows=6_000, queries=256, samples=2_000, batch_size=32, epochs=15),
+    serve_multi=ServeScale(rows=8_000, users=800, queries=192, samples=1_500, batch_size=32,
+                           epochs=12),
+    serve_replicated=ServeScale(rows=8_000, users=800, queries=240, samples=1_500,
+                                batch_size=24, epochs=12, replicas=4, hot_fraction=0.8,
+                                max_pending=96),
+    serve_stream=ServeScale(rows=8_000, users=800, queries=360, samples=1_000, batch_size=32,
+                            epochs=12, burst=16, hot_fraction=0.8),
+    serve_procfleet=ServeScale(rows=8_000, users=800, queries=480, samples=1_200,
+                               batch_size=16, epochs=12, workers=4),
+    serve_refresh=ServeScale(rows=10_000, queries=200, samples=1_200, batch_size=16,
+                             epochs=12, partitions=5, fine_tune_epochs=2),
+    serve_loadgen=ServeScale(rows=6_000, users=600, queries=120, samples=800, batch_size=16,
+                             epochs=10, replicas=4, max_pending=64, workers=4, duration_s=5.0,
+                             rate_fractions=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)),
+    serve_ensemble=ServeScale(rows=8_000, users=800, queries=192, samples=1_200,
+                              batch_size=16, epochs=12, fallback_sample=2_048,
+                              oracle_rows=240, oracle_queries=24),
 )
 
 

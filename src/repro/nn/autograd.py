@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "rowwise_matmul_data",
-           "masked_linear", "scatter_add_rows"]
+__all__ = ["Tensor", "no_grad", "rowwise_matmul_data", "masked_linear",
+           "scatter_add_rows"]
 
 _GRAD_ENABLED = True
 _TILE = 16  # rows per gemm: 8, 16 and 32 measured row-exact, 64 not
@@ -113,11 +113,6 @@ class no_grad:
     def __exit__(self, *exc_info) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether new operations are recorded on the autodiff tape."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -6,15 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "normal", "zeros"]
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a ``(fan_in, fan_out)`` matrix."""
-    fan_in, fan_out = shape[0], shape[-1]
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+__all__ = ["kaiming_uniform", "normal", "zeros"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from typing import Any
 
 import numpy as np
 
@@ -34,7 +33,3 @@ def load_into_module(module: Module, path: str | os.PathLike) -> Module:
     module.load_state_dict(load_state_dict(path))
     return module
 
-
-def state_dict_num_bytes(state: dict[str, Any], bytes_per_weight: int = 4) -> int:
-    """Approximate storage footprint of a state dict at float32 precision."""
-    return sum(np.asarray(value).size for value in state.values()) * bytes_per_weight

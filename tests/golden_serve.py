@@ -9,6 +9,10 @@ semantics), regenerate the fixture and commit the diff::
 
     PYTHONPATH=src python tests/golden_serve.py
 
+which prints how far the new estimates moved from the fixture it overwrites
+(max absolute and max relative drift) — the one number a round-off change
+quotes, now that ``results/serve_*.json`` keep only a digest of theirs.
+
 The recipe lives in one module (shared by the regeneration entry point, the
 ``golden_serve`` conftest fixture and the regression test) so the two sides
 can never disagree about what "the golden run" is.
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import json
 import os
+
+import numpy as np
 
 from repro.core import NaruConfig
 from repro.data import JoinSpec, make_sessions, make_users
@@ -84,8 +90,28 @@ def serve(registry: ModelRegistry, workload: list):
     return router.run(workload)
 
 
+def drift(old: list[float], new: list[float]) -> tuple[float, float]:
+    """Max absolute and max relative difference of two estimate lists
+    (relative to the old value; an old zero counts only if it moved)."""
+    old_values, new_values = np.asarray(old), np.asarray(new)
+    if old_values.shape != new_values.shape:
+        return float("inf"), float("inf")
+    absolute = np.abs(new_values - old_values)
+    relative = np.divide(absolute, np.abs(old_values),
+                         out=np.where(absolute > 0, np.inf, 0.0),
+                         where=old_values != 0)
+    return (float(absolute.max(initial=0.0)),
+            float(relative.max(initial=0.0)))
+
+
 def regenerate() -> dict:
-    """Rebuild both fixture files; returns the estimates document."""
+    """Rebuild both fixture files; returns the estimates document, with the
+    drift from the file it overwrote under ``"drift"`` (``None`` if there was
+    none)."""
+    previous = None
+    if os.path.exists(ESTIMATES_PATH):
+        with open(ESTIMATES_PATH) as handle:
+            previous = json.load(handle)["selectivities"]
     registry = build_fleet()
     workload = build_workload(registry)
     os.makedirs(DATA_DIR, exist_ok=True)
@@ -100,10 +126,16 @@ def regenerate() -> dict:
     with open(ESTIMATES_PATH, "w") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")
-    return document
+    return {**document, "drift": None if previous is None
+            else drift(previous, document["selectivities"])}
 
 
 if __name__ == "__main__":
     frozen = regenerate()
     print(f"Wrote {WORKLOAD_PATH}")
     print(f"Wrote {ESTIMATES_PATH} ({len(frozen['selectivities'])} estimates)")
+    if frozen["drift"] is None:
+        print("No previous estimates to compare against")
+    else:
+        print("Drift from the previous estimates: max absolute {:.3g}, "
+              "max relative {:.3g}".format(*frozen["drift"]))
