@@ -61,9 +61,10 @@ async def multi_producers(router: FleetRouter, queries,
     """Drive one bounded router from N concurrent producers.
 
     Each producer awaits ``submit_async``: at the group's ``max_pending``
-    the call suspends until a micro-batch dispatches (by filling up or by
-    the flush timeout), so admission control becomes cooperative queueing
-    rather than shed errors.
+    the call suspends until a micro-batch dispatches (by filling up, or by
+    the flush driver once every producer is parked and the loop goes idle),
+    so admission control becomes cooperative queueing rather than shed
+    errors.  Returns the report and the client's idle-flush count.
     """
     async with AsyncFleetClient(router) as client:
         async def produce(chunk):
@@ -72,7 +73,7 @@ async def multi_producers(router: FleetRouter, queries,
 
         await asyncio.gather(*(produce(queries[offset::producers])
                                for offset in range(producers)))
-        return await client.drain()
+        return await client.drain(), client.idle_flushes
 
 
 async def stream(router: FleetRouter, queries) -> list:
@@ -149,14 +150,17 @@ def main(num_users: int = 300, num_rows: int = 4_000, epochs: int = 5,
     # 6. Multi-producer backpressure: bound the groups well below the batch
     #    size under the *shed* policy.  Synchronous submission would storm
     #    AdmissionError; submit_async suspends the producers at the limit
-    #    and the flush timeout keeps freeing capacity — nothing is shed.
+    #    and the flush driver frees capacity whenever they all wait — nothing
+    #    is shed, and the flush timeout is left with nothing to do.
     bounded = FleetRouter(registry, batch_size=max_batch, use_cache=False,
                           num_samples=samples, seed=0,
                           max_pending=max(max_batch // 2, 1),
                           overflow="shed", flush_after_ms=25.0)
-    backpressured = asyncio.run(multi_producers(bounded, workload))
+    backpressured, idle_flushes = asyncio.run(
+        multi_producers(bounded, workload))
     print(f"Backpressure: {backpressured.stats.num_queries} queries from 4 "
           f"producers, {backpressured.stats.shed} shed, "
+          f"{idle_flushes} idle flushes, "
           f"{backpressured.stats.timeout_flushes} timeout flushes, "
           f"e2e p95 {backpressured.e2e_percentiles['p95']:.1f} ms")
 

@@ -280,6 +280,16 @@ def _print_latencies(stats) -> None:
                   f"{percentiles['p99']:.1f} ms")
 
 
+def _print_flushes(stats, idle_flushes: int = 0) -> None:
+    """Print why partial micro-batches went: the deadline or an idle loop."""
+    if stats.timeout_flushes:
+        print(f"  {stats.timeout_flushes} micro-batches dispatched by the "
+              f"flush timeout")
+    if idle_flushes:
+        print(f"  {idle_flushes} micro-batches dispatched when the event "
+              f"loop went idle")
+
+
 def _write_report(arguments, document: dict) -> None:
     """Dump the machine-readable report when ``--json`` asks for one."""
     if arguments.json:
@@ -420,8 +430,8 @@ def _serve(arguments) -> int:
         print(f"Adaptive batching on: p95 e2e SLO {arguments.slo_ms:g} ms, "
               f"micro-batches in [1, {arguments.batch_size}]")
     if arguments.flush_after_ms is not None:
-        print(f"Flush timeout on: partially filled micro-batches dispatch "
-              f"after {arguments.flush_after_ms:g} ms")
+        print(f"Flush timeout on: partially filled micro-batches wait at "
+              f"most {arguments.flush_after_ms:g} ms")
     if arguments.result_cache:
         try:
             keys = [canonical_query_key(query, route=router.resolve_route(query))
@@ -454,9 +464,7 @@ def _serve(arguments) -> int:
           f"({stats.queries_per_second:.1f} queries/s overall, "
           f"cache budget {stats.cache_entries_per_model} entries/cache)")
     _print_latencies(stats)
-    if stats.timeout_flushes:
-        print(f"  {stats.timeout_flushes} micro-batches dispatched by the "
-              f"flush timeout")
+    _print_flushes(stats)
     if stats.rows_submitted:
         print(f"  prefix dedup: {stats.rows_submitted} rows -> "
               f"{stats.unique_rows} unique ({stats.dedup_ratio:.2f}x), "
@@ -603,6 +611,7 @@ def _serve_open_loop(arguments, registry, router, queries) -> int:
           + (f" (bound {arguments.max_pending})"
              if arguments.max_pending else ""))
     _print_latencies(stats)
+    _print_flushes(stats, outcome.idle_flushes)
     for event in outcome.events:
         print(f"  chaos: {event}")
 

@@ -524,6 +524,10 @@ class OpenLoopResult:
     #: submission) any query accrued — how far behind schedule the run fell.
     max_lateness_ms: float = 0.0
     events: list[str] = field(default_factory=list)
+    #: Micro-batches the client's flush driver dispatched at loop idle (see
+    #: :attr:`~repro.serve.stream.AsyncFleetClient.idle_flushes`); the
+    #: deadline-fired ones are the report's ``timeout_flushes``.
+    idle_flushes: int = 0
 
     @property
     def e2e_p95_ms(self) -> float | None:
@@ -615,12 +619,13 @@ def run_open_loop(router: FleetRouter, queries: Sequence[Query],
     #: the latency curve honest (no coordinated omission).
     lateness_ms: dict[int, float] = {}
 
-    async def drive() -> tuple[FleetReport, float]:
+    async def drive() -> tuple[FleetReport, float, int]:
         # flush_driver in auto mode: under a real/hybrid clock a background
-        # task fires flush deadlines while pace() sleeps between arrivals
-        # (so a partial batch never waits for the *next* arrival to
-        # dispatch); under a frozen clock the inline tick below keeps the
-        # replay a pure function of the trace.
+        # task dispatches a partial batch as soon as pace() leaves the loop
+        # idle between arrivals (so it waits neither for the *next* arrival
+        # nor for its deadline, which only bounds a loop that never idles);
+        # under a frozen clock the inline tick below keeps the replay a pure
+        # function of the trace.
         client = AsyncFleetClient(router)
         ticking = router.has_flush_timeouts
         start = client.clock()
@@ -646,13 +651,14 @@ def run_open_loop(router: FleetRouter, queries: Sequence[Query],
                     router.tick()
                 await asyncio.sleep(0)  # interleave like real producers
             report = await client.drain()
-            return report, time.perf_counter() - wall_start
+            return (report, time.perf_counter() - wall_start,
+                    client.idle_flushes)
         finally:
             if scenario is not None:
                 scenario.finish(router)
             client.close()
 
-    report, wall_s = asyncio.run(drive())
+    report, wall_s, idle_flushes = asyncio.run(drive())
     completed = report.stats.num_queries
     arrival_e2es = [lateness_ms[result.index] + result.e2e_ms
                     for result in report.results
@@ -668,7 +674,7 @@ def run_open_loop(router: FleetRouter, queries: Sequence[Query],
         arrival_e2e_ms=latency_percentiles(arrival_e2es)
             if arrival_e2es else None,
         max_lateness_ms=max(lateness_ms.values(), default=0.0),
-        events=events)
+        events=events, idle_flushes=idle_flushes)
 
 
 # --------------------------------------------------------------------------- #

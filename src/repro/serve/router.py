@@ -1002,8 +1002,10 @@ class FleetRouter:
         (``None`` = batches wait indefinitely for a fill or an explicit
         flush, the pre-deadline behaviour).  Overridable per relation via
         :meth:`repro.serve.registry.ModelRegistry.register_table`'s
-        ``flush_after_ms``.  :meth:`run` ticks after every submission; the
-        asyncio client drives ticks from wall-clock deadlines.
+        ``flush_after_ms``.  The deadline is a bound, not a delay:
+        :meth:`run` ticks after every submission, and the asyncio client's
+        flush driver dispatches a partial batch as soon as its event loop
+        goes idle, leaving the deadline to bound a loop that never does.
     slo_ms:
         Router-wide target p95 **end-to-end** latency in milliseconds
         (queue wait + dispatch — what a submitter observes), overridable per
@@ -1099,6 +1101,10 @@ class FleetRouter:
         #: pending model-served queries.
         self._unreported_cached = 0
         self._next_index = 0
+        #: Calls of :meth:`submit` over the router's lifetime, routed or not:
+        #: the asyncio flush driver reads it to tell an idle event loop from
+        #: one that is still handing queries in.
+        self.submissions = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -1425,6 +1431,25 @@ class FleetRouter:
                     next_deadline = deadline
         return next_deadline
 
+    def flush_deadlined(self) -> int:
+        """Dispatch every partial micro-batch that carries a flush deadline.
+
+        An ordinary flush, not a timeout one: the asyncio flush driver calls
+        this once the event loop has gone idle, so a batch nothing else will
+        join leaves before its deadline.  Engines without a deadline keep
+        waiting for a fill or an explicit :meth:`flush`.
+
+        Returns:
+            How many micro-batches were dispatched.
+        """
+        flushed = 0
+        for group in self._groups.values():
+            for engine in group.engines:
+                if engine.flush_deadline is not None:
+                    engine.flush()
+                    flushed += 1
+        return flushed
+
     # ------------------------------------------------------------------ #
     def submit(self, query: Query, index: int | None = None) -> str:
         """Route and enqueue one query; returns the route it was assigned.
@@ -1449,6 +1474,7 @@ class FleetRouter:
         (both without consuming an index) when the query cannot be routed or
         admitted.
         """
+        self.submissions += 1
         route, role = self.resolve_serving(query)
         if self._result_cache is not None:
             # Consult the cache before materialising the route's group: a

@@ -19,7 +19,9 @@ through futures:
 Latency control is the router's, not this module's: ``FleetRouter(...,
 slo_ms=...)`` steers each relation's micro-batch size against an end-to-end
 p95 SLO and ``flush_after_ms`` bounds how long a partially filled batch may
-linger — ticks dispatch any batch whose oldest query has exceeded it.
+linger — ticks dispatch any batch whose oldest query has exceeded it.  The
+client's flush driver rarely lets a batch get that old: it dispatches a
+partial batch as soon as the event loop goes idle.
 
 Determinism is inherited, not re-implemented: every query's random stream is
 keyed by ``(seed, global submission index)`` alone, so **streaming ≡ batch
@@ -80,11 +82,13 @@ class AsyncFleetClient:
       ``max_pending`` and resumes it once capacity frees, replacing
       per-submit :class:`~repro.serve.router.AdmissionError` storms (and the
       ``block`` policy's forced early dispatch) with cooperative queueing.
-    * **Wall-clock flush driver** — when the router carries a flush deadline
-      (``flush_after_ms``), a background task sleeps until the earliest
-      deadline and ticks the router, so a lone query in a partially filled
-      batch is dispatched within the bound even if no further submissions
-      ever arrive.
+    * **Flush driver** — when the router carries a flush deadline
+      (``flush_after_ms``), a background task dispatches a partially filled
+      batch as soon as the event loop goes idle (a pass of the loop in which
+      no query reached the router), so a lone query does not wait out the
+      deadline for company that is not coming.  The deadline stays the
+      bound for a loop that never idles: the task ticks the router when it
+      passes.
 
     Parameters
     ----------
@@ -94,10 +98,11 @@ class AsyncFleetClient:
         the router's ``on_result`` observer; any previously installed
         observer keeps firing first.
     flush_driver:
-        Whether to run the wall-clock flush driver: a background asyncio
-        task that sleeps until the router's earliest flush deadline and
-        ticks it, so a partially filled micro-batch dispatches within its
-        ``flush_after_ms`` even when no further submissions arrive.
+        Whether to run the flush driver: a background asyncio task that
+        dispatches the partially filled micro-batches of routes with a
+        flush deadline once the event loop goes idle, and ticks the router
+        at the earliest deadline while it stays busy — so no batch waits
+        longer than its ``flush_after_ms``, and most wait far less.
         ``None`` (default) starts the driver exactly when the router carries
         any flush deadline; ``False`` disables it (the caller ticks the
         router itself — what :func:`stream_workload` does to stay
@@ -122,6 +127,10 @@ class AsyncFleetClient:
         #: reusing a dispatched index would silently share a random stream.
         self._used: set[int] = set()
         self._flush_driver = flush_driver
+        #: Micro-batches the flush driver dispatched because the event loop
+        #: went idle (deadline-fired ones count as the router's
+        #: ``timeout_flushes``).
+        self.idle_flushes = 0
         self._driver_task: asyncio.Task | None = None
         self._wakeup: asyncio.Event | None = None
         #: Route -> producers suspended in :meth:`acquire`, woken (to re-check
@@ -213,7 +222,8 @@ class AsyncFleetClient:
         dispatch or a ``shed`` :class:`AdmissionError`, a producer awaits
         here and is resumed once the group's pending count drops below
         ``max_pending`` (capacity frees when a micro-batch dispatches — by
-        filling up, by a flush deadline, or by another producer's flush).
+        filling up, by the flush driver once the loop idles or the deadline
+        passes, or by another producer's flush).
         Returns the resolved route; a group without a ``max_pending`` bound
         admits immediately.
 
@@ -341,7 +351,7 @@ class AsyncFleetClient:
     def _abort(self, error: BaseException) -> None:
         """Fail every unresolved future and suspended producer with ``error``.
 
-        The flush driver calls this when a timeout dispatch raises: the
+        The flush driver calls this when one of its dispatches raises: the
         error must surface through the futures awaiters already hold — a
         dead driver with silently pending futures is exactly the hang class
         :meth:`close` exists to prevent.
@@ -357,18 +367,36 @@ class AsyncFleetClient:
                     waiter.set_exception(error)
 
     async def _drive_flushes(self) -> None:
-        """Background task: sleep until the earliest flush deadline, tick it.
+        """Background task: dispatch partial batches at loop idle, or by deadline.
 
-        Every loop iteration ticks the router (dispatching whatever is
-        overdue) and then sleeps until the next deadline — or until a new
-        submission moves it.  With no deadline outstanding the task parks on
-        the wake-up event, so an idle client costs nothing.  If a timeout
-        dispatch raises, the error is propagated into every outstanding
-        future (see :meth:`_abort`) and the driver stops.
+        Every iteration ticks the router (dispatching whatever is overdue).
+        While a partial batch is pending on a route with a deadline, the
+        task then yields to the loop once: if no query reached the router
+        during that pass, nothing is about to join the batch, and every
+        pending batch with a deadline dispatches at once as an ordinary
+        flush.  Otherwise it waits for the next submission or the earliest
+        deadline, which stays the bound for a loop that never idles.  With
+        no deadline outstanding the task parks on the wake-up event, so an
+        idle client costs nothing.  If a dispatch raises, the error is
+        propagated into every outstanding future (see :meth:`_abort`) and
+        the driver stops.
+
+        Idle is judged in this process only.  That suffices while
+        streaming stays in-process (the CLI refuses ``--stream`` and
+        ``--arrivals`` with ``--workers``); a
+        :class:`~repro.serve.procfleet.ProcessFleet` streamed through this
+        driver would also have to count a worker with a batch in flight as
+        busy.
         """
         while True:
             try:
                 deadline = self.router.tick()
+                if deadline is not None:
+                    submissions = self.router.submissions
+                    await asyncio.sleep(0)
+                    if self.router.submissions == submissions:
+                        self.idle_flushes += self.router.flush_deadlined()
+                        continue
             except Exception as error:
                 self._abort(error)
                 # Clear the handle so the next submission can start a fresh

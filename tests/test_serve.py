@@ -670,9 +670,10 @@ class TestOpenLoopCLI:
 
     def test_generate_save_trace_then_replay_with_chaos(self, tmp_path,
                                                         capsys):
-        """Generate Poisson arrivals, save the trace, then replay it with a
-        slow_replica scenario: same estimates both runs, drift 0 versus the
-        sequential baseline, chaos event reported."""
+        """Generate Poisson arrivals (reporting the flush driver's idle
+        flushes), save the trace, then replay it with a slow_replica
+        scenario: same estimates both runs, drift 0 versus the sequential
+        baseline, chaos event reported."""
         trace_path = os.path.join(tmp_path, "arrivals.json")
         generate_path = os.path.join(tmp_path, "generate.json")
         replay_path = os.path.join(tmp_path, "replay.json")
@@ -682,10 +683,14 @@ class TestOpenLoopCLI:
         exit_code = serve_main(base + [
             "--arrivals", "poisson", "--offered-qps", "200",
             "--duration-s", "0.2", "--save-trace", trace_path,
-            "--json", generate_path,
+            "--flush-after-ms", "1000", "--json", generate_path,
         ])
         assert exit_code == 0
-        assert "Arrival trace written" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "Arrival trace written" in output
+        # ~5 ms gaps against a 1 s deadline: the flush driver sends the
+        # partial batches when the loop idles between arrivals.
+        assert "dispatched when the event loop went idle" in output
         with open(generate_path) as handle:
             generated = json.load(handle)
         open_loop = generated["open_loop"]

@@ -1,8 +1,13 @@
 """Direct unit tests for the serving caches: eviction order, canonical keys
 and the shared ``cache_entries`` budget split across models, replicas and the
-fleet result cache."""
+fleet result cache — plus the stateful machines that drive a store or a
+client through random operation sequences."""
 
 from __future__ import annotations
+
+import asyncio
+import functools
+import time
 
 import numpy as np
 import pytest
@@ -12,15 +17,19 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from repro.core import NaruConfig
-from repro.data import make_users
+from repro.data import make_sessions, make_users
 from repro.query import Operator, Predicate, Query
 from repro.serve import (
+    AdmissionError,
+    AsyncFleetClient,
     CachedConditionalModel,
     FleetRouter,
     ModelRegistry,
     PackedConditionalCache,
     ResultCache,
     canonical_query_key,
+    generate_mixed_workload,
+    run_fleet_sequential,
 )
 from repro.serve.cache import _MAX_RUNS
 
@@ -586,6 +595,135 @@ class RunStoreMachine(RuleBasedStateMachine):
 TestRunStoreMatchesSplicedStore = RunStoreMachine.TestCase
 TestRunStoreMatchesSplicedStore.settings = settings(
     max_examples=150, stateful_step_count=50, deadline=None)
+
+
+@functools.lru_cache(maxsize=1)
+def _client_machine_fleet():
+    """A small fitted two-relation fleet and a query pool over both."""
+    registry = ModelRegistry(default_config=_CONFIG)
+    registry.register_table(make_users(num_users=60, seed=4))
+    registry.register_table(make_sessions(num_rows=200, num_users=60, seed=5))
+    registry.fit_all()
+    pool = generate_mixed_workload(
+        {name: registry.relation(name) for name in registry.names}, 12,
+        min_filters=1, max_filters=2, seed=9)
+    return registry, pool
+
+
+class AsyncClientMachine(RuleBasedStateMachine):
+    """Submits, awaitable submits, yields, idle passes and drains on one
+    :class:`AsyncFleetClient` over an in-process router with a 10 s flush
+    deadline, on the machine's own event loop.  The deadline never fires in
+    a run this short, so everything that dispatches a partial batch is the
+    flush driver at loop idle, a drain, or admission-forced progress."""
+
+    SAMPLES = 30
+    SEED = 3
+
+    def __init__(self):
+        super().__init__()
+        self.registry, self.pool = _client_machine_fleet()
+        self.router = FleetRouter(self.registry, batch_size=4,
+                                  num_samples=self.SAMPLES, seed=self.SEED,
+                                  max_pending=3, overflow="shed",
+                                  flush_after_ms=10_000.0)
+        self.loop = asyncio.new_event_loop()
+        self.client = AsyncFleetClient(self.router)
+        self.submitted = 0
+        self.shed = 0
+        self.futures: list[asyncio.Future] = []
+        self.producers: list[asyncio.Task] = []
+
+    def _run(self, coroutine):
+        return self.loop.run_until_complete(coroutine)
+
+    async def _submit(self, query):
+        try:
+            self.futures.append(self.client.submit(query))
+        except AdmissionError:
+            self.shed += 1
+
+    async def _submit_async(self, query):
+        self.futures.append(await self.client.submit_async(query))
+
+    def _pending(self) -> int:
+        return sum(self.router.group(name).pending
+                   for name in self.registry.names)
+
+    def _settled(self) -> bool:
+        return (self._pending() == 0
+                and all(producer.done() for producer in self.producers)
+                and all(future.done() for future in self.futures))
+
+    async def _idle(self):
+        # A short real sleep, then more of them until the loop has quietened
+        # (each parked producer admitted costs one more dispatch) — bounded
+        # far below the 10 s deadline, so only idle flushes can settle it.
+        give_up = time.perf_counter() + 2.0
+        await asyncio.sleep(0.002)
+        while not self._settled() and time.perf_counter() < give_up:
+            await asyncio.sleep(0.002)
+
+    @rule(pick=st.integers(0, 11))
+    def submit(self, pick):
+        self.submitted += 1
+        self._run(self._submit(self.pool[pick]))
+
+    @rule(pick=st.integers(0, 11))
+    def submit_async(self, pick):
+        self.submitted += 1
+        self.producers.append(
+            self.loop.create_task(self._submit_async(self.pool[pick])))
+
+    @rule()
+    def yield_once(self):
+        self._run(asyncio.sleep(0))
+
+    @rule()
+    def idle(self):
+        self._run(self._idle())
+        # Every route carries the deadline, so at idle nothing may wait.
+        assert self._pending() == 0
+        assert all(producer.done() for producer in self.producers)
+        assert all(future.done() for future in self.futures)
+
+    @rule()
+    def drain(self):
+        self._run(self.client.drain())
+
+    def teardown(self):
+        try:
+            async def settle():
+                await asyncio.wait_for(
+                    asyncio.gather(*self.producers), timeout=5.0)
+                return await self.client.drain()
+
+            report = self._run(settle())
+            results = [future.result() for future in self.futures]
+            assert len(results) + self.shed == self.submitted
+            indices = [result.index for result in results]
+            assert len(set(indices)) == len(indices)
+            assert report.stats.num_queries == len(results)
+            if results:
+                # Admitted queries are numbered 0..n-1 in submission order,
+                # so the sequential baseline runs the same list by position.
+                by_index = sorted(results, key=lambda result: result.index)
+                assert sorted(indices) == list(range(len(indices)))
+                baseline = run_fleet_sequential(
+                    self.registry, [result.query for result in by_index],
+                    num_samples=self.SAMPLES, seed=self.SEED)
+                assert np.array_equal(
+                    [result.selectivity for result in by_index],
+                    baseline.selectivities)
+        finally:
+            self.client.close()
+            self._run(asyncio.sleep(0))  # let the cancelled driver finish
+            self.loop.close()
+
+
+TestAsyncClientMachine = AsyncClientMachine.TestCase
+TestAsyncClientMachine.settings = settings(
+    max_examples=12, stateful_step_count=25, deadline=None)
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ import contextlib
 import multiprocessing as mp
 import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ from repro.serve import (
     generate_mixed_workload,
     generate_shape_workload,
     load_workload,
+    poisson_arrivals,
     run_fleet_sequential,
+    run_open_loop,
     save_workload,
     stream_workload,
 )
@@ -297,6 +300,44 @@ def test_flush_timeout_changes_batches_not_estimates(fleet, workload,
     # The virtual clock makes the flush pattern byte-stable, run after run.
     _, batches_again = timed_run()
     assert batches_again == batches
+
+
+#: A seeded Poisson schedule for the wall-clock cell: gaps of ~5 ms leave the
+#: loop idle between most arrivals, while the clusters of a Poisson process
+#: make some arrivals overdue, so idle flushes and shared batches both occur.
+_OPEN_LOOP_ARRIVALS = poisson_arrivals(200.0, 0.3, seed=23)
+
+
+@pytest.fixture(scope="module")
+def open_loop_baseline(fleet, workload):
+    """The sequential baseline of the workload cycled over every arrival."""
+    expanded = [workload[position % len(workload)]
+                for position in range(len(_OPEN_LOOP_ARRIVALS))]
+    return run_fleet_sequential(fleet, expanded, num_samples=_SAMPLES,
+                                seed=_SEED, default_route=_DEFAULT_ROUTE)
+
+
+@pytest.mark.parametrize("batch_size", (3, 16))
+def test_wall_clock_open_loop_matches_sequential_baseline(
+        fleet, workload, open_loop_baseline, batch_size):
+    """The flush driver is the one batching decision made on a real clock:
+    it dispatches a partial batch when the event loop goes idle, so batch
+    boundaries depend on host timing.  Estimates must not — every
+    completed query is bit-equal to the sequential baseline, nothing is
+    lost, and the driver really did flush at idle."""
+    router = FleetRouter(fleet, batch_size=batch_size, num_samples=_SAMPLES,
+                         seed=_SEED, default_route=_DEFAULT_ROUTE,
+                         flush_after_ms=50.0,
+                         clock=VirtualClock(base=time.perf_counter))
+    outcome = run_open_loop(router, workload, _OPEN_LOOP_ARRIVALS)
+    # Every arrival was admitted or shed, and everything admitted completed.
+    assert outcome.submitted + outcome.shed == len(_OPEN_LOOP_ARRIVALS)
+    assert outcome.completed == outcome.submitted
+    assert outcome.idle_flushes >= 1
+    assert [result.index for result in outcome.report.results] == \
+        list(range(len(_OPEN_LOOP_ARRIVALS)))
+    assert np.array_equal(outcome.report.selectivities,
+                          open_loop_baseline.selectivities)
 
 
 @pytest.mark.parametrize("replicas", _REPLICAS[1:])

@@ -669,12 +669,13 @@ def test_aexit_on_exception_cancels_futures_instead_of_hanging(fleet,
 # --------------------------------------------------------------------------- #
 # Awaitable backpressure
 # --------------------------------------------------------------------------- #
-def test_submit_async_suspends_at_capacity_and_resumes_on_timeout_flush(
+def test_submit_async_suspends_at_capacity_and_resumes_on_driver_flush(
         fleet):
     """With the group at max_pending, submit_async suspends instead of
-    raising AdmissionError; the wall-clock flush driver dispatches the
-    partial batch within flush_after_ms, freeing capacity and resuming the
-    producer — no shed, no forced early dispatch at submit time."""
+    raising AdmissionError; the flush driver dispatches the partial batch
+    once the parked producer leaves the loop idle, freeing capacity and
+    resuming it — no shed, no forced early dispatch at submit time, and no
+    wait for the 30 ms deadline."""
     router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
                          seed=2, max_pending=2, overflow="shed",
                          flush_after_ms=30.0)
@@ -690,13 +691,17 @@ def test_submit_async_suspends_at_capacity_and_resumes_on_timeout_flush(
             await asyncio.sleep(0)
             assert not suspended.done()  # producer parked at max_pending
             await asyncio.wait_for(suspended, timeout=10.0)
+            freed_by = client.idle_flushes
             report = await client.drain()
-        return report
+        return report, freed_by
 
-    report = asyncio.run(main())
+    report, freed_by = asyncio.run(main())
     assert report.stats.num_queries == 3
     assert report.stats.shed == 0  # backpressure replaced shedding
-    assert report.stats.timeout_flushes >= 1
+    # Only the driver could free the slot (two queries cannot fill a batch
+    # of four), and it did so at loop idle, not at the deadline.
+    assert freed_by >= 1
+    assert report.stats.timeout_flushes == 0
 
 
 def test_submit_async_without_flush_timeout_falls_back_to_early_dispatch(
@@ -722,22 +727,140 @@ def test_submit_async_without_flush_timeout_falls_back_to_early_dispatch(
 
 
 def test_flush_driver_dispatches_lone_submission(fleet, workload):
-    """A single query in a partially filled batch resolves within the flush
-    bound even though no further submissions, flushes or drains happen —
-    the wall-clock driver ticks the router on its own."""
+    """A single query in a partially filled batch resolves even though no
+    further submissions, flushes or drains happen: the driver dispatches it
+    as soon as the loop goes idle, long before its 10 s deadline."""
     router = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
-                         seed=2, flush_after_ms=20.0)
+                         seed=2, flush_after_ms=10_000.0)
 
     async def main():
         async with AsyncFleetClient(router) as client:
             future = client.submit(workload[0])
             assert not future.done()
-            result = await asyncio.wait_for(future, timeout=10.0)
+            result = await asyncio.wait_for(future, timeout=1.0)
+            idle_flushes = client.idle_flushes
             await client.drain()
-        return result
+        return result, idle_flushes
+
+    result, idle_flushes = asyncio.run(main())
+    assert result.index == 0
+    assert idle_flushes == 1
+    assert router.report().stats.timeout_flushes == 0
+
+
+def _users_queries(fleet, count, seed=19):
+    generator = WorkloadGenerator(fleet.relation("users"), min_filters=1,
+                                  max_filters=2, seed=seed)
+    return [query.qualified("users") for query in generator.generate(count)]
+
+
+def _batches(report) -> int:
+    return sum(stats["num_batches"] for stats in report.stats.routes.values())
+
+
+def test_flush_driver_batches_a_burst_that_never_yields(fleet):
+    """2·batch_size + 1 submits with no yield in between: two batches fill
+    on submit, and the idle loop afterwards dispatches the last query — the
+    driver never cuts a burst it cannot see."""
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=10_000.0)
+    queries = _users_queries(fleet, 2 * 4 + 1)
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            futures = [client.submit(query) for query in queries]
+            await asyncio.wait_for(asyncio.gather(*futures), timeout=1.0)
+            return client.idle_flushes, await client.drain()
+
+    idle_flushes, report = asyncio.run(main())
+    assert _batches(report) == 3
+    assert idle_flushes == 1
+    assert report.stats.timeout_flushes == 0
+
+
+@pytest.mark.parametrize("count", (2, 5))
+def test_flush_driver_batches_submits_that_yield_between(fleet, count):
+    """k < batch_size submits, each followed by one ``sleep(0)`` — the
+    pattern of overdue open-loop arrivals — still share one batch: a pass
+    of the loop that hands a query in is not idle."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES,
+                         seed=2, flush_after_ms=10_000.0)
+    queries = _users_queries(fleet, count)
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            futures = []
+            for query in queries:
+                futures.append(client.submit(query))
+                await asyncio.sleep(0)
+            await asyncio.wait_for(asyncio.gather(*futures), timeout=1.0)
+            return await client.drain()
+
+    report = asyncio.run(main())
+    assert _batches(report) == 1
+    assert report.stats.num_queries == count
+    assert report.stats.timeout_flushes == 0
+
+
+def test_flush_driver_leaves_routes_without_deadline_pending(fleet, workload):
+    """Only routes with a flush deadline are idle-flushed: a partial batch on
+    a route without one waits for a fill or an explicit flush, as before."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2)
+    [user_query] = _users_queries(fleet, 1)
+    session_query = next(query for query in workload
+                         if query.table == "sessions")
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            waiting = client.submit(session_query)
+            served = client.submit(user_query)
+            await asyncio.wait_for(served, timeout=1.0)
+            await asyncio.sleep(0.05)  # idle, for real
+            assert not waiting.done()
+            assert router.group("sessions").pending == 1
+            idle_flushes = client.idle_flushes
+            await client.drain()
+        return idle_flushes, waiting.result()
+
+    fleet.set_flush_after("users", 10_000.0)  # read as groups materialise
+    try:
+        idle_flushes, result = asyncio.run(main())
+    finally:
+        fleet.set_flush_after("users", None)
+    assert idle_flushes == 1  # the users batch, never the sessions one
+    assert result.route == "sessions"
+
+
+def test_flush_deadline_fires_while_another_producer_keeps_the_loop_busy(
+        fleet, workload):
+    """The deadline stays the bound for a loop that never idles: a users
+    query left pending while a second producer submits sessions queries on
+    every pass is dispatched by its deadline, as a timeout flush."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2,
+                         flush_after_ms=20.0)
+    [user_query] = _users_queries(fleet, 1)
+    sessions = [query for query in workload if query.table == "sessions"]
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            lone = client.submit(user_query)
+
+            async def busy():
+                for step in range(100_000):
+                    if lone.done():
+                        return
+                    client.submit(sessions[step % len(sessions)])
+                    await asyncio.sleep(0)
+
+            await asyncio.wait_for(busy(), timeout=10.0)
+            await client.drain()
+        return lone.result()
 
     result = asyncio.run(main())
-    assert result.index == 0
+    report = router.report()
+    assert result.route == "users"
+    assert report.stats.routes["users"]["timeout_flushes"] == 1
+    assert result.queue_wait_ms >= 20.0
 
 
 # --------------------------------------------------------------------------- #
