@@ -20,7 +20,14 @@ __all__ = ["ColumnNetworkModel"]
 
 
 class ColumnNetworkModel(AutoregressiveModel):
-    """One small MLP per column, conditioned on the preceding columns."""
+    """One small MLP per column, conditioned on the preceding columns.
+
+    Not row-exact: its ``nn.Linear`` layers are plain ``x @ W`` products,
+    whose bits may depend on the other rows of the batch, so the serving
+    engine refuses it (see :class:`repro.serve.engine.NotRowExactError`).
+    """
+
+    row_exact = False
 
     def __init__(self, table: Table, hidden_sizes: tuple[int, ...] = (64, 64),
                  embedding_threshold: int = 64, embedding_dim: int = 64,

@@ -18,7 +18,7 @@ from ..data.table import Table
 from ..nn.autograd import rowwise_matmul_data, scatter_add_rows
 from .encoding import TupleEncoder
 
-__all__ = ["AutoregressiveModel", "MADEModel"]
+__all__ = ["AutoregressiveModel", "MADEModel", "PrefixSums"]
 
 
 class AutoregressiveModel(nn.Module):
@@ -31,6 +31,13 @@ class AutoregressiveModel(nn.Module):
     interchangeable (and the oracle model in :mod:`repro.core.oracle`
     implements the same protocol without a neural network).
     """
+
+    #: Whether :meth:`conditional_probs` is row-exact: an output row is a pure
+    #: function of its input row, bit-identical in any batch.  The serving
+    #: engine regroups rows freely and refuses a model that does not declare it.
+    row_exact: bool = False
+    #: Whether :meth:`conditional_probs` accepts a :class:`PrefixSums` carry.
+    carries_prefix_sums: bool = False
 
     def __init__(self, table: Table, order: list[int] | None = None) -> None:
         super().__init__()
@@ -127,6 +134,23 @@ def _add(total: np.ndarray, addend: np.ndarray) -> np.ndarray:
     return np.add(total, addend, out=total) if total.ndim == 2 else total + addend
 
 
+@dataclass
+class PrefixSums:
+    """First-layer sums one :meth:`MADEModel.conditional_probs` call hands the next.
+
+    The walk visits the columns in autoregressive order, so a prefix's first
+    hidden pre-activation (before the bias) is its parent prefix's plus one
+    gather-table row.  ``sums`` holds the previous call's, one row per row it
+    was shown (or one broadcast row when they all share it; ``None`` for the
+    empty prefix), and ``parent[r]`` is the row of ``sums`` that row ``r`` of
+    the next call extends.  A call reads both and leaves its own sums in
+    ``sums``; the caller sets ``parent`` before each call.
+    """
+
+    sums: np.ndarray | None = None
+    parent: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class _InferencePlan:
     """The batch-independent operands of :meth:`MADEModel.conditional_probs`."""
@@ -137,7 +161,7 @@ class _InferencePlan:
     first_bias: np.ndarray | None
     hidden: list[tuple[np.ndarray, np.ndarray]]  # later layers: masked weight, bias
     outputs: list[tuple]  # per column: masked block, bias slice, C-ordered decode | None
-    visible: list[list[int]]  # per column: the input columns before it in ``order``
+    visible: list[list[int]]  # per column: the input columns before it, in ``order``
 
 
 class MADEModel(AutoregressiveModel):
@@ -174,6 +198,9 @@ class MADEModel(AutoregressiveModel):
     seed:
         Weight-initialisation seed.
     """
+
+    row_exact = True
+    carries_prefix_sums = True
 
     def __init__(self, table: Table, hidden_sizes: tuple[int, ...] = (128, 128),
                  embedding_threshold: int = 64, embedding_dim: int = 64,
@@ -233,6 +260,10 @@ class MADEModel(AutoregressiveModel):
             T_c = E_c @ W_c          (embedded columns)
             T_c = masked W rows of c (one-hot columns)
 
+        The sum runs left to right in autoregressive order (``self.order``),
+        so the sum over a prefix's columns is a partial sum of the full one —
+        the running sum :meth:`conditional_probs` extends one column at a time.
+
         Each table ``T_c`` is a small ``(|A_c|, hidden)`` matrix that does not
         depend on the batch at all, and the per-row work collapses to one row
         gather per column plus elementwise adds — no wide matmul, no one-hot
@@ -253,8 +284,9 @@ class MADEModel(AutoregressiveModel):
         embeddings = self.encoder.embeddings
         slices = self._input_slices
         masked, tables = self._first_layer_tables()
-        pre = tables[0][codes[:, 0]]
-        for index in range(1, len(tables)):
+        first, *rest = self.order
+        pre = tables[first][codes[:, first]]
+        for index in rest:
             np.add(pre, tables[index][codes[:, index]], out=pre)
         np.add(pre, bias.data, out=pre)
         active = pre > 0
@@ -343,7 +375,7 @@ class MADEModel(AutoregressiveModel):
                     None if embedding is None
                     else np.ascontiguousarray(embedding.weight.data.T))
                    for block, embedding in zip(self._output_slices, embeddings)]
-        visible = [sorted(self.order[:self.order.index(column)])
+        visible = [self.order[:self.order.index(column)]
                    for column in range(self.num_columns)]
         self._plan = plan = _InferencePlan(parameters, stamp, tables, first_bias,
                                            hidden, outputs, visible)
@@ -360,7 +392,8 @@ class MADEModel(AutoregressiveModel):
                 blocks[index] = embedding.weight.data[codes[:, index]]
         return np.concatenate(blocks, axis=1)
 
-    def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
+    def conditional_probs(self, column_index: int, codes: np.ndarray, *,
+                          carry: PrefixSums | None = None) -> np.ndarray:
         """Column-sliced fast path over the inference plan.
 
         Mirrors :meth:`forward_logits` in raw numpy on operands built once per
@@ -368,7 +401,7 @@ class MADEModel(AutoregressiveModel):
         requested column's output block is multiplied and decoded: per-element
         dot products are independent, so slicing changes no bit.  And only the
         columns *before* ``column_index`` in ``order`` are read, summed left to
-        right in table order like the full pass: a dropped column's table is
+        right in that order like the full pass: a dropped column's table is
         ``±0.0`` on every hidden unit that reaches the block (its mask is zero
         there), adding ``±0.0`` changes no value, and the units it would have
         changed meet only masked-zero weights on the way to the block.  At most
@@ -376,6 +409,12 @@ class MADEModel(AutoregressiveModel):
         the same bits, so the result is bit-identical to
         :meth:`conditional_probs_unfused`; every product is row-exact, so the
         base class's batch contract holds exactly.
+
+        With a ``carry`` (:class:`PrefixSums`) holding the previous position's
+        sums, the call adds only the newest column's table row to each row's
+        parent sum — the very addends of the full sum, in its order, so the
+        same bits — and leaves its own sums in the carry for the next position.
+        Without one it sums every visible column and keeps nothing.
         """
         codes = np.asarray(codes, dtype=np.int64)
         rows = codes.shape[0]
@@ -385,6 +424,11 @@ class MADEModel(AutoregressiveModel):
         visible = plan.visible[column_index]
         if self.layers:
             total: np.ndarray | None = None
+            if carry is not None and carry.sums is not None:
+                # Each row's parent prefix's sum; only the newest column is left.
+                parents = carry.sums
+                total = parents if parents.ndim == 1 else parents[carry.parent]
+                visible = visible[-1:]
             for index in visible:
                 column_codes = codes[:, index]
                 if (column_codes == column_codes[0]).all():
@@ -394,7 +438,13 @@ class MADEModel(AutoregressiveModel):
                 else:
                     contribution = plan.tables[index][column_codes]
                 total = contribution if total is None else _add(total, contribution)
-            pre = plan.first_bias if total is None else _add(total, plan.first_bias)
+            if carry is not None:
+                # The sums stay the next position's parents: the bias goes
+                # into a new array.
+                carry.sums = total
+                pre = plan.first_bias if total is None else total + plan.first_bias
+            else:
+                pre = plan.first_bias if total is None else _add(total, plan.first_bias)
             if pre.ndim == 1:
                 pre = np.broadcast_to(pre, (rows, pre.size))
                 hidden = pre * (pre > 0)

@@ -28,6 +28,9 @@ class OracleModel:
     queries against the same oracle is fast even for 100-column tables.
     """
 
+    #: Each row's answer is looked up by its own prefix: row-exact.
+    row_exact = True
+
     def __init__(self, table: Table, order: list[int] | None = None) -> None:
         self.table = table
         self.codes = table.encoded()

@@ -44,6 +44,15 @@ stores under), extended by one Horner step per sampled column.  Per
 column, one scalar sort of those keys lists the rows prefix by prefix and
 the model answers once per distinct prefix; the dedup-off reference walk
 gives every row its own answer, and both run the same per-row draw.
+
+A model whose first layer is a running sum in autoregressive order
+(:class:`repro.core.made.MADEModel`, ``carries_prefix_sums``) gets each
+distinct prefix's first-layer sum carried to the next column: a prefix's
+sum is its parent's plus one table row, so each call adds one column
+instead of the whole prefix — the same addends in the same order, so the
+same bits.  Each row keeps the index of its prefix at the previous call
+(its ``row_cdf`` there) to find its parent.  Other models are called
+without a carry, as they always were.
 """
 
 from __future__ import annotations
@@ -53,6 +62,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .made import PrefixSums
 
 __all__ = ["SamplerStats", "ProgressiveSampler", "UniformRegionSampler",
            "enumerate_region", "prefix_radix"]
@@ -84,26 +95,27 @@ def prefix_radix(sizes) -> np.ndarray | None:
 
 
 def _admitted_runs(masks: list[np.ndarray | None],
-                   domain: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each query's admitted codes as maximal runs ``[lo, hi]`` of its mask.
+                   domains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each mask's admitted codes as maximal runs ``[lo, hi]``.
 
-    Returns ``(lo, hi, count)``: query ``q``'s runs are
-    ``(lo[q, r], hi[q, r])`` for ``r < count[q]``, in code order.  A
-    wildcard is one run over the whole domain.  Unused slots — all of an
-    empty mask's — hold the empty run ``(1, 0)``, whose mass
-    ``F(0) − F(0)`` is exactly zero.
+    ``domains`` is the domain size of every mask (one for all, or one per
+    mask).  Returns ``(lo, hi, count)``: mask ``q``'s runs are ``(lo[q, r],
+    hi[q, r])`` for ``r < count[q]``, in code order.  A wildcard is one run
+    over its whole domain.  Unused slots — all of an empty mask's — hold
+    the empty run ``(1, 0)``, whose mass ``F(0) − F(0)`` is exactly zero.
     """
-    num_queries = len(masks)
-    padded = np.zeros((num_queries, domain + 2), dtype=bool)
-    for query, mask in enumerate(masks):
-        padded[query, 1:-1] = True if mask is None else mask
+    num_masks = len(masks)
+    domains = np.broadcast_to(domains, num_masks)
+    padded = np.zeros((num_masks, int(domains.max()) + 2), dtype=bool)
+    for row, (mask, domain) in enumerate(zip(masks, domains)):
+        padded[row, 1:domain + 1] = True if mask is None else mask
     # Each run's first code and the code just past its last, alternating
     # along every row.
     owner, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
     owner = owner[::2]
-    count = np.bincount(owner, minlength=num_queries)
+    count = np.bincount(owner, minlength=num_masks)
     slot = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
-    bounds = np.zeros((2, num_queries, max(1, int(count.max()))), dtype=np.int64)
+    bounds = np.zeros((2, num_masks, max(1, int(count.max()))), dtype=np.int64)
     bounds[0] = 1
     bounds[0, owner, slot] = edges[::2]
     bounds[1, owner, slot] = edges[1::2] - 1
@@ -120,32 +132,74 @@ def _run_mass(flat: np.ndarray, base: np.ndarray, lo: np.ndarray,
     return upper, lower, upper - lower
 
 
+#: Entries of one ``(runs, rows)`` block of :func:`_pick_runs`: big enough
+#: that a mask of thousands of runs costs a few numpy calls, small enough
+#: that a block is a few row vectors on a batch of thousands of rows.
+_PICK_BLOCK = 1 << 14
+
+
+def _running_sums(flat: np.ndarray, base: np.ndarray, queries: np.ndarray,
+                  run_lo: np.ndarray, run_hi: np.ndarray):
+    """Yield ``(start, sums, positive)`` per block of runs, in run order.
+
+    ``sums[j]`` is each row's mass through run ``start + j − 1`` summed left
+    to right — row 0 is the sum carried in, the first addend of the block's
+    cumulative sum, so every sum is ``((m₀ + m₁) + m₂) + …`` — and
+    ``positive[j]`` whether run ``start + j`` has positive mass.  One buffer
+    serves every block: a yielded block is valid until the next.
+    """
+    rows, runs = base.size, run_lo.shape[1]
+    width = min(runs, max(1, _PICK_BLOCK // max(1, rows)))
+    buffer = np.empty((width + 1, rows))
+    buffer[width] = 0.0
+    for start in range(0, runs, width):
+        stop = min(start + width, runs)
+        sums = buffer[:stop - start + 1]
+        sums[0] = buffer[width]   # the sum through the last block's runs
+        masses = sums[1:]
+        codes = run_hi.T[start:stop, queries]
+        codes += base
+        np.take(flat, codes, out=masses)
+        codes = run_lo.T[start:stop, queries]
+        below = codes == 0
+        codes += base - 1
+        lower = flat[codes]
+        del codes
+        lower[below] = 0.0
+        positive = masses > lower
+        np.subtract(masses, lower, out=masses)
+        del lower
+        np.cumsum(sums, axis=0, out=sums)
+        yield start, sums, positive
+        buffer[width] = sums[-1]
+
+
 def _pick_runs(flat: np.ndarray, base: np.ndarray, queries: np.ndarray,
                run_lo: np.ndarray, run_hi: np.ndarray, draws: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows whose query admits several runs: the run ``(lo, hi)`` each
     searches, the mass summed in run order, and the offset of the target
     above ``F(lo − 1)`` (``inf``: search to the run's last positive code)."""
-    running = np.zeros(base.size)
-    for run in range(run_lo.shape[1]):
-        running += _run_mass(flat, base, run_lo[queries, run],
-                             run_hi[queries, run])[2]
-    threshold = draws * running
+    for _, sums, _ in _running_sums(flat, base, queries, run_lo, run_hi):
+        total = sums[-1].copy()
+    del sums    # the pass's buffer
+    threshold = draws * total
     chosen = np.zeros(base.size, dtype=np.int64)
     offset = np.full(base.size, np.inf)
-    # The same sums again, run by run: through the last run, the total.
-    running[:] = 0.0
-    for run in range(run_lo.shape[1]):
-        through = _run_mass(flat, base, run_lo[queries, run],
-                            run_hi[queries, run])[2]
-        unpicked = np.isinf(offset)
-        # Until it picks, a row holds the last run with positive mass.
-        chosen[unpicked & (through > 0.0)] = run
-        through += running
-        pick = unpicked & (through > threshold)
-        offset[pick] = threshold[pick] - running[pick]
-        running = through
-    return run_lo[queries, chosen], run_hi[queries, chosen], running, offset
+    unpicked = np.ones(base.size, dtype=bool)
+    # The same sums again: a row searches the first run whose sum passes
+    # its threshold — and until one does, holds the last run of positive mass.
+    for start, sums, positive in _running_sums(flat, base, queries, run_lo,
+                                               run_hi):
+        crossed = sums[1:] > threshold
+        held = np.flatnonzero(unpicked & positive.any(axis=0))
+        chosen[held] = start + len(positive) - 1 - positive[::-1, held].argmax(axis=0)
+        pick = np.flatnonzero(unpicked & crossed.any(axis=0))
+        first = crossed[:, pick].argmax(axis=0)
+        chosen[pick] = start + first
+        offset[pick] = threshold[pick] - sums[first, pick]
+        unpicked[pick] = False
+    return run_lo[queries, chosen], run_hi[queries, chosen], total, offset
 
 
 def _truncated_draws(cdf: np.ndarray, row_cdf: np.ndarray,
@@ -303,7 +357,8 @@ class ProgressiveSampler:
 
     def _conditional_cdfs(
             self, position: int, column: int, codes: np.ndarray,
-            packed: np.ndarray, alive_rows: np.ndarray
+            packed: np.ndarray, alive_rows: np.ndarray,
+            carry: tuple[PrefixSums, np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The model's conditionals of the alive rows as CDFs, one per
         distinct visible prefix (one per row on the dedup-off walk).
@@ -315,6 +370,12 @@ class ProgressiveSampler:
         :func:`prefix_radix`) finds the distinct prefixes; prefixes too wide
         to pack are ranked row-wise by ``np.unique(axis=0)``.  The model's
         answer is the caller's to overwrite: it becomes the CDFs in place.
+
+        ``carry`` (a carrying model only) is the model's
+        :class:`~repro.core.made.PrefixSums` and, per row, the index of its
+        prefix in the previous call — its ``row_cdf`` there, which this call
+        updates: each shown row's parent, so the model extends its parent's
+        first-layer sum by one column instead of summing the whole prefix.
 
         Returns ``(cdf, row_cdf, rows)``: ``rows`` lists the alive rows
         (sorted by prefix when deduplicating), and ``rows[i]`` draws from
@@ -344,7 +405,13 @@ class ProgressiveSampler:
             rows = shown = alive_rows
             row_cdf = np.arange(rows.size)
         stats.unique_rows += shown.size
-        cdf = self.model.conditional_probs(column, codes[shown])
+        if carry is None:
+            cdf = self.model.conditional_probs(column, codes[shown])
+        else:
+            sums, row_prefix = carry
+            sums.parent = row_prefix[shown]
+            cdf = self.model.conditional_probs(column, codes[shown], carry=sums)
+            row_prefix[rows] = row_cdf
         return np.cumsum(cdf, axis=1, out=cdf), row_cdf, rows
 
     # ------------------------------------------------------------------ #
@@ -418,12 +485,22 @@ class ProgressiveSampler:
         # samples conditions on them — so its rows drop out of the forward
         # passes.  Columns past every query's last constrained position are
         # not visited at all.
-        last_constrained = np.full(num_queries, -1)
-        for position, column in enumerate(self.model.order):
-            for query, masks in enumerate(masks_batch):
-                if masks[column] is not None:
-                    last_constrained[query] = position
-        sampled_columns = self.model.order[:int(last_constrained.max()) + 1]
+        order = self.model.order
+        ordered = [masks[column] for column in order for masks in masks_batch]
+        constrained = np.fromiter((mask is not None for mask in ordered), dtype=bool,
+                                  count=len(ordered)).reshape(num_columns, num_queries)
+        last_constrained = np.where(constrained.any(axis=0),
+                                    num_columns - 1 - constrained[::-1].argmax(axis=0), -1)
+        sampled_columns = order[:int(last_constrained.max()) + 1]
+        if not sampled_columns:
+            return np.ones(num_queries)
+        # Every sampled column's admitted runs, per query, in one pass:
+        # ``run_lo[position, query]`` and so on.
+        run_lo, run_hi, run_count = (part.reshape(
+            len(sampled_columns), num_queries, -1) for part in _admitted_runs(
+                ordered[:len(sampled_columns) * num_queries],
+                np.repeat([domain_sizes[column] for column in sampled_columns],
+                          num_queries)))
 
         total_rows = num_queries * num_samples
         # Column-major: a sampled column is one contiguous scatter.
@@ -434,6 +511,11 @@ class ProgressiveSampler:
         # prefix packs to 0), carried along the deduplicated walk.
         packed = np.zeros(total_rows, dtype=np.int64)
         row_query = np.repeat(np.arange(num_queries), num_samples)
+        # A carrying model's first-layer sums, one per prefix of the last
+        # call, and the one each row extends (see _conditional_cdfs).
+        carry = None
+        if getattr(self.model, "carries_prefix_sums", False):
+            carry = (PrefixSums(), np.zeros(total_rows, dtype=np.int64))
 
         for position, column in enumerate(sampled_columns):
             # Draw the full-width uniforms for every query before checking
@@ -441,17 +523,18 @@ class ProgressiveSampler:
             # regardless of batch composition and dead-row skipping.
             draws = np.concatenate([rng.random(num_samples) for rng in rngs])
             # A finished query's rows leave the walk, their weights final.
-            for query in np.flatnonzero(last_constrained == position - 1):
-                alive[query * num_samples:(query + 1) * num_samples] = False
+            alive.reshape(num_queries, num_samples)[
+                last_constrained == position - 1] = False
             if not alive.any():
                 continue
             cdf, row_cdf, rows = self._conditional_cdfs(
-                position, column, codes, packed, np.flatnonzero(alive))
+                position, column, codes, packed, np.flatnonzero(alive), carry)
             draws = draws[rows]
+            count = run_count[position, :, 0]
+            width = max(1, int(count.max()))
             sampled, mass = _truncated_draws(
                 cdf, row_cdf, row_query[rows],
-                _admitted_runs([masks[column] for masks in masks_batch],
-                               domain_sizes[column]),
+                (run_lo[position, :, :width], run_hi[position, :, :width], count),
                 draws)
             weights[rows] *= mass
             survived = mass > 0.0

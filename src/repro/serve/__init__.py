@@ -37,6 +37,7 @@ from .engine import (
     EngineStats,
     EstimateResult,
     EstimationEngine,
+    NotRowExactError,
     VirtualClock,
     query_rng,
     run_sequential,
@@ -95,6 +96,7 @@ from .workload import (
 
 __all__ = [
     "EstimationEngine",
+    "NotRowExactError",
     "EstimateResult",
     "EngineReport",
     "EngineStats",

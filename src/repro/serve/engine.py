@@ -46,8 +46,20 @@ from ..query.predicates import DNFQuery, Query, dnf_expansion
 from .cache import CachedConditionalModel, PackedConditionalCache
 
 __all__ = ["EstimateResult", "BatchRecord", "EngineStats", "EngineReport",
-           "EstimationEngine", "VirtualClock", "run_sequential", "query_rng",
-           "term_rng"]
+           "EstimationEngine", "NotRowExactError", "VirtualClock",
+           "run_sequential", "query_rng", "term_rng"]
+
+
+class NotRowExactError(TypeError):
+    """An engine was handed a model whose conditionals are not row-exact.
+
+    The engine regroups rows freely — micro-batches, prefix deduplication,
+    the conditional cache — and promises estimates that depend only on
+    ``(seed, global index, num_samples)``.  That holds only for a model
+    whose output row is a pure function of its input row in any batch
+    (``row_exact = True``, see
+    :class:`repro.core.made.AutoregressiveModel`).
+    """
 
 
 class VirtualClock:
@@ -260,6 +272,9 @@ class EstimationEngine:
         may pick for a single query (exact enumeration does not batch, so a
         served small-region query gets the sampled estimate instead of the
         enumerated one).  Everything else falls back to per-query dispatch.
+        A model that declares ``row_exact = False`` (architecture A's
+        :class:`~repro.core.column_nets.ColumnNetworkModel`) is refused with
+        :class:`NotRowExactError`: regrouping its rows would move its bits.
     batch_size:
         Maximum number of queries packed into one model dispatch.
     num_samples:
@@ -348,6 +363,11 @@ class EstimationEngine:
         self._sampler: ProgressiveSampler | None = None
         self._wrapper: CachedConditionalModel | None = None
         if self._batched:
+            if not getattr(model, "row_exact", True):
+                raise NotRowExactError(
+                    f"{type(model).__name__} is not row-exact: its "
+                    f"conditionals change bits with batch composition, so an "
+                    f"engine cannot serve it deterministically")
             if use_cache:
                 # The deduplicating sampler hands the wrapper one row per
                 # distinct prefix, which it keys the packed store on directly.

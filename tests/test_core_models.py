@@ -25,6 +25,8 @@ from repro.core import (
     MADEModel,
     NaruConfig,
     NaruEstimator,
+    NoisyOracleModel,
+    OracleModel,
     Trainer,
     TupleEncoder,
     cross_entropy_bits,
@@ -431,6 +433,57 @@ class TestColumnNetworkModel:
         for _ in range(5):
             last = trainer.train_epoch()
         assert last < first
+
+
+#: Every class that declares ``row_exact``, with how to build one.
+_DECLARING = {
+    MADEModel: lambda table: MADEModel(table, hidden_sizes=(16, 16), seed=4,
+                                       embedding_threshold=20, embedding_dim=8),
+    ColumnNetworkModel: lambda table: ColumnNetworkModel(table, hidden_sizes=(16,),
+                                                         seed=0),
+    OracleModel: OracleModel,
+    NoisyOracleModel: lambda table: NoisyOracleModel(table, noise=0.3),
+}
+
+
+class TestRowExactness:
+    """``row_exact`` is a checked claim: a class that declares it answers the
+    same rows with the same bits in any batch, and the serving engine, which
+    regroups rows freely, refuses a model that does not."""
+
+    def test_every_model_class_declares(self):
+        from repro.core.made import AutoregressiveModel
+        assert set(AutoregressiveModel.__subclasses__()) <= set(_DECLARING)
+        assert all(isinstance(cls.row_exact, bool) for cls in _DECLARING)
+
+    @pytest.mark.parametrize("model_class", list(_DECLARING),
+                             ids=lambda cls: cls.__name__)
+    def test_the_declaration_holds(self, embed_table, model_class):
+        from repro.serve import EstimationEngine, NotRowExactError
+        if not model_class.row_exact:
+            # Architecture A: no engine serves it, with or without the cache.
+            estimator = NaruEstimator(embed_table, NaruConfig(
+                architecture="column", hidden_sizes=(16,), epochs=1, seed=0))
+            assert type(estimator.model) is model_class
+            for use_cache in (True, False):
+                with pytest.raises(NotRowExactError, match=model_class.__name__):
+                    EstimationEngine(estimator, use_cache=use_cache)
+            return
+        model = _DECLARING[model_class](embed_table)
+        rng = np.random.default_rng(9)
+        codes = embed_table.encoded()[:40]
+        others = np.stack([rng.integers(0, size, 30)
+                           for size in embed_table.domain_sizes], axis=1)
+        for column in model.order:
+            full = model.conditional_probs(column, codes)
+            rows = rng.permutation(40)[:13]
+            assert np.array_equal(model.conditional_probs(column, codes[rows]),
+                                  full[rows])
+            assert np.array_equal(model.conditional_probs(column, codes[5:6]),
+                                  full[5:6])
+            mixed = np.concatenate([others[:11], codes, others[11:]])
+            assert np.array_equal(model.conditional_probs(column, mixed)[11:51],
+                                  full)
 
 
 class ComposedMADE(MADEModel):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,9 +456,14 @@ class TestTruncatedDraws:
                            np.nextafter(1.0, 0.0))
             draws[row] = spec
 
-        sampled, mass = progressive._truncated_draws(
-            cumulative.copy(), row_cdf, row_query,
-            progressive._admitted_runs(masks, width), draws)
+        # Blocks of runs as small as one entry: sums carried across many
+        # blocks must be the run-order sums of the reference.
+        block = data.draw(st.sampled_from([progressive._PICK_BLOCK, 1, 7, 64]),
+                          label="block")
+        with mock.patch.object(progressive, "_PICK_BLOCK", block):
+            sampled, mass = progressive._truncated_draws(
+                cumulative.copy(), row_cdf, row_query,
+                progressive._admitted_runs(masks, width), draws)
 
         for row in range(num_rows):
             p, cdf_row = probs[row_cdf[row]], cumulative[row_cdf[row]]
@@ -840,14 +846,15 @@ class TestPrefixDeduplication:
         inner_cdfs, inner_probs = (sampler._conditional_cdfs,
                                    model.conditional_probs)
 
-        def spy_cdfs(position, column, codes, packed, alive_rows):
+        def spy_cdfs(position, column, codes, packed, alive_rows, carry=None):
             prefix_columns, radix, _ = sampler._prefix_packing(position)
             prefixes = codes[alive_rows][:, prefix_columns]
             if radix is not None:
                 assert np.array_equal(packed[alive_rows], prefixes @ radix)
             packable.append(radix is not None)
             expected.append(np.unique(prefixes, axis=0))
-            return inner_cdfs(position, column, codes, packed, alive_rows)
+            return inner_cdfs(position, column, codes, packed, alive_rows,
+                              carry)
 
         def spy_probs(column, codes):
             shown.append(codes[:, order[:order.index(column)]])
@@ -917,3 +924,116 @@ class TestPrefixDeduplication:
         allowance = (table.num_columns + 24) * rows * 8
         assert max(answer.nbytes for answer in answers) > 2 * allowance
         assert peak < held + allowance
+
+
+class _Stateless:
+    """A model seen without its carry: the sampler calls it the stateless way."""
+
+    def __init__(self, model):
+        self.model, self.order = model, model.order
+
+    def domain_sizes(self):
+        return self.model.domain_sizes()
+
+    def conditional_probs(self, column_index, codes):
+        return self.model.conditional_probs(column_index, codes)
+
+
+def _table_of_codes(domain_sizes, seed):
+    """A table whose columns take every code of their domain."""
+    from repro.data import Table
+    rng = np.random.default_rng(seed)
+    rows = max(domain_sizes)
+    return Table.from_dict({f"c{index}": rng.permutation(rows) % size
+                            for index, size in enumerate(domain_sizes)})
+
+
+#: One-hot or embedded by the threshold drawn; the second table's prefixes of
+#: five 2^13 columns overflow the packed key (the np.unique rank path).
+_CARRY_TABLES = {"mixed": [5, 120, 2, 30], "wide": [2 ** 13] * 5 + [3]}
+
+
+class TestPrefixSumCarry:
+    """A MADE carries each prefix's first-layer sum down the walk and adds
+    one gather-table row per position: the estimates must be the bits of
+    the stateless walk, and every answer the bits of the unfused forward."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {name: _table_of_codes(sizes, seed=11)
+                for name, sizes in _CARRY_TABLES.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_carried_equals_stateless_and_unfused(self, tables, data):
+        name = data.draw(st.sampled_from(sorted(tables)), label="table")
+        table = tables[name]
+        width = table.num_columns
+        if name == "wide":
+            # The narrow column last: position 5's prefix is five wide ones.
+            order = list(data.draw(st.permutations(range(width - 1)),
+                                   label="order")) + [width - 1]
+        else:
+            order = list(data.draw(st.permutations(range(width)), label="order"))
+        model = MADEModel(
+            table, order=order, embedding_dim=4, seed=3,
+            hidden_sizes=data.draw(st.sampled_from([(), (8,), (8, 8)]),
+                                   label="hidden"),
+            # The wide columns are always embedded; one-hot they would need
+            # a 40k-square first layer.
+            embedding_threshold=data.draw(st.sampled_from(
+                [3, 40] if name == "wide" else [3, 40, 1000]), label="threshold"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        for param in model.parameters():   # moved weights: signs, biases
+            param.data = rng.normal(size=param.data.shape) * 0.5
+        kinds = ["wildcard", "point", "range", "several"]
+        masks_batch = []
+        for query in range(data.draw(st.integers(1, 3), label="queries")):
+            masks = []
+            for column, size in enumerate(table.domain_sizes):
+                kind = data.draw(st.sampled_from(kinds), label=f"q{query}c{column}")
+                mask = np.zeros(size, dtype=bool)
+                if kind == "wildcard":
+                    mask = None
+                elif kind == "point":     # every row shares the code
+                    mask[rng.integers(size)] = True
+                elif kind == "range":
+                    lo = int(rng.integers(size))
+                    mask[lo:int(rng.integers(lo, size)) + 1] = True
+                else:
+                    mask = rng.random(size) < 0.5
+                    mask[rng.integers(size)] = True
+                masks.append(mask)
+            masks_batch.append(masks)
+        if name == "wide" and masks_batch[0][-1] is None:
+            masks_batch[0][-1] = np.ones(3, dtype=bool)   # walk to position 5
+        dedup = data.draw(st.booleans(), label="dedup")
+        num_samples = 6 if name == "wide" else 40
+
+        carried_calls = []
+        inner = model.conditional_probs
+
+        def spy(column_index, codes, *, carry=None):
+            carried_calls.append(carry is not None and carry.sums is not None)
+            answer = inner(column_index, codes, carry=carry)
+            assert np.array_equal(
+                answer, model.conditional_probs_unfused(column_index, codes))
+            return answer
+
+        model.conditional_probs = spy
+
+        def estimates(target):
+            rngs = [np.random.default_rng(70 + index)
+                    for index in range(len(masks_batch))]
+            return ProgressiveSampler(target, seed=0, dedup=dedup) \
+                .estimate_selectivity_batch(masks_batch, num_samples=num_samples,
+                                            rngs=rngs)
+
+        carried = estimates(model)
+        used = list(carried_calls)
+        assert np.array_equal(carried, estimates(_Stateless(model)))
+        # A carry reaches every call after the second when there is a
+        # first layer to carry; the stateless walk passes none.
+        assert used[2:] == [bool(model.layers)] * len(used[2:])
+        assert not any(carried_calls[len(used):])

@@ -271,7 +271,8 @@ def composed_first_hidden(model: MADEModel, codes: np.ndarray) -> Tensor:
     layer = model.layers[0]
     masked = layer.weight * Tensor(layer.mask)
     total = None
-    for index, embedding in enumerate(model.encoder.embeddings):
+    for index in model.order:
+        embedding = model.encoder.embeddings[index]
         block = masked[model._input_slices[index]]
         if embedding is not None:
             block = embedding.weight @ block
@@ -396,11 +397,12 @@ class TestBackwardBitExactness:
         for actual, expected in zip(fused, composed):
             assert same_bits(actual, expected)
 
+    @pytest.mark.parametrize("order", [None, [2, 0, 3, 1]], ids=["natural", "shuffled"])
     @pytest.mark.parametrize("threshold, embedded", [(3, 3), (10, 1), (200, 0)],
                              ids=["two-embedded", "one-embedded", "all-one-hot"])
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
-    def test_made_first_hidden(self, threshold, embedded, seed):
+    def test_made_first_hidden(self, threshold, embedded, order, seed):
         rng = np.random.default_rng(seed)
         codes = np.stack([rng.integers(0, size, 40)
                           for size in FIRST_LAYER_TABLE.domain_sizes], axis=1)
@@ -408,7 +410,7 @@ class TestBackwardBitExactness:
         upstreams = [signed_values(seed + step, (40, 16)) for step in (1, 2)]
 
         def run(first_hidden):
-            model = MADEModel(FIRST_LAYER_TABLE, hidden_sizes=(16,),
+            model = MADEModel(FIRST_LAYER_TABLE, hidden_sizes=(16,), order=order,
                               embedding_threshold=threshold, embedding_dim=8, seed=0)
             model.load_state_dict({name: signed_values(seed + 3 + index, value.shape)
                                    for index, (name, value)
