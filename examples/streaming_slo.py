@@ -162,7 +162,7 @@ def main(num_users: int = 300, num_rows: int = 4_000, epochs: int = 5,
           f"producers, {backpressured.stats.shed} shed, "
           f"{idle_flushes} idle flushes, "
           f"{backpressured.stats.timeout_flushes} timeout flushes, "
-          f"e2e p95 {backpressured.e2e_percentiles['p95']:.1f} ms")
+          f"e2e p95 {backpressured.stats.e2e_ms['p95']:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ conditional cache), :class:`ModelRegistry` + :class:`FleetRouter` (a fleet
 of relations, replication, admission control, result caching, live refresh
 and epochs, ``slo_ms`` adaptive batching), :class:`AsyncFleetClient`
 (streaming submission), :class:`ProcessFleet` (the same router over worker
-processes) and the load generator and chaos drills of ``loadgen``.
+processes), the load generator and chaos drills of ``loadgen``, and
+``report``, which folds every engine report into the route, estimator and
+fleet summaries of one :class:`FleetReport`.
 
 Worked, CI-executed examples of every one of them live in
 ``docs/serving.md``; ``docs/operations.md`` is the operator's drill book,
@@ -71,16 +73,13 @@ from .procfleet import (
 )
 from .refresh import RefreshController
 from .registry import ModelRegistry
+from .report import FleetReport, FleetStats, RoutedResult, latency_percentiles
 from .router import (
     AdaptiveBatchController,
     AdmissionError,
-    FleetReport,
     FleetRouter,
-    FleetStats,
     ReplicaGroup,
-    RoutedResult,
     RoutingError,
-    latency_percentiles,
     replica_for,
     resolve_route,
     run_fleet_sequential,

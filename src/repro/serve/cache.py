@@ -39,6 +39,7 @@ import numpy as np
 
 from ..core.progressive import prefix_radix
 from ..query.predicates import DNFQuery, Operator, Query
+from .report import plain_dict
 
 __all__ = ["CacheStats", "PackedConditionalCache", "CachedConditionalModel",
            "ResultCacheStats", "ResultCache", "canonical_query_key"]
@@ -68,14 +69,7 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         """Plain-dict form of the counters, ready for JSON serialisation."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "rows_served_from_cache": self.rows_served_from_cache,
-            "rows_evaluated": self.rows_evaluated,
-        }
+        return plain_dict(self, "hit_rate")
 
 
 class _Run(NamedTuple):

@@ -44,6 +44,7 @@ import numpy as np
 from ..core.progressive import ProgressiveSampler, validate_num_samples
 from ..query.predicates import DNFQuery, Query, dnf_expansion
 from .cache import CachedConditionalModel, PackedConditionalCache
+from .report import Rates, plain_dict
 
 __all__ = ["EstimateResult", "BatchRecord", "EngineStats", "EngineReport",
            "EstimationEngine", "NotRowExactError", "VirtualClock",
@@ -171,15 +172,23 @@ class BatchRecord:
     ``latency_ms`` covers the dispatch alone; ``queue_wait_ms`` holds each
     batched query's submission-to-dispatch-start wait (in batch order), so a
     query's end-to-end latency is ``queue_wait_ms[i] + latency_ms``.
-    ``timeout_flush`` marks batches dispatched by the flush deadline
-    (``flush_after_ms``) rather than by filling up or an explicit flush.
+    ``flush_reason`` names why the batch left: ``"fill"`` (it reached
+    ``batch_size``), ``"deadline"`` (its oldest query waited past
+    ``flush_after_ms``), ``"idle"`` (the asyncio flush driver found the
+    event loop idle), ``"admission"`` (a full replica group's ``block``
+    overflow forced it out) or ``"flush"`` (an explicit flush).
     """
 
     batch_index: int
     num_queries: int
     latency_ms: float
     queue_wait_ms: tuple[float, ...] = ()
-    timeout_flush: bool = False
+    flush_reason: str = "flush"
+
+    @property
+    def timeout_flush(self) -> bool:
+        """Whether the flush deadline (``flush_after_ms``) dispatched the batch."""
+        return self.flush_reason == "deadline"
 
     @property
     def max_e2e_ms(self) -> float:
@@ -188,7 +197,7 @@ class BatchRecord:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Rates):
     """Aggregate throughput and cache statistics of a served workload."""
 
     num_queries: int = 0
@@ -211,33 +220,22 @@ class EngineStats:
     forward_calls: int = 0
     cache: dict | None = None
 
-    @property
-    def queries_per_second(self) -> float:
-        """Served queries over summed batch-dispatch time (0 when idle)."""
-        return self.num_queries / self.elapsed_s if self.elapsed_s > 0 else 0.0
+    @classmethod
+    def of(cls, batches: list[BatchRecord], **fields) -> EngineStats:
+        """Stats of one scope's batch records; ``fields`` give the rest.
 
-    @property
-    def dedup_ratio(self) -> float:
-        """Row shrink factor of prefix deduplication (1.0 when idle)."""
-        return self.rows_submitted / self.unique_rows if self.unique_rows else 1.0
+        Query, batch and timeout-flush counts and the summed dispatch time
+        come from the records, so every engine counts them the same way.
+        """
+        return cls(num_queries=sum(batch.num_queries for batch in batches),
+                   num_batches=len(batches),
+                   elapsed_s=sum(batch.latency_ms for batch in batches) / 1000.0,
+                   timeout_flushes=sum(batch.timeout_flush for batch in batches),
+                   **fields)
 
     def as_dict(self) -> dict:
         """Plain-dict form of the stats, ready for JSON serialisation."""
-        return {
-            "num_queries": self.num_queries,
-            "num_batches": self.num_batches,
-            "elapsed_s": self.elapsed_s,
-            "queries_per_second": self.queries_per_second,
-            "num_samples": self.num_samples,
-            "batch_size": self.batch_size,
-            "timeout_flushes": self.timeout_flushes,
-            "rows_submitted": self.rows_submitted,
-            "unique_rows": self.unique_rows,
-            "rows_evaluated": self.rows_evaluated,
-            "forward_calls": self.forward_calls,
-            "dedup_ratio": self.dedup_ratio,
-            "cache": self.cache,
-        }
+        return plain_dict(self, "queries_per_second", "dedup_ratio")
 
 
 @dataclass
@@ -424,12 +422,17 @@ class EstimationEngine:
         if len(self._pending) >= self.batch_size:
             # A fill dispatches at the arrival that caused it, so that query
             # (every query, at batch_size=1) waits exactly 0.0 ms.
-            self._dispatch(start=arrival)
+            self._dispatch(reason="fill", start=arrival)
 
-    def flush(self) -> None:
-        """Dispatch any partially filled micro-batch."""
+    def flush(self, reason: str = "flush") -> None:
+        """Dispatch any partially filled micro-batch.
+
+        ``reason`` is recorded as the batch's
+        :attr:`BatchRecord.flush_reason` (``"flush"``, ``"idle"`` or
+        ``"admission"`` — the callers that force a batch out say why).
+        """
         if self._pending:
-            self._dispatch()
+            self._dispatch(reason=reason)
 
     @property
     def flush_deadline(self) -> float | None:
@@ -460,7 +463,7 @@ class EstimationEngine:
         if now is None:
             now = self.clock()
         if now >= deadline:
-            self._dispatch(timeout=True)
+            self._dispatch(reason="deadline")
             return None
         return deadline
 
@@ -541,32 +544,25 @@ class EstimationEngine:
 
     def report(self) -> EngineReport:
         """Snapshot of everything served so far (results in submission order)."""
-        elapsed_s = sum(batch.latency_ms for batch in self._batches) / 1000.0
-        stats = EngineStats(
-            num_queries=len(self._results),
-            num_batches=len(self._batches),
-            elapsed_s=elapsed_s,
+        stats = EngineStats.of(
+            self._batches,
             # Per-query estimators draw no sample paths.
             num_samples=self.num_samples if self._batched else 0,
-            batch_size=self.batch_size,
-            timeout_flushes=sum(batch.timeout_flush for batch in self._batches),
-            cache=self.cache_stats,
-            **self.scope_counters(),
-        )
+            batch_size=self.batch_size, cache=self.cache_stats,
+            **self.scope_counters())
         results = sorted(self._results, key=lambda result: result.index)
         return EngineReport(results=results, batches=list(self._batches),
                             stats=stats)
 
     # ------------------------------------------------------------------ #
-    def _dispatch(self, *, timeout: bool = False,
-                  start: float | None = None) -> None:
+    def _dispatch(self, *, reason: str, start: float | None = None) -> None:
         batch, self._pending = self._pending, []
         if start is None:
             start = self.clock()
         selectivities = self._execute(batch)
         self._complete(batch, selectivities, start=start,
                        latency_ms=(self.clock() - start) * 1000.0,
-                       timeout=timeout)
+                       reason=reason)
 
     def _execute(self, batch: list[tuple[int, Query, float]]):
         """Answer one micro-batch: per-query selectivities, in batch order."""
@@ -576,7 +572,7 @@ class EstimationEngine:
                 for _, query, _ in batch]
 
     def _complete(self, batch: list[tuple[int, Query, float]], selectivities,
-                  *, start: float, latency_ms: float, timeout: bool) -> None:
+                  *, start: float, latency_ms: float, reason: str) -> None:
         """Account for one executed micro-batch: results, record, observers.
 
         ``start`` is the clock reading the execution began at and
@@ -601,7 +597,7 @@ class EstimationEngine:
                 self._result_sink(result)
         record = BatchRecord(batch_index=batch_index, num_queries=len(batch),
                              latency_ms=latency_ms, queue_wait_ms=queue_waits,
-                             timeout_flush=timeout)
+                             flush_reason=reason)
         self._batches.append(record)
         if self.batch_hook is not None:
             self.batch_hook(record)
@@ -714,14 +710,10 @@ def run_sequential(estimator, queries: list[Query], *,
                                       queue_wait_ms=0.0, e2e_ms=latency_ms))
         batches.append(BatchRecord(batch_index=position, num_queries=1,
                                    latency_ms=latency_ms,
-                                   queue_wait_ms=(0.0,)))
-    elapsed_s = sum(batch.latency_ms for batch in batches) / 1000.0
-    stats = EngineStats(num_queries=len(results), num_batches=len(batches),
-                        elapsed_s=elapsed_s, num_samples=num_samples,
-                        batch_size=1,
-                        rows_submitted=sampler.stats.rows_submitted,
-                        unique_rows=sampler.stats.unique_rows,
-                        rows_evaluated=sampler.stats.unique_rows,
-                        forward_calls=sampler.stats.forward_calls,
-                        cache=None)
+                                   queue_wait_ms=(0.0,), flush_reason="fill"))
+    stats = EngineStats.of(batches, num_samples=num_samples, batch_size=1,
+                           rows_submitted=sampler.stats.rows_submitted,
+                           unique_rows=sampler.stats.unique_rows,
+                           rows_evaluated=sampler.stats.unique_rows,
+                           forward_calls=sampler.stats.forward_calls)
     return EngineReport(results=results, batches=batches, stats=stats)

@@ -63,7 +63,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..query.predicates import Query
-from .router import AdmissionError, FleetReport, FleetRouter, latency_percentiles
+from .report import FleetReport, latency_percentiles, plain_dict
+from .router import AdmissionError, FleetRouter
 from .stream import AsyncFleetClient
 
 __all__ = [
@@ -545,23 +546,9 @@ class OpenLoopResult:
         return stats["p95"] if stats is not None else None
 
     def as_dict(self) -> dict:
-        """Plain-dict summary, ready for JSON reports."""
-        return {
-            "offered_qps": self.offered_qps,
-            "achieved_qps": self.achieved_qps,
-            "duration_s": self.duration_s,
-            "wall_s": self.wall_s,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "peak_pending": self.peak_pending,
-            "e2e_p95_ms": self.e2e_p95_ms,
-            "service_e2e_p95_ms": self.service_e2e_p95_ms,
-            "arrival_e2e_ms": dict(self.arrival_e2e_ms)
-                if self.arrival_e2e_ms else None,
-            "max_lateness_ms": self.max_lateness_ms,
-            "events": list(self.events),
-        }
+        """Plain-dict summary (everything but the report), for JSON reports."""
+        return plain_dict(self, "e2e_p95_ms", "service_e2e_p95_ms",
+                          exclude=("report",))
 
 
 def run_open_loop(router: FleetRouter, queries: Sequence[Query],

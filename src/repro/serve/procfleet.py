@@ -41,7 +41,8 @@ from ..core.estimator import NaruEstimator
 from ..nn.serialization import load_state_dict, save_state_dict
 from .engine import EstimationEngine
 from .registry import ModelRegistry
-from .router import FleetReport, FleetRouter
+from .report import FleetReport
+from .router import FleetRouter
 
 __all__ = ["WorkerError", "WorkerInfo", "StaleEpochError", "ProcessFleet",
            "export_relation", "restore_estimator", "worker_main"]
@@ -330,12 +331,11 @@ class _WorkerEngine(EstimationEngine):
     def scope_counters(self) -> dict[str, int]:
         return self.remote.get("counters") or super().scope_counters()
 
-    def _dispatch(self, *, timeout: bool = False,
-                  start: float | None = None) -> None:
+    def _dispatch(self, *, reason: str, start: float | None = None) -> None:
         batch, self._pending = self._pending, []
-        self._ship(self, batch, timeout)
+        self._ship(self, batch, reason)
 
-    def finish(self, batch, pairs, latency_ms: float, *, timeout: bool) -> None:
+    def finish(self, batch, pairs, latency_ms: float, *, reason: str) -> None:
         """The worker answered one shipped batch: account for it.
 
         The dispatch is taken to have started ``latency_ms`` (the worker's own
@@ -346,7 +346,7 @@ class _WorkerEngine(EstimationEngine):
         selectivities = dict(pairs)
         self._complete(batch, [selectivities[index] for index, _, _ in batch],
                        start=self.clock() - latency_ms / 1000.0,
-                       latency_ms=latency_ms, timeout=timeout)
+                       latency_ms=latency_ms, reason=reason)
 
 
 class ProcessFleet(FleetRouter):
@@ -416,7 +416,7 @@ class ProcessFleet(FleetRouter):
         if log_dir is not None:
             os.makedirs(log_dir, exist_ok=True)
 
-        #: batch id -> (worker id, engine, batch, timeout flag) of every
+        #: batch id -> (worker id, engine, batch, flush reason) of every
         #: micro-batch shipped and not yet answered.
         self._inflight: dict[int, tuple] = {}
         self._next_batch_id = 0
@@ -640,8 +640,8 @@ class ProcessFleet(FleetRouter):
         kind, worker_id = message[0], message[1]
         if kind == "result":
             _, _, batch_id, pairs, latency_ms, busy_cpu_ms = message
-            _, engine, batch, timeout = self._inflight.pop(batch_id)
-            engine.finish(batch, pairs, latency_ms, timeout=timeout)
+            _, engine, batch, reason = self._inflight.pop(batch_id)
+            engine.finish(batch, pairs, latency_ms, reason=reason)
             tally = self._tallies[worker_id]
             tally["num_queries"] += len(pairs)
             tally["num_batches"] += 1
@@ -657,7 +657,7 @@ class ProcessFleet(FleetRouter):
             self._replies[(worker_id, kind)] = message
 
     def _ship(self, key: tuple[str, int], engine: _WorkerEngine, batch: list,
-              timeout: bool) -> None:
+              reason: str) -> None:
         """Send one engine's filled micro-batch to the worker hosting it."""
         handle = self._handles[self._assignment[key]]
         batch_id = self._next_batch_id
@@ -665,7 +665,7 @@ class ProcessFleet(FleetRouter):
         self._send(handle, ("batch", batch_id, *key,
                             [(index, query) for index, query, _ in batch]),
                    "while a batch was being sent")
-        self._inflight[batch_id] = (handle.info.worker_id, engine, batch, timeout)
+        self._inflight[batch_id] = (handle.info.worker_id, engine, batch, reason)
 
     def collect(self) -> None:
         """Block until every in-flight micro-batch has returned its results.

@@ -42,8 +42,10 @@ trained model — and
   dispatch's worst end-to-end latency and shrinks/grows the group's batch
   size within ``[1, batch_size]``; a relation with no SLO has no controller
   and no ``batch_hook`` — the fixed-batch hot path, untouched, and
-* **merges** the per-replica reports into a single :class:`FleetReport` with
-  per-route and per-replica throughput, shed counts and cache statistics.
+* **merges** the per-replica reports into a single
+  :class:`~repro.serve.report.FleetReport` with per-route and per-replica
+  throughput, shed counts and cache statistics
+  (:func:`repro.serve.report.merge_reports`).
 
 Determinism: every query's random stream is keyed by ``(seed, workload
 index)`` where the index is the *global* submission order, not the position
@@ -65,22 +67,17 @@ from __future__ import annotations
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..query.metrics import q_error
 from ..query.predicates import DNFQuery, Query
 from ..query.shapes import query_shape
 from .cache import PackedConditionalCache, ResultCache, canonical_query_key
 from .engine import EngineReport, EstimationEngine, run_sequential
 from .registry import ModelRegistry
+from .report import FleetReport, RoutedResult, merge_reports
 
-__all__ = ["RoutingError", "AdmissionError", "RoutedResult", "FleetStats",
-           "FleetReport", "AdaptiveBatchController", "ReplicaGroup",
-           "FleetRouter",
-           "run_fleet_sequential", "latency_percentiles", "replica_for",
-           "resolve_route"]
+__all__ = ["RoutingError", "AdmissionError", "AdaptiveBatchController",
+           "ReplicaGroup", "FleetRouter", "run_fleet_sequential",
+           "replica_for", "resolve_route"]
 
 #: Overflow policies of the per-group admission controller.
 _OVERFLOW_POLICIES = ("block", "shed")
@@ -133,42 +130,6 @@ def _validate_admission(max_pending: int | None, overflow: str) -> None:
                          "unbounded queue nothing can ever be shed")
 
 
-def latency_percentiles(latencies_ms, weights=None) -> dict:
-    """p50/p95/p99 of a set of latencies, optionally query-weighted.
-
-    Args:
-        latencies_ms: Per-observation latencies in milliseconds (typically
-            per-micro-batch dispatch latencies, or per-query queue waits).
-        weights: Optional per-observation weights (typically the batch's
-            query count, so every query contributes the latency of the
-            dispatch that served it — the quantity a per-query latency SLO
-            is about).  ``None`` weights every observation equally; weights
-            of zero drop their observation.  Negative weights are a caller
-            bug and raise ``ValueError`` — silently clipping them would
-            report percentiles over a different population than asked for.
-
-    Returns:
-        ``{"p50": ..., "p95": ..., "p99": ...}`` in milliseconds; all zeros
-        when ``latencies_ms`` is empty, so reports of empty workload scopes
-        stay well-formed.
-    """
-    latencies = np.asarray(list(latencies_ms), dtype=float)
-    if latencies.size == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    if weights is not None:
-        counts = np.asarray(list(weights), dtype=int)
-        if counts.shape != latencies.shape:
-            raise ValueError("weights and latencies_ms must have equal length")
-        if np.any(counts < 0):
-            raise ValueError(f"weights must be non-negative, got "
-                             f"{counts[counts < 0].tolist()}")
-        latencies = np.repeat(latencies, counts)
-        if latencies.size == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    return {f"p{int(q * 100)}": float(np.quantile(latencies, q))
-            for q in (0.50, 0.95, 0.99)}
-
-
 class RoutingError(LookupError):
     """A query could not be mapped to a registered relation.
 
@@ -196,489 +157,21 @@ class AdmissionError(RuntimeError):
         self.query = query
 
 
-@dataclass(frozen=True)
-class RoutedResult:
-    """Per-query output of the fleet: an estimate plus the route that served it.
-
-    ``replica`` is the index of the engine replica inside the route's group;
-    ``-1`` (with ``batch_index=-1``) marks a result served straight from the
-    fleet-wide result cache without touching any engine.  ``queue_wait_ms``
-    and ``e2e_ms`` carry the engine's end-to-end accounting (zero for
-    cache-served results, which never queue).  ``estimator`` names what
-    actually answered: the serving estimator (primary or fallback of the
-    route's ensemble), ``"cache"`` for result-cache hits, or ``""`` on
-    reports that predate estimator accounting.  ``route`` is always the pure
-    relation name, whichever ensemble member served.
-    """
-
-    index: int
-    route: str
-    query: Query
-    selectivity: float
-    cardinality: float
-    batch_index: int
-    replica: int = 0
-    queue_wait_ms: float = 0.0
-    e2e_ms: float = 0.0
-    estimator: str = ""
-
-    @property
-    def from_result_cache(self) -> bool:
-        """Whether this answer came from the result cache, not a model."""
-        return self.replica < 0
-
-
-@dataclass
-class FleetStats:
-    """Fleet-wide throughput statistics with per-route/per-replica breakdown."""
-
-    num_queries: int = 0
-    num_models: int = 0
-    elapsed_s: float = 0.0
-    cache_entries_total: int = 0
-    cache_entries_per_model: int = 0
-    #: Queries refused under the ``shed`` overflow policy, fleet-wide.
-    shed: int = 0
-    #: ``ResultCacheStats.as_dict()`` of the fleet result cache (``None`` off).
-    #: Like the conditional-cache counters, these are lifetime-of-the-cache
-    #: numbers — caches survive workload scopes, so their hit/miss tallies
-    #: accumulate across ``run()`` calls.  Per-scope cache-served counts live
-    #: in :attr:`FleetReport.result_cache_hits` and the per-route
-    #: ``result_cache_hits`` entries.
-    result_cache: dict | None = None
-    #: Fleet-wide p50/p95/p99 dispatch latency (ms), query-weighted: every
-    #: query contributes the latency of the micro-batch that served it.
-    #: Cache-served queries never touch an engine and are excluded.
-    latency_ms: dict | None = None
-    #: Fleet-wide p50/p95/p99 queueing delay (ms): per-query time between
-    #: submission and the dispatch start of the query's micro-batch.  Same
-    #: exclusion as ``latency_ms``: cache-served queries never queue.
-    queue_wait_ms: dict | None = None
-    #: Fleet-wide p50/p95/p99 end-to-end latency (ms): per-query time from
-    #: submission to dispatch completion — ``queue_wait + dispatch``, the
-    #: latency a caller actually observes and the quantity an end-to-end SLO
-    #: is stated against.
-    e2e_ms: dict | None = None
-    #: Micro-batches this scope dispatched by a flush deadline
-    #: (``flush_after_ms``) rather than by filling up, fleet-wide.
-    timeout_flushes: int = 0
-    #: Fleet-wide row accounting of the fused hot path (summed over routes):
-    #: sample-path rows that needed a conditional, rows left after prefix
-    #: deduplication, rows actually pushed through a network, and sampler
-    #: ``conditional_probs`` calls.
-    rows_submitted: int = 0
-    unique_rows: int = 0
-    rows_evaluated: int = 0
-    forward_calls: int = 0
-    #: Per-worker serving tallies when the report came from a
-    #: :class:`repro.serve.procfleet.ProcessFleet` (``None`` on in-process
-    #: routers): worker id -> pid, log path, hosted engines, query/batch
-    #: counts, summed dispatch latency and busy-CPU time.
-    workers: dict[str, dict] | None = None
-    #: Route name -> ``{"data_epoch", "model_epoch", "staleness"}`` of every
-    #: registered relation at report time (``None`` on reports that predate
-    #: epoch accounting, e.g. the sequential baseline).  ``staleness`` counts
-    #: the ingests the serving model is behind the data — non-zero while the
-    #: fleet deliberately serves stale estimates awaiting a refresh.
-    epochs: dict[str, dict] | None = None
-    #: Estimator name -> aggregated serving stats across every unit that
-    #: estimator served: query count, summed dispatch time, QPS, the serving
-    #: ``units`` and per-estimator ``latency_ms``/``e2e_ms`` percentiles.
-    #: The per-estimator accuracy companion lives on the report
-    #: (:meth:`FleetReport.accuracy_by_estimator`) because accuracy needs
-    #: ground truths the router never sees.
-    estimators: dict[str, dict] | None = None
-    #: Serving-unit name -> aggregated group stats: the union of the
-    #: engine-stats keys (query/batch counts, QPS, the group cache's
-    #: counters) plus ``relation`` and ``estimator`` identification,
-    #: ``num_replicas``, ``shed``, ``result_cache_hits``, per-route
-    #: ``latency_ms``/``queue_wait_ms``/``e2e_ms`` percentiles, the group's
-    #: ``timeout_flushes`` count, the adaptive controller's ``batch_trace``
-    #: (``None`` for a route with no SLO) and a ``replicas`` list holding each
-    #: replica engine's own ``EngineStats.as_dict()``.  A unit is a relation
-    #: name for the primary replica group and ``"<relation>@fallback"`` for
-    #: the relation's fallback estimator.
-    #: Cache counters live at route level only — replicas share one group
-    #: cache, so the per-replica dicts carry ``cache=None``.
-    routes: dict[str, dict] = field(default_factory=dict)
-
-    @property
-    def queries_per_second(self) -> float:
-        """Model-dispatch throughput: queries over summed engine batch time.
-
-        ``elapsed_s`` covers engine dispatches only — result-cache hits are
-        effectively free, so a scope served entirely from the result cache
-        reports 0.0 here.  For end-to-end throughput of cache-heavy runs,
-        wall-clock the serving call (the ``serve_replicated`` benchmark
-        does exactly that).
-        """
-        return self.num_queries / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fleet-wide row shrink factor of prefix deduplication (1.0 idle)."""
-        return self.rows_submitted / self.unique_rows if self.unique_rows else 1.0
-
-    @property
-    def max_staleness(self) -> int:
-        """The worst per-relation staleness in :attr:`epochs` (0 when fresh/unknown)."""
-        if not self.epochs:
-            return 0
-        return max(entry["staleness"] for entry in self.epochs.values())
-
-    def as_dict(self) -> dict:
-        """Plain-dict form of the stats, ready for JSON serialisation."""
-        return {
-            "num_queries": self.num_queries,
-            "num_models": self.num_models,
-            "elapsed_s": self.elapsed_s,
-            "queries_per_second": self.queries_per_second,
-            "cache_entries_total": self.cache_entries_total,
-            "cache_entries_per_model": self.cache_entries_per_model,
-            "shed": self.shed,
-            "result_cache": self.result_cache,
-            "latency_ms": self.latency_ms,
-            "queue_wait_ms": self.queue_wait_ms,
-            "e2e_ms": self.e2e_ms,
-            "timeout_flushes": self.timeout_flushes,
-            "rows_submitted": self.rows_submitted,
-            "unique_rows": self.unique_rows,
-            "rows_evaluated": self.rows_evaluated,
-            "forward_calls": self.forward_calls,
-            "dedup_ratio": self.dedup_ratio,
-            "workers": self.workers,
-            "epochs": self.epochs,
-            "max_staleness": self.max_staleness,
-            "estimators": self.estimators,
-            "routes": self.routes,
-        }
-
-
-@dataclass
-class FleetReport:
-    """Merged per-replica reports of one served mixed workload."""
-
-    #: All results in global submission order (model-served and cache-served).
-    results: list[RoutedResult] = field(default_factory=list)
-    #: Route name -> the full per-replica :class:`EngineReport` list.
-    routes: dict[str, list[EngineReport]] = field(default_factory=dict)
-    stats: FleetStats = field(default_factory=FleetStats)
-    #: Lazy index -> result map backing :meth:`route_of` and
-    #: :meth:`estimator_of` (results are frozen after construction, so it is
-    #: built once on first use).
-    _by_index: dict[int, RoutedResult] | None = field(default=None, repr=False,
-                                                      compare=False)
-
-    @property
-    def selectivities(self) -> np.ndarray:
-        """Per-query selectivity estimates, in global submission order."""
-        return np.asarray([result.selectivity for result in self.results])
-
-    @property
-    def cardinalities(self) -> np.ndarray:
-        """Per-query cardinality estimates, in global submission order."""
-        return np.asarray([result.cardinality for result in self.results])
-
-    def _result_of(self, index: int) -> RoutedResult:
-        """The result carrying one global index (``KeyError`` when absent).
-
-        Looked up by the result's ``index`` field, not list position: under
-        :func:`repro.serve.stream.stream_workload` a shed query leaves its
-        position-keyed index unused, so indices need not be dense.
-        """
-        if self._by_index is None:
-            self._by_index = {result.index: result for result in self.results}
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise KeyError(f"no result with global index {index} in this "
-                           "report") from None
-
-    def route_of(self, index: int) -> str:
-        """The relation that served the query with one global index."""
-        return self._result_of(index).route
-
-    def estimator_of(self, index: int) -> str:
-        """The estimator that served the query with one global index.
-
-        The primary or fallback estimator's name, ``"cache"`` for
-        result-cache hits, ``""`` on reports without estimator accounting.
-        """
-        return self._result_of(index).estimator
-
-    def accuracy_by_estimator(self, true_cardinalities) -> dict[str, dict]:
-        """Per-estimator accuracy columns against known true cardinalities.
-
-        Args:
-            true_cardinalities: True cardinality per query, indexed by the
-                query's *global* index (a sequence or a mapping — anything
-                supporting ``true_cardinalities[result.index]``).
-
-        Returns:
-            Estimator name -> ``{"num_queries", "median_qerror",
-            "p95_qerror", "max_qerror"}``, grouping every served query under
-            the estimator that answered it (result-cache hits under
-            ``"cache"``).  The accuracy half of the ensemble report; the
-            latency half lives in :attr:`FleetStats.estimators`.
-        """
-        errors_by_estimator: dict[str, list[float]] = {}
-        for result in self.results:
-            truth = float(true_cardinalities[result.index])
-            errors_by_estimator.setdefault(result.estimator, []).append(
-                q_error(result.cardinality, truth))
-        return {
-            name: {
-                "num_queries": len(errors),
-                "median_qerror": float(np.median(errors)),
-                "p95_qerror": float(np.quantile(errors, 0.95)),
-                "max_qerror": float(np.max(errors)),
-            }
-            for name, errors in sorted(errors_by_estimator.items())
-        }
-
-    @property
-    def result_cache_hits(self) -> int:
-        """Queries in this report answered by the fleet result cache."""
-        return sum(result.from_result_cache for result in self.results)
-
-    @property
-    def queue_wait_percentiles(self) -> dict | None:
-        """Fleet-wide p50/p95/p99 per-query queueing delay (ms).
-
-        The time each model-served query sat submitted-but-undispatched
-        before its micro-batch started; shorthand for
-        ``stats.queue_wait_ms``.
-        """
-        return self.stats.queue_wait_ms
-
-    @property
-    def e2e_percentiles(self) -> dict | None:
-        """Fleet-wide p50/p95/p99 per-query end-to-end latency (ms).
-
-        Submission to dispatch completion — queueing delay plus dispatch —
-        the latency an end-to-end SLO is stated against; shorthand for
-        ``stats.e2e_ms``.
-        """
-        return self.stats.e2e_ms
-
-    @property
-    def dispatch_percentiles(self) -> dict | None:
-        """Fleet-wide p50/p95/p99 dispatch latency (ms), query-weighted.
-
-        Shorthand for ``stats.latency_ms``, named to contrast with
-        :attr:`queue_wait_percentiles` and :attr:`e2e_percentiles`.
-        """
-        return self.stats.latency_ms
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the whole report: stats plus per-query results.
-
-        ``stats`` is :meth:`FleetStats.as_dict` (which already carries the
-        per-route breakdown, the row-accounting counters and the dedup
-        ratio); ``results`` holds one entry per served query in global
-        submission order.  The CLI's fleet modes dump exactly this.
-        """
-        return {
-            "stats": self.stats.as_dict(),
-            "result_cache_hits": self.result_cache_hits,
-            "results": [
-                {
-                    "index": result.index,
-                    "route": result.route,
-                    "query": str(result.query),
-                    "selectivity": result.selectivity,
-                    "cardinality": result.cardinality,
-                    "batch_index": result.batch_index,
-                    "replica": result.replica,
-                    "queue_wait_ms": result.queue_wait_ms,
-                    "e2e_ms": result.e2e_ms,
-                    "estimator": result.estimator,
-                }
-                for result in self.results
-            ],
-        }
-
-
-def _per_query_latencies(batches) -> tuple[list[float], list[float]]:
-    """Flatten batch records into per-query (queue wait, end-to-end) lists.
-
-    Each batched query's end-to-end latency is its own queueing delay plus
-    its batch's dispatch latency; the lists are already per-query, so the
-    percentile helper needs no weights.
-    """
-    waits: list[float] = []
-    e2es: list[float] = []
-    for record in batches:
-        for wait_ms in record.queue_wait_ms:
-            waits.append(wait_ms)
-            e2es.append(wait_ms + record.latency_ms)
-    return waits, e2es
-
-
-def _route_cache_dict(dicts: list[dict | None]) -> dict | None:
-    """The route-level conditional-cache counters of one replica group.
-
-    Replicas share one group-wide cache, so every replica's stats dict holds
-    the same counters — the first non-``None`` entry *is* the group's.
-    """
-    for entry in dicts:
-        if entry is not None:
-            return entry
-    return None
-
-
-def _merge_reports(route_reports: dict[str, list[EngineReport]], *,
-                   unit_info: dict[str, dict],
-                   num_models: int, cache_entries_total: int,
-                   cache_entries_per_model: int,
-                   cached_results: list[RoutedResult] | None = None,
-                   shed_by_route: dict[str, int] | None = None,
-                   result_cache_stats: dict | None = None,
-                   batch_traces: dict[str, list[int]] | None = None,
-                   epochs: dict[str, dict] | None = None) -> FleetReport:
-    """Fold per-replica reports into one fleet report in global index order.
-
-    ``route_reports`` is keyed by *serving unit*: the relation name for its
-    primary replica group, ``"<relation>@fallback"`` for its fallback
-    estimator.  ``unit_info`` maps each unit to its ``{"relation",
-    "estimator"}`` identification.
-    """
-    cached_results = cached_results or []
-    shed_by_route = shed_by_route or {}
-    batch_traces = batch_traces or {}
-
-    def relation_of(unit: str) -> str:
-        return unit_info[unit]["relation"]
-
-    def estimator_of(unit: str) -> str:
-        return unit_info[unit]["estimator"]
-
-    merged = [
-        RoutedResult(index=result.index, route=relation_of(unit),
-                     query=result.query,
-                     selectivity=result.selectivity,
-                     cardinality=result.cardinality,
-                     batch_index=result.batch_index, replica=replica,
-                     queue_wait_ms=result.queue_wait_ms,
-                     e2e_ms=result.e2e_ms,
-                     estimator=estimator_of(unit))
-        for unit, reports in route_reports.items()
-        for replica, report in enumerate(reports)
-        for result in report.results
-    ]
-    merged.extend(cached_results)
-    merged.sort(key=lambda result: result.index)
-    cached_by_route: dict[str, int] = {}
-    for result in cached_results:
-        cached_by_route[result.route] = cached_by_route.get(result.route, 0) + 1
-    routes_stats: dict[str, dict] = {}
-    all_batches = []
-    for unit, reports in route_reports.items():
-        route = unit
-        replica_stats = [report.stats for report in reports]
-        elapsed_s = sum(stats.elapsed_s for stats in replica_stats)
-        num_queries = sum(stats.num_queries for stats in replica_stats)
-        route_batches = [record for report in reports
-                         for record in report.batches]
-        all_batches.extend(route_batches)
-        route_waits, route_e2es = _per_query_latencies(route_batches)
-        rows_submitted = sum(stats.rows_submitted for stats in replica_stats)
-        unique_rows = sum(stats.unique_rows for stats in replica_stats)
-        routes_stats[route] = {
-            "relation": relation_of(unit),
-            "estimator": estimator_of(unit),
-            "num_queries": num_queries,
-            "num_batches": sum(stats.num_batches for stats in replica_stats),
-            "elapsed_s": elapsed_s,
-            "queries_per_second": num_queries / elapsed_s if elapsed_s > 0 else 0.0,
-            "num_samples": replica_stats[0].num_samples,
-            "batch_size": replica_stats[0].batch_size,
-            "rows_submitted": rows_submitted,
-            "unique_rows": unique_rows,
-            "rows_evaluated": sum(stats.rows_evaluated
-                                  for stats in replica_stats),
-            "forward_calls": sum(stats.forward_calls
-                                 for stats in replica_stats),
-            "dedup_ratio": rows_submitted / unique_rows if unique_rows else 1.0,
-            "cache": _route_cache_dict([stats.cache for stats in replica_stats]),
-            "num_replicas": len(reports),
-            # Replicas share one group-wide conditional cache, so cache
-            # counters only exist at route level: nulling the per-replica
-            # copies stops consumers from summing the same counters N times.
-            "replicas": [{**stats.as_dict(), "cache": None}
-                         for stats in replica_stats],
-            "shed": shed_by_route.get(route, 0),
-            "result_cache_hits": cached_by_route.get(route, 0),
-            "latency_ms": latency_percentiles(
-                [record.latency_ms for record in route_batches],
-                weights=[record.num_queries for record in route_batches]),
-            "queue_wait_ms": latency_percentiles(route_waits),
-            "e2e_ms": latency_percentiles(route_e2es),
-            "timeout_flushes": sum(stats.timeout_flushes
-                                   for stats in replica_stats),
-            "batch_trace": batch_traces.get(route),
-        }
-    # Per-estimator latency columns: fold every unit one estimator
-    # served (a fallback may back several relations) into one row.
-    per_estimator: dict[str, dict] = {}
-    for unit, reports in route_reports.items():
-        entry = per_estimator.setdefault(estimator_of(unit), {
-            "units": [], "num_queries": 0, "elapsed_s": 0.0,
-            "batches": []})
-        entry["units"].append(unit)
-        entry["num_queries"] += routes_stats[unit]["num_queries"]
-        entry["elapsed_s"] += routes_stats[unit]["elapsed_s"]
-        entry["batches"].extend(record for report in reports
-                                for record in report.batches)
-    if cached_results:
-        entry = per_estimator.setdefault("cache", {
-            "units": [], "num_queries": 0, "elapsed_s": 0.0,
-            "batches": []})
-        entry["num_queries"] += len(cached_results)
-    estimators_stats = {}
-    for name, entry in sorted(per_estimator.items()):
-        batches = entry["batches"]
-        _, batch_e2es = _per_query_latencies(batches)
-        estimators_stats[name] = {
-            "units": sorted(entry["units"]),
-            "num_queries": entry["num_queries"],
-            "elapsed_s": entry["elapsed_s"],
-            "queries_per_second": (entry["num_queries"] / entry["elapsed_s"]
-                                   if entry["elapsed_s"] > 0 else 0.0),
-            "latency_ms": latency_percentiles(
-                [record.latency_ms for record in batches],
-                weights=[record.num_queries for record in batches]),
-            "e2e_ms": latency_percentiles(batch_e2es),
-        }
-    fleet_waits, fleet_e2es = _per_query_latencies(all_batches)
-    stats = FleetStats(
-        num_queries=len(merged),
-        num_models=num_models,
-        elapsed_s=sum(entry["elapsed_s"] for entry in routes_stats.values()),
-        cache_entries_total=cache_entries_total,
-        cache_entries_per_model=cache_entries_per_model,
-        shed=sum(shed_by_route.values()),
-        result_cache=result_cache_stats,
-        latency_ms=latency_percentiles(
-            [record.latency_ms for record in all_batches],
-            weights=[record.num_queries for record in all_batches]),
-        queue_wait_ms=latency_percentiles(fleet_waits),
-        e2e_ms=latency_percentiles(fleet_e2es),
-        timeout_flushes=sum(entry["timeout_flushes"]
-                            for entry in routes_stats.values()),
-        rows_submitted=sum(entry["rows_submitted"]
-                           for entry in routes_stats.values()),
-        unique_rows=sum(entry["unique_rows"]
-                        for entry in routes_stats.values()),
-        rows_evaluated=sum(entry["rows_evaluated"]
-                           for entry in routes_stats.values()),
-        forward_calls=sum(entry["forward_calls"]
-                          for entry in routes_stats.values()),
-        epochs=epochs,
-        estimators=estimators_stats,
-        routes=routes_stats,
-    )
-    return FleetReport(results=merged, routes=route_reports, stats=stats)
+#: Lower clamp of the controller's batch size: a batch of one always
+#: remains admissible.
+_MIN_BATCH = 1
+#: EWMA smoothing coefficient in ``(0, 1]``; higher reacts faster.
+_ALPHA = 0.3
+#: Fraction of the SLO the EWMA is steered to stay under.
+_HEADROOM = 0.8
+#: Grow only while the EWMA is below this fraction of the operating target,
+#: so the controller does not oscillate around it.
+_GROW_BELOW = 0.5
+#: Upper bound on the retained batch-size trace (a controller outlives
+#: workload scopes, so an unbounded trace would grow — and bloat every JSON
+#: report — for as long as the router serves).  The cumulative
+#: ``shrinks``/``grows`` counters are never truncated.
+_TRACE_LIMIT = 4096
 
 
 class AdaptiveBatchController:
@@ -693,14 +186,14 @@ class AdaptiveBatchController:
     per sample path per query), so batch size is the control knob:
 
     * **shrink** — when the EWMA exceeds the operating target
-      (``slo_ms * headroom``), the batch size is halved (multiplicative
+      (``slo_ms * _HEADROOM``), the batch size is halved (multiplicative
       decrease).  Sustained violation shrinks monotonically down to
-      ``min_batch``; it never grows while the target is exceeded.
-    * **grow** — when the EWMA sits below ``grow_below`` of the target, the
+      ``_MIN_BATCH``; it never grows while the target is exceeded.
+    * **grow** — when the EWMA sits below ``_GROW_BELOW`` of the target, the
       batch size is incremented (additive increase) up to ``max_batch``,
       clawing back throughput once the burst has passed.
 
-    The ``headroom`` factor (default 0.8) is what turns a *mean* tracker into
+    The ``_HEADROOM`` factor (0.8) is what turns a *mean* tracker into
     a *p95* target: holding the average at 80% of the SLO leaves the tail
     room to stay under it.  With ``slo_ms=None`` the controller is disabled
     and behaves exactly like a fixed batch size (``observe`` still records
@@ -713,61 +206,26 @@ class AdaptiveBatchController:
         Target p95 latency in milliseconds; ``None`` disables adaptation.
     max_batch:
         Upper clamp of the batch size (typically the router's configured
-        ``batch_size``); also the initial size unless ``initial`` is given.
-    min_batch:
-        Lower clamp (default 1 — a batch of one always remains admissible).
-    alpha:
-        EWMA smoothing coefficient in ``(0, 1]``; higher reacts faster.
-    headroom:
-        Fraction of the SLO the EWMA is steered to stay under.
-    grow_below:
-        Grow only while the EWMA is below this fraction of the operating
-        target, so the controller does not oscillate around it.
-    initial:
-        Starting batch size (defaults to ``max_batch``).
-    trace_limit:
-        Upper bound on the retained batch-size trace (a controller outlives
-        workload scopes, so an unbounded trace would grow — and bloat every
-        JSON report — for as long as the router serves).  The cumulative
-        ``shrinks``/``grows`` counters are never truncated.
+        ``batch_size``); also the initial size.
     """
 
-    def __init__(self, *, slo_ms: float | None = None, max_batch: int = 32,
-                 min_batch: int = 1, alpha: float = 0.3,
-                 headroom: float = 0.8, grow_below: float = 0.5,
-                 initial: int | None = None, trace_limit: int = 4096) -> None:
+    def __init__(self, *, slo_ms: float | None = None,
+                 max_batch: int = 32) -> None:
         if slo_ms is not None and slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if min_batch < 1:
-            raise ValueError("min_batch must be at least 1")
-        if max_batch < min_batch:
-            raise ValueError(f"max_batch ({max_batch}) must be >= min_batch "
-                             f"({min_batch})")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
-        if not 0.0 < grow_below < 1.0:
-            raise ValueError("grow_below must be in (0, 1)")
-        if trace_limit < 1:
-            raise ValueError("trace_limit must be at least 1")
+        if max_batch < _MIN_BATCH:
+            raise ValueError(f"max_batch must be at least {_MIN_BATCH}, "
+                             f"got {max_batch}")
         self.slo_ms = slo_ms
-        self.min_batch = min_batch
         self.max_batch = max_batch
-        self.alpha = alpha
-        self.headroom = headroom
-        self.grow_below = grow_below
-        self.batch_size = initial if initial is not None else max_batch
-        if not min_batch <= self.batch_size <= max_batch:
-            raise ValueError(f"initial batch size {self.batch_size} outside "
-                             f"[{min_batch}, {max_batch}]")
+        self.batch_size = max_batch
         self.ewma_ms: float | None = None
         #: Batch-size decision after every observed dispatch (element 0 is
-        #: the initial size until ``trace_limit`` truncates the oldest
+        #: the initial size until ``_TRACE_LIMIT`` truncates the oldest
         #: entries).  Lifetime of the controller, like cache counters — it
         #: is not reset per workload scope, only bounded; per-scope reports
         #: slice it (see :meth:`FleetRouter.report`).
-        self.trace: deque[int] = deque([self.batch_size], maxlen=trace_limit)
+        self.trace: deque[int] = deque([self.batch_size], maxlen=_TRACE_LIMIT)
         #: Total dispatches ever observed (never truncated, unlike ``trace``).
         self.observations = 0
         self.shrinks = 0
@@ -780,8 +238,8 @@ class AdaptiveBatchController:
 
     @property
     def target_ms(self) -> float | None:
-        """The EWMA operating ceiling: ``slo_ms * headroom`` (``None`` off)."""
-        return self.slo_ms * self.headroom if self.slo_ms is not None else None
+        """The EWMA operating ceiling: ``slo_ms * _HEADROOM`` (``None`` off)."""
+        return self.slo_ms * _HEADROOM if self.slo_ms is not None else None
 
     def observe(self, latency_ms: float) -> int:
         """Fold one observed latency into the EWMA; returns the new batch size.
@@ -798,16 +256,16 @@ class AdaptiveBatchController:
         if self.ewma_ms is None:
             self.ewma_ms = float(latency_ms)
         else:
-            self.ewma_ms = (self.alpha * float(latency_ms)
-                            + (1.0 - self.alpha) * self.ewma_ms)
+            self.ewma_ms = (_ALPHA * float(latency_ms)
+                            + (1.0 - _ALPHA) * self.ewma_ms)
         if self.enabled:
             target = self.target_ms
             if self.ewma_ms > target:
-                shrunk = max(self.min_batch, self.batch_size // 2)
+                shrunk = max(_MIN_BATCH, self.batch_size // 2)
                 if shrunk < self.batch_size:
                     self.batch_size = shrunk
                     self.shrinks += 1
-            elif (self.ewma_ms < self.grow_below * target
+            elif (self.ewma_ms < _GROW_BELOW * target
                   and self.batch_size < self.max_batch):
                 self.batch_size += 1
                 self.grows += 1
@@ -820,7 +278,7 @@ class AdaptiveBatchController:
             "slo_ms": self.slo_ms,
             "ewma_ms": self.ewma_ms,
             "batch_size": self.batch_size,
-            "min_batch": self.min_batch,
+            "min_batch": _MIN_BATCH,
             "max_batch": self.max_batch,
             "observations": self.observations,
             "shrinks": self.shrinks,
@@ -831,7 +289,7 @@ class AdaptiveBatchController:
     def __repr__(self) -> str:
         slo = f"{self.slo_ms:.1f}ms" if self.slo_ms is not None else "off"
         return (f"AdaptiveBatchController(slo={slo}, batch={self.batch_size} "
-                f"in [{self.min_batch}, {self.max_batch}])")
+                f"in [{_MIN_BATCH}, {self.max_batch}])")
 
 
 class ReplicaGroup:
@@ -916,7 +374,7 @@ class ReplicaGroup:
                 self.shed += 1
                 raise AdmissionError(self.route, self.max_pending, query)
             fullest = max(self.engines, key=lambda engine: engine.pending)
-            fullest.flush()
+            fullest.flush(reason="admission")
         replica = self.replica_of(index)
         self.engines[replica].submit(query, index=index)
         self.peak_pending = max(self.peak_pending, self.pending)
@@ -1199,13 +657,9 @@ class FleetRouter:
             if self._result_cache is not None:
                 self._feed_result(route, result)
             if self.on_result is not None:
-                self._emit(RoutedResult(
-                    index=result.index, route=route, query=result.query,
-                    selectivity=result.selectivity,
-                    cardinality=result.cardinality,
-                    batch_index=result.batch_index, replica=replica,
-                    queue_wait_ms=result.queue_wait_ms, e2e_ms=result.e2e_ms,
-                    estimator=estimator_name))
+                self._emit(RoutedResult.of(result, route=route,
+                                           replica=replica,
+                                           estimator=estimator_name))
         return sink
 
     def group(self, route: str) -> ReplicaGroup:
@@ -1434,10 +888,11 @@ class FleetRouter:
     def flush_deadlined(self) -> int:
         """Dispatch every partial micro-batch that carries a flush deadline.
 
-        An ordinary flush, not a timeout one: the asyncio flush driver calls
-        this once the event loop has gone idle, so a batch nothing else will
-        join leaves before its deadline.  Engines without a deadline keep
-        waiting for a fill or an explicit :meth:`flush`.
+        An idle flush, not a timeout one (``flush_reason="idle"``): the
+        asyncio flush driver calls this once the event loop has gone idle, so
+        a batch nothing else will join leaves before its deadline.  Engines
+        without a deadline keep waiting for a fill or an explicit
+        :meth:`flush`.
 
         Returns:
             How many micro-batches were dispatched.
@@ -1446,7 +901,7 @@ class FleetRouter:
         for group in self._groups.values():
             for engine in group.engines:
                 if engine.flush_deadline is not None:
-                    engine.flush()
+                    engine.flush(reason="idle")
                     flushed += 1
         return flushed
 
@@ -1573,36 +1028,37 @@ class FleetRouter:
         hit/miss counters (conditional and result caches alike) are lifetime
         numbers, because the caches themselves outlive scopes.
         """
-        route_reports: dict[str, list[EngineReport]] = {}
-        unit_info: dict[str, dict] = {}
-        shed_by_unit: dict[str, int] = {}
+        units = {}
         for (route, role), group in self._groups.items():
-            unit = route if role == "primary" else f"{route}@fallback"
-            route_reports[unit] = group.reports()
-            unit_info[unit] = {"relation": route,
-                               "estimator": group.engines[0].estimator.name}
-            shed_by_unit[unit] = group.shed
+            units[route if role == "primary" else f"{route}@fallback"] = {
+                "relation": route,
+                "estimator": group.engines[0].estimator.name,
+                "reports": group.reports(), "shed": group.shed,
+                "batch_trace": (self._scope_trace(route)
+                                if role == "primary" else None)}
         self._unreported_cached = 0
-        result_cache_stats = (self._result_cache.stats.as_dict()
-                              if self._result_cache is not None else None)
-        # Each controller's lifetime trace, sliced to this scope: element 0
-        # is the batch size in force when the scope began, then one entry per
-        # dispatch observed since (up to ``trace_limit`` truncation).
-        batch_traces = {}
-        for route, controller in self._controllers.items():
-            lifetime = list(controller.trace)
-            observed = controller.observations - self._scope_marks[route]
-            batch_traces[route] = lifetime[max(0, len(lifetime) - observed - 1):]
-        return _merge_reports(
-            route_reports, num_models=len(self.registry),
+        return merge_reports(
+            units, cached=self._cached_results,
+            num_models=len(self.registry),
             cache_entries_total=self.cache_entries,
             cache_entries_per_model=self.cache_entries_per_model,
-            cached_results=list(self._cached_results),
-            shed_by_route=shed_by_unit,
-            result_cache_stats=result_cache_stats,
-            batch_traces=batch_traces,
-            epochs=self._epoch_report(),
-            unit_info=unit_info)
+            result_cache=(self._result_cache.stats.as_dict()
+                          if self._result_cache is not None else None),
+            epochs=self._epoch_report())
+
+    def _scope_trace(self, route: str) -> list[int] | None:
+        """One route's controller trace, sliced to this scope (``None``: no SLO).
+
+        Element 0 is the batch size in force when the scope began, then one
+        entry per dispatch observed since (up to ``_TRACE_LIMIT``
+        truncation).
+        """
+        controller = self._controllers.get(route)
+        if controller is None:
+            return None
+        lifetime = list(controller.trace)
+        observed = controller.observations - self._scope_marks[route]
+        return lifetime[max(0, len(lifetime) - observed - 1):]
 
     def _epoch_report(self) -> dict[str, dict]:
         """Per-relation epoch/staleness counters for :attr:`FleetStats.epochs`."""
@@ -1640,24 +1096,20 @@ def run_fleet_sequential(registry: ModelRegistry, queries: list[Query], *,
         indices, routed = per_unit.setdefault(serving, ([], []))
         indices.append(index)
         routed.append(query)
-    route_reports: dict[str, list[EngineReport]] = {}
-    unit_info: dict[str, dict] = {}
+    units: dict[str, dict] = {}
     for (route, role), (indices, routed) in per_unit.items():
         if role == "primary":
             estimator = registry.estimator(route)
-            route_reports[route] = [
-                run_sequential(estimator, routed, num_samples=num_samples,
-                               seed=seed, indices=indices)]
-            unit_info[route] = {"relation": route,
-                                "estimator": estimator.name}
-            continue
-        unit = f"{route}@fallback"
-        group = router.fallback_unit(route)
-        for index, query in zip(indices, routed):
-            group.submit(query, index)
-        route_reports[unit] = group.reports()
-        unit_info[unit] = {"relation": route,
-                           "estimator": group.engines[0].estimator.name}
-    return _merge_reports(route_reports, num_models=len(registry),
-                          cache_entries_total=0, cache_entries_per_model=0,
-                          unit_info=unit_info)
+            reports = [run_sequential(estimator, routed,
+                                      num_samples=num_samples, seed=seed,
+                                      indices=indices)]
+        else:
+            group = router.fallback_unit(route)
+            for index, query in zip(indices, routed):
+                group.submit(query, index)
+            estimator, reports = group.engines[0].estimator, group.reports()
+        units[route if role == "primary" else f"{route}@fallback"] = {
+            "relation": route, "estimator": estimator.name,
+            "reports": reports}
+    return merge_reports(units, num_models=len(registry),
+                         cache_entries_total=0, cache_entries_per_model=0)

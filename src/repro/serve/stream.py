@@ -9,7 +9,7 @@ through futures:
 
 * :class:`AsyncFleetClient` — ``submit()`` one query, get an
   :class:`asyncio.Future` back; the future resolves with the query's
-  :class:`~repro.serve.router.RoutedResult` the moment its micro-batch
+  :class:`~repro.serve.report.RoutedResult` the moment its micro-batch
   dispatches (or immediately, on a result-cache hit).  Pure asyncio: the
   engines stay single-threaded and synchronous underneath, no OS threads are
   spawned, and producers coordinate through the event loop alone.
@@ -46,7 +46,8 @@ from __future__ import annotations
 import asyncio
 
 from ..query.predicates import Query
-from .router import AdmissionError, FleetReport, FleetRouter, RoutedResult
+from .report import FleetReport, RoutedResult
+from .router import AdmissionError, FleetRouter
 
 __all__ = ["AsyncFleetClient", "stream_workload"]
 
@@ -181,7 +182,7 @@ class AsyncFleetClient:
 
         Returns:
             An :class:`asyncio.Future` resolving to the query's
-            :class:`~repro.serve.router.RoutedResult`.
+            :class:`~repro.serve.report.RoutedResult`.
 
         Raises:
             RoutingError: The query names no servable relation (nothing is
@@ -254,7 +255,7 @@ class AsyncFleetClient:
                     for engine in group.engines):
                 fullest = max(group.engines,
                               key=lambda engine: engine.pending)
-                fullest.flush()
+                fullest.flush(reason="admission")
                 continue
             waiter = loop.create_future()
             self._admission_waiters.setdefault(route, []).append(waiter)
@@ -517,7 +518,7 @@ def stream_workload(router: FleetRouter, queries: list[Query], *,
             alone — real time, real deadlines.
 
     Returns:
-        The merged :class:`~repro.serve.router.FleetReport`, results in
+        The merged :class:`~repro.serve.report.FleetReport`, results in
         global index order.  Queries shed by the admission controller are
         skipped and counted per route in the report, like ``run()`` — with
         one indexing difference: indices here are *positions*, so a shed

@@ -311,6 +311,8 @@ def test_open_loop_reports_arrival_based_latency(fleet, workload):
     assert summary["completed"] == outcome.completed
     assert summary["e2e_p95_ms"] == outcome.e2e_p95_ms
     assert set(summary["arrival_e2e_ms"]) == {"p50", "p95", "p99"}
+    # The CLI prints the idle-flush count, so the JSON document carries it.
+    assert summary["idle_flushes"] == outcome.idle_flushes
 
 
 def test_open_loop_overload_sheds_typed_and_bounded(fleet, workload):

@@ -32,7 +32,15 @@ from repro.serve import (
     generate_bursty_workload,
     generate_mixed_workload,
     latency_percentiles,
+    replica_for,
     stream_workload,
+)
+from repro.serve.router import (
+    _ALPHA,
+    _GROW_BELOW,
+    _HEADROOM,
+    _MIN_BATCH,
+    _TRACE_LIMIT,
 )
 
 _CONFIG = NaruConfig(epochs=2, hidden_sizes=(16, 16), batch_size=128,
@@ -71,10 +79,10 @@ def test_controller_shrinks_monotonically_under_violation():
 
 
 def test_controller_clamps_at_both_bounds():
-    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=8, min_batch=2)
+    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=8)
     for _ in range(20):
-        assert controller.observe(1000.0) >= 2
-    assert controller.batch_size == 2
+        assert controller.observe(1000.0) >= _MIN_BATCH
+    assert controller.batch_size == _MIN_BATCH
     for _ in range(50):
         assert controller.observe(0.01) <= 8
     assert controller.batch_size == 8  # grown back, additively, to the cap
@@ -92,11 +100,13 @@ def test_controller_disabled_is_fixed():
 
 
 def test_controller_does_not_grow_above_target_band():
-    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=32,
-                                         headroom=0.8, grow_below=0.5)
+    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=32)
     controller.observe(100.0)  # shrink once
     size = controller.batch_size
-    # EWMA inside [grow_below * target, target]: hold, neither grow nor shrink.
+    # EWMA inside [_GROW_BELOW * target, target]: hold, neither grow nor
+    # shrink.
+    assert controller.target_ms == pytest.approx(10.0 * _HEADROOM)
+    assert _GROW_BELOW * controller.target_ms < 6.0 < controller.target_ms
     controller.ewma_ms = 6.0
     assert controller.observe(6.0) == size
 
@@ -104,37 +114,26 @@ def test_controller_does_not_grow_above_target_band():
 def test_controller_validates_arguments():
     with pytest.raises(ValueError, match="slo_ms"):
         AdaptiveBatchController(slo_ms=0.0)
-    with pytest.raises(ValueError, match="min_batch"):
-        AdaptiveBatchController(min_batch=0)
     with pytest.raises(ValueError, match="max_batch"):
-        AdaptiveBatchController(max_batch=2, min_batch=4)
-    with pytest.raises(ValueError, match="alpha"):
-        AdaptiveBatchController(alpha=0.0)
-    with pytest.raises(ValueError, match="headroom"):
-        AdaptiveBatchController(headroom=1.5)
-    with pytest.raises(ValueError, match="grow_below"):
-        AdaptiveBatchController(grow_below=1.0)
-    with pytest.raises(ValueError, match="initial"):
-        AdaptiveBatchController(max_batch=8, initial=9)
-    with pytest.raises(ValueError, match="trace_limit"):
-        AdaptiveBatchController(trace_limit=0)
+        AdaptiveBatchController(max_batch=_MIN_BATCH - 1)
 
 
 def test_controller_trace_is_bounded():
-    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=4,
-                                         trace_limit=8)
-    for _ in range(50):
+    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=4)
+    for _ in range(_TRACE_LIMIT + 50):
         controller.observe(100.0)
-    assert len(controller.trace) == 8      # ring buffer, not unbounded
+    assert len(controller.trace) == _TRACE_LIMIT  # ring buffer, not unbounded
+    assert controller.observations == _TRACE_LIMIT + 50
     assert controller.shrinks >= 2         # cumulative counters survive
 
 
 def test_ewma_tracks_latency():
-    controller = AdaptiveBatchController(slo_ms=100.0, alpha=0.5, max_batch=4)
+    controller = AdaptiveBatchController(slo_ms=100.0, max_batch=4)
     controller.observe(10.0)
     assert controller.ewma_ms == pytest.approx(10.0)
     controller.observe(20.0)
-    assert controller.ewma_ms == pytest.approx(15.0)
+    assert controller.ewma_ms == pytest.approx(
+        _ALPHA * 20.0 + (1.0 - _ALPHA) * 10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -524,6 +523,57 @@ def test_engine_flush_deadline_and_tick(fleet, workload):
     assert result.e2e_ms == pytest.approx(6.0)  # virtual dispatch takes 0 ms
 
 
+@pytest.mark.parametrize("workers", [0, 1], ids=["inprocess", "procfleet-w1"])
+def test_batch_records_name_every_flush_reason(workers):
+    """One virtual-clock script dispatches a batch for each reason — fill,
+    deadline, idle, admission, explicit flush — and every batch record names
+    its own; a one-worker ProcessFleet records the same reasons."""
+    users = make_users(num_users=80, seed=4)
+    registry = ModelRegistry(default_config=_CONFIG)
+    registry.register_table(users, replicas=2)
+    registry.fit_all()
+    generator = WorkloadGenerator(users, min_filters=1, max_filters=2, seed=17)
+    queries = [query.qualified("users") for query in generator.generate(4)]
+    indices = {0: [], 1: []}  # global indices each replica's hash picks
+    for index in range(64):
+        indices[replica_for("users", index, 2)].append(index)
+    slots = {replica: iter(found) for replica, found in indices.items()}
+    clock = VirtualClock()
+    options = dict(batch_size=2, num_samples=_SAMPLES, seed=2, max_pending=2,
+                   flush_after_ms=5.0, clock=clock)
+    router = (ProcessFleet(registry, workers=workers, **options) if workers
+              else FleetRouter(registry, **options))
+
+    def submit(replica):
+        index = next(slots[replica])
+        router.submit(queries[index % len(queries)], index=index)
+
+    try:
+        submit(0)
+        submit(0)                                 # replica 0 fills
+        submit(0)
+        clock.advance(6e-3)
+        router.tick()                             # its deadline passes
+        submit(0)
+        assert router.flush_deadlined() == 1      # the loop went idle
+        submit(1)
+        submit(0)
+        submit(1)  # the group is at max_pending: replica 0 leaves, 1 fills
+        submit(0)
+        router.flush()                            # an explicit flush
+        report = router.report()
+    finally:
+        if workers:
+            router.close()
+    reasons = [[record.flush_reason for record in engine_report.batches]
+               for engine_report in report.routes["users"]]
+    assert reasons == [["fill", "deadline", "idle", "admission", "flush"],
+                       ["fill"]]
+    assert [record.timeout_flush for record in report.routes["users"][0]
+            .batches] == [False, True, False, False, False]
+    assert report.stats.timeout_flushes == 1
+
+
 def test_flush_deadline_validation(fleet):
     with pytest.raises(ValueError, match="flush_after_ms"):
         FleetRouter(fleet, flush_after_ms=0.0)
@@ -565,13 +615,10 @@ def test_report_exposes_queue_wait_and_e2e_percentiles(fleet, workload):
         assert {"p50", "p95", "p99"} == set(scope["latency_ms"])
         assert {"p50", "p95", "p99"} == set(scope["queue_wait_ms"])
         assert {"p50", "p95", "p99"} == set(scope["e2e_ms"])
-    assert report.queue_wait_percentiles == report.stats.queue_wait_ms
-    assert report.e2e_percentiles == report.stats.e2e_ms
-    assert report.dispatch_percentiles == report.stats.latency_ms
     # Per query, end-to-end is wait + dispatch, so the fleet e2e p95 can
     # never undercut the dispatch p95 and every result carries both fields.
-    assert report.e2e_percentiles["p95"] >= \
-        report.dispatch_percentiles["p95"] - 1e-9
+    assert report.stats.e2e_ms["p95"] >= \
+        report.stats.latency_ms["p95"] - 1e-9
     for result in report.results:
         assert result.e2e_ms >= result.queue_wait_ms >= 0.0
 
