@@ -92,6 +92,15 @@ ARRIVAL_PROCESSES = ("poisson", "diurnal", "flash")
 
 _TRACE_VERSION = 1
 
+#: Peak-to-mean modulation of :func:`diurnal_arrivals`: the rate swings
+#: between 0.2x and 1.8x the mean over one cycle per run.
+_DIURNAL_DEPTH = 0.8
+#: The :func:`flash_arrivals` burst: it starts half-way through the run,
+#: lasts a fifth of it, and runs at five times the base rate.
+_FLASH_AT = 0.5
+_FLASH_WIDTH = 0.2
+_FLASH_MULTIPLIER = 5.0
+
 
 def _validate_load(rate_qps: float, duration_s: float) -> None:
     if not math.isfinite(rate_qps) or rate_qps <= 0.0:
@@ -146,78 +155,63 @@ def _thinned_arrivals(rate_fn: Callable[[float], float], peak_qps: float,
             timestamps.append(now)
 
 
-def diurnal_arrivals(rate_qps: float, duration_s: float, *, seed: int = 0,
-                     period_s: float | None = None,
-                     depth: float = 0.8) -> list[float]:
+def diurnal_arrivals(rate_qps: float, duration_s: float, *,
+                     seed: int = 0) -> list[float]:
     """Diurnal (sinusoidal) arrivals averaging exactly ``rate_qps``.
 
-    The instantaneous rate is ``rate_qps * (1 + depth * sin(2πt/period))`` —
-    a day/night cycle compressed into the run.  ``period_s`` defaults to
-    ``duration_s`` (one full cycle), which keeps the *mean* rate exactly the
-    requested one, so a diurnal run at N qps offers the same total load as a
-    Poisson run at N qps; only the shape differs.
+    The instantaneous rate is ``rate_qps * (1 + depth * sin(2πt/duration))``
+    with ``depth`` = ``_DIURNAL_DEPTH`` (0.8: the rate swings between 0.2x
+    and 1.8x the mean) — a day/night cycle compressed into the run.  One
+    full cycle per run keeps the *mean* rate exactly the requested one, so
+    a diurnal run at N qps offers the same total load as a Poisson run at N
+    qps; only the shape differs.
 
     Args:
         rate_qps: Mean offered rate (must be positive).
         duration_s: Length of the arrival window in seconds.
         seed: RNG seed; the sequence is a deterministic function of it.
-        period_s: Cycle length in seconds (``None`` = one cycle per run).
-        depth: Peak-to-mean modulation in ``[0, 1)``: 0 degenerates to
-            Poisson, 0.8 swings between 0.2x and 1.8x the mean.
 
     Raises:
-        ValueError: Invalid rate, duration, period or depth.
+        ValueError: Invalid rate or duration.
     """
     _validate_load(rate_qps, duration_s)
-    if period_s is None:
-        period_s = duration_s
-    if not math.isfinite(period_s) or period_s <= 0.0:
-        raise ValueError(f"period_s must be positive and finite, got {period_s!r}")
-    if not 0.0 <= depth < 1.0:
-        raise ValueError(f"depth must be in [0, 1), got {depth!r}")
 
     def rate(t: float) -> float:
-        return rate_qps * (1.0 + depth * math.sin(2.0 * math.pi * t / period_s))
+        return rate_qps * (1.0 + _DIURNAL_DEPTH
+                           * math.sin(2.0 * math.pi * t / duration_s))
 
-    return _thinned_arrivals(rate, rate_qps * (1.0 + depth), duration_s, seed)
+    return _thinned_arrivals(rate, rate_qps * (1.0 + _DIURNAL_DEPTH),
+                             duration_s, seed)
 
 
-def flash_arrivals(rate_qps: float, duration_s: float, *, seed: int = 0,
-                   flash_at: float = 0.5, flash_width: float = 0.2,
-                   multiplier: float = 5.0) -> list[float]:
+def flash_arrivals(rate_qps: float, duration_s: float, *,
+                   seed: int = 0) -> list[float]:
     """Flash-crowd arrivals averaging exactly ``rate_qps``.
 
     A steady base rate with one sustained burst: during the window starting
-    at ``flash_at`` (as a fraction of the run) and lasting ``flash_width``
-    of it, the instantaneous rate jumps to ``multiplier`` times the base.
-    The base is scaled down so the *mean* over the whole run is exactly
-    ``rate_qps`` — a flash run and a Poisson run at the same nominal rate
-    offer the same total load, concentrated differently.
+    half-way through the run (``_FLASH_AT``) and lasting a fifth of it
+    (``_FLASH_WIDTH``), the instantaneous rate jumps to five times the base
+    (``_FLASH_MULTIPLIER``).  The base is scaled down so the *mean* over the
+    whole run is exactly ``rate_qps`` — a flash run and a Poisson run at the
+    same nominal rate offer the same total load, concentrated differently.
 
     Args:
         rate_qps: Mean offered rate (must be positive).
         duration_s: Length of the arrival window in seconds.
         seed: RNG seed; the sequence is a deterministic function of it.
-        flash_at: Start of the burst as a fraction of the run in ``[0, 1)``.
-        flash_width: Burst length as a fraction of the run in ``(0, 1]``
-            (clipped at the end of the run).
-        multiplier: Burst rate as a multiple of the base rate (>= 1).
 
     Raises:
-        ValueError: Invalid rate, duration, window or multiplier.
+        ValueError: Invalid rate or duration.
     """
     _validate_load(rate_qps, duration_s)
-    if not 0.0 <= flash_at < 1.0:
-        raise ValueError(f"flash_at must be in [0, 1), got {flash_at!r}")
-    if not 0.0 < flash_width <= 1.0:
-        raise ValueError(f"flash_width must be in (0, 1], got {flash_width!r}")
-    if multiplier < 1.0:
-        raise ValueError(f"multiplier must be at least 1, got {multiplier!r}")
-    start = flash_at * duration_s
-    end = min(flash_at + flash_width, 1.0) * duration_s
+    start = _FLASH_AT * duration_s
+    end = (_FLASH_AT + _FLASH_WIDTH) * duration_s
+    # The window's share of the run, computed from its clock readings (a
+    # literal _FLASH_WIDTH would move the base rate, and so every
+    # timestamp, by an ulp).
     width = (end - start) / duration_s
-    base = rate_qps / (1.0 + (multiplier - 1.0) * width)
-    peak = base * multiplier
+    base = rate_qps / (1.0 + (_FLASH_MULTIPLIER - 1.0) * width)
+    peak = base * _FLASH_MULTIPLIER
 
     def rate(t: float) -> float:
         return peak if start <= t < end else base
@@ -226,24 +220,22 @@ def flash_arrivals(rate_qps: float, duration_s: float, *, seed: int = 0,
 
 
 def generate_arrivals(process: str, *, rate_qps: float, duration_s: float,
-                      seed: int = 0, **params) -> list[float]:
+                      seed: int = 0) -> list[float]:
     """Generate one arrival sequence by process name.
 
     The string-keyed front door shared by the CLI, :class:`ArrivalTrace` and
-    the sweep: ``process`` is one of :data:`ARRIVAL_PROCESSES`, ``params``
-    are the process-specific knobs (``depth``/``period_s`` for diurnal,
-    ``flash_at``/``flash_width``/``multiplier`` for flash).
+    the sweep: ``process`` is one of :data:`ARRIVAL_PROCESSES`.
 
     Raises:
-        ValueError: Unknown process, invalid knobs, or a non-positive
-            rate/duration (the ``--offered-qps`` fail-fast lives here).
+        ValueError: Unknown process, or a non-positive rate/duration (the
+            ``--offered-qps`` fail-fast lives here).
     """
     generators = {"poisson": poisson_arrivals, "diurnal": diurnal_arrivals,
                   "flash": flash_arrivals}
     if process not in generators:
         raise ValueError(f"unknown arrival process {process!r}; known: "
                          f"{', '.join(ARRIVAL_PROCESSES)}")
-    return generators[process](rate_qps, duration_s, seed=seed, **params)
+    return generators[process](rate_qps, duration_s, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,7 @@ class ArrivalTrace:
     """A recorded arrival sequence, replayable bit-for-bit from JSON.
 
     A trace bundles the timestamps with the provenance that produced them
-    (process, rate, duration, seed, process knobs), so a load test is fully
+    (process, rate, duration, seed), so a load test is fully
     described by one small file.  :meth:`save` / :meth:`load` round-trip
     **byte-stably**: for a given seed, recording the same trace twice — or
     loading a file and saving it again — writes identical bytes (JSON floats
@@ -264,7 +256,6 @@ class ArrivalTrace:
     duration_s: float
     seed: int
     timestamps: tuple[float, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         previous = -math.inf
@@ -280,14 +271,12 @@ class ArrivalTrace:
 
     @classmethod
     def record(cls, process: str, *, rate_qps: float, duration_s: float,
-               seed: int = 0, **params) -> "ArrivalTrace":
+               seed: int = 0) -> "ArrivalTrace":
         """Generate and wrap one arrival sequence (see :func:`generate_arrivals`)."""
         timestamps = generate_arrivals(process, rate_qps=rate_qps,
-                                       duration_s=duration_s, seed=seed,
-                                       **params)
+                                       duration_s=duration_s, seed=seed)
         return cls(process=process, rate_qps=rate_qps, duration_s=duration_s,
-                   seed=seed, timestamps=tuple(timestamps),
-                   params=dict(params))
+                   seed=seed, timestamps=tuple(timestamps))
 
     def to_json(self) -> str:
         """The canonical JSON document — the exact bytes :meth:`save` writes."""
@@ -297,7 +286,6 @@ class ArrivalTrace:
             "rate_qps": self.rate_qps,
             "duration_s": self.duration_s,
             "seed": self.seed,
-            "params": dict(self.params),
             "timestamps": list(self.timestamps),
         }
         return json.dumps(document, indent=1, sort_keys=True) + "\n"
@@ -346,8 +334,7 @@ class ArrivalTrace:
                        rate_qps=float(document["rate_qps"]),
                        duration_s=float(document["duration_s"]),
                        seed=int(document["seed"]),
-                       timestamps=tuple(float(entry) for entry in timestamps),
-                       params=dict(document.get("params", {})))
+                       timestamps=tuple(float(entry) for entry in timestamps))
         except (TypeError, ValueError) as error:
             raise ValueError(f"trace file {path!r} is malformed: {error}") \
                 from error
@@ -607,14 +594,14 @@ def run_open_loop(router: FleetRouter, queries: Sequence[Query],
     lateness_ms: dict[int, float] = {}
 
     async def drive() -> tuple[FleetReport, float, int]:
-        # flush_driver in auto mode: under a real/hybrid clock a background
+        # The default flush driver: under a real/hybrid clock a background
         # task dispatches a partial batch as soon as pace() leaves the loop
         # idle between arrivals (so it waits neither for the *next* arrival
         # nor for its deadline, which only bounds a loop that never idles);
         # under a frozen clock the inline tick below keeps the replay a pure
         # function of the trace.
         client = AsyncFleetClient(router)
-        ticking = router.has_flush_timeouts
+        ticking = router.flush_after_ms is not None
         start = client.clock()
         wall_start = time.perf_counter()
         try:
@@ -670,7 +657,7 @@ def run_open_loop(router: FleetRouter, queries: Sequence[Query],
 def sweep_offered_load(router_factory: Callable[[], FleetRouter],
                        queries: Sequence[Query], rates_qps: Sequence[float], *,
                        duration_s: float, process: str = "poisson",
-                       seed: int = 0, **params) -> list[dict]:
+                       seed: int = 0) -> list[dict]:
     """Run the open-loop driver at a ladder of offered rates.
 
     Each rate gets a **fresh** router from ``router_factory`` (so one
@@ -689,8 +676,7 @@ def sweep_offered_load(router_factory: Callable[[], FleetRouter],
     rows = []
     for rate in rates_qps:
         arrivals = generate_arrivals(process, rate_qps=rate,
-                                     duration_s=duration_s, seed=seed,
-                                     **params)
+                                     duration_s=duration_s, seed=seed)
         outcome = run_open_loop(router_factory(), queries, arrivals,
                                 duration_s=duration_s)
         stats = outcome.report.stats

@@ -140,13 +140,14 @@ class StaleEpochError(RuntimeError):
     refuses with this typed error; the message names the remedy.
     """
 
-    def __init__(self, route: str, fleet_epoch: tuple[int, int],
-                 registry_epoch: tuple[int, int]) -> None:
+    def __init__(self, route: str, fleet_epoch: tuple[int, int, int],
+                 registry_epoch: tuple[int, int, int]) -> None:
         super().__init__(
             f"relation {route!r} was exported at epoch "
-            f"(data={fleet_epoch[0]}, model={fleet_epoch[1]}) but the "
-            f"registry is now at (data={registry_epoch[0]}, "
-            f"model={registry_epoch[1]}); the workers' npz-copied models are "
+            f"(data={fleet_epoch[0]}, model={fleet_epoch[1]}, "
+            f"swaps={fleet_epoch[2]}) but the registry is now at "
+            f"(data={registry_epoch[0]}, model={registry_epoch[1]}, "
+            f"swaps={registry_epoch[2]}); the workers' npz-copied models are "
             "stale — close this fleet and build a new ProcessFleet to "
             "re-export the current models")
         self.route = route
@@ -366,11 +367,10 @@ class ProcessFleet(FleetRouter):
         the parent *before* any worker spawns, so a failing registry raises
         here with no child processes left behind.
     workers:
-        Number of OS worker processes to spawn.
-    replicas:
-        Optional fleet-wide replica override (``None`` reads each relation's
-        registered count).  More replicas than workers is fine (workers host
-        several engines); more workers than engines leaves workers idle.
+        Number of OS worker processes to spawn.  Each relation's replica
+        count is its registered one (``registry.set_replicas``).  More
+        replicas than workers is fine (workers host several engines); more
+        workers than engines leaves workers idle.
     log_dir:
         Directory for per-worker log files (``worker-<id>.log``, created if
         missing); ``None`` disables worker logging.
@@ -386,7 +386,7 @@ class ProcessFleet(FleetRouter):
         by every message received.
     **router_options:
         Every other :class:`~repro.serve.router.FleetRouter` keyword
-        (batching, SLO, caches, admission, result cache, observers, clock), with
+        (batching, SLO, caches, admission, result cache, clock), with
         the router's semantics.  One difference: conditional caches are per
         engine, inside the workers (a process boundary rules out the router's
         group-shared store), so with ``replicas > 1`` cache hit patterns —
@@ -394,16 +394,14 @@ class ProcessFleet(FleetRouter):
     """
 
     def __init__(self, registry: ModelRegistry, *, workers: int = 2,
-                 replicas: int | None = None, log_dir: str | None = None,
+                 log_dir: str | None = None,
                  start_method: str | None = None,
                  recv_timeout_s: float = 120.0, **router_options) -> None:
-        self._replicas = replicas  # read by _replicas_of during super().__init__
         super().__init__(registry, **router_options)
         self.num_workers = workers
         self.recv_timeout_s = recv_timeout_s
-        # Also the validation of ``workers`` and ``replicas`` (ValueError).
-        self._assignment = registry.worker_assignments(
-            workers, replicas=self._replica_counts)
+        # Also the validation of ``workers`` (ValueError).
+        self._assignment = registry.worker_assignments(workers)
 
         # Train + snapshot every model BEFORE spawning anything: a broken
         # registry must fail fast with no children to clean up.
@@ -683,11 +681,6 @@ class ProcessFleet(FleetRouter):
     # ------------------------------------------------------------------ #
     # The router's seams and guards
     # ------------------------------------------------------------------ #
-    def _replicas_of(self, route: str) -> int:
-        if self._replicas is not None:
-            return self._replicas
-        return super()._replicas_of(route)
-
     def _make_engine(self, route: str, replica: int, estimator,
                      **options) -> _WorkerEngine:
         key = (route, replica)

@@ -15,17 +15,18 @@ protocol of the paper's data-shift study (§6.7.3 / Table 8):
    trained on (:func:`repro.core.training.cross_entropy_bits`).  Rows the
    model already explains score near zero; a shifted partition scores high.
 2. **Stale serving under a bound** — the fleet keeps answering from the
-   stale model (routers key their caches on the epoch pair, so nothing
+   stale model (routers key their caches on the serving epoch, so nothing
    *cached* before the ingest is ever served again).  The controller flags
-   the relation ``refresh_due`` once its staleness exceeds ``max_staleness``
-   or its drift exceeds ``drift_threshold_bits``.
+   the relation ``refresh_due`` once its staleness exceeds ``max_staleness``;
+   the drift score is reported alongside, for the operator to read.
 3. **Refresh and atomic swap** — :meth:`RefreshController.refresh`
    fine-tunes the existing model on the grown relation
    (:meth:`repro.core.estimator.NaruEstimator.refresh`, with the *original*
    dictionaries via :func:`repro.data.shift.encode_with_dictionaries`),
    updates its serving row count and re-registers it with ``replace=True`` —
-   stamping the model epoch to the data epoch in one step, so routers pick
-   the new version up atomically at their next scope boundary.  Values the
+   stamping the model epoch to the data epoch and moving the swap count in
+   one step, so routers pick the new version up atomically at their next
+   scope boundary, with or without an ingest since the last fit.  Values the
    old dictionaries cannot encode force a cold rebuild instead of a
    fine-tune.
 """
@@ -43,6 +44,10 @@ from .registry import ModelRegistry
 
 __all__ = ["RefreshController"]
 
+#: Rows sampled (deterministically, from the controller's ``seed``) from a
+#: model's training data for its drift baseline.
+_BASELINE_ROWS = 2048
+
 
 class RefreshController:
     """Watches drift on a registry's relations and swaps refreshed models in.
@@ -57,38 +62,24 @@ class RefreshController:
         How many ingests a relation's model may fall behind before the
         controller flags it ``refresh_due`` (default 1: serve one stale
         epoch, refresh before the second).  ``0`` flags after every ingest.
-    drift_threshold_bits:
-        Optional drift trigger: a single ingest whose rows score this many
-        bits above the model's training-data cross-entropy flags a refresh
-        immediately, regardless of the staleness bound.  ``None`` (default)
-        disables the drift trigger.
     refresh_epochs:
         Fine-tuning passes over the grown relation per refresh.
-    drift_sample_rows:
-        Rows sampled (deterministically, from ``seed``) from the model's
-        training data for the drift baseline; ``None`` uses every row.
     seed:
-        Seed of the baseline sampling.
+        Seed of the drift baseline's row sample (``_BASELINE_ROWS`` rows of
+        the model's training data).
     """
 
     def __init__(self, registry: ModelRegistry, *, max_staleness: int = 1,
-                 drift_threshold_bits: float | None = None,
-                 refresh_epochs: int = 1,
-                 drift_sample_rows: int | None = 2048, seed: int = 0) -> None:
+                 refresh_epochs: int = 1, seed: int = 0) -> None:
         if max_staleness < 0:
             raise ValueError(f"max_staleness must be non-negative, "
                              f"got {max_staleness}")
-        if drift_threshold_bits is not None and drift_threshold_bits <= 0:
-            raise ValueError(f"drift_threshold_bits must be positive, "
-                             f"got {drift_threshold_bits}")
         if refresh_epochs < 1:
             raise ValueError(f"refresh_epochs must be at least 1, "
                              f"got {refresh_epochs}")
         self.registry = registry
         self.max_staleness = max_staleness
-        self.drift_threshold_bits = drift_threshold_bits
         self.refresh_epochs = refresh_epochs
-        self.drift_sample_rows = drift_sample_rows
         self.seed = seed
         #: Relation -> drift (bits) of its most recent ingest (``None`` when
         #: no model was built yet, or the estimator exposes no likelihood).
@@ -111,11 +102,10 @@ class RefreshController:
         if cached is not None and cached[0] == version:
             return cached[1]
         codes = estimator.table.encoded()
-        if (self.drift_sample_rows is not None
-                and self.drift_sample_rows < codes.shape[0]):
+        if _BASELINE_ROWS < codes.shape[0]:
             rng = np.random.default_rng(self.seed)
             codes = codes[rng.integers(0, codes.shape[0],
-                                       size=self.drift_sample_rows)]
+                                       size=_BASELINE_ROWS)]
         bits = cross_entropy_bits(estimator.model, codes)
         self._baselines[name] = (version, bits)
         return bits
@@ -144,46 +134,34 @@ class RefreshController:
     # ------------------------------------------------------------------ #
     # The ingest -> stale-serve -> refresh loop
     # ------------------------------------------------------------------ #
-    def ingest(self, name: str, rows: Table, *,
-               auto_refresh: bool = False) -> dict:
+    def ingest(self, name: str, rows: Table) -> dict:
         """Score, append and epoch-bump one batch of rows; returns a record.
 
         The drift score is computed *before* the append (it describes the
         incoming rows against the current model), then the rows are ingested
         through :meth:`~repro.serve.registry.ModelRegistry.ingest` — bumping
         the data epoch, so every epoch-keyed cache entry for the relation is
-        dead from this moment on.  With ``auto_refresh=True`` a flagged
-        relation is refreshed immediately; otherwise the fleet serves stale
-        until the caller acts on ``refresh_due``.
+        dead from this moment on.  The fleet then serves stale until the
+        caller acts on ``refresh_due`` with :meth:`refresh`.
 
         Returns:
             ``{"relation", "data_epoch", "staleness", "drift_bits",
-            "refresh_due", "refreshed"}``.
+            "refresh_due"}``.
         """
         drift = self.drift_bits(name, rows)
         self.last_drift_bits[name] = drift
         epoch = self.registry.ingest(name, rows)
-        due = self.refresh_due(name)
-        refreshed = False
-        if due and auto_refresh:
-            self.refresh(name)
-            refreshed = True
         return {
             "relation": name,
             "data_epoch": epoch,
             "staleness": self.registry.staleness(name),
             "drift_bits": drift,
-            "refresh_due": due,
-            "refreshed": refreshed,
+            "refresh_due": self.refresh_due(name),
         }
 
     def refresh_due(self, name: str) -> bool:
         """Whether the relation's model has exceeded its stale-serving bound."""
-        if self.registry.staleness(name) > self.max_staleness:
-            return True
-        drift = self.last_drift_bits.get(name)
-        return (self.drift_threshold_bits is not None and drift is not None
-                and drift >= self.drift_threshold_bits)
+        return self.registry.staleness(name) > self.max_staleness
 
     def due(self) -> list[str]:
         """Every registered relation currently flagged for a refresh."""
@@ -196,7 +174,9 @@ class RefreshController:
         Fine-tunes the existing Naru model on the grown relation encoded with
         its *original* dictionaries (the §6.7.3 protocol), updates the
         serving row count, and re-registers it with ``replace=True`` — which
-        stamps ``model_epoch = data_epoch``, so routers rebuild the
+        stamps ``model_epoch = data_epoch`` and moves the relation's swap
+        count (so :meth:`~repro.serve.registry.ModelRegistry.serving_epoch`
+        moves even with no ingest since the last fit), so routers rebuild the
         relation's replica group (with fresh conditional caches) at their
         next scope boundary and result-cache lookups move to the new epoch
         key.  Falls back to a cold rebuild when the relation has no
@@ -225,7 +205,5 @@ class RefreshController:
         return refreshed
 
     def __repr__(self) -> str:
-        threshold = (f"{self.drift_threshold_bits:.2f}b"
-                     if self.drift_threshold_bits is not None else "off")
         return (f"RefreshController({len(self.registry)} relations, "
-                f"max_staleness={self.max_staleness}, drift={threshold})")
+                f"max_staleness={self.max_staleness})")

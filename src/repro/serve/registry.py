@@ -49,19 +49,14 @@ class ModelRegistry:
     Parameters
     ----------
     default_config:
-        :class:`~repro.core.config.NaruConfig` used for relations registered
-        without an explicit config or pre-built estimator.
-    seed:
-        Seed of the default config built when ``default_config`` is omitted
-        (keeps a fleet reproducible from a single knob).
+        :class:`~repro.core.config.NaruConfig` of every model the registry
+        builds itself (relations registered without a pre-built estimator);
+        ``None`` uses ``NaruConfig()``.
     """
 
-    def __init__(self, *, default_config: NaruConfig | None = None,
-                 seed: int = 0) -> None:
-        self.default_config = default_config or NaruConfig(seed=seed)
-        self.seed = seed
+    def __init__(self, *, default_config: NaruConfig | None = None) -> None:
+        self.default_config = default_config or NaruConfig()
         self._relations: dict[str, Table] = {}
-        self._configs: dict[str, NaruConfig] = {}
         self._estimators: dict[str, CardinalityEstimator] = {}
         #: Per-relation fallback estimators serving the query shapes the
         #: primary cannot (e.g. many-branch DNF beyond Naru's expansion
@@ -70,24 +65,22 @@ class ModelRegistry:
         self._fitted: set[str] = set()
         self._joins: dict[str, JoinSpec] = {}
         self._replicas: dict[str, int] = {}
-        self._slos: dict[str, float] = {}
-        self._flush_afters: dict[str, float] = {}
         #: Monotonic data epoch per relation: bumped by every :meth:`ingest`.
         self._epochs: dict[str, int] = {}
         #: Data epoch each relation's serving model was (re)fitted at.
         self._model_epochs: dict[str, int] = {}
+        #: Model swaps per relation: bumped by every ``replace=True``
+        #: registration, so a refresh moves :meth:`serving_epoch` even when
+        #: no ingest moved the data epoch.
+        self._swaps: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
     def register_table(self, table: Table, *, name: str | None = None,
-                       config: NaruConfig | None = None,
                        estimator: CardinalityEstimator | None = None,
                        fallback: CardinalityEstimator | None = None,
-                       replicas: int = 1,
-                       slo_ms: float | None = None,
-                       flush_after_ms: float | None = None,
-                       replace: bool = False) -> str:
+                       replicas: int = 1, replace: bool = False) -> str:
         """Register a base table as a named relation and return its name.
 
         Parameters
@@ -96,16 +89,14 @@ class ModelRegistry:
             The relation to serve.
         name:
             Registry name; defaults to ``table.name``.
-        config:
-            Per-model config overriding the registry default (ignored when
-            ``estimator`` is given).
         estimator:
             Pre-built estimator to serve this relation with instead of a
-            lazily built Naru model.  It must arrive ready to serve (already
-            trained): the registry only manages the fit lifecycle of models
-            it builds itself — it cannot know what arguments an arbitrary
-            estimator's ``fit`` needs (MSCN wants a training workload, the
-            KDE variants want feedback, …).
+            lazily built Naru model (built from ``default_config``).  It
+            must arrive ready to serve (already trained): the registry only
+            manages the fit lifecycle of models it builds itself — it
+            cannot know what arguments an arbitrary estimator's ``fit``
+            needs (MSCN wants a training workload, the KDE variants want
+            feedback, …).
         fallback:
             Optional second estimator serving the query shapes the primary
             cannot (see
@@ -124,28 +115,15 @@ class ModelRegistry:
             slice of the fleet cache budget, so a hot relation stops
             head-of-line-blocking the fleet.  Tune later with
             :meth:`set_replicas`.
-        slo_ms:
-            Per-relation end-to-end latency SLO in milliseconds (``None`` =
-            no relation-level target).  A
-            :class:`repro.serve.router.FleetRouter` steers this relation's
-            micro-batch size against it, overriding its router-wide
-            ``slo_ms`` — so a latency-critical relation can run a tighter
-            budget than the rest of the fleet.  Tune later with
-            :meth:`set_slo`.
-        flush_after_ms:
-            Per-relation flush deadline in milliseconds (``None`` = defer to
-            the router-wide ``flush_after_ms``).  A router serving this
-            relation dispatches any partially filled micro-batch once its
-            oldest query has waited this long, bounding the relation's
-            queueing delay.  Tune later with :meth:`set_flush_after`.
         replace:
             Allow re-registering an already registered name — the atomic
             model-swap half of a live refresh (see
             :class:`repro.serve.refresh.RefreshController`).  The relation's
-            data epoch, replica count, SLO and flush deadline are preserved;
-            when an ``estimator`` is supplied its model epoch is stamped to
-            the current data epoch, marking the relation fresh again.  With
-            the default ``False`` a duplicate name raises.
+            data epoch and replica count are preserved, and its swap count
+            (part of :meth:`serving_epoch`) moves; when an ``estimator`` is
+            supplied its model epoch is stamped to the current data epoch,
+            marking the relation fresh again.  With the default ``False`` a
+            duplicate name raises.
         """
         name = name or table.name
         replacing = name in self._relations
@@ -153,41 +131,30 @@ class ModelRegistry:
             raise ValueError(f"relation {name!r} is already registered")
         if replicas < 1:
             raise ValueError(f"replicas must be at least 1, got {replicas}")
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if flush_after_ms is not None and flush_after_ms <= 0:
-            raise ValueError(f"flush_after_ms must be positive, got "
-                             f"{flush_after_ms}")
         if estimator is not None:
             self._validate_prebuilt(name, estimator, table, "estimator")
         if fallback is not None:
             self._validate_prebuilt(name, fallback, table, "fallback estimator")
         self._relations[name] = table
-        if not replacing:
-            # A replacement swaps table + model only; replica/SLO/flush
-            # settings (and the data epoch) survive — tune them with the
-            # dedicated setters.
+        if replacing:
+            # A replacement swaps table + model only; the replica count (and
+            # the data epoch) survive — tune replicas with set_replicas.
+            self._swaps[name] = self._swaps.get(name, 0) + 1
+        else:
             self._replicas[name] = replicas
-            if slo_ms is not None:
-                self._slos[name] = float(slo_ms)
-            if flush_after_ms is not None:
-                self._flush_afters[name] = float(flush_after_ms)
         if estimator is not None:
             self._estimators[name] = estimator
             self._fitted.add(name)
             self._model_epochs[name] = self._epochs.get(name, 0)
-        else:
-            if replacing:
-                # The old model summarises the old table: drop it so the next
-                # estimator() call rebuilds (and restamps) on the new data.
-                self._estimators.pop(name, None)
-                self._fitted.discard(name)
-            if config is not None:
-                self._configs[name] = config
+        elif replacing:
+            # The old model summarises the old table: drop it so the next
+            # estimator() call rebuilds (and restamps) on the new data.
+            self._estimators.pop(name, None)
+            self._fitted.discard(name)
         if fallback is not None:
             self._fallbacks[name] = fallback
         # A replacement without an explicit fallback keeps the existing one,
-        # mirroring how replica/SLO/flush settings survive a model swap.
+        # mirroring how the replica count survives a model swap.
         return name
 
     @staticmethod
@@ -207,25 +174,20 @@ class ModelRegistry:
                 f"{role} for {name!r} is not fitted; train it before "
                 "registering (the registry only fits models it builds)")
 
-    def register_join(self, spec: JoinSpec, *,
-                      config: NaruConfig | None = None,
-                      replicas: int = 1,
-                      slo_ms: float | None = None,
-                      flush_after_ms: float | None = None) -> str:
+    def register_join(self, spec: JoinSpec, *, replicas: int = 1) -> str:
         """Build a join relation from registered inputs and register it.
 
         The spec's ``left``/``right`` names are resolved against the
         relations registered so far; the resulting table (materialised or
         sampled, per ``spec.how``) becomes a first-class named relation that
-        routes, budgets, replicates and carries a latency SLO exactly like a
-        base table.  Returns the relation name.
+        routes, budgets and replicates exactly like a base table.  Returns
+        the relation name.
         """
         name = spec.relation_name
         if name in self._relations:
             raise ValueError(f"relation {name!r} is already registered")
         table = spec.build(self._relations)
-        self.register_table(table, name=name, config=config, replicas=replicas,
-                            slo_ms=slo_ms, flush_after_ms=flush_after_ms)
+        self.register_table(table, name=name, replicas=replicas)
         self._joins[name] = spec
         return name
 
@@ -242,21 +204,6 @@ class ModelRegistry:
             raise ValueError(f"replicas must be at least 1, got {replicas}")
         self._replicas[name] = replicas
 
-    def set_slo(self, name: str, slo_ms: float | None) -> None:
-        """Change (or clear, with ``None``) a relation's end-to-end latency SLO.
-
-        Routers read the SLO when they materialise the relation's
-        replica group; routers already serving the relation keep the
-        controller they built.
-        """
-        self.relation(name)  # raise uniformly for unknown names
-        if slo_ms is None:
-            self._slos.pop(name, None)
-            return
-        if slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        self._slos[name] = float(slo_ms)
-
     def set_fallback(self, name: str,
                      fallback: CardinalityEstimator | None) -> None:
         """Set (or clear, with ``None``) a relation's fallback estimator.
@@ -272,22 +219,6 @@ class ModelRegistry:
             return
         self._validate_prebuilt(name, fallback, table, "fallback estimator")
         self._fallbacks[name] = fallback
-
-    def set_flush_after(self, name: str, flush_after_ms: float | None) -> None:
-        """Change (or clear, with ``None``) a relation's flush deadline.
-
-        Routers read the deadline when they materialise the relation's
-        replica group; routers already serving the relation keep the bound
-        their engines were built with.
-        """
-        self.relation(name)  # raise uniformly for unknown names
-        if flush_after_ms is None:
-            self._flush_afters.pop(name, None)
-            return
-        if flush_after_ms <= 0:
-            raise ValueError(f"flush_after_ms must be positive, got "
-                             f"{flush_after_ms}")
-        self._flush_afters[name] = float(flush_after_ms)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -325,16 +256,6 @@ class ModelRegistry:
         self.relation(name)
         return self._replicas.get(name, 1)
 
-    def slo_ms(self, name: str) -> float | None:
-        """The relation's latency SLO in ms (``None`` = unset)."""
-        self.relation(name)
-        return self._slos.get(name)
-
-    def flush_after_ms(self, name: str) -> float | None:
-        """The relation's flush deadline in ms (``None`` = defer to router)."""
-        self.relation(name)
-        return self._flush_afters.get(name)
-
     def data_epoch(self, name: str) -> int:
         """The relation's monotonic data epoch (0 until the first ingest)."""
         self.relation(name)
@@ -349,15 +270,19 @@ class ModelRegistry:
         """How many ingests the serving model is behind the data (0 = fresh)."""
         return self.data_epoch(name) - self.model_epoch(name)
 
-    def serving_epoch(self, name: str) -> tuple[int, int]:
-        """The ``(data_epoch, model_epoch)`` pair cached results are keyed on.
+    def serving_epoch(self, name: str) -> tuple[int, int, int]:
+        """The ``(data_epoch, model_epoch, swaps)`` triple caches are keyed on.
 
-        A cached selectivity is valid only while *both* components stand
+        A cached selectivity is valid only while *every* component stands
         still: an ingest changes the true answer, a model swap changes the
-        served one.  Routers stamp :class:`repro.serve.cache.ResultCache`
-        entries with this pair, so either kind of bump invalidates them.
+        served one.  The swap count moves on every ``replace=True``
+        registration, so a refresh with no ingest since the last fit (which
+        leaves both epochs where they were) still moves the triple.  Routers
+        stamp :class:`repro.serve.cache.ResultCache` entries with it and
+        rebuild replica groups when it moves, so any bump invalidates them.
         """
-        return (self.data_epoch(name), self.model_epoch(name))
+        return (self.data_epoch(name), self.model_epoch(name),
+                self._swaps.get(name, 0))
 
     def ingest(self, name: str, rows: Table) -> int:
         """Append rows to a relation and bump its data epoch; returns the epoch.
@@ -392,50 +317,31 @@ class ModelRegistry:
         """Fleet-wide engine count: the sum of every relation's replicas."""
         return sum(self._replicas.get(name, 1) for name in self._relations)
 
-    def worker_assignments(self, workers: int, *,
-                           replicas: dict[str, int] | int | None = None
-                           ) -> dict[tuple[str, int], int]:
+    def worker_assignments(self, workers: int) -> dict[tuple[str, int], int]:
         """Deterministic placement of every ``(relation, replica)`` engine.
 
         Round-robins the fleet's engines — relations in registration order,
-        replicas in index order — across ``workers`` slots, so the mapping
-        depends only on the registry's contents and the worker count, never
-        on process identity or timing.  This is the sharding half of the
+        each with its registered replica count, replicas in index order —
+        across ``workers`` slots, so the mapping depends only on the
+        registry's contents and the worker count, never on process identity
+        or timing.  This is the sharding half of the
         cross-process routing contract: :class:`repro.serve.procfleet
         .ProcessFleet` routes a query to its replica first (same crc32 hash
         as the in-process router), then looks the replica's worker up here —
         which is why ``workers=1`` and ``workers=N`` serve identical numbers.
 
-        Parameters
-        ----------
-        workers:
-            Number of worker slots (at least 1).
-        replicas:
-            Replica-count override: ``None`` reads each relation's
-            registered count, an ``int`` applies fleet-wide, a dict maps
-            relation names to counts (missing names fall back to their
-            registered counts).
+        Args:
+            workers: Number of worker slots (at least 1).
 
         Returns:
             ``{(relation, replica): worker_slot}`` covering every engine.
         """
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if isinstance(replicas, int):
-            counts = {name: replicas for name in self.names}
-        elif replicas is None:
-            counts = {name: self.replicas(name) for name in self.names}
-        else:
-            counts = {name: replicas.get(name, self.replicas(name))
-                      for name in self.names}
-        for name, count in counts.items():
-            if count < 1:
-                raise ValueError(f"replicas must be at least 1, got {count} "
-                                 f"for relation {name!r}")
         assignment: dict[tuple[str, int], int] = {}
         slot = 0
         for name in self.names:
-            for replica in range(counts[name]):
+            for replica in range(self.replicas(name)):
                 assignment[(name, replica)] = slot % workers
                 slot += 1
         return assignment
@@ -479,15 +385,12 @@ class ModelRegistry:
         if query_shape(query) not in self.capabilities(name):
             return False
         if isinstance(query, DNFQuery) and len(query.branches) > 1:
-            return len(query.branches) <= self._config_for(name).max_dnf_branches
+            return len(query.branches) <= self.default_config.max_dnf_branches
         return True
 
     # ------------------------------------------------------------------ #
     # Estimator lifecycle
     # ------------------------------------------------------------------ #
-    def _config_for(self, name: str) -> NaruConfig:
-        return self._configs.get(name, self.default_config)
-
     def estimator(self, name: str, *, fit: bool = True) -> CardinalityEstimator:
         """The estimator serving one relation, built (and fitted) lazily.
 
@@ -498,7 +401,7 @@ class ModelRegistry:
         table = self.relation(name)
         estimator = self._estimators.get(name)
         if estimator is None:
-            estimator = NaruEstimator(table, self._config_for(name))
+            estimator = NaruEstimator(table, self.default_config)
             self._estimators[name] = estimator
         if fit and name not in self._fitted:
             # Only registry-built Naru models reach this branch: pre-built
@@ -540,8 +443,6 @@ class ModelRegistry:
                 "fallback_bytes": (self._fallbacks[name].size_bytes()
                                    if name in self._fallbacks else 0),
                 "replicas": self._replicas.get(name, 1),
-                "slo_ms": self._slos.get(name),
-                "flush_after_ms": self._flush_afters.get(name),
             }
         return report
 

@@ -37,10 +37,10 @@ trained model — and
   store (plus one slice for the result cache when enabled), so the memory
   budget is fleet-wide no matter how many replicas serve,
 * optionally **steers each relation's micro-batch size against a latency
-  SLO** (router-wide ``slo_ms``, or per relation via the registry): one
+  SLO** (the router-wide ``slo_ms``): one
   :class:`AdaptiveBatchController` per replica group observes every
   dispatch's worst end-to-end latency and shrinks/grows the group's batch
-  size within ``[1, batch_size]``; a relation with no SLO has no controller
+  size within ``[1, batch_size]``; with no SLO there is no controller
   and no ``batch_hook`` — the fixed-batch hot path, untouched, and
 * **merges** the per-replica reports into a single
   :class:`~repro.serve.report.FleetReport` with per-route and per-replica
@@ -195,23 +195,20 @@ class AdaptiveBatchController:
 
     The ``_HEADROOM`` factor (0.8) is what turns a *mean* tracker into
     a *p95* target: holding the average at 80% of the SLO leaves the tail
-    room to stay under it.  With ``slo_ms=None`` the controller is disabled
-    and behaves exactly like a fixed batch size (``observe`` still records
-    the trace, but never changes the size) — the "disabled ≡ fixed" contract
-    the unit tests pin down.
+    room to stay under it.  A route with no SLO gets no controller at all
+    (see :meth:`FleetRouter._steer`), so every controller adapts.
 
     Parameters
     ----------
     slo_ms:
-        Target p95 latency in milliseconds; ``None`` disables adaptation.
+        Target p95 latency in milliseconds.
     max_batch:
         Upper clamp of the batch size (typically the router's configured
         ``batch_size``); also the initial size.
     """
 
-    def __init__(self, *, slo_ms: float | None = None,
-                 max_batch: int = 32) -> None:
-        if slo_ms is not None and slo_ms <= 0:
+    def __init__(self, *, slo_ms: float, max_batch: int = 32) -> None:
+        if slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         if max_batch < _MIN_BATCH:
             raise ValueError(f"max_batch must be at least {_MIN_BATCH}, "
@@ -232,14 +229,9 @@ class AdaptiveBatchController:
         self.grows = 0
 
     @property
-    def enabled(self) -> bool:
-        """Whether the controller adapts at all (``False`` = fixed batch)."""
-        return self.slo_ms is not None
-
-    @property
-    def target_ms(self) -> float | None:
-        """The EWMA operating ceiling: ``slo_ms * _HEADROOM`` (``None`` off)."""
-        return self.slo_ms * _HEADROOM if self.slo_ms is not None else None
+    def target_ms(self) -> float:
+        """The EWMA operating ceiling: ``slo_ms * _HEADROOM``."""
+        return self.slo_ms * _HEADROOM
 
     def observe(self, latency_ms: float) -> int:
         """Fold one observed latency into the EWMA; returns the new batch size.
@@ -250,7 +242,7 @@ class AdaptiveBatchController:
 
         Returns:
             The batch size every engine of the group should use for its next
-            micro-batch (unchanged when the controller is disabled).
+            micro-batch.
         """
         self.observations += 1
         if self.ewma_ms is None:
@@ -258,17 +250,16 @@ class AdaptiveBatchController:
         else:
             self.ewma_ms = (_ALPHA * float(latency_ms)
                             + (1.0 - _ALPHA) * self.ewma_ms)
-        if self.enabled:
-            target = self.target_ms
-            if self.ewma_ms > target:
-                shrunk = max(_MIN_BATCH, self.batch_size // 2)
-                if shrunk < self.batch_size:
-                    self.batch_size = shrunk
-                    self.shrinks += 1
-            elif (self.ewma_ms < _GROW_BELOW * target
-                  and self.batch_size < self.max_batch):
-                self.batch_size += 1
-                self.grows += 1
+        target = self.target_ms
+        if self.ewma_ms > target:
+            shrunk = max(_MIN_BATCH, self.batch_size // 2)
+            if shrunk < self.batch_size:
+                self.batch_size = shrunk
+                self.shrinks += 1
+        elif (self.ewma_ms < _GROW_BELOW * target
+              and self.batch_size < self.max_batch):
+            self.batch_size += 1
+            self.grows += 1
         self.trace.append(self.batch_size)
         return self.batch_size
 
@@ -287,8 +278,8 @@ class AdaptiveBatchController:
         }
 
     def __repr__(self) -> str:
-        slo = f"{self.slo_ms:.1f}ms" if self.slo_ms is not None else "off"
-        return (f"AdaptiveBatchController(slo={slo}, batch={self.batch_size} "
+        return (f"AdaptiveBatchController(slo={self.slo_ms:.1f}ms, "
+                f"batch={self.batch_size} "
                 f"in [{_MIN_BATCH}, {self.max_batch}])")
 
 
@@ -446,37 +437,27 @@ class FleetRouter:
         model time; entries are stored the moment their micro-batch
         dispatches, so repeats hit inside a workload scope as well as on
         replays of it.
-    on_result:
-        Optional callable invoked with each :class:`RoutedResult` the moment
-        it is produced — at micro-batch dispatch for model-served queries, at
-        submission for result-cache hits.  The streaming frontend
-        (:class:`repro.serve.stream.AsyncFleetClient`) resolves its futures
-        through this hook; it is also assignable after construction via the
-        ``on_result`` attribute.
     flush_after_ms:
         Router-wide flush deadline: a partially filled micro-batch is
         dispatched by :meth:`tick` once its oldest query has waited this
         long, bounding queueing delay independently of ``batch_size``
         (``None`` = batches wait indefinitely for a fill or an explicit
-        flush, the pre-deadline behaviour).  Overridable per relation via
-        :meth:`repro.serve.registry.ModelRegistry.register_table`'s
-        ``flush_after_ms``.  The deadline is a bound, not a delay:
-        :meth:`run` ticks after every submission, and the asyncio client's
-        flush driver dispatches a partial batch as soon as its event loop
-        goes idle, leaving the deadline to bound a loop that never does.
+        flush, the pre-deadline behaviour).  The deadline is a bound, not a
+        delay: :meth:`run` ticks after every submission, and the asyncio
+        client's flush driver dispatches a partial batch as soon as its
+        event loop goes idle, leaving the deadline to bound a loop that
+        never does.
     slo_ms:
         Router-wide target p95 **end-to-end** latency in milliseconds
-        (queue wait + dispatch — what a submitter observes), overridable per
-        relation via :meth:`~repro.serve.registry.ModelRegistry
-        .register_table`'s ``slo_ms``.  A relation with an effective SLO gets
-        one :class:`AdaptiveBatchController` shared by its replicas (so the
-        whole relation converges on one batch size within
+        (queue wait + dispatch — what a submitter observes).  Each relation
+        then gets one :class:`AdaptiveBatchController` shared by its
+        replicas (so the whole relation converges on one batch size within
         ``[1, batch_size]``); controllers — like the conditional caches —
         live for the router's lifetime and carry their learned batch size
         across workload scopes and epoch rebuilds.  Batch boundaries never
         change an estimate, so the controller may retune them as
-        aggressively as the SLO demands.  ``None`` (default) with no
-        registry SLO serves at the fixed ``batch_size``.
+        aggressively as the SLO demands.  ``None`` (default) serves at the
+        fixed ``batch_size``.
     clock:
         Zero-argument callable returning seconds, shared by every engine the
         router builds (``time.perf_counter`` by default).  Inject a
@@ -489,7 +470,7 @@ class FleetRouter:
                  cache_entries: int = 262144, seed: int = 0,
                  default_route: str | None = None,
                  max_pending: int | None = None, overflow: str = "block",
-                 result_cache: bool = False, on_result=None,
+                 result_cache: bool = False,
                  flush_after_ms: float | None = None,
                  slo_ms: float | None = None, clock=None) -> None:
         if len(registry) == 0:
@@ -517,7 +498,7 @@ class FleetRouter:
         # slice for the result cache when it is enabled.  Replica counts are
         # read at construction so the split is stable for this router's
         # lifetime even if the registry is re-tuned afterwards.
-        self._replica_counts = {name: self._replicas_of(name)
+        self._replica_counts = {name: registry.replicas(name)
                                 for name in registry.names}
         slices = (sum(self._replica_counts.values()) if use_cache else 0) \
             + (1 if result_cache else 0)
@@ -529,7 +510,7 @@ class FleetRouter:
         self.flush_after_ms = flush_after_ms
         self.slo_ms = slo_ms
         #: Route -> the adaptive batch controller of its primary group; only
-        #: routes with an effective SLO ever get one.
+        #: a router with an SLO ever builds one.
         self._controllers: dict[str, AdaptiveBatchController] = {}
         #: Route -> ``controller.observations`` at the current scope's start;
         #: lets reports slice the lifetime trace down to this scope.
@@ -549,8 +530,12 @@ class FleetRouter:
         #: conditional caches — so an epoch bump invalidates every cache
         #: layer atomically.
         self._group_epochs: dict[tuple[str, str], tuple[int, int]] = {}
-        #: Per-result observer, see the ``on_result`` parameter above.
-        self.on_result = on_result
+        #: Optional callable invoked with each :class:`RoutedResult` the
+        #: moment it is produced — at micro-batch dispatch for model-served
+        #: queries, at submission for result-cache hits.  The streaming
+        #: frontend (:class:`repro.serve.stream.AsyncFleetClient`) resolves
+        #: its futures through it.
+        self.on_result = None
         self._result_cache = (ResultCache(self.cache_entries_per_model)
                               if result_cache else None)
         self._cached_results: list[RoutedResult] = []
@@ -642,7 +627,7 @@ class FleetRouter:
             f"query {query!r} has shape {shape.value!r}, which relation "
             f"{route!r} cannot serve: the primary estimator's capabilities "
             f"are [{capabilities}] (disjunctions bounded at "
-            f"max_dnf_branches={self.registry._config_for(route).max_dnf_branches} "
+            f"max_dnf_branches={self.registry.default_config.max_dnf_branches} "
             f"branches) and {fallback_note}; available routes: {available}")
 
     def _sink(self, route: str, replica: int, estimator_name: str):
@@ -673,7 +658,7 @@ class FleetRouter:
         if group is None:
             replicas = self._replica_counts.get(route)
             if replicas is None:
-                replicas = self._replicas_of(route)
+                replicas = self.registry.replicas(route)
                 self._replica_counts[route] = replicas
             estimator = self.registry.estimator(route)
             # One conditional cache for the whole group: the replicas share
@@ -689,7 +674,7 @@ class FleetRouter:
                     cache_entries=self.cache_entries_per_model, seed=self.seed,
                     result_sink=self._sink(route, replica, estimator.name),
                     cache=shared_cache, clock=self.clock,
-                    flush_after_ms=self.effective_flush_after(route))
+                    flush_after_ms=self.flush_after_ms)
                 for replica in range(replicas)
             ]
             # The group's cache is whatever its engines actually front: the
@@ -739,10 +724,6 @@ class FleetRouter:
                 self.registry.serving_epoch(route)
         return unit
 
-    def _replicas_of(self, route: str) -> int:
-        """Subclass hook: how many replica engines one route's group gets."""
-        return self.registry.replicas(route)
-
     def _make_engine(self, route: str, replica: int, estimator,
                      **options) -> EstimationEngine:
         """Subclass hook: build one replica engine of a route's group.
@@ -759,18 +740,17 @@ class FleetRouter:
     def _steer(self, route: str, group: ReplicaGroup) -> None:
         """Put a freshly materialised group under its route's SLO controller.
 
-        A route with no effective SLO is left alone — no controller, no
+        Without a router SLO the group is left alone — no controller, no
         ``batch_hook``.  A route rebuilt after an epoch bump (see
         :meth:`_begin_scope`) keeps the controller it already converged — a
         data refresh invalidates cached *answers*, not the learned batch
         size — so the new engines start at the converged size.
         """
+        if self.slo_ms is None:
+            return
         controller = self._controllers.get(route)
         if controller is None:
-            slo_ms = self.effective_slo(route)
-            if slo_ms is None:
-                return
-            controller = AdaptiveBatchController(slo_ms=slo_ms,
+            controller = AdaptiveBatchController(slo_ms=self.slo_ms,
                                                  max_batch=self.batch_size)
             self._controllers[route] = controller
             self._scope_marks[route] = 0
@@ -787,11 +767,6 @@ class FleetRouter:
             engine.batch_size = controller.batch_size
             engine.batch_hook = hook
 
-    def effective_slo(self, route: str) -> float | None:
-        """The SLO a route is steered against: registry override, then router."""
-        registry_slo = self.registry.slo_ms(route)
-        return registry_slo if registry_slo is not None else self.slo_ms
-
     def controller(self, route: str) -> AdaptiveBatchController | None:
         """One route's batch controller (``None`` when it has no SLO)."""
         self.group(route)
@@ -805,20 +780,6 @@ class FleetRouter:
     def engine(self, route: str, replica: int = 0) -> EstimationEngine:
         """One replica engine of a route (replica 0 by default)."""
         return self.group(route).engines[replica]
-
-    def effective_flush_after(self, route: str) -> float | None:
-        """The flush deadline of one route: registry override, then router."""
-        registry_bound = self.registry.flush_after_ms(route)
-        return registry_bound if registry_bound is not None \
-            else self.flush_after_ms
-
-    @property
-    def has_flush_timeouts(self) -> bool:
-        """Whether any relation this router serves carries a flush deadline."""
-        if self.flush_after_ms is not None:
-            return True
-        return any(self.registry.flush_after_ms(name) is not None
-                   for name in self.registry.names)
 
     @property
     def peak_pending(self) -> int:
@@ -979,7 +940,7 @@ class FleetRouter:
         the report instead of aborting the run.
         """
         self._begin_scope()
-        ticking = self.has_flush_timeouts
+        ticking = self.flush_after_ms is not None
         for query in queries:
             try:
                 self.submit(query)

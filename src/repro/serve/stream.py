@@ -100,28 +100,25 @@ class AsyncFleetClient:
         observer keeps firing first.
     flush_driver:
         Whether to run the flush driver: a background asyncio task that
-        dispatches the partially filled micro-batches of routes with a
+        dispatches the partially filled micro-batches of a router with a
         flush deadline once the event loop goes idle, and ticks the router
         at the earliest deadline while it stays busy — so no batch waits
         longer than its ``flush_after_ms``, and most wait far less.
-        ``None`` (default) starts the driver exactly when the router carries
-        any flush deadline; ``False`` disables it (the caller ticks the
+        ``True`` (default) starts the driver exactly when the router carries
+        a flush deadline and its clock moves with real time (see
+        :meth:`_ensure_driver`); ``False`` disables it (the caller ticks the
         router itself — what :func:`stream_workload` does to stay
-        deterministic under a virtual clock); ``True`` forces it on.
-    clock:
-        The clock :meth:`pace` paces arrivals against.  ``None`` (default)
-        uses the router's own clock, so arrival pacing and flush deadlines
-        read the same timeline; inject a
-        :class:`~repro.serve.engine.VirtualClock` here to replay a recorded
-        arrival trace deterministically under test (a frozen clock makes
-        :meth:`pace` advance virtual time instead of sleeping).
+        deterministic under a virtual clock).
     """
 
     def __init__(self, router: FleetRouter, *,
-                 flush_driver: bool | None = None, clock=None) -> None:
+                 flush_driver: bool = True) -> None:
         self.router = router
-        #: The arrival-pacing clock (see :meth:`pace`); callable -> seconds.
-        self.clock = clock if clock is not None else router.clock
+        #: The arrival-pacing clock (see :meth:`pace`): the router's own, so
+        #: arrival pacing and flush deadlines read the same timeline; a
+        #: frozen :class:`~repro.serve.engine.VirtualClock` on the router
+        #: makes :meth:`pace` advance virtual time instead of sleeping.
+        self.clock = router.clock
         self._futures: dict[int, asyncio.Future] = {}
         #: Every index this client ever submitted: uniqueness is enforced for
         #: the client's whole lifetime, not just while a future is pending —
@@ -217,7 +214,7 @@ class AsyncFleetClient:
         return future
 
     async def acquire(self, query: Query) -> str:
-        """Suspend until the query's replica group has admission capacity.
+        """Suspend until the unit that will answer the query has capacity.
 
         Awaitable backpressure: instead of the submit-time ``block`` early
         dispatch or a ``shed`` :class:`AdmissionError`, a producer awaits
@@ -225,8 +222,12 @@ class AsyncFleetClient:
         ``max_pending`` (capacity frees when a micro-batch dispatches — by
         filling up, by the flush driver once the loop idles or the deadline
         passes, or by another producer's flush).
-        Returns the resolved route; a group without a ``max_pending`` bound
-        admits immediately.
+        The unit is the one :meth:`~repro.serve.router.FleetRouter
+        .resolve_serving` names — the route's primary replica group, or its
+        fallback unit for a query only the fallback can serve — so a
+        fallback-served query never waits on (or flushes) the primary's
+        batch.  Returns the resolved route; a unit without a ``max_pending``
+        bound (every fallback unit) admits immediately.
 
         When the route carries **no flush deadline — or no flush driver is
         running to fire one** — nothing would ever dispatch a partially
@@ -236,17 +237,20 @@ class AsyncFleetClient:
 
         Raises:
             RoutingError: The query names no servable relation.
+            StaleEpochError: On a :class:`~repro.serve.procfleet.ProcessFleet`
+                whose registry moved past the exported models.
         """
-        route = self.router.resolve_route(query)
-        group = self.router.group(route)
+        route, role = self.router.resolve_serving(query)
+        group = (self.router.group(route) if role == "primary"
+                 else self.router.fallback_unit(route))
         loop = asyncio.get_running_loop()
         self._ensure_driver(loop)
         while group.max_pending is not None \
                 and group.pending >= group.max_pending:
             # Waiting is only safe when something will actually fire the
             # route's flush deadline: a *running* driver.  A configured
-            # deadline with no driver (flush_driver=False, or auto mode
-            # skipping a frozen virtual clock) would park every producer
+            # deadline with no driver (flush_driver=False, or a frozen
+            # virtual clock the driver skips) would park every producer
             # with nothing left to tick — deadlock, not backpressure.
             driver_alive = (self._driver_task is not None
                             and not self._driver_task.done())
@@ -330,21 +334,17 @@ class AsyncFleetClient:
     def _ensure_driver(self, loop: asyncio.AbstractEventLoop) -> None:
         """Start the wall-clock flush driver once, if it is wanted.
 
-        In auto mode (``flush_driver=None``) the driver starts exactly when
-        the router carries a flush deadline *and* its clock moves with real
-        time — a fully virtual clock (a :class:`VirtualClock` with no
-        ``base``) can never make a deadline due by sleeping, so auto mode
-        leaves ticking to the caller there instead of spinning a task that
-        would wake forever for nothing.
+        With ``flush_driver=True`` the driver starts exactly when the router
+        carries a flush deadline *and* its clock moves with real time — a
+        fully virtual clock (a :class:`VirtualClock` with no ``base``) can
+        never make a deadline due by sleeping, so the caller ticks there
+        instead of a task that would wake forever for nothing.
         """
-        if self._driver_task is not None:
+        if self._driver_task is not None or not self._flush_driver:
             return
-        wanted = self._flush_driver
-        if wanted is None:
-            frozen_clock = (hasattr(self.router.clock, "advance")
-                            and getattr(self.router.clock, "base", None) is None)
-            wanted = self.router.has_flush_timeouts and not frozen_clock
-        if not wanted:
+        frozen_clock = (hasattr(self.router.clock, "advance")
+                        and getattr(self.router.clock, "base", None) is None)
+        if self.router.flush_after_ms is None or frozen_clock:
             return
         self._wakeup = asyncio.Event()
         self._driver_task = loop.create_task(self._drive_flushes())
@@ -544,7 +544,7 @@ def stream_workload(router: FleetRouter, queries: list[Query], *,
         # Deadlines are ticked inline below, not from a background driver:
         # the flush pattern stays a deterministic function of the clock.
         client = AsyncFleetClient(router, flush_driver=False)
-        ticking = router.has_flush_timeouts
+        ticking = router.flush_after_ms is not None
         try:
             for position in order:
                 try:

@@ -111,12 +111,19 @@ class TestModelRegistry:
         assert estimator._fitted
         assert registry.estimator("users") is estimator  # cached, not rebuilt
 
-    def test_per_relation_config_override(self, users):
-        registry = ModelRegistry(default_config=_CONFIG)
-        registry.register_table(users, config=_CONFIG.with_overrides(
-            progressive_samples=123))
-        estimator = registry.estimator("users", fit=False)
-        assert estimator.config.progressive_samples == 123
+    def test_every_built_model_uses_the_default_config(self, users,
+                                                       sessions):
+        """The registry's default config is the one config of every model
+        it builds, base table or join; with none given it is NaruConfig()."""
+        config = _CONFIG.with_overrides(progressive_samples=123)
+        registry = ModelRegistry(default_config=config)
+        registry.register_table(users)
+        registry.register_table(sessions)
+        registry.register_join(JoinSpec("sessions", "users", "user_id",
+                                        "user_id"))
+        for name in registry.names:
+            assert registry.estimator(name, fit=False).config is config
+        assert ModelRegistry().default_config == NaruConfig()
 
     def test_prebuilt_estimator_served_as_is(self, users):
         registry = ModelRegistry(default_config=_CONFIG)
@@ -165,7 +172,7 @@ class TestRegistryEpochs:
         assert registry.data_epoch("users") == 0
         assert registry.model_epoch("users") == 0
         assert registry.staleness("users") == 0
-        assert registry.serving_epoch("users") == (0, 0)
+        assert registry.serving_epoch("users") == (0, 0, 0)
         with pytest.raises(KeyError, match="registered"):
             registry.data_epoch("nope")
 
@@ -178,7 +185,7 @@ class TestRegistryEpochs:
         grown = registry.relation("users")
         assert grown.num_rows == users.num_rows + 2 * more.num_rows
         assert grown.name == users.name
-        assert registry.serving_epoch("users") == (2, 0)
+        assert registry.serving_epoch("users") == (2, 0, 0)
         assert registry.staleness("users") == 2
 
     def test_lazy_fit_stamps_model_epoch_to_data_epoch(self, users):
@@ -229,7 +236,7 @@ class TestRegistryEpochs:
         assert not registry.is_fitted("users")
         rebuilt = registry.estimator("users")
         assert rebuilt is not first
-        assert registry.serving_epoch("users") == (1, 1)
+        assert registry.serving_epoch("users") == (1, 1, 1)
 
 
 class TestFleetRouter:

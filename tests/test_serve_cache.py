@@ -6,6 +6,8 @@ client through random operation sequences."""
 from __future__ import annotations
 
 import asyncio
+import copy
+import dataclasses
 import functools
 import time
 
@@ -18,7 +20,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from repro.core import NaruConfig
 from repro.data import make_sessions, make_users
+from repro.estimators import SamplingEstimator
 from repro.query import Operator, Predicate, Query
+from repro.query.predicates import DNFQuery
 from repro.serve import (
     AdmissionError,
     AsyncFleetClient,
@@ -26,7 +30,9 @@ from repro.serve import (
     FleetRouter,
     ModelRegistry,
     PackedConditionalCache,
+    RefreshController,
     ResultCache,
+    VirtualClock,
     canonical_query_key,
     generate_mixed_workload,
     run_fleet_sequential,
@@ -724,6 +730,172 @@ class AsyncClientMachine(RuleBasedStateMachine):
 TestAsyncClientMachine = AsyncClientMachine.TestCase
 TestAsyncClientMachine.settings = settings(
     max_examples=12, stateful_step_count=25, deadline=None)
+
+
+@functools.lru_cache(maxsize=1)
+def _fleet_machine_registry():
+    """A fitted two-relation registry, each relation with a sampling
+    fallback, and a query pool over both that includes one disjunction per
+    relation past the primary's 2-branch bound (so the fallback serves it).
+    The machine ingests into, refreshes and re-scales the registry, so each
+    example works on its own deep copy."""
+    users = make_users(num_users=60, seed=4)
+    sessions = make_sessions(num_rows=200, num_users=60, seed=5)
+    registry = ModelRegistry(default_config=dataclasses.replace(
+        _CONFIG, max_dnf_branches=2))
+    for table in (users, sessions):
+        registry.register_table(table, fallback=SamplingEstimator(
+            table, fraction=1.0, seed=0))
+    registry.fit_all()
+    pool = generate_mixed_workload({"users": users, "sessions": sessions}, 6,
+                                   min_filters=1, max_filters=2, seed=9)
+    for table, column in ((users, "plan"), (sessions, "device")):
+        values = table.column(column).domain[:3]
+        pool.append(DNFQuery.from_tuples(
+            [[(column, "=", value)] for value in values], table=table.name))
+    return registry, pool
+
+
+class FleetMachine(RuleBasedStateMachine):
+    """Submits, clock advances with ticks, flushes, cache wipes and ingests
+    on one in-process :class:`FleetRouter` (frozen virtual clock, 5 ms flush
+    deadline, ``max_pending=3`` with shedding, result cache on), ending
+    workload scopes at random.  At a scope boundary the machine checks the
+    scope, then may refresh a relation (with or without an ingest first)
+    and change a replica count — on the registry, the one place it lives,
+    which is why the router is then rebuilt from the registry.  Refreshes
+    stay at scope boundaries: a refresh fine-tunes the serving model in
+    place, under whatever conditional cache the live group holds."""
+
+    SAMPLES = 30
+    SEED = 3
+
+    def __init__(self):
+        super().__init__()
+        registry, self.pool = _fleet_machine_registry()
+        self.registry = copy.deepcopy(registry)
+        self.clock = VirtualClock()
+        self.ingests = 0
+        self.epochs = {name: self.registry.serving_epoch(name)
+                       for name in self.registry.names}
+        self._build_router()
+
+    def _build_router(self):
+        self.router = FleetRouter(self.registry, batch_size=2,
+                                  num_samples=self.SAMPLES, seed=self.SEED,
+                                  max_pending=3, overflow="shed",
+                                  flush_after_ms=5.0, result_cache=True,
+                                  cache_entries=4096, clock=self.clock)
+        self.router.on_result = self._observe
+        self.answers: dict[tuple, float] = {}
+        self._begin_scope()
+
+    def _begin_scope(self):
+        self.router._begin_scope()
+        self.submitted = 0
+        self.shed = 0
+
+    def _observe(self, result):
+        """Every answer as it is produced, in dispatch order.  A result-cache
+        hit must repeat the first answer dispatched for the same query under
+        the same serving epoch since the last wipe or refresh of its
+        relation."""
+        epoch = self.registry.serving_epoch(result.route)
+        key = (result.route, canonical_query_key(result.query,
+                                                 route=result.route), epoch)
+        if result.estimator == "cache":
+            assert self.answers.get(key) == result.selectivity
+        else:
+            self.answers.setdefault(key, result.selectivity)
+
+    def _check_epochs(self):
+        for name in self.registry.names:
+            epoch = self.registry.serving_epoch(name)
+            assert all(now >= before
+                       for now, before in zip(epoch, self.epochs[name]))
+            self.epochs[name] = epoch
+
+    def _ingest(self, name):
+        self.ingests += 1
+        rows = (make_users(num_users=8, seed=100 + self.ingests)
+                if name == "users" else
+                make_sessions(num_rows=20, num_users=60,
+                              seed=100 + self.ingests))
+        self.registry.ingest(name, rows)
+        self._check_epochs()
+
+    @rule(picks=st.lists(st.integers(0, 7), min_size=1, max_size=4))
+    def submit(self, picks):
+        for pick in picks:
+            self.submitted += 1
+            try:
+                self.router.submit(self.pool[pick])
+            except AdmissionError:
+                self.shed += 1
+
+    @rule(ms=st.floats(0.0, 10.0))
+    def advance(self, ms):
+        self.clock.advance(ms / 1000.0)
+        self.router.tick()
+
+    @rule()
+    def flush(self):
+        self.router.flush()
+
+    @rule()
+    def wipe(self):
+        self.router.wipe_caches()
+        self.answers.clear()
+
+    @rule(name=st.sampled_from(["users", "sessions"]))
+    def ingest(self, name):
+        self._ingest(name)
+
+    def _check_scope(self):
+        self.router.flush()
+        report = self.router.report()
+        results = report.results
+        assert len(results) + self.shed == self.submitted
+        assert report.stats.shed == self.shed
+        indices = [result.index for result in results]
+        assert sorted(indices) == list(range(len(indices)))  # unique, dense
+        self._check_epochs()
+        if results:
+            baseline = run_fleet_sequential(
+                self.registry, [result.query for result in results],
+                num_samples=self.SAMPLES, seed=self.SEED)
+            for served, expected in zip(results, baseline.results):
+                if served.estimator != "cache":
+                    assert served.selectivity == expected.selectivity
+
+    @precondition(lambda self: self.submitted > 0)
+    @rule(refresh=st.sampled_from([None, "users", "sessions"]),
+          ingest_first=st.booleans(),
+          replicas=st.none() | st.tuples(st.sampled_from(["users",
+                                                          "sessions"]),
+                                         st.integers(1, 3)))
+    def end_scope(self, refresh, ingest_first, replicas):
+        self._check_scope()
+        if refresh is not None:
+            if ingest_first:
+                self._ingest(refresh)
+            RefreshController(self.registry).refresh(refresh)
+            self.answers = {key: answer for key, answer in self.answers.items()
+                            if key[0] != refresh}
+            self._check_epochs()
+        if replicas is not None:
+            self.registry.set_replicas(*replicas)
+            self._build_router()
+        else:
+            self._begin_scope()
+
+    def teardown(self):
+        self._check_scope()
+
+
+TestFleetMachine = FleetMachine.TestCase
+TestFleetMachine.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None)
 
 
 @pytest.fixture(scope="module")

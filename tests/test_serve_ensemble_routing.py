@@ -300,7 +300,8 @@ class TestFallbackIsAnOrdinaryGroup:
     @pytest.mark.parametrize("tier", _TIERS)
     def test_answered_before_submit_returns_with_zero_wait(self, fleet, tier):
         seen = []
-        with _tier(fleet, tier, batch_size=8, on_result=seen.append) as router:
+        with _tier(fleet, tier, batch_size=8) as router:
+            router.on_result = seen.append
             router.submit(Query([Predicate("plan", Operator.EQ, "pro")],
                                 table="users"))
             router.submit(_dnf("users", _CONFIG.max_dnf_branches + 1))

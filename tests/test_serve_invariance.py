@@ -115,13 +115,14 @@ def _router(fleet, *, batch_size, replicas, result_cache=False, workers=0,
     :func:`_serving`."""
     options.update(batch_size=batch_size, num_samples=_SAMPLES, seed=_SEED,
                    default_route=default_route, result_cache=result_cache)
-    if workers:
-        return ProcessFleet(fleet, workers=workers, replicas=replicas,
-                            log_dir=os.environ.get("REPRO_PROCFLEET_LOG_DIR"),
-                            **options)
+    # Both tiers read replica counts from the registry at construction.
     for name in fleet.names:
         fleet.set_replicas(name, replicas)
     try:
+        if workers:
+            return ProcessFleet(
+                fleet, workers=workers,
+                log_dir=os.environ.get("REPRO_PROCFLEET_LOG_DIR"), **options)
         return FleetRouter(fleet, **options)
     finally:
         for name in fleet.names:

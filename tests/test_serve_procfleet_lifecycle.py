@@ -30,6 +30,7 @@ from repro.serve import (
     FleetRouter,
     ModelRegistry,
     ProcessFleet,
+    RefreshController,
     RoutingError,
     StaleEpochError,
     WorkerError,
@@ -68,11 +69,23 @@ def workload(registry):
         min_filters=1, max_filters=2, seed=9)
 
 
-def _fleet(registry, **overrides):
-    options = dict(workers=2, replicas=2, batch_size=4,
-                   num_samples=_SAMPLES, seed=_SEED)
+def _fleet(registry, *, replicas=2, **overrides):
+    """A fleet over ``registry`` with ``replicas`` engines per relation.
+
+    The registry is the one place a replica count is set; the fleet reads
+    it at construction, so the shared fixture's counts are restored once
+    the fleet exists.
+    """
+    options = dict(workers=2, batch_size=4, num_samples=_SAMPLES, seed=_SEED)
     options.update(overrides)
-    return ProcessFleet(registry, **options)
+    counts = {name: registry.replicas(name) for name in registry.names}
+    for name in registry.names:
+        registry.set_replicas(name, replicas)
+    try:
+        return ProcessFleet(registry, **options)
+    finally:
+        for name, count in counts.items():
+            registry.set_replicas(name, count)
 
 
 # --------------------------------------------------------------------- #
@@ -226,8 +239,8 @@ def test_moved_epoch_refused_with_typed_error():
         with pytest.raises(StaleEpochError) as caught:
             fleet.submit(workload[0])        # per-submission guard
         assert caught.value.route == "users"
-        assert caught.value.fleet_epoch == (0, 0)
-        assert caught.value.registry_epoch == (1, 0)
+        assert caught.value.fleet_epoch == (0, 0, 0)
+        assert caught.value.registry_epoch == (1, 0, 0)
         assert "stale" in str(caught.value)
         with pytest.raises(StaleEpochError):
             fleet.run(workload)              # scope-boundary guard
@@ -244,6 +257,16 @@ def test_moved_epoch_refused_with_typed_error():
                                                 "model_epoch": 0,
                                                 "staleness": 1}
         assert report.stats.max_staleness == 1
+    # A refresh with no ingest since the last fit moves neither epoch, but
+    # it does swap the model: a fleet exported before it is refused too.
+    controller = RefreshController(own)
+    controller.refresh("users")
+    with ProcessFleet(own, workers=1, batch_size=4, num_samples=_SAMPLES,
+                      seed=_SEED) as refreshed:
+        controller.refresh("users")
+        assert own.staleness("users") == 0
+        with pytest.raises(StaleEpochError):
+            refreshed.submit(workload[0])
     assert _no_fleet_children()
 
 
@@ -361,8 +384,6 @@ def test_constructor_validation(registry):
         ProcessFleet(registry, workers=0)
     with pytest.raises(ValueError, match="batch_size"):
         ProcessFleet(registry, workers=1, batch_size=0)
-    with pytest.raises(ValueError, match="replicas"):
-        ProcessFleet(registry, workers=1, replicas=0)
     with pytest.raises(ValueError, match="default route"):
         ProcessFleet(registry, workers=1, default_route="nope")
     with pytest.raises(ValueError, match="no relations"):
@@ -400,14 +421,34 @@ def test_export_refuses_unshippable_estimators():
 
 
 def test_worker_assignments_round_robin(registry):
-    assignment = registry.worker_assignments(3, replicas={"users": 5})
+    registry.set_replicas("users", 5)
+    try:
+        assignment = registry.worker_assignments(3)
+        assert registry.worker_assignments(3) == assignment
+    finally:
+        registry.set_replicas("users", 1)
     assert assignment == {("users", replica): replica % 3
                           for replica in range(5)}
-    assert registry.worker_assignments(3, replicas={"users": 5}) == assignment
     with pytest.raises(ValueError, match="workers"):
         registry.worker_assignments(0)
-    with pytest.raises(ValueError, match="replica"):
-        registry.worker_assignments(2, replicas={"users": 0})
+
+
+def test_worker_assignments_read_each_relations_registered_replicas():
+    """Relations in registration order, each with the replica count the
+    registry holds for it, dealt round-robin across the worker slots."""
+    registry = ModelRegistry(default_config=_CONFIG)
+    registry.register_table(make_users(num_users=20, seed=1), name="a",
+                            replicas=2)
+    registry.register_table(make_users(num_users=20, seed=2), name="b")
+    registry.register_table(make_users(num_users=20, seed=3), name="c",
+                            replicas=3)
+    assert registry.worker_assignments(4) == {
+        ("a", 0): 0, ("a", 1): 1, ("b", 0): 2,
+        ("c", 0): 3, ("c", 1): 0, ("c", 2): 1}
+    registry.set_replicas("b", 2)
+    assert registry.worker_assignments(2) == {
+        ("a", 0): 0, ("a", 1): 1, ("b", 0): 0, ("b", 1): 1,
+        ("c", 0): 0, ("c", 1): 1, ("c", 2): 0}
 
 
 # --------------------------------------------------------------------- #

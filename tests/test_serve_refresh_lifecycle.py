@@ -50,8 +50,6 @@ class TestRefreshController:
         registry = _registry()
         with pytest.raises(ValueError, match="max_staleness"):
             RefreshController(registry, max_staleness=-1)
-        with pytest.raises(ValueError, match="drift_threshold_bits"):
-            RefreshController(registry, drift_threshold_bits=0.0)
         with pytest.raises(ValueError, match="refresh_epochs"):
             RefreshController(registry, refresh_epochs=0)
         assert "max_staleness=1" in repr(RefreshController(registry))
@@ -108,30 +106,40 @@ class TestRefreshController:
         refreshed = controller.refresh("users")
         assert refreshed is estimator                  # fine-tuned in place
         assert refreshed.num_rows == registry.relation("users").num_rows
-        assert registry.serving_epoch("users") == (2, 2)
+        assert registry.serving_epoch("users") == (2, 2, 1)
         assert controller.refreshes["users"] == 1
         assert controller.due() == []
 
-    def test_drift_threshold_triggers_before_staleness_bound(self):
+    def test_drift_is_reported_but_only_staleness_makes_a_refresh_due(self):
+        """A genuinely shifted batch is scored and reported, yet a refresh
+        falls due on the staleness bound alone."""
         registry = _registry()
         registry.fit_all()
         *_, tail = partition_by_column(registry.relation("users"),
                                        "country", 4)
-        drift = RefreshController(registry).drift_bits("users", tail)
-        assert drift > 0                               # a genuinely shifted batch
-        controller = RefreshController(registry, max_staleness=5,
-                                       drift_threshold_bits=drift / 2)
-        record = controller.ingest("users", tail)
-        assert record["staleness"] == 1                # far under the bound
-        assert record["refresh_due"]                   # but drift tripped
+        controller = RefreshController(registry, max_staleness=1)
+        first = controller.ingest("users", tail)
+        assert set(first) == {"relation", "data_epoch", "staleness",
+                              "drift_bits", "refresh_due"}
+        assert first["drift_bits"] > 0                 # shifted rows
+        assert controller.last_drift_bits["users"] == first["drift_bits"]
+        assert not first["refresh_due"] and controller.due() == []
+        second = controller.ingest("users", tail)
+        assert second["staleness"] == 2 and second["refresh_due"]
 
-    def test_auto_refresh_swaps_within_the_ingest_call(self):
+    def test_ingest_never_swaps_the_model(self):
+        """Ingest only appends and flags; the serving model stays until the
+        caller refreshes, even when the bound is zero."""
         registry = _registry()
         registry.fit_all()
+        served = registry.estimator("users")
         controller = RefreshController(registry, max_staleness=0)
-        record = controller.ingest("users", make_users(num_users=30, seed=7),
-                                   auto_refresh=True)
-        assert record["refresh_due"] and record["refreshed"]
+        record = controller.ingest("users", make_users(num_users=30, seed=7))
+        assert record["refresh_due"]
+        assert registry.estimator("users") is served
+        assert registry.serving_epoch("users") == (1, 0, 0)
+        assert controller.refreshes == {}
+        controller.refresh("users")
         assert registry.staleness("users") == 0
         assert controller.refreshes["users"] == 1
 
@@ -146,7 +154,7 @@ class TestRefreshController:
         assert rebuilt is not old                      # new model, new dicts
         assert isinstance(rebuilt, NaruEstimator) and rebuilt._fitted
         assert rebuilt.num_rows == registry.relation("users").num_rows
-        assert registry.serving_epoch("users") == (1, 1)
+        assert registry.serving_epoch("users") == (1, 1, 1)
 
 
 class TestEpochInvalidationGrid:
@@ -186,8 +194,8 @@ class TestEpochInvalidationGrid:
     def test_refreshed_router_matches_cold_router_bit_for_bit(self, served):
         registry, router, queries, _ = served
         controller = RefreshController(registry, max_staleness=0)
-        controller.ingest("users", make_users(num_users=30, seed=7),
-                          auto_refresh=True)
+        controller.ingest("users", make_users(num_users=30, seed=7))
+        controller.refresh("users")
         group_before = router.group("users")
         post = router.run(queries)
         # Zero stale hits across every layer: no old result-cache entry and
@@ -209,6 +217,28 @@ class TestEpochInvalidationGrid:
         # Once refreshed, the cache warms again at the new epoch.
         rewarmed = router.run(queries)
         assert rewarmed.result_cache_hits == len(queries)
+
+    def test_refresh_without_ingest_invalidates_every_cache_layer(self,
+                                                                 served):
+        """A refresh fine-tunes the model in place even when nothing was
+        ingested since the last fit, so both epochs stand still; the swap
+        still moves the serving epoch, and a long-lived router serves the
+        refreshed model exactly like a fresh one — no pre-refresh result or
+        conditional-cache entry answers a query."""
+        registry, router, queries, first = served
+        RefreshController(registry).refresh("users")
+        assert registry.staleness("users") == 0
+        post = router.run(queries)
+        assert post.result_cache_hits == 0
+        assert router.result_cache.stats.as_dict()["lifetime"]["stale_rejects"] > 0
+        fresh = FleetRouter(registry, batch_size=4, num_samples=_SAMPLES,
+                            seed=_SEED, result_cache=True,
+                            cache_entries=400).run(queries)
+        np.testing.assert_array_equal(post.selectivities, fresh.selectivities)
+        assert not np.array_equal(post.selectivities, first.selectivities)
+        assert post.stats.epochs["users"] == {"data_epoch": 0,
+                                              "model_epoch": 0,
+                                              "staleness": 0}
 
     def test_slo_controller_survives_group_rebuild(self):
         registry = _registry()

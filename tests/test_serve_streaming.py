@@ -88,17 +88,6 @@ def test_controller_clamps_at_both_bounds():
     assert controller.batch_size == 8  # grown back, additively, to the cap
 
 
-def test_controller_disabled_is_fixed():
-    controller = AdaptiveBatchController(slo_ms=None, max_batch=16)
-    for latency in (0.01, 1000.0, 5.0, 99999.0):
-        assert controller.observe(latency) == 16
-    assert not controller.enabled
-    assert controller.target_ms is None
-    assert list(controller.trace) == [16] * 5
-    assert controller.shrinks == controller.grows == 0
-    assert controller.ewma_ms is not None  # it still tracks, for reporting
-
-
 def test_controller_does_not_grow_above_target_band():
     controller = AdaptiveBatchController(slo_ms=10.0, max_batch=32)
     controller.observe(100.0)  # shrink once
@@ -115,8 +104,23 @@ def test_controller_validates_arguments():
     with pytest.raises(ValueError, match="slo_ms"):
         AdaptiveBatchController(slo_ms=0.0)
     with pytest.raises(ValueError, match="max_batch"):
-        AdaptiveBatchController(max_batch=_MIN_BATCH - 1)
+        AdaptiveBatchController(slo_ms=10.0, max_batch=_MIN_BATCH - 1)
 
+
+
+def test_controller_requires_an_slo_and_reports_every_key():
+    """A controller exists only for an SLO: there is no disabled mode, and
+    its snapshot keeps the report's full key set."""
+    with pytest.raises(TypeError, match="slo_ms"):
+        AdaptiveBatchController()
+    controller = AdaptiveBatchController(slo_ms=10.0, max_batch=8)
+    assert controller.target_ms == pytest.approx(10.0 * _HEADROOM)
+    assert set(controller.as_dict()) == {
+        "slo_ms", "ewma_ms", "batch_size", "min_batch", "max_batch",
+        "observations", "shrinks", "grows", "trace"}
+    assert controller.as_dict()["ewma_ms"] is None  # nothing observed yet
+    assert repr(controller) == (
+        f"AdaptiveBatchController(slo=10.0ms, batch=8 in [{_MIN_BATCH}, 8])")
 
 def test_controller_trace_is_bounded():
     controller = AdaptiveBatchController(slo_ms=10.0, max_batch=4)
@@ -166,54 +170,19 @@ def test_router_without_any_slo_attaches_nothing(fleet, workload):
     assert router.controllers_report() == {}
 
 
-def test_registry_slo_alone_adapts_that_route_only():
-    """A plain router (no router-wide slo_ms) honours the registry's
-    per-relation SLO exactly like its sibling flush_after_ms: the relation
-    registered with one is steered, its neighbour is left fixed."""
-    registry = ModelRegistry(default_config=_CONFIG)
-    registry.register_table(make_users(num_users=80, seed=4))
-    registry.register_table(make_sessions(num_rows=300, num_users=80, seed=5),
-                            slo_ms=5.0)
-    registry.fit_all()
-    queries = generate_mixed_workload(
-        {name: registry.relation(name) for name in registry.names}, 12,
-        min_filters=1, max_filters=3, seed=7)
-    router = FleetRouter(registry, batch_size=4, num_samples=_SAMPLES, seed=2)
-    report = router.run(queries)
-    assert router.controller("sessions").slo_ms == 5.0
-    assert router.controller("users") is None
-    assert report.stats.routes["sessions"]["batch_trace"][0] == 4
-    assert report.stats.routes["users"]["batch_trace"] is None
-    assert router.engine("sessions").batch_hook is not None
-    assert router.engine("users").batch_hook is None
 
-
-def test_registry_slo_overrides_router_slo(fleet):
-    fleet.set_slo("sessions", 123.0)
-    try:
-        router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, slo_ms=50.0)
-        assert router.effective_slo("sessions") == 123.0
-        assert router.effective_slo("users") == 50.0
-        assert router.controller("sessions").slo_ms == 123.0
-        assert router.controller("users").slo_ms == 50.0
-    finally:
-        fleet.set_slo("sessions", None)
-    assert fleet.slo_ms("sessions") is None
-
-
-def test_registry_slo_validation(fleet):
-    with pytest.raises(ValueError, match="slo_ms"):
-        fleet.set_slo("users", 0.0)
-    with pytest.raises(KeyError):
-        fleet.set_slo("nope", 10.0)
-    registry = ModelRegistry(default_config=_CONFIG)
-    with pytest.raises(ValueError, match="slo_ms"):
-        registry.register_table(make_users(num_users=16, seed=0), slo_ms=-1.0)
-    name = registry.register_table(make_users(num_users=16, seed=1), slo_ms=5.0)
-    assert registry.slo_ms(name) == 5.0
-    assert registry.size_report()[name]["slo_ms"] == 5.0
-
+def test_router_slo_is_the_one_slo_of_every_route(fleet, workload):
+    """The router-wide SLO is the only SLO: every route, however it was
+    registered, gets a controller steering to exactly that value, and every
+    engine of its group carries the controller's hook."""
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, slo_ms=50.0)
+    router.run(workload)
+    assert set(router.controllers_report()) == set(fleet.names)
+    for route in fleet.names:
+        assert router.controller(route).slo_ms == 50.0
+        assert all(engine.batch_hook is not None
+                   for engine in router.group(route).engines)
 
 def test_router_validates_slo(fleet):
     with pytest.raises(ValueError, match="slo_ms"):
@@ -391,8 +360,8 @@ def test_async_client_empty_stream_drains_to_well_formed_report(fleet):
 def test_async_client_detaches_and_restores_observer(fleet):
     seen = []
     prior = seen.append
-    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                         seed=2, on_result=prior)
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    router.on_result = prior
 
     async def main():
         async with AsyncFleetClient(router) as client:
@@ -581,32 +550,20 @@ def test_flush_deadline_validation(fleet):
         FleetRouter(fleet, flush_after_ms=-1.0)
 
 
-def test_registry_flush_after_overrides_router(fleet):
-    fleet.set_flush_after("sessions", 250.0)
-    try:
-        router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
-                             seed=2, flush_after_ms=80.0)
-        assert router.effective_flush_after("sessions") == 250.0
-        assert router.effective_flush_after("users") == 80.0
-        assert router.engine("sessions").flush_after_ms == 250.0
-        assert router.engine("users").flush_after_ms == 80.0
-        assert router.has_flush_timeouts
-    finally:
-        fleet.set_flush_after("sessions", None)
-    assert fleet.flush_after_ms("sessions") is None
-    with pytest.raises(ValueError, match="flush_after_ms"):
-        fleet.set_flush_after("sessions", 0.0)
-    with pytest.raises(KeyError):
-        fleet.set_flush_after("nope", 10.0)
-    registry = ModelRegistry(default_config=_CONFIG)
-    name = registry.register_table(make_users(num_users=16, seed=2),
-                                   flush_after_ms=40.0)
-    assert registry.flush_after_ms(name) == 40.0
-    assert registry.size_report()[name]["flush_after_ms"] == 40.0
-    with pytest.raises(ValueError, match="flush_after_ms"):
-        registry.register_table(make_users(num_users=16, seed=3),
-                                name="users_b", flush_after_ms=-5.0)
 
+def test_router_flush_deadline_is_every_engines_deadline(fleet, workload):
+    """The router is the one place a flush deadline is set: every engine of
+    every route carries the router's value, or none when it has none."""
+    timed = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2,
+                        flush_after_ms=80.0)
+    plain = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
+    for router in (timed, plain):
+        router.run(workload)
+        for route in fleet.names:
+            assert {engine.flush_after_ms
+                    for engine in router.group(route).engines} == \
+                {router.flush_after_ms}
+    assert timed.flush_after_ms == 80.0 and plain.flush_after_ms is None
 
 def test_report_exposes_queue_wait_and_e2e_percentiles(fleet, workload):
     router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2)
@@ -773,6 +730,41 @@ def test_submit_async_without_flush_timeout_falls_back_to_early_dispatch(
     assert [future.result().index for future in futures] == [0, 1, 2]
 
 
+def test_submit_async_of_a_fallback_query_waits_on_the_fallback_unit():
+    """Regression: acquire() resolved only the route and waited on the
+    primary group, so a query only the fallback serves was held back by the
+    primary's admission bound — with no deadline it force-flushed the
+    primary's partial batch (reason "admission").  It must wait on the unit
+    that answers it: the fallback unit, which has no bound."""
+    users = make_users(num_users=80, seed=4)
+    registry = ModelRegistry(
+        default_config=dataclasses.replace(_CONFIG, max_dnf_branches=2))
+    registry.register_table(users, fallback=SamplingEstimator(
+        users, fraction=1.0, seed=0))
+    registry.fit_all()
+    router = FleetRouter(registry, batch_size=4, num_samples=_SAMPLES,
+                         seed=2, max_pending=1, overflow="shed")
+    [conjunctive] = _users_queries(registry, 1)
+    wide = DNFQuery.from_tuples(
+        [[("plan", "=", plan)] for plan in ("free", "basic", "pro")],
+        table="users")
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            pending = client.submit(conjunctive)
+            served = await client.submit_async(wide)
+            assert served.done() and served.result().estimator[:4] == "Samp"
+            assert not pending.done()
+            assert router.group("users").pending == 1
+            return await client.drain()
+
+    report = asyncio.run(main())
+    assert report.stats.num_queries == 2
+    reasons = [record.flush_reason for record in
+               report.routes["users"][0].batches]
+    assert reasons == ["flush"]  # dispatched by the drain, never early
+
+
 def test_flush_driver_dispatches_lone_submission(fleet, workload):
     """A single query in a partially filled batch resolves even though no
     further submissions, flushes or drains happen: the driver dispatches it
@@ -847,35 +839,6 @@ def test_flush_driver_batches_submits_that_yield_between(fleet, count):
     assert _batches(report) == 1
     assert report.stats.num_queries == count
     assert report.stats.timeout_flushes == 0
-
-
-def test_flush_driver_leaves_routes_without_deadline_pending(fleet, workload):
-    """Only routes with a flush deadline are idle-flushed: a partial batch on
-    a route without one waits for a fill or an explicit flush, as before."""
-    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2)
-    [user_query] = _users_queries(fleet, 1)
-    session_query = next(query for query in workload
-                         if query.table == "sessions")
-
-    async def main():
-        async with AsyncFleetClient(router) as client:
-            waiting = client.submit(session_query)
-            served = client.submit(user_query)
-            await asyncio.wait_for(served, timeout=1.0)
-            await asyncio.sleep(0.05)  # idle, for real
-            assert not waiting.done()
-            assert router.group("sessions").pending == 1
-            idle_flushes = client.idle_flushes
-            await client.drain()
-        return idle_flushes, waiting.result()
-
-    fleet.set_flush_after("users", 10_000.0)  # read as groups materialise
-    try:
-        idle_flushes, result = asyncio.run(main())
-    finally:
-        fleet.set_flush_after("users", None)
-    assert idle_flushes == 1  # the users batch, never the sessions one
-    assert result.route == "sessions"
 
 
 def test_flush_deadline_fires_while_another_producer_keeps_the_loop_busy(
@@ -974,8 +937,8 @@ def test_flush_driver_propagates_dispatch_errors_to_awaiters(fleet,
 
 def test_flush_driver_auto_mode_skips_frozen_virtual_clocks(fleet, workload):
     """A fully virtual clock can never make a deadline due by sleeping, so
-    auto mode must not spin a wall-clock driver against it (forcing
-    flush_driver=True remains the caller's explicit choice)."""
+    the default (auto) driver mode must not spin a wall-clock driver
+    against it."""
     frozen = FleetRouter(fleet, batch_size=64, num_samples=_SAMPLES,
                          seed=2, flush_after_ms=5.0, clock=VirtualClock())
 
@@ -987,9 +950,55 @@ def test_flush_driver_auto_mode_skips_frozen_virtual_clocks(fleet, workload):
         return started
 
     assert asyncio.run(main(AsyncFleetClient(frozen))) is False
-    assert asyncio.run(main(AsyncFleetClient(frozen, flush_driver=True))) \
-        is True
 
+
+
+def test_flush_driver_never_starts_without_a_deadline(fleet):
+    """No flush deadline, no driver: a partial batch waits through real idle
+    time for a fill or an explicit flush, and the drain dispatches it."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2)
+    [query] = _users_queries(fleet, 1)
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            waiting = client.submit(query)
+            await asyncio.sleep(0.05)  # idle, for real
+            assert client._driver_task is None
+            assert not waiting.done()
+            assert router.group("users").pending == 1
+            idle_flushes = client.idle_flushes
+            report = await client.drain()
+        return idle_flushes, waiting.result(), report
+
+    idle_flushes, result, report = asyncio.run(main())
+    assert idle_flushes == 0
+    assert result.route == "users"
+    assert [record.flush_reason
+            for record in report.routes["users"][0].batches] == ["flush"]
+
+
+def test_flush_driver_off_leaves_a_deadline_to_tick(fleet):
+    """flush_driver=False on a wall clock with a deadline: no task runs, so
+    a partial batch waits past its deadline until the caller ticks."""
+    router = FleetRouter(fleet, batch_size=8, num_samples=_SAMPLES, seed=2,
+                         flush_after_ms=5.0)
+    [query] = _users_queries(fleet, 1)
+
+    async def main():
+        async with AsyncFleetClient(router, flush_driver=False) as client:
+            waiting = client.submit(query)
+            await asyncio.sleep(0.05)  # ten deadlines of real idle time
+            assert client._driver_task is None
+            assert not waiting.done()
+            router.tick()
+            assert waiting.done()
+            report = await client.drain()
+        return client.idle_flushes, report
+
+    idle_flushes, report = asyncio.run(main())
+    assert idle_flushes == 0
+    assert [record.flush_reason
+            for record in report.routes["users"][0].batches] == ["deadline"]
 
 def test_flush_driver_restarts_after_dispatch_error(fleet, workload):
     """Regression: a dead driver used to stay registered, silently voiding
