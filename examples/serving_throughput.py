@@ -41,7 +41,7 @@ def main() -> None:
     print(f"sequential: {sequential.stats.queries_per_second:6.1f} queries/s "
           f"({sequential.stats.elapsed_s * 1000:.0f} ms total)")
 
-    # 4. The serving regime: micro-batches + conditional-probability cache.
+    # 4. The serving regime: micro-batches + conditional-CDF cache.
     engine = EstimationEngine(naru, batch_size=16, seed=0)
     batched = engine.run(queries)
     cache = batched.stats.cache

@@ -38,6 +38,10 @@ class AutoregressiveModel(nn.Module):
     row_exact: bool = False
     #: Whether :meth:`conditional_probs` accepts a :class:`PrefixSums` carry.
     carries_prefix_sums: bool = False
+    #: Whether :meth:`conditional_probs` answers each row's CDF (the running
+    #: sum of its probabilities) instead of the probabilities; the
+    #: progressive sampler takes such rows as they are.
+    cumulative: bool = False
 
     def __init__(self, table: Table, order: list[int] | None = None) -> None:
         super().__init__()

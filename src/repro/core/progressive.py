@@ -35,7 +35,11 @@ inside the query's admitted run ``[lo, hi]`` (:func:`_truncated_draws`), so
 no masked or renormalised copy of a distribution is built.  The in-range
 mass, a difference of two CDF entries, is off by at most about
 ``|A_i|·2⁻⁵²·F(hi)``: a mass below about ``1e-16·F(hi)`` can read as zero,
-for a cardinality at most about ``1e-16·N`` rows.
+for a cardinality at most about ``1e-16·N`` rows.  The CDF is the model's
+row summed in place — or the model's answer itself, for a ``cumulative``
+model (the serving layer's conditional cache stores CDFs, so a cache hit
+is drawn from as gathered).  A run of one code — an equality literal —
+admits one draw, so its rows take that code without a search.
 
 Prefix deduplication (``dedup=True``, the default) changes no bit at all.
 Every row carries its sampled prefix as one mixed-radix int64
@@ -213,9 +217,13 @@ def _truncated_draws(cdf: np.ndarray, row_cdf: np.ndarray,
     the first ``j`` in ``[lo, hi]`` with ``F(j) > target``, where ``target =
     min(lower + u·mass, nextafter(F(hi), 0))``.  ``F`` never decreases, so
     when ``mass > 0`` that ``j`` exists, is admitted and has positive
-    probability, and no earlier ``j`` of the row qualifies: all rows
-    binary-search one window as wide as the widest run, in lockstep.  A
-    zero-mass row samples a code nobody reads.  A query with several runs
+    probability, and no earlier ``j`` of the row qualifies — so any window
+    that starts at or before ``lo`` and covers ``hi`` finds the same ``j``.
+    A row whose run holds one code (``lo == hi``) therefore draws it with no
+    search; the other rows binary-search one window as wide as the widest
+    of their runs, in lockstep.  A zero-mass row samples a code nobody
+    reads, but a valid one: an empty run ``(1, 0)`` gives its ``hi``, 0.
+    A query with several runs
     sums their masses in run order and searches the first run whose running
     sum exceeds ``u·mass`` — if round-off leaves none, the last run with
     positive mass (:func:`_pick_runs`).
@@ -245,15 +253,23 @@ def _truncated_draws(cdf: np.ndarray, row_cdf: np.ndarray,
     if several is not None:
         mass[several] = several_mass
         offset[several] = several_offset
-    target = np.minimum(lower + offset, np.nextafter(upper, 0.0))
-    window = max(1, int((run_hi - run_lo).max()) + 1)
+    # A run of at most one code leaves nothing to search: the row takes hi.
+    wide = hi > lo
+    if not wide.any():
+        return hi, mass
+    search = slice(None) if wide.all() else np.flatnonzero(wide)
+    base, lo = base[search], lo[search]
+    target = np.minimum(lower[search] + offset[search],
+                        np.nextafter(upper[search], 0.0))
+    window = int((hi[search] - lo).max()) + 1
     # The window starts at the row's run, or as far right as fits the row.
     position = base + np.minimum(lo, width - window)
     while window > 1:
         half = window >> 1
         position += half * (flat[position + (half - 1)] <= target)
         window -= half
-    return position - base, mass
+    hi[search] = position - base
+    return hi, mass
 
 
 def _region_candidates(
@@ -334,6 +350,9 @@ class ProgressiveSampler:
     def __init__(self, model, seed: int = 0, dedup: bool = True) -> None:
         self.model = model
         self.dedup = dedup
+        # A cumulative model (the serving layer's conditional cache) answers
+        # CDFs already: its rows are drawn from as they come.
+        self._cumulative = getattr(model, "cumulative", False)
         #: Lifetime row accounting, see :class:`SamplerStats`.
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(seed)
@@ -369,7 +388,8 @@ class ProgressiveSampler:
         One scalar sort of the carried keys ``packed`` (see
         :func:`prefix_radix`) finds the distinct prefixes; prefixes too wide
         to pack are ranked row-wise by ``np.unique(axis=0)``.  The model's
-        answer is the caller's to overwrite: it becomes the CDFs in place.
+        answer is the caller's to overwrite: it becomes the CDFs in place —
+        unless the model is ``cumulative`` and answered CDFs itself.
 
         ``carry`` (a carrying model only) is the model's
         :class:`~repro.core.made.PrefixSums` and, per row, the index of its
@@ -412,7 +432,9 @@ class ProgressiveSampler:
             sums.parent = row_prefix[shown]
             cdf = self.model.conditional_probs(column, codes[shown], carry=sums)
             row_prefix[rows] = row_cdf
-        return np.cumsum(cdf, axis=1, out=cdf), row_cdf, rows
+        if not self._cumulative:
+            np.cumsum(cdf, axis=1, out=cdf)
+        return cdf, row_cdf, rows
 
     # ------------------------------------------------------------------ #
     def estimate_selectivity(self, masks: list[np.ndarray | None],

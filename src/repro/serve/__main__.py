@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-size", type=int, default=16,
                         help="queries per (per-replica) micro-batch")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the conditional-probability caches")
+                        help="disable the conditional-CDF caches")
     parser.add_argument("--cache-entries", type=int, default=65536,
                         help="cache budget (shared across models, replicas and "
                              "the result cache)")

@@ -2,8 +2,8 @@
 
 Two cache families live here, layered at different depths of the serve stack:
 
-* **Conditional-probability caching** — progressive sampling asks the model
-  the same question over and over: the conditional ``P(X_i | x_<i)`` depends
+* **Conditional-CDF caching** — progressive sampling asks the model the
+  same question over and over: the conditional ``P(X_i | x_<i)`` depends
   only on the *prefix* of the sample path, and prefixes repeat heavily —
   every path shares the empty prefix at the first column, early columns have
   tiny domains, and concurrent queries over the same table walk overlapping
@@ -12,12 +12,15 @@ Two cache families live here, layered at different depths of the serve stack:
   prefixes it hands over in a :class:`PackedConditionalCache` — a
   vectorized, generationally evicted store keyed on ``(column, packed prefix
   codes)`` — so prefixes recurring across micro-batches hit memory instead
-  of re-running the network.
+  of re-running the network.  The sampler only ever reads a conditional as
+  its CDF, so the store keeps CDFs: a miss is summed once, on its way in,
+  and a hit is a gather.
 
   The wrapper implements the same protocol as
   :class:`repro.core.made.AutoregressiveModel` (``conditional_probs``,
-  ``log_prob``, ``domain_sizes``, ``order``), so it can be dropped in front
-  of any model — neural or oracle — without the sampler noticing.
+  ``log_prob``, ``domain_sizes``, ``order``) and declares itself
+  ``cumulative``, so it can be dropped in front of any model — neural or
+  oracle — and the sampler draws from its rows as they come.
 
 * **Result caching** — above all the models, the fleet router can memoise
   finished *selectivities* in a :class:`ResultCache` (a bounded LRU map)
@@ -47,7 +50,7 @@ __all__ = ["CacheStats", "PackedConditionalCache", "CachedConditionalModel",
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting of one conditional-probability cache."""
+    """Hit/miss accounting of one conditional-CDF cache."""
 
     hits: int = 0
     misses: int = 0
@@ -107,16 +110,17 @@ def _merge_runs(runs: list[_Run]) -> _Run:
 
 
 class PackedConditionalCache:
-    """Vectorized conditional store keyed on packed prefix codes.
+    """Vectorized store of conditional CDFs keyed on packed prefix codes.
 
     The deduplicating progressive sampler hands the serving layer batches
     that are already one row per *distinct* prefix, with every prefix
     packable into a single int64 (mixed-radix over the visible columns).
     This store exploits that shape: per column it keeps a short list of
     sorted *runs*, each a sorted int64 key array with an aligned ``(entries,
-    domain)`` value matrix.  A bulk insert sorts only its own batch and
-    appends it as one run; a lookup is one :func:`numpy.searchsorted` per
-    run; once a column holds more than four runs they are merged into one.
+    domain)`` value matrix (one CDF row per entry).  A bulk insert sorts only
+    its own batch and appends it as one run; a lookup is one
+    :func:`numpy.searchsorted` per run; once a column holds more than four
+    runs they are merged into one.
     Each is a handful of C calls with no Python per row, and an insert
     copies only its own batch instead of splicing it into the whole column.
 
@@ -252,15 +256,22 @@ _CHUNK_ROWS = 4096
 
 
 class CachedConditionalModel:
-    """Drop-in model wrapper that memoises ``conditional_probs`` per prefix.
+    """Model wrapper that memoises each prefix's conditional *CDF*.
 
     For each requested batch the wrapper (1) projects every row onto the
     columns that precede ``column_index`` in the autoregressive order — the
     only inputs ``conditional_probs`` may depend on, see the batch contract on
     :meth:`repro.core.made.AutoregressiveModel.conditional_probs` — and packs
     the projection into one int64 per row, (2) looks all rows up in the store
-    at once, (3) evaluates the model on the rows that missed and (4) stores
-    their distributions for later batches.
+    at once, (3) evaluates the model on the rows that missed, sums each of
+    their rows into its CDF and (4) stores those CDFs for later batches.
+
+    It answers CDFs, not probabilities (``cumulative = True``): the
+    progressive sampler, its one caller, reads a conditional only as a CDF,
+    so a hit is a gather out of the store with no arithmetic left to redo.
+    ``np.cumsum`` along a row is a sequential per-row sum, so the answer is
+    ``np.cumsum(model.conditional_probs(...), axis=1)`` bit for bit, hit or
+    miss, however the rows were grouped.
 
     Rows are expected one per *distinct* prefix — the contract of the
     prefix-deduplicating :class:`repro.core.progressive.ProgressiveSampler`,
@@ -278,6 +289,9 @@ class CachedConditionalModel:
     max_entries:
         Capacity of the private cache when ``cache`` is not supplied.
     """
+
+    #: Answers CDFs, see the class docstring.
+    cumulative = True
 
     def __init__(self, model, cache: PackedConditionalCache | None = None,
                  max_entries: int = 262144) -> None:
@@ -319,17 +333,18 @@ class CachedConditionalModel:
         return self.model.log_prob(codes)
 
     def _evaluate(self, column_index: int, codes: np.ndarray) -> np.ndarray:
-        """Run the wrapped model in CPU-cache-sized chunks of :data:`_CHUNK_ROWS`."""
-        num_rows = codes.shape[0]
-        if num_rows <= _CHUNK_ROWS:
-            return self.model.conditional_probs(column_index, codes)
-        chunks = [self.model.conditional_probs(column_index, codes[start:start + _CHUNK_ROWS])
-                  for start in range(0, num_rows, _CHUNK_ROWS)]
-        return np.concatenate(chunks, axis=0)
+        """The wrapped model's CDFs of ``codes``, evaluated — and summed, in
+        place — in CPU-cache-sized chunks of :data:`_CHUNK_ROWS`."""
+        chunks = []
+        for start in range(0, codes.shape[0], _CHUNK_ROWS):
+            probs = self.model.conditional_probs(
+                column_index, codes[start:start + _CHUNK_ROWS])
+            chunks.append(np.cumsum(probs, axis=1, out=probs))
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
     # ------------------------------------------------------------------ #
     def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
-        """Per-row distributions of one column, served through the prefix cache.
+        """Per-row conditional CDFs of one column, served through the prefix cache.
 
         Args:
             column_index: The column (in storage order) being distributed.
@@ -338,9 +353,10 @@ class CachedConditionalModel:
                 order may influence the result.
 
         Returns:
-            ``(rows, domain_size)`` array of conditional probabilities, equal
-            to the wrapped model's output (cache hits are exact, never
-            approximations).
+            ``(rows, domain_size)`` array of conditional **CDFs**, equal to
+            ``np.cumsum`` of the wrapped model's output along each row, bit
+            for bit (cache hits are exact, never approximations).  The name
+            is the protocol's; the rows are cumulative (``cumulative``).
         """
         codes = np.asarray(codes, dtype=np.int64)
         num_rows = codes.shape[0]
@@ -506,7 +522,7 @@ class ResultCacheStats:
 class ResultCache:
     """Bounded LRU map from a canonical query key to a finished selectivity.
 
-    Layered *above* the per-model conditional-probability caches: a hit skips
+    Layered *above* the per-model conditional-CDF caches: a hit skips
     routing a query into any micro-batch at all.  Entries are selectivities
     (not cardinalities), so a cached answer stays valid under a pure
     ``set_row_count``-style rescaling of the serving relation — but **not**

@@ -4,7 +4,7 @@
 dispatches each batch through a single batched progressive-sampling run (one
 model forward pass per column per round, shared by every query in the batch —
 see :meth:`repro.core.progressive.ProgressiveSampler.estimate_selectivity_batch`),
-optionally in front of a conditional-probability cache
+optionally in front of a conditional-CDF cache
 (:class:`repro.serve.cache.CachedConditionalModel`).  Estimators that do not
 expose an autoregressive model (the histogram/sampling/KDE baselines) are
 still accepted: their queries are answered one at a time through the plain

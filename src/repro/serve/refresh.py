@@ -20,10 +20,10 @@ protocol of the paper's data-shift study (§6.7.3 / Table 8):
    the relation ``refresh_due`` once its staleness exceeds ``max_staleness``;
    the drift score is reported alongside, for the operator to read.
 3. **Refresh and atomic swap** — :meth:`RefreshController.refresh`
-   fine-tunes the existing model on the grown relation
+   fine-tunes a copy of the existing model on the grown relation
    (:meth:`repro.core.estimator.NaruEstimator.refresh`, with the *original*
    dictionaries via :func:`repro.data.shift.encode_with_dictionaries`),
-   updates its serving row count and re-registers it with ``replace=True`` —
+   sets the copy's serving row count and registers it with ``replace=True`` —
    stamping the model epoch to the data epoch and moving the swap count in
    one step, so routers pick the new version up atomically at their next
    scope boundary, with or without an ingest since the last fit.  Values the
@@ -32,6 +32,8 @@ protocol of the paper's data-shift study (§6.7.3 / Table 8):
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -171,17 +173,22 @@ class RefreshController:
                 epochs: int | None = None) -> CardinalityEstimator:
         """Produce the relation's next model version and swap it in atomically.
 
-        Fine-tunes the existing Naru model on the grown relation encoded with
-        its *original* dictionaries (the §6.7.3 protocol), updates the
-        serving row count, and re-registers it with ``replace=True`` — which
-        stamps ``model_epoch = data_epoch`` and moves the relation's swap
-        count (so :meth:`~repro.serve.registry.ModelRegistry.serving_epoch`
-        moves even with no ingest since the last fit), so routers rebuild the
+        Fine-tunes a copy of the existing Naru estimator — its model and
+        trainer, sharing the training :class:`~repro.data.table.Table` — on
+        the grown relation encoded with its *original* dictionaries (the
+        §6.7.3 protocol), sets the copy's serving row count, and registers
+        the copy with ``replace=True``.  The estimator a live replica group
+        serves is never touched, so the group keeps answering from the old
+        version, with its conditional cache, until the scope boundary.  The
+        registration stamps ``model_epoch = data_epoch`` and moves the
+        relation's swap count (so
+        :meth:`~repro.serve.registry.ModelRegistry.serving_epoch` moves even
+        with no ingest since the last fit), so routers rebuild the
         relation's replica group (with fresh conditional caches) at their
         next scope boundary and result-cache lookups move to the new epoch
         key.  Falls back to a cold rebuild when the relation has no
         fine-tunable model or the grown data no longer fits the old
-        dictionaries.  Returns the serving estimator.
+        dictionaries.  Returns the new serving estimator.
         """
         table = self.registry.relation(name)
         estimator = (self.registry.estimator(name, fit=False)
@@ -194,13 +201,14 @@ class RefreshController:
             self.registry.register_table(table, name=name, replace=True)
             refreshed = self.registry.estimator(name)
         else:
-            estimator.refresh(codes,
+            refreshed = copy.deepcopy(estimator,
+                                      {id(estimator.table): estimator.table})
+            refreshed.refresh(codes,
                               epochs=epochs if epochs is not None
                               else self.refresh_epochs)
-            estimator.set_row_count(table.num_rows)
-            self.registry.register_table(table, name=name, estimator=estimator,
+            refreshed.set_row_count(table.num_rows)
+            self.registry.register_table(table, name=name, estimator=refreshed,
                                          replace=True)
-            refreshed = estimator
         self.refreshes[name] = self.refreshes.get(name, 0) + 1
         return refreshed
 

@@ -210,15 +210,19 @@ class ModelRegistry:
 
         The fallback serves queries whose shape the primary estimator
         refuses (see :meth:`can_serve`); it must arrive trained and
-        schema-matched, exactly like a pre-built primary.  Routers pick the
-        change up when they materialise the relation's serving group.
+        schema-matched, exactly like a pre-built primary.  Swapping it
+        changes served answers, so — like a ``replace=True`` registration —
+        it moves the relation's swap count (part of :meth:`serving_epoch`):
+        result-cache entries of the old fallback are never served again, and
+        routers rebuild the relation's units at their next scope boundary.
         """
         table = self.relation(name)
-        if fallback is None:
-            self._fallbacks.pop(name, None)
-            return
-        self._validate_prebuilt(name, fallback, table, "fallback estimator")
-        self._fallbacks[name] = fallback
+        if fallback is not None:
+            self._validate_prebuilt(name, fallback, table, "fallback estimator")
+            self._fallbacks[name] = fallback
+        elif self._fallbacks.pop(name, None) is None:
+            return      # nothing registered, nothing cleared: nothing moves
+        self._swaps[name] = self._swaps.get(name, 0) + 1
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -324,7 +324,7 @@ class ReplicaGroup:
         self.engines = engines
         self.max_pending = max_pending
         self.overflow = overflow
-        #: The group's shared conditional-probability cache (``None`` when
+        #: The group's shared conditional-CDF cache (``None`` when
         #: caching is off or the engines built private ones).  Replicas front
         #: the same trained model, so cached conditionals are perfectly
         #: shareable: one group-wide cache gives strictly higher hit rates
@@ -412,7 +412,7 @@ class FleetRouter:
         Progressive sample paths per query; ``None`` defers to each
         estimator's own config.
     use_cache:
-        Enable the per-replica conditional-probability caches.
+        Enable the per-replica conditional-CDF caches.
     cache_entries:
         *Shared* fleet-wide cache budget (total entries across all replica
         caches plus, when enabled, the result cache); each cache receives an
@@ -565,16 +565,18 @@ class FleetRouter:
         """
         return self._next_index
 
-    def _feed_result(self, route: str, result) -> None:
+    def _feed_result(self, route: str, result, epoch: tuple) -> None:
         """Store one dispatched estimate in the result cache (first in wins).
 
-        Entries are stamped with the route's current serving epoch; an entry
-        left over from an older epoch is overwritten rather than kept — it
-        could never be served again (``get`` rejects stale epochs), so
-        keeping it would only waste an LRU slot.
+        Entries are stamped with ``epoch``, the serving epoch of the unit
+        that computed them — not the route's current one: a unit built
+        before a mid-scope swap serves the old version to the scope's end,
+        and its answers must not pass for the new version's.  An entry left
+        over from another epoch is overwritten rather than kept — it could
+        never be served again (``get`` rejects stale epochs), so keeping it
+        would only waste an LRU slot.
         """
         key = canonical_query_key(result.query, route=route)
-        epoch = self.registry.serving_epoch(route)
         if self._result_cache.epoch_of(key) != epoch:
             self._result_cache.put(key, result.selectivity, epoch=epoch)
 
@@ -630,8 +632,9 @@ class FleetRouter:
             f"max_dnf_branches={self.registry.default_config.max_dnf_branches} "
             f"branches) and {fallback_note}; available routes: {available}")
 
-    def _sink(self, route: str, replica: int, estimator_name: str):
-        """The ``result_sink`` of one serving engine.
+    def _sink(self, route: str, replica: int, estimator_name: str,
+              epoch: tuple):
+        """The ``result_sink`` of one serving engine, built at ``epoch``.
 
         Dispatched results feed the fleet result cache (when enabled) and the
         ``on_result`` observer, tagged with the route, replica and estimator
@@ -640,7 +643,7 @@ class FleetRouter:
         """
         def sink(result):
             if self._result_cache is not None:
-                self._feed_result(route, result)
+                self._feed_result(route, result, epoch)
             if self.on_result is not None:
                 self._emit(RoutedResult.of(result, route=route,
                                            replica=replica,
@@ -661,6 +664,7 @@ class FleetRouter:
                 replicas = self.registry.replicas(route)
                 self._replica_counts[route] = replicas
             estimator = self.registry.estimator(route)
+            epoch = self.registry.serving_epoch(route)
             # One conditional cache for the whole group: the replicas share
             # the relation's one model, so the group pools its replicas'
             # budget slices instead of fragmenting hot prefixes N ways.
@@ -672,7 +676,8 @@ class FleetRouter:
                     route, replica, estimator, batch_size=self.batch_size,
                     num_samples=self.num_samples, use_cache=self.use_cache,
                     cache_entries=self.cache_entries_per_model, seed=self.seed,
-                    result_sink=self._sink(route, replica, estimator.name),
+                    result_sink=self._sink(route, replica, estimator.name,
+                                           epoch),
                     cache=shared_cache, clock=self.clock,
                     flush_after_ms=self.flush_after_ms)
                 for replica in range(replicas)
@@ -686,8 +691,7 @@ class FleetRouter:
             if shared_cache is not None:
                 shared_cache.epoch = self.registry.data_epoch(route)
             self._groups[(route, "primary")] = group
-            self._group_epochs[(route, "primary")] = \
-                self.registry.serving_epoch(route)
+            self._group_epochs[(route, "primary")] = epoch
             self._steer(route, group)
         return group
 
@@ -715,13 +719,13 @@ class FleetRouter:
             # Both ensemble members scale by the primary's (possibly
             # refreshed) row count; units are rebuilt on every epoch move.
             estimator.set_row_count(self.registry.serving_rows(route))
+            epoch = self.registry.serving_epoch(route)
             unit = ReplicaGroup(route, [EstimationEngine(
                 estimator, batch_size=1, use_cache=False, seed=self.seed,
                 clock=self.clock,
-                result_sink=self._sink(route, 0, estimator.name))])
+                result_sink=self._sink(route, 0, estimator.name, epoch))])
             self._groups[(route, "fallback")] = unit
-            self._group_epochs[(route, "fallback")] = \
-                self.registry.serving_epoch(route)
+            self._group_epochs[(route, "fallback")] = epoch
         return unit
 
     def _make_engine(self, route: str, replica: int, estimator,

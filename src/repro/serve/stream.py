@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 
 from ..query.predicates import Query
+from .cache import canonical_query_key
 from .report import FleetReport, RoutedResult
 from .router import AdmissionError, FleetRouter
 
@@ -227,7 +228,10 @@ class AsyncFleetClient:
         fallback unit for a query only the fallback can serve — so a
         fallback-served query never waits on (or flushes) the primary's
         batch.  Returns the resolved route; a unit without a ``max_pending``
-        bound (every fallback unit) admits immediately.
+        bound (every fallback unit) admits immediately, and so does a query
+        the router's result cache will answer (an entry under its canonical
+        key at the route's current serving epoch, peeked without moving a
+        counter): a hit takes no capacity.
 
         When the route carries **no flush deadline — or no flush driver is
         running to fire one** — nothing would ever dispatch a partially
@@ -241,6 +245,10 @@ class AsyncFleetClient:
                 whose registry moved past the exported models.
         """
         route, role = self.router.resolve_serving(query)
+        cache = self.router.result_cache
+        if cache is not None and cache.epoch_of(canonical_query_key(
+                query, route=route)) == self.router.registry.serving_epoch(route):
+            return route
         group = (self.router.group(route) if role == "primary"
                  else self.router.fallback_unit(route))
         loop = asyncio.get_running_loop()

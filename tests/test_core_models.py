@@ -316,9 +316,10 @@ class TestInferencePlanInvalidation:
 
     @staticmethod
     def _refresh_controller(registry, estimator, codes):
-        """A refresh of a relation a live router is serving: the served
-        estimator object is fine-tuned in place, and the router's next scope
-        must answer like the unfused sequential walk at the new epoch."""
+        """A refresh of a relation a live router is serving: a fine-tuned
+        copy of the served estimator is swapped in, and the router's next
+        scope must answer like the unfused sequential walk at the new
+        epoch."""
         from repro.query import WorkloadGenerator
         from repro.serve import FleetRouter, RefreshController, run_fleet_sequential
 
@@ -329,12 +330,14 @@ class TestInferencePlanInvalidation:
         stale = router.run(queries)
         controller = RefreshController(registry, max_staleness=0)
         controller.ingest("users", make_users(num_users=30, seed=7))
-        assert controller.refresh("users") is estimator
+        refreshed = controller.refresh("users")
+        assert refreshed is registry.estimator("users")
+        assert refreshed is not estimator
         fresh = router.run(queries)
         expected = run_fleet_sequential(registry, queries, num_samples=40, seed=3)
         assert np.array_equal(fresh.selectivities, expected.selectivities)
         assert not np.array_equal(fresh.selectivities, stale.selectivities)
-        return estimator.model
+        return refreshed.model
 
     @staticmethod
     def _restore_estimator(registry, estimator, codes):

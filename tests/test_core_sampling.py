@@ -11,9 +11,11 @@ The key statistical properties verified:
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -356,6 +358,46 @@ def _mask_runs(mask):
     return runs
 
 
+class _DrawCase(NamedTuple):
+    """One call of :func:`repro.core.progressive._truncated_draws`, as drawn
+    by :func:`_draw_cases` (``TestTruncatedDraws`` builds the arrays)."""
+
+    width: int
+    seed: int           # of the CDF rows' values and of the masks' codes
+    kinds: list         # one CDF row kind per CDF row
+    masks: list         # one mask kind per query
+    row_cdf: list
+    row_query: list
+    draws: list         # a float, or ``(code,)``: exactly on the row's F(code)
+    block: int          # _PICK_BLOCK
+
+
+@st.composite
+def _draw_cases(draw):
+    width = draw(st.sampled_from(_SEARCH_WIDTHS))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kinds = draw(st.lists(st.sampled_from(
+        ["dense", "sparse", "one-hot", "subnormal", "zero"]),
+        min_size=1, max_size=4))
+    masks = draw(st.lists(st.sampled_from(
+        ["wildcard", "one run", "one code", "several", "empty"]),
+        min_size=1, max_size=4))
+    num_rows = draw(st.integers(1, 30))
+    rows_of = functools.partial(st.lists, min_size=num_rows,
+                                max_size=num_rows)
+    row_cdf = draw(rows_of(st.integers(0, len(kinds) - 1)))
+    row_query = draw(rows_of(st.integers(0, len(masks) - 1)))
+    draws = draw(rows_of(st.one_of(
+        st.just(0.0), st.just(np.nextafter(1.0, 0.0)),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, width - 1).map(lambda code: (code,)))))
+    # Blocks of runs as small as one entry: sums carried across many
+    # blocks must be the run-order sums of the reference.
+    block = draw(st.sampled_from([progressive._PICK_BLOCK, 1, 7, 64]))
+    return _DrawCase(width, seed, kinds, masks, row_cdf, row_query, draws,
+                     block)
+
+
 def _reference_target(cumulative, runs, draw):
     """The draw's target in one CDF row and the in-range mass, by the rule
     :func:`repro.core.progressive._truncated_draws` documents, one scalar
@@ -417,50 +459,56 @@ class TestTruncatedDraws:
         if kind == "one run":
             lo = int(rng.integers(width))
             mask[lo:int(rng.integers(lo, width)) + 1] = True
+        elif kind == "one code":        # an equality literal
+            mask[rng.integers(width)] = True
         elif kind == "several":
             mask = rng.random(width) < 0.5
         # "empty": nothing admitted.
         return mask
 
     @settings(max_examples=400, deadline=None)
-    @given(data=st.data())
-    def test_draw_equals_argmax_reference(self, data):
-        width = data.draw(st.sampled_from(_SEARCH_WIDTHS), label="width")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
-                                              label="seed"))
-        kinds = data.draw(st.lists(st.sampled_from(
-            ["dense", "sparse", "one-hot", "subnormal", "zero"]),
-            min_size=1, max_size=4), label="kinds")
-        probs = self._probability_rows(kinds, width, rng)
-        masks = [self._mask(kind, width, rng) for kind in data.draw(
-            st.lists(st.sampled_from(["wildcard", "one run", "several",
-                                      "empty"]), min_size=1, max_size=4),
-            label="masks")]
-        num_rows = data.draw(st.integers(1, 30), label="rows")
-        row_cdf = np.asarray(data.draw(st.lists(
-            st.integers(0, len(kinds) - 1), min_size=num_rows,
-            max_size=num_rows), label="row_cdf"), dtype=np.int64)
-        row_query = np.asarray(data.draw(st.lists(
-            st.integers(0, len(masks) - 1), min_size=num_rows,
-            max_size=num_rows), label="row_query"), dtype=np.int64)
+    @given(case=_draw_cases())
+    # Only one-code runs: every row takes its code, none searches.
+    @example(case=_DrawCase(
+        16, 1, ["dense", "sparse", "zero", "one-hot"], ["one code"] * 3,
+        [0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 0, 1, 2, 0, 1],
+        [0.0, 0.5, (3,), 0.9, (15,), 0.25, np.nextafter(1.0, 0.0), 0.75], 7))
+    # Only empty masks: every row is dead, and still holds a valid code —
+    # in a one-code domain too, where the empty run's lo is not one.
+    @example(case=_DrawCase(1, 2, ["dense", "zero"], ["empty"], [0, 1, 0],
+                            [0, 0, 0], [0.0, 0.7, (0,)],
+                            progressive._PICK_BLOCK))
+    @example(case=_DrawCase(9, 2, ["dense", "zero"], ["empty", "empty"],
+                            [0, 1, 0, 1], [0, 1, 1, 0], [0.3, 0.0, (8,), 0.9],
+                            progressive._PICK_BLOCK))
+    # One-code rows mixed with a wide run (and with several runs): only the
+    # wide rows search, in a window as wide as their widest run.
+    @example(case=_DrawCase(
+        33, 3, ["dense", "one-hot", "subnormal"],
+        ["one code", "wildcard", "one code", "several"],
+        [0, 1, 2, 0, 1, 2, 0, 1], [0, 1, 2, 3, 0, 1, 2, 3],
+        [0.1, 0.0, (5,), 0.99, (32,), 0.5, 0.3, np.nextafter(1.0, 0.0)], 1))
+    @example(case=_DrawCase(
+        127, 4, ["dense", "sparse"], ["one run", "one code", "empty"],
+        [0, 1, 0, 1, 0, 1], [0, 1, 2, 1, 0, 1], [0.2, 0.4, 0.6, (0,), (126,),
+                                                 0.0], 64))
+    def test_draw_equals_argmax_reference(self, case):
+        width = case.width
+        rng = np.random.default_rng(case.seed)
+        probs = self._probability_rows(case.kinds, width, rng)
+        masks = [self._mask(kind, width, rng) for kind in case.masks]
+        num_rows = len(case.row_cdf)
+        row_cdf = np.asarray(case.row_cdf, dtype=np.int64)
+        row_query = np.asarray(case.row_query, dtype=np.int64)
         cumulative = np.cumsum(probs, axis=1)
         draws = np.empty(num_rows)
-        for row, spec in enumerate(data.draw(st.lists(
-                st.one_of(st.just(0.0), st.just(np.nextafter(1.0, 0.0)),
-                          st.floats(0.0, 1.0, exclude_max=True),
-                          # A draw exactly on one of its row's CDF values.
-                          st.integers(0, width - 1).map(lambda code: (code,))),
-                min_size=num_rows, max_size=num_rows), label="draws")):
+        for row, spec in enumerate(case.draws):
             if isinstance(spec, tuple):
                 spec = min(cumulative[row_cdf[row], spec[0]],
                            np.nextafter(1.0, 0.0))
             draws[row] = spec
 
-        # Blocks of runs as small as one entry: sums carried across many
-        # blocks must be the run-order sums of the reference.
-        block = data.draw(st.sampled_from([progressive._PICK_BLOCK, 1, 7, 64]),
-                          label="block")
-        with mock.patch.object(progressive, "_PICK_BLOCK", block):
+        with mock.patch.object(progressive, "_PICK_BLOCK", case.block):
             sampled, mass = progressive._truncated_draws(
                 cumulative.copy(), row_cdf, row_query,
                 progressive._admitted_runs(masks, width), draws)
@@ -873,8 +921,8 @@ class TestPrefixDeduplication:
 
     def test_working_set_is_the_answer_plus_row_vectors(self):
         """One 16-query × 800-path batch over a warm conditional cache peaks
-        at the model's own answer (which becomes the CDFs in place) plus
-        row-length vectors — not at more arrays the size of the answer."""
+        at the cache's answers (the stored CDFs, gathered) plus row-length
+        vectors — not at more arrays the size of the answer."""
         from repro.serve import CachedConditionalModel
         table = make_correlated_table([
             ColumnSpec("a", 10, "categorical", skew=0.3),

@@ -55,11 +55,13 @@ def naru(serve_table):
 
 class TestCachedConditionalModel:
     def test_matches_uncached_model(self, serve_table, oracle, rng):
+        """The wrapper answers the model's CDFs, bit for bit."""
         cached = CachedConditionalModel(oracle)
         codes = serve_table.encoded()[rng.integers(0, serve_table.num_rows, size=64)]
         for column in range(serve_table.num_columns):
-            np.testing.assert_allclose(cached.conditional_probs(column, codes),
-                                       oracle.conditional_probs(column, codes))
+            assert np.array_equal(
+                cached.conditional_probs(column, codes),
+                np.cumsum(oracle.conditional_probs(column, codes), axis=1))
 
     def test_repeat_batches_hit_memory(self, serve_table, oracle):
         cached = CachedConditionalModel(oracle)
@@ -79,11 +81,12 @@ class TestCachedConditionalModel:
     def test_repeated_prefixes_return_the_models_values(self, serve_table,
                                                         oracle):
         """Rows are expected one per distinct prefix, but nothing enforces
-        it: repeats must come back as the model's own bits, cold and warm."""
+        it: repeats must come back as the model's own CDF bits, cold and
+        warm."""
         cached = CachedConditionalModel(oracle)
         codes = np.repeat(serve_table.encoded()[:4], 8, axis=0)
         for column in range(serve_table.num_columns):
-            expected = oracle.conditional_probs(column, codes)
+            expected = np.cumsum(oracle.conditional_probs(column, codes), axis=1)
             assert np.array_equal(cached.conditional_probs(column, codes),
                                   expected)  # cold: every repeat evaluated
             evaluated = cached.rows_evaluated
@@ -119,6 +122,40 @@ class TestEstimationEngine:
                                  seed=2).run([workload[0], workload[1], workload[1]])
         np.testing.assert_allclose(report.selectivities[0], alone.selectivities[0],
                                    rtol=1e-9, atol=1e-12)
+
+    def test_mixed_predicates_agree_cached_uncached_and_sequential(self, naru):
+        """Equalities (one-code runs, drawn without a search), ranges, IN
+        lists (several runs) and an empty predicate in one micro-batch: the
+        CDF store, cold and warm, the uncached engine and the unbatched
+        reference walk give the same bits."""
+        queries = [
+            Query([Predicate("a", Operator.EQ, 9), Predicate("c", Operator.EQ, 6)]),
+            Query([Predicate("a", Operator.BETWEEN, (20, 36)),
+                   Predicate("d", Operator.EQ, "d_2")]),
+            Query([Predicate("b", Operator.IN, ["b_0", "b_2", "b_4"]),
+                   Predicate("c", Operator.LE, 11)]),
+            Query([Predicate("b", Operator.EQ, "no_such_value"),
+                   Predicate("a", Operator.GE, 20)]),
+            Query([Predicate("a", Operator.EQ, 47),
+                   Predicate("b", Operator.IN, ["b_1", "b_3"]),
+                   Predicate("c", Operator.BETWEEN, (6, 14)),
+                   Predicate("d", Operator.EQ, "d_0")]),
+        ]
+
+        def engine(**options):
+            return EstimationEngine(naru, batch_size=len(queries),
+                                    num_samples=150, seed=5, **options)
+
+        cached = engine()
+        cold = cached.run(queries).selectivities
+        warm = cached.run(queries).selectivities
+        assert cached.cache_stats["rows_served_from_cache"] > 0
+        uncached = engine(use_cache=False).run(queries).selectivities
+        sequential = run_sequential(naru, queries, num_samples=150,
+                                    seed=5).selectivities
+        for other in (warm, uncached, sequential):
+            assert np.array_equal(cold, other)
+        assert cold[3] == 0.0 and (np.delete(cold, 3) > 0.0).all()
 
     def test_cache_accounting_surfaces_in_stats(self, naru, workload):
         engine = EstimationEngine(naru, batch_size=4, num_samples=100, seed=0)

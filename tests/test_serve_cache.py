@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import functools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.serve import (
     generate_mixed_workload,
     run_fleet_sequential,
 )
+from repro.serve import cache as cache_module
 from repro.serve.cache import _MAX_RUNS
 
 _CONFIG = NaruConfig(epochs=1, hidden_sizes=(8, 8), batch_size=128,
@@ -387,8 +389,9 @@ class TestPackedConditionalCache:
         codes = users_table.encoded()[:64]
         for column in range(users_table.num_columns):
             unique_codes = np.unique(codes[:, :], axis=0)
-            expected = users_model.conditional_probs(column, unique_codes)
-            # Cold pass evaluates, warm pass must serve the same bits.
+            expected = np.cumsum(
+                users_model.conditional_probs(column, unique_codes), axis=1)
+            # Cold pass evaluates, warm pass must serve the same CDF bits.
             cold = wrapped.conditional_probs(column, unique_codes)
             warm = wrapped.conditional_probs(column, unique_codes)
             assert np.array_equal(cold, expected)
@@ -436,6 +439,63 @@ class TestPackedConditionalCache:
         if packs:
             assert np.array_equal(sampler_radix, cache_radix)
             assert sampler_radix.tolist() == [prefix_sizes[1], 1]
+
+
+class _WidePrefixModel:
+    """Two 2^31-code columns ahead of a 5-code one: the last column's
+    prefixes (2^62 of them) do not pack into an int64 key, so the wrapper
+    serves that column uncached.  Only that column is ever asked for."""
+
+    order = [0, 1, 2]
+
+    def domain_sizes(self):
+        return [2 ** 31, 2 ** 31, 5]
+
+    def conditional_probs(self, column, codes):
+        assert column == 2
+        probs = np.abs(np.sin(codes[:, :1] * 0.37 + codes[:, 1:2] * 1.3
+                              + np.arange(5))) + 0.01
+        return probs / probs.sum(axis=1, keepdims=True)
+
+
+class TestCachedCDFs:
+    """The wrapper answers the model's CDFs — ``np.cumsum`` of its
+    probabilities along each row — bit for bit on every path: cold, partly
+    warm and warm, in one evaluation or in chunks, and for prefixes too wide
+    to pack (served uncached)."""
+
+    @staticmethod
+    def _check(wrapped, model, codes, columns):
+        for column in columns:
+            expected = np.cumsum(model.conditional_probs(column, codes), axis=1)
+            half = wrapped.conditional_probs(column, codes[::2])       # cold
+            mixed = wrapped.conditional_probs(column, codes)   # half warm
+            warm = wrapped.conditional_probs(column, codes)
+            assert np.array_equal(half, expected[::2])
+            assert np.array_equal(mixed, expected)
+            assert np.array_equal(warm, expected)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_packed_prefixes(self, users_model, users_table, chunk_rows):
+        wrapped = CachedConditionalModel(users_model)
+        assert wrapped.cumulative
+        codes = np.unique(users_table.encoded(), axis=0)
+        with mock.patch.object(cache_module, "_CHUNK_ROWS",
+                               chunk_rows or cache_module._CHUNK_ROWS):
+            self._check(wrapped, users_model, codes, wrapped.order)
+        assert wrapped.stats.hits > 0
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_wide_prefixes_served_uncached(self, chunk_rows):
+        model = _WidePrefixModel()
+        wrapped = CachedConditionalModel(model)
+        assert wrapped._prefix_radix[2] is None
+        codes = np.random.default_rng(0).integers(0, 2 ** 31, (40, 3))
+        with mock.patch.object(cache_module, "_CHUNK_ROWS",
+                               chunk_rows or cache_module._CHUNK_ROWS):
+            self._check(wrapped, model, codes, [2])
+        assert wrapped.stats.hits == 0
+        assert wrapped.rows_evaluated == 20 + 40 + 40      # every call evaluates
 
 
 class SplicedConditionalCache(PackedConditionalCache):
@@ -764,8 +824,10 @@ class FleetMachine(RuleBasedStateMachine):
     scope, then may refresh a relation (with or without an ingest first)
     and change a replica count — on the registry, the one place it lives,
     which is why the router is then rebuilt from the registry.  Refreshes
-    stay at scope boundaries: a refresh fine-tunes the serving model in
-    place, under whatever conditional cache the live group holds."""
+    stay at scope boundaries: the scope check's baseline runs under the
+    registry's versions at the scope's end, while a mid-scope refresh
+    leaves the live group serving the version before it to the end of the
+    scope."""
 
     SAMPLES = 30
     SEED = 3
@@ -797,10 +859,16 @@ class FleetMachine(RuleBasedStateMachine):
 
     def _observe(self, result):
         """Every answer as it is produced, in dispatch order.  A result-cache
-        hit must repeat the first answer dispatched for the same query under
-        the same serving epoch since the last wipe or refresh of its
-        relation."""
-        epoch = self.registry.serving_epoch(result.route)
+        hit must repeat the first answer dispatched for the same query by a
+        unit built at the serving epoch it is looked up under, since the last
+        wipe or refresh of its relation: a unit built before a mid-scope
+        ingest serves on to the scope's end, and its answers are filed under
+        the epoch it was built at, not the route's new one."""
+        if result.estimator == "cache":
+            epoch = self.registry.serving_epoch(result.route)
+        else:
+            role = self.router.resolve_serving(result.query)[1]
+            epoch = self.router._group_epochs[(result.route, role)]
         key = (result.route, canonical_query_key(result.query,
                                                  route=result.route), epoch)
         if result.estimator == "cache":

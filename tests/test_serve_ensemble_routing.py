@@ -101,6 +101,38 @@ class TestRegistryFallbacks:
         registry.set_fallback("users", None)
         assert registry.fallback("users") is None
 
+    def test_fallback_swap_moves_the_serving_epoch(self):
+        """A swapped fallback serves other answers, so it moves the serving
+        epoch: a long-lived router with a result cache answers a repeat as a
+        fresh router over the new fallback does, not from the old entry."""
+        registry = ModelRegistry(default_config=NaruConfig(
+            epochs=1, hidden_sizes=(8, 8), progressive_samples=_SAMPLES,
+            seed=0, max_dnf_branches=2))
+        users = make_users(num_users=40, seed=4)
+        registry.register_table(users, fallback=SamplingEstimator(
+            users, fraction=0.25, seed=0))
+        registry.fit_all()
+        query = _dnf("users", 3)            # past the bound: the fallback's
+
+        def router():
+            return FleetRouter(registry, num_samples=_SAMPLES, seed=2,
+                               result_cache=True)
+
+        served = router()
+        before = served.run([query]).selectivities[0]
+        epoch = registry.serving_epoch("users")
+        registry.set_fallback("users", SamplingEstimator(users, fraction=1.0))
+        assert registry.serving_epoch("users") != epoch
+        after = served.run([query])
+        assert after.result_cache_hits == 0
+        assert after.selectivities[0] == router().run([query]).selectivities[0]
+        assert after.selectivities[0] != before
+        # Clearing a fallback moves the epoch too; clearing none does not.
+        registry.set_fallback("users", None)
+        epoch = registry.serving_epoch("users")
+        registry.set_fallback("users", None)
+        assert registry.serving_epoch("users") == epoch
+
 
 class TestResolveServing:
     def test_conjunctive_always_primary(self, fleet):

@@ -104,7 +104,8 @@ class TestRefreshController:
         assert second["refresh_due"] and second["staleness"] == 2
         assert controller.due() == ["users"]
         refreshed = controller.refresh("users")
-        assert refreshed is estimator                  # fine-tuned in place
+        assert refreshed is not estimator              # a fine-tuned copy
+        assert refreshed is registry.estimator("users")
         assert refreshed.num_rows == registry.relation("users").num_rows
         assert registry.serving_epoch("users") == (2, 2, 1)
         assert controller.refreshes["users"] == 1
@@ -220,8 +221,8 @@ class TestEpochInvalidationGrid:
 
     def test_refresh_without_ingest_invalidates_every_cache_layer(self,
                                                                  served):
-        """A refresh fine-tunes the model in place even when nothing was
-        ingested since the last fit, so both epochs stand still; the swap
+        """A refresh fine-tunes the model even when nothing was ingested
+        since the last fit, so both epochs stand still; the swap
         still moves the serving epoch, and a long-lived router serves the
         refreshed model exactly like a fresh one — no pre-refresh result or
         conditional-cache entry answers a query."""
@@ -239,6 +240,53 @@ class TestEpochInvalidationGrid:
         assert post.stats.epochs["users"] == {"data_epoch": 0,
                                               "model_epoch": 0,
                                               "staleness": 0}
+
+    @staticmethod
+    def _refresh_mid_scope(*, result_cache):
+        """Twelve queries through one router, six of them before a refresh
+        and six after, in one scope.  Returns the registry, the queries,
+        the router and a factory of fresh routers like it."""
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(make_users(num_users=80, seed=4))
+        registry.fit_all()
+        queries = _workload(registry, count=12)
+
+        def router():
+            return FleetRouter(registry, batch_size=4, num_samples=30,
+                               seed=_SEED, result_cache=result_cache)
+
+        old = router().run(queries)
+        served = router()
+        for query in queries[:6]:
+            served.submit(query)
+        served.flush()
+        RefreshController(registry).refresh("users")
+        for query in queries[6:]:
+            served.submit(query)
+        served.flush()
+        return old, served.report(), served.run(queries), router().run(queries)
+
+    def test_mid_scope_refresh_leaves_the_scope_on_the_old_version(self):
+        """Regression: a refresh between two submissions fine-tuned the very
+        estimator the live replica group serves, under the group's old
+        conditional cache, and the rest of the scope drifted from a fresh
+        router's answers (by up to 1.9e-2).  The refresh registers a
+        fine-tuned copy: the scope answers as the old version does, bit for
+        bit, and the next scope answers as the new one does."""
+        old, scope, new, fresh = self._refresh_mid_scope(result_cache=False)
+        np.testing.assert_array_equal(scope.selectivities, old.selectivities)
+        np.testing.assert_array_equal(new.selectivities, fresh.selectivities)
+        assert not np.array_equal(new.selectivities, old.selectivities)
+
+    def test_mid_scope_refresh_caches_no_old_answer_as_new(self):
+        """Regression: a unit built before a mid-scope refresh stamped the
+        answers it went on serving with the route's *new* serving epoch, so
+        the next scope served 7 of 12 old-version answers from the result
+        cache (up to 8.4e-2 off a fresh router's).  A unit's answers carry
+        the epoch it was built at."""
+        _, _, new, fresh = self._refresh_mid_scope(result_cache=True)
+        np.testing.assert_array_equal(new.selectivities, fresh.selectivities)
+        assert new.result_cache_hits == fresh.result_cache_hits
 
     def test_slo_controller_survives_group_rebuild(self):
         registry = _registry()

@@ -765,6 +765,35 @@ def test_submit_async_of_a_fallback_query_waits_on_the_fallback_unit():
     assert reasons == ["flush"]  # dispatched by the drain, never early
 
 
+def test_submit_async_of_a_cached_query_takes_no_capacity(fleet):
+    """Regression: acquire() waited on the serving unit even for a query
+    the result cache answers, so with the group full and no deadline it
+    force-flushed the pending batch (reason "admission") although a hit
+    needs no capacity.  A hit is admitted at once, and the peek moves no
+    counter of the result cache."""
+    router = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES, seed=2,
+                         max_pending=1, overflow="shed", result_cache=True)
+    cached, fresh = _users_queries(fleet, 2)
+    router.run([cached])                 # answered once: in the cache now
+
+    async def main():
+        async with AsyncFleetClient(router) as client:
+            pending = client.submit(fresh)
+            counters = router.result_cache.stats.as_dict()
+            assert await client.acquire(cached) == "users"
+            assert router.result_cache.stats.as_dict() == counters
+            served = await client.submit_async(cached)
+            assert served.done() and served.result().estimator == "cache"
+            assert not pending.done()
+            assert router.group("users").pending == 1
+            return await client.drain()
+
+    report = asyncio.run(main())
+    reasons = [record.flush_reason for record in
+               report.routes["users"][0].batches]
+    assert reasons == ["flush", "flush"]  # the warm-up run's, the drain's
+
+
 def test_flush_driver_dispatches_lone_submission(fleet, workload):
     """A single query in a partially filled batch resolves even though no
     further submissions, flushes or drains happen: the driver dispatches it
