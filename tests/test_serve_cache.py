@@ -383,6 +383,103 @@ class TestPackedConditionalCache:
         found, values = cache.bulk_get(0, keys)
         assert not found.any() and values is None
 
+    def _swept(self):
+        """A 4-entry store that has just run its first eviction sweep and
+        holds keys 3, 4 and 5 (stamp 1) of column 0."""
+        cache = PackedConditionalCache(max_entries=4)
+        for batch in range(2):
+            keys = np.arange(batch * 3, batch * 3 + 3, dtype=np.int64)
+            assert cache.admit(0, keys).all()
+            cache.bulk_put(0, keys, self._distributions(keys))
+        assert cache.stats.evictions == 3
+        return cache
+
+    def test_a_hit_entry_survives_the_next_sweep(self):
+        cache = self._swept()
+        cache.bulk_put(0, np.array([10], dtype=np.int64), self._distributions([10]))
+        found, _ = cache.bulk_get(0, np.array([4], dtype=np.int64))   # restamped: 3
+        assert found.all()
+        cache.bulk_put(0, np.array([11], dtype=np.int64), self._distributions([11]))
+        # Stamps 1, 1, 2, 3, 4 over keys 3, 5, 10, 4, 11: the median sweep
+        # keeps the hit key and drops its batch-mates and the younger put.
+        assert cache.stats.evictions == 3 + 3
+        probe = np.array([3, 4, 5, 10, 11], dtype=np.int64)
+        found, values = cache.bulk_get(0, probe)
+        assert probe[found].tolist() == [4, 11]
+        np.testing.assert_allclose(values[:, 0], [4.0, 11.0])
+
+    def test_a_store_that_never_swept_admits_everything(self):
+        cache = PackedConditionalCache(max_entries=100)
+        for batch in range(5):
+            keys = np.arange(batch * 10, batch * 10 + 10, dtype=np.int64)
+            assert cache.admit(batch % 2, keys).all()
+            assert cache.admit(batch % 2, keys).all()       # no sighting recorded
+            cache.bulk_put(batch % 2, keys, self._distributions(keys))
+            cache.bulk_get(batch % 2, keys[:1])
+        found, _ = cache.bulk_get(0, np.arange(50, dtype=np.int64))
+        assert found.sum() == 30 and len(cache) == 50
+        assert cache.stats.as_dict() == {
+            "hits": 35, "misses": 20, "evictions": 0, "rows_served_from_cache": 0,
+            "rows_evaluated": 0, "hit_rate": 35 / 55}
+
+    def test_after_a_sweep_a_prefix_is_admitted_on_its_second_miss(self):
+        cache = self._swept()
+        keys = np.array([100, 7, 2 ** 40], dtype=np.int64)
+        assert not cache.admit(0, keys).any()       # first sighting
+        assert cache.admit(0, keys).all()           # second
+        # Slots are salted per column: a first sighting in another column.
+        assert not cache.admit(1, keys).any()
+        mixed = np.array([100, 555], dtype=np.int64)
+        np.testing.assert_array_equal(cache.admit(0, mixed), [True, False])
+
+    @pytest.mark.parametrize("reset", ["clear", "invalidate"])
+    def test_clear_and_invalidate_reset_the_doorkeeper(self, reset):
+        cache = self._swept()
+        keys = np.array([100], dtype=np.int64)
+        assert not cache.admit(0, keys).any()
+        getattr(cache, reset)(*(() if reset == "clear" else (1,)))
+        assert cache.admit(0, keys).all()           # no pressure: admits all
+        assert cache.admit(0, np.array([101], dtype=np.int64)).all()
+        for batch in range(2):                      # pressure again
+            fill = np.arange(batch * 3, batch * 3 + 3, dtype=np.int64)
+            cache.bulk_put(0, fill, np.zeros((3, 2)))
+        assert not cache.admit(0, keys).any()       # the old sighting is gone
+
+    def test_the_doorkeeper_forgets_after_its_sighting_budget(self):
+        cache = self._swept()
+        keys = np.arange(100, 140, dtype=np.int64)
+        with mock.patch.object(cache_module, "_DOORKEEPER_RESET", 50):
+            assert not cache.admit(0, keys[:30]).any()      # 30 sightings
+            assert cache.admit(0, keys[:10]).all()          # 40
+            assert not cache.admit(0, keys[30:]).any()      # 50: forgets
+            assert not cache.admit(0, keys[:10]).any()
+
+    def test_wrapper_stores_a_prefix_on_its_second_miss_after_a_sweep(
+            self, users_model, users_table):
+        column = users_model.order[-1]
+        codes = self._distinct_prefix_codes(users_model, users_table, column)
+        wrapped = CachedConditionalModel(users_model, max_entries=8)
+        for start in (0, 6):                        # 12 entries into 8: a sweep
+            wrapped.conditional_probs(column, codes[start:start + 6])
+        assert wrapped.stats.evictions > 0
+        stored, late = len(wrapped.cache), codes[12:16]
+        expected = np.cumsum(users_model.conditional_probs(column, late), axis=1)
+        assert np.array_equal(wrapped.conditional_probs(column, late), expected)
+        assert len(wrapped.cache) == stored         # first miss: not stored
+        assert np.array_equal(wrapped.conditional_probs(column, late), expected)
+        assert wrapped.stats.hits == 0              # second miss: stored now
+        assert np.array_equal(wrapped.conditional_probs(column, late), expected)
+        assert wrapped.stats.hits == 4
+        assert wrapped.rows_evaluated == 12 + 4 + 4
+
+    @staticmethod
+    def _distinct_prefix_codes(model, table, column):
+        """Encoded rows whose prefixes of ``column`` are pairwise distinct."""
+        codes = table.encoded()
+        prefix = model.order[:model.order.index(column)]
+        _, first = np.unique(codes[:, prefix], axis=0, return_index=True)
+        return codes[np.sort(first)]
+
     def test_wrapped_model_is_bit_exact(self, users_model, users_table):
         wrapped = CachedConditionalModel(users_model)
         assert isinstance(wrapped.cache, PackedConditionalCache)
@@ -461,8 +558,10 @@ class _WidePrefixModel:
 class TestCachedCDFs:
     """The wrapper answers the model's CDFs — ``np.cumsum`` of its
     probabilities along each row — bit for bit on every path: cold, partly
-    warm and warm, in one evaluation or in chunks, and for prefixes too wide
-    to pack (served uncached)."""
+    warm and warm, in one evaluation or in tiles of any size (a miss is
+    evaluated in tiles of ``_CHUNK_ROWS`` rows summed straight into one
+    answer matrix), and for prefixes too wide to pack (served uncached).
+    A miss's answer owns its memory."""
 
     @staticmethod
     def _check(wrapped, model, codes, columns):
@@ -497,14 +596,75 @@ class TestCachedCDFs:
         assert wrapped.stats.hits == 0
         assert wrapped.rows_evaluated == 20 + 40 + 40      # every call evaluates
 
+    TILES = ["1", "16", "rows-1", "rows", "rows+1"]
+
+    @staticmethod
+    def _tile(label, rows):
+        return {"1": 1, "16": 16, "rows-1": max(rows - 1, 1), "rows": rows,
+                "rows+1": rows + 1}[label]
+
+    @pytest.fixture
+    def last_column(self, users_model, users_table):
+        column = users_model.order[-1]
+        return column, TestPackedConditionalCache._distinct_prefix_codes(
+            users_model, users_table, column)
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_all_miss(self, users_model, last_column, tile):
+        column, codes = last_column
+        wrapped = CachedConditionalModel(users_model)
+        with mock.patch.object(cache_module, "_CHUNK_ROWS", self._tile(tile, len(codes))):
+            answer = wrapped.conditional_probs(column, codes)
+        assert wrapped.rows_evaluated == len(codes)
+        assert np.array_equal(
+            answer, np.cumsum(users_model.conditional_probs(column, codes), axis=1))
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_partial_hit(self, users_model, last_column, tile):
+        column, codes = last_column
+        wrapped = CachedConditionalModel(users_model)
+        wrapped.conditional_probs(column, codes[::2])
+        missed = len(codes) // 2
+        with mock.patch.object(cache_module, "_CHUNK_ROWS", self._tile(tile, missed)):
+            answer = wrapped.conditional_probs(column, codes)
+        assert wrapped.rows_evaluated == len(codes) - len(codes) // 2 + missed
+        assert np.array_equal(
+            answer, np.cumsum(users_model.conditional_probs(column, codes), axis=1))
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_wide_prefix(self, tile):
+        model = _WidePrefixModel()
+        wrapped = CachedConditionalModel(model)
+        codes = np.random.default_rng(1).integers(0, 2 ** 31, (33, 3))
+        with mock.patch.object(cache_module, "_CHUNK_ROWS", self._tile(tile, len(codes))):
+            answer = wrapped.conditional_probs(2, codes)
+        assert np.array_equal(
+            answer, np.cumsum(model.conditional_probs(2, codes), axis=1))
+
+    @pytest.mark.parametrize("warm", ["all miss", "partial hit"])
+    def test_a_miss_answer_owns_its_memory(self, users_model, last_column, warm):
+        column, codes = last_column
+        wrapped = CachedConditionalModel(users_model)
+        if warm == "partial hit":
+            wrapped.conditional_probs(column, codes[::2])
+        answer = wrapped.conditional_probs(column, codes)
+        expected = answer.copy()
+        assert answer.flags.owndata and answer.flags.writeable
+        assert not any(np.shares_memory(answer, run.values)
+                       for run in wrapped.cache._runs[column])
+        answer[:] = -1.0
+        assert np.array_equal(wrapped.conditional_probs(column, codes), expected)
+        assert wrapped.stats.hits == len(codes) + (len(codes) + 1) // 2 * (warm == "partial hit")
+
 
 class SplicedConditionalCache(PackedConditionalCache):
     """The single-sorted-store layout the run store replaced, kept as its reference.
 
     One sorted key array per column with aligned value rows and stamps; a put
-    splices its batch in with :func:`numpy.insert`, a sweep filters every
-    column.  Same contract and eviction rule (cutoff capped below the newest
-    batch), so every hit, miss, eviction and returned byte must match.
+    splices its batch in with :func:`numpy.insert`, a lookup restamps its
+    hits, a sweep filters every column.  Same contract and eviction rule
+    (hits restamped with the clock, cutoff capped below the newest batch), so
+    every hit, miss, eviction, stamp and returned byte must match.
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -529,6 +689,8 @@ class SplicedConditionalCache(PackedConditionalCache):
         self.stats.misses += packed.size - hits
         if hits == 0:
             return found, None
+        self._stamps[column][positions[found]] = self._clock   # a hit keeps its entry
+        self._clock += 1
         return found, self._values[column][positions[found]]
 
     def bulk_put(self, column, packed, distributions):
@@ -821,9 +983,10 @@ class FleetMachine(RuleBasedStateMachine):
     on one in-process :class:`FleetRouter` (frozen virtual clock, 5 ms flush
     deadline, ``max_pending=3`` with shedding, result cache on), ending
     workload scopes at random.  At a scope boundary the machine checks the
-    scope, then may refresh a relation (with or without an ingest first)
-    and change a replica count — on the registry, the one place it lives,
-    which is why the router is then rebuilt from the registry.  Refreshes
+    scope, then may refresh a relation (with or without an ingest first),
+    swap a relation's fallback for a fresh sample, and change a replica
+    count — on the registry, the one place it lives, which is why the router
+    is then rebuilt from the registry.  Refreshes
     stay at scope boundaries: the scope check's baseline runs under the
     registry's versions at the scope's end, while a mid-scope refresh
     leaves the live group serving the version before it to the end of the
@@ -956,6 +1119,20 @@ class FleetMachine(RuleBasedStateMachine):
             self._build_router()
         else:
             self._begin_scope()
+
+    @precondition(lambda self: self.submitted > 0)
+    @rule(name=st.sampled_from(["users", "sessions"]), seed=st.integers(1, 2 ** 16))
+    def set_fallback(self, name, seed):
+        """At a scope boundary, serve one relation's refused shapes from a
+        fresh half-table sample: a swap, so the relation's version moves and
+        its old answers are never served again."""
+        self._check_scope()
+        self.registry.set_fallback(name, SamplingEstimator(
+            self.registry.relation(name), fraction=0.5, seed=seed))
+        self.answers = {key: answer for key, answer in self.answers.items()
+                        if key[0] != name}
+        self._check_epochs()
+        self._begin_scope()
 
     def teardown(self):
         self._check_scope()
