@@ -18,7 +18,7 @@ from ..data.table import Table
 from ..nn.autograd import rowwise_matmul_data, scatter_add_rows
 from .encoding import TupleEncoder
 
-__all__ = ["AutoregressiveModel", "MADEModel", "PrefixSums"]
+__all__ = ["AutoregressiveModel", "MADEModel", "PrefixSums", "StoredRows"]
 
 
 class AutoregressiveModel(nn.Module):
@@ -40,7 +40,9 @@ class AutoregressiveModel(nn.Module):
     carries_prefix_sums: bool = False
     #: Whether :meth:`conditional_probs` answers each row's CDF (the running
     #: sum of its probabilities) instead of the probabilities; the
-    #: progressive sampler takes such rows as they are.
+    #: progressive sampler takes such rows as they are, and hands such a
+    #: model a :class:`StoredRows` holder (``stored=``) so it may answer with
+    #: CDFs it keeps, read in place.
     cumulative: bool = False
 
     def __init__(self, table: Table, order: list[int] | None = None) -> None:
@@ -101,7 +103,10 @@ class AutoregressiveModel(nn.Module):
         returns an empty ``(0, |A_i|)`` matrix without touching the network.
         The returned matrix is the caller's: it may overwrite it (the
         progressive sampler turns it into CDFs in place), so an
-        implementation never returns memory it keeps or shares.
+        implementation never returns memory it keeps or shares.  The one
+        exception is a ``cumulative`` model called with a :class:`StoredRows`
+        holder: it may return a read-only view of CDFs it keeps and name in
+        the holder the row of that view that answers each input row.
 
         Subclasses may override this with a fused fast path (see
         :meth:`MADEModel.conditional_probs`); the base implementation
@@ -153,6 +158,22 @@ class PrefixSums:
 
     sums: np.ndarray | None = None
     parent: np.ndarray | None = None
+
+
+@dataclass
+class StoredRows:
+    """Where a ``cumulative`` model's answer to one call lies, when it is
+    memory the model keeps.
+
+    A caller that can read a stored matrix in place passes an empty holder
+    (``conditional_probs(..., stored=holder)``).  A model that answers from
+    its own memory returns a read-only view of it and sets ``rows``: input
+    row ``r``'s CDF is row ``rows[r]`` of the view.  A model that answers
+    with a table of its own — one row per input row, the caller's — leaves
+    ``rows`` as ``None``.
+    """
+
+    rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

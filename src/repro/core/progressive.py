@@ -37,43 +37,45 @@ mass, a difference of two CDF entries, is off by at most about
 ``|A_i|·2⁻⁵²·F(hi)``: a mass below about ``1e-16·F(hi)`` can read as zero,
 for a cardinality at most about ``1e-16·N`` rows.  The CDF is the model's
 row summed in place — or the model's answer itself, for a ``cumulative``
-model (the serving layer's conditional cache stores CDFs, so a cache hit
-is drawn from as gathered).  A run of one code — an equality literal —
-admits one draw, so its rows take that code without a search.
+model.  Such a model (the serving layer's conditional cache, which stores
+CDFs) is handed a :class:`~repro.core.made.StoredRows` holder and may answer
+with a read-only view of what it stores, naming the row of it each prefix
+reads: a draw reads ``2 + log₂|run|`` entries of a row, so the row is read
+where it lies instead of copied out.  A run of one code — an equality
+literal — admits one draw, so its rows take that code without a search.
 
 Prefix deduplication (``dedup=True``, the default) changes no bit at all.
-Every row carries its sampled prefix as one mixed-radix int64
-(:func:`prefix_radix` — the key the serving layer's conditional cache
-stores under), extended by one Horner step per sampled column.  Per
-column, one scalar sort of those keys lists the rows prefix by prefix and
-the model answers once per distinct prefix; the dedup-off reference walk
-gives every row its own answer, and both run the same per-row draw.
+Each call lists the alive rows prefix by prefix and the model answers once
+per distinct prefix, in sorted-prefix order.  A prefix is its parent — a
+prefix of the previous call — plus the one code sampled since, so every row
+carries one int64, the index (rank, in sorted order) of its prefix at the
+previous call, and the key ``rank × |A_prev| + code`` sorts the prefixes of
+this call in the same order as the prefixes themselves.  The row's id rides
+in the key's low bits, so one :func:`numpy.sort` of plain int64 values yields
+both the distinct prefixes and the rows in prefix order
+(:func:`_sort_by_key`).  The dedup-off reference walk gives every row its
+own answer, and both run the same per-row draw.
 
 A model whose first layer is a running sum in autoregressive order
 (:class:`repro.core.made.MADEModel`, ``carries_prefix_sums``) gets each
 distinct prefix's first-layer sum carried to the next column: a prefix's
 sum is its parent's plus one table row, so each call adds one column
 instead of the whole prefix — the same addends in the same order, so the
-same bits.  Each row keeps the index of its prefix at the previous call
-(its ``row_cdf`` there) to find its parent.  Other models are called
-without a carry, as they always were.
+same bits.  The rank each row carries names its parent's row of those
+sums.  Other models are called without a carry, as they always were.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .made import PrefixSums
+from .made import PrefixSums, StoredRows
 
 __all__ = ["SamplerStats", "ProgressiveSampler", "UniformRegionSampler",
-           "enumerate_region", "prefix_radix"]
-
-#: Packed prefix keys stay below this, with headroom to the int64 limit.
-_KEY_LIMIT = 2 ** 62
+           "enumerate_region"]
 
 
 def validate_num_samples(num_samples: int) -> None:
@@ -81,21 +83,6 @@ def validate_num_samples(num_samples: int) -> None:
     average to NaN, a negative count dies inside numpy."""
     if not isinstance(num_samples, (int, np.integer)) or num_samples < 1:
         raise ValueError("num_samples must be a positive integer")
-
-
-def prefix_radix(sizes) -> np.ndarray | None:
-    """Mixed radix that packs a prefix over domains ``sizes`` into one int64
-    (``prefix @ radix``; first column most significant), or ``None`` when
-    the number of possible prefixes reaches ``2**62`` — an exact-integer
-    test.  The sampler's carried keys and the conditional cache's store keys
-    are this one packing, so both layers pack, or decline, together."""
-    sizes = [int(size) for size in sizes]
-    if math.prod(sizes) >= _KEY_LIMIT:
-        return None
-    radix = np.ones(len(sizes), dtype=np.int64)
-    for index in range(len(sizes) - 2, -1, -1):
-        radix[index] = radix[index + 1] * sizes[index + 1]
-    return radix
 
 
 def _admitted_runs(masks: list[np.ndarray | None],
@@ -272,6 +259,33 @@ def _truncated_draws(cdf: np.ndarray, row_cdf: np.ndarray,
     return hi, mass
 
 
+def _sort_by_key(key: np.ndarray, rows: np.ndarray,
+                 span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and their keys, sorted by key (ties by row): ``(rows, key)``.
+
+    ``key`` (overwritten) holds one value in ``[0, span)`` per row of
+    ``rows``, ascending row ids.  Each row's id rides in the low bits of its
+    key, so one sort of plain int64 values orders the keys and carries the
+    rows along.  When ``span`` leaves no room for the ids below ``2⁶³`` a
+    stable :func:`numpy.argsort` of the keys gives the same order.  The
+    walk's ``span`` is the previous call's prefixes times the sampled
+    column's domain, so at serving batch sizes only a declared domain of
+    about ``2³⁵`` codes or more takes that branch; tests reach it by calling
+    this function directly.
+    """
+    shift = int(rows[-1]).bit_length()
+    # The largest packed value, (span << shift) - 1, must fit in an int64.
+    if span << shift > 2 ** 63:
+        order = np.argsort(key, kind="stable")
+        return rows[order], key[order]
+    key <<= shift
+    key |= rows
+    key.sort()
+    rows = key & ((1 << shift) - 1)
+    key >>= shift
+    return rows, key
+
+
 def _region_candidates(
         domain_sizes: list[int],
         masks: list[np.ndarray | None]) -> tuple[list[np.ndarray] | None, float]:
@@ -356,85 +370,77 @@ class ProgressiveSampler:
         #: Lifetime row accounting, see :class:`SamplerStats`.
         self.stats = SamplerStats()
         self._rng = np.random.default_rng(seed)
-        # Per-position mixed-radix packing of the visible prefix into one
-        # int64 (for scalar-sort deduplication); a ``None`` radix marks
-        # positions whose radix product overflows, which fall back to
-        # row-wise unique.
-        self._prefix_pack: dict[int, tuple[np.ndarray, np.ndarray | None, int]] = {}
-
-    def _prefix_packing(self, position: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-        """The (prefix column indices, mixed radix or None, number of
-        possible prefixes) of one position."""
-        packing = self._prefix_pack.get(position)
-        if packing is None:
-            prefix_columns = np.asarray(self.model.order[:position], dtype=np.int64)
-            domain_sizes = self.model.domain_sizes()
-            sizes = [int(domain_sizes[column]) for column in prefix_columns]
-            packing = (prefix_columns, prefix_radix(sizes), math.prod(sizes))
-            self._prefix_pack[position] = packing
-        return packing
 
     def _conditional_cdfs(
-            self, position: int, column: int, codes: np.ndarray,
-            packed: np.ndarray, alive_rows: np.ndarray,
-            carry: tuple[PrefixSums, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            self, column: int, codes: np.ndarray, alive_rows: np.ndarray,
+            parent: np.ndarray, previous: tuple[np.ndarray, int, int] | None,
+            carry: PrefixSums | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The model's conditionals of the alive rows as CDFs, one per
         distinct visible prefix (one per row on the dedup-off walk).
 
         Alive rows agree on every column *not* yet sampled (still zero), so
         rows sharing a visible prefix are equal as whole rows and the model
         sees any one of them per distinct prefix, in sorted-prefix order.
-        One scalar sort of the carried keys ``packed`` (see
-        :func:`prefix_radix`) finds the distinct prefixes; prefixes too wide
-        to pack are ranked row-wise by ``np.unique(axis=0)``.  The model's
-        answer is the caller's to overwrite: it becomes the CDFs in place —
-        unless the model is ``cumulative`` and answered CDFs itself.
+        ``parent`` holds, per row, the rank of its prefix at the previous
+        call, and ``previous`` is ``(codes, size, prefixes)`` of that call:
+        the column it sampled, that column's domain size and the number of
+        distinct prefixes it had (``None`` at the first call, where every
+        row's prefix is the empty one).  A prefix's key is its parent's rank
+        times ``size`` plus its newest code; one sort of the keys
+        (:func:`_sort_by_key`) lists the rows prefix by prefix, and this call
+        leaves each row's new rank in ``parent``.  The model's answer is the
+        caller's to overwrite: it becomes the CDFs in place — unless the
+        model is ``cumulative`` and answered CDFs itself, possibly a
+        read-only view of its own memory (see
+        :class:`~repro.core.made.StoredRows`).
 
         ``carry`` (a carrying model only) is the model's
-        :class:`~repro.core.made.PrefixSums` and, per row, the index of its
-        prefix in the previous call — its ``row_cdf`` there, which this call
-        updates: each shown row's parent, so the model extends its parent's
-        first-layer sum by one column instead of summing the whole prefix.
+        :class:`~repro.core.made.PrefixSums`: each shown row's parent rank
+        names the sum the model extends by one column instead of summing the
+        whole prefix.
 
-        Returns ``(cdf, row_cdf, rows)``: ``rows`` lists the alive rows
-        (sorted by prefix when deduplicating), and ``rows[i]`` draws from
-        ``cdf[row_cdf[i]]``.
+        Returns ``(cdf, row_cdf, rows, prefixes)``: ``rows`` lists the alive
+        rows (sorted by prefix when deduplicating), ``rows[i]`` draws from
+        ``cdf[row_cdf[i]]``, and ``prefixes`` rows were shown to the model.
         """
         stats = self.stats
         stats.rows_submitted += alive_rows.size
         stats.forward_calls += 1
-        if self.dedup:
-            prefix_columns, radix, _ = self._prefix_packing(position)
-            if radix is not None:
-                keys = packed[alive_rows]
-            else:
-                _, keys = np.unique(codes[alive_rows][:, prefix_columns], axis=0,
-                                    return_inverse=True)
-                keys = keys.reshape(-1)
-            order = np.argsort(keys)
-            keys = keys[order]
-            rows = alive_rows[order]
-            is_first = np.ones(keys.size, dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
-            row_cdf = np.cumsum(is_first) - 1
-            # Any row of a prefix represents it (its rows are equal): take
-            # the one the sort happened to put first.
-            shown = rows[is_first]
-        else:
+        if not self.dedup:
             rows = shown = alive_rows
-            row_cdf = np.arange(rows.size)
-        stats.unique_rows += shown.size
-        if carry is None:
-            cdf = self.model.conditional_probs(column, codes[shown])
+            rank = np.arange(rows.size)
+        elif previous is None:
+            rows, shown = alive_rows, alive_rows[:1]
+            rank = np.zeros(rows.size, dtype=np.int64)
         else:
-            sums, row_prefix = carry
-            sums.parent = row_prefix[shown]
-            cdf = self.model.conditional_probs(column, codes[shown], carry=sums)
-            row_prefix[rows] = row_cdf
+            sampled, size, prefixes = previous
+            key = parent[alive_rows]
+            key *= size
+            key += sampled[alive_rows]
+            rows, key = _sort_by_key(key, alive_rows, prefixes * size)
+            is_first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=is_first[1:])
+            rank = np.cumsum(is_first) - 1
+            # Any row of a prefix represents it (its rows are equal): take
+            # the one the sort put first.
+            shown = rows[is_first]
+        stats.unique_rows += shown.size
+        row_cdf = rank
+        if carry is not None:
+            carry.parent = parent[shown]
+            cdf = self.model.conditional_probs(column, codes[shown], carry=carry)
+        elif self._cumulative:
+            stored = StoredRows()
+            cdf = self.model.conditional_probs(column, codes[shown], stored=stored)
+            if stored.rows is not None:
+                row_cdf = stored.rows[rank]
+        else:
+            cdf = self.model.conditional_probs(column, codes[shown])
         if not self._cumulative:
             np.cumsum(cdf, axis=1, out=cdf)
-        return cdf, row_cdf, rows
+        parent[rows] = rank
+        return cdf, row_cdf, rows, shown.size
 
     # ------------------------------------------------------------------ #
     def estimate_selectivity(self, masks: list[np.ndarray | None],
@@ -529,15 +535,13 @@ class ProgressiveSampler:
         codes = np.zeros((total_rows, num_columns), dtype=np.int64, order="F")
         weights = np.ones(total_rows)
         alive = np.ones(total_rows, dtype=bool)
-        # Each row's visible prefix as one mixed-radix int64 (the empty
-        # prefix packs to 0), carried along the deduplicated walk.
-        packed = np.zeros(total_rows, dtype=np.int64)
         row_query = np.repeat(np.arange(num_queries), num_samples)
-        # A carrying model's first-layer sums, one per prefix of the last
-        # call, and the one each row extends (see _conditional_cdfs).
-        carry = None
-        if getattr(self.model, "carries_prefix_sums", False):
-            carry = (PrefixSums(), np.zeros(total_rows, dtype=np.int64))
+        # Each row's prefix rank at the previous call, and what that call
+        # sampled (see _conditional_cdfs).
+        parent = np.zeros(total_rows, dtype=np.int64)
+        previous = None
+        # A carrying model's first-layer sums, one per prefix of the last call.
+        carry = PrefixSums() if getattr(self.model, "carries_prefix_sums", False) else None
 
         for position, column in enumerate(sampled_columns):
             # Draw the full-width uniforms for every query before checking
@@ -549,8 +553,8 @@ class ProgressiveSampler:
                 last_constrained == position - 1] = False
             if not alive.any():
                 continue
-            cdf, row_cdf, rows = self._conditional_cdfs(
-                position, column, codes, packed, np.flatnonzero(alive), carry)
+            cdf, row_cdf, rows, prefixes = self._conditional_cdfs(
+                column, codes, np.flatnonzero(alive), parent, previous, carry)
             draws = draws[rows]
             count = run_count[position, :, 0]
             width = max(1, int(count.max()))
@@ -563,10 +567,7 @@ class ProgressiveSampler:
             alive[rows] = survived
             # A dead row's code is never read again.
             codes[:, column][rows] = sampled
-            if self._prefix_packing(position + 1)[1] is not None:
-                # Horner step of the mixed radix: the key every row carries
-                # into the next position.
-                packed[rows] = packed[rows] * domain_sizes[column] + sampled
+            previous = (codes[:, column], domain_sizes[column], prefixes)
 
         return weights.reshape(num_queries, num_samples).mean(axis=1)
 

@@ -14,7 +14,9 @@ Two cache families live here, layered at different depths of the serve stack:
   codes)`` — so prefixes recurring across micro-batches hit memory instead
   of re-running the network.  The sampler only ever reads a conditional as
   its CDF, so the store keeps CDFs: a miss is summed once, on its way in,
-  and a hit is a gather.
+  and a hit is a lookup — read in place when every prefix of a batch hits
+  one stored run and the caller can take a view (see
+  :meth:`CachedConditionalModel.conditional_probs`), gathered otherwise.
 
   The wrapper implements the same protocol as
   :class:`repro.core.made.AutoregressiveModel` (``conditional_probs``,
@@ -34,18 +36,37 @@ Two cache families live here, layered at different depths of the serve stack:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..core.progressive import prefix_radix
+from ..core.made import StoredRows
 from ..query.predicates import DNFQuery, Operator, Query
 from .report import plain_dict
 
 __all__ = ["CacheStats", "PackedConditionalCache", "CachedConditionalModel",
            "ResultCacheStats", "ResultCache", "canonical_query_key"]
+
+
+#: Packed prefix keys stay below this, with headroom to the int64 limit.
+_KEY_LIMIT = 2 ** 62
+
+
+def prefix_radix(sizes) -> np.ndarray | None:
+    """Mixed radix that packs a prefix over domains ``sizes`` into one int64
+    (``prefix @ radix``; first column most significant), or ``None`` when
+    the number of possible prefixes reaches ``2**62`` — an exact-integer
+    test, so a product that rounds to ``2.0**62`` as a float still packs."""
+    sizes = [int(size) for size in sizes]
+    if math.prod(sizes) >= _KEY_LIMIT:
+        return None
+    radix = np.ones(len(sizes), dtype=np.int64)
+    for index in range(len(sizes) - 2, -1, -1):
+        radix[index] = radix[index + 1] * sizes[index + 1]
+    return radix
 
 
 @dataclass
@@ -143,8 +164,9 @@ class PackedConditionalCache:
     scatter per matching run, no Python per row — so a prefix that keeps
     being read stays as young as the traffic reading it.  Once the total
     number of stored distributions exceeds ``max_entries``, every entry
-    stamped at or below the median is dropped in one vectorized sweep — but
-    never the newest batch, unless it alone exceeds ``max_entries``.  A run
+    stamped below the median stamp is dropped in one vectorized sweep — or,
+    when no entry is below it, every entry stamped at it — but never the
+    newest batch, unless it alone exceeds ``max_entries``.  A run
     whose stamps all fall on one side of the cutoff is kept or dropped whole,
     without a copy; only a run that straddles it is filtered.
 
@@ -187,12 +209,18 @@ class PackedConditionalCache:
     def __len__(self) -> int:
         return sum(run.keys.size for runs in self._runs.values() for run in runs)
 
-    def bulk_get(self, column: int, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def bulk_get(self, column: int, packed: np.ndarray,
+                 stored: StoredRows | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """Look up an array of packed prefixes of one column at once.
 
         Returns ``(found, values)`` where ``found`` is a boolean mask over
         ``packed`` and ``values`` holds the cached distributions of the found
-        keys in order (``None`` when nothing was found).
+        keys in order (``None`` when nothing was found), gathered into an
+        array of the caller's.  With a ``stored`` holder, a lookup whose every
+        probe hits one run is answered in place instead: ``values`` is a
+        read-only view of that run's whole value matrix and ``stored.rows``
+        the row of it each probe found.  Any other lookup leaves the holder
+        unset.
         """
         found = np.zeros(packed.size, dtype=bool)
         matches = []
@@ -214,6 +242,11 @@ class PackedConditionalCache:
         self._clock += 1
         if len(matches) == 1:
             run, _, hit_positions = matches[0]
+            if stored is not None and hits == packed.size:
+                values = run.values.view()
+                values.flags.writeable = False
+                stored.rows = hit_positions
+                return found, values
             return found, run.values[hit_positions]
         first = matches[0][0].values
         values = np.empty((hits,) + first.shape[1:], dtype=first.dtype)
@@ -270,11 +303,13 @@ class PackedConditionalCache:
             runs[:] = [_merge_runs(runs)]
 
     def _evict_old(self) -> None:
-        """Drop entries stamped at or below the median insertion batch, every column.
+        """Drop entries stamped below the median stamp, every column — or,
+        when no entry is below it, the entries stamped at it.
 
         The cutoff stops short of the newest batch, so a sweep never drops
         the batch that triggered it — unless nothing older is left, i.e. that
-        batch alone exceeds ``max_entries``.  The first sweep turns the
+        batch alone exceeds ``max_entries``.  A sweep that frees too little
+        is repeated by :meth:`bulk_put`.  The first sweep turns the
         doorkeeper on (see :meth:`admit`).
         """
         if self._seen is None:
@@ -283,11 +318,16 @@ class PackedConditionalCache:
         stamps = np.concatenate([run.stamps for runs in self._runs.values()
                                  for run in runs])
         newest = self._clock - 1
-        cutoff = newest if stamps.min() == newest else min(np.median(stamps), newest - 1)
+        oldest = stamps.min()
+        cutoff = newest if oldest == newest else min(np.median(stamps), newest - 1)
+        # Entries stamped at the cutoff go only when nothing is older: many
+        # entries share a stamp, and dropping them with the older ones can
+        # empty most of the store in one sweep.
+        strictly_older = oldest < cutoff
         for runs in self._runs.values():
             kept = []
             for run in runs:
-                keep = run.stamps > cutoff
+                keep = run.stamps >= cutoff if strictly_older else run.stamps > cutoff
                 survivors = int(np.count_nonzero(keep))
                 self.stats.evictions += keep.size - survivors
                 if survivors == keep.size:
@@ -341,7 +381,11 @@ class CachedConditionalModel:
 
     It answers CDFs, not probabilities (``cumulative = True``): the
     progressive sampler, its one caller, reads a conditional only as a CDF,
-    so a hit is a gather out of the store with no arithmetic left to redo.
+    so a hit is a lookup in the store with no arithmetic left to redo.  The
+    sampler passes a :class:`~repro.core.made.StoredRows` holder, and a
+    batch whose every row hits one run is answered with a read-only view of
+    that run's CDF matrix, read in place; any other batch gets a table of
+    its own.
     ``np.cumsum`` along a row is a sequential per-row sum, so the answer is
     ``np.cumsum(model.conditional_probs(...), axis=1)`` bit for bit, hit or
     miss, however the rows were grouped.
@@ -417,7 +461,8 @@ class CachedConditionalModel:
         return answer
 
     # ------------------------------------------------------------------ #
-    def conditional_probs(self, column_index: int, codes: np.ndarray) -> np.ndarray:
+    def conditional_probs(self, column_index: int, codes: np.ndarray, *,
+                          stored: StoredRows | None = None) -> np.ndarray:
         """Per-row conditional CDFs of one column, served through the prefix cache.
 
         Args:
@@ -425,12 +470,18 @@ class CachedConditionalModel:
             codes: ``(rows, columns)`` dictionary-encoded inputs; only the
                 columns preceding ``column_index`` in the autoregressive
                 order may influence the result.
+            stored: A caller that reads CDFs in place passes an empty
+                :class:`~repro.core.made.StoredRows`.  When every row hits
+                one run of the store, the answer is a read-only view of that
+                run's CDF matrix and ``stored.rows`` names each row's row of
+                it; otherwise the holder is left unset.
 
         Returns:
             ``(rows, domain_size)`` array of conditional **CDFs**, equal to
             ``np.cumsum`` of the wrapped model's output along each row, bit
-            for bit (cache hits are exact, never approximations).  The name
-            is the protocol's; the rows are cumulative (``cumulative``).
+            for bit (cache hits are exact, never approximations) — or, read
+            through ``stored.rows``, the store's view described above.  The
+            name is the protocol's; the rows are cumulative (``cumulative``).
         """
         codes = np.asarray(codes, dtype=np.int64)
         num_rows = codes.shape[0]
@@ -448,14 +499,15 @@ class CachedConditionalModel:
         prefixes = np.ascontiguousarray(
             codes[:, self._prefix_columns[column_index]])
         packed = prefixes @ radix
-        found, values = self.cache.bulk_get(column_index, packed)
+        found, values = self.cache.bulk_get(column_index, packed, stored)
         if values is None:
             # Every probe missed: the evaluated matrix is the table.
             table = fresh = self._evaluate(column_index, codes)
             keys = packed
-        elif values.shape[0] == num_rows:
-            # Every probe hit: the gather out of the store (a copy the
-            # caller owns) is the table.
+        elif values.shape[0] == num_rows or (stored is not None
+                                             and stored.rows is not None):
+            # Every probe hit: the store's own rows, read in place, or the
+            # gather out of it (a copy the caller owns) is the table.
             self.stats.rows_served_from_cache += num_rows
             return values
         else:

@@ -640,9 +640,9 @@ class _SpikeModel:
     """Row-exact stub autoregressive model over declared (huge) domains.
 
     Each conditional puts its mass on three codes derived from the row's
-    visible prefix — one of them at the top of the domain, so packed prefixes
-    really do reach the declared radix product, and few enough that sample
-    paths keep sharing prefixes.  ``order`` is the autoregressive order
+    visible prefix — one of them at the top of the domain, so sampled codes
+    really do reach the declared domain, and few enough that sample paths
+    keep sharing prefixes.  ``order`` is the autoregressive order
     (storage order when omitted).
     """
 
@@ -792,23 +792,22 @@ class TestPrefixDeduplication:
             if len(masks) == len(filtered_columns):
                 assert estimates[0][-1] == 1.0   # the all-wildcard query
 
-    @pytest.mark.parametrize("domain_sizes, num_queries, row_wise", [
-        # Four prefix columns of 2^16 cannot be packed into an int64: the
-        # last position dedups through the row-wise np.unique(axis=0).
-        ([2 ** 16] * 5, 2, True),
+    @pytest.mark.parametrize("domain_sizes, num_queries", [
+        # Four prefix columns of 2^16: 2^64 possible prefixes, more than any
+        # int64 mixed radix packs — the walk keys a prefix by its parent's
+        # rank, which never exceeds the rows.
+        ([2 ** 16] * 5, 2),
         # Five prefix columns of 2^12 pack (2^60); times twelve queries the
         # old fused (prefix, query) key would have wrapped.  That key and its
         # overflow branch are gone — rows sort by prefix alone — and the
-        # case stays to show the packed key still serves twelve queries.
-        ([2 ** 12] * 6, 12, False),
+        # case stays to show the rank key still serves twelve queries.
+        ([2 ** 12] * 6, 12),
     ])
     def test_overflow_fallbacks_are_bit_identical(self, domain_sizes,
-                                                  num_queries, row_wise):
+                                                  num_queries):
         model = _SpikeModel(domain_sizes)
         last = len(domain_sizes) - 1
-        _, radix, span = ProgressiveSampler(model)._prefix_packing(last)
-        assert (radix is None) == row_wise
-        assert span * num_queries >= 2 ** 62
+        assert math.prod(domain_sizes[:last]) * num_queries >= 2 ** 62
         rng = np.random.default_rng(3)
         masks_batch = []
         for query in range(num_queries):
@@ -870,59 +869,124 @@ class TestPrefixDeduplication:
                                  min_size=3, max_size=6),
            shuffle=st.randoms(use_true_random=False),
            seed=st.integers(0, 2 ** 32 - 1))
-    # Four prefix columns of 2^16 overflow the radix: the last positions
-    # take the rank fallback, fed from the codes.
+    # Four prefix columns of 2^16 have more prefixes than an int64 mixed
+    # radix packs (the conditional cache serves them uncached); the rank
+    # walk keys them like any other.
     @example(domain_sizes=[3] + [2 ** 16] * 5, shuffle=None, seed=1)
-    def test_carried_key_is_the_packed_prefix(self, domain_sizes, shuffle, seed):
-        """The key a row carries into position ``p`` is ``prefix @ radix`` of
-        the codes sampled for it so far, and the model is shown exactly the
-        distinct prefixes of the alive rows, each once, in sorted order —
-        at positions whose radix overflows as well."""
+    def test_model_sees_each_distinct_prefix_once_in_order(
+            self, domain_sizes, shuffle, seed):
+        """At every position the model is shown exactly the distinct visible
+        prefixes of the alive rows, each once, in sorted order:
+        ``np.unique(codes[alive][:, order[:p]], axis=0)``.  The alive rows'
+        codes are what the dedup-off walk, drawing the same codes, shows."""
+        from repro.serve.cache import prefix_radix
         order = list(range(len(domain_sizes)))
         if shuffle is None:
             order.reverse()
         else:
             shuffle.shuffle(order)
-        model = _SpikeModel(domain_sizes, order)
-        sampler = ProgressiveSampler(model, seed=0)
         rng = np.random.default_rng(seed)
         masks_batch = self._random_masks(
             rng, domain_sizes,
             [tuple(np.flatnonzero(rng.random(len(domain_sizes)) < 0.7))
              for _ in range(3)] + [tuple(order)])
-        shown, expected, packable = [], [], []
-        inner_cdfs, inner_probs = (sampler._conditional_cdfs,
-                                   model.conditional_probs)
+        seen = {}
+        for dedup in (True, False):
+            model = _SpikeModel(domain_sizes, order)
+            calls = seen[dedup] = []
+            inner = model.conditional_probs
 
-        def spy_cdfs(position, column, codes, packed, alive_rows, carry=None):
-            prefix_columns, radix, _ = sampler._prefix_packing(position)
-            prefixes = codes[alive_rows][:, prefix_columns]
-            if radix is not None:
-                assert np.array_equal(packed[alive_rows], prefixes @ radix)
-            packable.append(radix is not None)
-            expected.append(np.unique(prefixes, axis=0))
-            return inner_cdfs(position, column, codes, packed, alive_rows,
-                              carry)
+            def spy(column, codes, inner=inner, calls=calls):
+                calls.append((column, codes.copy()))
+                return inner(column, codes)
 
-        def spy_probs(column, codes):
-            shown.append(codes[:, order[:order.index(column)]])
-            return inner_probs(column, codes)
-
-        sampler._conditional_cdfs = spy_cdfs
-        model.conditional_probs = spy_probs
-        sampler.estimate_selectivity_batch(
-            masks_batch, num_samples=12,
-            rngs=[np.random.default_rng(seed + index) for index in range(4)])
-        assert len(shown) == len(expected) == len(domain_sizes)
-        for seen, reference in zip(shown, expected):
-            assert np.array_equal(seen, reference)
+            model.conditional_probs = spy
+            ProgressiveSampler(model, seed=0, dedup=dedup).estimate_selectivity_batch(
+                masks_batch, num_samples=12,
+                rngs=[np.random.default_rng(seed + index) for index in range(4)])
+        assert len(seen[True]) == len(seen[False]) == len(domain_sizes)
+        for position, ((column, shown), (reference_column, alive_codes)) in enumerate(
+                zip(seen[True], seen[False])):
+            assert column == reference_column == order[position]
+            prefix = order[:position]
+            assert np.array_equal(shown[:, prefix],
+                                  np.unique(alive_codes[:, prefix], axis=0))
+            # Unsampled columns are still zero: a shown row is its prefix.
+            assert not shown[:, order[position:]].any()
         if shuffle is None:
-            assert packable == [True] * 4 + [False] * 2
+            packs = [prefix_radix([domain_sizes[column] for column in order[:position]])
+                     is not None for position in range(len(order))]
+            assert packs == [True] * 4 + [False] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([2, 11, 2 ** 16, 2 ** 40, 2 ** 50]),
+           prefixes=st.integers(1, 5000),
+           data=st.data())
+    # A declared domain of 2^40 under 4096 ranks leaves no room for 4096 row
+    # ids below 2^63: the stable argsort orders the keys.
+    @example(size=2 ** 40, prefixes=4096, data=None)
+    def test_rank_keys_sort_rows_by_prefix(self, size, prefixes, data):
+        """``rank × |A| + code`` with the row id in the low bits sorts in one
+        ``np.sort``; where the ids do not fit, ``argsort`` gives the same
+        rows and keys.  Both order by prefix, then by row."""
+        rng = np.random.default_rng(prefixes)
+        count = prefixes if data is None else data.draw(st.integers(1, 3 * prefixes))
+        rows = np.sort(rng.choice(4 * count, size=count, replace=False))
+        rank = rng.integers(0, prefixes, count)
+        if data is None:
+            rank[:prefixes] = np.arange(prefixes)
+        code = rng.integers(max(0, size - 3), size, count)   # the top codes
+        code[::2] = rng.integers(0, min(size, 3), code[::2].size)
+        key = rank * size + code
+        order = np.lexsort((rows, key))
+        expected_rows, expected_key = rows[order], key[order]
+        shift = int(rows[-1]).bit_length()
+        argsorted = prefixes * size << shift > 2 ** 63
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            sorted_rows, sorted_key = progressive._sort_by_key(
+                key.copy(), rows, prefixes * size)
+        assert argsort.called == argsorted
+        if data is None:
+            assert argsorted
+        assert np.array_equal(sorted_rows, expected_rows)
+        assert np.array_equal(sorted_key, expected_key)
+
+    def test_a_hit_read_in_place_draws_from_its_own_stored_row(
+            self, skewed_table, workload):
+        """A warm batch that hits only some entries of a stored run reads
+        each prefix's CDF at the row the cache names, not at its rank: the
+        estimates are the uncached model's bits, and the hits were read in
+        place."""
+        from repro.serve import CachedConditionalModel
+        made = MADEModel(skewed_table, hidden_sizes=(16, 16), seed=7)
+        model = CachedConditionalModel(made)
+        masks_batch = [query.column_masks(skewed_table) for query in workload[:12]]
+
+        def estimate(sampler, queries):
+            return sampler.estimate_selectivity_batch(
+                [masks_batch[index] for index in queries], num_samples=200,
+                rngs=[np.random.default_rng(70 + index) for index in queries])
+
+        estimate(ProgressiveSampler(model, seed=0), range(12))   # cold: one run a column
+        misses = model.stats.misses
+        read_in_place = []
+        inner = model.conditional_probs
+
+        def spy(column, codes, **kwargs):
+            answer = inner(column, codes, **kwargs)
+            read_in_place.append(kwargs["stored"].rows is not None)
+            return answer
+
+        model.conditional_probs = spy
+        warm = estimate(ProgressiveSampler(model, seed=0), [5, 6])
+        assert np.array_equal(warm, estimate(ProgressiveSampler(made, seed=0), [5, 6]))
+        assert model.stats.misses == misses and sum(read_in_place) >= 2
 
     def test_working_set_is_the_answer_plus_row_vectors(self):
         """One 16-query × 800-path batch over a warm conditional cache peaks
-        at the cache's answers (the stored CDFs, gathered) plus row-length
-        vectors — not at more arrays the size of the answer."""
+        at the cache's owned answers plus row-length vectors — not at more
+        arrays the size of the answer.  An answer read in place is a view
+        of the store, not an allocation."""
         from repro.serve import CachedConditionalModel
         table = make_correlated_table([
             ColumnSpec("a", 10, "categorical", skew=0.3),
@@ -938,8 +1002,8 @@ class TestPrefixDeduplication:
         answers = []
         inner = model.conditional_probs
 
-        def spy(column, codes):
-            answers.append(inner(column, codes))
+        def spy(column, codes, **kwargs):
+            answers.append(inner(column, codes, **kwargs))
             return answers[-1]
 
         model.conditional_probs = spy
@@ -968,7 +1032,7 @@ class TestPrefixDeduplication:
         # the row-length vectors (codes, keys, draws, order, run bounds,
         # search positions, the cache's probe positions ...), counted
         # generously.
-        held = sum(answer.nbytes for answer in answers)
+        held = sum(answer.nbytes for answer in answers if answer.flags.owndata)
         allowance = (table.num_columns + 24) * rows * 8
         assert max(answer.nbytes for answer in answers) > 2 * allowance
         assert peak < held + allowance
@@ -997,7 +1061,7 @@ def _table_of_codes(domain_sizes, seed):
 
 
 #: One-hot or embedded by the threshold drawn; the second table's prefixes of
-#: five 2^13 columns overflow the packed key (the np.unique rank path).
+#: five 2^13 columns are more than an int64 mixed radix packs.
 _CARRY_TABLES = {"mixed": [5, 120, 2, 30], "wide": [2 ** 13] * 5 + [3]}
 
 

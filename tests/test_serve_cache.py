@@ -20,6 +20,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from repro.core import NaruConfig
+from repro.core.made import StoredRows
 from repro.data import make_sessions, make_users
 from repro.estimators import SamplingEstimator
 from repro.query import Operator, Predicate, Query
@@ -340,21 +341,34 @@ class TestPackedConditionalCache:
         assert merged.keys.tolist() == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
         assert merged.values[:, 0].tolist() == merged.keys.tolist()
         assert merged.stamps.tolist() == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
-        # A sweep filters the merged run (median stamp 3 over 14 entries)
-        # and keeps a run written by one batch as it is, uncopied.
+        # A sweep filters the merged run (median stamp 3 over 14 entries:
+        # stamps below 3 go) and keeps a run written by one batch as it is,
+        # uncopied.
         cache.max_entries = 13
         single = np.array([50, 45], dtype=np.int64)
         cache.bulk_put(0, single, self._distributions(single))
         single_run = cache._runs[0][1]
         newest = np.array([54, 59], dtype=np.int64)
         cache.bulk_put(0, newest, self._distributions(newest))
-        assert cache.stats.evictions == 8
-        assert [run.keys.tolist() for run in cache._runs[0]] == [[4, 14], [45, 50], [54, 59]]
+        assert cache.stats.evictions == 6
+        assert [run.keys.tolist() for run in cache._runs[0]] == [
+            [3, 4, 13, 14], [45, 50], [54, 59]]
         assert cache._runs[0][1] is single_run
         probe = np.array([0, 4, 14, 45, 50, 54, 59], dtype=np.int64)
         found, values = cache.bulk_get(0, probe)
         np.testing.assert_array_equal(found, [False] + [True] * 6)
         np.testing.assert_allclose(values[:, 0], probe[1:].astype(float))
+
+    def test_a_sweep_keeps_the_entries_stamped_at_the_cutoff_when_older_ones_exist(self):
+        # Stamps 0 0 0 0 1 1 1 1 2: the median is 1.  Dropping the entries
+        # stamped at it as well would empty the store down to one entry.
+        cache = PackedConditionalCache(max_entries=8)
+        for batch, size in enumerate((4, 4, 1)):
+            keys = np.arange(batch * 10, batch * 10 + size, dtype=np.int64)
+            cache.bulk_put(0, keys, self._distributions(keys))
+        assert len(cache) == 5 and cache.stats.evictions == 4
+        found, _ = cache.bulk_get(0, np.array([0, 3, 10, 13, 20], dtype=np.int64))
+        np.testing.assert_array_equal(found, [False, False, True, True, True])
 
     def test_zero_capacity_disables_storage(self):
         cache = PackedConditionalCache(max_entries=0)
@@ -400,13 +414,14 @@ class TestPackedConditionalCache:
         found, _ = cache.bulk_get(0, np.array([4], dtype=np.int64))   # restamped: 3
         assert found.all()
         cache.bulk_put(0, np.array([11], dtype=np.int64), self._distributions([11]))
-        # Stamps 1, 1, 2, 3, 4 over keys 3, 5, 10, 4, 11: the median sweep
-        # keeps the hit key and drops its batch-mates and the younger put.
-        assert cache.stats.evictions == 3 + 3
+        # Stamps 1, 1, 2, 3, 4 over keys 3, 5, 10, 4, 11: the sweep drops
+        # what is older than the median stamp 2 — the hit key's batch-mates
+        # — and keeps the hit key.
+        assert cache.stats.evictions == 3 + 2
         probe = np.array([3, 4, 5, 10, 11], dtype=np.int64)
         found, values = cache.bulk_get(0, probe)
-        assert probe[found].tolist() == [4, 11]
-        np.testing.assert_allclose(values[:, 0], [4.0, 11.0])
+        assert probe[found].tolist() == [4, 10, 11]
+        np.testing.assert_allclose(values[:, 0], [4.0, 10.0, 11.0])
 
     def test_a_store_that_never_swept_admits_everything(self):
         cache = PackedConditionalCache(max_entries=100)
@@ -512,16 +527,58 @@ class TestPackedConditionalCache:
         assert np.array_equal(wrapped.conditional_probs(column, codes), expected)
         assert wrapped.stats.rows_served_from_cache == 2 * codes.shape[0]
 
+    def test_a_one_run_full_hit_is_read_in_place_through_a_holder(
+            self, users_model, users_table):
+        """Given a :class:`StoredRows` holder, a batch that hits one run on
+        every probe is answered with a read-only view of that run's CDF
+        matrix, and the holder names each row's row of it: a write raises,
+        and the next lookup is unchanged."""
+        wrapped = CachedConditionalModel(users_model)
+        column = wrapped.order[-1]
+        codes = self._distinct_prefix_codes(users_model, users_table, column)
+        expected = wrapped.conditional_probs(column, codes).copy()   # cold
+        stored = StoredRows()
+        view = wrapped.conditional_probs(column, codes, stored=stored)
+        (run,) = wrapped.cache._runs[column]
+        assert not view.flags.writeable and not view.flags.owndata
+        assert np.shares_memory(view, run.values) and view.shape == run.values.shape
+        assert np.array_equal(view[stored.rows], expected)
+        with pytest.raises(ValueError):
+            view[0, 0] = -1.0
+        assert np.array_equal(wrapped.conditional_probs(column, codes), expected)
+        assert wrapped.rows_evaluated == codes.shape[0]   # the cold pass only
+        assert wrapped.stats.rows_served_from_cache == 2 * codes.shape[0]
+
+    @pytest.mark.parametrize("warm", ["two runs", "partial hit"])
+    def test_other_lookups_answer_an_owned_table_through_a_holder(
+            self, users_model, users_table, warm):
+        """A full hit spread over two runs, and a partial hit, answer a
+        table of the caller's and leave the holder unset."""
+        wrapped = CachedConditionalModel(users_model)
+        column = wrapped.order[-1]
+        codes = self._distinct_prefix_codes(users_model, users_table, column)
+        wrapped.conditional_probs(column, codes[::2])
+        if warm == "two runs":
+            wrapped.conditional_probs(column, codes[1::2])
+            assert len(wrapped.cache._runs[column]) == 2
+        stored = StoredRows()
+        answer = wrapped.conditional_probs(column, codes, stored=stored)
+        assert stored.rows is None
+        assert answer.flags.owndata and answer.flags.writeable
+        assert not any(np.shares_memory(answer, run.values)
+                       for run in wrapped.cache._runs[column])
+        assert np.array_equal(
+            answer, np.cumsum(users_model.conditional_probs(column, codes), axis=1))
+
     @pytest.mark.parametrize("prefix_sizes, packs", [
         # 2^62 - 1 possible prefixes: exactly representable as an integer,
         # but it rounds to 2.0^62 as a float product.
         ([2147483647, 2147483649], True),
         ([2 ** 31, 2 ** 31], False),                  # 2^62 exactly
     ])
-    def test_cache_and_sampler_pack_the_same_prefixes(self, prefix_sizes, packs):
-        """One overflow test decides the radix for both layers: a prefix the
-        sampler packs is a prefix the cache stores under the same key."""
-        from repro.core import ProgressiveSampler
+    def test_the_store_key_radix_is_an_exact_integer_test(self, prefix_sizes, packs):
+        """A prefix packs into a store key when its possible prefixes number
+        fewer than 2^62, decided in exact integers."""
 
         class Declared:
             order = [0, 1, 2]
@@ -529,13 +586,10 @@ class TestPackedConditionalCache:
             def domain_sizes(self):
                 return prefix_sizes + [3]
 
-        model = Declared()
-        _, sampler_radix, _ = ProgressiveSampler(model)._prefix_packing(2)
-        cache_radix = CachedConditionalModel(model)._prefix_radix[2]
-        assert (sampler_radix is not None) == (cache_radix is not None) == packs
+        radix = CachedConditionalModel(Declared())._prefix_radix[2]
+        assert (radix is not None) == packs
         if packs:
-            assert np.array_equal(sampler_radix, cache_radix)
-            assert sampler_radix.tolist() == [prefix_sizes[1], 1]
+            assert radix.tolist() == [prefix_sizes[1], 1]
 
 
 class _WidePrefixModel:
@@ -717,8 +771,10 @@ class SplicedConditionalCache(PackedConditionalCache):
         stamps = np.concatenate(list(self._stamps.values()))
         newest = self._clock - 1
         cutoff = newest if stamps.min() == newest else min(np.median(stamps), newest - 1)
+        # Entries stamped at the cutoff go only when nothing is older.
+        older = stamps.min() < cutoff
         for column in list(self._keys):
-            keep = self._stamps[column] > cutoff
+            keep = self._stamps[column] >= cutoff if older else self._stamps[column] > cutoff
             self.stats.evictions += int(keep.size - np.count_nonzero(keep))
             self._keys[column] = self._keys[column][keep]
             self._values[column] = self._values[column][keep]
