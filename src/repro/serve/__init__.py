@@ -12,7 +12,7 @@ in a generationally evicted store that persists across batches.
 The pieces: :class:`EstimationEngine` (one model, micro-batches, the
 conditional cache), :class:`ModelRegistry` + :class:`FleetRouter` (a fleet
 of relations, replication, admission control, result caching, live refresh
-and epochs, ``slo_ms`` adaptive batching), :class:`AsyncFleetClient`
+and relation versions, ``slo_ms`` adaptive batching), :class:`AsyncFleetClient`
 (streaming submission), :class:`ProcessFleet` (the same router over worker
 processes), the load generator and chaos drills of ``loadgen``, and
 ``report``, which folds every engine report into the route, estimator and

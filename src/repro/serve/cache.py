@@ -196,9 +196,6 @@ class PackedConditionalCache:
             raise ValueError("max_entries must be non-negative")
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Data epoch the cached distributions were computed at (see
-        #: :meth:`invalidate`).
-        self.epoch: int = 0
         self._runs: dict[int, list[_Run]] = {}
         self._clock = 0
         #: The doorkeeper's slots (see :meth:`admit`); ``None`` until the
@@ -341,18 +338,6 @@ class PackedConditionalCache:
         miss is admitted until the next sweep (counters are left untouched)."""
         self._runs.clear()
         self._seen = None
-
-    def invalidate(self, epoch: int) -> None:
-        """Atomically drop every entry and stamp the cache with a new epoch.
-
-        The packed store holds distributions of exactly one data/model
-        version; when the served relation's epoch moves the whole store is
-        dropped in one sweep (``len(cache) == 0`` afterwards), so a bumped
-        epoch can never serve a stale distribution.  Counters are left
-        untouched — the scope report still covers the pre-bump traffic.
-        """
-        self.clear()
-        self.epoch = int(epoch)
 
 
 #: Rows per forward pass of the wrapped model.  Micro-batched serving can stack
@@ -594,20 +579,21 @@ class ResultCacheStats:
     """Hit/miss accounting of the fleet-wide result cache.
 
     The plain counters (``hits``/``misses``/``evictions``/``stale_rejects``)
-    cover the current *epoch scope* — traffic since the last
-    :meth:`reset_scope` — so ``hit_rate`` never mixes pre- and
-    post-invalidation traffic.  The ``lifetime_*`` counters roll completed
-    scopes up; lifetime totals are the sum of both.
+    cover the current *scope* — traffic since the last
+    :meth:`reset_scope`, i.e. since the cache was last cleared — so
+    ``hit_rate`` never mixes traffic before and after a wipe.  The
+    ``lifetime_*`` counters roll completed scopes up; lifetime totals are
+    the sum of both.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Lookups that found an entry stored under a *different* data epoch; the
-    #: entry is dropped and the lookup counts as a miss, so a stale result is
-    #: never served.
+    #: Lookups that found an entry stored under a *different* stamp (for the
+    #: router, an older relation version); the entry is dropped and the
+    #: lookup counts as a miss, so a stale result is never served.
     stale_rejects: int = 0
-    #: Rollup of the counters of completed epoch scopes (see
+    #: Rollup of the counters of completed scopes (see
     #: :meth:`reset_scope`); excludes the current scope.
     lifetime_hits: int = 0
     lifetime_misses: int = 0
@@ -627,9 +613,9 @@ class ResultCacheStats:
     def reset_scope(self) -> None:
         """Fold the current scope's counters into the lifetime rollup and zero them.
 
-        Called by :meth:`ResultCache.clear` so the hit rate reported after an
-        epoch invalidation describes post-invalidation traffic only, while
-        the lifetime rollup keeps the full history.
+        Called by :meth:`ResultCache.clear` so the hit rate reported after a
+        wipe describes post-wipe traffic only, while the lifetime rollup
+        keeps the full history.
         """
         self.lifetime_hits += self.hits
         self.lifetime_misses += self.misses
@@ -663,7 +649,9 @@ class ResultCache:
     ``set_row_count``-style rescaling of the serving relation — but **not**
     under data changes: the moment rows are appended (or the serving model is
     swapped) the cached selectivity itself is wrong.  Every entry is therefore
-    stamped with the epoch it was computed at, and :meth:`get` refuses —
+    stamped with the epoch it was computed at (the router passes the
+    relation's :meth:`~repro.serve.registry.ModelRegistry.version`), and
+    :meth:`get` refuses —
     drops, counts as :attr:`ResultCacheStats.stale_rejects` and reports a
     miss — any entry whose stored epoch differs from the requested one, so a
     bumped epoch invalidates the cache with zero stale hits by construction.
@@ -731,7 +719,8 @@ class ResultCache:
 
         The scope counters fold into the lifetime rollup (see
         :meth:`ResultCacheStats.reset_scope`), so the hit rate reported after
-        an invalidation never mixes pre- and post-epoch traffic.
+        a wipe never mixes traffic from before it.  A moved stamp needs no
+        clear: :meth:`get` rejects stale entries one by one.
         """
         self._entries.clear()
         self.stats.reset_scope()

@@ -132,7 +132,7 @@ class WorkerError(RuntimeError):
 
 
 class StaleEpochError(RuntimeError):
-    """The registry's epoch moved past the models a fleet's workers hold.
+    """A relation's version moved past the models a fleet's workers hold.
 
     Workers serve from npz-copied model snapshots frozen at fleet
     construction, which no parent-side ingest or refresh swap can reach.
@@ -140,16 +140,13 @@ class StaleEpochError(RuntimeError):
     refuses with this typed error; the message names the remedy.
     """
 
-    def __init__(self, route: str, fleet_epoch: tuple[int, int, int],
-                 registry_epoch: tuple[int, int, int]) -> None:
+    def __init__(self, route: str, fleet_epoch: int,
+                 registry_epoch: int) -> None:
         super().__init__(
-            f"relation {route!r} was exported at epoch "
-            f"(data={fleet_epoch[0]}, model={fleet_epoch[1]}, "
-            f"swaps={fleet_epoch[2]}) but the registry is now at "
-            f"(data={registry_epoch[0]}, model={registry_epoch[1]}, "
-            f"swaps={registry_epoch[2]}); the workers' npz-copied models are "
-            "stale — close this fleet and build a new ProcessFleet to "
-            "re-export the current models")
+            f"relation {route!r} was exported at version {fleet_epoch} but "
+            f"the registry is now at version {registry_epoch}; the workers' "
+            "npz-copied models are stale — close this fleet and build a new "
+            "ProcessFleet to re-export the current models")
         self.route = route
         self.fleet_epoch = fleet_epoch
         self.registry_epoch = registry_epoch
@@ -185,7 +182,7 @@ def worker_main(worker_id: int, conn, spec: dict) -> None:
     * ``("reset",)`` — start a fresh workload scope on every engine (caches
       survive, exactly like the single-process fleet).
     * ``("wipe",)`` — drop every engine's conditional-cache entries (counters
-      and epoch stamps survive) and reply ``("wiped", worker_id, count)`` with
+      survive) and reply ``("wiped", worker_id, count)`` with
       the number of stores cleared — the far half of
       :meth:`ProcessFleet.wipe_caches`.
     * ``("report",)`` — reply ``("report", worker_id, {key: {"cache":
@@ -357,7 +354,7 @@ class ProcessFleet(FleetRouter):
     ``(relation, replica)`` engine lives in the worker the registry's
     round-robin assignment names, and the worker count is invisible in the
     numbers.  What this class adds is lifecycle: spawn, :meth:`collect`,
-    :meth:`kill_worker`, :meth:`close`, liveness and epoch guards, and the
+    :meth:`kill_worker`, :meth:`close`, liveness and version guards, and the
     per-worker ``stats.workers`` breakdown.
 
     Parameters
@@ -407,10 +404,10 @@ class ProcessFleet(FleetRouter):
         # registry must fail fast with no children to clean up.
         payloads = {name: export_relation(registry, name)
                     for name in registry.names}
-        # The epochs those snapshots were taken at: serving refuses
+        # The versions those snapshots were taken at: serving refuses
         # (StaleEpochError) once the registry moves past them.
-        self._epochs = {name: registry.serving_epoch(name)
-                        for name in registry.names}
+        self._versions = {name: registry.version(name)
+                          for name in registry.names}
         if log_dir is not None:
             os.makedirs(log_dir, exist_ok=True)
 
@@ -692,17 +689,17 @@ class ProcessFleet(FleetRouter):
         return _WorkerEngine(estimator, ship=partial(self._ship, key),
                              **options)
 
-    def _check_epoch(self, route: str) -> None:
-        """Refuse to serve a route whose registry epoch moved past the export."""
-        snapshot = self._epochs.get(route)  # None: registered after the export
-        current = self.registry.serving_epoch(route)
+    def _check_version(self, route: str) -> None:
+        """Refuse to serve a route whose version moved past the export."""
+        snapshot = self._versions.get(route)  # None: registered after the export
+        current = self.registry.version(route)
         if snapshot is not None and current != snapshot:
             raise StaleEpochError(route, snapshot, current)
 
     def resolve_serving(self, query) -> tuple[str, str]:
-        """:meth:`FleetRouter.resolve_serving` plus the stale-epoch guard."""
+        """:meth:`FleetRouter.resolve_serving` plus the stale-version guard."""
         route, role = super().resolve_serving(query)
-        self._check_epoch(route)
+        self._check_version(route)
         return route, role
 
     def submit(self, query, index: int | None = None) -> str:
@@ -721,8 +718,8 @@ class ProcessFleet(FleetRouter):
         if self._inflight:
             raise RuntimeError("submitted queries are still in flight; call "
                                "flush() and collect() before run()")
-        for route in self._epochs:
-            self._check_epoch(route)
+        for route in self._versions:
+            self._check_version(route)
         super()._begin_scope()
         for handle in self._handles.values():
             self._send(handle, ("reset",), "during scope reset")

@@ -15,20 +15,21 @@ protocol of the paper's data-shift study (§6.7.3 / Table 8):
    trained on (:func:`repro.core.training.cross_entropy_bits`).  Rows the
    model already explains score near zero; a shifted partition scores high.
 2. **Stale serving under a bound** — the fleet keeps answering from the
-   stale model (routers key their caches on the serving epoch, so nothing
-   *cached* before the ingest is ever served again).  The controller flags
-   the relation ``refresh_due`` once its staleness exceeds ``max_staleness``;
-   the drift score is reported alongside, for the operator to read.
+   stale model (routers key their caches on the relation's version, which
+   every ingest moves, so nothing *cached* before the ingest is ever served
+   again).  The controller flags the relation ``refresh_due`` once its
+   staleness exceeds ``max_staleness``; the drift score is reported
+   alongside, for the operator to read.
 3. **Refresh and atomic swap** — :meth:`RefreshController.refresh`
    fine-tunes a copy of the existing model on the grown relation
    (:meth:`repro.core.estimator.NaruEstimator.refresh`, with the *original*
    dictionaries via :func:`repro.data.shift.encode_with_dictionaries`),
    sets the copy's serving row count and registers it with ``replace=True`` —
-   stamping the model epoch to the data epoch and moving the swap count in
-   one step, so routers pick the new version up atomically at their next
-   scope boundary, with or without an ingest since the last fit.  Values the
-   old dictionaries cannot encode force a cold rebuild instead of a
-   fine-tune.
+   stamping the model epoch to the data epoch and moving the relation's
+   version in one step, so routers pick the new version up atomically at
+   their next scope boundary, with or without an ingest since the last fit.
+   Values the old dictionaries cannot encode force a cold rebuild instead of
+   a fine-tune.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class RefreshController:
     ----------
     registry:
         The fleet to manage; the controller never bypasses it — every swap
-        goes through ``register_table(..., replace=True)`` so epoch stamps
-        and router invalidation stay correct.
+        goes through ``register_table(..., replace=True)`` so the
+        relation's version and router invalidation stay correct.
     max_staleness:
         How many ingests a relation's model may fall behind before the
         controller flags it ``refresh_due`` (default 1: serve one stale
@@ -96,10 +97,10 @@ class RefreshController:
     def _baseline_bits(self, name: str, estimator: NaruEstimator) -> float:
         """Cross-entropy of (a sample of) the model's own training data.
 
-        Cached per model version: a refresh moves the model epoch, which
-        invalidates the cached baseline.
+        Cached per relation version: every model swap moves it (a refresh
+        with no ingest since the last fit moves no epoch).
         """
-        version = self.registry.model_epoch(name)
+        version = self.registry.version(name)
         cached = self._baselines.get(name)
         if cached is not None and cached[0] == version:
             return cached[1]
@@ -142,9 +143,9 @@ class RefreshController:
         The drift score is computed *before* the append (it describes the
         incoming rows against the current model), then the rows are ingested
         through :meth:`~repro.serve.registry.ModelRegistry.ingest` — bumping
-        the data epoch, so every epoch-keyed cache entry for the relation is
-        dead from this moment on.  The fleet then serves stale until the
-        caller acts on ``refresh_due`` with :meth:`refresh`.
+        the data epoch and the version, so every version-keyed cache entry
+        for the relation is dead from this moment on.  The fleet then serves
+        stale until the caller acts on ``refresh_due`` with :meth:`refresh`.
 
         Returns:
             ``{"relation", "data_epoch", "staleness", "drift_bits",
@@ -181,12 +182,11 @@ class RefreshController:
         serves is never touched, so the group keeps answering from the old
         version, with its conditional cache, until the scope boundary.  The
         registration stamps ``model_epoch = data_epoch`` and moves the
-        relation's swap count (so
-        :meth:`~repro.serve.registry.ModelRegistry.serving_epoch` moves even
+        relation's :meth:`~repro.serve.registry.ModelRegistry.version` (even
         with no ingest since the last fit), so routers rebuild the
         relation's replica group (with fresh conditional caches) at their
-        next scope boundary and result-cache lookups move to the new epoch
-        key.  Falls back to a cold rebuild when the relation has no
+        next scope boundary and result-cache lookups move to the new
+        version.  Falls back to a cold rebuild when the relation has no
         fine-tunable model or the grown data no longer fits the old
         dictionaries.  Returns the new serving estimator.
         """

@@ -69,10 +69,8 @@ class ModelRegistry:
         self._epochs: dict[str, int] = {}
         #: Data epoch each relation's serving model was (re)fitted at.
         self._model_epochs: dict[str, int] = {}
-        #: Model swaps per relation: bumped by every ``replace=True``
-        #: registration, so a refresh moves :meth:`serving_epoch` even when
-        #: no ingest moved the data epoch.
-        self._swaps: dict[str, int] = {}
+        #: Served version per relation, see :meth:`version`.
+        self._versions: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -119,11 +117,11 @@ class ModelRegistry:
             Allow re-registering an already registered name — the atomic
             model-swap half of a live refresh (see
             :class:`repro.serve.refresh.RefreshController`).  The relation's
-            data epoch and replica count are preserved, and its swap count
-            (part of :meth:`serving_epoch`) moves; when an ``estimator`` is
-            supplied its model epoch is stamped to the current data epoch,
-            marking the relation fresh again.  With the default ``False`` a
-            duplicate name raises.
+            data epoch and replica count are preserved, and its
+            :meth:`version` moves; when an ``estimator`` is supplied its
+            model epoch is stamped to the current data epoch, marking the
+            relation fresh again.  With the default ``False`` a duplicate
+            name raises.
         """
         name = name or table.name
         replacing = name in self._relations
@@ -139,7 +137,7 @@ class ModelRegistry:
         if replacing:
             # A replacement swaps table + model only; the replica count (and
             # the data epoch) survive — tune replicas with set_replicas.
-            self._swaps[name] = self._swaps.get(name, 0) + 1
+            self._versions[name] = self._versions.get(name, 0) + 1
         else:
             self._replicas[name] = replicas
         if estimator is not None:
@@ -212,9 +210,10 @@ class ModelRegistry:
         refuses (see :meth:`can_serve`); it must arrive trained and
         schema-matched, exactly like a pre-built primary.  Swapping it
         changes served answers, so — like a ``replace=True`` registration —
-        it moves the relation's swap count (part of :meth:`serving_epoch`):
-        result-cache entries of the old fallback are never served again, and
-        routers rebuild the relation's units at their next scope boundary.
+        it moves the relation's :meth:`version` (clearing a fallback that
+        was never set moves nothing): result-cache entries of the old
+        fallback are never served again, and routers rebuild the relation's
+        units at their next scope boundary.
         """
         table = self.relation(name)
         if fallback is not None:
@@ -222,7 +221,7 @@ class ModelRegistry:
             self._fallbacks[name] = fallback
         elif self._fallbacks.pop(name, None) is None:
             return      # nothing registered, nothing cleared: nothing moves
-        self._swaps[name] = self._swaps.get(name, 0) + 1
+        self._versions[name] = self._versions.get(name, 0) + 1
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -274,19 +273,20 @@ class ModelRegistry:
         """How many ingests the serving model is behind the data (0 = fresh)."""
         return self.data_epoch(name) - self.model_epoch(name)
 
-    def serving_epoch(self, name: str) -> tuple[int, int, int]:
-        """The ``(data_epoch, model_epoch, swaps)`` triple caches are keyed on.
+    def version(self, name: str) -> int:
+        """The relation's served version: one monotone count of the events
+        that can change an answer.
 
-        A cached selectivity is valid only while *every* component stands
-        still: an ingest changes the true answer, a model swap changes the
-        served one.  The swap count moves on every ``replace=True``
-        registration, so a refresh with no ingest since the last fit (which
-        leaves both epochs where they were) still moves the triple.  Routers
-        stamp :class:`repro.serve.cache.ResultCache` entries with it and
-        rebuild replica groups when it moves, so any bump invalidates them.
+        Every :meth:`ingest` (the true answer moves), every ``replace=True``
+        registration and every :meth:`set_fallback` that changes something
+        (the served answer moves) adds one; replica counts, the lazy first
+        fit and row-count rescaling do not.  Routers stamp
+        :class:`repro.serve.cache.ResultCache` entries with it and rebuild
+        serving units when it moves; the data and model epochs only measure
+        :meth:`staleness`.
         """
-        return (self.data_epoch(name), self.model_epoch(name),
-                self._swaps.get(name, 0))
+        self.relation(name)
+        return self._versions.get(name, 0)
 
     def ingest(self, name: str, rows: Table) -> int:
         """Append rows to a relation and bump its data epoch; returns the epoch.
@@ -296,11 +296,13 @@ class ModelRegistry:
         estimator is deliberately left untouched — it keeps serving *stale*
         estimates at the old row count until a refresh swaps in the next
         model version (:class:`repro.serve.refresh.RefreshController`).
-        Epoch-keyed caches reject their now-stale entries on the next lookup.
+        The relation's :meth:`version` moves too, so version-keyed caches
+        reject their now-stale entries on the next lookup.
         """
         table = self.relation(name)
         self._relations[name] = table.concat(rows, name=table.name)
         self._epochs[name] = self._epochs.get(name, 0) + 1
+        self._versions[name] = self._versions.get(name, 0) + 1
         return self._epochs[name]
 
     def serving_rows(self, name: str) -> int:

@@ -454,7 +454,7 @@ class FleetRouter:
         replicas (so the whole relation converges on one batch size within
         ``[1, batch_size]``); controllers — like the conditional caches —
         live for the router's lifetime and carry their learned batch size
-        across workload scopes and epoch rebuilds.  Batch boundaries never
+        across workload scopes and version rebuilds.  Batch boundaries never
         change an estimate, so the controller may retune them as
         aggressively as the SLO demands.  ``None`` (default) serves at the
         fixed ``batch_size``.
@@ -523,13 +523,13 @@ class FleetRouter:
         #: estimator).  Both roles are materialised lazily on the first query
         #: :meth:`resolve_serving` sends their way.
         self._groups: dict[tuple[str, str], ReplicaGroup] = {}
-        #: ``(route, role)`` -> ``registry.serving_epoch`` its unit was
-        #: materialised at.  A moved epoch (ingest or model swap) makes the
-        #: unit stale: it is dropped at the next scope boundary and lazily
-        #: rebuilt — with the registry's current estimator and *fresh*
-        #: conditional caches — so an epoch bump invalidates every cache
-        #: layer atomically.
-        self._group_epochs: dict[tuple[str, str], tuple[int, int]] = {}
+        #: ``(route, role)`` -> ``registry.version`` its unit was
+        #: materialised at.  A moved version (an ingest, a model or fallback
+        #: swap) makes the unit stale: it is dropped at the next scope
+        #: boundary and lazily rebuilt — with the registry's current
+        #: estimator and *fresh* conditional caches — so a version move
+        #: invalidates every cache layer atomically.
+        self._built_at: dict[tuple[str, str], int] = {}
         #: Optional callable invoked with each :class:`RoutedResult` the
         #: moment it is produced — at micro-batch dispatch for model-served
         #: queries, at submission for result-cache hits.  The streaming
@@ -565,20 +565,20 @@ class FleetRouter:
         """
         return self._next_index
 
-    def _feed_result(self, route: str, result, epoch: tuple) -> None:
+    def _feed_result(self, route: str, result, version: int) -> None:
         """Store one dispatched estimate in the result cache (first in wins).
 
-        Entries are stamped with ``epoch``, the serving epoch of the unit
-        that computed them — not the route's current one: a unit built
+        Entries are stamped with ``version``, the relation version of the
+        unit that computed them — not the route's current one: a unit built
         before a mid-scope swap serves the old version to the scope's end,
         and its answers must not pass for the new version's.  An entry left
-        over from another epoch is overwritten rather than kept — it could
-        never be served again (``get`` rejects stale epochs), so keeping it
+        over from another version is overwritten rather than kept — it could
+        never be served again (``get`` rejects stale stamps), so keeping it
         would only waste an LRU slot.
         """
         key = canonical_query_key(result.query, route=route)
-        if self._result_cache.epoch_of(key) != epoch:
-            self._result_cache.put(key, result.selectivity, epoch=epoch)
+        if self._result_cache.epoch_of(key) != version:
+            self._result_cache.put(key, result.selectivity, epoch=version)
 
     def _emit(self, result: RoutedResult) -> None:
         """Hand one finished result to the ``on_result`` observer, if any."""
@@ -633,8 +633,8 @@ class FleetRouter:
             f"branches) and {fallback_note}; available routes: {available}")
 
     def _sink(self, route: str, replica: int, estimator_name: str,
-              epoch: tuple):
-        """The ``result_sink`` of one serving engine, built at ``epoch``.
+              version: int):
+        """The ``result_sink`` of one serving engine, built at ``version``.
 
         Dispatched results feed the fleet result cache (when enabled) and the
         ``on_result`` observer, tagged with the route, replica and estimator
@@ -643,7 +643,7 @@ class FleetRouter:
         """
         def sink(result):
             if self._result_cache is not None:
-                self._feed_result(route, result, epoch)
+                self._feed_result(route, result, version)
             if self.on_result is not None:
                 self._emit(RoutedResult.of(result, route=route,
                                            replica=replica,
@@ -664,7 +664,7 @@ class FleetRouter:
                 replicas = self.registry.replicas(route)
                 self._replica_counts[route] = replicas
             estimator = self.registry.estimator(route)
-            epoch = self.registry.serving_epoch(route)
+            version = self.registry.version(route)
             # One conditional cache for the whole group: the replicas share
             # the relation's one model, so the group pools its replicas'
             # budget slices instead of fragmenting hot prefixes N ways.
@@ -677,7 +677,7 @@ class FleetRouter:
                     num_samples=self.num_samples, use_cache=self.use_cache,
                     cache_entries=self.cache_entries_per_model, seed=self.seed,
                     result_sink=self._sink(route, replica, estimator.name,
-                                           epoch),
+                                           version),
                     cache=shared_cache, clock=self.clock,
                     flush_after_ms=self.flush_after_ms)
                 for replica in range(replicas)
@@ -688,10 +688,8 @@ class FleetRouter:
             group = ReplicaGroup(route, engines, max_pending=self.max_pending,
                                  overflow=self.overflow,
                                  cache=engines[0].cache)
-            if shared_cache is not None:
-                shared_cache.epoch = self.registry.data_epoch(route)
             self._groups[(route, "primary")] = group
-            self._group_epochs[(route, "primary")] = epoch
+            self._built_at[(route, "primary")] = version
             self._steer(route, group)
         return group
 
@@ -717,15 +715,15 @@ class FleetRouter:
                 raise LookupError(f"relation {route!r} has no registered "
                                   "fallback estimator")
             # Both ensemble members scale by the primary's (possibly
-            # refreshed) row count; units are rebuilt on every epoch move.
+            # refreshed) row count; units are rebuilt on every version move.
             estimator.set_row_count(self.registry.serving_rows(route))
-            epoch = self.registry.serving_epoch(route)
+            version = self.registry.version(route)
             unit = ReplicaGroup(route, [EstimationEngine(
                 estimator, batch_size=1, use_cache=False, seed=self.seed,
                 clock=self.clock,
-                result_sink=self._sink(route, 0, estimator.name, epoch))])
+                result_sink=self._sink(route, 0, estimator.name, version))])
             self._groups[(route, "fallback")] = unit
-            self._group_epochs[(route, "fallback")] = epoch
+            self._built_at[(route, "fallback")] = version
         return unit
 
     def _make_engine(self, route: str, replica: int, estimator,
@@ -745,7 +743,7 @@ class FleetRouter:
         """Put a freshly materialised group under its route's SLO controller.
 
         Without a router SLO the group is left alone — no controller, no
-        ``batch_hook``.  A route rebuilt after an epoch bump (see
+        ``batch_hook``.  A route rebuilt after a version move (see
         :meth:`_begin_scope`) keeps the controller it already converged — a
         data refresh invalidates cached *answers*, not the learned batch
         size — so the new engines start at the converged size.
@@ -802,10 +800,10 @@ class FleetRouter:
 
         Clears the fleet-wide result cache and every materialised replica
         group's shared conditional cache, exactly what a cache-tier restart
-        does to a live fleet.  Epoch stamps are preserved (the data did not
-        move — the memory of it did), counters keep accumulating, and no
-        estimate may change: caches are a latency layer, so the only
-        observable cost is cold-cache latency on the traffic that follows.
+        does to a live fleet.  No version moves (the data did not move — the
+        memory of it did), counters keep accumulating, and no estimate may
+        change: caches are a latency layer, so the only observable cost is
+        cold-cache latency on the traffic that follows.
 
         Returns:
             ``{"result_caches": 0 or 1, "conditional_caches": N}`` — how
@@ -899,12 +897,12 @@ class FleetRouter:
         if self._result_cache is not None:
             # Consult the cache before materialising the route's group: a
             # hit must cost a dictionary lookup, not a lazy model build.
-            # The lookup carries the route's current serving epoch, so an
-            # entry computed before an ingest or model swap is rejected
-            # (never served) even mid-scope.
+            # The lookup carries the route's current version, so an entry
+            # computed before an ingest or model swap is rejected (never
+            # served) even mid-scope.
             key = canonical_query_key(query, route=route)
             selectivity = self._result_cache.get(
-                key, epoch=self.registry.serving_epoch(route))
+                key, epoch=self.registry.version(route))
             if selectivity is not None:
                 if index is None:
                     index = self._next_index
@@ -970,15 +968,15 @@ class FleetRouter:
             raise RuntimeError("submitted queries are still pending or "
                                "cache-served results are unreported; call "
                                "flush() and report() before run()")
-        # Epoch sync: a group whose relation has been ingested into (or whose
-        # model was swapped by a refresh) is stale — drop it so the next
-        # query routed there lazily rebuilds it around the registry's current
-        # estimator with *fresh* conditional caches.  Doing this only at
-        # scope boundaries makes the swap atomic per workload.
-        for (route, role), built_at in list(self._group_epochs.items()):
-            if self.registry.serving_epoch(route) != built_at:
-                del self._groups[(route, role)]
-                del self._group_epochs[(route, role)]
+        # Version sync: a unit whose relation's version moved (an ingest, a
+        # model or fallback swap) is stale — drop it so the next query routed
+        # there lazily rebuilds it around the registry's current estimators
+        # with *fresh* conditional caches.  Doing this only at scope
+        # boundaries makes the swap atomic per workload.
+        for unit, version in list(self._built_at.items()):
+            if self.registry.version(unit[0]) != version:
+                del self._groups[unit]
+                del self._built_at[unit]
         for group in self._groups.values():
             group.reset()
         for route, controller in self._controllers.items():

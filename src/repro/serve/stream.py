@@ -230,7 +230,7 @@ class AsyncFleetClient:
         batch.  Returns the resolved route; a unit without a ``max_pending``
         bound (every fallback unit) admits immediately, and so does a query
         the router's result cache will answer (an entry under its canonical
-        key at the route's current serving epoch, peeked without moving a
+        key at the route's current version, peeked without moving a
         counter): a hit takes no capacity.
 
         When the route carries **no flush deadline — or no flush driver is
@@ -247,7 +247,7 @@ class AsyncFleetClient:
         route, role = self.router.resolve_serving(query)
         cache = self.router.result_cache
         if cache is not None and cache.epoch_of(canonical_query_key(
-                query, route=route)) == self.router.registry.serving_epoch(route):
+                query, route=route)) == self.router.registry.version(route):
             return route
         group = (self.router.group(route) if role == "primary"
                  else self.router.fallback_unit(route))

@@ -12,6 +12,7 @@ from repro.query import Operator, Predicate, Query, WorkloadGenerator
 from repro.serve import (
     FleetRouter,
     ModelRegistry,
+    RefreshController,
     RoutingError,
     run_fleet_sequential,
 )
@@ -163,8 +164,57 @@ class TestModelRegistry:
         assert registry.size_bytes() > 0
 
 
+def _sample(table):
+    return SamplingEstimator(table, sample_size=50, seed=1)
+
+
+def _ingest(registry, table):
+    registry.ingest("users", make_users(num_users=20, seed=95))
+
+
+def _refresh(registry, table):
+    RefreshController(registry).refresh("users")
+
+
+#: ``(event, setup, action, version move)``: every event that can change an
+#: answer moves the version by one, every other event leaves it.
+_VERSION_EVENTS = [
+    ("ingest", None, _ingest, 1),
+    ("replace-with-estimator", None, lambda r, t: r.register_table(
+        t, name="users", estimator=_sample(t), replace=True), 1),
+    ("replace-without-estimator", None,
+     lambda r, t: r.register_table(t, name="users", replace=True), 1),
+    ("set-new-fallback", None, lambda r, t: r.set_fallback("users", _sample(t)), 1),
+    ("clear-a-fallback", lambda r, t: r.set_fallback("users", _sample(t)),
+     lambda r, t: r.set_fallback("users", None), 1),
+    ("clear-no-fallback", None, lambda r, t: r.set_fallback("users", None), 0),
+    ("set-replicas", None, lambda r, t: r.set_replicas("users", 3), 0),
+    ("lazy-first-fit", None, lambda r, t: r.estimator("users"), 0),
+    ("repeated-estimator-call", lambda r, t: r.estimator("users"),
+     lambda r, t: r.estimator("users"), 0),
+    ("register-another-relation", None, lambda r, t: r.register_table(
+        make_sessions(num_rows=100, num_users=120, seed=5)), 0),
+    ("refresh", lambda r, t: r.fit_all(), _refresh, 1),
+    ("ingest-then-refresh", lambda r, t: r.fit_all(),
+     lambda r, t: (_ingest(r, t), _refresh(r, t)), 2),
+]
+
+
 class TestRegistryEpochs:
     """Data/model epoch stamping: ingest, staleness, and replace semantics."""
+
+    @pytest.mark.parametrize("setup, action, move",
+                             [row[1:] for row in _VERSION_EVENTS],
+                             ids=[row[0] for row in _VERSION_EVENTS])
+    def test_version_moves_on_exactly_the_events_that_change_an_answer(
+            self, users, setup, action, move):
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(users)
+        if setup is not None:
+            setup(registry, users)
+        before = registry.version("users")
+        action(registry, users)
+        assert registry.version("users") == before + move
 
     def test_fresh_relation_starts_at_epoch_zero(self, users):
         registry = ModelRegistry(default_config=_CONFIG)
@@ -172,7 +222,7 @@ class TestRegistryEpochs:
         assert registry.data_epoch("users") == 0
         assert registry.model_epoch("users") == 0
         assert registry.staleness("users") == 0
-        assert registry.serving_epoch("users") == (0, 0, 0)
+        assert registry.version("users") == 0
         with pytest.raises(KeyError, match="registered"):
             registry.data_epoch("nope")
 
@@ -185,7 +235,7 @@ class TestRegistryEpochs:
         grown = registry.relation("users")
         assert grown.num_rows == users.num_rows + 2 * more.num_rows
         assert grown.name == users.name
-        assert registry.serving_epoch("users") == (2, 0, 0)
+        assert registry.version("users") == 2
         assert registry.staleness("users") == 2
 
     def test_lazy_fit_stamps_model_epoch_to_data_epoch(self, users):
@@ -236,7 +286,7 @@ class TestRegistryEpochs:
         assert not registry.is_fitted("users")
         rebuilt = registry.estimator("users")
         assert rebuilt is not first
-        assert registry.serving_epoch("users") == (1, 1, 1)
+        assert registry.version("users") == 2
 
 
 class TestFleetRouter:

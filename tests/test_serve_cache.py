@@ -386,17 +386,6 @@ class TestPackedConditionalCache:
         with pytest.raises(ValueError):
             PackedConditionalCache(max_entries=-1)
 
-    def test_invalidate_drops_entries_and_stamps_epoch(self):
-        cache = PackedConditionalCache()
-        keys = np.array([1, 2], dtype=np.int64)
-        cache.bulk_put(0, keys, self._distributions(keys))
-        assert cache.epoch == 0
-        cache.invalidate(3)
-        assert cache.epoch == 3
-        assert len(cache) == 0
-        found, values = cache.bulk_get(0, keys)
-        assert not found.any() and values is None
-
     def _swept(self):
         """A 4-entry store that has just run its first eviction sweep and
         holds keys 3, 4 and 5 (stamp 1) of column 0."""
@@ -447,12 +436,11 @@ class TestPackedConditionalCache:
         mixed = np.array([100, 555], dtype=np.int64)
         np.testing.assert_array_equal(cache.admit(0, mixed), [True, False])
 
-    @pytest.mark.parametrize("reset", ["clear", "invalidate"])
-    def test_clear_and_invalidate_reset_the_doorkeeper(self, reset):
+    def test_clear_resets_the_doorkeeper(self):
         cache = self._swept()
         keys = np.array([100], dtype=np.int64)
         assert not cache.admit(0, keys).any()
-        getattr(cache, reset)(*(() if reset == "clear" else (1,)))
+        cache.clear()
         assert cache.admit(0, keys).all()           # no pressure: admits all
         assert cache.admit(0, np.array([101], dtype=np.int64)).all()
         for batch in range(2):                      # pressure again
@@ -791,8 +779,8 @@ _MACHINE_COLUMNS = {0: (24, 2), 3: (90, 5), 7: (2 ** 40, 11)}
 
 
 class RunStoreMachine(RuleBasedStateMachine):
-    """Puts, gets, clears and invalidations on the run store and the spliced
-    reference in lockstep; a small capacity makes merges, whole-run drops
+    """Puts, gets and clears on the run store and the spliced reference in
+    lockstep; a small capacity makes merges, whole-run drops
     and merged-run filtering all fire."""
 
     @initialize(max_entries=st.sampled_from([12, 40, 120]))
@@ -844,19 +832,15 @@ class RunStoreMachine(RuleBasedStateMachine):
 
     # Wiping only a half-full store lets runs pile up and merge in between.
     @precondition(lambda self: 2 * len(self.reference) >= self.reference.max_entries)
-    @rule(epoch=st.none() | st.integers(0, 5))
-    def clear_or_invalidate(self, epoch):
+    @rule()
+    def clear(self):
         for cache in (self.store, self.reference):
-            if epoch is None:
-                cache.clear()
-            else:
-                cache.invalidate(epoch)
+            cache.clear()
 
     @invariant()
     def same_entries_and_counters(self):
         assert len(self.store) == len(self.reference) <= self.store.max_entries
         assert self.store.stats.as_dict() == self.reference.stats.as_dict()
-        assert self.store.epoch == self.reference.epoch
         for column, keys in self.reference._keys.items():
             runs = self.store._runs.get(column, [])
             stored = np.concatenate([run.keys for run in runs]) if runs else keys[:0]
@@ -1035,18 +1019,18 @@ def _fleet_machine_registry():
 
 
 class FleetMachine(RuleBasedStateMachine):
-    """Submits, clock advances with ticks, flushes, cache wipes and ingests
-    on one in-process :class:`FleetRouter` (frozen virtual clock, 5 ms flush
+    """Submits, clock advances with ticks, flushes, cache wipes, ingests,
+    refreshes (with or without an ingest first) and fallback swaps on one
+    in-process :class:`FleetRouter` (frozen virtual clock, 5 ms flush
     deadline, ``max_pending=3`` with shedding, result cache on), ending
     workload scopes at random.  At a scope boundary the machine checks the
-    scope, then may refresh a relation (with or without an ingest first),
-    swap a relation's fallback for a fresh sample, and change a replica
-    count — on the registry, the one place it lives, which is why the router
-    is then rebuilt from the registry.  Refreshes
-    stay at scope boundaries: the scope check's baseline runs under the
-    registry's versions at the scope's end, while a mid-scope refresh
-    leaves the live group serving the version before it to the end of the
-    scope."""
+    scope and may change a replica count — on the registry, the one place
+    it lives, which is why the router is then rebuilt from the registry.
+    Every other version move may land between two submissions, where a unit
+    built before it serves the old version to the scope's end: so before
+    each move the machine snapshots the registry under the relation's
+    version, and the scope check holds every model-served answer to the
+    sequential baseline under the version its unit was built at."""
 
     SAMPLES = 30
     SEED = 3
@@ -1057,8 +1041,8 @@ class FleetMachine(RuleBasedStateMachine):
         self.registry = copy.deepcopy(registry)
         self.clock = VirtualClock()
         self.ingests = 0
-        self.epochs = {name: self.registry.serving_epoch(name)
-                       for name in self.registry.names}
+        self.versions = {name: self.registry.version(name)
+                         for name in self.registry.names}
         self._build_router()
 
     def _build_router(self):
@@ -1073,34 +1057,50 @@ class FleetMachine(RuleBasedStateMachine):
 
     def _begin_scope(self):
         self.router._begin_scope()
+        # A scope starts on the current versions: every stale unit is gone.
+        assert all(built == self.registry.version(route)
+                   for (route, _), built in self.router._built_at.items())
         self.submitted = 0
         self.shed = 0
+        #: Global index -> version of the unit that dispatched its answer.
+        self.built_at: dict[int, int] = {}
+        #: ``(relation, version)`` -> the registry as it served that version;
+        #: the new scope rebuilds every unit a move left behind.
+        self.snapshots: dict[tuple[str, int], ModelRegistry] = {}
 
     def _observe(self, result):
         """Every answer as it is produced, in dispatch order.  A result-cache
         hit must repeat the first answer dispatched for the same query by a
-        unit built at the serving epoch it is looked up under, since the last
-        wipe or refresh of its relation: a unit built before a mid-scope
-        ingest serves on to the scope's end, and its answers are filed under
-        the epoch it was built at, not the route's new one."""
+        unit built at the version it is looked up under, since the last
+        wipe: a unit built before a mid-scope move serves on to the scope's
+        end, and its answers are filed under the version it was built at,
+        not the route's new one."""
         if result.estimator == "cache":
-            epoch = self.registry.serving_epoch(result.route)
+            version = self.registry.version(result.route)
         else:
             role = self.router.resolve_serving(result.query)[1]
-            epoch = self.router._group_epochs[(result.route, role)]
+            version = self.router._built_at[(result.route, role)]
+            self.built_at[result.index] = version
         key = (result.route, canonical_query_key(result.query,
-                                                 route=result.route), epoch)
+                                                 route=result.route), version)
         if result.estimator == "cache":
             assert self.answers.get(key) == result.selectivity
         else:
             self.answers.setdefault(key, result.selectivity)
 
-    def _check_epochs(self):
+    def _check_versions(self):
         for name in self.registry.names:
-            epoch = self.registry.serving_epoch(name)
-            assert all(now >= before
-                       for now, before in zip(epoch, self.epochs[name]))
-            self.epochs[name] = epoch
+            assert self.registry.version(name) >= self.versions[name]
+            self.versions[name] = self.registry.version(name)
+
+    def _snapshot(self, name):
+        """Keep the registry as it serves ``name`` before a version move, if
+        a live unit was built at that version (no later unit can be)."""
+        version = self.registry.version(name)
+        live = {built for (route, _), built in self.router._built_at.items()
+                if route == name}
+        if version in live:
+            self.snapshots[(name, version)] = copy.deepcopy(self.registry)
 
     def _ingest(self, name):
         self.ingests += 1
@@ -1108,8 +1108,9 @@ class FleetMachine(RuleBasedStateMachine):
                 if name == "users" else
                 make_sessions(num_rows=20, num_users=60,
                               seed=100 + self.ingests))
+        self._snapshot(name)
         self.registry.ingest(name, rows)
-        self._check_epochs()
+        self._check_versions()
 
     @rule(picks=st.lists(st.integers(0, 7), min_size=1, max_size=4))
     def submit(self, picks):
@@ -1138,6 +1139,26 @@ class FleetMachine(RuleBasedStateMachine):
     def ingest(self, name):
         self._ingest(name)
 
+    @precondition(lambda self: self.submitted > 0)
+    @rule(name=st.sampled_from(["users", "sessions"]), ingest_first=st.booleans())
+    def refresh(self, name, ingest_first):
+        if ingest_first:
+            self._ingest(name)
+        self._snapshot(name)
+        RefreshController(self.registry).refresh(name)
+        self._check_versions()
+
+    @precondition(lambda self: self.submitted > 0)
+    @rule(name=st.sampled_from(["users", "sessions"]), seed=st.integers(1, 2 ** 16))
+    def set_fallback(self, name, seed):
+        """Serve one relation's refused shapes from a fresh half-table
+        sample: a swap, so the relation's version moves and its old answers
+        are never served again."""
+        self._snapshot(name)
+        self.registry.set_fallback(name, SamplingEstimator(
+            self.registry.relation(name), fraction=0.5, seed=seed))
+        self._check_versions()
+
     def _check_scope(self):
         self.router.flush()
         report = self.router.report()
@@ -1146,49 +1167,31 @@ class FleetMachine(RuleBasedStateMachine):
         assert report.stats.shed == self.shed
         indices = [result.index for result in results]
         assert sorted(indices) == list(range(len(indices)))  # unique, dense
-        self._check_epochs()
-        if results:
-            baseline = run_fleet_sequential(
-                self.registry, [result.query for result in results],
-                num_samples=self.SAMPLES, seed=self.SEED)
-            for served, expected in zip(results, baseline.results):
-                if served.estimator != "cache":
-                    assert served.selectivity == expected.selectivity
+        self._check_versions()
+        queries = [result.query for result in results]
+        baselines = {}      # snapshot key (None: the live registry) -> results
+        for position, served in enumerate(results):
+            if served.estimator == "cache":
+                continue
+            version = self.built_at[served.index]
+            snapshot = (None if version == self.registry.version(served.route)
+                        else (served.route, version))
+            if snapshot not in baselines:
+                baselines[snapshot] = run_fleet_sequential(
+                    self.snapshots.get(snapshot, self.registry), queries,
+                    num_samples=self.SAMPLES, seed=self.SEED).results
+            assert served.selectivity == baselines[snapshot][position].selectivity
 
     @precondition(lambda self: self.submitted > 0)
-    @rule(refresh=st.sampled_from([None, "users", "sessions"]),
-          ingest_first=st.booleans(),
-          replicas=st.none() | st.tuples(st.sampled_from(["users",
-                                                          "sessions"]),
+    @rule(replicas=st.none() | st.tuples(st.sampled_from(["users", "sessions"]),
                                          st.integers(1, 3)))
-    def end_scope(self, refresh, ingest_first, replicas):
+    def end_scope(self, replicas):
         self._check_scope()
-        if refresh is not None:
-            if ingest_first:
-                self._ingest(refresh)
-            RefreshController(self.registry).refresh(refresh)
-            self.answers = {key: answer for key, answer in self.answers.items()
-                            if key[0] != refresh}
-            self._check_epochs()
         if replicas is not None:
             self.registry.set_replicas(*replicas)
             self._build_router()
         else:
             self._begin_scope()
-
-    @precondition(lambda self: self.submitted > 0)
-    @rule(name=st.sampled_from(["users", "sessions"]), seed=st.integers(1, 2 ** 16))
-    def set_fallback(self, name, seed):
-        """At a scope boundary, serve one relation's refused shapes from a
-        fresh half-table sample: a swap, so the relation's version moves and
-        its old answers are never served again."""
-        self._check_scope()
-        self.registry.set_fallback(name, SamplingEstimator(
-            self.registry.relation(name), fraction=0.5, seed=seed))
-        self.answers = {key: answer for key, answer in self.answers.items()
-                        if key[0] != name}
-        self._check_epochs()
-        self._begin_scope()
 
     def teardown(self):
         self._check_scope()

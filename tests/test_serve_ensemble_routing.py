@@ -101,9 +101,9 @@ class TestRegistryFallbacks:
         registry.set_fallback("users", None)
         assert registry.fallback("users") is None
 
-    def test_fallback_swap_moves_the_serving_epoch(self):
-        """A swapped fallback serves other answers, so it moves the serving
-        epoch: a long-lived router with a result cache answers a repeat as a
+    def test_fallback_swap_moves_the_version(self):
+        """A swapped fallback serves other answers, so it moves the relation's
+        version: a long-lived router with a result cache answers a repeat as a
         fresh router over the new fallback does, not from the old entry."""
         registry = ModelRegistry(default_config=NaruConfig(
             epochs=1, hidden_sizes=(8, 8), progressive_samples=_SAMPLES,
@@ -120,18 +120,18 @@ class TestRegistryFallbacks:
 
         served = router()
         before = served.run([query]).selectivities[0]
-        epoch = registry.serving_epoch("users")
+        version = registry.version("users")
         registry.set_fallback("users", SamplingEstimator(users, fraction=1.0))
-        assert registry.serving_epoch("users") != epoch
+        assert registry.version("users") == version + 1
         after = served.run([query])
         assert after.result_cache_hits == 0
         assert after.selectivities[0] == router().run([query]).selectivities[0]
         assert after.selectivities[0] != before
-        # Clearing a fallback moves the epoch too; clearing none does not.
+        # Clearing a fallback moves the version too; clearing none does not.
         registry.set_fallback("users", None)
-        epoch = registry.serving_epoch("users")
+        version = registry.version("users")
         registry.set_fallback("users", None)
-        assert registry.serving_epoch("users") == epoch
+        assert registry.version("users") == version
 
 
 class TestResolveServing:

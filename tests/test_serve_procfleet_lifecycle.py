@@ -222,8 +222,8 @@ def test_killed_worker_raises_typed_error_not_hang(registry, workload):
 @pytest.mark.timeout(60)
 def test_moved_epoch_refused_with_typed_error():
     """Workers hold npz-copied models no parent-side ingest can reach, so a
-    fleet built at one epoch refuses to serve once the registry moves on —
-    with a typed StaleEpochError naming both epochs, never by silently
+    fleet built at one relation version refuses to serve once it moves on —
+    with a typed StaleEpochError naming both versions, never by silently
     answering from the frozen models.  A freshly built fleet (which
     re-exports the current models) serves again."""
     own = ModelRegistry(default_config=_CONFIG)
@@ -239,13 +239,13 @@ def test_moved_epoch_refused_with_typed_error():
         with pytest.raises(StaleEpochError) as caught:
             fleet.submit(workload[0])        # per-submission guard
         assert caught.value.route == "users"
-        assert caught.value.fleet_epoch == (0, 0, 0)
-        assert caught.value.registry_epoch == (1, 0, 0)
-        assert "stale" in str(caught.value)
+        assert caught.value.fleet_epoch == 0
+        assert caught.value.registry_epoch == 1
+        assert "version 0" in str(caught.value) and "stale" in str(caught.value)
         with pytest.raises(StaleEpochError):
             fleet.run(workload)              # scope-boundary guard
     assert fleet.closed
-    # The prescribed remedy works: a new fleet snapshots the current epoch
+    # The prescribed remedy works: a new fleet snapshots the current version
     # and current models, and serves the same workload again.
     with ProcessFleet(own, workers=1, batch_size=4, num_samples=_SAMPLES,
                       seed=_SEED) as rebuilt:
@@ -258,7 +258,8 @@ def test_moved_epoch_refused_with_typed_error():
                                                 "staleness": 1}
         assert report.stats.max_staleness == 1
     # A refresh with no ingest since the last fit moves neither epoch, but
-    # it does swap the model: a fleet exported before it is refused too.
+    # it does swap the model and move the version: a fleet exported before
+    # it is refused too.
     controller = RefreshController(own)
     controller.refresh("users")
     with ProcessFleet(own, workers=1, batch_size=4, num_samples=_SAMPLES,

@@ -1,10 +1,10 @@
-"""Live refresh: RefreshController and the epoch-invalidation grid.
+"""Live refresh: RefreshController and the version-invalidation grid.
 
 Two halves.  ``TestRefreshController`` drives the ingest -> stale-serve ->
 refresh loop directly: drift scoring against the serving model, the
 staleness/drift triggers, fine-tune swaps and the cold-rebuild fallback.
-``TestEpochInvalidationGrid`` is the satellite invariance grid: after an
-epoch bump every cache layer (result cache, per-engine conditional caches,
+``TestEpochInvalidationGrid`` is the invariance grid: after a version
+move every cache layer (result cache, per-engine conditional caches,
 the packed group cache) must report **zero** stale hits, and a long-lived
 router that lived through ingest + refresh must answer bit-identically to a
 cold router built over the refreshed registry.
@@ -107,7 +107,7 @@ class TestRefreshController:
         assert refreshed is not estimator              # a fine-tuned copy
         assert refreshed is registry.estimator("users")
         assert refreshed.num_rows == registry.relation("users").num_rows
-        assert registry.serving_epoch("users") == (2, 2, 1)
+        assert registry.version("users") == 3
         assert controller.refreshes["users"] == 1
         assert controller.due() == []
 
@@ -138,11 +138,26 @@ class TestRefreshController:
         record = controller.ingest("users", make_users(num_users=30, seed=7))
         assert record["refresh_due"]
         assert registry.estimator("users") is served
-        assert registry.serving_epoch("users") == (1, 0, 0)
+        assert registry.version("users") == 1
         assert controller.refreshes == {}
         controller.refresh("users")
         assert registry.staleness("users") == 0
         assert controller.refreshes["users"] == 1
+
+    def test_refresh_without_ingest_rescores_drift_on_the_new_model(self):
+        """Regression: the drift baseline was cached per model epoch, which a
+        refresh with no ingest since the last fit leaves where it was, so
+        the refreshed model's cross-entropy was set against the old model's
+        baseline (-0.0041 bits where a fresh controller reads +0.0688)."""
+        registry = _registry()
+        registry.fit_all()
+        controller = RefreshController(registry)
+        rows = make_users(num_users=20, seed=7)
+        before = controller.drift_bits("users", rows)
+        controller.refresh("users")
+        after = controller.drift_bits("users", rows)
+        assert after != before
+        assert after == RefreshController(registry).drift_bits("users", rows)
 
     def test_out_of_vocabulary_ingest_forces_cold_rebuild(self):
         registry = _registry()
@@ -155,11 +170,11 @@ class TestRefreshController:
         assert rebuilt is not old                      # new model, new dicts
         assert isinstance(rebuilt, NaruEstimator) and rebuilt._fitted
         assert rebuilt.num_rows == registry.relation("users").num_rows
-        assert registry.serving_epoch("users") == (1, 1, 1)
+        assert registry.version("users") == 2
 
 
 class TestEpochInvalidationGrid:
-    """Satellite grid: an epoch bump kills every cache layer, atomically."""
+    """A version move kills every cache layer, atomically."""
 
     @pytest.fixture()
     def served(self):
@@ -206,16 +221,16 @@ class TestEpochInvalidationGrid:
                            seed=_SEED, result_cache=True,
                            cache_entries=400).run(queries)
         np.testing.assert_array_equal(post.selectivities, cold.selectivities)
-        # The replica group was swapped, and its pooled conditional cache is
-        # stamped with the new data epoch.
+        # The replica group was swapped around a fresh pooled conditional
+        # cache.
         group_after = router.group("users")
         assert group_after is not group_before
-        assert group_after.cache.epoch == registry.data_epoch("users")
+        assert group_after.cache is not group_before.cache
         assert post.stats.epochs["users"] == {"data_epoch": 1,
                                               "model_epoch": 1,
                                               "staleness": 0}
         assert post.stats.max_staleness == 0
-        # Once refreshed, the cache warms again at the new epoch.
+        # Once refreshed, the cache warms again at the new version.
         rewarmed = router.run(queries)
         assert rewarmed.result_cache_hits == len(queries)
 
@@ -223,7 +238,7 @@ class TestEpochInvalidationGrid:
                                                                  served):
         """A refresh fine-tunes the model even when nothing was ingested
         since the last fit, so both epochs stand still; the swap
-        still moves the serving epoch, and a long-lived router serves the
+        still moves the relation's version, and a long-lived router serves the
         refreshed model exactly like a fresh one — no pre-refresh result or
         conditional-cache entry answers a query."""
         registry, router, queries, first = served
@@ -280,10 +295,10 @@ class TestEpochInvalidationGrid:
 
     def test_mid_scope_refresh_caches_no_old_answer_as_new(self):
         """Regression: a unit built before a mid-scope refresh stamped the
-        answers it went on serving with the route's *new* serving epoch, so
+        answers it went on serving with the route's *new* version, so
         the next scope served 7 of 12 old-version answers from the result
         cache (up to 8.4e-2 off a fresh router's).  A unit's answers carry
-        the epoch it was built at."""
+        the version it was built at."""
         _, _, new, fresh = self._refresh_mid_scope(result_cache=True)
         np.testing.assert_array_equal(new.selectivities, fresh.selectivities)
         assert new.result_cache_hits == fresh.result_cache_hits
