@@ -31,6 +31,7 @@ Experiment ↔ paper mapping:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import tempfile
@@ -59,7 +60,7 @@ from ..data import (
     make_users,
     partition_by_column,
 )
-from ..data.shift import PartitionedIngest, encode_with_dictionaries
+from ..data.shift import encode_with_dictionaries
 from ..estimators import (
     CardinalityEstimator,
     ChowLiuEstimator,
@@ -78,9 +79,8 @@ from ..query import (
     Query,
     WorkloadGenerator,
     q_error,
-    summarize_errors,
+    true_cardinality,
     true_selectivities,
-    true_selectivity,
 )
 from ..query.predicates import DNFQuery
 from ..query.shapes import query_shape
@@ -134,7 +134,6 @@ __all__ = [
     "serve_replicated",
     "serve_stream",
     "serve_procfleet",
-    "serve_refresh",
     "serve_loadgen",
     "serve_ensemble",
     "estimates_digest",
@@ -543,55 +542,79 @@ def figure8_column_scaling(scale: ExperimentScale | None = None,
 # Table 8 — data shifts
 # --------------------------------------------------------------------------- #
 def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
-    """Reproduce Table 8: stale vs refreshed Naru under partition-by-partition ingest."""
+    """Reproduce Table 8: stale vs refreshed Naru under partition-by-partition ingest.
+
+    One model, built on the full table's dictionaries (§6.7.3's "domain from
+    user annotation") and trained on partition 1, serves two relations of one
+    registry behind one long-lived, result-cached router.  Both ingest every
+    partition through one :class:`repro.serve.RefreshController` (so both
+    know today's row count); only ``refreshed`` is then fine-tuned, one epoch
+    per partition.  ``queries_changed`` counts the queries a partition holds
+    a matching row for.  The header claims: the last row's estimates against
+    a never-cached router, the pre-ingest entries the lookups refused, and
+    the last row's (hence the worst) staleness served.
+    """
     scale = scale or active_scale()
     table = make_dmv(scale.dmv_rows)
     partitions = partition_by_column(table, "valid_date", scale.shift_partitions)
-
-    # Both estimators are built against the *full-table* dictionaries (the
-    # paper's "domain from user annotation" route), then trained on partition 1.
     config = NaruConfig(hidden_sizes=scale.naru_hidden, epochs=0,
                         batch_size=scale.naru_batch_size,
                         progressive_samples=scale.naru_samples[-1], seed=0)
-    stale = NaruEstimator(table, config)
-    refreshed = NaruEstimator(table, config.with_overrides(seed=0))
+    trained = NaruEstimator(table, config)
+    trained.refresh(encode_with_dictionaries(table, partitions[0]),
+                    epochs=scale.naru_epochs)
+    trained.set_row_count(partitions[0].num_rows)
+    registry = ModelRegistry(default_config=config)
+    registry.register_table(partitions[0], name="refreshed", estimator=trained)
+    registry.register_table(partitions[0], name="stale", estimator=copy.deepcopy(
+        trained, {id(table): table}))
+    controller = RefreshController(registry, refresh_epochs=1)
+    queries = WorkloadGenerator(
+        partitions[0], min_filters=5, max_filters=min(11, table.num_columns),
+        seed=900).generate(scale.shift_queries)
+    # matches[p, i]: partition p's rows matching query i; the visible
+    # relation's exact cardinalities are their running sum.
+    matches = np.array([[true_cardinality(part, query) for query in queries]
+                        for part in partitions])
+    truths = np.cumsum(matches, axis=0)
 
-    first = encode_with_dictionaries(table, partitions[0])
-    stale.refresh(first, epochs=scale.naru_epochs)
-    refreshed.refresh(first, epochs=scale.naru_epochs)
+    serving = {"num_samples": config.progressive_samples, "seed": 0,
+               "result_cache": True, "cache_entries": 8_192}
 
-    generator = WorkloadGenerator(partitions[0], min_filters=5,
-                                  max_filters=min(11, table.num_columns), seed=900)
-    queries = generator.generate(scale.shift_queries)
+    def serve(router: FleetRouter) -> dict:
+        return {name: router.run([query.qualified(name) for query in queries])
+                for name in registry.names}
 
-    visible = partitions[0]
-    visible_codes = first
+    router = FleetRouter(registry, **serving)
     rows = []
-    results = []
-    for index in range(scale.shift_partitions):
+    for index, part in enumerate(partitions):
         if index > 0:
-            visible = visible.concat(partitions[index])
-            visible_codes = np.concatenate(
-                [visible_codes, encode_with_dictionaries(table, partitions[index])])
-            refreshed.refresh(visible_codes, epochs=1)
-        for estimator in (stale, refreshed):
-            estimator.set_row_count(visible.num_rows)
-
-        entry = {"partitions_ingested": index + 1}
-        for label, estimator in (("stale", stale), ("refreshed", refreshed)):
-            errors = []
-            for query in queries:
-                truth = true_selectivity(visible, query) * visible.num_rows
-                errors.append(q_error(estimator.estimate_cardinality(query), truth))
-            summary = summarize_errors(errors)
-            entry[f"{label}_p90"] = float(np.quantile(errors, 0.90))
-            entry[f"{label}_max"] = summary.maximum
-        results.append(entry)
+            for name in registry.names:
+                controller.ingest(name, part)
+            controller.refresh("refreshed")
+        served = serve(router)
+        entry = {"partitions_ingested": index + 1,
+                 "queries_changed": int(np.count_nonzero(matches[index]))}
+        for name, report in served.items():
+            errors = [q_error(estimate, truth) for estimate, truth
+                      in zip(report.cardinalities, truths[index])]
+            entry[f"{name}_p90"] = float(np.quantile(errors, 0.90))
+            entry[f"{name}_max"] = max(errors)
         rows.append(entry)
-    text = format_series(rows, ["partitions_ingested", "refreshed_p90", "refreshed_max",
-                                "stale_p90", "stale_max"],
-                         "Table 8: robustness to data shifts (DMV partitioned by date)")
-    return {"results": results, "text": text}
+
+    cold = serve(FleetRouter(registry, **serving))
+    claims = {
+        "invalid_cache_hits": sum(int(np.count_nonzero(
+            served[name].selectivities != cold[name].selectivities))
+            for name in registry.names),
+        "result_cache_stale_rejects":
+            router.result_cache.stats.as_dict()["lifetime"]["stale_rejects"],
+        "max_staleness_served": served["stale"].stats.max_staleness}
+    header = ", ".join(f"{key} {value}" for key, value in claims.items())
+    text = format_series(rows, list(rows[0]), "Table 8: robustness to data "
+                         f"shifts (DMV partitioned by date): {header}")
+    return {"results": rows, "text": text, **claims,
+            "epochs": served["refreshed"].stats.epochs}
 
 
 # --------------------------------------------------------------------------- #
@@ -628,13 +651,12 @@ class _ServeFleet:
     is the serving path's doing.
     """
 
-    def __init__(self, scale: ServeScale, *, epochs: int | None = None,
+    def __init__(self, scale: ServeScale, *,
                  hidden: tuple[int, ...] = (64, 64)) -> None:
         self.scale = scale
-        config = NaruConfig(
-            epochs=scale.epochs if epochs is None else epochs,
-            hidden_sizes=hidden, batch_size=256,
-            progressive_samples=scale.samples, seed=0)
+        config = NaruConfig(epochs=scale.epochs, hidden_sizes=hidden,
+                            batch_size=256, progressive_samples=scale.samples,
+                            seed=0)
         self.registry = ModelRegistry(default_config=config)
 
     def register_users_sessions(self, *, join: bool = False) -> None:
@@ -1159,108 +1181,6 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
         f"batch={scale.batch_size})",
         report, rows, timing, _throughput_rows(wall_s, len(queries)),
         proc.selectivities)
-
-
-def serve_refresh(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: live refresh of a serving fleet under data shift.
-
-    Table 8 measures stale vs refreshed *estimators*; this experiment runs
-    the same partition-by-partition ingest protocol against a *serving
-    fleet* — a :class:`repro.serve.FleetRouter` with an epoch-keyed result
-    cache, fed through :class:`repro.serve.RefreshController`.  One Naru
-    model is built on the full table's dictionaries, trained on partition 1
-    and registered behind the router; then every remaining partition of a
-    :class:`repro.data.PartitionedIngest` is ingested through the controller
-    (bumping the relation's data epoch and scoring the drift of the incoming
-    rows), with the workload replayed after each ingest while the fleet
-    serves *stale* — so the measured q-error degrades exactly as the
-    relation drifts away from the model.  A single fine-tune refresh then
-    swaps the next model version in atomically and the same workload
-    recovers.
-
-    Two correctness counters ride along.  ``invalid_cache_hits`` compares
-    the long-lived router's post-refresh estimates bit-for-bit against a
-    cold router built over the refreshed registry: any cache entry (result
-    cache or conditional cache) that unlawfully survived an epoch bump would
-    surface here as a differing bit, so the count must be exactly 0.
-    ``result_cache_stale_rejects`` counts the epoch-mismatched result-cache
-    entries that lookups *refused* to serve — it must be positive, proving
-    the replays actually collided with pre-bump cache state rather than
-    never touching it.
-    """
-    scale = (scale or active_scale()).serve_refresh
-    table = make_dmv(scale.rows)
-    ingest = PartitionedIngest(table, "valid_date", scale.partitions)
-    visible = ingest.ingest_next()
-
-    # Full-table dictionaries ("domain from user annotation", §6.7.3), model
-    # trained only on the first partition — the serving twin of table8.
-    fleet = _ServeFleet(scale, epochs=0)
-    registry = fleet.registry
-    estimator = NaruEstimator(table, registry.default_config)
-    estimator.refresh(encode_with_dictionaries(table, visible),
-                      epochs=scale.epochs)
-    estimator.set_row_count(visible.num_rows)
-    registry.register_table(visible, name="dmv", estimator=estimator)
-    controller = RefreshController(
-        registry, max_staleness=0,
-        refresh_epochs=scale.fine_tune_epochs)
-    queries = fleet.workload(min_filters=5, max_filters=11, seed=900)
-
-    def router_for() -> FleetRouter:
-        return fleet.router(result_cache=True, cache_entries=8_192)
-
-    router = router_for()
-    rows, timing_rows = [], []
-
-    def measure(phase: str):
-        served, elapsed = _timed(router.run, queries)
-        current = registry.relation("dmv")
-        errors = [q_error(result.cardinality,
-                          true_selectivity(current, result.query)
-                          * current.num_rows)
-                  for result in served.results]
-        rows.append({
-            "phase": phase,
-            "partitions": ingest.num_ingested,
-            "staleness": registry.staleness("dmv"),
-            "drift_bits": controller.last_drift_bits.get("dmv") or 0.0,
-            "p90": float(np.quantile(errors, 0.90)),
-            "max": summarize_errors(errors).maximum,
-        })
-        timing_rows.append({"phase": phase, "elapsed_s": elapsed})
-        return served
-
-    measure("fresh")
-    while ingest.remaining():
-        part = ingest.partitions[ingest.num_ingested]
-        ingest.ingest_next()
-        record = controller.ingest("dmv", part)
-        measure(f"stale+{record['staleness']}")
-
-    controller.refresh("dmv")
-    refreshed = measure("refreshed")
-
-    # The zero-stale-hit proof: a cold router over the refreshed registry
-    # has never seen a single pre-bump cache entry, so any surviving stale
-    # state in the long-lived router shows up as a differing estimate.
-    cold = router_for().run(queries)
-    cache_stats = router.result_cache.stats.as_dict()
-    report = {
-        "invalid_cache_hits": int(np.count_nonzero(
-            refreshed.selectivities != cold.selectivities)),
-        "result_cache_stale_rejects": cache_stats["lifetime"]["stale_rejects"],
-        "max_staleness_served": max(entry["staleness"] for entry in rows),
-        "num_queries": len(queries),
-        "results": rows,
-        "result_cache": cache_stats,
-        "epochs": refreshed.stats.epochs,
-    }
-    return _serve_result(
-        f"Live refresh under partitioned ingest (DMV by date, "
-        f"{scale.partitions} partitions)",
-        report, rows, {"replays": timing_rows}, timing_rows,
-        refreshed.selectivities)
 
 
 def serve_loadgen(scale: ExperimentScale | None = None) -> dict:

@@ -30,7 +30,8 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., dict]]] = {
                 experiments.figure7_entropy_gap),
     "figure8": ("Accuracy vs column count (oracle)",
                 experiments.figure8_column_scaling),
-    "table8": ("Robustness to data shifts",
+    "table8": ("Robustness to data shifts: stale vs refreshed model "
+               "behind one result-cached router",
                experiments.table8_data_shift),
     "serve": ("Serving throughput: batched engine vs sequential sampling",
               experiments.serve_throughput),
@@ -46,10 +47,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., dict]]] = {
     "serve_procfleet": ("Cross-process sharded fleet: N OS worker processes "
                         "vs the single-process router",
                         experiments.serve_procfleet),
-    "serve_refresh": ("Live refresh under partitioned ingest: stale-model "
-                      "q-error degrades, one fine-tune recovers it, zero "
-                      "invalid cache hits",
-                      experiments.serve_refresh),
     "serve_loadgen": ("Open-loop load generation: latency-vs-offered-load "
                       "curve, SLO knee, and chaos drills asserted "
                       "degraded-not-collapsed",

@@ -41,8 +41,6 @@ class ServeScale:
     hot_fraction: float = 0.0  # serve_replicated, serve_stream: sessions share
     burst: int = 0  # serve_stream: hot queries per uninterrupted run
     workers: int = 0  # serve_procfleet, serve_loadgen: OS worker processes
-    partitions: int = 0  # serve_refresh: ingest partitions
-    fine_tune_epochs: int = 0  # serve_refresh: epochs of the one refresh
     duration_s: float = 0.0  # serve_loadgen: seconds per offered rate
     #: serve_loadgen: offered rates as multiples of the probed capacity, from
     #: well under to far over saturation so the knee lies inside the sweep.
@@ -82,7 +80,6 @@ class ExperimentScale:
     serve_replicated: ServeScale
     serve_stream: ServeScale
     serve_procfleet: ServeScale
-    serve_refresh: ServeScale
     serve_loadgen: ServeScale
     serve_ensemble: ServeScale
 
@@ -117,8 +114,6 @@ SMOKE = ExperimentScale(
                             epochs=6, burst=12, hot_fraction=0.75),
     serve_procfleet=ServeScale(rows=2_500, users=300, queries=192, samples=600, batch_size=12,
                                epochs=5, workers=4),
-    serve_refresh=ServeScale(rows=3_000, queries=48, samples=600, batch_size=12, epochs=6,
-                             partitions=4, fine_tune_epochs=1),
     serve_loadgen=ServeScale(rows=2_000, users=200, queries=48, samples=400, batch_size=8,
                              epochs=5, replicas=2, max_pending=32, workers=2, duration_s=1.5,
                              rate_fractions=(0.25, 0.5, 1.0, 2.0, 4.0)),
@@ -159,8 +154,6 @@ PAPER = ExperimentScale(
                             epochs=12, burst=16, hot_fraction=0.8),
     serve_procfleet=ServeScale(rows=8_000, users=800, queries=480, samples=1_200,
                                batch_size=16, epochs=12, workers=4),
-    serve_refresh=ServeScale(rows=10_000, queries=200, samples=1_200, batch_size=16,
-                             epochs=12, partitions=5, fine_tune_epochs=2),
     serve_loadgen=ServeScale(rows=6_000, users=600, queries=120, samples=800, batch_size=16,
                              epochs=10, replicas=4, max_pending=64, workers=4, duration_s=5.0,
                              rate_fractions=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)),

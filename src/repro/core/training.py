@@ -150,12 +150,3 @@ class Trainer:
         # training's allocations have brought almost due.
         gc.collect()
         return self.history
-
-    def fine_tune(self, table: Table, epochs: int = 1) -> TrainingHistory:
-        """Continue training on tuples from a (possibly updated) relation.
-
-        Used for the data-shift study (§6.7.3): after new partitions are
-        ingested the existing model receives gradient updates on samples from
-        the updated relation, without being rebuilt from scratch.
-        """
-        return self.train(epochs, codes=table.encoded())

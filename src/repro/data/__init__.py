@@ -13,7 +13,7 @@ from .datasets import (
     make_users,
 )
 from .joins import JoinSampler, JoinSpec, hash_join
-from .shift import PartitionedIngest, encode_with_dictionaries, partition_by_column
+from .shift import encode_with_dictionaries, partition_by_column
 from .table import Column, Table
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "JoinSpec",
     "partition_by_column",
     "encode_with_dictionaries",
-    "PartitionedIngest",
 ]

@@ -2,8 +2,10 @@
 
 The paper partitions DMV by a date column into five parts, ingests them one by
 one ("one new partition per day") and measures how a stale estimator degrades
-versus one that is fine-tuned after every ingest.  :class:`PartitionedIngest`
-reproduces that protocol for any table and partitioning column.
+versus one that is fine-tuned after every ingest.  :func:`partition_by_column`
+cuts the partitions; :func:`encode_with_dictionaries` expresses ingested rows
+in an already trained model's code space.  The protocol itself runs through a
+serving registry (:class:`repro.serve.RefreshController`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .table import Table
 
-__all__ = ["partition_by_column", "encode_with_dictionaries", "PartitionedIngest"]
+__all__ = ["partition_by_column", "encode_with_dictionaries"]
 
 
 def encode_with_dictionaries(base: Table, rows: Table) -> np.ndarray | None:
@@ -57,46 +59,3 @@ def partition_by_column(table: Table, column_name: str,
         rows = order[boundaries[part]:boundaries[part + 1]]
         partitions.append(table.take_rows(rows, name=f"{table.name}_part{part}"))
     return partitions
-
-
-class PartitionedIngest:
-    """Replays a table as a sequence of partition ingests.
-
-    After each :meth:`ingest_next` call, :attr:`visible` is the union of all
-    partitions ingested so far — the relation an estimator would see at that
-    point in time.
-    """
-
-    def __init__(self, table: Table, column_name: str, num_partitions: int) -> None:
-        self.partitions = partition_by_column(table, column_name, num_partitions)
-        self._ingested = 0
-        self._visible: Table | None = None
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def num_ingested(self) -> int:
-        """How many partitions have been ingested so far."""
-        return self._ingested
-
-    @property
-    def visible(self) -> Table:
-        """The union of all ingested partitions."""
-        if self._visible is None:
-            raise RuntimeError("no partition has been ingested yet")
-        return self._visible
-
-    def ingest_next(self) -> Table:
-        """Ingest the next partition and return the newly visible table."""
-        if self._ingested >= self.num_partitions:
-            raise RuntimeError("all partitions have already been ingested")
-        part = self.partitions[self._ingested]
-        self._visible = part if self._visible is None else self._visible.concat(part)
-        self._ingested += 1
-        return self._visible
-
-    def remaining(self) -> int:
-        """Number of partitions not yet ingested."""
-        return self.num_partitions - self._ingested

@@ -15,19 +15,21 @@ protocol of the paper's data-shift study (§6.7.3 / Table 8):
    trained on (:func:`repro.core.training.cross_entropy_bits`).  Rows the
    model already explains score near zero; a shifted partition scores high.
 2. **Stale serving under a bound** — the fleet keeps answering from the
-   stale model (routers key their caches on the relation's version, which
+   stale model's selectivities, scaled by the grown relation's row count
+   (the ingest sets it, as the paper's stale model knows today's row
+   count).  Routers key their caches on the relation's version, which
    every ingest moves, so nothing *cached* before the ingest is ever served
-   again).  The controller flags the relation ``refresh_due`` once its
+   again.  The controller flags the relation ``refresh_due`` once its
    staleness exceeds ``max_staleness``; the drift score is reported
    alongside, for the operator to read.
 3. **Refresh and atomic swap** — :meth:`RefreshController.refresh`
    fine-tunes a copy of the existing model on the grown relation
    (:meth:`repro.core.estimator.NaruEstimator.refresh`, with the *original*
-   dictionaries via :func:`repro.data.shift.encode_with_dictionaries`),
-   sets the copy's serving row count and registers it with ``replace=True`` —
-   stamping the model epoch to the data epoch and moving the relation's
-   version in one step, so routers pick the new version up atomically at
-   their next scope boundary, with or without an ingest since the last fit.
+   dictionaries via :func:`repro.data.shift.encode_with_dictionaries`) and
+   registers the copy with ``replace=True`` — stamping the model epoch to
+   the data epoch and moving the relation's version in one step, so routers
+   pick the new version up atomically at their next scope boundary, with or
+   without an ingest since the last fit.
    Values the old dictionaries cannot encode force a cold rebuild instead of
    a fine-tune.
 """
@@ -170,17 +172,18 @@ class RefreshController:
         """Every registered relation currently flagged for a refresh."""
         return [name for name in self.registry.names if self.refresh_due(name)]
 
-    def refresh(self, name: str, *,
-                epochs: int | None = None) -> CardinalityEstimator:
+    def refresh(self, name: str) -> CardinalityEstimator:
         """Produce the relation's next model version and swap it in atomically.
 
         Fine-tunes a copy of the existing Naru estimator — its model and
         trainer, sharing the training :class:`~repro.data.table.Table` — on
         the grown relation encoded with its *original* dictionaries (the
-        §6.7.3 protocol), sets the copy's serving row count, and registers
-        the copy with ``replace=True``.  The estimator a live replica group
-        serves is never touched, so the group keeps answering from the old
-        version, with its conditional cache, until the scope boundary.  The
+        §6.7.3 protocol) for ``refresh_epochs`` passes, and registers the
+        copy with ``replace=True``; the copy already scales by the grown
+        relation's rows, which every ingest sets.  The estimator a live
+        replica group serves is never touched, so the group keeps answering
+        from the old version, with its conditional cache, until the scope
+        boundary.  The
         registration stamps ``model_epoch = data_epoch`` and moves the
         relation's :meth:`~repro.serve.registry.ModelRegistry.version` (even
         with no ingest since the last fit), so routers rebuild the
@@ -203,10 +206,7 @@ class RefreshController:
         else:
             refreshed = copy.deepcopy(estimator,
                                       {id(estimator.table): estimator.table})
-            refreshed.refresh(codes,
-                              epochs=epochs if epochs is not None
-                              else self.refresh_epochs)
-            refreshed.set_row_count(table.num_rows)
+            refreshed.refresh(codes, epochs=self.refresh_epochs)
             self.registry.register_table(table, name=name, estimator=refreshed,
                                          replace=True)
         self.refreshes[name] = self.refreshes.get(name, 0) + 1

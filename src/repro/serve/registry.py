@@ -292,15 +292,20 @@ class ModelRegistry:
         """Append rows to a relation and bump its data epoch; returns the epoch.
 
         The relation's backing table is replaced by the concatenation (same
-        schema required, see :meth:`repro.data.Table.concat`); the serving
-        estimator is deliberately left untouched — it keeps serving *stale*
-        estimates at the old row count until a refresh swaps in the next
-        model version (:class:`repro.serve.refresh.RefreshController`).
+        schema required, see :meth:`repro.data.Table.concat`).  The serving
+        model is deliberately left untouched — it keeps serving *stale*
+        selectivities until a refresh swaps in the next model version
+        (:class:`repro.serve.refresh.RefreshController`) — but it knows
+        today's row count, as the paper's stale model does (§6.7.3): the
+        built estimator and fallback scale by the grown relation's rows.
         The relation's :meth:`version` moves too, so version-keyed caches
         reject their now-stale entries on the next lookup.
         """
         table = self.relation(name)
-        self._relations[name] = table.concat(rows, name=table.name)
+        grown = self._relations[name] = table.concat(rows, name=table.name)
+        for estimator in (self._estimators.get(name), self._fallbacks.get(name)):
+            if estimator is not None:
+                estimator.set_row_count(grown.num_rows)
         self._epochs[name] = self._epochs.get(name, 0) + 1
         self._versions[name] = self._versions.get(name, 0) + 1
         return self._epochs[name]
@@ -308,8 +313,9 @@ class ModelRegistry:
     def serving_rows(self, name: str) -> int:
         """The row count estimates for one relation scale by.
 
-        The built estimator's (possibly refreshed via ``set_row_count``)
-        count when a model exists, falling back to the raw relation's —
+        The built estimator's count (which every :meth:`ingest` sets to the
+        grown relation's) when a model exists, falling back to the raw
+        relation's —
         so cardinalities derived from cached selectivities agree with the
         model-served path even after data-shift updates.
         """

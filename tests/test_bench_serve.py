@@ -1,4 +1,4 @@
-"""Tier-1 run of the eight ``serve_*`` experiments at a tiny scale.
+"""Tier-1 run of the seven ``serve_*`` experiments at a tiny scale.
 
 ``benchmarks/test_serve_*.py`` run them at bench scale and write
 ``results/``; this file runs the same ``check_invariants`` functions at the
@@ -24,8 +24,8 @@ from repro.bench.scales import ServeScale
 BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
 SERVE_EXPERIMENTS = ("serve_throughput", "serve_multi", "serve_replicated",
-                     "serve_stream", "serve_procfleet", "serve_refresh",
-                     "serve_loadgen", "serve_ensemble")
+                     "serve_stream", "serve_procfleet", "serve_loadgen",
+                     "serve_ensemble")
 
 #: The experiments whose tracked report keeps a digest of their estimates.
 TRACKS_ESTIMATES = tuple(name for name in SERVE_EXPERIMENTS
@@ -47,9 +47,6 @@ TINY = dataclasses.replace(
         batch_size=12, epochs=2, burst=6),
     serve_procfleet=ServeScale(rows=700, users=120, queries=24, samples=200,
                                batch_size=6, epochs=2, workers=2),
-    serve_refresh=dataclasses.replace(
-        bench.SMOKE.serve_refresh, rows=1_200, queries=16, samples=200,
-        batch_size=6, epochs=2, partitions=3),
     serve_loadgen=dataclasses.replace(
         bench.SMOKE.serve_loadgen, rows=700, users=120, queries=32, samples=200,
         epochs=2, duration_s=0.1),

@@ -573,7 +573,7 @@ class TestTraining:
         try:
             trainer.train(epochs=4)
             assert gc.collect() == 0
-            trainer.fine_tune(embed_table, epochs=1)
+            trainer.train(1, codes=embed_table.encoded())
             assert gc.collect() == 0
             estimator.refresh(embed_table.encoded(), epochs=1)
             assert gc.collect() == 0
@@ -618,11 +618,11 @@ class TestTraining:
         finally:
             gc.enable()
 
-    def test_fine_tune_runs(self, embed_table):
+    def test_history_accumulates_across_train_calls(self, embed_table):
         model = MADEModel(embed_table, hidden_sizes=(16,), seed=0)
         trainer = Trainer(model, embed_table, batch_size=256)
         trainer.train(epochs=1)
-        history = trainer.fine_tune(embed_table, epochs=1)
+        history = trainer.train(1, codes=embed_table.encoded())
         assert history.num_epochs == 2
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.data import (
     ColumnSpec,
     JoinSampler,
-    PartitionedIngest,
     Table,
     hash_join,
     make_census,
@@ -179,19 +178,6 @@ class TestPartitionedIngest:
         maxima = [part.column("year").values.max() for part in partitions[:-1]]
         minima = [part.column("year").values.min() for part in partitions[1:]]
         assert all(low <= high for low, high in zip(maxima, minima))
-
-    def test_ingest_protocol(self, tiny_table):
-        ingest = PartitionedIngest(tiny_table, "year", 3)
-        with pytest.raises(RuntimeError):
-            _ = ingest.visible
-        sizes = []
-        while ingest.remaining():
-            visible = ingest.ingest_next()
-            sizes.append(visible.num_rows)
-        assert sizes[-1] == tiny_table.num_rows
-        assert sizes == sorted(sizes)
-        with pytest.raises(RuntimeError):
-            ingest.ingest_next()
 
     def test_invalid_partition_count(self, tiny_table):
         with pytest.raises(ValueError):

@@ -45,6 +45,18 @@ def test_streaming_slo_example_smoke(capsys):
     assert drift <= 1e-12
 
 
+def test_data_refresh_example_smoke(capsys):
+    """The data-shift example runs the registry + controller + router
+    protocol end to end at smoke scale: one line per ingested partition."""
+    _load_example("data_refresh").main(num_rows=600, num_partitions=3,
+                                       epochs=1, num_queries=6, samples=40)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["ingested", "stale", "max", "refreshed", "max"]
+    assert [line.split()[0] for line in lines[1:]] == ["1", "2", "3"]
+    # One model serves both relations until the first refresh.
+    assert lines[1].split()[1] == lines[1].split()[2]
+
+
 def test_multi_model_serving_example_importable():
     """The multi-model example must at least import against the current API
     (its full run is minutes-scale; the CLI and benches cover the behaviour)."""

@@ -9,6 +9,7 @@ from repro.core import NaruConfig
 from repro.data import JoinSpec, hash_join, make_sessions, make_users
 from repro.estimators import SamplingEstimator
 from repro.query import Operator, Predicate, Query, WorkloadGenerator
+from repro.query.predicates import DNFQuery
 from repro.serve import (
     FleetRouter,
     ModelRegistry,
@@ -200,8 +201,46 @@ _VERSION_EVENTS = [
 ]
 
 
+#: ``(path, workload, served by)``: each way a router answers a query,
+#: served after an ingest with no refresh.  The last result of
+#: ``workload(conjunction, disjunction)`` is the one checked; at
+#: ``batch_size=1`` a repeat within one run is a result-cache hit.
+_SERVING_PATHS = [
+    ("model", lambda conj, dnf: [conj], "Naru-40"),
+    ("result-cache", lambda conj, dnf: [conj, conj], "cache"),
+    ("fallback", lambda conj, dnf: [dnf], "Sample(100.0%)"),
+]
+
+
 class TestRegistryEpochs:
     """Data/model epoch stamping: ingest, staleness, and replace semantics."""
+
+    @pytest.mark.parametrize("workload, served_by",
+                             [row[1:] for row in _SERVING_PATHS],
+                             ids=[row[0] for row in _SERVING_PATHS])
+    def test_stale_answers_scale_by_the_grown_row_count(self, users, workload,
+                                                        served_by):
+        """The stale model knows today's row count (§6.7.3): after an ingest
+        with no refresh, every serving path reads selectivity x the grown
+        relation's rows."""
+        registry = ModelRegistry(default_config=NaruConfig(
+            epochs=1, hidden_sizes=(8, 8), progressive_samples=40, seed=0,
+            max_dnf_branches=2))
+        registry.register_table(users, fallback=SamplingEstimator(
+            users, fraction=1.0, seed=0))
+        registry.fit_all()
+        registry.ingest("users", make_users(num_users=20, seed=95))
+        assert registry.staleness("users") == 1
+        conj = Query([Predicate("plan", Operator.EQ, "pro")], table="users")
+        dnf = DNFQuery.from_tuples([[("plan", "=", plan)] for plan in
+                                    ("free", "basic", "pro")], table="users")
+        router = FleetRouter(registry, batch_size=1, num_samples=40, seed=0,
+                             result_cache=True)
+        result = router.run(workload(conj, dnf)).results[-1]
+        assert result.estimator == served_by
+        assert result.selectivity > 0
+        assert result.cardinality == (result.selectivity
+                                      * registry.relation("users").num_rows)
 
     @pytest.mark.parametrize("setup, action, move",
                              [row[1:] for row in _VERSION_EVENTS],
