@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one table or figure of the paper — or one serving
-experiment beyond it — at a reduced ("bench") scale; the whole suite takes a
-few minutes on a CPU.  The ``save_report`` fixture is the one writer of ``results/``
+Each benchmark regenerates one table or figure of the paper — or runs one
+serving wall-clock gate beyond it — at a reduced ("bench") scale; the whole
+suite takes a few minutes on a CPU.  The ``save_report`` fixture is the one writer of ``results/``
 (see docs/reproducing.md for the artifact ↔ experiment map).
 
 Set ``REPRO_SCALE=paper`` and run ``python -m repro.bench run all`` for the
@@ -54,14 +54,14 @@ def bench_scale() -> ExperimentScale:
 def _save_report(name: str, result: dict) -> None:
     """Persist one experiment's result under ``results/``, split by tracking.
 
-    What the seed determines — ``text``, and the ``report`` JSON of the
-    serving experiments — goes to the tracked ``results/<name>.{txt,json}``
-    and comes back byte-identical from a run on an unchanged tree; whatever a
-    clock was read for (``timing_text``/``timing``) goes to the git-ignored
+    What the seed determines (``text``) goes to the tracked
+    ``results/<name>.txt`` and comes back byte-identical from a run on an
+    unchanged tree; whatever a clock was read for (``timing_text``, and the
+    ``timing`` JSON of the serving experiments) goes to the git-ignored
     ``results/timing/``.  Each part is written only if the result has it.
     """
     for directory, text, data in (
-            (RESULTS_DIR, result.get("text"), result.get("report")),
+            (RESULTS_DIR, result.get("text"), None),
             (os.path.join(RESULTS_DIR, "timing"),
              result.get("timing_text"), result.get("timing"))):
         os.makedirs(directory, exist_ok=True)

@@ -1,16 +1,14 @@
-"""Open-loop load generation — the latency-vs-offered-load curve and chaos.
+"""Open-loop load generation — the latency-vs-offered-load curve and its knee.
 
 Not a reproduction of a paper table: guards the serve fleet's behaviour
 *under offered load it did not agree to*, as
 :func:`repro.bench.serve_loadgen` measures it: the latency-vs-offered-load
-curve with its SLO knee, and the chaos drills (slow replica, cache wipe,
-worker kill) with the degradation contract asserted — bounded queue growth,
-typed counted refusals, zero estimate drift on everything that completed.
-
-The latency column the knee is read from measures completion against each
-query's *scheduled* arrival (no coordinated omission), so past saturation it
-grows without bound while the from-submission number stays flat — the gap
-is the point of open-loop testing.
+curve with its SLO knee.  The latency column the knee is read from measures
+completion against each query's *scheduled* arrival (no coordinated
+omission), so past saturation it grows without bound while the
+from-submission number stays flat — the gap is the point of open-loop
+testing.  A wall-clock gate: trace replay and the chaos drills are tested in
+``tests/test_serve_openloop.py`` and ``tests/test_serve_chaos.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +20,7 @@ from repro.bench.experiments import SERVE_LOADGEN_SLO_MULTIPLIER
 
 
 def check_invariants(result, scale):
-    report, timing = result["report"], result["timing"]
-    # Record/replay really is byte-stable: the trace written, loaded and
-    # re-serialised inside the experiment came back bit-identical.
-    assert report["trace_byte_stable"]
-
+    timing = result["timing"]
     # The curve has one row per swept rate, each fully accounted: every
     # arrival of the window was either admitted or counted shed, everything
     # admitted completed, and the queue high-water mark stayed within the
@@ -38,17 +32,6 @@ def check_invariants(result, scale):
             row["offered_qps"] * sizes.duration_s)
         assert row["completed"] == row["submitted"]
         assert row["peak_pending"] <= sizes.max_pending
-
-    # Every chaos drill upheld the degradation contract.
-    scenarios = report["scenarios"]
-    assert set(scenarios) == {"slow_replica", "cache_wipe", "kill_worker"}
-    for name in ("slow_replica", "cache_wipe"):
-        assert scenarios[name]["degraded_not_collapsed"], name
-        assert scenarios[name]["max_estimate_drift"] <= 1e-9, name
-        assert timing["chaos"][name]["events"], name
-    assert scenarios["kill_worker"]["typed_error"]
-    assert scenarios["kill_worker"]["error_type"] == "WorkerError"
-    assert scenarios["kill_worker"]["error_worker_id"] == 0
 
     # The SLO knee is read off the curve.
     assert timing["slo_ms"] == pytest.approx(

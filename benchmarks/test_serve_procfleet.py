@@ -1,12 +1,11 @@
-"""Cross-process sharded fleet — ProcessFleet vs the single-process router.
+"""Cross-process sharded fleet — ProcessFleet capacity vs the in-process router.
 
 Not a reproduction of a paper table: guards the scale-out claim of
 :class:`repro.serve.ProcessFleet` as :func:`repro.bench.serve_procfleet`
 measures it — sharding a fleet of relation replicas across N OS worker
-processes multiplies serving capacity without changing a single estimate:
-the process fleet matches the in-process :class:`repro.serve.FleetRouter`
-bit-for-bit (``fleet_drift == 0.0``) and a ``batch_size=1`` pass matches the
-sequential baseline exactly (``max_estimate_drift == 0.0``).
+processes multiplies serving capacity.  A wall-clock gate: that the process
+boundary changes no estimate and that every worker of the round-robin layout
+serves is proved in ``tests/test_serve_invariance.py``.
 """
 
 from __future__ import annotations
@@ -15,22 +14,11 @@ from repro.bench import serve_procfleet
 
 
 def check_invariants(result, scale):
-    report = result["report"]
-    # The process boundary must be invisible in the numbers: the process
-    # fleet matches the in-process router bit-for-bit (same micro-batch
-    # composition, caches off on both sides), and the batch_size=1 pass
-    # walks the sequential baseline's exact code path on the far side of a
-    # pipe.
-    assert report["fleet_drift"] == 0.0
-    assert report["max_estimate_drift"] == 0.0
-
-    # Every query was served exactly once, and every worker pulled its
-    # weight: the round-robin shard layout leaves no worker idle.
-    assert report["counts"]["procfleet"]["num_queries"] == report["num_queries"]
-    tallies = report["worker_queries"]
-    assert len(tallies) == scale.serve_procfleet.workers
-    assert all(served > 0 for served in tallies.values())
-    assert sum(tallies.values()) == report["num_queries"]
+    # The capacity reading covers the whole layout: one busy-CPU reading
+    # per worker, and every worker did work.
+    workers = result["timing"]["worker_stats"]
+    assert len(workers) == scale.serve_procfleet.workers
+    assert all(stats["busy_cpu_ms"] > 0 for stats in workers.values())
 
 
 def test_serve_procfleet(bench_scale, save_report):

@@ -7,13 +7,9 @@ from .experiments import (
     figure6_estimation_latency,
     figure7_entropy_gap,
     figure8_column_scaling,
-    serve_ensemble,
     serve_loadgen,
-    serve_multi,
     serve_procfleet,
-    serve_replicated,
     serve_stream,
-    serve_throughput,
     table3_dmv_accuracy,
     table4_conviva_accuracy,
     table5_ood_robustness,
@@ -48,13 +44,9 @@ __all__ = [
     "figure7_entropy_gap",
     "figure8_column_scaling",
     "table8_data_shift",
-    "serve_throughput",
-    "serve_multi",
-    "serve_replicated",
     "serve_stream",
     "serve_procfleet",
     "serve_loadgen",
-    "serve_ensemble",
     "EXPERIMENTS",
     "run_experiment",
     "list_experiments",

@@ -3,14 +3,13 @@
 Every function is self-contained: it generates the (synthetic) dataset,
 builds and trains the relevant estimators, runs the workload, and returns a
 dictionary holding the structured results plus their renderings, split by
-what determines them: ``text`` (and, for the ``serve_*`` experiments, the
-JSON-able ``report``) holds only what the seed determines — a digest of the
-estimates (:func:`estimates_digest`; the result's ``selectivities`` holds the
-array itself), q-errors, drift, routing and cache counts — and comes back
-byte-identical on every run, while ``timing_text``/``timing`` hold whatever a
-clock was read for.  An experiment with nothing on one side omits that side's
-keys.  The functions are what the ``benchmarks/`` suite and the
-``python -m repro.bench`` command line call.
+what determines them: ``text`` holds only what the seed determines (q-errors,
+counts) and comes back byte-identical on every run, while ``timing_text``
+(and, for the ``serve_*`` experiments, the JSON-able ``timing``) hold
+whatever a clock was read for.  An experiment with nothing on one side omits
+that side's keys; the three ``serve_*`` experiments beyond the paper are
+wall-clock gates, so they have only the timing side.  The functions are what
+the ``benchmarks/`` suite and the ``python -m repro.bench`` command line call.
 
 Experiment ↔ paper mapping:
 
@@ -32,11 +31,8 @@ Experiment ↔ paper mapping:
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
-import tempfile
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -52,7 +48,6 @@ from ..core import (
 from ..data import (
     JoinSpec,
     Table,
-    make_census,
     make_conviva_a,
     make_conviva_b,
     make_dmv,
@@ -80,30 +75,16 @@ from ..query import (
     WorkloadGenerator,
     q_error,
     true_cardinality,
-    true_selectivities,
 )
-from ..query.predicates import DNFQuery
-from ..query.shapes import query_shape
 from ..serve import (
-    ArrivalTrace,
-    CacheWipe,
-    EstimationEngine,
     FleetRouter,
     ModelRegistry,
     ProcessFleet,
     RefreshController,
-    SlowReplica,
     VirtualClock,
-    assert_degraded_not_collapsed,
-    canonical_query_key,
     generate_bursty_workload,
     generate_mixed_workload,
-    generate_shape_workload,
     locate_knee,
-    run_fleet_sequential,
-    run_kill_worker_drill,
-    run_open_loop,
-    run_sequential,
     stream_workload,
     sweep_offered_load,
 )
@@ -129,14 +110,9 @@ __all__ = [
     "figure7_entropy_gap",
     "figure8_column_scaling",
     "table8_data_shift",
-    "serve_throughput",
-    "serve_multi",
-    "serve_replicated",
     "serve_stream",
     "serve_procfleet",
     "serve_loadgen",
-    "serve_ensemble",
-    "estimates_digest",
 ]
 
 
@@ -618,8 +594,12 @@ def table8_data_shift(scale: ExperimentScale | None = None) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Beyond the paper — the serving experiments
+# Beyond the paper — the serving experiments' wall-clock gates
 # --------------------------------------------------------------------------- #
+# What the seed determines of serving — estimates, routes, counts — is proved
+# by tests/ (the invariance grid above all); these three experiments keep
+# only the gates a clock decides, so each result is timing alone.
+#
 #: serve_stream's stated p95 end-to-end SLO, as a fraction of the measured
 #: fixed-batch end-to-end p95 — calibrated per machine so the benchmark's
 #: claim ("the fixed batch misses the e2e SLO the SLO-steered router meets")
@@ -636,19 +616,15 @@ SERVE_STREAM_FLUSH_FRACTION = 0.25
 #: so the knee's existence is hardware-independent: generous enough that the
 #: lowest offered rates meet it, tight enough that overload misses it.
 SERVE_LOADGEN_SLO_MULTIPLIER = 4.0
-#: serve_ensemble's workload shares of DNF disjunctions and LIKE prefixes.
-SERVE_ENS_DNF_FRACTION = 0.25
-SERVE_ENS_LIKE_FRACTION = 0.25
 
 
 class _ServeFleet:
     """The registry, workload and routers one ``serve_*`` experiment measures.
 
     ``scale`` is that experiment's :class:`ServeScale`.  Every model shares
-    one Naru config (batch 256, seed 0) and every router and baseline the one
-    sample budget and seed, so each query's random stream is keyed by
-    ``(seed, global workload index)`` alone and whatever two runs disagree on
-    is the serving path's doing.
+    one Naru config (batch 256, seed 0) and every router the one sample
+    budget and seed, so each query's random stream is keyed by
+    ``(seed, global workload index)`` alone.
     """
 
     def __init__(self, scale: ServeScale, *,
@@ -685,284 +661,17 @@ class _ServeFleet:
                            batch_size=batch_size or self.scale.batch_size,
                            num_samples=self.scale.samples, seed=0, **options)
 
-    def sequential(self, queries: list):
-        """The baseline every drift is measured against: one unbatched,
-        uncached, unfused sampler pass per query, models visited in turn."""
-        return run_fleet_sequential(self.registry, queries,
-                                    num_samples=self.scale.samples, seed=0)
 
-
-def estimates_digest(selectivities) -> dict:
-    """What a tracked report keeps of a run's estimates: a claim, not a copy.
-
-    ``sha256`` hashes the estimates as contiguous little-endian float64
-    bytes, so a moved bit still changes the tracked file; ``count``, ``min``
-    and ``max`` are exact.
-    """
-    values = np.ascontiguousarray(selectivities, dtype="<f8")
-    return {"count": int(values.size),
-            "sha256": hashlib.sha256(values.tobytes()).hexdigest(),
-            "min": float(values.min()), "max": float(values.max())}
-
-
-def _route_counts(served) -> dict[str, int]:
-    """How many of a run's queries each route answered."""
-    return dict(sorted(Counter(result.route for result in served.results).items()))
-
-
-def _max_drift(report, reference) -> float:
-    return float(np.max(np.abs(report.selectivities - reference.selectivities)))
-
-
-#: The seed-determined fields of an engine, route or fleet stats dict.
-_COUNT_KEYS = ("num_queries", "num_batches", "num_replicas", "rows_submitted",
-               "unique_rows", "rows_evaluated", "forward_calls", "dedup_ratio",
-               "shed", "result_cache_hits")
-
-
-def _counts(stats: dict) -> dict:
-    """What the seed determines of a closed-loop run's ``stats.as_dict()``.
-
-    A whitelist, so a clock reading added to the serving stats later cannot
-    leak into a tracked report.  Only valid for runs without flush timers —
-    a timeout flush makes even the batch count a clock's doing.
-    """
-    counts = {key: stats[key] for key in _COUNT_KEYS if key in stats}
-    if stats.get("cache"):
-        counts["cache_hits"] = stats["cache"]["hits"]
-        counts["cache_misses"] = stats["cache"]["misses"]
-    if "routes" in stats:
-        counts["routes"] = {route: _counts(route_stats)
-                            for route, route_stats in stats["routes"].items()}
-    return counts
-
-
-def _throughput_rows(wall_s: dict[str, float], num_queries: int) -> list[dict]:
-    return [{"mode": mode, "wall_s": seconds,
-             "queries_per_second": num_queries / seconds}
-            for mode, seconds in wall_s.items()]
-
-
-def _cold_warm_passes(baseline, serve, queries: list) -> dict:
-    """The pass-and-compare sequence the closed-loop experiments share.
-
-    ``baseline(queries)`` runs once, then ``serve(queries)`` twice on the
-    same long-lived engine or router: first sight of the workload (caches
-    empty), then steady state.  Each pass is wall-clocked whole — cache hits
-    never touch the engine-internal batch timers, which would flatter a warm
-    pass.  Returns the three reports, ``drift`` (cold vs baseline) and
-    ``warm_drift`` (warm vs cold), the seed-determined ``counts`` per pass,
-    and the clock-determined ``timing`` dict.
-    """
-    reports, wall_s = {}, {}
-    for mode, run in (("sequential", baseline), ("cold", serve), ("warm", serve)):
-        reports[mode], wall_s[mode] = _timed(run, queries)
-    stats = {mode: report.stats.as_dict() for mode, report in reports.items()}
-    return {
-        **reports,
-        "drift": _max_drift(reports["cold"], reports["sequential"]),
-        "warm_drift": _max_drift(reports["warm"], reports["cold"]),
-        "counts": {mode: _counts(pass_stats)
-                   for mode, pass_stats in stats.items()},
-        "timing": {
-            "cold_speedup": wall_s["sequential"] / wall_s["cold"],
-            "speedup": wall_s["sequential"] / wall_s["warm"],
-            "wall_s": wall_s,
-            "stats": stats,
-        },
-    }
-
-
-def _serve_result(title: str, report: dict, rows: list[dict], timing: dict,
-                  timing_rows: list[dict], selectivities=None) -> dict:
-    """Assemble a ``serve_*`` result: each part's text renders its own dict.
-
-    The title line of ``text`` lists every scalar of ``report`` (of
-    ``timing_text``, every scalar of ``timing``) above a table of ``rows``
-    (``timing_rows``), so no reading can be in a JSON file and missing from
-    the text beside it, or cross from one part's text into the other's.
-    Given the run's ``selectivities``, the report keeps their digest under
-    ``estimates``; the result keeps the array itself (``None`` without).
-    """
-    def render(part: dict, table: list[dict]) -> str:
-        scalars = ", ".join(
-            f"{key} {value:.4g}" if isinstance(value, float) else f"{key} {value}"
-            for key, value in part.items()
-            if isinstance(value, (int, float, str)))
-        return format_series(table, list(table[0]),
-                             f"{title}: {scalars}" if scalars else title)
-
-    if selectivities is not None:
-        report["estimates"] = estimates_digest(selectivities)
-    return {"text": render(report, rows), "report": report,
-            "timing_text": render(timing, timing_rows), "timing": timing,
-            "selectivities": selectivities}
-
-
-def serve_throughput(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: throughput of the batched serving engine.
-
-    Serves the same workload three times through the same trained Naru model:
-    one query at a time through the unfused reference path (the paper's §5
-    evaluation regime: no batching, no cache, no prefix dedup, full forward
-    per conditional — see :func:`repro.serve.engine.run_sequential`), then
-    twice through :class:`repro.serve.EstimationEngine` with the fused hot
-    path (column-sliced conditionals, prefix-deduplicated sampling, the
-    vectorized packed-prefix conditional cache) — a cold first pass and a
-    warm steady-state pass.  The report holds the prefix-dedup ratio, the
-    cache counts and the largest per-query estimate difference, which is
-    exactly ``0.0``: the fused stack is bit-identical to the reference path
-    by construction (every kernel is row-exact).  Queries/second and the
-    cold and warm speedups are the timing part.
-    """
-    scale = (scale or active_scale()).serve_throughput
-    fleet = _ServeFleet(scale)
-    fleet.registry.register_table(make_census(scale.rows))
-    queries = fleet.workload(min_filters=5, max_filters=11)
-    naru = fleet.registry.estimator("census")
-    engine = EstimationEngine(naru, batch_size=scale.batch_size,
-                              num_samples=scale.samples, seed=0)
-    passes = _cold_warm_passes(
-        lambda workload: run_sequential(naru, workload,
-                                        num_samples=scale.samples, seed=0),
-        engine.run, queries)
-    report = {
-        "max_estimate_drift": max(passes["drift"], passes["warm_drift"]),
-        "num_queries": len(queries),
-        "counts": passes["counts"],
-    }
-    rows = [{"mode": mode, "batches": tally["num_batches"],
-             "forward_calls": tally["forward_calls"],
-             "unique_rows": tally["unique_rows"],
-             "dedup_ratio": tally["dedup_ratio"],
-             "cache_hits": tally.get("cache_hits", 0)}
-            for mode, tally in passes["counts"].items()]
-    return _serve_result(
-        f"Serving throughput vs the unfused sequential baseline "
-        f"({scale.samples} samples, batch={scale.batch_size})",
-        report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
-        passes["warm"].selectivities)
-
-
-def serve_multi(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: fleet throughput of the multi-model serving router.
-
-    Registers two base tables (a users dimension and a sessions fact table)
-    plus their equi-join in a :class:`repro.serve.ModelRegistry`, then
-    answers one interleaved mixed workload two ways: through a
-    :class:`repro.serve.FleetRouter` (per-model micro-batches, per-model LRU
-    caches under one shared budget) and through N independent sequential
-    engines.  Both sides key every query's random stream by its global
-    workload index, so the estimates agree to float round-off; the report
-    holds the routing audit and the per-route counts, the timing part the
-    fleet queries/second and the routed-vs-sequential speedup.
-    """
-    scale = (scale or active_scale()).serve_multi
-    fleet = _ServeFleet(scale)
-    fleet.register_users_sessions(join=True)
-    queries = fleet.workload()
-    passes = _cold_warm_passes(fleet.sequential, fleet.router().run, queries)
-    warm = passes["warm"]
-    report = {
-        "max_estimate_drift": max(passes["drift"], passes["warm_drift"]),
-        "misrouted": sum(result.route != result.query.table
-                         for result in warm.results),
-        "num_models": len(fleet.registry),
-        "model_storage_bytes": fleet.registry.size_bytes(),
-        "num_queries": len(queries),
-        "counts": passes["counts"],
-        "routes": _route_counts(warm),
-    }
-    rows = [{"route": route, "queries": tally["num_queries"],
-             "batches": tally["num_batches"],
-             "dedup_ratio": tally["dedup_ratio"],
-             "cache_hits": tally["cache_hits"]}
-            for route, tally in passes["counts"]["warm"]["routes"].items()]
-    return _serve_result(
-        f"Multi-model serving vs N sequential engines "
-        f"(batch={scale.batch_size})",
-        report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
-        warm.selectivities)
-
-
-def serve_replicated(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: replicated hot-relation serving with admission control.
-
-    A skewed mixed workload (``hot_fraction`` of the queries hammer
-    the sessions fact table) is answered four ways over the same two trained
-    models:
-
-    * ``sequential`` — the single-engine-per-relation baseline,
-    * ``cold`` / ``warm`` — a :class:`repro.serve.FleetRouter` with the hot
-      relation at ``replicas`` engine replicas, a bounded pending
-      queue (``max_pending``, ``block`` policy) and the fleet-wide exact-match
-      result cache; the warm pass replays the workload against hot caches,
-    * ``replicas=1`` — the same router configuration without replication,
-      used to assert that replication never changes an estimate.
-
-    All model-computed estimates agree to float round-off and the warm pass
-    is served from the result cache bit-for-bit.  A final mini-run with a
-    deliberately tiny ``max_pending`` under the ``shed`` policy demonstrates
-    load shedding and the typed accounting around it.
-    """
-    scale = (scale or active_scale()).serve_replicated
-    fleet = _ServeFleet(scale)
-    fleet.register_users_sessions()
-    fleet.registry.set_replicas("sessions", scale.replicas)
-    hot = scale.hot_fraction
-    queries = fleet.workload(weights={"users": 1.0 - hot, "sessions": hot})
-    # Precondition of the warm-replay exactness claims below: an exact-match
-    # cache may only hit on a true replay, so the workload must be free of
-    # canonically-equal duplicates.  Fail here, loudly, rather than letting a
-    # scale tweak surface as a confusing "drift" assertion in the benchmark.
-    keys = [canonical_query_key(query, route=query.table) for query in queries]
-    if len(set(keys)) != len(keys):
-        raise RuntimeError(
-            "serve_replicated needs a duplicate-free workload (the generated "
-            "one collided); adjust scale.serve_replicated")
-
-    bounded = {"max_pending": scale.max_pending, "overflow": "block"}
-    passes = _cold_warm_passes(
-        fleet.sequential, fleet.router(result_cache=True, **bounded).run, queries)
-    warm = passes["warm"]
-
-    # Replication must not change a single estimate: serve the same workload
-    # through an unreplicated router of the same shape and compare.
-    fleet.registry.set_replicas("sessions", 1)
-    replica_drift = _max_drift(passes["cold"], fleet.router(**bounded).run(queries))
-    fleet.registry.set_replicas("sessions", scale.replicas)
-
-    # Load-shedding demonstration: a group bounded far below the burst size
-    # refuses the overflow loudly and accounts for every refusal.
-    shed_stats = fleet.router(max_pending=2, overflow="shed").run(queries).stats
-
-    report = {
-        "max_estimate_drift": passes["drift"],
-        "replica_drift": replica_drift,
-        "warm_drift": passes["warm_drift"],
-        "hot_queries": sum(query.table == "sessions" for query in queries),
-        "num_queries": len(queries),
-        "shed": warm.stats.shed,
-        "shed_demo": shed_stats.shed,
-        "shed_demo_served": shed_stats.num_queries,
-        "result_cache": warm.stats.result_cache,
-        "result_cache_hits": warm.result_cache_hits,
-        "counts": passes["counts"],
-    }
-    rows = [{"mode": mode, "route": route, "replicas": tally["num_replicas"],
-             "batches": tally["num_batches"],
-             "result_cache_hits": tally["result_cache_hits"]}
-            for mode in ("cold", "warm")
-            for route, tally in passes["counts"][mode]["routes"].items()]
-    return _serve_result(
-        f"Replicated hot-relation serving vs one sequential engine per "
-        f"relation (sessions x{scale.replicas} replicas, "
-        f"max_pending={scale.max_pending})",
-        report, rows, passes["timing"],
-        _throughput_rows(passes["timing"]["wall_s"], len(queries)),
-        warm.selectivities)
+def _timing_result(title: str, timing: dict, rows: list[dict]) -> dict:
+    """A ``serve_*`` result: ``timing`` and its text, whose title line lists
+    every scalar of ``timing`` above a table of ``rows``."""
+    scalars = ", ".join(
+        f"{key} {value:.4g}" if isinstance(value, float) else f"{key} {value}"
+        for key, value in timing.items()
+        if isinstance(value, (int, float, str)))
+    return {"timing_text": format_series(rows, list(rows[0]),
+                                         f"{title}: {scalars}"),
+            "timing": timing}
 
 
 def serve_stream(scale: ExperimentScale | None = None) -> dict:
@@ -976,30 +685,23 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
     submission advances it by one measured per-query dispatch cost — so
     queries genuinely queue in partially filled micro-batches (in clock
     terms) without the benchmark sleeping through the gaps, and the pacing
-    is calibrated to the host.  The same paced workload is served several
-    ways over the same trained models (conditional caches off):
+    is calibrated to the host.  Conditional caches are off.
 
     * ``fixed`` — a plain :class:`repro.serve.FleetRouter` at the maximum
-      micro-batch size (the scale's ``batch_size``).  Its measured hot-route **end-to-end** p95 (queueing
-      delay + dispatch) calibrates the stated SLO:
-      :data:`SERVE_STREAM_SLO_FRACTION` of it.
+      micro-batch size (the scale's ``batch_size``).  Its measured hot-route
+      **end-to-end** p95 (queueing delay + dispatch) calibrates the stated
+      SLO: :data:`SERVE_STREAM_SLO_FRACTION` of it.
     * ``e2e-*`` — the same router with ``slo_ms`` set (its controller
       observes queue wait + dispatch) plus a flush deadline of
       :data:`SERVE_STREAM_FLUSH_FRACTION` of the SLO bounding how long a
       partial batch may linger.  The warmup pass starts at the maximum
       batch size; the steady pass must meet the end-to-end SLO.
-    * ``streamed-shuffled`` — the e2e configuration with a *shuffled*
-      arrival order and pre-assigned indices: streaming ≡ batch.
 
-    Every mode's estimates are compared against the unbatched sequential
-    baseline — adaptive batch boundaries, timeout flushes, pacing and
-    shuffled streaming must not move a single number; that drift is the
-    whole seed-determined report, since under flush timers even the batch
-    counts are a clock's doing.
-
-    The headline claim: steering the batch size on end-to-end latency (and
-    bounding tail wait with the flush timeout) makes the fleet meet an SLO,
-    stated against what a submitter experiences, that the fixed batch misses.
+    The claim, and the whole result: steering the batch size on end-to-end
+    latency (and bounding tail wait with the flush timeout) makes the fleet
+    meet an SLO, stated against what a submitter experiences, that the
+    fixed batch misses.  That none of it moves an estimate is the
+    invariance grid's claim (``tests/test_serve_invariance.py``).
     """
     scale = (scale or active_scale()).serve_stream
     fleet = _ServeFleet(scale)
@@ -1009,7 +711,6 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         generate_bursty_workload, hot="sessions", burst_size=scale.burst,
         weights={"users": 1.0 - hot, "sessions": hot})
     max_batch = scale.batch_size
-    baseline = fleet.sequential(queries)
 
     # Calibrate the arrival pacing: one unpaced max-batch probe measures the
     # host's per-query dispatch cost, and queries then arrive one such cost
@@ -1024,45 +725,32 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
                             clock=VirtualClock(base=time.perf_counter),
                             **options)
 
-    def paced(router, order=None):
-        return _timed(stream_workload, router, queries, arrival_order=order,
-                      advance_ms=arrival_gap_ms)
+    def paced(router):
+        return stream_workload(router, queries, advance_ms=arrival_gap_ms)
 
-    modes = {"fixed": paced(paced_router())}
-    fixed_e2e_p95 = modes["fixed"][0].stats.routes["sessions"]["e2e_ms"]["p95"]
+    fixed = paced(paced_router())
+    fixed_e2e_p95 = fixed.stats.routes["sessions"]["e2e_ms"]["p95"]
     slo_ms = fixed_e2e_p95 * SERVE_STREAM_SLO_FRACTION
     steering = {"slo_ms": slo_ms,
                 "flush_after_ms": slo_ms * SERVE_STREAM_FLUSH_FRACTION}
-
-    # The controller observes end-to-end latency and the flush deadline
-    # bounds how long a partial batch may linger.
+    # One router lives through both passes: the warmup pass converges its
+    # controller, the steady pass is judged.
     e2e_router = paced_router(**steering)
-    modes["e2e-warmup"] = paced(e2e_router)
-    modes["e2e-steady"] = paced(e2e_router)
-    order = np.random.default_rng(1).permutation(len(queries)).tolist()
-    modes["streamed-shuffled"] = paced(paced_router(**steering), order)
+    warmup, steady = paced(e2e_router), paced(e2e_router)
+    steady_e2e_p95 = steady.stats.routes["sessions"]["e2e_ms"]["p95"]
 
-    rows, timing_rows = [], []
-    for mode, (served, wall_s) in modes.items():
+    rows = []
+    for mode, served in (("fixed", fixed), ("e2e-warmup", warmup),
+                         ("e2e-steady", steady)):
         hot_stats = served.stats.routes["sessions"]
-        rows.append({"mode": mode, "queries": served.stats.num_queries,
-                     "max_estimate_drift": _max_drift(served, baseline)})
-        timing_rows.append({
+        rows.append({
             "mode": mode,
             "dispatch_p95_ms": hot_stats["latency_ms"]["p95"],
             "queue_p95_ms": hot_stats["queue_wait_ms"]["p95"],
             "e2e_p95_ms": hot_stats["e2e_ms"]["p95"],
             "timeout_flushes": hot_stats["timeout_flushes"],
-            "queries_per_second": len(queries) / wall_s,
             "batches": hot_stats["num_batches"],
         })
-    warmup, steady = modes["e2e-warmup"][0], modes["e2e-steady"][0]
-    steady_e2e_p95 = steady.stats.routes["sessions"]["e2e_ms"]["p95"]
-    report = {
-        "max_estimate_drift": max(row["max_estimate_drift"] for row in rows),
-        "hot_queries": sum(query.table == "sessions" for query in queries),
-        "num_queries": len(queries),
-    }
     timing = {
         **steering,
         "arrival_gap_ms": arrival_gap_ms,
@@ -1070,40 +758,24 @@ def serve_stream(scale: ExperimentScale | None = None) -> dict:
         "steady_e2e_p95_ms": steady_e2e_p95,
         "fixed_meets_e2e_slo": fixed_e2e_p95 <= slo_ms,
         "steady_meets_e2e_slo": steady_e2e_p95 <= slo_ms,
-        "e2e_batch_trace": list(
-            warmup.stats.routes["sessions"]["batch_trace"] or []),
-        "e2e_controller": e2e_router.controller("sessions").as_dict(),
-        "modes": timing_rows,
-        "stats": {mode: served.stats.as_dict()
-                  for mode, (served, _) in modes.items()},
+        "modes": rows,
     }
-    return _serve_result(
-        f"End-to-end SLOs + streaming (sessions in bursts of "
-        f"{scale.burst}, max batch {max_batch}, e2e p95 SLO = "
-        f"{SERVE_STREAM_SLO_FRACTION:.0%} of the fixed batch's, flush "
-        f"timeout = {SERVE_STREAM_FLUSH_FRACTION:.0%} of the SLO)",
-        report, rows, timing, timing_rows, steady.selectivities)
+    return _timing_result(
+        f"End-to-end SLOs (sessions in bursts of {scale.burst}, max batch "
+        f"{max_batch}, e2e p95 SLO = {SERVE_STREAM_SLO_FRACTION:.0%} of the "
+        f"fixed batch's, flush timeout = {SERVE_STREAM_FLUSH_FRACTION:.0%} "
+        f"of the SLO)", timing, rows)
 
 
 def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: cross-process sharded serving with a ProcessFleet.
+    """Beyond the paper: the capacity of a cross-process sharded fleet.
 
-    The same mixed three-relation workload (users, sessions, their equi-join)
-    is served three ways over the same trained models, conditional caches off
-    so the process fleet's per-engine caches cannot differ from the router's
-    group-shared ones:
-
-    * ``sequential`` — one unbatched, uncached sampler pass per query,
-    * ``cold`` / ``warm`` — the in-process :class:`repro.serve.FleetRouter`
-      with every relation at ``workers`` replicas,
-    * ``procfleet-*`` — a :class:`repro.serve.ProcessFleet` of
-      ``workers`` OS worker processes hosting those same replicas
-      (one per worker), models shipped via :mod:`repro.nn.serialization`.
-
-    The process boundary must not change a single bit: ``fleet_drift``
-    compares the process fleet against the in-process router bit-for-bit,
-    and a final ``batch_size=1`` process-fleet pass must match the
-    sequential baseline exactly (``max_estimate_drift == 0.0``).
+    One mixed three-relation workload (users, sessions, their equi-join) is
+    served over the same trained models, conditional caches off, by the
+    in-process :class:`repro.serve.FleetRouter` with every relation at
+    ``workers`` replicas and by a :class:`repro.serve.ProcessFleet` of
+    ``workers`` OS worker processes hosting those same replicas (one of
+    each relation per worker), each twice.
 
     Throughput is timed two ways because CI hosts may expose a single
     core, where OS processes cannot overlap in wall-clock time:
@@ -1116,7 +788,8 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     costs (copy-on-write page faults, allocator growth, BLAS warm-up) that
     say nothing about steady-state serving; the cold passes are recorded
     alongside.  ``host_cpus`` is recorded so a reader can tell which regime
-    produced the numbers.
+    produced the numbers.  That the process boundary changes no estimate
+    and every worker serves is proved in ``tests/test_serve_invariance.py``.
     """
     scale = (scale or active_scale()).serve_procfleet
     workers = scale.workers
@@ -1128,15 +801,13 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     fleet = _ServeFleet(scale, hidden=(32, 32))
     fleet.register_users_sessions(join=True)
     queries = fleet.workload()
-    # One replica of every relation per worker: each worker serves the whole
-    # fleet, so micro-batch composition matches the in-process router's and
-    # the bit-exactness comparison below is meaningful.
     for name in fleet.registry.names:
         fleet.registry.set_replicas(name, workers)
 
-    passes = _cold_warm_passes(fleet.sequential,
-                               fleet.router(use_cache=False).run, queries)
-    wall_s = passes["timing"]["wall_s"]
+    wall_s = {}
+    router = fleet.router(use_cache=False)
+    _, wall_s["cold"] = _timed(router.run, queries)
+    _, wall_s["warm"] = _timed(router.run, queries)
     proc_fleet, spawn_s = _timed(fleet.router, ProcessFleet, workers=workers,
                                  use_cache=False)
     with proc_fleet:
@@ -1146,25 +817,6 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
     wall_s["procfleet-capacity"] = max(
         stats["busy_cpu_ms"] for stats in worker_stats.values()) / 1000.0
 
-    # Determinism pass: batch_size=1 with caches off walks the exact code
-    # path of the sequential baseline, just on the far side of a pipe.
-    with fleet.router(ProcessFleet, workers=workers, batch_size=1,
-                      use_cache=False) as exact_fleet:
-        drift = _max_drift(exact_fleet.run(queries), passes["sequential"])
-
-    report = {
-        "max_estimate_drift": drift,
-        "batched_drift": passes["drift"],
-        "fleet_drift": _max_drift(proc, passes["warm"]),
-        "num_queries": len(queries),
-        "worker_queries": {worker: stats["num_queries"]
-                           for worker, stats in worker_stats.items()},
-        "counts": {**passes["counts"],
-                   "procfleet": _counts(proc.stats.as_dict())},
-    }
-    rows = [{"worker": worker, "engines": len(stats["engines"]),
-             "queries": stats["num_queries"]}
-            for worker, stats in worker_stats.items()]
     timing = {
         "speedup": wall_s["warm"] / wall_s["procfleet-capacity"],
         "wall_speedup": wall_s["warm"] / wall_s["procfleet-warm"],
@@ -1172,15 +824,14 @@ def serve_procfleet(scale: ExperimentScale | None = None) -> dict:
         "spawn_s": spawn_s,
         "wall_s": wall_s,
         "worker_stats": worker_stats,
-        "stats": {**passes["timing"]["stats"],
-                  "procfleet": proc.stats.as_dict()},
     }
-    return _serve_result(
+    return _timing_result(
         f"Cross-process fleet vs the single-process fleet's warm pass "
         f"({workers} workers x {len(fleet.registry)} relations, "
-        f"batch={scale.batch_size})",
-        report, rows, timing, _throughput_rows(wall_s, len(queries)),
-        proc.selectivities)
+        f"batch={scale.batch_size})", timing,
+        [{"mode": mode, "wall_s": seconds,
+          "queries_per_second": len(queries) / seconds}
+         for mode, seconds in wall_s.items()])
 
 
 def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
@@ -1205,23 +856,8 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     :func:`repro.serve.locate_knee` reads off the highest offered rate whose
     e2e p95 still meets the SLO.  Because every offered rate is a multiple
     of a measured capacity, the whole curve — arrival counts included — is
-    the timing part.
-
-    On top of the curve, three chaos drills at the mid rate, each asserted
-    **degraded-not-collapsed** (:func:`repro.serve.assert_degraded_not_collapsed`:
-    bounded queue growth, typed counted shedding, zero estimate drift on
-    every completed query vs the unloaded sequential baseline):
-
-    * ``slow_replica`` — one replica stalls ``delay_ms`` per dispatch from a
-      quarter into the run (injected via the engine ``batch_hook``),
-    * ``cache_wipe`` — every cache layer cleared mid-run,
-    * ``kill_worker`` — a :class:`repro.serve.ProcessFleet` worker is
-      SIGKILLed mid-stream and must surface a typed
-      :class:`repro.serve.WorkerError`, not a hang.
-
-    The arrival traces themselves are checked replayable: record → save →
-    load → save must be byte-identical, and the loaded trace must reproduce
-    the arrival sequence exactly.
+    timing.  The chaos drills and trace replay are tested in
+    ``tests/test_serve_openloop.py`` and ``tests/test_serve_chaos.py``.
     """
     scale = (scale or active_scale()).serve_loadgen
     fleet = _ServeFleet(scale)
@@ -1229,20 +865,6 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
     for name in fleet.registry.names:
         fleet.registry.set_replicas(name, scale.replicas)
     queries = fleet.workload()
-    max_pending = scale.max_pending
-
-    def cycled(count: int) -> list:
-        return [queries[position % len(queries)] for position in range(count)]
-
-    # Trace record/replay: byte-stable files, exact arrival reproduction.
-    recorded = ArrivalTrace.record("poisson", rate_qps=100.0, duration_s=2.0,
-                                   seed=7)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.json")
-        recorded.save(path)
-        replayed = ArrivalTrace.load(path)
-    trace_byte_stable = (replayed.to_json() == recorded.to_json()
-                         and replayed.timestamps == recorded.timestamps)
 
     # Closed-loop probe: the host's capacity (completions per wall-second at
     # the full batch size) and the service-time e2e p95 the SLO scales from.
@@ -1255,195 +877,25 @@ def serve_loadgen(scale: ExperimentScale | None = None) -> dict:
         # A partial micro-batch may linger at most one probe-p95 before it
         # is force-dispatched, so low offered rates are not dominated by
         # batch-fill waiting (which would invert the curve).
-        return fleet.router(max_pending=max_pending, overflow="shed",
+        return fleet.router(max_pending=scale.max_pending, overflow="shed",
                             flush_after_ms=probe_e2e_p95,
                             clock=VirtualClock(base=time.perf_counter))
 
-    duration_s = scale.duration_s
     rates = [fraction * capacity_qps for fraction in scale.rate_fractions]
     curve = [{"rate_fraction": fraction, **row} for fraction, row in zip(
         scale.rate_fractions,
-        sweep_offered_load(fresh_router, queries, rates, duration_s=duration_s,
-                           process="poisson", seed=0))]
-
-    # Chaos drills at the mid offered rate: each must degrade, not collapse.
-    mid_rate = rates[len(rates) // 2]
-    chaos_trace = ArrivalTrace.record("poisson", rate_qps=mid_rate,
-                                      duration_s=duration_s, seed=1)
-    chaos_baseline = fleet.sequential(cycled(len(chaos_trace)))
-    scenarios, chaos = {}, {}
-    for name, scenario in (
-            ("slow_replica", SlowReplica("sessions", delay_ms=20.0,
-                                         at_fraction=0.25)),
-            ("cache_wipe", CacheWipe(at_fraction=0.5))):
-        outcome = run_open_loop(fresh_router(), queries, chaos_trace,
-                                scenario=scenario)
-        chaos[name] = assert_degraded_not_collapsed(
-            outcome, baseline=chaos_baseline, max_pending=max_pending)
-        chaos[name]["e2e_p95_ms"] = outcome.e2e_p95_ms
-        scenarios[name] = {key: chaos[name][key] for key in
-                           ("degraded_not_collapsed", "max_estimate_drift")}
-
-    # The drill's size is cycled from the workload, not cut from the chaos
-    # trace, so it does not depend on the arrivals the probed capacity
-    # implied.  Where past the kill the error surfaces (a later submit, or
-    # the collect) is up to the pipe — ``submitted`` is a timing reading,
-    # like the pid and the wall time.
-    with fleet.router(ProcessFleet, workers=scale.workers,
-                      recv_timeout_s=30.0) as proc_fleet:
-        chaos["kill_worker"] = run_kill_worker_drill(
-            proc_fleet, cycled(max(4 * scale.batch_size * scale.workers, 64)))
-    scenarios["kill_worker"] = {
-        key: chaos["kill_worker"][key] for key in
-        ("killed_worker", "kill_after", "typed_error", "error_type",
-         "error_worker_id", "error_exit_code")}
-
-    report = {
-        "trace_byte_stable": trace_byte_stable,
-        "num_queries": len(queries),
-        "scenarios": scenarios,
-    }
+        sweep_offered_load(fresh_router, queries, rates,
+                           duration_s=scale.duration_s, process="poisson",
+                           seed=0))]
     timing = {
         "capacity_qps": capacity_qps,
         "probe_e2e_p95_ms": probe_e2e_p95,
         **locate_knee(curve, slo_ms),
-        "chaos_offered_qps": mid_rate,
         "curve": curve,
-        "chaos": chaos,
     }
     fractions = "/".join(f"{fraction:g}" for fraction in scale.rate_fractions)
-    return _serve_result(
+    return _timing_result(
         f"Open-loop load (Poisson arrivals at {fractions}x the probed "
-        f"closed-loop capacity, max_pending {max_pending}, overflow shed, "
-        f"e2e p95 SLO = {SERVE_LOADGEN_SLO_MULTIPLIER:g}x the probe's, "
-        f"measured from each query's *scheduled* arrival; chaos at the mid "
-        f"rate)",
-        report,
-        [{"scenario": name, "outcome": ", ".join(
-            f"{key} {value}" for key, value in summary.items())}
-         for name, summary in scenarios.items()],
-        timing, curve)
-
-
-def serve_ensemble(scale: ExperimentScale | None = None) -> dict:
-    """Beyond the paper: a widened query language served by estimator ensembles.
-
-    The paper's workload is purely conjunctive.  This benchmark widens it —
-    a :data:`SERVE_ENS_DNF_FRACTION` share of the workload becomes DNF
-    disjunctions (branch counts alternating between 2 and 6) and a
-    :data:`SERVE_ENS_LIKE_FRACTION` share becomes ``LIKE 'x%'`` string prefixes — and serves it through
-    per-relation *ensembles*: the Naru primary answers prefixes (one more
-    valid-code mask) and small disjunctions by inclusion–exclusion, while
-    disjunctions above ``max_dnf_branches`` route to a
-    :class:`repro.estimators.SamplingEstimator` fallback registered next to
-    each model.  Three claims are asserted exactly, not statistically:
-
-    * **routing** — every query lands where the capability matrix says it
-      must: conjunctions/prefixes/2-branch DNF on the Naru primary,
-      6-branch DNF on the fallback, nothing unroutable;
-    * **determinism** — the routed fleet and a sequential per-query pass
-      agree bit-for-bit (max drift exactly 0.0), conjunctions included, so
-      registering fallbacks perturbs nothing the paper measures;
-    * **inclusion–exclusion identity** — on a small relation where the
-      per-term estimates are *exact*, the expansion reproduces the true
-      union selectivity to float round-off (``ie_oracle_gap <= 1e-9``),
-      checking the expansion itself with no estimation noise on top.
-
-    The reported table is the per-estimator ensemble breakdown: queries
-    served and median/p95 q-error for the Naru primaries and the sampling
-    fallbacks side by side, with their p95 end-to-end latency in the timing
-    part.
-    """
-    scale = (scale or active_scale()).serve_ensemble
-    fleet = _ServeFleet(scale)
-    fleet.register_users_sessions()
-    registry = fleet.registry
-    for name in registry.names:
-        registry.set_fallback(name, SamplingEstimator(
-            registry.relation(name),
-            sample_size=scale.fallback_sample, seed=0))
-    queries = fleet.workload(
-        generate_shape_workload, dnf_fraction=SERVE_ENS_DNF_FRACTION,
-        like_fraction=SERVE_ENS_LIKE_FRACTION, dnf_branches=(2, 6))
-    shape_mix = {}
-    for query in queries:
-        shape = query_shape(query).value
-        shape_mix[shape] = shape_mix.get(shape, 0) + 1
-
-    served = fleet.router().run(queries)
-    sequential = fleet.sequential(queries)
-
-    # Routing audit against the capability matrix: the fallback serves
-    # exactly the disjunctions whose branch count exceeds the Naru primary's
-    # inclusion–exclusion bound, and nothing else.
-    max_branches = registry.default_config.max_dnf_branches
-    overflow = {index for index, query in enumerate(queries)
-                if isinstance(query, DNFQuery)
-                and len(query.branches) > max_branches}
-    fallback_served = {result.index for result in served.results
-                      if result.estimator.startswith("Sample(")}
-    if fallback_served != overflow:
-        raise AssertionError(
-            f"fallback routing mismatch: expected indices {sorted(overflow)}, "
-            f"served {sorted(fallback_served)}")
-
-    # Per-estimator accuracy (exact truths from the executor, which unions
-    # branch masks for DNF and masks prefixes like any comparison).
-    truths: dict[int, float] = {}
-    errors = []
-    for result in served.results:
-        relation = registry.relation(result.route)
-        truth = true_selectivities(relation, [result.query])[0]
-        truths[result.index] = float(truth * relation.num_rows)
-        errors.append(q_error(result.cardinality, truths[result.index]))
-    accuracy = served.accuracy_by_estimator(truths)
-    latency = served.stats.estimators
-
-    # Inclusion–exclusion oracle identity: with exact per-term estimates the
-    # expansion must reproduce the exact union selectivity to round-off.
-    oracle_table = make_users(scale.oracle_rows)
-    oracle_queries = [
-        query for query in generate_shape_workload(
-            {"users": oracle_table}, scale.oracle_queries,
-            dnf_fraction=1.0, like_fraction=0.0, dnf_branches=(2, 3),
-            min_filters=1, max_filters=2, seed=1)
-        if isinstance(query, DNFQuery)]
-    probe = SamplingEstimator(oracle_table, fraction=1.0, seed=0)
-    ie_oracle_gap = 0.0
-    for query in oracle_queries:
-        exact_union = float(true_selectivities(oracle_table, [query])[0])
-        expanded = probe._inclusion_exclusion(
-            query, lambda term: float(true_selectivities(oracle_table,
-                                                         [term])[0]))
-        ie_oracle_gap = max(ie_oracle_gap, abs(expanded - exact_union))
-
-    report = {
-        "max_estimate_drift": _max_drift(served, sequential),
-        "ie_oracle_gap": ie_oracle_gap,
-        "ie_oracle_queries": len(oracle_queries),
-        "fallback_served": len(fallback_served),
-        "overflow_dnf": len(overflow),
-        "q_error_median": float(np.median(errors)),
-        "q_error_p95": float(np.quantile(errors, 0.95)),
-        "num_queries": len(queries),
-        "shape_mix": shape_mix,
-        "accuracy_by_estimator": accuracy,
-        "routes": _route_counts(served),
-    }
-    timing = {"estimators": latency,
-              "stats": {"fleet": served.stats.as_dict(),
-                        "sequential": sequential.stats.as_dict()}}
-    mix_note = ", ".join(f"{count} {shape}"
-                         for shape, count in sorted(shape_mix.items()))
-    return _serve_result(
-        f"Estimator ensemble over a widened workload ({mix_note}; DNF over "
-        f"{max_branches} branches falls back to sampling)",
-        report,
-        [{"estimator": name, "queries": entry["num_queries"],
-          "median_qerror": entry["median_qerror"],
-          "p95_qerror": entry["p95_qerror"]}
-         for name, entry in sorted(accuracy.items())],
-        timing,
-        [{"estimator": name, "e2e_p95_ms": entry["e2e_ms"]["p95"]}
-         for name, entry in sorted(latency.items())],
-        served.selectivities)
+        f"closed-loop capacity, max_pending {scale.max_pending}, overflow "
+        f"shed, e2e p95 SLO = {SERVE_LOADGEN_SLO_MULTIPLIER:g}x the probe's, "
+        f"measured from each query's *scheduled* arrival)", timing, curve)

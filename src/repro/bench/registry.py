@@ -33,28 +33,15 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., dict]]] = {
     "table8": ("Robustness to data shifts: stale vs refreshed model "
                "behind one result-cached router",
                experiments.table8_data_shift),
-    "serve": ("Serving throughput: batched engine vs sequential sampling",
-              experiments.serve_throughput),
-    "serve_multi": ("Multi-model fleet throughput: routed registry vs "
-                    "N sequential engines",
-                    experiments.serve_multi),
-    "serve_replicated": ("Replicated hot-relation serving with admission "
-                         "control and a fleet result cache",
-                         experiments.serve_replicated),
-    "serve_stream": ("Async streaming submission and SLO-aware adaptive "
-                     "batching under bursty arrivals",
+    "serve_stream": ("End-to-end SLO under bursty arrivals: the "
+                     "SLO-steered router meets what the fixed batch misses",
                      experiments.serve_stream),
-    "serve_procfleet": ("Cross-process sharded fleet: N OS worker processes "
-                        "vs the single-process router",
+    "serve_procfleet": ("Cross-process sharded fleet: capacity of N OS "
+                        "worker processes vs the single-process router",
                         experiments.serve_procfleet),
     "serve_loadgen": ("Open-loop load generation: latency-vs-offered-load "
-                      "curve, SLO knee, and chaos drills asserted "
-                      "degraded-not-collapsed",
+                      "curve and its SLO knee",
                       experiments.serve_loadgen),
-    "serve_ensemble": ("Per-query estimator ensemble: DNF/LIKE workload "
-                       "routed across Naru primaries and sampling fallbacks "
-                       "by capability",
-                       experiments.serve_ensemble),
 }
 
 

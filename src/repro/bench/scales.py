@@ -36,18 +36,15 @@ class ServeScale:
     samples: int
     batch_size: int
     epochs: int
-    replicas: int = 1  # serve_replicated (hot relation), serve_loadgen
-    max_pending: int = 0  # serve_replicated, serve_loadgen: admission bound
-    hot_fraction: float = 0.0  # serve_replicated, serve_stream: sessions share
+    hot_fraction: float = 0.0  # serve_stream: sessions share
     burst: int = 0  # serve_stream: hot queries per uninterrupted run
-    workers: int = 0  # serve_procfleet, serve_loadgen: OS worker processes
+    workers: int = 0  # serve_procfleet: OS worker processes
+    replicas: int = 1  # serve_loadgen: replicas per relation
+    max_pending: int = 0  # serve_loadgen: admission bound
     duration_s: float = 0.0  # serve_loadgen: seconds per offered rate
     #: serve_loadgen: offered rates as multiples of the probed capacity, from
     #: well under to far over saturation so the knee lies inside the sweep.
     rate_fractions: tuple[float, ...] = ()
-    fallback_sample: int = 0  # serve_ensemble: the sampling fallback's rows
-    oracle_rows: int = 0  # serve_ensemble: the identity check's table
-    oracle_queries: int = 0  # serve_ensemble: the identity check's queries
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,9 @@ class ExperimentScale:
     oracle_queries: int
     shift_queries: int
     shift_partitions: int
-    serve_throughput: ServeScale
-    serve_multi: ServeScale
-    serve_replicated: ServeScale
     serve_stream: ServeScale
     serve_procfleet: ServeScale
     serve_loadgen: ServeScale
-    serve_ensemble: ServeScale
 
 
 SMOKE = ExperimentScale(
@@ -106,20 +99,13 @@ SMOKE = ExperimentScale(
     oracle_queries=30,
     shift_queries=40,
     shift_partitions=5,
-    serve_throughput=ServeScale(rows=2_000, queries=64, samples=1_500, batch_size=16, epochs=8),
-    serve_multi=ServeScale(rows=3_000, users=400, queries=60, samples=800, batch_size=16, epochs=6),
-    serve_replicated=ServeScale(rows=3_000, users=300, queries=72, samples=800, batch_size=12,
-                                epochs=6, replicas=4, hot_fraction=0.75, max_pending=48),
     serve_stream=ServeScale(rows=3_000, users=300, queries=120, samples=500, batch_size=24,
                             epochs=6, burst=12, hot_fraction=0.75),
     serve_procfleet=ServeScale(rows=2_500, users=300, queries=192, samples=600, batch_size=12,
                                epochs=5, workers=4),
     serve_loadgen=ServeScale(rows=2_000, users=200, queries=48, samples=400, batch_size=8,
-                             epochs=5, replicas=2, max_pending=32, workers=2, duration_s=1.5,
+                             epochs=5, replicas=2, max_pending=32, duration_s=1.5,
                              rate_fractions=(0.25, 0.5, 1.0, 2.0, 4.0)),
-    serve_ensemble=ServeScale(rows=2_400, users=300, queries=64, samples=600, batch_size=12,
-                              epochs=5, fallback_sample=1_024, oracle_rows=160,
-                              oracle_queries=12),
 )
 
 PAPER = ExperimentScale(
@@ -144,22 +130,13 @@ PAPER = ExperimentScale(
     oracle_queries=50,
     shift_queries=200,
     shift_partitions=5,
-    serve_throughput=ServeScale(rows=6_000, queries=256, samples=2_000, batch_size=32, epochs=15),
-    serve_multi=ServeScale(rows=8_000, users=800, queries=192, samples=1_500, batch_size=32,
-                           epochs=12),
-    serve_replicated=ServeScale(rows=8_000, users=800, queries=240, samples=1_500,
-                                batch_size=24, epochs=12, replicas=4, hot_fraction=0.8,
-                                max_pending=96),
     serve_stream=ServeScale(rows=8_000, users=800, queries=360, samples=1_000, batch_size=32,
                             epochs=12, burst=16, hot_fraction=0.8),
     serve_procfleet=ServeScale(rows=8_000, users=800, queries=480, samples=1_200,
                                batch_size=16, epochs=12, workers=4),
     serve_loadgen=ServeScale(rows=6_000, users=600, queries=120, samples=800, batch_size=16,
-                             epochs=10, replicas=4, max_pending=64, workers=4, duration_s=5.0,
+                             epochs=10, replicas=4, max_pending=64, duration_s=5.0,
                              rate_fractions=(0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)),
-    serve_ensemble=ServeScale(rows=8_000, users=800, queries=192, samples=1_200,
-                              batch_size=16, epochs=12, fallback_sample=2_048,
-                              oracle_rows=240, oracle_queries=24),
 )
 
 

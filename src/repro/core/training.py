@@ -9,7 +9,6 @@ objective is the cross-entropy between the empirical joint and the model
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 
@@ -143,10 +142,4 @@ class Trainer:
             if track_entropy_gap:
                 self.history.epoch_entropy_gaps_bits.append(
                     self.entropy_gap_bits(sample_rows=entropy_gap_sample))
-        # The tape frees itself by reference count, so this finds no garbage.
-        # It settles the collector instead — survivors to the oldest
-        # generation, counters to zero — so that the estimates served next
-        # are not billed the young-generation collection (~1 ms) that
-        # training's allocations have brought almost due.
-        gc.collect()
         return self.history

@@ -16,7 +16,7 @@ Every query is assigned a deterministic per-query random stream derived from
 micro-batch boundaries: running a workload with ``batch_size=64`` or
 ``batch_size=1`` produces the same numbers (up to float round-off of skipped
 wildcard columns).  :func:`run_sequential` exploits this to provide the
-apples-to-apples unbatched baseline used by the throughput benchmark.
+apples-to-apples unbatched baseline every serving path is tested against.
 
 Multi-branch :class:`~repro.query.predicates.DNFQuery` submissions expand by
 inclusion–exclusion into signed conjunctive sampler terms (each with its own
@@ -636,8 +636,8 @@ class _UnfusedConditionals:
     :class:`repro.core.made.AutoregressiveModel`) answer each conditional by
     running the *full* forward pass and slicing out one column — the serving
     path as it existed before the fused column-sliced kernel.  The sequential
-    baseline routes through it so the throughput benchmark compares the fused
-    stack against what it replaced; the two paths are bit-identical in value
+    baseline routes through it so the tests compare the fused stack against
+    what it replaced; the two paths are bit-identical in value
     (the fast path's defining property), so drift between the baselines stays
     exactly zero.  Models without the reference method are used as-is.
     """

@@ -40,7 +40,7 @@ measures what heavy live traffic actually does to the fleet:
   driver at a ladder of offered rates and :func:`locate_knee` finds where
   the e2e p95 leaves the SLO; the ``serve_loadgen`` benchmark
   (:func:`repro.bench.serve_loadgen`) emits the curve to
-  ``results/serve_loadgen.{json,txt}``.
+  ``results/timing/serve_loadgen.{json,txt}``.
 
 The degradation contract all of this asserts
 (:func:`assert_degraded_not_collapsed`): under overload and chaos the fleet
@@ -469,8 +469,8 @@ class CacheWipe(ChaosScenario):
                 f"{position}")
 
 
-#: Scenario name -> factory taking ``(route, **kwargs)``; the CLI and the
-#: benchmark build in-process scenarios through this table.  ``kill_worker``
+#: Scenario name -> factory taking ``(route, **kwargs)``; the CLI builds
+#: in-process scenarios through this table.  ``kill_worker``
 #: is the cross-process drill and runs through :func:`run_kill_worker_drill`.
 SCENARIOS: dict[str, Callable[..., ChaosScenario]] = {
     "slow_replica": lambda route, **kwargs: SlowReplica(route, **kwargs),

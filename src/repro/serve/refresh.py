@@ -49,8 +49,8 @@ from .registry import ModelRegistry
 
 __all__ = ["RefreshController"]
 
-#: Rows sampled (deterministically, from the controller's ``seed``) from a
-#: model's training data for its drift baseline.
+#: Rows sampled (deterministically, from the controller's ``seed``) from the
+#: rows a model last trained on, for its drift baseline.
 _BASELINE_ROWS = 2048
 
 
@@ -70,8 +70,8 @@ class RefreshController:
     refresh_epochs:
         Fine-tuning passes over the grown relation per refresh.
     seed:
-        Seed of the drift baseline's row sample (``_BASELINE_ROWS`` rows of
-        the model's training data).
+        Seed of the drift baseline's row sample (``_BASELINE_ROWS`` of the
+        rows the model last trained on).
     """
 
     def __init__(self, registry: ModelRegistry, *, max_staleness: int = 1,
@@ -91,28 +91,38 @@ class RefreshController:
         self.last_drift_bits: dict[str, float | None] = {}
         #: Relation -> completed refresh count.
         self.refreshes: dict[str, int] = {}
-        self._baselines: dict[str, tuple[int, float]] = {}
+        #: Relation -> (the serving model scored, its baseline bits).
+        self._baselines: dict[str, tuple[NaruEstimator, float | None]] = {}
 
     # ------------------------------------------------------------------ #
     # Drift signals
     # ------------------------------------------------------------------ #
-    def _baseline_bits(self, name: str, estimator: NaruEstimator) -> float:
-        """Cross-entropy of (a sample of) the model's own training data.
+    def _baseline_bits(self, name: str, estimator: NaruEstimator) -> float | None:
+        """Cross-entropy of (a sample of) the rows the model last trained on.
 
-        Cached per relation version: every model swap moves it (a refresh
-        with no ingest since the last fit moves no epoch).
+        Those rows are the relation as the model was registered, fitted or
+        refreshed on, in the model's own codes — not ``estimator.table``,
+        which only lends its dictionaries (Table 8's model has the full
+        table's, but trained on one partition).  Taken when the controller
+        first scores the model, which :meth:`ingest` does before it appends,
+        and kept while that model serves: a stale model keeps its baseline
+        across ingests, a refresh's copy takes its own.  ``None`` when the
+        relation holds values the model's dictionaries lack (rows appended
+        around the controller before it first scored the model).
         """
-        version = self.registry.version(name)
         cached = self._baselines.get(name)
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] is estimator:
             return cached[1]
-        codes = estimator.table.encoded()
-        if _BASELINE_ROWS < codes.shape[0]:
-            rng = np.random.default_rng(self.seed)
-            codes = codes[rng.integers(0, codes.shape[0],
-                                       size=_BASELINE_ROWS)]
-        bits = cross_entropy_bits(estimator.model, codes)
-        self._baselines[name] = (version, bits)
+        codes = encode_with_dictionaries(estimator.table,
+                                         self.registry.relation(name))
+        bits = None
+        if codes is not None:
+            if _BASELINE_ROWS < codes.shape[0]:
+                rng = np.random.default_rng(self.seed)
+                codes = codes[rng.integers(0, codes.shape[0],
+                                           size=_BASELINE_ROWS)]
+            bits = cross_entropy_bits(estimator.model, codes)
+        self._baselines[name] = (estimator, bits)
         return bits
 
     def drift_bits(self, name: str, rows: Table) -> float | None:
@@ -123,7 +133,8 @@ class RefreshController:
         explains, large for a shifted partition, ``inf`` when the rows hold
         values outside the model's dictionaries (a fine-tune cannot absorb
         them — only a rebuild can).  ``None`` when the relation has no built
-        likelihood model to score with.
+        likelihood model to score with, or no baseline (see
+        :meth:`_baseline_bits`).
         """
         if not self.registry.is_fitted(name):
             return None
@@ -133,8 +144,10 @@ class RefreshController:
         codes = encode_with_dictionaries(estimator.table, rows)
         if codes is None:
             return float("inf")
-        return (cross_entropy_bits(estimator.model, codes)
-                - self._baseline_bits(name, estimator))
+        baseline = self._baseline_bits(name, estimator)
+        if baseline is None:
+            return None
+        return cross_entropy_bits(estimator.model, codes) - baseline
 
     # ------------------------------------------------------------------ #
     # The ingest -> stale-serve -> refresh loop

@@ -135,8 +135,7 @@ class Rates:
         ``elapsed_s`` covers engine dispatches only — result-cache hits are
         effectively free, so a fleet scope served entirely from the result
         cache reports 0.0 here.  For end-to-end throughput of cache-heavy
-        runs, wall-clock the serving call (the ``serve_replicated``
-        benchmark does exactly that).
+        runs, wall-clock the serving call.
         """
         return self.num_queries / self.elapsed_s if self.elapsed_s > 0 else 0.0
 

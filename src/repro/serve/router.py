@@ -54,7 +54,8 @@ boundaries, routing order *and* the replica count — running the same mixed
 workload with ``batch_size=1`` or ``batch_size=64``, with ``replicas=1`` or
 ``replicas=4``, returns the same numbers per model (up to float round-off),
 and so does :func:`run_fleet_sequential`, the N-independent-sequential-engines
-baseline of the ``serve_multi`` and ``serve_replicated`` benchmarks.  The
+baseline the invariance grid (``tests/test_serve_invariance.py``) holds every
+serving configuration to.  The
 result cache preserves this contract on workloads of distinct queries (an
 exact-match cache can only hit on a repeat); a repeated query is served the
 stored estimate of its earliest dispatched occurrence instead of re-sampling
@@ -1047,9 +1048,7 @@ def run_fleet_sequential(registry: ModelRegistry, queries: list[Query], *,
     models visited one after another) and each fallback unit's through the
     router's own per-query fallback engine (:meth:`FleetRouter.fallback_unit`).
     Queries keep their global submission indices, so the estimates match the
-    fleet's for any replica count (up to float round-off); the
-    ``serve_multi``, ``serve_replicated`` and ``serve_ensemble`` benchmarks
-    report the throughput ratio between the two.
+    fleet's for any replica count (up to float round-off).
     """
     router = FleetRouter(registry, batch_size=1, num_samples=num_samples,
                          use_cache=False, seed=seed, default_route=default_route)

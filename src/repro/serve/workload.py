@@ -207,8 +207,8 @@ def generate_mixed_workload(relations: Mapping[str, Table], num_queries: int, *,
 
     ``num_queries`` is split over the relations — evenly by default, or
     proportionally to ``weights`` (relation name -> relative share; missing
-    names get zero), which is how the ``serve_replicated`` benchmark builds
-    hot-relation workloads — and the per-relation workloads are interleaved
+    names get zero), which is how hot-relation workloads are built — and
+    the per-relation workloads are interleaved
     *proportionally*: each relation's queries are spread evenly over the whole
     workload by fractional position (plain round-robin when the shares are
     equal), so every micro-batch window of a fleet run mixes routes and a hot
@@ -332,13 +332,12 @@ def generate_shape_workload(relations: Mapping[str, Table], num_queries: int, *,
     * a ``like_fraction`` share becomes single-predicate ``LIKE 'x%'``
       prefix queries over a sampled categorical value of a string column
       (positions over relations without string columns keep their original
-      conjunction — the share is a target, not a guarantee, and the
-      ``serve_ensemble`` benchmark reports the realised mix).
+      conjunction — the share is a target, not a guarantee).
 
     ``dnf_branches`` fixes the branch count, or, given a tuple, draws it
     per query — mixing counts on both sides of
-    ``NaruConfig.max_dnf_branches`` is how the ensemble benchmark exercises
-    inclusion–exclusion and fallback routing in one workload.  Everything is
+    ``NaruConfig.max_dnf_branches`` is how one workload exercises both
+    inclusion–exclusion and fallback routing.  Everything is
     keyed off ``seed`` alone, so a workload is reproducible from its knobs.
     """
     for name, fraction in (("dnf_fraction", dnf_fraction),

@@ -11,7 +11,7 @@ semantics), regenerate the fixture and commit the diff::
 
 which prints how far the new estimates moved from the fixture it overwrites
 (max absolute and max relative drift) — the one number a round-off change
-quotes, now that ``results/serve_*.json`` keep only a digest of theirs.
+quotes.
 
 The recipe lives in one module (shared by the regeneration entry point, the
 ``golden_serve`` conftest fixture and the regression test) so the two sides

@@ -554,8 +554,7 @@ class TestTraining:
     def test_training_leaves_no_garbage_behind(self, embed_table):
         # The autograd tape is acyclic, so a step's graph dies by reference
         # count.  With the automatic collector off, the only collections are
-        # explicit — Trainer.train's own (it settles the collector before
-        # serving) and the ones below — and none of them may find anything.
+        # the explicit ones below, and none of them may find anything.
         found = []
 
         def watch(phase, info):

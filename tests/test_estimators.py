@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import ColumnSpec, make_independent_table
+from repro.data import ColumnSpec, make_independent_table, make_users
 from repro.estimators import (
     CardinalityEstimator,
     ChowLiuEstimator,
@@ -21,6 +21,7 @@ from repro.estimators import (
 )
 from repro.query import (DNFQuery, Operator, Predicate, Query, WorkloadGenerator, q_error,
                          true_selectivity)
+from repro.serve import generate_shape_workload
 
 
 def _labeled_workload(table, count, seed=0, min_filters=2, max_filters=4):
@@ -292,3 +293,19 @@ class TestInclusionExclusionClips:
             assert estimator.estimate_selectivity(self.QUERY) == expected
             assert estimator.inclusion_exclusion_clips == clips * repeat
         assert _TermsByWidth(table, by_width).inclusion_exclusion_clips == 0
+
+    def test_exact_terms_reproduce_the_exact_union(self):
+        """With exact per-term selectivities the expansion is the union's
+        exact selectivity, up to float round-off, and nothing is clipped."""
+        users = make_users(num_users=120)
+        truth = TruthEstimator(users)
+        queries = [query for query in generate_shape_workload(
+            {"users": users}, 8, dnf_fraction=1.0, like_fraction=0.0,
+            dnf_branches=(2, 3), min_filters=1, max_filters=2, seed=1)
+            if isinstance(query, DNFQuery)]
+        assert queries
+        for query in queries:
+            expanded = truth._inclusion_exclusion(query,
+                                                  truth.estimate_selectivity)
+            assert abs(expanded - truth.estimate_selectivity(query)) <= 1e-9
+        assert truth.inclusion_exclusion_clips == 0

@@ -157,6 +157,20 @@ class TestEstimationEngine:
             assert np.array_equal(cold, other)
         assert cold[3] == 0.0 and (np.delete(cold, 3) > 0.0).all()
 
+    def test_warm_pass_evaluates_nothing_and_equals_sequential(self, naru,
+                                                               workload):
+        """One engine, its conditional cache kept across two passes: the cold
+        pass evaluates fewer rows than the unfused reference walk (prefix
+        dedup and the cache), the warm pass none at all — and both return
+        the reference walk's very bits."""
+        engine = EstimationEngine(naru, batch_size=5, num_samples=120, seed=0)
+        sequential = run_sequential(naru, workload, num_samples=120, seed=0)
+        cold, warm = engine.run(workload), engine.run(workload)
+        assert np.array_equal(cold.selectivities, sequential.selectivities)
+        assert np.array_equal(warm.selectivities, sequential.selectivities)
+        assert cold.stats.rows_evaluated < sequential.stats.rows_evaluated
+        assert warm.stats.rows_evaluated == 0
+
     def test_cache_accounting_surfaces_in_stats(self, naru, workload):
         engine = EstimationEngine(naru, batch_size=4, num_samples=100, seed=0)
         stats = engine.run(workload).stats

@@ -20,7 +20,7 @@ from repro.data import make_sessions, make_users
 from repro.estimators import IndependenceEstimator, SamplingEstimator
 from repro.query import Operator, Predicate, Query
 from repro.query.predicates import DNFQuery
-from repro.query.shapes import QueryShape
+from repro.query.shapes import QueryShape, query_shape
 from repro.serve import (
     FleetRouter,
     ModelRegistry,
@@ -150,6 +150,24 @@ class TestResolveServing:
         overflow = _dnf("users", _CONFIG.max_dnf_branches + 1)
         assert router.resolve_serving(overflow) == ("users", "fallback")
 
+    def test_fallback_serves_exactly_the_over_bound_disjunctions(self, fleet):
+        """On a workload of every shape whose disjunctions have 2 or 6
+        branches, around the bound of 3, the fallback serves exactly the
+        over-bound disjunctions and the primary everything else."""
+        workload = generate_shape_workload({"users": fleet.relation("users")},
+                                           32, dnf_branches=(2, 6))
+        assert {query_shape(query) for query in workload} == set(QueryShape)
+        over = {index for index, query in enumerate(workload)
+                if isinstance(query, DNFQuery)
+                and len(query.branches) > _CONFIG.max_dnf_branches}
+        report = FleetRouter(fleet, batch_size=4, num_samples=_SAMPLES,
+                             seed=0).run(workload)
+        served = {result.index for result in report.results
+                  if result.estimator.startswith("Sample(")}
+        assert over and served == over
+        assert any(isinstance(query, DNFQuery) and index not in over
+                   for index, query in enumerate(workload))
+
     def test_overflow_without_fallback_raises_descriptive_error(self, fleet):
         router = FleetRouter(fleet, num_samples=_SAMPLES, seed=2)
         overflow = _dnf("sessions", _CONFIG.max_dnf_branches + 1)
@@ -261,6 +279,8 @@ class TestEnsembleReport:
         accuracy = fleet_report.accuracy_by_estimator(truths)
         assert sum(entry["num_queries"] for entry in accuracy.values()) == 3
         assert any(name.startswith("Sample(") for name in accuracy)
+        # The accuracy and latency columns name the same estimators.
+        assert set(accuracy) == set(fleet_report.stats.estimators)
         for entry in accuracy.values():
             assert entry["median_qerror"] >= 1.0
             assert entry["max_qerror"] >= entry["median_qerror"]

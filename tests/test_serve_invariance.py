@@ -356,6 +356,33 @@ def test_replicas_match_single_replica_run(fleet, workload, replicas):
     assert len(used) > len({route for route, _ in used})
 
 
+def test_hot_relation_fans_out_across_its_replica_group(fleet):
+    """A skewed workload behind a replicated, admission-bounded, result-cached
+    router: every replica of the hot relation serves part of it, ``block``
+    sheds nothing, the answers are the sequential baseline's, and a replay is
+    answered from the result cache alone."""
+    relations = {name: fleet.relation(name) for name in fleet.names}
+    hot = generate_mixed_workload(relations, 20, min_filters=1, max_filters=3,
+                                  seed=7, weights={"sessions": 3.0,
+                                                   "users": 1.0})
+    truth = run_fleet_sequential(fleet, hot, num_samples=_SAMPLES, seed=_SEED,
+                                 default_route=_DEFAULT_ROUTE)
+    router = _router(fleet, batch_size=4, replicas=3, result_cache=True,
+                     max_pending=4, overflow="block")
+    cold = router.run(hot)
+    warm = router.run(hot)
+    np.testing.assert_allclose(cold.selectivities, truth.selectivities,
+                               rtol=0.0, atol=1e-12)
+    assert cold.stats.shed == 0
+    route = cold.stats.routes["sessions"]
+    assert route["num_replicas"] == 3
+    served = [replica["num_queries"] for replica in route["replicas"]]
+    assert all(count > 0 for count in served)
+    assert sum(served) + route["result_cache_hits"] == 15
+    assert warm.result_cache_hits == len(hot)
+    np.testing.assert_array_equal(warm.selectivities, cold.selectivities)
+
+
 def test_replica_assignment_is_deterministic(fleet, workload):
     """The (relation, index) hash pins each query to the same replica, always."""
     first = _router(fleet, batch_size=4, replicas=3,
@@ -571,6 +598,24 @@ def test_procfleet_worker_count_is_invisible(fleet, workload):
     used_pids = {stats["pid"] for stats in many.stats.workers.values()
                  if stats["num_queries"]}
     assert len(used_pids) > 1
+
+
+def test_procfleet_batch_size_one_is_the_sequential_walk(fleet, workload,
+                                                         baseline):
+    """Unbatched and uncached, each worker walks the sequential baseline's
+    own code path on the far side of a pipe, so the fleet returns its very
+    bits (the grid's cells allow one ulp).  With one replica of every
+    relation per worker, the round-robin layout leaves no worker idle and
+    every query is served once."""
+    workers = 2
+    with _serving(fleet, workers=workers, batch_size=1, replicas=workers,
+                  use_cache=False) as router:
+        report = router.run(workload)
+    assert np.array_equal(report.selectivities, baseline.selectivities)
+    tallies = [stats["num_queries"] for stats in report.stats.workers.values()]
+    assert len(tallies) == workers
+    assert all(served > 0 for served in tallies)
+    assert sum(tallies) == len(workload)
 
 
 @pytest.mark.parametrize("replicas,use_cache",

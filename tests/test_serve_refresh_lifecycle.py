@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import NaruConfig, NaruEstimator
+from repro.core import NaruConfig, NaruEstimator, cross_entropy_bits
 from repro.data import make_users, partition_by_column
+from repro.data.shift import encode_with_dictionaries
 from repro.estimators import SamplingEstimator
 from repro.query import WorkloadGenerator
 from repro.serve import (
@@ -24,6 +25,7 @@ from repro.serve import (
     ModelRegistry,
     RefreshController,
 )
+from repro.serve.refresh import _BASELINE_ROWS
 
 _CONFIG = NaruConfig(epochs=1, hidden_sizes=(8, 8), batch_size=64,
                      progressive_samples=40, seed=0)
@@ -36,6 +38,14 @@ def _registry(*, replicas: int = 1) -> ModelRegistry:
     registry.register_table(make_users(num_users=120, seed=4),
                             replicas=replicas)
     return registry
+
+
+def _partition_model(base, part) -> NaruEstimator:
+    """A model on ``base``'s dictionaries trained on ``part`` alone (Table
+    8's route)."""
+    model = NaruEstimator(base, _CONFIG)
+    model.refresh(encode_with_dictionaries(base, part), epochs=1)
+    return model
 
 
 def _workload(registry, count: int = 8):
@@ -158,6 +168,90 @@ class TestRefreshController:
         after = controller.drift_bits("users", rows)
         assert after != before
         assert after == RefreshController(registry).drift_bits("users", rows)
+
+    def test_drift_baseline_is_the_rows_the_model_trained_on(self):
+        """Regression: the baseline scored ``estimator.table``, the table the
+        dictionaries came from, so a model built on the full table's
+        dictionaries but trained on one partition (Table 8's) read its own
+        training rows as drift (-37.85 bits per tuple at bench scale).  A
+        stale model keeps that baseline across ingests."""
+        base = make_users(num_users=120, seed=4)
+        first, second = partition_by_column(base, "country", 2)
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(first, name="users",
+                                estimator=_partition_model(base, first))
+        controller = RefreshController(registry)
+        assert controller.drift_bits("users", first) == 0.0
+        controller.ingest("users", second)
+        assert registry.staleness("users") == 1
+        assert controller.drift_bits("users", first) == 0.0
+
+    def test_a_refreshed_copy_takes_the_grown_relation_as_its_baseline(self):
+        """The stale model's baseline stays its partition until a refresh;
+        the fine-tuned copy trained on the grown relation, so that is what
+        it scores against from then on."""
+        base = make_users(num_users=120, seed=4)
+        first, second = partition_by_column(base, "country", 2)
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(first, name="users",
+                                estimator=_partition_model(base, first))
+        controller = RefreshController(registry)
+        controller.ingest("users", second)
+        controller.refresh("users")
+        grown = registry.relation("users")
+        assert grown.num_rows == base.num_rows
+        assert controller.drift_bits("users", grown) == 0.0
+        assert controller.drift_bits("users", first) != 0.0
+
+    def test_a_replacement_model_takes_its_own_baseline(self):
+        """The baseline belongs to the serving model, not to the relation's
+        name: a ``replace=True`` registration is scored on the rows it was
+        registered with, never against its predecessor's baseline."""
+        base = make_users(num_users=120, seed=4)
+        first, second = partition_by_column(base, "country", 2)
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(first, name="users",
+                                estimator=_partition_model(base, first))
+        controller = RefreshController(registry)
+        assert controller.drift_bits("users", first) == 0.0
+        registry.register_table(second, name="users",
+                                estimator=_partition_model(base, second),
+                                replace=True)
+        assert controller.drift_bits("users", second) == 0.0
+
+    def test_a_large_relation_is_scored_on_a_seeded_sample(self):
+        """Past ``_BASELINE_ROWS`` rows the baseline is the cross-entropy of
+        the controller's seeded sample of the relation: the same seed reads
+        the same drift, another seed another sample."""
+        registry = ModelRegistry(default_config=_CONFIG)
+        registry.register_table(make_users(num_users=3000, seed=4))
+        registry.fit_all()
+        estimator = registry.estimator("users")
+        codes = estimator.table.encoded()
+        assert codes.shape[0] > _BASELINE_ROWS
+        rows = make_users(num_users=20, seed=7)
+        scored = cross_entropy_bits(
+            estimator.model, encode_with_dictionaries(estimator.table, rows))
+        for seed in (0, 1):
+            sample = codes[np.random.default_rng(seed).integers(
+                0, codes.shape[0], size=_BASELINE_ROWS)]
+            baseline = cross_entropy_bits(estimator.model, sample)
+            drift = RefreshController(registry, seed=seed).drift_bits("users",
+                                                                      rows)
+            assert drift == scored - baseline
+        assert (RefreshController(registry, seed=0).drift_bits("users", rows)
+                != RefreshController(registry, seed=1).drift_bits("users",
+                                                                  rows))
+
+    def test_drift_is_none_when_the_training_rows_cannot_be_encoded(self):
+        """Rows the model's dictionaries lack, appended around the controller
+        before it first scores the model, leave no baseline to score against."""
+        registry = _registry()
+        registry.fit_all()
+        registry.ingest("users", make_users(num_users=200, seed=4))
+        controller = RefreshController(registry)
+        assert controller.drift_bits("users",
+                                     make_users(num_users=20, seed=7)) is None
 
     def test_out_of_vocabulary_ingest_forces_cold_rebuild(self):
         registry = _registry()
